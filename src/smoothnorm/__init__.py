@@ -40,7 +40,6 @@ from .orlicz import (
     luxemburg_norm,
     luxemburg_norm_batch,
     make_orlicz,
-    orlicz_eval,
 )
 from .renorm import (
     PhiNormSpec,

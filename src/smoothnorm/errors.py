@@ -10,7 +10,7 @@ class ParameterError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Raised when an iterative routine exhausts its budget.
+    """Raised when an iterative routine exhausts its budget or range.
 
     Carries the last bracket so callers can inspect how far the
     computation got.

@@ -20,12 +20,21 @@ b - a ~ 1e-3, for which exp(-1/(s-a)) underflows float64 over the entire
 integration range; the log-space exponential-integral form keeps the
 ratio G(t-a)/G(b-a) accurate to ~1e-12 regardless of width.
 
+An OrliczFamily whose members are all OrliczFunctions is stored as
+stacked per-column arrays (zero threshold, log G(width), peak), so a
+batch of rows is evaluated in one pass that touches only the entries
+above their column's threshold; the bump formula is the same function
+OrliczFunction uses.  Families of other callables (for example the
+power family s -> s^p) are evaluated per group of identical callables.
+
 A generalized Luxemburg norm over a finite index set B is
 
     ||c||_phi = inf { rho > 0 : sum_t phi_t(|c_t| / rho) <= 1 },
 
-computed by certified bisection (the returned value is the upper bracket
-endpoint, so the modular constraint holds at the result as computed).
+computed by scaling.feasible_scale_inf, the package's one certified
+bracket-and-bisect; a single vector is a batch of one.  The returned
+value is the certified upper bracket endpoint, so the modular constraint
+holds at the result as computed.
 """
 
 from __future__ import annotations
@@ -38,14 +47,12 @@ import numpy as np
 from scipy.special import expn
 
 from .errors import NumericError, ParameterError
-from .scaling import (DEFAULT_TOL, MAX_BISECT_STEPS, MAX_BRACKET_STEPS,
-                      feasible_scale_inf)
+from .scaling import DEFAULT_TOL, feasible_scale_inf
 
 __all__ = [
     "OrliczFunction",
     "OrliczFamily",
     "make_orlicz",
-    "orlicz_eval",
     "luxemburg_norm",
     "luxemburg_norm_batch",
     "check_lemma1_bounds",
@@ -78,6 +85,23 @@ def _log_g(x: np.ndarray) -> np.ndarray:
         xl = x[~small]
         out[~small] = np.log(xl * expn(2, 1.0 / xl))
     return out
+
+
+def _bump(x, log_g_width, peak, log_peak, order):
+    """Bump value (or derivative) at zero_threshold + x, for x > 0.
+
+    The per-function constants are scalars or arrays aligned with x.
+    """
+    if order == 0:
+        logv = _log_g(x) - log_g_width
+    elif order == 1:
+        logv = -log_g_width - 1.0 / x
+    else:
+        logv = -log_g_width - 1.0 / x - 2.0 * np.log(x)
+    # The peak factor multiplies outside the exponential so that
+    # value(exceed_threshold) = 1 + exceed_margin exactly.
+    return np.where(logv + log_peak > _LOG_HUGE, np.inf,
+                    peak * np.exp(np.minimum(logv, _LOG_HUGE)))
 
 
 class OrliczFunction:
@@ -129,6 +153,8 @@ class OrliczFunction:
         return math.exp(log_scale)
 
     def _eval(self, t, order):
+        if order not in (0, 1, 2):
+            raise ParameterError(f"order must be 0, 1 or 2, got {order}")
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ParameterError("orlicz functions are defined for t >= 0")
@@ -136,24 +162,16 @@ class OrliczFunction:
         out = np.zeros_like(t)
         pos = t > a
         if np.any(pos):
-            x = t[pos] - a
-            # The peak factor multiplies outside the exponential so that
-            # value(exceed_threshold) = 1 + exceed_margin exactly.
-            if order == 0:
-                logv = _log_g(x) - self._log_g_width
-            elif order == 1:
-                logv = -self._log_g_width - 1.0 / x
-            elif order == 2:
-                logv = -self._log_g_width - 1.0 / x - 2.0 * np.log(x)
-            else:
-                raise ParameterError(f"order must be 0, 1 or 2, got {order}")
-            vals = np.where(logv + self._log_peak > _LOG_HUGE, np.inf,
-                            self._peak * np.exp(np.minimum(logv, _LOG_HUGE)))
-            out[pos] = vals
+            out[pos] = _bump(t[pos] - a, self._log_g_width, self._peak,
+                             self._log_peak, order)
         return out
 
     def __call__(self, t, order=0):
-        """Evaluate the function (or derivative) at scalar or array t."""
+        """Evaluate the function (order 0) or one of its closed-form
+        derivatives (order 1, 2) at scalar or array t >= 0.
+
+        All orders return 0 on [0, zero_threshold].
+        """
         scalar = np.isscalar(t) or getattr(t, "ndim", 1) == 0
         out = self._eval(t, order)
         return float(out) if scalar else out
@@ -178,22 +196,14 @@ def make_orlicz(zero_threshold, exceed_threshold, exceed_margin=0.5):
     return OrliczFunction(zero_threshold, exceed_threshold, exceed_margin)
 
 
-def orlicz_eval(f: OrliczFunction, t, order=0):
-    """Evaluate ``f`` (order 0) or one of its closed-form derivatives.
-
-    All orders return 0 on [0, zero_threshold]; t < 0 is a parameter
-    error.
-    """
-    return f(t, order=order)
-
-
 class OrliczFamily:
     """A finite indexed family of Orlicz functions.
 
     Functions must accept numpy arrays (all OrliczFunction instances do;
     plain vectorized callables such as ``lambda s: s**p`` also qualify).
-    Evaluation groups coordinates by function identity so constant
-    families cost one vectorized call.
+    A family of OrliczFunctions is evaluated from stacked per-column
+    constants; any other family is evaluated per group of identical
+    callables, so constant families cost one vectorized call.
     """
 
     def __init__(self, functions, labels=None):
@@ -208,6 +218,14 @@ class OrliczFamily:
                 raise ParameterError("labels and functions length mismatch")
         self.functions = functions
         self.labels = labels
+        self._groups = None
+        if all(isinstance(fn, OrliczFunction) for fn in functions):
+            self._zero = np.array([fn.zero_threshold for fn in functions])
+            self._log_g_width = np.array(
+                [fn._log_g_width for fn in functions])
+            self._peak = np.array([fn._peak for fn in functions])
+            self._log_peak = np.array([fn._log_peak for fn in functions])
+            return
         groups: dict[int, list[int]] = {}
         for i, fn in enumerate(functions):
             groups.setdefault(id(fn), []).append(i)
@@ -221,16 +239,7 @@ class OrliczFamily:
 
     def modular(self, args: np.ndarray) -> float:
         """sum_t phi_t(args_t) for an array aligned with the family."""
-        args = np.asarray(args, dtype=float)
-        if args.shape != (len(self.functions),):
-            raise ParameterError(
-                f"expected {len(self.functions)} coordinates, "
-                f"got shape {args.shape}"
-            )
-        total = 0.0
-        for fn, idx in self._groups:
-            total += float(np.sum(fn(args[idx])))
-        return total
+        return float(self.modular_rows(np.asarray(args, float)[None])[0])
 
     def modular_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row-wise modular for a batch: (n, len(family)) -> (n,)."""
@@ -240,10 +249,19 @@ class OrliczFamily:
                 f"expected (n, {len(self.functions)}) rows, got shape "
                 f"{rows.shape}"
             )
-        total = np.zeros(rows.shape[0])
-        for fn, idx in self._groups:
-            total += np.sum(fn(rows[:, idx]), axis=1)
-        return total
+        if self._groups is not None:
+            total = np.zeros(rows.shape[0])
+            for fn, idx in self._groups:
+                total += np.sum(fn(rows[:, idx]), axis=1)
+            return total
+        if rows.size and rows.min() < 0.0:
+            raise ParameterError("orlicz functions are defined for t >= 0")
+        # Every bump vanishes up to its zero threshold, so only the
+        # entries above it are evaluated.
+        r, c = np.nonzero(rows > self._zero)
+        vals = _bump(rows[r, c] - self._zero[c], self._log_g_width[c],
+                     self._peak[c], self._log_peak[c], 0)
+        return np.bincount(r, weights=vals, minlength=rows.shape[0])
 
 
 @dataclass(frozen=True)
@@ -257,133 +275,57 @@ class LuxemburgResult:
     iterations: int
 
 
+def _coordinate_rows(family, rows):
+    """Validate (n, len(family)) coordinate rows."""
+    if rows.ndim != 2 or rows.shape[1] != len(family):
+        raise ParameterError(
+            f"coordinates of shape {rows.shape[1:]} do not match family "
+            f"size {len(family)}"
+        )
+    return rows
+
+
 def luxemburg_norm(family: OrliczFamily, coords, tol=DEFAULT_TOL,
                    full_output=False):
     """Generalized Luxemburg norm of a finite coordinate vector.
 
-    ||c||_phi = inf { rho > 0 : sum_t phi_t(|c_t|/rho) <= 1 }, computed
-    by bisection on the monotone feasibility predicate.  The upper
-    bracket endpoint is returned, so feasibility at the result is
-    certified exactly as computed.
+    ||c||_phi = inf { rho > 0 : sum_t phi_t(|c_t|/rho) <= 1 }: the
+    certified upper bracket endpoint of feasible_scale_inf on a batch of
+    one, so feasibility at the result holds exactly as computed and the
+    value equals luxemburg_norm_batch on the same row.
 
     Parameters
     ----------
     family : OrliczFamily
     coords : array_like
-        Coordinates aligned with the family's index order.
+        Finite coordinates aligned with the family's index order.
     tol : float
         Relative final bracket width.
     full_output : bool
         If True, return a LuxemburgResult instead of a float.
     """
-    coords = np.abs(np.asarray(coords, dtype=float))
-    if coords.shape != (len(family),):
-        raise ParameterError(
-            f"coords shape {coords.shape} does not match family size "
-            f"{len(family)}"
-        )
-    peak = float(np.max(coords)) if coords.size else 0.0
-    if peak == 0.0:
-        if full_output:
-            return LuxemburgResult(0.0, 0.0, 0.0, 0.0, 0)
-        return 0.0
-
-    # Work on peak-normalized coordinates: keeps brackets O(1) even for
-    # subnormal or huge inputs, and makes the result scale-equivariant.
-    unit = coords / peak
-
-    def s_fn(rho):
-        return family.modular(unit / rho)
-
-    bracket = feasible_scale_inf(s_fn, 1.0, tol=tol)
-
-    # Certify feasibility on the unnormalized path: coords/value rounds
-    # differently from (coords/peak)/hi, so absorb ulp-level disagreement
-    # by nudging the value upward (stays inside the bracket width).
-    value = peak * bracket.hi
-    s_val = family.modular(coords / value)
-    for _ in range(8):
-        if s_val <= 1.0:
-            break
-        value = np.nextafter(value, np.inf)
-        s_val = family.modular(coords / value)
-    else:
-        raise NumericError("could not certify feasibility at result",
-                           bracket=(peak * bracket.lo, value))
-
-    if full_output:
-        return LuxemburgResult(
-            value=value, lo=peak * bracket.lo, hi=value,
-            modular_at_value=s_val, iterations=bracket.iterations,
-        )
-    return value
+    coords = np.asarray(coords, dtype=float)
+    bracket = feasible_scale_inf(
+        family.modular_rows, _coordinate_rows(family, coords[None]), tol=tol)
+    value = float(bracket.hi[0])
+    if not full_output:
+        return value
+    s_val = family.modular(np.abs(coords) / value) if value else 0.0
+    return LuxemburgResult(value=value, lo=float(bracket.lo[0]), hi=value,
+                           modular_at_value=s_val,
+                           iterations=bracket.iterations)
 
 
 def luxemburg_norm_batch(family: OrliczFamily, rows,
                          tol=DEFAULT_TOL) -> np.ndarray:
     """Luxemburg norms of many coordinate vectors at once.
 
-    Same contract as luxemburg_norm per row (upper bracket endpoint,
-    feasibility certified on the returned values), but the bisection
-    runs on all rows simultaneously, which is much faster for large
-    sample pools.
+    Same contract and, row for row, the same values as luxemburg_norm;
+    the bisection runs on all rows simultaneously, which is much faster
+    for large sample pools.
     """
-    rows = np.abs(np.atleast_2d(np.asarray(rows, dtype=float)))
-    if rows.shape[1] != len(family):
-        raise ParameterError(
-            f"rows shape {rows.shape} does not match family size "
-            f"{len(family)}"
-        )
-    values = np.zeros(rows.shape[0])
-    alive = rows.max(axis=1) > 0.0
-    if not np.any(alive):
-        return values
-    sub = rows[alive]
-    peak = sub.max(axis=1)
-    unit = sub / peak[:, None]
-
-    def feasible(rho):
-        return family.modular_rows(unit / rho[:, None]) <= 1.0
-
-    hi = np.ones(len(unit))
-    for _ in range(MAX_BRACKET_STEPS):
-        grow = ~feasible(hi)
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    else:
-        raise NumericError("no feasible upper bracket found",
-                           bracket=(None, float(hi.max())))
-    lo = hi / 2.0
-    for _ in range(MAX_BRACKET_STEPS):
-        shrink = feasible(lo)
-        if not shrink.any():
-            break
-        lo[shrink] /= 2.0
-    else:
-        raise NumericError("no infeasible lower bracket found",
-                           bracket=(float(lo.min()), None))
-    for _ in range(MAX_BISECT_STEPS):
-        if np.all(hi - lo <= tol * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        feas = feasible(mid)
-        hi = np.where(feas, mid, hi)
-        lo = np.where(feas, lo, mid)
-
-    out = peak * hi
-    s = family.modular_rows(sub / out[:, None])
-    for _ in range(8):
-        bad = s > 1.0
-        if not bad.any():
-            break
-        out = np.where(bad, np.nextafter(out, np.inf), out)
-        s = family.modular_rows(sub / out[:, None])
-    else:
-        raise NumericError("could not certify feasibility at result",
-                           bracket=None)
-    values[alive] = out
-    return values
+    rows = _coordinate_rows(family, np.atleast_2d(np.asarray(rows, float)))
+    return feasible_scale_inf(family.modular_rows, rows, tol=tol).hi
 
 
 @dataclass(frozen=True)

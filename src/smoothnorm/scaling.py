@@ -1,101 +1,162 @@
-"""Certified bisection for Luxemburg-type scaling infima.
+"""Certified bracket-and-bisect for Luxemburg-type scaling infima.
 
-Several norms in this package have the form
+Every Luxemburg-type norm in this package (the phi-norm over an Orlicz
+family, the ``orlicz_hM`` space norm and the ``lap`` norm) has the form
 
-    ||x|| = inf { rho > 0 : S(rho) <= 1 }
+    ||c|| = inf { rho > 0 : S(|c| / rho) <= 1 }
 
-where S is continuous, nonincreasing in rho, S(rho) -> infinity as
-rho -> 0+ for x != 0, and S(rho) -> 0 as rho -> infinity.  The infimum is
-bracketed and bisected on the feasibility predicate S(rho) <= 1; the upper
-bracket endpoint is returned so that S(result) <= 1 holds as computed,
-with no tolerance.
+for a modular S that is continuous and nondecreasing in each coordinate,
+with S(z) -> infinity as z -> infinity for z != 0 and S(0) <= 1.
+``feasible_scale_inf`` is the package's only solver for these infima.
+It works on a batch of coordinate rows with a row-wise modular
+``modular_rows: (k, m) -> (k,)``, and a single vector is a batch of one.
+
+Each row is scaled to peak 1 and goes through the same steps: double
+from 1 until feasible, halve while feasible (moving the upper end down
+with it), then bisect until the bracket is ``tol``-relative narrow or at
+float resolution.  Rows that have converged are not evaluated again.
+The upper endpoint is then certified on the unnormalized row: where
+``|c| / value`` rounds differently from ``(|c| / peak) / hi`` and the
+modular exceeds 1, ``value`` is nudged up by one ulp at a time.  So
+S(|c| / value) <= 1 holds as computed, with no tolerance.
 """
 
 from dataclasses import dataclass
 
-from .errors import NumericError
+import numpy as np
+
+from .errors import NumericError, ParameterError
 
 DEFAULT_TOL = 1e-10
-MAX_BRACKET_STEPS = 2000
-MAX_BISECT_STEPS = 500
+# Ulp nudges allowed when certifying the unnormalized value.
+MAX_NUDGES = 8
 
 
 @dataclass(frozen=True)
 class ScalingBracket:
-    """Final bracket of a scaling-infimum bisection.
+    """Certified final brackets of a batch of scaling infima.
 
-    lo is infeasible (S(lo) > 1), hi is feasible (S(hi) <= 1), and
-    hi - lo <= tol * hi on success.
+    Per row, S(|c| / lo) > 1 on the peak-normalized scale and
+    S(|c| / hi) <= 1 on the row itself; ``hi`` is the norm.  Zero rows
+    have lo = hi = 0.  ``iterations`` is the number of bisection steps
+    summed over the rows.
     """
 
-    lo: float
-    hi: float
-    s_hi: float
+    lo: np.ndarray
+    hi: np.ndarray
     iterations: int
 
 
-def feasible_scale_inf(s_fn, hi0, tol=DEFAULT_TOL):
-    """Bracket and bisect inf{rho > 0 : s_fn(rho) <= 1}.
+def _failure(message, row, lo, hi):
+    return NumericError(f"{message} (row {row})",
+                        bracket=(float(lo[row]), float(hi[row])))
+
+
+def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
+    """Bracket and bisect inf{rho > 0 : modular_rows(|c| / rho) <= 1}
+    for every row c of ``rows``.
 
     Parameters
     ----------
-    s_fn : callable
-        Nonincreasing map rho -> S(rho), rho > 0.
-    hi0 : float
-        Positive starting guess for the feasible side.
+    modular_rows : callable
+        Row-wise modular, (k, m) array of nonnegative entries -> (k,).
+    rows : array_like, shape (n, m)
+        Coordinate rows; signs are ignored.
     tol : float
-        Relative bracket width at which bisection stops.
+        Relative final bracket width.
 
     Returns
     -------
     ScalingBracket
-        The certified final bracket; the norm value is ``bracket.hi``.
+        Per-row certified brackets; the norms are ``bracket.hi``.
 
     Raises
     ------
+    ParameterError
+        If any coordinate is NaN or infinite.
     NumericError
-        If bracketing or bisection exhausts its iteration budget.
+        If a row's scale leaves the float range while bracketing, or its
+        value cannot be certified; ``bracket`` is that row's last finite
+        (lo, hi).
     """
-    hi = float(hi0)
-    if not hi > 0.0:
-        raise NumericError("starting guess must be positive", bracket=None)
+    rows = np.abs(np.asarray(rows, dtype=float))
+    if rows.ndim != 2:
+        raise ParameterError(f"expected (n, m) rows, got shape {rows.shape}")
+    peak = rows.max(axis=1, initial=0.0)
+    if not np.all(np.isfinite(peak)):
+        raise ParameterError("coordinates must be finite")
+    live = np.flatnonzero(peak > 0.0)
+    # Peak normalization keeps brackets O(1) even for subnormal or huge
+    # rows and makes the result scale-equivariant.
+    unit = rows / np.where(peak > 0.0, peak, 1.0)[:, None]
+    # One scratch buffer for every evaluation: the live rows are copied
+    # into it and divided in place, so no iteration allocates a batch.
+    # np.take's default mode="raise" would copy through a second buffer.
+    scratch = np.empty_like(rows)
 
-    steps = 0
-    while not s_fn(hi) <= 1.0:
-        hi *= 2.0
-        steps += 1
-        if steps > MAX_BRACKET_STEPS:
-            raise NumericError(
-                "no feasible scale found while doubling",
-                bracket=(hi / 2.0, hi),
-            )
+    def feasible(source, idx, scale):
+        z = scratch[:len(idx)]
+        np.take(source, idx, axis=0, out=z, mode="clip")
+        z /= scale[:, None]
+        return modular_rows(z) <= 1.0
 
-    lo = hi / 2.0
-    steps = 0
-    while s_fn(lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-        steps += 1
-        if steps > MAX_BRACKET_STEPS:
-            raise NumericError(
-                "no infeasible scale found while halving",
-                bracket=(lo, hi),
-            )
+    lo = np.zeros(len(rows))
+    hi = np.zeros(len(rows))
+    hi[live] = 1.0
 
-    # Invariant: s_fn(lo) > 1 >= s_fn(hi).
-    it = 0
-    while hi - lo > tol * hi:
-        it += 1
-        if it > MAX_BISECT_STEPS:
-            raise NumericError(
-                "bisection exceeded iteration budget", bracket=(lo, hi)
-            )
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at float resolution
-        if s_fn(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+    todo = live
+    while True:
+        todo = todo[~feasible(unit, todo, hi[todo])]
+        if not todo.size:
+            break
+        # Both the normalized and the unnormalized scale must stay finite.
+        with np.errstate(over="ignore"):
+            too_big = ~np.isfinite(2.0 * np.maximum(peak[todo], 1.0)
+                                   * hi[todo])
+        if too_big.any():
+            row = todo[np.argmax(too_big)]
+            raise _failure("no feasible scale found while doubling", row,
+                           peak * hi / 2.0, peak * hi)
+        hi[todo] *= 2.0
 
-    return ScalingBracket(lo=lo, hi=hi, s_hi=float(s_fn(hi)), iterations=it)
+    lo[live] = hi[live] / 2.0
+    todo = live
+    while True:
+        todo = todo[feasible(unit, todo, lo[todo])]
+        if not todo.size:
+            break
+        too_small = np.minimum(peak[todo], 1.0) * lo[todo] / 2.0 == 0.0
+        if too_small.any():
+            row = todo[np.argmax(too_small)]
+            raise _failure("no infeasible scale found while halving", row,
+                           peak * lo, peak * hi)
+        hi[todo] = lo[todo]
+        lo[todo] /= 2.0
+
+    # Invariant: S(unit / lo) > 1 >= S(unit / hi).
+    iterations = 0
+    todo = live
+    while True:
+        todo = todo[hi[todo] - lo[todo] > tol * hi[todo]]
+        mid = 0.5 * (lo[todo] + hi[todo])
+        resolved = (mid > lo[todo]) & (mid < hi[todo])
+        todo, mid = todo[resolved], mid[resolved]
+        if not todo.size:
+            break
+        iterations += todo.size
+        feas = feasible(unit, todo, mid)
+        hi[todo[feas]] = mid[feas]
+        lo[todo[~feas]] = mid[~feas]
+
+    lo *= peak
+    hi *= peak
+    todo = live
+    for nudges in range(MAX_NUDGES + 1):
+        todo = todo[~feasible(rows, todo, hi[todo])]
+        if not todo.size:
+            break
+        if nudges == MAX_NUDGES:
+            raise _failure("could not certify feasibility at result",
+                           todo[0], lo, hi)
+        hi[todo] = np.nextafter(hi[todo], np.inf)
+    return ScalingBracket(lo=lo, hi=hi, iterations=int(iterations))

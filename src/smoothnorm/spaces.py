@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .orlicz import OrliczFamily, OrliczFunction, luxemburg_norm
-from .scaling import DEFAULT_TOL, feasible_scale_inf
+from .scaling import feasible_scale_inf
 
 __all__ = [
     "ModelSpace",
@@ -131,7 +131,8 @@ class ModelSpace:
         if self.kind == "orlicz_hM":
             return float(luxemburg_norm(self._family, x))
         if self.kind == "lap":
-            return self._lap_norm(x)
+            return float(
+                feasible_scale_inf(self._lap_modular_rows, x[None, :]).hi[0])
         if self.kind == "lorentz":
             ranked = np.sort(np.abs(x))[::-1]
             return float(np.dot(self.weights, ranked))
@@ -143,19 +144,14 @@ class ModelSpace:
         """Phi(z) = sum_k max_{n: k in A_n} |z_k|^{p_n}."""
         if self.kind != "lap":
             raise ParameterError("lap_modular is defined for lap spaces")
-        z = np.abs(self._check_vec(z))
-        with np.errstate(invalid="ignore"):
-            powers = z[None, :] ** self._exponent_table
-        return float(np.sum(np.nanmax(powers, axis=0)))
+        z = self._check_vec(z)
+        return float(self._lap_modular_rows(z[None, :])[0])
 
-    def _lap_norm(self, x) -> float:
-        peak = float(np.max(np.abs(x)))
-        if peak == 0.0:
-            return 0.0
-        unit = x / peak
-        bracket = feasible_scale_inf(
-            lambda lam: self.lap_modular(unit / lam), 1.0, tol=DEFAULT_TOL)
-        return peak * bracket.hi
+    def _lap_modular_rows(self, rows) -> np.ndarray:
+        """Row-wise Phi: (n, dim) -> (n,)."""
+        with np.errstate(invalid="ignore"):
+            powers = np.abs(rows)[:, None, :] ** self._exponent_table
+        return np.sum(np.nanmax(powers, axis=1), axis=1)
 
     def dual_norm(self, f) -> float:
         """Closed-form dual norm for exact kinds; coordinate l1 otherwise.

@@ -7,6 +7,7 @@ grid scans for one-dimensional Luxemburg infima, and closed-form p-norms
 for power families.
 """
 
+import itertools
 import math
 
 import mpmath as mp
@@ -16,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from smoothnorm.errors import ParameterError
+from smoothnorm.errors import NumericError, ParameterError
 from smoothnorm.orlicz import (
     OrliczFamily,
     check_lemma1_bounds,
     luxemburg_norm,
+    luxemburg_norm_batch,
     make_orlicz,
-    orlicz_eval,
 )
 
 # Frozen from the quad oracle below: 1.5 / int_0.5^1 exp(-1/(s-0.5)) ds.
@@ -47,8 +48,8 @@ class TestMakeOrlicz:
         assert f(0.0) == 0.0
         assert f(0.25) == 0.0
         assert f(0.5) == 0.0
-        assert orlicz_eval(f, 0.3, order=1) == 0.0
-        assert orlicz_eval(f, 0.5, order=2) == 0.0
+        assert f(0.3, order=1) == 0.0
+        assert f(0.5, order=2) == 0.0
 
     def test_scale_against_quad_oracle(self):
         f = make_orlicz(0.5, 1.0)
@@ -102,7 +103,7 @@ class TestOrliczEval:
     def test_closed_form_first_derivative(self):
         f = make_orlicz(1.0, 2.0)
         expected = f.scale * math.exp(-1.0 / 0.5)
-        np.testing.assert_allclose(orlicz_eval(f, 1.5, order=1), expected,
+        np.testing.assert_allclose(f(1.5, order=1), expected,
                                    rtol=1e-12)
 
     def test_first_derivative_vs_central_difference(self):
@@ -110,14 +111,14 @@ class TestOrliczEval:
         h = 1e-6
         for t in [1.2, 1.5, 1.9, 2.5]:
             fd = (f(t + h) - f(t - h)) / (2.0 * h)
-            assert abs(orlicz_eval(f, t, order=1) - fd) <= 1e-7 * max(1, fd)
+            assert abs(f(t, order=1) - fd) <= 1e-7 * max(1, fd)
 
     def test_second_derivative_vs_central_difference(self):
         f = make_orlicz(1.0, 2.0)
         h = 1e-5
         for t in [1.3, 1.5, 2.0]:
             fd = (f(t + h) - 2.0 * f(t) + f(t - h)) / h**2
-            np.testing.assert_allclose(orlicz_eval(f, t, order=2), fd,
+            np.testing.assert_allclose(f(t, order=2), fd,
                                        rtol=1e-5)
 
     def test_convexity_second_derivative_nonnegative(self):
@@ -128,12 +129,12 @@ class TestOrliczEval:
     def test_negative_t_rejected(self):
         f = make_orlicz(0.5, 1.0)
         with pytest.raises(ParameterError):
-            orlicz_eval(f, -0.1)
+            f(-0.1)
 
     def test_bad_order_rejected(self):
         f = make_orlicz(0.5, 1.0)
         with pytest.raises(ParameterError):
-            orlicz_eval(f, 1.0, order=3)
+            f(1.0, order=3)
 
 
 def power_family(p, size):
@@ -177,17 +178,41 @@ class TestLuxemburgNorm:
         np.testing.assert_allclose(f(1.0 / got), 1.0, rtol=1e-6)
 
     def test_certified_feasibility_exact(self):
-        """Modular at the returned value is <= 1 with no tolerance."""
+        """Modular at the returned value is <= 1 with no tolerance, and
+        the batched path returns the scalar value bit for bit."""
         rng = np.random.default_rng(7)
         f = make_orlicz(0.5, 1.0)
-        for dim in (1, 4, 9):
-            fam = OrliczFamily([f] * dim)
-            for _ in range(20):
-                c = rng.standard_normal(dim) * rng.uniform(0.1, 10)
+        for dim, kind in itertools.product((1, 4, 9), ("bump", "power")):
+            fam = (OrliczFamily([f, make_orlicz(2.0, 3.0)] * dim)
+                   if kind == "bump" else power_family(3.0, 2 * dim))
+            rows = (rng.standard_normal((20, 2 * dim))
+                    * rng.uniform(0.1, 10, size=(20, 1)))
+            batch = luxemburg_norm_batch(fam, rows)
+            for c, value in zip(rows, batch):
                 res = luxemburg_norm(fam, c, full_output=True)
+                assert res.value == value
+                assert luxemburg_norm_batch(fam, [c])[0] == value
                 assert fam.modular(np.abs(c) / res.value) <= 1.0
                 assert res.modular_at_value <= 1.0
                 assert fam.modular(np.abs(c) / res.lo) > 1.0
+            assert np.all(fam.modular_rows(np.abs(rows) / batch[:, None])
+                          <= 1.0)
+
+    def test_bracketing_failure_reports_finite_bracket(self):
+        """A family that is never feasible (doubling fails) or always
+        feasible (halving fails) raises with the row's finite bracket."""
+        never = lambda s: 2.0 + np.asarray(s, dtype=float)
+        always = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+        for fn in (never, always):
+            fam = OrliczFamily([fn] * 3)
+            for call in (lambda: luxemburg_norm(fam, [1.0, -2.0, 0.5]),
+                         lambda: luxemburg_norm_batch(
+                             fam, [[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])):
+                with pytest.raises(NumericError) as info:
+                    call()
+                lo, hi = info.value.bracket
+                assert np.isfinite(lo) and np.isfinite(hi)
+                assert 0.0 < lo < hi
 
     def test_monotone_in_coordinates(self):
         rng = np.random.default_rng(3)
@@ -207,6 +232,54 @@ class TestLuxemburgNorm:
     def test_empty_family_rejected(self):
         with pytest.raises(ParameterError):
             OrliczFamily([])
+
+
+class TestStackedFamily:
+    """A family of OrliczFunctions is evaluated from stacked constants;
+    each member evaluated on its own column is the reference."""
+
+    def test_modular_rows_matches_per_function_loop(self):
+        rng = np.random.default_rng(5)
+        fns = [make_orlicz(a, a + w) for a, w in
+               zip(rng.uniform(0.1, 2.0, 12), rng.uniform(1e-3, 1.0, 12))]
+        fam = OrliczFamily(fns)
+        rows = np.abs(rng.standard_normal((40, 12))) * 2.0
+        loop = np.array([sum(f(x) for f, x in zip(fns, row))
+                         for row in rows])
+        np.testing.assert_allclose(fam.modular_rows(rows), loop,
+                                   rtol=1e-14, atol=0.0)
+        for row, expected in zip(rows, loop):
+            np.testing.assert_allclose(fam.modular(row), expected,
+                                       rtol=1e-14, atol=0.0)
+
+    def test_negative_entries_rejected(self):
+        fam = OrliczFamily([make_orlicz(0.5, 1.0)] * 2)
+        with pytest.raises(ParameterError):
+            fam.modular_rows(np.array([[0.1, -0.1]]))
+
+
+def nonfinite_vectors(dim):
+    finite = st.floats(min_value=-50.0, max_value=50.0,
+                       allow_nan=False, allow_infinity=False)
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    return st.tuples(st.lists(finite, min_size=dim, max_size=dim),
+                     st.integers(0, dim - 1), bad).map(
+        lambda t: np.asarray(t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]))
+
+
+class TestNonFiniteRejected:
+    """NaN or inf coordinates raise ParameterError on every path; a NaN
+    row used to read as the zero vector."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=nonfinite_vectors(4), kind=st.sampled_from(["bump", "power"]))
+    def test_scalar_and_batch(self, c, kind):
+        fam = (OrliczFamily([make_orlicz(0.7, 1.3)] * 4) if kind == "bump"
+               else power_family(2.0, 4))
+        with pytest.raises(ParameterError):
+            luxemburg_norm(fam, c)
+        with pytest.raises(ParameterError):
+            luxemburg_norm_batch(fam, np.vstack([np.ones(4), c]))
 
 
 @st.composite

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from smoothnorm.boundary import Decomposition, build_net
@@ -181,6 +183,19 @@ class TestPhiNorm:
         for u, value in zip(U, batch):
             np.testing.assert_allclose(value, phi_norm(ladder3_spec, u),
                                        rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           at=st.integers(0, 2))
+    def test_non_finite_rejected(self, ladder3_spec, bad, at):
+        """A NaN row used to come back from the batch as 0.0."""
+        u = np.array([np.nan, 1.0, 0.0])
+        u[at] = bad
+        with pytest.raises(ParameterError):
+            phi_norm(ladder3_spec, u)
+        with pytest.raises(ParameterError):
+            phi_norm_batch(ladder3_spec, np.vstack([np.ones(3), u]))
 
     def test_euclidean_factor_approximates_injective(self, euclid_factor_spec):
         spec = euclid_factor_spec

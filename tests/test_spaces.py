@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothnorm.errors import ParameterError
 from smoothnorm.orlicz import make_orlicz
@@ -153,6 +155,28 @@ class TestLap:
     def test_frozen_overlap_example(self):
         X = lap_space([[0, 1], [1, 2]], [1.0, 2.0], dim=3)
         np.testing.assert_allclose(X.norm([0.0, 0.5, 0.0]), 0.5, rtol=1e-9)
+
+    def test_norm_is_certified(self):
+        """The modular at x / ||x|| is <= 1 exactly as computed."""
+        rng = np.random.default_rng(23)
+        spaces = [lap_space([[0], [1, 2]], [1.0, 2.0], dim=3),
+                  lap_space([[0, 1, 2], [2, 3, 4]], [1.5, 4.0], dim=5)]
+        for X in spaces:
+            for _ in range(200):
+                x = (rng.standard_normal(X.dim)
+                     * 10.0 ** rng.uniform(-3.0, 3.0))
+                assert X.lap_modular(x / X.norm(x)) <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           at=st.integers(0, 2))
+    def test_non_finite_rejected(self, bad, at):
+        x = np.array([0.5, 1.0, 0.0])
+        x[at] = bad
+        for X in (lap_space([[0], [1, 2]], [1.0, 2.0], dim=3),
+                  orlicz_space(make_orlicz(0.7, 1.4), 3)):
+            with pytest.raises(ParameterError):
+                X.norm(x)
 
     def test_modular_equals_brute_force(self):
         """Per-index best exponent equals the max over disjoint
