@@ -30,7 +30,7 @@ from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import (active_set, build_renorm, phi_norm_batch, phi_unit_pool,
                      verify_claim2d)
 from .spaces import (dual_extreme_points, find_norming_support,
-                     norming_functional, proj)
+                     norming_functional, proj, sup_space)
 from .tensor import TensorElement, injective_norm
 
 __all__ = [
@@ -97,8 +97,7 @@ def support_ball(space, n, resolution=64, seed=0, budget=200000):
     for combo in combos:
         block = np.zeros((resolution, space.dim))
         block[:, combo] = rng.standard_normal((resolution, len(combo)))
-        scale = np.asarray([space.dual_norm(f) for f in block])
-        rows.append(block / scale[:, None])
+        rows.append(block / space.dual_norm_rows(block)[:, None])
     return SupportBallSet(n, np.vstack(rows), False)
 
 
@@ -372,9 +371,10 @@ class BoundaryNormSpace:
     """Duck-typed stand-in space carrying a BoundaryNorm.
 
     Quacks the slice of ModelSpace the decomposition and renorm
-    machinery touches: dim, kind, norm, dual_norm (l1 surrogate, so the
-    exact dual-ball check is skipped) and dual_metric.  The norm is a
-    finite sup of functionals, not coordinatewise monotone in general.
+    machinery touches: dim, kind, norm, dual_norm / dual_norm_rows (l1
+    surrogate, so the exact dual-ball check is skipped) and dual_metric.
+    The norm is a finite sup of functionals, not coordinatewise monotone
+    in general.
     """
 
     kind = "boundary_sup"
@@ -383,6 +383,8 @@ class BoundaryNormSpace:
         self.boundary = boundary_norm
         self.dim = int(boundary_norm.matrix.shape[1])
         self.monotone_unconditional = False
+        # the surrogate dual metric is l1, the dual of the sup norm
+        self._l1 = sup_space(self.dim)
 
     @property
     def dual_metric(self) -> str:
@@ -392,7 +394,10 @@ class BoundaryNormSpace:
         return self.boundary.norm(x)
 
     def dual_norm(self, f) -> float:
-        return float(np.sum(np.abs(np.asarray(f, dtype=float))))
+        return self._l1.dual_norm(f)
+
+    def dual_norm_rows(self, F) -> np.ndarray:
+        return self._l1.dual_norm_rows(F)
 
     def __repr__(self):
         return (f"BoundaryNormSpace(dim={self.dim}, "

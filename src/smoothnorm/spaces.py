@@ -24,10 +24,11 @@ weights in the given order against the decreasing rearrangement).
 from __future__ import annotations
 
 import itertools
+from math import isfinite
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .orlicz import OrliczFamily, OrliczFunction, luxemburg_norm
 from .scaling import feasible_scale_inf
 
@@ -53,6 +54,16 @@ _KINDS = ("sup_finite", "euclidean", "orlicz_hM", "lap", "lorentz",
 # Kinds whose dual norm has a closed form here; the others use a declared
 # coordinate-l1 surrogate for separation metrics.
 _EXACT_DUALS = ("sup_finite", "euclidean", "lorentz", "lorentz_predual")
+
+
+def _nonfinite_error(what, F, row):
+    """Error for a non-finite value computed from row ``row`` of ``F``:
+    ParameterError when that row holds a NaN or inf, NumericError
+    (overflow) when it is finite."""
+    if not np.all(np.isfinite(F[row])):
+        return ParameterError(
+            f"{what}: row {row} has a NaN or infinite coordinate")
+    return NumericError(f"{what}: row {row} overflows the float range")
 
 
 class ModelSpace:
@@ -125,20 +136,23 @@ class ModelSpace:
     def norm(self, x) -> float:
         x = self._check_vec(x)
         if self.kind == "sup_finite":
-            return float(np.max(np.abs(x)))
-        if self.kind == "euclidean":
-            return float(np.linalg.norm(x))
-        if self.kind == "orlicz_hM":
+            value = float(np.abs(x).max())
+        elif self.kind == "euclidean":
+            value = float(np.linalg.norm(x))
+        elif self.kind == "orlicz_hM":
             return float(luxemburg_norm(self._family, x))
-        if self.kind == "lap":
+        elif self.kind == "lap":
             return float(
                 feasible_scale_inf(self._lap_modular_rows, x[None, :]).hi[0])
-        if self.kind == "lorentz":
+        elif self.kind == "lorentz":
             ranked = np.sort(np.abs(x))[::-1]
-            return float(np.dot(self.weights, ranked))
-        # lorentz_predual
-        ranked = np.sort(np.abs(x))[::-1]
-        return float(np.max(np.cumsum(ranked) / self._wsums))
+            value = float(np.dot(self.weights, ranked))
+        else:  # lorentz_predual
+            ranked = np.sort(np.abs(x))[::-1]
+            value = float(np.max(np.cumsum(ranked) / self._wsums))
+        if not isfinite(value):
+            raise _nonfinite_error("norm", x[None, :], 0)
+        return value
 
     def lap_modular(self, z) -> float:
         """Phi(z) = sum_k max_{n: k in A_n} |z_k|^{p_n}."""
@@ -154,22 +168,42 @@ class ModelSpace:
         return np.sum(np.nanmax(powers, axis=1), axis=1)
 
     def dual_norm(self, f) -> float:
-        """Closed-form dual norm for exact kinds; coordinate l1 otherwise.
-
-        The surrogate choice is recorded in ``dual_metric``.
-        """
+        """Dual norm of one functional: the one-row case of
+        ``dual_norm_rows``."""
         f = self._check_vec(f)
-        if self.kind == "sup_finite":
-            return float(np.sum(np.abs(f)))
+        return float(self.dual_norm_rows(f[None, :])[0])
+
+    def dual_norm_rows(self, F) -> np.ndarray:
+        """Row-wise dual norm, (k, dim) -> (k,): closed form for exact
+        kinds, coordinate l1 otherwise (recorded in ``dual_metric``).
+
+        Every kind's value bounds max |f_i| from above (l1 and l2 do, and
+        both Lorentz duals have w_0 = 1).  Only elementwise operations and
+        row sums are used, so a row's value is the same bits in any batch.
+        """
+        F = np.asarray(F, dtype=float)
+        if F.ndim != 2 or F.shape[1] != self.dim:
+            raise ParameterError(
+                f"expected rows of shape (k, {self.dim}), got {F.shape}")
+        A = np.abs(F)
         if self.kind == "euclidean":
-            return float(np.linalg.norm(f))
-        if self.kind == "lorentz":
-            ranked = np.sort(np.abs(f))[::-1]
-            return float(np.max(np.cumsum(ranked) / self._wsums))
-        if self.kind == "lorentz_predual":
-            ranked = np.sort(np.abs(f))[::-1]
-            return float(np.dot(self.weights, ranked))
-        return float(np.sum(np.abs(f)))
+            # scaled by the row's peak so squares neither underflow below
+            # nor overflow above it, and the value is >= the peak
+            peak = np.max(A, axis=1)
+            unit = A / np.where(peak > 0.0, peak, 1.0)[:, None]
+            out = peak * np.sqrt(np.sum(unit * unit, axis=1))
+        elif self.kind == "lorentz":
+            ranked = np.sort(A, axis=1)[:, ::-1]
+            out = np.max(np.cumsum(ranked, axis=1) / self._wsums, axis=1)
+        elif self.kind == "lorentz_predual":
+            ranked = np.sort(A, axis=1)[:, ::-1]
+            out = np.sum(ranked * self.weights, axis=1)
+        else:
+            out = np.sum(A, axis=1)
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise _nonfinite_error("dual norm", F, int(np.argmin(finite)))
+        return out
 
     @property
     def dual_metric(self) -> str:

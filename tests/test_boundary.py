@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothnorm.boundary import (
     ClosureOracle,
     Decomposition,
     Piece,
+    _greedy_indices,
     build_net,
     check_boundary,
     check_lrc_criterion,
     epsilon_n,
-    greedy_net,
     net_property_report,
     psi,
     psi_binning,
@@ -23,6 +25,7 @@ from smoothnorm.spaces import (
     euclidean_space,
     lap_space,
     lorentz_predual_space,
+    lorentz_space,
     sup_space,
 )
 
@@ -139,6 +142,12 @@ class TestDecompositionValidation:
         d = Decomposition(sup_space(2), [ok], 0.1)
         assert d.dual_ball_checked
 
+    def test_dual_ball_error_names_first_offender(self):
+        members = np.array([[0.5, 0.5], [0.7, 0.7], [0.9, 0.9]])
+        with pytest.raises(ConstructionError,
+                           match=r"piece 1 member 1 has dual norm 1\.4 "):
+            Decomposition(sup_space(2), [np.eye(2), members], 0.1)
+
     def test_surrogate_dual_skips_ball_check(self):
         space = lap_space([[0, 1], [2]], [1.0, 2.0], 3)
         big = np.array([[2.0, 2.0, 2.0]])
@@ -173,10 +182,41 @@ class TestPsiBinning:
             psi_binning([1.05], 0.0)
 
 
+def greedy_oracle(members, separation, metric):
+    """The plain pairwise greedy loop: each row against every kept row in
+    kept order, one metric call per pair."""
+    kept, assign = [], []
+    for i, f in enumerate(members):
+        home = None
+        for pos, k in enumerate(kept):
+            if metric(f, members[k]) < separation:
+                home = pos
+                break
+        if home is None:
+            assign.append(len(kept))
+            kept.append(i)
+        else:
+            assign.append(home)
+    return kept, assign
+
+
+def greedy_rows(members, separation, metric_rows):
+    kept, _ = _greedy_indices(members, separation, metric_rows)
+    return [members[i] for i in kept]
+
+
+def scalar_rows(D):
+    return np.abs(D[:, 0])
+
+
+def l1_rows(D):
+    return np.sum(np.abs(D), axis=1)
+
+
 class TestGreedyNet:
     def test_frozen_scalar_example(self):
         pts = np.array([[0.0], [0.5], [1.2]])
-        kept = greedy_net(pts, 0.6, lambda f, g: abs(f[0] - g[0]))
+        kept = greedy_rows(pts, 0.6, scalar_rows)
         assert [k[0] for k in kept] == [0.0, 1.2]
 
     def test_separated_and_maximal(self):
@@ -185,7 +225,7 @@ class TestGreedyNet:
         for _ in range(50):
             pts = rng.uniform(-1, 1, size=(rng.integers(2, 30), 3))
             sep = float(rng.uniform(0.1, 1.5))
-            kept = greedy_net(pts, sep, metric)
+            kept = greedy_rows(pts, sep, l1_rows)
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
                     assert metric(kept[i], kept[j]) >= sep
@@ -196,13 +236,65 @@ class TestGreedyNet:
 
     def test_first_point_always_kept(self):
         pts = np.array([[0.3], [0.2], [0.9]])
-        kept = greedy_net(pts, 10.0, lambda f, g: abs(f[0] - g[0]))
+        kept = greedy_rows(pts, 10.0, scalar_rows)
         assert kept[0][0] == 0.3 and len(kept) == 1
 
     def test_duplicates_collapse(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0]])
-        kept = greedy_net(pts, 0.5, lambda f, g: np.sum(np.abs(f - g)))
+        kept = greedy_rows(pts, 0.5, l1_rows)
         assert len(kept) == 1
+
+
+GREEDY_SPACES = [sup_space(3), euclidean_space(3),
+                 lorentz_space([1.0, 0.5, 0.25]),
+                 lorentz_predual_space([1.0, 0.5, 0.25]),
+                 lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)]
+
+
+@st.composite
+def clustered_rows(draw):
+    """Rows on a 1/8 grid (so many l1 and l-inf distances are exactly
+    0.25 or 0.5), repeated outright and jittered inside small clusters."""
+    centres = draw(st.lists(
+        st.lists(st.integers(-8, 8), min_size=3, max_size=3),
+        min_size=1, max_size=6))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(centres) - 1),
+                  st.sampled_from([0.0, 0.0, 1.0 / 64.0, -1.0 / 32.0,
+                                   0.03, 0.125]),
+                  st.integers(0, 2)),
+        min_size=1, max_size=40))
+    rows = []
+    for c, shift, axis in picks:
+        row = np.asarray(centres[c], dtype=float) / 8.0
+        row[axis] += shift
+        rows.append(row)
+    return np.asarray(rows)
+
+
+class TestGreedyAgainstPairwiseLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=clustered_rows(),
+           space=st.sampled_from(GREEDY_SPACES),
+           separation=st.sampled_from([0.125, 0.25, 0.5, 0.3, 1.0]))
+    def test_same_net_as_pairwise_loop(self, rows, space, separation):
+        want = greedy_oracle(rows, separation,
+                             lambda f, g: space.dual_norm(f - g))
+        kept, assign = _greedy_indices(rows, separation,
+                                       space.dual_norm_rows)
+        assert (kept, assign) == want
+
+    def test_same_net_across_row_blocks(self, monkeypatch):
+        """Bins larger than one prefilter block give the same net."""
+        rng = np.random.default_rng(5)
+        centres = rng.uniform(-1, 1, size=(30, 3))
+        rows = centres[rng.integers(0, 30, size=300)] + rng.uniform(
+            -0.02, 0.02, size=(300, 3))
+        space = lorentz_predual_space([1.0, 0.5, 0.25])
+        want = greedy_oracle(rows, 0.05,
+                             lambda f, g: space.dual_norm(f - g))
+        monkeypatch.setattr("smoothnorm.boundary._PREFILTER_ELEMS", 1000)
+        assert _greedy_indices(rows, 0.05, space.dual_norm_rows) == want
 
 
 class TestBuildNet:

@@ -6,6 +6,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial import HalfspaceIntersection
 
 from smoothnorm.equiv import (
@@ -34,6 +37,17 @@ def unit_rows(space, count, seed):
 
 def row_set(A, decimals=12):
     return {tuple(np.round(f, decimals)) for f in np.atleast_2d(A)}
+
+
+def sup2_boundary_norm():
+    """The sup norm of R^2 as a one-level boundary norm."""
+    sp = sup_space(2)
+    S = unit_rows(sp, 30, 14)
+    H = np.vstack([np.eye(2), -np.eye(2)])
+    ch = RelativeBoundaryChain(
+        space=sp, h_sets=(H,), samples=(S,), level_ids=(0,),
+        b_values=[compute_bn(H, S)])
+    return build_F(ch, a_strategy="ones")
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +345,29 @@ class TestBoundaryNormSpace:
             space.boundary.norm_batch(rows),
             [space.norm(x) for x in rows], rtol=1e-14)
         assert space.dual_norm([1.0, -2.0, 0.0, 0.5]) == 3.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(F=arrays(float, st.tuples(st.integers(1, 12), st.just(2)),
+                    elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    def test_dual_norm_rows(self, F):
+        """Row-wise l1: bounds l-inf, one row is bitwise its batch row."""
+        space = BoundaryNormSpace(sup2_boundary_norm())
+        batch = space.dual_norm_rows(F)
+        assert np.all(batch >= np.max(np.abs(F), axis=1))
+        for i, f in enumerate(F):
+            assert space.dual_norm(f) == batch[i]
+
+    @settings(max_examples=20, deadline=None)
+    @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           at=st.integers(0, 1))
+    def test_dual_norm_non_finite(self, bad, at):
+        space = BoundaryNormSpace(sup2_boundary_norm())
+        f = np.array([0.5, 0.25])
+        f[at] = bad
+        with pytest.raises(ParameterError):
+            space.dual_norm(f)
+        with pytest.raises(NumericError):
+            space.dual_norm([1.5e308, 1.5e308])
 
 
 class TestPipelineDirect:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from smoothnorm.errors import ParameterError
+from smoothnorm.errors import NumericError, ParameterError
 from smoothnorm.orlicz import make_orlicz
 from smoothnorm.spaces import (
     dual_extreme_points,
@@ -31,6 +32,22 @@ from smoothnorm.spaces import (
 
 GEOM3 = [1.0, 0.5, 0.25]
 GEOM4 = [1.0, 0.5, 0.25, 0.125]
+GEOM5 = [1.0, 0.5, 0.25, 0.125, 0.0625]
+
+# one space of every kind, dim 5
+ALL_KINDS = [
+    sup_space(5),
+    euclidean_space(5),
+    lorentz_space(GEOM5),
+    lorentz_predual_space(GEOM5),
+    lap_space([[0, 1], [1, 2, 3], [3, 4]], [1.0, 1.5, 2.0], dim=5),
+    orlicz_space(make_orlicz(0.7, 1.4), 5),
+]
+CLOSED_FORM_KINDS = ALL_KINDS[:4]
+
+finite_rows = arrays(
+    float, st.tuples(st.integers(1, 12), st.just(5)),
+    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 
 
 def predual_norm_oracle(w, y):
@@ -213,14 +230,7 @@ class TestNormAxioms:
     """Homogeneity and triangle inequality per kind at 1e-9."""
 
     def spaces(self):
-        return [
-            sup_space(5),
-            euclidean_space(5),
-            lorentz_space([1.0, 0.5, 0.25, 0.125, 0.0625]),
-            lorentz_predual_space([1.0, 0.5, 0.25, 0.125, 0.0625]),
-            lap_space([[0, 1], [1, 2, 3], [3, 4]], [1.0, 1.5, 2.0], dim=5),
-            orlicz_space(make_orlicz(0.7, 1.4), 5),
-        ]
+        return list(ALL_KINDS)
 
     def test_homogeneity_and_triangle(self):
         rng = np.random.default_rng(12)
@@ -247,6 +257,71 @@ class TestNormAxioms:
                     X.norm(x), 1.0)
                 sigma = rng.choice(5, size=3, replace=False)
                 assert X.norm(proj(x, sigma)) <= X.norm(x) * (1 + 1e-9)
+
+
+class TestDualNormRows:
+    @settings(max_examples=60, deadline=None)
+    @given(F=finite_rows, X=st.sampled_from(ALL_KINDS))
+    def test_bounds_linf(self, F, X):
+        assert np.all(X.dual_norm_rows(F) >= np.max(np.abs(F), axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(F=finite_rows, X=st.sampled_from(ALL_KINDS))
+    def test_one_row_is_bitwise_row_of_batch(self, F, X):
+        batch = X.dual_norm_rows(F)
+        for i, f in enumerate(F):
+            assert X.dual_norm(f) == batch[i]
+            assert X.dual_norm_rows(F[i:])[0] == batch[i]
+
+    def test_frozen_values(self):
+        f = np.array([[1.0, -2.0, 0.5]])
+        assert sup_space(3).dual_norm_rows(f)[0] == 3.5
+        np.testing.assert_allclose(
+            lorentz_predual_space(GEOM3).dual_norm_rows(f),
+            [2.0 + 0.5 + 0.125], rtol=1e-15)
+        np.testing.assert_allclose(
+            lorentz_space(GEOM3).dual_norm_rows(f), [2.0], rtol=1e-15)
+
+    def test_shape_checked(self):
+        with pytest.raises(ParameterError):
+            sup_space(3).dual_norm_rows(np.ones(3))
+        with pytest.raises(ParameterError):
+            sup_space(3).dual_norm_rows(np.ones((2, 4)))
+
+
+class TestNonFinite:
+    """NaN or inf input raises ParameterError; finite input whose value
+    overflows raises NumericError.  Nothing returns a non-finite value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           at=st.integers(0, 4), row=st.integers(0, 2),
+           X=st.sampled_from(ALL_KINDS))
+    def test_non_finite_input_rejected(self, bad, at, row, X):
+        F = np.full((3, 5), 0.25)
+        F[row, at] = bad
+        with pytest.raises(ParameterError):
+            X.norm(F[row])
+        with pytest.raises(ParameterError):
+            X.dual_norm(F[row])
+        with pytest.raises(ParameterError, match=f"row {row}"):
+            X.dual_norm_rows(F)
+
+    @settings(max_examples=40, deadline=None)
+    @given(big=arrays(float, 5, elements=st.floats(1e308, 1.79e308)),
+           X=st.sampled_from(ALL_KINDS))
+    def test_dual_overflow_is_numeric_error(self, big, X):
+        with pytest.raises(NumericError):
+            X.dual_norm(big)
+        with pytest.raises(NumericError, match="row 1"):
+            X.dual_norm_rows(np.vstack([np.zeros(5), big]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(big=arrays(float, 5, elements=st.floats(1e308, 1.79e308)),
+           X=st.sampled_from(CLOSED_FORM_KINDS[1:]))
+    def test_norm_overflow_is_numeric_error(self, big, X):
+        with pytest.raises(NumericError):
+            X.norm(big)
 
 
 class TestProjections:
