@@ -9,7 +9,7 @@ separated net that will index the Orlicz family.
 import numpy as np
 
 from smoothnorm.boundary import (Decomposition, build_net, check_boundary,
-                                 epsilon_n, net_property_report, psi)
+                                 epsilon_n, net_property_report)
 from smoothnorm.spaces import sup_space
 
 
@@ -28,7 +28,7 @@ def main():
     print()
     print("piece weights (psi depends on which pieces contain the functional)")
     for piece in d.pieces:
-        w = psi(piece.members[0], d)
+        w = d.psi_of(*d.locate(piece.members[0]))
         print(f"  piece {piece.index}: {len(piece.members)} members, psi {w}")
 
     units = np.vstack([eye, -eye])

@@ -9,7 +9,7 @@ rank-one products of boundary functionals norm the unit samples.
 
 import numpy as np
 
-from smoothnorm.spaces import dual_extreme_points, euclidean_space, sup_space
+from smoothnorm.spaces import euclidean_space, sup_space
 from smoothnorm.tensor import (TensorElement, apply_fY, apply_gX,
                                boundary_product_check, injective_norm,
                                tensor_apply)
@@ -30,7 +30,7 @@ def main():
     print(f"  {v1:.15f}  {v2:.15f}  {v3:.15f}")
 
     res = injective_norm(u, "enumerate")
-    F = np.asarray(dual_extreme_points(X))
+    F = X.dual_extreme_points()
     oracle = float(np.max(np.linalg.norm(F @ M, axis=1)))
     print()
     print(f"injective norm, enumerated: {res.value:.12f}")

@@ -21,7 +21,6 @@ from .boundary import (
     check_lrc_criterion,
     epsilon_n,
     net_property_report,
-    psi,
 )
 from .equiv import (
     BoundaryNorm,
@@ -54,16 +53,13 @@ from .renorm import (
 )
 from .spaces import (
     ModelSpace,
-    dual_extreme_points,
     euclidean_space,
     find_norming_support,
     lap_space,
     lorentz_predual_space,
     lorentz_space,
-    norming_functional,
     orlicz_space,
     proj,
-    space_norm,
     sup_space,
     support,
 )

@@ -47,7 +47,6 @@ __all__ = [
     "NetPoint",
     "NetB",
     "epsilon_n",
-    "psi",
     "psi_binning",
     "build_net",
     "net_property_report",
@@ -191,13 +190,8 @@ class Decomposition:
         return self._locate[key]
 
     def psi_of(self, n, j) -> float:
+        """psi weight of member j of piece n (see module docstring)."""
         return _psi_value(self.epsilon, self.closure.index_set(n, j))
-
-
-def psi(f, d: Decomposition) -> float:
-    """psi weight of a member functional (see module docstring)."""
-    n, j = d.locate(f)
-    return d.psi_of(n, j)
 
 
 def psi_binning(psis, eps_n):
@@ -396,11 +390,12 @@ def check_boundary(space, functionals, sphere_samples, tol=1e-9):
     if A.shape[1] != space.dim or X.shape[1] != space.dim:
         raise ParameterError("shape mismatch with space dim")
     norm_tol = max(tol, 1e-7)
-    for x in X:
-        nx = space.norm(x)
-        if abs(nx - 1.0) > norm_tol:
-            raise ParameterError(
-                f"sample has norm {nx}, expected 1 within {norm_tol}")
+    norms = space.norm_rows(X)
+    off = np.flatnonzero(np.abs(norms - 1.0) > norm_tol)
+    if off.size:
+        raise ParameterError(
+            f"sample has norm {float(norms[off[0]])}, expected 1 within "
+            f"{norm_tol}")
     vals = X @ A.T
     max_values = np.max(vals, axis=1)
     attained = max_values >= 1.0 - tol

@@ -61,7 +61,7 @@ from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import (active_set, build_renorm, phi_norm, phi_norm_batch,
                      phi_unit_pool, pi_coords_batch, smoothness_check,
                      verify_claim2d)
-from .spaces import (dual_extreme_points, euclidean_space, lap_space,
+from .spaces import (SupSpace, euclidean_space, lap_space,
                      lorentz_predual_space, lorentz_space, sup_space)
 from .tensor import (TensorElement, apply_fY, apply_gX,
                      boundary_product_check, injective_norm, tensor_apply)
@@ -80,7 +80,6 @@ _TOLERANCES = {"ratio_slack": 1e-9, "claim2d_excess": 1e-7,
 # chunk count is fixed so reports do not depend on --parallel
 _CHUNKS = 8
 _PERTURBATIONS = 20
-_ENUMERABLE = ("sup_finite", "lorentz_predual")
 
 
 class ConfigError(ValueError):
@@ -355,7 +354,7 @@ def _ratio_samples(ctx, suite, total):
     """
     spec = ctx.phi_spec()
     X, Y = ctx.space, ctx.Y
-    if Y is not None and X.kind not in _ENUMERABLE:
+    if Y is not None and not X.enumerable_dual:
         return None
     children = ctx.child(suite).spawn(_CHUNKS)
     flat_dim = X.dim if Y is None else X.dim * Y.dim
@@ -367,7 +366,7 @@ def _ratio_samples(ctx, suite, total):
             return (np.zeros((0, flat_dim)), np.zeros(0), np.zeros(0))
         if Y is None:
             rows = rng.standard_normal((size, X.dim))
-            base = np.asarray([X.norm(r) for r in rows])
+            base = X.norm_rows(rows)
             keep = base > 1e-12
             rows, base = rows[keep], base[keep]
             return rows, base, phi_norm_batch(spec, rows)
@@ -542,7 +541,7 @@ def _suite_smooth(ctx):
                        "ridge probes are defined for the scalar factor"), []
     probe = ctx.cfg.smooth
     if probe is None:
-        if ctx.space.kind == "sup_finite" and ctx.space.dim >= 2:
+        if isinstance(ctx.space, SupSpace) and ctx.space.dim >= 2:
             point = np.zeros(ctx.space.dim)
             point[:2] = 1.0
             direction = np.zeros(ctx.space.dim)
@@ -583,7 +582,7 @@ def _suite_boundary(ctx):
     spec = ctx.phi_spec()
     rng = np.random.default_rng(ctx.child("boundary"))
     rows = rng.standard_normal((ctx.budgets["boundary"], ctx.space.dim))
-    base = np.asarray([ctx.space.norm(r) for r in rows])
+    base = ctx.space.norm_rows(rows)
     keep = base > 1e-12
     samples = rows[keep] / base[keep, None]
     stacked = np.vstack([p.members for p in d.pieces])
@@ -614,7 +613,7 @@ def _suite_tensor(ctx):
     rng = np.random.default_rng(ctx.child("tensor"))
     id_dev = 0.0
     ascent_excess = -np.inf
-    enum_ok = X.kind in _ENUMERABLE
+    enum_ok = X.enumerable_dual
     for _ in range(count):
         u = TensorElement(rng.standard_normal((X.dim, Y.dim)), X, Y)
         f = rng.standard_normal(X.dim)
@@ -632,7 +631,7 @@ def _suite_tensor(ctx):
     ok = id_dev <= tol and (not enum_ok or ascent_excess <= 1e-9)
     if enum_ok:
         # rank-one witnesses: the attaining g is the normalized row image
-        F = np.asarray(dual_extreme_points(X))
+        F = X.dual_extreme_points()
         gs, units = [], []
         for _ in range(min(count, 16)):
             x = rng.standard_normal(X.dim)

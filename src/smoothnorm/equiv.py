@@ -29,8 +29,7 @@ from .boundary import (Decomposition, _key, check_lrc_criterion,
 from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import (active_set, build_renorm, phi_norm_batch, phi_unit_pool,
                      verify_claim2d)
-from .spaces import (dual_extreme_points, find_norming_support,
-                     norming_functional, proj, sup_space)
+from .spaces import ModelSpace, find_norming_support, proj
 from .tensor import TensorElement, injective_norm
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "corollary_b_pipeline",
 ]
 
-_ENUMERABLE = ("sup_finite", "lorentz_predual")
 _EXHAUSTIVE_DIM = 12
 
 
@@ -67,7 +65,7 @@ class SupportBallSet:
 def support_ball(space, n, resolution=64, seed=0, budget=200000):
     """Dual-ball slice by support cardinality.
 
-    Exact extreme-point enumeration for polyhedral dual kinds
+    Exact extreme-point enumeration for kinds with an enumerable dual
     (sup_finite, lorentz_predual); anything else gets `resolution`
     dual-sphere samples per support, flagged approximate.  n = 0 is the
     zero functional alone.
@@ -78,12 +76,9 @@ def support_ball(space, n, resolution=64, seed=0, budget=200000):
     if n == 0:
         return SupportBallSet(0, np.zeros((1, space.dim)), True)
     cap = min(n, space.dim)
-    if space.kind == "sup_finite":
-        eye = np.eye(space.dim)
-        return SupportBallSet(n, np.vstack([eye, -eye]), True)
-    if space.kind == "lorentz_predual":
-        rows = dual_extreme_points(space, max_support=cap, budget=budget)
-        return SupportBallSet(n, rows, True)
+    if space.enumerable_dual:
+        return SupportBallSet(n, space.dual_extreme_points(
+            max_support=cap, budget=budget), True)
     if resolution < 1:
         raise ParameterError("resolution must be >= 1")
     combos = [c for k in range(1, cap + 1)
@@ -131,12 +126,13 @@ def _projection_sup(space, x, n):
     if n >= space.dim:
         return space.norm(x), tuple(range(space.dim))
     if space.dim <= _EXHAUSTIVE_DIM:
-        best, best_sigma = -np.inf, ()
-        for sigma in itertools.combinations(range(space.dim), n):
-            val = space.norm(proj(x, sigma, space.dim))
-            if val > best:
-                best, best_sigma = val, sigma
-        return best, best_sigma
+        sigmas = list(itertools.combinations(range(space.dim), n))
+        mask = np.zeros((len(sigmas), space.dim), dtype=bool)
+        for row, sigma in enumerate(sigmas):
+            mask[row, sigma] = True
+        vals = space.norm_rows(np.where(mask, x, 0.0))
+        best = int(np.argmax(vals))  # the first maximum
+        return float(vals[best]), sigmas[best]
     order = np.lexsort((np.arange(space.dim), -np.abs(x)))
     sigma = tuple(sorted(int(i) for i in order[:n]))
     return space.norm(proj(x, sigma, space.dim)), sigma
@@ -149,7 +145,7 @@ def compute_cn(space, samples, n, identity_tol=None) -> float:
     and raises NumericError when the two disagree beyond the tolerance;
     that check needs a kind whose support balls are exact.
     """
-    if not getattr(space, "monotone_unconditional", False):
+    if not space.monotone_unconditional:
         raise ParameterError("c_n needs a monotone unconditional basis")
     S = np.atleast_2d(np.asarray(samples, dtype=float))
     if S.size == 0:
@@ -351,7 +347,7 @@ def build_F(chain: RelativeBoundaryChain, a_strategy="default",
     union = np.vstack(chain.samples)
     vals = np.abs(union @ matrix.T)
     norms = np.max(vals, axis=1)
-    base = np.asarray([chain.space.norm(x) for x in union])
+    base = chain.space.norm_rows(union)
     if np.any(base <= 0.0):
         raise ParameterError("chain samples must be nonzero")
     ratios = norms / base
@@ -367,37 +363,26 @@ def build_F(chain: RelativeBoundaryChain, a_strategy="default",
         attained=attained, lrc_reports=tuple(lrc))
 
 
-class BoundaryNormSpace:
-    """Duck-typed stand-in space carrying a BoundaryNorm.
+class BoundaryNormSpace(ModelSpace):
+    """The model space normed by a BoundaryNorm's symmetrized sup.
 
-    Quacks the slice of ModelSpace the decomposition and renorm
-    machinery touches: dim, kind, norm, dual_norm / dual_norm_rows (l1
-    surrogate, so the exact dual-ball check is skipped) and dual_metric.
     The norm is a finite sup of functionals, not coordinatewise monotone
-    in general.
+    in general.  Its dual metric is the coordinate l1 surrogate (the
+    dual of the sup norm), so the exact dual-ball check is skipped.
     """
 
     kind = "boundary_sup"
+    monotone_unconditional = False
+    # its own binding, so a per-class wrapper (perfbench/tracer.py) can
+    # count it apart from ModelSpace.dual_norm
+    dual_norm = ModelSpace.dual_norm
 
     def __init__(self, boundary_norm: BoundaryNorm):
+        super().__init__(boundary_norm.matrix.shape[1])
         self.boundary = boundary_norm
-        self.dim = int(boundary_norm.matrix.shape[1])
-        self.monotone_unconditional = False
-        # the surrogate dual metric is l1, the dual of the sup norm
-        self._l1 = sup_space(self.dim)
 
-    @property
-    def dual_metric(self) -> str:
-        return "surrogate_l1"
-
-    def norm(self, x) -> float:
-        return self.boundary.norm(x)
-
-    def dual_norm(self, f) -> float:
-        return self._l1.dual_norm(f)
-
-    def dual_norm_rows(self, F) -> np.ndarray:
-        return self._l1.dual_norm_rows(F)
+    def _norm_rows(self, X):
+        return self.boundary.norm_batch(X)
 
     def __repr__(self):
         return (f"BoundaryNormSpace(dim={self.dim}, "
@@ -436,9 +421,7 @@ class PipelineResult:
 
 def _normalize_rows(space, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != space.dim:
-        raise ParameterError("sample dim mismatch")
-    base = np.asarray([space.norm(x) for x in rows])
+    base = space.norm_rows(rows)
     if np.any(base <= 0.0):
         raise ParameterError("samples must be nonzero")
     return rows / base[:, None]
@@ -463,7 +446,7 @@ def _support_ball_chain(space, sample_sets, level_ids, resolution, seed,
     exact = all(ball.exact for ball in balls)
     b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
     c = None
-    if getattr(space, "monotone_unconditional", False):
+    if space.monotone_unconditional:
         tol = identity_tol if exact else None
         c = np.asarray([compute_cn(space, s, n, identity_tol=tol)
                         for n, s in zip(level_ids, sample_sets)])
@@ -483,7 +466,7 @@ def _adapted_chain(space, sample_sets, level_ids):
             if val <= 0.0:
                 raise ConstructionError(
                     f"a sample projects to zero at level {n}")
-            f = norming_functional(space, proj(x, sigma, space.dim))
+            f = space.norming_functional(proj(x, sigma, space.dim))
             key = _key(f)
             if key not in seen:
                 seen.add(key)
@@ -512,12 +495,12 @@ def _pipeline_report(phi, d, base_space, eps, chain, seed, check_count,
     approx_checked, violations, min_gap = True, 0, np.inf
     if phi.Y is None:
         U = rng.standard_normal((check_count, base_space.dim))
-        base = np.asarray([base_space.norm(u) for u in U])
+        base = base_space.norm_rows(U)
         rho = phi_norm_batch(phi, U)
         bad = ~((rho > base) & (rho <= (1.0 + eps) * base * (1.0 + 1e-9)))
         violations = int(np.sum(bad))
         min_gap = float(np.min((rho - base) / base))
-    elif phi.X.kind in _ENUMERABLE:
+    elif phi.X.enumerable_dual:
         count = max(8, check_count // 4)
         batch = rng.standard_normal((count, phi.X.dim, phi.Y.dim))
         rho = phi_norm_batch(phi, batch)
@@ -610,7 +593,7 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
     else:
         if Y is not None:
             raise ParameterError("factor spaces need the direct route")
-        if space.kind in _ENUMERABLE:
+        if space.enumerable_dual:
             h_sets, b, c, exact = _support_ball_chain(
                 space, sample_sets, level_ids, resolution, seed,
                 identity_tol)

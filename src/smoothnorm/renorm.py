@@ -29,7 +29,7 @@ from .boundary import NetB, build_net, check_boundary
 from .errors import ConstructionError, ParameterError
 from .orlicz import (OrliczFamily, luxemburg_norm, luxemburg_norm_batch,
                      make_orlicz)
-from .spaces import ModelSpace
+from .spaces import EuclideanSpace, ModelSpace
 from .tensor import TensorElement
 
 __all__ = [
@@ -83,20 +83,22 @@ class PhiNormSpec:
 def _resolve_factor(Y):
     if Y is None or Y == "scalar":
         return None
-    if isinstance(Y, ModelSpace) and Y.kind == "euclidean":
+    if isinstance(Y, EuclideanSpace):
         return Y
     raise ParameterError("factor space must be scalar or euclidean")
 
 
 def _sphere_samples(X, budget, seed):
+    """`budget` gaussian rows over their norms; a row too close to 0 is
+    replaced by the stream's next draw."""
     rng = np.random.default_rng(seed)
-    out = []
+    out = np.zeros((0, X.dim))
     while len(out) < budget:
-        x = rng.standard_normal(X.dim)
-        nx = X.norm(x)
-        if nx > 1e-12:
-            out.append(x / nx)
-    return np.asarray(out)
+        rows = rng.standard_normal((budget - len(out), X.dim))
+        norms = X.norm_rows(rows)
+        keep = norms > 1e-12
+        out = np.vstack([out, rows[keep] / norms[keep, None]])
+    return out
 
 
 def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spaces import ModelSpace, dual_extreme_points, norming_functional
+from .spaces import EuclideanSpace, ModelSpace
 
 __all__ = [
     "TensorElement",
@@ -37,8 +37,6 @@ __all__ = [
     "injective_norm",
     "boundary_product_check",
 ]
-
-_ENUMERABLE = ("sup_finite", "lorentz_predual")
 
 
 @dataclass
@@ -119,7 +117,7 @@ def injective_norm(u: TensorElement, strategy="enumerate", *,
     """
     if not isinstance(u, TensorElement):
         raise ParameterError("injective_norm expects a TensorElement")
-    if u.Y.kind != "euclidean":
+    if not isinstance(u.Y, EuclideanSpace):
         raise ParameterError("factor space Y must be euclidean")
     M = u.matrix
     dim_x, dim_y = M.shape
@@ -129,11 +127,11 @@ def injective_norm(u: TensorElement, strategy="enumerate", *,
         return InjectiveNormResult(0.0, pair, strategy, exact=True)
 
     if strategy == "enumerate":
-        if u.X.kind not in _ENUMERABLE:
+        if not u.X.enumerable_dual:
             raise ParameterError(
                 f"enumerate strategy needs a polyhedral dual ball; "
                 f"X has kind {u.X.kind!r}")
-        F = np.asarray(dual_extreme_points(u.X))
+        F = u.X.dual_extreme_points()
         rows = F @ M
         vals = np.linalg.norm(rows, axis=1)
         best = int(np.argmax(vals))
@@ -159,7 +157,7 @@ def injective_norm(u: TensorElement, strategy="enumerate", *,
             x = M @ g
             if not x.any():
                 break
-            f = norming_functional(u.X, x)
+            f = u.X.norming_functional(x)
             y = f @ M
             new_val = float(np.linalg.norm(y))
             if new_val <= val + tol:
@@ -217,8 +215,7 @@ def boundary_product_check(N, M, samples, tol=1e-9,
             raise ParameterError("samples must be TensorElement instances")
         if N.shape[1] != u.X.dim or M.shape[1] != u.Y.dim:
             raise ParameterError("functional sets do not match the factors")
-        strategy = ("enumerate" if u.X.kind in _ENUMERABLE
-                    else "sample+ascent")
+        strategy = "enumerate" if u.X.enumerable_dual else "sample+ascent"
         res = injective_norm(u, strategy)
         if abs(res.value - 1.0) > norm_tol:
             raise ParameterError(

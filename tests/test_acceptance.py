@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothnorm.boundary import Decomposition, epsilon_n, psi
+from smoothnorm.boundary import Decomposition, epsilon_n
 from smoothnorm.equiv import (RelativeBoundaryChain, build_F, compute_bn,
                               compute_cn, corollary_b_pipeline,
                               support_ball)
@@ -29,9 +29,9 @@ from smoothnorm.renorm import (active_set, build_renorm, phi_norm,
                                phi_norm_batch, phi_unit_pool,
                                pi_coords_batch, smoothness_check,
                                verify_claim2d)
-from smoothnorm.spaces import (dual_extreme_points, euclidean_space,
-                               find_norming_support, lap_space,
-                               lorentz_predual_space, proj, sup_space)
+from smoothnorm.spaces import (euclidean_space, find_norming_support,
+                               lap_space, lorentz_predual_space, proj,
+                               sup_space)
 from smoothnorm.tensor import (TensorElement, apply_fY, apply_gX,
                                boundary_product_check, injective_norm,
                                tensor_apply)
@@ -151,7 +151,7 @@ def test_criterion_03_weight_constants(capsys):
         assert epsilon_n(0.96, 0) == 0.01
         X = sup_space(2)
         d = Decomposition(X, [np.vstack([np.eye(2), -np.eye(2)])], 0.1)
-        assert psi(d.pieces[0].members[0], d) == 1.0625
+        assert d.psi_of(*d.locate(d.pieces[0].members[0])) == 1.0625
 
 
 def test_criterion_04_sup5_approximation(capsys, sup5_single_piece):
@@ -219,7 +219,7 @@ def test_criterion_07_rank_one_dual_bound(capsys, sup5_single_piece):
 def test_criterion_08_tensor_identities(capsys):
     with verdict(capsys, 8, "tensor-identities"):
         X, Y = sup_space(3), euclidean_space(2)
-        F = np.asarray(dual_extreme_points(X))
+        F = np.asarray(X.dual_extreme_points())
         rng = np.random.default_rng(8)
         for _ in range(200):
             M = rng.standard_normal((3, 2))

@@ -17,7 +17,6 @@ from smoothnorm.boundary import (
     check_lrc_criterion,
     epsilon_n,
     net_property_report,
-    psi,
     psi_binning,
 )
 from smoothnorm.errors import ConstructionError, ParameterError
@@ -58,7 +57,7 @@ class TestPsi:
     def test_single_piece_value_exact(self):
         d = sup2_decomposition(eps=0.1)
         for f in d.pieces[0].members:
-            assert psi(f, d) == 1.0625
+            assert d.psi_of(*d.locate(f)) == 1.0625
 
     def test_closure_enlarges_weight(self):
         # member (0, 0) is declared to lie in the closure of piece 1 as
@@ -90,7 +89,7 @@ class TestPsi:
     def test_locate_rejects_non_member(self):
         d = sup2_decomposition()
         with pytest.raises(ParameterError):
-            psi(np.array([0.5, 0.5]), d)
+            d.psi_of(*d.locate(np.array([0.5, 0.5])))
 
     def test_locate_by_value_identity(self):
         d = sup2_decomposition()
@@ -415,7 +414,6 @@ class TestLrcCriterion:
 
     def test_predual_patterns_share_cardinality(self):
         space = lorentz_predual_space([1.0, 0.5, 0.25, 0.125])
-        from smoothnorm.spaces import dual_extreme_points
-        pts = [f for f in dual_extreme_points(space, max_support=2)
+        pts = [f for f in space.dual_extreme_points(max_support=2)
                if np.count_nonzero(f) == 2]
         assert check_lrc_criterion(np.array(pts)).passed

@@ -13,6 +13,7 @@ from smoothnorm.errors import ConstructionError, ParameterError
 from smoothnorm.orlicz import OrliczFamily, make_orlicz
 from smoothnorm.renorm import (
     PhiNormSpec,
+    _sphere_samples,
     active_set,
     build_renorm,
     phi_norm,
@@ -98,6 +99,18 @@ class TestBuildRenorm:
                         epsilon=0.1,
                         psi_values=np.ones(len(net)),
                         theta_values=np.ones(len(net)))
+
+    def test_sphere_samples_match_row_loop(self):
+        """One gaussian block continues the same stream as one draw per
+        row, so the samples are the row-by-row loop's, bit for bit."""
+        for X in (sup_space(3), euclidean_space(4)):
+            rng = np.random.default_rng(5)
+            loop = []
+            while len(loop) < 40:
+                x = rng.standard_normal(X.dim)
+                if X.norm(x) > 1e-12:
+                    loop.append(x / X.norm(x))
+            np.testing.assert_array_equal(_sphere_samples(X, 40, 5), loop)
 
 
 class TestPiCoords:

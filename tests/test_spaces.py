@@ -13,18 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from smoothnorm.equiv import (BoundaryNormSpace, RelativeBoundaryChain,
+                              build_F, compute_bn)
 from smoothnorm.errors import NumericError, ParameterError
 from smoothnorm.orlicz import make_orlicz
 from smoothnorm.spaces import (
-    dual_extreme_points,
     euclidean_space,
     find_norming_support,
     lap_space,
     lorentz_predual_space,
     lorentz_space,
-    norming_functional,
     proj,
-    space_norm,
     sup_space,
     support,
     orlicz_space,
@@ -44,6 +43,18 @@ ALL_KINDS = [
     orlicz_space(make_orlicz(0.7, 1.4), 5),
 ]
 CLOSED_FORM_KINDS = ALL_KINDS[:4]
+
+
+def sup_boundary_space(dim):
+    """The sup norm of R^dim as a one-level BoundaryNormSpace."""
+    H = np.vstack([np.eye(dim), -np.eye(dim)])
+    ch = RelativeBoundaryChain(
+        space=sup_space(dim), h_sets=(H,), samples=(H,), level_ids=(0,),
+        b_values=[compute_bn(H, H)])
+    return BoundaryNormSpace(build_F(ch, a_strategy="ones"))
+
+
+BOUNDARY5 = sup_boundary_space(5)
 
 finite_rows = arrays(
     float, st.tuples(st.integers(1, 12), st.just(5)),
@@ -108,6 +119,14 @@ class TestSupAndEuclidean:
         np.testing.assert_allclose(X.norm([3.0, 4.0]), 5.0)
         np.testing.assert_allclose(X.dual_norm([3.0, 4.0]), 5.0)
 
+    def test_euclidean_tiny_entries(self):
+        """Squares of subnormal entries underflow; the norm is scaled by
+        the peak like its dual, so it stays positive and equals it."""
+        X = euclidean_space(5)
+        x = np.full(5, 2.2e-309)
+        assert X.norm(x) == X.dual_norm(x)
+        assert X.norm(x) >= 2.2e-309
+
 
 class TestLorentzPredual:
     def test_frozen_example(self):
@@ -152,7 +171,7 @@ class TestLorentz:
         rng = np.random.default_rng(9)
         d = lorentz_space(GEOM4)
         dstar = lorentz_predual_space(GEOM4)
-        ext = dual_extreme_points(dstar)  # d(w,1)-ball vertices
+        ext = dstar.dual_extreme_points()  # d(w,1)-ball vertices
         for _ in range(50):
             y = rng.standard_normal(4)
             ny = dstar.norm(y)
@@ -260,18 +279,38 @@ class TestNormAxioms:
 
 
 class TestDualNormRows:
-    @settings(max_examples=60, deadline=None)
-    @given(F=finite_rows, X=st.sampled_from(ALL_KINDS))
-    def test_bounds_linf(self, F, X):
-        assert np.all(X.dual_norm_rows(F) >= np.max(np.abs(F), axis=1))
+    """The row forms of both norms, on every kind and the boundary
+    norm's space (here the sup norm of R^5 as a boundary norm)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(F=finite_rows, X=st.sampled_from(ALL_KINDS))
-    def test_one_row_is_bitwise_row_of_batch(self, F, X):
-        batch = X.dual_norm_rows(F)
+    @given(F=finite_rows, X=st.sampled_from(ALL_KINDS + [BOUNDARY5]),
+           dual=st.booleans())
+    def test_bounds_linf(self, F, X, dual):
+        linf = np.max(np.abs(F), axis=1)
+        if dual:
+            assert np.all(X.dual_norm_rows(F) >= linf)
+        else:
+            # ||x|| >= |x_i| * ||e_i||, and ||e_i|| = ||e_0|| for every i;
+            # the Luxemburg-type kinds are certified to 1e-10 relative
+            bound = linf * X.norm(np.eye(X.dim)[0]) * (1.0 - 1e-9)
+            assert np.all(X.norm_rows(F) >= bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(F=finite_rows, X=st.sampled_from(ALL_KINDS + [BOUNDARY5]),
+           dual=st.booleans())
+    def test_one_row_is_bitwise_row_of_batch(self, F, X, dual):
+        one, rows = ((X.dual_norm, X.dual_norm_rows) if dual
+                     else (X.norm, X.norm_rows))
+        if isinstance(X, BoundaryNormSpace) and not dual:
+            # a matrix product: one row is the batch of one, but batches
+            # of other sizes may differ by an ulp
+            for f in F:
+                assert one(f) == rows(f[None])[0]
+            return
+        batch = rows(F)
         for i, f in enumerate(F):
-            assert X.dual_norm(f) == batch[i]
-            assert X.dual_norm_rows(F[i:])[0] == batch[i]
+            assert one(f) == batch[i]
+            assert rows(F[i:])[0] == batch[i]
 
     def test_frozen_values(self):
         f = np.array([[1.0, -2.0, 0.5]])
@@ -385,7 +424,7 @@ class TestNormingFunctional:
         for X in cases:
             for _ in range(50):
                 x = rng.standard_normal(4)
-                f = norming_functional(X, x)
+                f = X.norming_functional(x)
                 np.testing.assert_allclose(np.dot(f, x), X.norm(x),
                                            rtol=1e-12)
                 np.testing.assert_allclose(X.dual_norm(f), 1.0, rtol=1e-12)
@@ -395,7 +434,7 @@ class TestNormingFunctional:
         rng = np.random.default_rng(78)
         for _ in range(100):
             x = rng.standard_normal(3) * 10.0 ** rng.integers(-2, 3)
-            f = norming_functional(X, x)
+            f = X.norming_functional(x)
             np.testing.assert_allclose(np.dot(f, x), X.norm(x), rtol=1e-12)
             # dual feasibility: bisection slack only
             y = rng.standard_normal(3)
@@ -403,22 +442,22 @@ class TestNormingFunctional:
 
     def test_lap_functional_support_and_basis(self):
         X = lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)
-        f = norming_functional(X, [3.0, 0.0, 1.0])
+        f = X.norming_functional([3.0, 0.0, 1.0])
         assert f[1] == 0.0
         np.testing.assert_array_equal(
-            norming_functional(X, [0.0, -2.0, 0.0]), [0.0, -1.0, 0.0])
+            X.norming_functional([0.0, -2.0, 0.0]), [0.0, -1.0, 0.0])
 
     def test_unsupported_kind_rejected(self):
         from smoothnorm.orlicz import make_orlicz
 
         X = orlicz_space(make_orlicz(0.5, 1.0), dim=2)
         with pytest.raises(ParameterError):
-            norming_functional(X, [1.0, 0.0])
+            X.norming_functional([1.0, 0.0])
 
 
 class TestDualExtremePoints:
     def test_sup_gives_signed_units(self):
-        pts = dual_extreme_points(sup_space(3))
+        pts = sup_space(3).dual_extreme_points()
         assert pts.shape == (6, 3)
         assert {tuple(p) for p in pts} == {
             (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -426,7 +465,7 @@ class TestDualExtremePoints:
 
     def test_predual_patterns_have_unit_dual_norm(self):
         X = lorentz_predual_space(GEOM4)
-        pts = dual_extreme_points(X)
+        pts = X.dual_extreme_points()
         assert pts.shape[0] == 8 + 24 + 32 + 16
         for f in pts:
             np.testing.assert_allclose(X.dual_norm(f), 1.0, rtol=1e-12)
@@ -436,7 +475,7 @@ class TestDualExtremePoints:
         extreme points."""
         rng = np.random.default_rng(8)
         for X in (sup_space(4), lorentz_predual_space(GEOM4)):
-            pts = dual_extreme_points(X)
+            pts = X.dual_extreme_points()
             for _ in range(50):
                 x = rng.standard_normal(4)
                 np.testing.assert_allclose(np.max(pts @ x), X.norm(x),
@@ -444,4 +483,4 @@ class TestDualExtremePoints:
 
     def test_non_polyhedral_rejected(self):
         with pytest.raises(ParameterError):
-            dual_extreme_points(euclidean_space(3))
+            euclidean_space(3).dual_extreme_points()

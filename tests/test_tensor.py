@@ -7,11 +7,9 @@ import pytest
 
 from smoothnorm.errors import ParameterError
 from smoothnorm.spaces import (
-    dual_extreme_points,
     euclidean_space,
     lorentz_predual_space,
     lorentz_space,
-    norming_functional,
     sup_space,
 )
 from smoothnorm.tensor import (
@@ -111,7 +109,7 @@ class TestInjectiveNormEnumerate:
         M = rng.standard_normal((4, 2))
         res = injective_norm(TensorElement(M, X, Y), "enumerate")
         want = max(float(np.linalg.norm(f @ M))
-                   for f in dual_extreme_points(X))
+                   for f in X.dual_extreme_points())
         assert res.value == want
 
     def test_rank_one_multiplicativity(self):
@@ -263,7 +261,7 @@ class TestBoundaryProduct:
         y = rng.standard_normal(2)
         M = np.outer(x, y) / (X.norm(x) * np.linalg.norm(y))
         u = TensorElement(M, X, euclidean_space(2))
-        f = norming_functional(X, x)
+        f = X.norming_functional(x)
         G = (y / np.linalg.norm(y))[None, :]
         report = boundary_product_check(f[None, :], G, [u], tol=1e-9)
         assert report.passed
