@@ -58,13 +58,14 @@ from .boundary import (ClosureOracle, Decomposition, check_boundary,
                        check_lrc_criterion, net_property_report)
 from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
-from .renorm import (active_set, build_renorm, phi_norm, phi_norm_batch,
-                     phi_unit_pool, pi_coords_batch, smoothness_check,
-                     verify_claim2d)
+from .renorm import (_sphere_samples, build_renorm, phi_norm,
+                     phi_norm_batch, pi_coords_batch, smoothness_check)
 from .spaces import (SupSpace, euclidean_space, lap_space,
                      lorentz_predual_space, lorentz_space, sup_space)
 from .tensor import (TensorElement, apply_fY, apply_gX,
                      boundary_product_check, injective_norm, tensor_apply)
+from .verify import (CLAIM_TOL, RATIO_SLACK, ApproxWindow, active_sets,
+                     approx_window, claim2d_sweep)
 
 SUITES = ("approx", "claim1", "claim2d", "localdep", "smooth",
           "boundary", "tensor", "equiv")
@@ -73,13 +74,14 @@ _BUDGETS = {"approx": 400, "claim1": 400, "claim2d": 2000,
             "localdep": 60, "boundary": 300, "tensor": 200,
             "equiv": 128, "build": 512}
 
-_TOLERANCES = {"ratio_slack": 1e-9, "claim2d_excess": 1e-7,
+_TOLERANCES = {"ratio_slack": RATIO_SLACK, "claim2d_excess": CLAIM_TOL,
                "richardson": 1e-5, "boundary": 1e-9,
                "tensor_identity": 1e-12, "equiv_identity": 1e-9}
 
 # chunk count is fixed so reports do not depend on --parallel
 _CHUNKS = 8
 _PERTURBATIONS = 20
+_NO_WINDOW = "matrix base norms need an enumerable dual ball"
 
 
 class ConfigError(ValueError):
@@ -345,49 +347,20 @@ def _chunk_sizes(total):
     return [base + (1 if i < extra else 0) for i in range(_CHUNKS)]
 
 
-def _ratio_samples(ctx, suite, total):
-    """Chunked (flattened sample, base norm, phi norm) evaluation.
-
-    Chunk count and per-chunk seeds are fixed and results merge in
-    chunk-index order, so the output is the same for any --parallel.
-    Returns None when the base norm has no exact evaluator.
-    """
-    spec = ctx.phi_spec()
-    X, Y = ctx.space, ctx.Y
-    if Y is not None and not X.enumerable_dual:
-        return None
-    children = ctx.child(suite).spawn(_CHUNKS)
-    flat_dim = X.dim if Y is None else X.dim * Y.dim
+def _window_samples(ctx, suite):
+    """The approx window on the suite's budget of gaussian samples, or
+    None; fixed chunks and seeds make it independent of --parallel."""
+    spec, X, Y = ctx.phi_spec(), ctx.space, ctx.Y
+    shape = (X.dim,) if Y is None else (X.dim, Y.dim)
 
     def run_chunk(arg):
-        ss, size = arg
-        rng = np.random.default_rng(ss)
-        if size == 0:
-            return (np.zeros((0, flat_dim)), np.zeros(0), np.zeros(0))
-        if Y is None:
-            rows = rng.standard_normal((size, X.dim))
-            base = X.norm_rows(rows)
-            keep = base > 1e-12
-            rows, base = rows[keep], base[keep]
-            return rows, base, phi_norm_batch(spec, rows)
-        mats = rng.standard_normal((size, X.dim, Y.dim))
-        flat, base, phi = [], [], []
-        for M in mats:
-            res = injective_norm(TensorElement(M, X, Y), "enumerate")
-            if res.value <= 1e-12:
-                continue
-            flat.append(M.ravel())
-            base.append(res.value)
-            phi.append(phi_norm(spec, M))
-        return (np.asarray(flat, dtype=float).reshape(len(base), flat_dim),
-                np.asarray(base), np.asarray(phi))
+        rows = np.random.default_rng(arg[0]).standard_normal((arg[1], *shape))
+        return approx_window(spec, rows, ctx.tol["ratio_slack"])
 
-    parts = ctx.map_chunks(run_chunk, list(zip(children,
-                                               _chunk_sizes(total))))
-    rows = np.vstack([p[0] for p in parts])
-    base = np.concatenate([p[1] for p in parts])
-    phi = np.concatenate([p[2] for p in parts])
-    return rows, base, phi, phi / base
+    parts = ctx.map_chunks(run_chunk, list(zip(
+        ctx.child(suite).spawn(_CHUNKS), _chunk_sizes(ctx.budgets[suite]))))
+    return (None if parts[0] is None
+            else ApproxWindow(*map(np.concatenate, zip(*parts))))
 
 
 # -- report plumbing -----------------------------------------------------
@@ -440,71 +413,53 @@ def _join(vec):
 
 
 def _suite_approx(ctx):
-    out = _ratio_samples(ctx, "approx", ctx.budgets["approx"])
-    if out is None:
-        return _record("skipped", 0, {},
-                       "matrix base norms need an enumerable dual ball"), []
-    rows, base, phi, ratio = out
-    slack = ctx.tol["ratio_slack"]
-    upper = (1.0 + ctx.eps) * (1.0 + slack)
-    bad = (ratio <= 1.0) | (ratio > upper)
+    win = _window_samples(ctx, "approx")
+    if win is None:
+        return _record("skipped", 0, {}, _NO_WINDOW), []
+    rows = win.samples.reshape(len(win.base), -1)
+    ratio = win.phi / win.base
     measured = {"min_ratio": np.min(ratio), "max_ratio": np.max(ratio),
-                "min_rel_gap": np.min(ratio) - 1.0,
-                "upper_bound": 1.0 + ctx.eps, "ratio_slack": slack,
-                "violations": int(np.count_nonzero(bad))}
+                "min_rel_gap": np.min(win.gap), "upper_bound": 1.0 + ctx.eps,
+                "ratio_slack": ctx.tol["ratio_slack"],
+                "violations": win.violations}
     header = (["sample_id"] + [f"x{i}" for i in range(rows.shape[1])]
               + ["base_norm", "phi_norm", "ratio"])
     table = _Table("approx_samples.csv", header,
-                   [[i, *rows[i], base[i], phi[i], ratio[i]]
-                    for i in range(len(base))])
-    status = "passed" if not bad.any() else "failed"
-    return _record(status, len(base), measured), [table]
+                   [[i, *rows[i], win.base[i], win.phi[i], ratio[i]]
+                    for i in range(len(rows))])
+    status = "passed" if win.violations == 0 else "failed"
+    return _record(status, len(rows), measured), [table]
 
 
 def _suite_claim1(ctx):
-    out = _ratio_samples(ctx, "claim1", ctx.budgets["claim1"])
-    if out is None:
-        return _record("skipped", 0, {},
-                       "matrix base norms need an enumerable dual ball"), []
-    _, base, _, ratio = out
-    gap = ratio - 1.0
-    measured = {"min_gap": np.min(gap), "max_gap": np.max(gap),
-                "violations": int(np.count_nonzero(gap <= 0.0))}
-    status = "passed" if np.all(gap > 0.0) else "failed"
-    return _record(status, len(base), measured), []
+    win = _window_samples(ctx, "claim1")
+    if win is None:
+        return _record("skipped", 0, {}, _NO_WINDOW), []
+    below = int(np.count_nonzero(win.gap <= 0.0))
+    measured = {"min_gap": np.min(win.gap), "max_gap": np.max(win.gap),
+                "violations": below}
+    return _record("passed" if below == 0 else "failed", len(win.gap),
+                   measured), []
 
 
 def _suite_claim2d(ctx):
     spec = ctx.phi_spec()
     tol = ctx.tol["claim2d_excess"]
-    pool = phi_unit_pool(spec, ctx.budgets["claim2d"],
-                         seed=ctx.child("claim2d"))
-    g = None if ctx.Y is None else np.eye(ctx.Y.dim)[0]
-    worst = -np.inf
-    ok = True
-    for i in range(len(spec.net)):
-        rep = verify_claim2d(spec, i, g=g, pool=pool, tol=tol)
-        worst = max(worst, rep.sampled_max - rep.bound)
-        ok = ok and rep.passed
-    measured = {"net_points": len(spec.net),
-                "pool_size": len(pool.norms),
-                "worst_excess": worst, "excess_tol": tol}
-    return _record("passed" if ok else "failed",
-                   len(pool.norms), measured), []
+    sweep = claim2d_sweep(spec, ctx.budgets["claim2d"],
+                          seed=ctx.child("claim2d"), tol=tol)
+    measured = {"net_points": len(spec.net), "pool_size": sweep.pool_size,
+                "worst_excess": sweep.worst_excess, "excess_tol": tol}
+    return _record("passed" if sweep.ok else "failed",
+                   sweep.pool_size, measured), []
 
 
 def _suite_localdep(ctx):
     spec = ctx.phi_spec()
     ss_points, ss_moves = ctx.child("localdep").spawn(2)
-    pool = phi_unit_pool(spec, ctx.budgets["localdep"], seed=ss_points)
+    margins = active_sets(spec, ctx.budgets["localdep"], seed=ss_points)
     rng = np.random.default_rng(ss_moves)
-    min_margin = np.inf
-    inactive_checked = 0
-    violations = 0
-    for k in range(len(pool.norms)):
-        u = pool.samples[k] / pool.norms[k]
-        act = active_set(spec, u)
-        min_margin = min(min_margin, act.margin)
+    inactive_checked = violations = 0
+    for u, act in zip(margins.points, margins.sets):
         if act.margin <= 0.0:
             violations += 1
             continue
@@ -525,14 +480,14 @@ def _suite_localdep(ctx):
             values = spec.family.functions[i](coords[:, i] / rhos)
             inactive_checked += len(probes)
             violations += int(np.count_nonzero(values != 0.0))
-    measured = {"points": len(pool.norms),
+    points = len(margins.sets)
+    measured = {"points": points,
                 "perturbations_per_point": _PERTURBATIONS,
-                "min_margin": min_margin,
+                "min_margin": margins.min_margin,
                 "inactive_checked": inactive_checked,
                 "violations": violations}
-    ok = violations == 0 and min_margin > 0.0 and len(pool.norms) > 0
-    return _record("passed" if ok else "failed",
-                   len(pool.norms), measured), []
+    ok = violations == 0 and margins.min_margin > 0.0 and points > 0
+    return _record("passed" if ok else "failed", points, measured), []
 
 
 def _suite_smooth(ctx):
@@ -580,11 +535,8 @@ def _suite_smooth(ctx):
 def _suite_boundary(ctx):
     d = ctx.cfg.decomposition
     spec = ctx.phi_spec()
-    rng = np.random.default_rng(ctx.child("boundary"))
-    rows = rng.standard_normal((ctx.budgets["boundary"], ctx.space.dim))
-    base = ctx.space.norm_rows(rows)
-    keep = base > 1e-12
-    samples = rows[keep] / base[keep, None]
+    samples = _sphere_samples(ctx.space, ctx.budgets["boundary"],
+                              ctx.child("boundary"))
     stacked = np.vstack([p.members for p in d.pieces])
     rep = check_boundary(ctx.space, stacked, samples,
                          tol=ctx.tol["boundary"])

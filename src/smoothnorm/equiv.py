@@ -27,10 +27,11 @@ import numpy as np
 from .boundary import (Decomposition, _key, check_lrc_criterion,
                        net_property_report)
 from .errors import ConstructionError, NumericError, ParameterError
-from .renorm import (active_set, build_renorm, phi_norm_batch, phi_unit_pool,
-                     verify_claim2d)
-from .spaces import ModelSpace, find_norming_support, proj
-from .tensor import TensorElement, injective_norm
+from .renorm import build_renorm
+from .spaces import (LapSpace, ModelSpace, _support_masks,
+                     find_norming_support, proj)
+from .verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT, active_sets,
+                     approx_window, claim2d_sweep)
 
 __all__ = [
     "SupportBallSet",
@@ -118,21 +119,23 @@ def compute_bn(h_set, samples) -> float:
 def _projection_sup(space, x, n):
     """max over |sigma| = n of ||P_sigma x|| and an argmax support.
 
-    Exhaustive up to dim 12; beyond that the top-|x| support is used as
-    a heuristic (tests keep a brute-force oracle on small dims).  Ties
-    resolve to the lexicographically first support.
+    Exhaustive up to dim 12; beyond that the top-|x| support, exact only
+    for symmetric kinds (lap is refused).  Ties resolve to the
+    lexicographically first support.
     """
     x = np.asarray(x, dtype=float)
     if n >= space.dim:
         return space.norm(x), tuple(range(space.dim))
     if space.dim <= _EXHAUSTIVE_DIM:
-        sigmas = list(itertools.combinations(range(space.dim), n))
-        mask = np.zeros((len(sigmas), space.dim), dtype=bool)
-        for row, sigma in enumerate(sigmas):
-            mask[row, sigma] = True
+        mask = _support_masks(space.dim, n)
         vals = space.norm_rows(np.where(mask, x, 0.0))
         best = int(np.argmax(vals))  # the first maximum
-        return float(vals[best]), sigmas[best]
+        return float(vals[best]), tuple(int(i) for i in
+                                        np.flatnonzero(mask[best]))
+    if isinstance(space, LapSpace):
+        raise ParameterError(
+            f"c_n of a lap space above dim {_EXHAUSTIVE_DIM} has no exact "
+            f"route: the top-|x| support is exact only for symmetric kinds")
     order = np.lexsort((np.arange(space.dim), -np.abs(x)))
     sigma = tuple(sorted(int(i) for i in order[:n]))
     return space.norm(proj(x, sigma, space.dim)), sigma
@@ -279,13 +282,6 @@ class BoundaryNorm:
     attained: bool
     lrc_reports: tuple
 
-    def norm(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.matrix.shape[1],):
-            raise ParameterError(
-                f"expected vector of length {self.matrix.shape[1]}")
-        return float(np.max(np.abs(self.matrix @ x)))
-
     def norm_batch(self, rows) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         return np.max(np.abs(rows @ self.matrix.T), axis=1)
@@ -293,16 +289,8 @@ class BoundaryNorm:
     def symmetric_pieces(self):
         """Each piece with both signs present (deduplicated), the form
         a boundary decomposition of |||.||| wants."""
-        out = []
-        for P in self.pieces:
-            seen, rows = set(), []
-            for f in np.vstack([P, -P]):
-                key = _key(f)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(f)
-            out.append(np.asarray(rows))
-        return out
+        return [np.asarray(_unique_rows(np.vstack([P, -P])))
+                for P in self.pieces]
 
 
 def build_F(chain: RelativeBoundaryChain, a_strategy="default",
@@ -419,6 +407,14 @@ class PipelineResult:
         return self.report.passed
 
 
+def _unique_rows(rows):
+    """First occurrences of the rows, in order (signed zeros folded)."""
+    first = {}
+    for f in rows:
+        first.setdefault(_key(f), f)
+    return list(first.values())
+
+
 def _normalize_rows(space, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     base = space.norm_rows(rows)
@@ -438,10 +434,8 @@ def _level_samples(space, samples, level_count):
     return [pool] * level_count
 
 
-def _support_ball_chain(space, sample_sets, level_ids, resolution, seed,
-                        identity_tol):
-    balls = [support_ball(space, n, resolution=resolution, seed=seed)
-             for n in level_ids]
+def _support_ball_chain(space, sample_sets, level_ids, seed, identity_tol):
+    balls = [support_ball(space, n, seed=seed) for n in level_ids]
     h_sets = tuple(ball.functionals for ball in balls)
     exact = all(ball.exact for ball in balls)
     b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
@@ -458,89 +452,46 @@ def _adapted_chain(space, sample_sets, level_ids):
     each sample contributes the norming functional of its best
     |sigma| = n projection, so its own level-n sup equals the c_n inner
     value exactly."""
-    rows_by_level = []
+    h_sets, acc = [], []
     for n, S in zip(level_ids, sample_sets):
-        seen, lvl = set(), []
         for x in S:
             val, sigma = _projection_sup(space, x, n)
             if val <= 0.0:
                 raise ConstructionError(
                     f"a sample projects to zero at level {n}")
-            f = space.norming_functional(proj(x, sigma, space.dim))
-            key = _key(f)
-            if key not in seen:
-                seen.add(key)
-                lvl.append(f)
-        rows_by_level.append(np.asarray(lvl))
-    h_sets, seen, acc = [], set(), []
-    for lvl in rows_by_level:
-        for f in lvl:
-            key = _key(f)
-            if key not in seen:
-                seen.add(key)
-                acc.append(f)
+            acc.append(space.norming_functional(proj(x, sigma, space.dim)))
+        acc = _unique_rows(acc)
         h_sets.append(np.asarray(acc))
-    h_sets = tuple(h_sets)
     b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
     c = np.asarray([compute_cn(space, s, n)
                     for n, s in zip(level_ids, sample_sets)])
-    return h_sets, b, c, False
+    return tuple(h_sets), b, c, False
 
 
-def _pipeline_report(phi, d, base_space, eps, chain, seed, check_count,
-                     pool_count, margin_count, claim_tol):
+def _pipeline_report(phi, d, chain, seed):
     net_report = net_property_report(d, phi.net)
     rng = np.random.default_rng(seed + 101)
-
-    approx_checked, violations, min_gap = True, 0, np.inf
-    if phi.Y is None:
-        U = rng.standard_normal((check_count, base_space.dim))
-        base = base_space.norm_rows(U)
-        rho = phi_norm_batch(phi, U)
-        bad = ~((rho > base) & (rho <= (1.0 + eps) * base * (1.0 + 1e-9)))
-        violations = int(np.sum(bad))
-        min_gap = float(np.min((rho - base) / base))
-    elif phi.X.enumerable_dual:
-        count = max(8, check_count // 4)
-        batch = rng.standard_normal((count, phi.X.dim, phi.Y.dim))
-        rho = phi_norm_batch(phi, batch)
-        for M, r in zip(batch, rho):
-            base = injective_norm(TensorElement(M, phi.X, phi.Y),
-                                  "enumerate").value
-            if not (r > base and r <= (1.0 + eps) * base * (1.0 + 1e-9)):
-                violations += 1
-            min_gap = min(min_gap, (r - base) / base)
-    else:
-        approx_checked = False
-        min_gap = float("nan")
-
-    margin_pool = phi_unit_pool(phi, margin_count, seed=seed + 202)
-    margins_positive = bool(all(active_set(phi, u).margin > 0.0
-                                for u in margin_pool.samples))
-
-    pool = phi_unit_pool(phi, pool_count, seed=seed + 303)
-    g = None if phi.Y is None else np.eye(phi.Y.dim)[0]
-    reports = [verify_claim2d(phi, i, g=g, pool=pool, tol=claim_tol)
-               for i in range(len(phi.net))]
-    claim_ok = bool(all(r.passed for r in reports))
-    worst = float(max(r.sampled_max - r.bound for r in reports))
-
+    shape = ((CHECK_COUNT, phi.X.dim) if phi.Y is None
+             else (max(8, CHECK_COUNT // 4), phi.X.dim, phi.Y.dim))
+    win = approx_window(phi, rng.standard_normal(shape))
+    margins = active_sets(phi, MARGIN_COUNT, seed=seed + 202)
+    claim = claim2d_sweep(phi, POOL_COUNT, seed=seed + 303)
+    violations = 0 if win is None else win.violations
+    margins_positive = bool(margins.min_margin > 0.0)
     bc_gap = (float(np.max(np.abs(chain.b_values - chain.c_values)))
               if chain.c_values is not None else float("nan"))
-    passed = (net_report.passed and violations == 0 and margins_positive
-              and claim_ok)
     return PipelineReport(
-        net_passed=net_report.passed, approx_checked=approx_checked,
-        approx_violations=violations, min_rel_gap=min_gap,
-        margins_positive=margins_positive, claim2d_ok=claim_ok,
-        claim2d_worst_excess=worst, bc_gap=bc_gap, passed=passed)
+        net_passed=net_report.passed, approx_checked=win is not None,
+        approx_violations=violations,
+        min_rel_gap=float("nan") if win is None else float(np.min(win.gap)),
+        margins_positive=margins_positive, claim2d_ok=claim.ok,
+        claim2d_worst_excess=float(claim.worst_excess), bc_gap=bc_gap,
+        passed=(net_report.passed and violations == 0 and margins_positive
+                and claim.ok))
 
 
 def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
-                         seed=0, max_level=None, resolution=64,
-                         identity_tol=1e-9, a_strategy="default",
-                         check_count=200, pool_count=2000, margin_count=10,
-                         claim_tol=1e-7, boundary_tol=1e-9):
+                         seed=0, max_level=None, identity_tol=1e-9):
     """Build and verify an approximating norm by one of two routes.
 
     "direct": every (normalized) sample must exhibit a norming support
@@ -577,46 +528,34 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
                 f"{missing} samples have no norming support within "
                 f"{levels} levels")
         chosen = "direct" if missing == 0 else "chain"
+    if chosen == "chain" and Y is not None:
+        raise ParameterError("factor spaces need the direct route")
 
-    if chosen == "direct":
+    if chosen == "direct" or space.enumerable_dual:
         h_sets, b, c, exact = _support_ball_chain(
-            space, sample_sets, level_ids, resolution, seed, identity_tol)
-        chain = RelativeBoundaryChain(
-            space=space, h_sets=h_sets, samples=tuple(sample_sets),
-            level_ids=level_ids, b_values=b, c_values=c, exact=exact)
+            space, sample_sets, level_ids, seed, identity_tol)
+    else:
+        h_sets, b, c, exact = _adapted_chain(space, sample_sets, level_ids)
+    if chosen == "chain" and c is not None and np.any(c <= 0.0):
+        raise ConstructionError("c_n must be strictly positive")
+    chain = RelativeBoundaryChain(
+        space=space, h_sets=h_sets, samples=tuple(sample_sets),
+        level_ids=level_ids, b_values=b, c_values=c, exact=exact)
+    if chosen == "direct":
         pieces = [P for P in (chain.new_members(i) for i in range(levels))
                   if len(P)]
-        boundary_norm = None
-        base_space = space
+        boundary_norm, base_space, boundary_samples = None, space, union
         decomposition = Decomposition(space, pieces, eps)
-        boundary_samples = union
     else:
-        if Y is not None:
-            raise ParameterError("factor spaces need the direct route")
-        if space.enumerable_dual:
-            h_sets, b, c, exact = _support_ball_chain(
-                space, sample_sets, level_ids, resolution, seed,
-                identity_tol)
-        else:
-            h_sets, b, c, exact = _adapted_chain(
-                space, sample_sets, level_ids)
-        if c is not None and np.any(c <= 0.0):
-            raise ConstructionError("c_n must be strictly positive")
-        chain = RelativeBoundaryChain(
-            space=space, h_sets=h_sets, samples=tuple(sample_sets),
-            level_ids=level_ids, b_values=b, c_values=c, exact=exact)
-        boundary_norm = build_F(chain, a_strategy=a_strategy)
+        boundary_norm = build_F(chain)
         base_space = BoundaryNormSpace(boundary_norm)
         decomposition = Decomposition(
             base_space, boundary_norm.symmetric_pieces(), eps)
         boundary_samples = _normalize_rows(base_space, union)
 
     phi = build_renorm(base_space, decomposition, Y,
-                       boundary_samples=boundary_samples, seed=seed,
-                       boundary_tol=boundary_tol)
-    report = _pipeline_report(phi, decomposition, base_space, eps, chain,
-                              seed, check_count, pool_count, margin_count,
-                              claim_tol)
+                       boundary_samples=boundary_samples, seed=seed)
+    report = _pipeline_report(phi, decomposition, chain, seed)
     return PipelineResult(
         route=chosen, chain=chain, boundary_norm=boundary_norm,
         base_space=base_space, decomposition=decomposition, phi_spec=phi,

@@ -321,10 +321,6 @@ class SmoothnessReport:
     point: np.ndarray
     records: tuple
 
-    @property
-    def any_kink(self) -> bool:
-        return any(r.kink for r in self.records)
-
 
 def smoothness_check(normfn, x, directions, steps, *, kink_slope=-0.5,
                      kink_scale=1e-6) -> SmoothnessReport:

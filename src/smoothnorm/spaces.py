@@ -411,9 +411,16 @@ def find_norming_support(space: ModelSpace, y, tol=1e-9, cap=None):
 
     cap = space.dim if cap is None else min(int(cap), space.dim)
     for size in range(1, cap + 1):
-        for combo in itertools.combinations(range(space.dim), size):
-            sigma = np.asarray(combo, dtype=int)
-            val = space.norm(proj(y, sigma))
-            if abs(val - 1.0) <= tol:
-                return sigma
+        masks = _support_masks(space.dim, size)
+        vals = space.norm_rows(np.where(masks, y, 0.0))
+        hits = np.flatnonzero(np.abs(vals - 1.0) <= tol)
+        if hits.size:
+            return np.flatnonzero(masks[hits[0]])
     return None
+
+
+def _support_masks(dim, n):
+    """The size-n supports in range(dim), lexicographic, as row masks."""
+    combos = itertools.combinations(range(dim), n)
+    return np.asarray([[i in c for i in range(dim)] for c in combos],
+                      dtype=bool).reshape(-1, dim)

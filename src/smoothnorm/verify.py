@@ -1,0 +1,103 @@
+"""The checks of a built approximating norm, each written once, for the
+CLI suites and corollary_b_pipeline: the window ||x|| < ||x||_phi <=
+(1 + eps) ||x|| (claim 1 is its strict lower half), claim 2d sampled at
+every net point, and the active-set margin of local finite dependence.
+The constants are the pipeline's budgets; the CLI passes its own.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .renorm import active_set, phi_norm_batch, phi_unit_pool, verify_claim2d
+from .tensor import TensorElement, injective_norm
+
+__all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
+           "approx_window", "claim2d_sweep", "active_sets"]
+
+CHECK_COUNT = 200    # approx-window samples
+POOL_COUNT = 2000    # claim-2d pool size
+MARGIN_COUNT = 10    # active-set points
+CLAIM_TOL = 1e-7     # allowed claim-2d excess over 1/theta(h)
+RATIO_SLACK = 1e-9   # relative slack on the window's upper edge
+BASE_FLOOR = 1e-12   # samples with a base norm at or below this are dropped
+
+
+class ApproxWindow(NamedTuple):
+    """inside: base < phi <= (1 + eps) * base * (1 + slack); gap: (phi -
+    base) / base, one rounding in the window (exact subtraction, Sterbenz)."""
+
+    samples: np.ndarray
+    base: np.ndarray
+    phi: np.ndarray
+    inside: np.ndarray
+    gap: np.ndarray
+
+    @property
+    def violations(self) -> int:
+        return int(np.count_nonzero(~self.inside))
+
+
+def window(samples, base, phi, eps, slack=RATIO_SLACK) -> ApproxWindow:
+    """The window predicate and the gap on given base and phi values."""
+    inside = (phi > base) & (phi <= (1.0 + eps) * base * (1.0 + slack))
+    return ApproxWindow(samples, base, phi, inside, (phi - base) / base)
+
+
+def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
+    """The window on (k, dim X) vectors, or on (k, dim X, dim Y) matrices
+    against their exact injective norm (None without an enumerable dual
+    ball).  Samples with a base norm <= BASE_FLOOR are dropped."""
+    X, Y = spec.X, spec.Y
+    if Y is None:
+        base = X.norm_rows(samples)
+    elif X.enumerable_dual:
+        base = np.asarray([injective_norm(TensorElement(M, X, Y),
+                                          "enumerate").value
+                           for M in samples], dtype=float)
+    else:
+        return None
+    keep = base > BASE_FLOOR
+    samples, base = samples[keep], base[keep]
+    return window(samples, base, phi_norm_batch(spec, samples),
+                  spec.epsilon, slack)
+
+
+class Claim2dSweep(NamedTuple):
+    ok: bool
+    worst_excess: float
+    pool_size: int
+
+
+def claim2d_sweep(spec, count=POOL_COUNT, seed=0,
+                  tol=CLAIM_TOL) -> Claim2dSweep:
+    """verify_claim2d at every net point against one pool of `count`
+    samples (g = e_0 for a euclidean factor)."""
+    pool = phi_unit_pool(spec, count, seed=seed)
+    g = None if spec.Y is None else np.eye(spec.Y.dim)[0]
+    reports = [verify_claim2d(spec, i, g=g, pool=pool, tol=tol)
+               for i in range(len(spec.net))]
+    return Claim2dSweep(all(r.passed for r in reports),
+                        max(r.sampled_max - r.bound for r in reports),
+                        len(pool.norms))
+
+
+class MarginCheck(NamedTuple):
+    """Active sets at points of the phi-unit sphere, in pool order."""
+
+    points: np.ndarray
+    sets: tuple
+
+    @property
+    def min_margin(self) -> float:
+        return min((a.margin for a in self.sets), default=np.inf)
+
+
+def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
+    """Active sets at `count` gaussian samples scaled to phi-norm 1."""
+    pool = phi_unit_pool(spec, count, seed=seed)
+    shape = (-1,) + (1,) * (pool.samples.ndim - 1)
+    points = pool.samples / pool.norms.reshape(shape)
+    return MarginCheck(points, tuple(active_set(spec, u) for u in points))

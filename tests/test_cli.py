@@ -220,6 +220,11 @@ class TestRunReport:
         assert m["violations"] == 0
         assert 1.0 < m["min_ratio"] <= m["max_ratio"] <= 1.1 * (1 + 1e-9)
         assert m["min_rel_gap"] == pytest.approx(m["min_ratio"] - 1.0)
+        with (out / "approx_samples.csv").open() as fh:
+            table = list(csv.DictReader(fh))
+        base, phi = (np.array([float(r[k]) for r in table])
+                     for k in ("base_norm", "phi_norm"))
+        assert m["min_rel_gap"] == np.min((phi - base) / base)
 
     def test_equiv_record_tables(self, demo_run):
         # unit-vector functionals norm the sup sphere at every level

@@ -194,6 +194,14 @@ class TestComputeCn:
         S /= np.max(np.abs(S), axis=1)[:, None]
         assert compute_cn(sp, S, 3) == 1.0
 
+    def test_lap_beyond_exhaustive_dim_refused(self):
+        # the top-|x| support is not the best one for a lap space: here
+        # it gives c_3 = 0.388 where brute force over all 3-supports
+        # gives 0.576, so the value is refused instead
+        X = lap_space([range(0, 7), range(6, 13)], [1, 4], 13)
+        with pytest.raises(ParameterError):
+            compute_cn(X, unit_rows(X, 20, 0), 3)
+
     def test_exhaustive_matches_inline_brute_force(self, lap3):
         S = unit_rows(lap3, 15, 10)
         for n in (1, 2):
@@ -270,7 +278,7 @@ class TestBuildF:
         ch = RelativeBoundaryChain(
             space=sp, h_sets=(H,), samples=(S,), level_ids=(0,),
             b_values=[compute_bn(H, S)])
-        bn = build_F(ch, a_strategy="ones")
+        bn = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
         rng = np.random.default_rng(15)
         for _ in range(50):
             x = rng.standard_normal(2)
@@ -283,7 +291,7 @@ class TestBuildF:
             space=predual4, h_sets=h, samples=(S,) * 4,
             level_ids=(1, 2, 3, 4),
             b_values=[compute_bn(hh, S) for hh in h])
-        bn = build_F(ch, a_strategy="ones")
+        bn = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
         rng = np.random.default_rng(17)
         for _ in range(50):
             x = rng.standard_normal(4)

@@ -1,0 +1,109 @@
+"""The shared verification layer: approx window, claim-2d sweep and
+active-set margins."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from smoothnorm.boundary import Decomposition
+from smoothnorm.renorm import active_set, build_renorm, verify_claim2d
+from smoothnorm.spaces import euclidean_space, lorentz_space, sup_space
+from smoothnorm.verify import (active_sets, approx_window, claim2d_sweep,
+                               window)
+
+EPS = 0.1
+SLACK = 1e-9
+
+
+def per_direction(space):
+    eye = np.eye(space.dim)
+    return Decomposition(space, [np.vstack([e, -e]) for e in eye], EPS)
+
+
+@pytest.fixture(scope="module")
+def sup3_spec():
+    X = sup_space(3)
+    return build_renorm(X, per_direction(X), None, budget=128, seed=0)
+
+
+@pytest.fixture(scope="module")
+def euclid_factor_spec():
+    X = sup_space(2)
+    return build_renorm(X, per_direction(X), euclidean_space(2),
+                        budget=128, seed=0)
+
+
+class TestWindow:
+    def test_edges(self):
+        base = np.array([1.0, 3.0, 0.7, 1e5, 2.5])
+        edge = (1.0 + EPS) * base * (1.0 + SLACK)
+        phi = np.array([base[0], edge[1], np.nextafter(edge[2], np.inf),
+                        np.nextafter(base[3], np.inf), 2.6])
+        win = window(np.zeros((5, 2)), base, phi, EPS, SLACK)
+        # phi == base is outside, the upper edge itself is inside
+        assert win.inside.tolist() == [False, True, False, True, True]
+        assert win.violations == 2
+        assert win.gap[0] == 0.0 and win.gap[3] > 0.0
+
+    def test_small_base_rows_dropped(self, sup3_spec):
+        rows = np.random.default_rng(1).standard_normal((6, 3))
+        rows[1] = 0.0
+        rows[4] = [1e-13, -5e-13, 0.0]
+        win = approx_window(sup3_spec, rows)
+        np.testing.assert_array_equal(win.samples, rows[[0, 2, 3, 5]])
+        np.testing.assert_array_equal(win.base,
+                                      np.max(np.abs(win.samples), axis=1))
+        assert win.violations == 0 and np.all(win.gap > 0.0)
+
+    def test_matrices_use_injective_norm(self, euclid_factor_spec):
+        mats = np.random.default_rng(2).standard_normal((5, 2, 2))
+        win = approx_window(euclid_factor_spec, mats)
+        # sup_finite duals are +-e_i: the largest row 2-norm
+        np.testing.assert_allclose(
+            win.base, np.max(np.linalg.norm(mats, axis=2), axis=1),
+            rtol=1e-12)
+        assert win.violations == 0
+
+    def test_not_checkable_without_enumerable_dual(self):
+        X = lorentz_space([1.0, 0.5])
+        signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+        F = np.array([[a, 0.5 * b] for a, b in signs]
+                     + [[0.5 * a, b] for a, b in signs])
+        d = Decomposition(X, [F], EPS)
+        spec = build_renorm(X, d, euclidean_space(2), budget=64, seed=0)
+        assert approx_window(spec, np.ones((3, 2, 2))) is None
+
+
+class TestClaim2dSweep:
+    def test_matches_per_point_reports(self, sup3_spec):
+        sweep = claim2d_sweep(sup3_spec, 300, seed=3)
+        reports = [verify_claim2d(sup3_spec, i, count=300, seed=3)
+                   for i in range(len(sup3_spec.net))]
+        assert sweep.ok and sweep.pool_size == 300
+        assert sweep.worst_excess == max(r.sampled_max - r.bound
+                                         for r in reports)
+
+    def test_euclidean_factor_uses_first_unit_vector(
+            self, euclid_factor_spec):
+        sweep = claim2d_sweep(euclid_factor_spec, 200, seed=4)
+        g = np.eye(2)[0]
+        reports = [verify_claim2d(euclid_factor_spec, i, g, count=200,
+                                  seed=4)
+                   for i in range(len(euclid_factor_spec.net))]
+        assert sweep.ok
+        assert sweep.worst_excess == max(r.sampled_max - r.bound
+                                         for r in reports)
+
+
+class TestActiveSets:
+    def test_unit_points_and_margins(self, sup3_spec):
+        check = active_sets(sup3_spec, 8, seed=5)
+        assert len(check.points) == len(check.sets) == 8
+        for u, act in zip(check.points, check.sets):
+            assert act == active_set(sup3_spec, u)
+            assert act.phi_value == pytest.approx(1.0, rel=1e-9)
+        assert check.min_margin == min(a.margin for a in check.sets) > 0.0
+
+    def test_empty_pool_has_no_margin(self, sup3_spec):
+        assert active_sets(sup3_spec, 0).min_margin == np.inf
