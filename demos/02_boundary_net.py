@@ -43,12 +43,14 @@ def main():
     net = build_net(d)
     props = net_property_report(d, net)
     print()
-    print(f"net size {len(net.points)}, per piece {net.per_piece}")
+    points = [np.flatnonzero(net.piece == n).tolist()
+              for n in range(len(d.pieces))]
+    print(f"net size {len(net)}, per piece {points}")
     print(f"  max pairwise-distance excess {props.max_distance_excess:.3e}")
     print(f"  max psi excess {props.max_psi_excess:.3e}")
-    for p in net.points[:4]:
-        print(f"  functional {np.asarray(p.functional)}  bin {p.bin_id}  "
-              f"psi {p.psi:.6f}  theta {p.theta:.6f}")
+    for i in range(4):
+        print(f"  functional {net.matrix[i]}  bin {net.bin_id[i]}  "
+              f"psi {net.psi[i]:.6f}  theta {net.theta[i]:.6f}")
 
 
 if __name__ == "__main__":

@@ -27,14 +27,17 @@ costs one ``dual_norm_rows`` call on the kept points that pass, and none
 when no kept point does.  Greedy order and ties are those of the plain
 pairwise loop, so the net is the same.
 
-Net points carry theta(f) = psi(f) - eps_n; theta > 1 holds for every
-valid closure oracle (psi - 1 >= (eps/2) * 2^(-n) > eps_n since
-n(f) <= n), and is still checked per instance.
+The net is a set of aligned arrays, one entry per net point in piece,
+then psi-bin, then greedy order: the functional, psi, theta, piece and
+bin; ``home`` gives each member's net point, one array per piece.  Net
+points carry theta(f) = psi(f) - eps_n; theta > 1 holds for every valid
+closure oracle (psi - 1 >= (eps/2) * 2^(-n) > eps_n since n(f) <= n),
+and is still checked per instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +47,6 @@ __all__ = [
     "Piece",
     "ClosureOracle",
     "Decomposition",
-    "NetPoint",
     "NetB",
     "epsilon_n",
     "psi_binning",
@@ -130,6 +132,9 @@ class Decomposition:
     from 0, pairwise-disjoint pieces, and (when the ambient dual norm is
     exact) membership of every functional in the dual ball up to 1e-9.
     With a surrogate dual metric the ball check is recorded as skipped.
+    ``members`` stacks the pieces' members in piece order, and ``psi``
+    holds one array of psi weights per piece: the piece's default, with
+    the closure entries written over it.
     """
 
     def __init__(self, space, pieces, epsilon, closure=None):
@@ -155,7 +160,12 @@ class Decomposition:
         self.closure = closure if closure is not None else ClosureOracle()
         self.dual_ball_checked = space.dual_metric == "exact"
 
+        self.members = np.vstack([p.members for p in self.pieces])
+        # one pass over the stacked rows, signed zeros folded once (_key)
+        folded = (self.members + 0.0).tobytes()
+        width = self.members.itemsize * space.dim
         seen = {}
+        at = 0
         for p in self.pieces:
             if self.dual_ball_checked:
                 dn = space.dual_norm_rows(p.members)
@@ -165,22 +175,25 @@ class Decomposition:
                     raise ConstructionError(
                         f"piece {p.index} member {j} has dual norm "
                         f"{float(dn[j])} > 1 + {DUAL_BALL_TOL}")
-            for j, f in enumerate(p.members):
-                key = _key(f)
-                if key in seen and seen[key][0] != p.index:
+            for j in range(len(p)):
+                first = seen.setdefault(folded[at:at + width], (p.index, j))
+                if first[0] != p.index:
                     raise ConstructionError(
-                        f"functional appears in pieces {seen[key][0]} "
+                        f"functional appears in pieces {first[0]} "
                         f"and {p.index}; pieces must be disjoint")
-                seen.setdefault(key, (p.index, j))
+                at += width
         self._locate = seen
 
+        self.psi = tuple(np.full(len(p), _psi_value(self.epsilon, {p.index}))
+                         for p in self.pieces)
         for (n, j), idx in self.closure._entries.items():
-            if n >= len(self.pieces) or j >= len(self.pieces[n]):
+            if n >= len(self.pieces) or not 0 <= j < len(self.pieces[n]):
                 raise ParameterError(
                     f"closure entry ({n}, {j}) is not a member")
             if max(idx) >= len(self.pieces):
                 raise ParameterError(
                     f"closure entry ({n}, {j}) references a missing piece")
+            self.psi[n][j] = _psi_value(self.epsilon, idx)
 
     def locate(self, f):
         """(piece, member) position of a functional, by exact identity."""
@@ -191,7 +204,7 @@ class Decomposition:
 
     def psi_of(self, n, j) -> float:
         """psi weight of member j of piece n (see module docstring)."""
-        return _psi_value(self.epsilon, self.closure.index_set(n, j))
+        return float(self.psi[n][j])
 
 
 def psi_binning(psis, eps_n):
@@ -260,75 +273,56 @@ def _greedy_indices(members, separation, metric_rows):
 
 
 @dataclass(frozen=True)
-class NetPoint:
-    """A net functional with its weights and originating piece."""
-
-    functional: np.ndarray
-    piece: int
-    member: int
-    bin_id: int
-    psi: float
-    theta: float
-
-
-@dataclass
 class NetB:
-    """Union of the per-piece nets, with the member -> net assignment."""
+    """Union of the per-piece nets as aligned arrays, one entry per net
+    point, and ``home``: per piece, each member's net point index."""
 
-    points: list[NetPoint]
-    per_piece: list[list[int]]
-    assignment: dict
-    separations: list[float]
-    metric_kind: str
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.matrix = np.asarray([p.functional for p in self.points])
+    matrix: np.ndarray
+    psi: np.ndarray
+    theta: np.ndarray
+    piece: np.ndarray
+    bin_id: np.ndarray
+    home: tuple
 
     def __len__(self):
-        return len(self.points)
+        return len(self.psi)
 
 
 def build_net(d: Decomposition) -> NetB:
     """Bin each piece by psi, thin each bin to a greedy eps_n-net.
 
-    The assignment maps every (piece, member) to a flat net index h with
+    Member j of piece n, f, gets the net point h = home[n][j] with
     ||f - h||_dual <= eps_n and |psi(f) - psi(h)| <= eps_n (same bin).
     Raises ConstructionError if any net point has theta <= 1.
     """
-    points: list[NetPoint] = []
-    per_piece: list[list[int]] = []
-    assignment: dict = {}
-    separations: list[float] = []
+    scales = [epsilon_n(d.epsilon, p.index) for p in d.pieces]
+    rows: list[int] = []      # net points as rows of d.members
+    piece: list[int] = []
+    bin_id: list[int] = []
+    home = []
+    start = 0
+    for p, eps_n in zip(d.pieces, scales):
+        at = np.empty(len(p), dtype=int)
+        for k, members in psi_binning(d.psi[p.index].tolist(), eps_n).items():
+            kept, assign = _greedy_indices(p.members[members], eps_n,
+                                           d.space.dual_norm_rows)
+            at[members] = np.add(assign, len(rows))
+            rows += [start + members[i] for i in kept]
+            piece += [p.index] * len(kept)
+            bin_id += [k] * len(kept)
+        home.append(at)
+        start += len(p)
 
-    for p in d.pieces:
-        eps_n = epsilon_n(d.epsilon, p.index)
-        separations.append(eps_n)
-        psis = [d.psi_of(p.index, j) for j in range(len(p))]
-        flat_here: list[int] = []
-        for bin_id, members in psi_binning(psis, eps_n).items():
-            rows = p.members[members]
-            kept, assign = _greedy_indices(rows, eps_n,
-                                            d.space.dual_norm_rows)
-            base = len(points)
-            for pos in kept:
-                j = members[pos]
-                value = psis[j]
-                theta = value - eps_n
-                if not theta > 1.0:
-                    raise ConstructionError(
-                        f"net point in piece {p.index} has theta = "
-                        f"{theta} <= 1")
-                points.append(NetPoint(
-                    functional=p.members[j].copy(), piece=p.index,
-                    member=j, bin_id=bin_id, psi=value, theta=theta))
-                flat_here.append(base + len(flat_here))
-            for pos, j in enumerate(members):
-                assignment[(p.index, j)] = base + assign[pos]
-        per_piece.append(flat_here)
-
-    return NetB(points=points, per_piece=per_piece, assignment=assignment,
-                separations=separations, metric_kind=d.space.dual_metric)
+    piece = np.asarray(piece, dtype=int)
+    psi = np.concatenate(d.psi)[rows]
+    theta = psi - np.asarray(scales)[piece]
+    low = np.flatnonzero(~(theta > 1.0))
+    if low.size:
+        raise ConstructionError(
+            f"net point in piece {piece[low[0]]} has theta = "
+            f"{theta[low[0]]} <= 1")
+    return NetB(matrix=d.members[rows], psi=psi, theta=theta, piece=piece,
+                bin_id=np.asarray(bin_id, dtype=int), home=tuple(home))
 
 
 @dataclass(frozen=True)
@@ -347,21 +341,15 @@ class NetPropertyReport:
 def net_property_report(d: Decomposition, net: NetB) -> NetPropertyReport:
     """Verify ||f - h|| <= eps_n and |psi(f) - psi(h)| <= eps_n for the
     assigned net point h of every member f."""
-    checked = 0
     max_dist = -np.inf
     max_psi = -np.inf
-    for p in d.pieces:
+    for p, home in zip(d.pieces, net.home):
         eps_n = epsilon_n(d.epsilon, p.index)
-        homes = np.asarray([net.assignment[(p.index, j)]
-                            for j in range(len(p))], dtype=int)
-        dist = d.space.dual_norm_rows(p.members - net.matrix[homes])
-        dpsi = np.abs(np.asarray([d.psi_of(p.index, j)
-                                  for j in range(len(p))])
-                      - np.asarray([net.points[h].psi for h in homes]))
+        dist = d.space.dual_norm_rows(p.members - net.matrix[home])
+        dpsi = np.abs(d.psi[p.index] - net.psi[home])
         max_dist = max(max_dist, np.max(dist - eps_n, initial=-np.inf))
         max_psi = max(max_psi, np.max(dpsi - eps_n, initial=-np.inf))
-        checked += len(p)
-    return NetPropertyReport(checked=checked,
+    return NetPropertyReport(checked=len(d.members),
                              max_distance_excess=float(max_dist),
                              max_psi_excess=float(max_psi))
 

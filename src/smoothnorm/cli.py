@@ -537,8 +537,7 @@ def _suite_boundary(ctx):
     spec = ctx.phi_spec()
     samples = _sphere_samples(ctx.space, ctx.budgets["boundary"],
                               ctx.child("boundary"))
-    stacked = np.vstack([p.members for p in d.pieces])
-    rep = check_boundary(ctx.space, stacked, samples,
+    rep = check_boundary(ctx.space, d.members, samples,
                          tol=ctx.tol["boundary"])
     net_rep = net_property_report(d, spec.net)
     lrc = [check_lrc_criterion(p.members) for p in d.pieces]

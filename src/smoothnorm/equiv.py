@@ -518,11 +518,8 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
     if route in ("auto", "direct"):
         # the truncated slice union is a boundary only when every sample
         # has a norming support that fits inside the level cap
-        missing = 0
-        for x in union:
-            sigma = find_norming_support(space, x, cap=levels)
-            if sigma is None or len(sigma) > levels:
-                missing += 1
+        missing = sum(find_norming_support(space, x, cap=levels) is None
+                      for x in union)
         if missing and route == "direct":
             raise ConstructionError(
                 f"{missing} samples have no norming support within "

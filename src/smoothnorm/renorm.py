@@ -65,19 +65,17 @@ class PhiNormSpec:
     X: ModelSpace
     Y: ModelSpace | None
     epsilon: float
-    psi_values: np.ndarray
-    theta_values: np.ndarray
 
     def __post_init__(self):
-        if len(self.family.functions) != len(self.net):
+        fns = self.family.functions
+        if len(fns) != len(self.net):
             raise ConstructionError("family must index the net points")
-        for fn, p in zip(self.family.functions, self.net.points):
-            if abs(fn.zero_threshold * p.psi - 1.0) > THRESHOLD_TOL:
-                raise ConstructionError(
-                    "zero threshold does not invert psi")
-            if abs(fn.exceed_threshold * p.theta - 1.0) > THRESHOLD_TOL:
-                raise ConstructionError(
-                    "exceed threshold does not invert theta")
+        zero = np.array([fn.zero_threshold for fn in fns])
+        if (np.abs(zero * self.net.psi - 1.0) > THRESHOLD_TOL).any():
+            raise ConstructionError("zero threshold does not invert psi")
+        exceed = np.array([fn.exceed_threshold for fn in fns])
+        if (np.abs(exceed * self.net.theta - 1.0) > THRESHOLD_TOL).any():
+            raise ConstructionError("exceed threshold does not invert theta")
 
 
 def _resolve_factor(Y):
@@ -116,8 +114,7 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
     samples = (np.atleast_2d(np.asarray(boundary_samples, dtype=float))
                if boundary_samples is not None
                else _sphere_samples(X, budget, seed))
-    stacked = np.vstack([p.members for p in d.pieces])
-    report = check_boundary(X, stacked, samples, tol=boundary_tol)
+    report = check_boundary(X, d.members, samples, tol=boundary_tol)
     if not report.passed:
         worst = float(np.min(report.max_values))
         raise ConstructionError(
@@ -125,13 +122,9 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
             f"f(x) = {worst}")
 
     net = build_net(d)
-    functions = [make_orlicz(1.0 / p.psi, 1.0 / p.theta)
-                 for p in net.points]
-    family = OrliczFamily(functions)
-    return PhiNormSpec(
-        net=net, family=family, X=X, Y=Y, epsilon=d.epsilon,
-        psi_values=np.asarray([p.psi for p in net.points]),
-        theta_values=np.asarray([p.theta for p in net.points]))
+    family = OrliczFamily([make_orlicz(z, e) for z, e in zip(
+        (1.0 / net.psi).tolist(), (1.0 / net.theta).tolist())])
+    return PhiNormSpec(net=net, family=family, X=X, Y=Y, epsilon=d.epsilon)
 
 
 def _coerce_matrix(spec, u):
@@ -226,13 +219,13 @@ def active_set(spec: PhiNormSpec, u, tol=1e-10) -> ActiveSet:
     if not coords.any():
         raise ParameterError("active set is undefined at u = 0")
     rho = luxemburg_norm(spec.family, coords, tol=tol)
-    weighted = spec.psi_values * coords
+    weighted = spec.net.psi * coords
     inside = weighted >= rho
     if np.all(inside):
         margin = 1.0
     else:
         margin = 1.0 - float(np.max(weighted[~inside])) / rho
-    max_psi = float(np.max(spec.psi_values))
+    max_psi = float(np.max(spec.net.psi))
     return ActiveSet(indices=tuple(np.flatnonzero(inside)),
                      margin=margin, phi_value=rho,
                      radius=margin * rho / (2.0 * max_psi))
@@ -258,25 +251,22 @@ class Claim2dReport:
 
 
 def _point_index(spec, h):
-    if isinstance(h, (int, np.integer)):
-        if not 0 <= h < len(spec.net):
-            raise ParameterError("net point index out of range")
-        return int(h)
-    for i, p in enumerate(spec.net.points):
-        if p is h:
-            return i
-    raise ParameterError("h is not a point of this net")
+    if not isinstance(h, (int, np.integer)):
+        raise ParameterError("h must be a net point index")
+    if not 0 <= h < len(spec.net):
+        raise ParameterError("net point index out of range")
+    return int(h)
 
 
 def verify_claim2d(spec: PhiNormSpec, h, g=None, *, count=2000, seed=0,
                    tol=1e-7, norm_tol=1e-10, pool=None) -> Claim2dReport:
     """Sample the phi-unit ball for values of (h tensor g) above
-    1/theta(h).
+    1/theta(h), h given by its index in the net.
 
     Pass a PhiUnitPool to reuse one sample set across many net points.
     """
     idx = _point_index(spec, h)
-    point = spec.net.points[idx]
+    functional = spec.net.matrix[idx]
 
     if spec.Y is None:
         g = 1.0 if g is None else float(g)
@@ -294,12 +284,12 @@ def verify_claim2d(spec: PhiNormSpec, h, g=None, *, count=2000, seed=0,
     if pool is None:
         pool = phi_unit_pool(spec, count, seed=seed, tol=norm_tol)
     if spec.Y is None:
-        values = abs(g) * np.abs(pool.samples @ point.functional) / pool.norms
+        values = abs(g) * np.abs(pool.samples @ functional) / pool.norms
     else:
-        values = np.abs(np.einsum("i,nij,j->n", point.functional,
+        values = np.abs(np.einsum("i,nij,j->n", functional,
                                   pool.samples, g)) / pool.norms
     best = float(np.max(values)) if len(values) else 0.0
-    return Claim2dReport(point=idx, bound=1.0 / point.theta,
+    return Claim2dReport(point=idx, bound=1.0 / float(spec.net.theta[idx]),
                          sampled_max=best, count=len(pool.norms), tol=tol)
 
 

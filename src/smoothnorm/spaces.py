@@ -391,7 +391,8 @@ def support(f) -> np.ndarray:
 
 
 def find_norming_support(space: ModelSpace, y, tol=1e-9, cap=None):
-    """Find sigma with ||P_sigma(y)|| = 1 for unit y, or None.
+    """Find sigma with ||P_sigma(y)|| = 1 and |sigma| <= cap for unit y,
+    or None.
 
     For lorentz_predual the support is constructed directly: the sorted
     first k indices of ``top_support``.  Other kinds search supports
@@ -402,14 +403,14 @@ def find_norming_support(space: ModelSpace, y, tol=1e-9, cap=None):
     if abs(ny - 1.0) > max(tol, 1e-7):
         raise ParameterError(f"y must be on the unit sphere, got norm {ny}")
 
+    cap = space.dim if cap is None else min(int(cap), space.dim)
     if isinstance(space, LorentzPredualSpace):
         order, k = space.top_support(y)
         sigma = np.sort(order[:k])
-        if abs(space.norm(proj(y, sigma)) - 1.0) <= tol:
+        if k <= cap and abs(space.norm(proj(y, sigma)) - 1.0) <= tol:
             return sigma
         return None
 
-    cap = space.dim if cap is None else min(int(cap), space.dim)
     for size in range(1, cap + 1):
         masks = _support_masks(space.dim, size)
         vals = space.norm_rows(np.where(masks, y, 0.0))

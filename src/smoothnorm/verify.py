@@ -12,7 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .renorm import active_set, phi_norm_batch, phi_unit_pool, verify_claim2d
-from .tensor import TensorElement, injective_norm
 
 __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
            "approx_window", "claim2d_sweep", "active_sets"]
@@ -54,9 +53,9 @@ def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
     if Y is None:
         base = X.norm_rows(samples)
     elif X.enumerable_dual:
-        base = np.asarray([injective_norm(TensorElement(M, X, Y),
-                                          "enumerate").value
-                           for M in samples], dtype=float)
+        # injective_norm(..., "enumerate") of every matrix at once
+        base = np.linalg.norm(X.dual_extreme_points() @ samples,
+                              axis=2).max(axis=1)
     else:
         return None
     keep = base > BASE_FLOOR

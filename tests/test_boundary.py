@@ -12,6 +12,7 @@ from smoothnorm.boundary import (
     Decomposition,
     Piece,
     _greedy_indices,
+    _psi_value,
     build_net,
     check_boundary,
     check_lrc_criterion,
@@ -113,6 +114,9 @@ class TestClosureOracle:
         with pytest.raises(ParameterError):
             Decomposition(sup_space(2), [members], 0.1,
                           closure=ClosureOracle({(0, 0): {0, 9}}))
+        with pytest.raises(ParameterError, match=r"\(0, -1\) is not"):
+            Decomposition(sup_space(2), [members], 0.1,
+                          closure=ClosureOracle({(0, -1): {0}}))
 
 
 class TestDecompositionValidation:
@@ -126,6 +130,27 @@ class TestDecompositionValidation:
         a = np.array([[1.0, 0.0]])
         with pytest.raises(ConstructionError):
             Decomposition(sup_space(2), [a, a.copy()], 0.1)
+        # the first offender is named: piece 1's second row is piece 0's
+        # second up to a signed zero; piece 2 repeats piece 0's first row
+        p0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        p1 = np.array([[0.0, 0.0, 1.0], [-0.0, 1.0, 0.0]])
+        p2 = np.array([[1.0, 0.0, 0.0]])
+        with pytest.raises(ConstructionError,
+                           match=r"^functional appears in pieces 0 and 1; "
+                                 r"pieces must be disjoint$"):
+            Decomposition(sup_space(3), [p0, p1, p2], 0.1)
+
+    def test_pieces_checked_in_order(self):
+        # a piece's dual-ball check comes before its disjointness check,
+        # and both come before any later piece's checks
+        a = np.array([[1.0, 0.0]])
+        big = np.array([[0.0, 1.0], [0.9, 0.9]])
+        with pytest.raises(ConstructionError, match="dual norm"):
+            Decomposition(sup_space(2), [a, big, a.copy()], 0.1)
+        with pytest.raises(ConstructionError, match="pieces 0 and 1"):
+            Decomposition(sup_space(2), [a, a.copy(), big], 0.1)
+        with pytest.raises(ConstructionError, match="dual norm"):
+            Decomposition(sup_space(2), [a, np.vstack([a, big]), a], 0.1)
 
     def test_duplicate_inside_one_piece_is_allowed(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -304,14 +329,12 @@ class TestBuildNet:
         # so every member survives into the net
         assert len(net) == 4
         assert net.matrix.shape == (4, 2)
-        assert net.metric_kind == "exact"
         eps_0 = epsilon_n(0.1, 0)
-        for p in net.points:
-            assert p.psi == 1.0625
-            assert p.theta == 1.0625 - eps_0
-            assert p.theta > 1.0
+        assert np.all(net.psi == 1.0625)
+        assert np.all(net.theta == 1.0625 - eps_0)
+        assert np.all(net.theta > 1.0)
         for j in range(4):
-            assert net.assignment[(0, j)] == j
+            assert net.home[0][j] == j
 
     def test_close_pair_thins_to_one(self):
         delta = 5e-4
@@ -319,8 +342,8 @@ class TestBuildNet:
         d = Decomposition(sup_space(2), [members], 0.1)
         net = build_net(d)
         assert len(net) == 1
-        assert net.assignment[(0, 0)] == 0
-        assert net.assignment[(0, 1)] == 0
+        assert net.home[0][0] == 0
+        assert net.home[0][1] == 0
         report = net_property_report(d, net)
         assert report.passed and report.checked == 2
 
@@ -334,7 +357,7 @@ class TestBuildNet:
         d = Decomposition(sup_space(2), [members0, members1], 0.1,
                           closure=closure)
         net = build_net(d)
-        assert len(net.per_piece[0]) == 2
+        assert np.count_nonzero(net.piece == 0) == 2
         assert net_property_report(d, net).passed
 
     def test_random_decomposition_property(self):
@@ -357,13 +380,27 @@ class TestBuildNet:
                               closure=ClosureOracle(closure_entries))
             net = build_net(d)
             assert net_property_report(d, net).passed
-            assert all(p.theta > 1.0 for p in net.points)
+            assert np.all(net.theta > 1.0)
+            for n, p in enumerate(d.pieces):
+                assert len(net.home[n]) == len(p)
+                for j in range(len(p)):
+                    assert d.psi_of(n, j) == _psi_value(
+                        0.3, d.closure.index_set(n, j))
+                    assert 0 <= net.home[n][j] < len(net)
+                    assert net.piece[net.home[n][j]] == n
+            for i, h in enumerate(net.matrix):
+                n, j = d.locate(h)
+                assert n == net.piece[i]
+                assert net.psi[i] == d.psi_of(n, j)
+                assert net.theta[i] == net.psi[i] - epsilon_n(0.3, n)
 
     def test_per_piece_separation_scales(self):
         members = [np.eye(2), np.array([[0.0, -1.0]])]
         d = Decomposition(sup_space(2), members, 0.5)
         net = build_net(d)
-        assert net.separations == [epsilon_n(0.5, 0), epsilon_n(0.5, 1)]
+        assert list(net.piece) == [0, 0, 1]
+        scales = np.array([epsilon_n(0.5, 0), epsilon_n(0.5, 1)])
+        assert np.all(net.theta == net.psi - scales[net.piece])
 
 
 class TestCheckBoundary:

@@ -64,10 +64,12 @@ def euclid_factor_spec():
 class TestBuildRenorm:
     def test_sup2_net_and_weights(self, sup2_spec):
         assert len(sup2_spec.net) == 4
-        np.testing.assert_array_equal(sup2_spec.psi_values, 1.0625)
-        for fn, p in zip(sup2_spec.family.functions, sup2_spec.net.points):
-            assert abs(fn.zero_threshold * p.psi - 1.0) <= 1e-12
-            assert abs(fn.exceed_threshold * p.theta - 1.0) <= 1e-12
+        net = sup2_spec.net
+        np.testing.assert_array_equal(net.psi, 1.0625)
+        for fn, psi, theta in zip(sup2_spec.family.functions, net.psi,
+                                  net.theta):
+            assert abs(fn.zero_threshold * psi - 1.0) <= 1e-12
+            assert abs(fn.exceed_threshold * theta - 1.0) <= 1e-12
 
     def test_shared_weights_share_bumps(self, sup2_spec):
         ids = {id(fn) for fn in sup2_spec.family.functions}
@@ -96,9 +98,12 @@ class TestBuildRenorm:
         family = OrliczFamily([make_orlicz(0.5, 2.0)] * len(net))
         with pytest.raises(ConstructionError):
             PhiNormSpec(net=net, family=family, X=d.space, Y=None,
-                        epsilon=0.1,
-                        psi_values=np.ones(len(net)),
-                        theta_values=np.ones(len(net)))
+                        epsilon=0.1)
+        # psi inverted, theta not
+        family = OrliczFamily([make_orlicz(1.0 / 1.0625, 0.99)] * len(net))
+        with pytest.raises(ConstructionError, match="theta"):
+            PhiNormSpec(net=net, family=family, X=d.space, Y=None,
+                        epsilon=0.1)
 
     def test_sphere_samples_match_row_loop(self):
         """One gaussian block continues the same stream as one draw per
@@ -285,10 +290,10 @@ class TestClaim2d:
 
     def test_norming_vector_certificate(self, sup2_spec):
         # the rescaled norming vector itself stays under the dual bound
-        point = sup2_spec.net.points[0]
+        net = sup2_spec.net
         v = np.array([1.0, 0.0])
-        value = abs(point.functional @ v) / phi_norm(sup2_spec, v)
-        assert value <= 1.0 / point.theta
+        value = abs(net.matrix[0] @ v) / phi_norm(sup2_spec, v)
+        assert value <= 1.0 / net.theta[0]
 
     def test_seeded_determinism(self, sup2_spec):
         a = verify_claim2d(sup2_spec, 1, count=500, seed=9)
@@ -313,11 +318,12 @@ class TestClaim2d:
 
     def test_point_lookup(self, sup2_spec):
         by_index = verify_claim2d(sup2_spec, 2, count=100, seed=4)
-        by_point = verify_claim2d(sup2_spec, sup2_spec.net.points[2],
-                                  count=100, seed=4)
+        by_point = verify_claim2d(sup2_spec, np.int64(2), count=100, seed=4)
         assert by_index.sampled_max == by_point.sampled_max
         with pytest.raises(ParameterError):
             verify_claim2d(sup2_spec, 99, count=10)
+        with pytest.raises(ParameterError):
+            verify_claim2d(sup2_spec, sup2_spec.net.matrix[2], count=10)
 
 
 class TestSmoothnessCheck:

@@ -395,6 +395,14 @@ class TestNormingSupport:
             assert sigma is not None
             assert abs(X.norm(proj(y, sigma)) - 1.0) <= 1e-9
 
+    def test_predual_cap_bounds_support(self):
+        X = lorentz_predual_space(GEOM3)
+        y = np.ones(3) / X.norm(np.ones(3))
+        np.testing.assert_array_equal(find_norming_support(X, y, cap=3),
+                                      [0, 1, 2])
+        assert find_norming_support(X, y, cap=1) is None
+        assert find_norming_support(X, y, cap=2) is None
+
     def test_sup_returns_peak_coordinate(self):
         X = sup_space(3)
         sigma = find_norming_support(X, [0.2, -1.0, 0.5])

@@ -8,7 +8,9 @@ import pytest
 
 from smoothnorm.boundary import Decomposition
 from smoothnorm.renorm import active_set, build_renorm, verify_claim2d
-from smoothnorm.spaces import euclidean_space, lorentz_space, sup_space
+from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
+                               lorentz_space, sup_space)
+from smoothnorm.tensor import TensorElement, injective_norm
 from smoothnorm.verify import (active_sets, approx_window, claim2d_sweep,
                                window)
 
@@ -63,6 +65,20 @@ class TestWindow:
         np.testing.assert_allclose(
             win.base, np.max(np.linalg.norm(mats, axis=2), axis=1),
             rtol=1e-12)
+        assert win.violations == 0
+        # a lorentz_predual factor: bit for bit the per-matrix enumeration
+        X = lorentz_predual_space([1.0, 0.5, 0.25])
+        E = X.dual_extreme_points()
+        pieces = [E[np.count_nonzero(E, axis=1) == k] for k in (1, 2, 3)]
+        spec = build_renorm(X, Decomposition(X, pieces, EPS),
+                            euclidean_space(3), budget=128, seed=0)
+        rng = np.random.default_rng(3)
+        mats = (rng.standard_normal((40, 3, 3))
+                * np.logspace(-3, 3, 40)[:, None, None])
+        win = approx_window(spec, mats)
+        want = [injective_norm(TensorElement(M, X, spec.Y),
+                               "enumerate").value for M in mats]
+        assert win.base.tolist() == want
         assert win.violations == 0
 
     def test_not_checkable_without_enumerable_dual(self):
