@@ -65,7 +65,7 @@ from .spaces import (SupSpace, euclidean_space, lap_space,
 from .tensor import (TensorElement, apply_fY, apply_gX,
                      boundary_product_check, injective_norm, tensor_apply)
 from .verify import (CLAIM_TOL, RATIO_SLACK, ApproxWindow, active_sets,
-                     approx_window, claim2d_sweep)
+                     approx_window, claim2d_sweep, inactive_violations)
 
 SUITES = ("approx", "claim1", "claim2d", "localdep", "smooth",
           "boundary", "tensor", "equiv")
@@ -463,8 +463,8 @@ def _suite_localdep(ctx):
         if act.margin <= 0.0:
             violations += 1
             continue
-        outside = sorted(set(range(len(spec.net))) - set(act.indices))
-        if not outside:
+        outside = np.setdiff1d(np.arange(len(spec.net)), act.indices)
+        if not outside.size:
             continue
         moves = rng.standard_normal((_PERTURBATIONS, *u.shape))
         # phi >= base norm, so a phi-scaled step stays inside the
@@ -474,12 +474,10 @@ def _suite_localdep(ctx):
         scale = scale[scale > 0.0]
         shape = (-1,) + (1,) * u.ndim
         probes = u + moves * (0.9 * act.radius / scale).reshape(shape)
-        rhos = phi_norm_batch(spec, probes)
-        coords = pi_coords_batch(spec, probes)
-        for i in outside:
-            values = spec.family.functions[i](coords[:, i] / rhos)
-            inactive_checked += len(probes)
-            violations += int(np.count_nonzero(values != 0.0))
+        violations += inactive_violations(
+            spec, pi_coords_batch(spec, probes), phi_norm_batch(spec, probes),
+            outside)
+        inactive_checked += len(probes) * len(outside)
     points = len(margins.sets)
     measured = {"points": points,
                 "perturbations_per_point": _PERTURBATIONS,

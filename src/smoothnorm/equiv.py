@@ -13,8 +13,10 @@ requirement: it measures the level constants
 (equal by duality for monotone unconditional bases), rescales the level
 increments by a decreasing a-sequence so every sample attains a finite
 level, and takes the resulting symmetrized sup as a new equivalent norm
-whose boundary the increments are by construction.  corollary_b_pipeline
-runs either route end to end and verifies the built approximating norm.
+whose boundary the increments are by construction (the inner max of
+c_n is ModelSpace.top_projection_rows, exact at every dimension).
+corollary_b_pipeline runs either route end to end and verifies the
+built approximating norm.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .boundary import (Decomposition, _key, check_lrc_criterion,
                        net_property_report)
 from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import build_renorm
-from .spaces import (LapSpace, ModelSpace, _support_masks,
-                     find_norming_support, proj)
+from .spaces import ModelSpace
 from .verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT, active_sets,
                      approx_window, claim2d_sweep)
 
@@ -47,8 +48,6 @@ __all__ = [
     "build_F",
     "corollary_b_pipeline",
 ]
-
-_EXHAUSTIVE_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -116,31 +115,6 @@ def compute_bn(h_set, samples) -> float:
     return float(np.min(np.max(S @ H.T, axis=1)))
 
 
-def _projection_sup(space, x, n):
-    """max over |sigma| = n of ||P_sigma x|| and an argmax support.
-
-    Exhaustive up to dim 12; beyond that the top-|x| support, exact only
-    for symmetric kinds (lap is refused).  Ties resolve to the
-    lexicographically first support.
-    """
-    x = np.asarray(x, dtype=float)
-    if n >= space.dim:
-        return space.norm(x), tuple(range(space.dim))
-    if space.dim <= _EXHAUSTIVE_DIM:
-        mask = _support_masks(space.dim, n)
-        vals = space.norm_rows(np.where(mask, x, 0.0))
-        best = int(np.argmax(vals))  # the first maximum
-        return float(vals[best]), tuple(int(i) for i in
-                                        np.flatnonzero(mask[best]))
-    if isinstance(space, LapSpace):
-        raise ParameterError(
-            f"c_n of a lap space above dim {_EXHAUSTIVE_DIM} has no exact "
-            f"route: the top-|x| support is exact only for symmetric kinds")
-    order = np.lexsort((np.arange(space.dim), -np.abs(x)))
-    sigma = tuple(sorted(int(i) for i in order[:n]))
-    return space.norm(proj(x, sigma, space.dim)), sigma
-
-
 def compute_cn(space, samples, n, identity_tol=None) -> float:
     """inf over samples of max over |sigma| = n of ||P_sigma x||.
 
@@ -153,12 +127,7 @@ def compute_cn(space, samples, n, identity_tol=None) -> float:
     S = np.atleast_2d(np.asarray(samples, dtype=float))
     if S.size == 0:
         raise ParameterError("sample set is empty")
-    if S.shape[1] != space.dim:
-        raise ParameterError("sample dim mismatch")
-    n = int(n)
-    if n < 0:
-        raise ParameterError("support level must be >= 0")
-    c = float(min(_projection_sup(space, x, n)[0] for x in S))
+    c = float(np.min(space.top_projection_rows(S, n)[0]))
     if identity_tol is not None:
         ball = support_ball(space, n)
         if not ball.exact:
@@ -434,17 +403,13 @@ def _level_samples(space, samples, level_count):
     return [pool] * level_count
 
 
-def _support_ball_chain(space, sample_sets, level_ids, seed, identity_tol):
-    balls = [support_ball(space, n, seed=seed) for n in level_ids]
-    h_sets = tuple(ball.functionals for ball in balls)
-    exact = all(ball.exact for ball in balls)
+def _support_ball_chain(space, sample_sets, level_ids, identity_tol):
+    """Exact support-ball levels, for kinds with enumerable dual balls."""
+    h_sets = tuple(support_ball(space, n).functionals for n in level_ids)
     b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
-    c = None
-    if space.monotone_unconditional:
-        tol = identity_tol if exact else None
-        c = np.asarray([compute_cn(space, s, n, identity_tol=tol)
-                        for n, s in zip(level_ids, sample_sets)])
-    return h_sets, b, c, exact
+    c = np.asarray([compute_cn(space, s, n, identity_tol=identity_tol)
+                    for n, s in zip(level_ids, sample_sets)])
+    return h_sets, b, c, True
 
 
 def _adapted_chain(space, sample_sets, level_ids):
@@ -452,20 +417,19 @@ def _adapted_chain(space, sample_sets, level_ids):
     each sample contributes the norming functional of its best
     |sigma| = n projection, so its own level-n sup equals the c_n inner
     value exactly."""
-    h_sets, acc = [], []
+    h_sets, acc, c = [], [], []
     for n, S in zip(level_ids, sample_sets):
-        for x in S:
-            val, sigma = _projection_sup(space, x, n)
-            if val <= 0.0:
-                raise ConstructionError(
-                    f"a sample projects to zero at level {n}")
-            acc.append(space.norming_functional(proj(x, sigma, space.dim)))
+        values, masks = space.top_projection_rows(S, n)
+        if np.any(values <= 0.0):
+            raise ConstructionError(
+                f"a sample projects to zero at level {n}")
+        acc.extend(space.norming_functional(p)
+                   for p in np.where(masks, S, 0.0))
         acc = _unique_rows(acc)
         h_sets.append(np.asarray(acc))
+        c.append(np.min(values))
     b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
-    c = np.asarray([compute_cn(space, s, n)
-                    for n, s in zip(level_ids, sample_sets)])
-    return tuple(h_sets), b, c, False
+    return tuple(h_sets), b, np.asarray(c), False
 
 
 def _pipeline_report(phi, d, chain, seed):
@@ -478,8 +442,7 @@ def _pipeline_report(phi, d, chain, seed):
     claim = claim2d_sweep(phi, POOL_COUNT, seed=seed + 303)
     violations = 0 if win is None else win.violations
     margins_positive = bool(margins.min_margin > 0.0)
-    bc_gap = (float(np.max(np.abs(chain.b_values - chain.c_values)))
-              if chain.c_values is not None else float("nan"))
+    bc_gap = float(np.max(np.abs(chain.b_values - chain.c_values)))
     return PipelineReport(
         net_passed=net_report.passed, approx_checked=win is not None,
         approx_violations=violations,
@@ -497,10 +460,12 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
     "direct": every (normalized) sample must exhibit a norming support
     within max_level coordinates, which certifies that the union of
     support-ball levels is already a boundary; the level increments
-    become the decomposition pieces.
+    become the decomposition pieces.  Sampled support balls are no
+    boundary, so this needs an enumerable dual ball.
     "chain": measure b_n/c_n per level, rescale the increments with the
     a-sequence, and renorm the resulting boundary-sup space instead.
-    "auto" picks direct when all norming supports exist, else chain.
+    "auto" picks direct when the dual ball is enumerable and all norming
+    supports exist, else chain.
 
     samples: one (s, dim) array shared by every level, or a list with
     one array per level.  Levels run 1..max_level (default dim).
@@ -514,26 +479,32 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
     sample_sets = _level_samples(space, samples, levels)
     union = np.unique(np.vstack(sample_sets), axis=0)
 
-    chosen = route
-    if route in ("auto", "direct"):
+    chosen = "chain" if route == "auto" else route
+    if route != "chain" and space.enumerable_dual:
         # the truncated slice union is a boundary only when every sample
-        # has a norming support that fits inside the level cap
-        missing = sum(find_norming_support(space, x, cap=levels) is None
-                      for x in union)
+        # has a norming support that fits inside the level cap; projection
+        # norms grow with the support and stay <= ||y|| = 1, so that holds
+        # iff the largest size-`levels` projection norm is 1
+        top = space.top_projection_rows(union, levels)[0]
+        missing = int(np.count_nonzero(np.abs(top - 1.0) > 1e-9))
         if missing and route == "direct":
             raise ConstructionError(
                 f"{missing} samples have no norming support within "
                 f"{levels} levels")
         chosen = "direct" if missing == 0 else "chain"
+    elif route == "direct":
+        raise ParameterError(
+            f"the direct route needs an enumerable dual ball, kind "
+            f"{space.kind!r} has none")
     if chosen == "chain" and Y is not None:
         raise ParameterError("factor spaces need the direct route")
 
-    if chosen == "direct" or space.enumerable_dual:
+    if space.enumerable_dual:
         h_sets, b, c, exact = _support_ball_chain(
-            space, sample_sets, level_ids, seed, identity_tol)
+            space, sample_sets, level_ids, identity_tol)
     else:
         h_sets, b, c, exact = _adapted_chain(space, sample_sets, level_ids)
-    if chosen == "chain" and c is not None and np.any(c <= 0.0):
+    if chosen == "chain" and np.any(c <= 0.0):
         raise ConstructionError("c_n must be strictly positive")
     chain = RelativeBoundaryChain(
         space=space, h_sets=h_sets, samples=tuple(sample_sets),

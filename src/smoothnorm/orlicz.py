@@ -206,18 +206,11 @@ class OrliczFamily:
     callables, so constant families cost one vectorized call.
     """
 
-    def __init__(self, functions, labels=None):
+    def __init__(self, functions):
         functions = tuple(functions)
         if not functions:
             raise ParameterError("family index set must be nonempty")
-        if labels is None:
-            labels = tuple(range(len(functions)))
-        else:
-            labels = tuple(labels)
-            if len(labels) != len(functions):
-                raise ParameterError("labels and functions length mismatch")
         self.functions = functions
-        self.labels = labels
         self._groups = None
         if all(isinstance(fn, OrliczFunction) for fn in functions):
             self._zero = np.array([fn.zero_threshold for fn in functions])

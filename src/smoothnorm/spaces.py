@@ -66,7 +66,8 @@ class ModelSpace:
     ``norm_rows`` / ``dual_norm_rows`` add the shape and non-finite
     checks, and ``norm`` / ``dual_norm`` are their one-row case.  Kinds
     with closed forms add ``_norming_functional`` and
-    ``dual_extreme_points``.  Class attributes:
+    ``dual_extreme_points``; a kind whose best supports are not the
+    largest |x_i| overrides ``_support_keys``.  Class attributes:
 
     kind                    name in reports and messages
     dual_metric             "exact", or "surrogate_l1" when the dual
@@ -139,6 +140,31 @@ class ModelSpace:
         raise ParameterError(
             f"dual ball of kind {self.kind!r} is not enumerable here")
 
+    # -- projections ---------------------------------------------------
+
+    def top_projection_rows(self, S, n):
+        """max over |sigma| = n of ||P_sigma x|| per row x of S, as the
+        ``norm_rows`` of the masked rows, and the (k, dim) boolean masks
+        of supports attaining it (n above dim: the full support)."""
+        S = self._check_rows(S)
+        if not self.monotone_unconditional:
+            raise ParameterError(
+                f"kind {self.kind!r} has no monotone unconditional basis")
+        n = min(int(n), self.dim)
+        if n < 0:
+            raise ParameterError("support size must be >= 0")
+        # the n largest keys, ties to the lower index
+        order = np.argsort(-self._support_keys(S, n), axis=1,
+                           kind="stable")[:, :n]
+        masks = np.zeros(S.shape, dtype=bool)
+        np.put_along_axis(masks, order, True, axis=1)
+        return self.norm_rows(np.where(masks, S, 0.0)), masks
+
+    def _support_keys(self, S, n):
+        # |x|: exact for the symmetric kinds, whose computed norms depend
+        # only on the decreasing rearrangement of |x|
+        return np.abs(S)
+
     # -- plumbing ------------------------------------------------------
 
     def _check_vec(self, x):
@@ -200,9 +226,10 @@ class EuclideanSpace(ModelSpace):
     def _norm_rows(self, X):
         # self-dual, so this serves both norms; scaled by the row's peak so
         # squares neither underflow below nor overflow above it, and the
-        # value is >= the peak
-        A = np.abs(X)
-        peak = np.max(A, axis=1)
+        # value is >= the peak.  Summed in increasing order, so a row's
+        # value is the same bits under any permutation of its entries.
+        A = np.sort(np.abs(X), axis=1)
+        peak = A[:, -1]
         unit = A / np.where(peak > 0.0, peak, 1.0)[:, None]
         return peak * np.sqrt(np.sum(unit * unit, axis=1))
 
@@ -259,17 +286,11 @@ class LorentzPredualSpace(_LorentzKind):
     _norm_rows = _LorentzKind._partial_ratio_rows
     _dual_norm_rows = _LorentzKind._weighted_sum_rows
 
-    def top_support(self, x):
-        """The rank order of |x| and the smallest k maximizing the
-        partial-sum ratio: the order's first k indices carry the norm."""
-        order = self._rank_order(x)
-        ratios = np.cumsum(np.abs(x)[order]) / self._wsums
-        return order, int(np.argmax(ratios)) + 1  # smallest on ties
-
     def _norming_functional(self, x):
-        # the sign pattern of the maximizing partial sum, scaled by 1/W_k
-        # (an extreme point of the dual d(w,1)-ball)
-        order, k = self.top_support(x)
+        # the sign pattern of the smallest maximizing partial sum, scaled
+        # by 1/W_k (an extreme point of the dual d(w,1)-ball)
+        order = self._rank_order(x)
+        k = int(np.argmax(np.cumsum(np.abs(x)[order]) / self._wsums)) + 1
         idx = order[:k]
         f = np.zeros(self.dim)
         f[idx] = _signs(x[idx]) / self._wsums[k - 1]
@@ -284,15 +305,16 @@ class LorentzPredualSpace(_LorentzKind):
         if total > budget:
             raise ParameterError(
                 f"{total} extreme points exceeds budget {budget}")
-        rows = []
+        blocks = []
         for k in range(1, cap + 1):
-            scale = 1.0 / self._wsums[k - 1]
-            for combo in itertools.combinations(range(self.dim), k):
-                for signs in itertools.product((1.0, -1.0), repeat=k):
-                    f = np.zeros(self.dim)
-                    f[list(combo)] = np.asarray(signs) * scale
-                    rows.append(f)
-        return np.asarray(rows)
+            # indexed by (combination, sign pattern), both in itertools order
+            combos = list(itertools.combinations(range(self.dim), k))
+            signs = np.asarray(list(itertools.product((1.0, -1.0), repeat=k)))
+            block = np.zeros((len(combos), len(signs), self.dim))
+            np.put_along_axis(block, np.asarray(combos)[:, None, :],
+                              signs * (1.0 / self._wsums[k - 1]), axis=2)
+            blocks.append(block.reshape(-1, self.dim))
+        return np.vstack(blocks)
 
 
 class OrliczSpace(ModelSpace):
@@ -346,9 +368,27 @@ class LapSpace(ModelSpace):
 
     def _lap_modular_rows(self, rows) -> np.ndarray:
         """Row-wise Phi: (n, dim) -> (n,)."""
+        return np.sum(self._lap_terms(rows), axis=1)
+
+    def _lap_terms(self, rows) -> np.ndarray:
+        """Phi's terms max_{n: k in A_n} |z_k|^{p_n}, (n, dim) -> same."""
         with np.errstate(invalid="ignore"):
             powers = np.abs(rows)[:, None, :] ** self._exponent_table
-        return np.sum(np.nanmax(powers, axis=1), axis=1)
+        return np.nanmax(powers, axis=1)
+
+    def _support_keys(self, S, n):
+        # Phi's largest value over size-n supports is the sum of its n
+        # largest terms, itself a modular whose scaling infimum is the
+        # largest projection norm; rank the terms at that scale
+        if n in (0, self.dim):
+            return np.abs(S)
+
+        def top_modular_rows(rows):
+            return np.sum(np.sort(self._lap_terms(rows), axis=1)[:, -n:],
+                          axis=1)
+
+        rho = feasible_scale_inf(top_modular_rows, S).hi
+        return self._lap_terms(S / np.where(rho > 0.0, rho, 1.0)[:, None])
 
     def _norming_functional(self, x):
         # the normalized modular gradient (a subgradient selection where
@@ -392,36 +432,16 @@ def support(f) -> np.ndarray:
 
 def find_norming_support(space: ModelSpace, y, tol=1e-9, cap=None):
     """Find sigma with ||P_sigma(y)|| = 1 and |sigma| <= cap for unit y,
-    or None.
-
-    For lorentz_predual the support is constructed directly: the sorted
-    first k indices of ``top_support``.  Other kinds search supports
-    exhaustively in order of size, lexicographically within a size.
-    """
+    or None: the support ``top_projection_rows`` gives at the smallest
+    size whose projection sup is within tol of 1."""
     y = space._check_vec(y)
     ny = space.norm(y)
     if abs(ny - 1.0) > max(tol, 1e-7):
         raise ParameterError(f"y must be on the unit sphere, got norm {ny}")
 
     cap = space.dim if cap is None else min(int(cap), space.dim)
-    if isinstance(space, LorentzPredualSpace):
-        order, k = space.top_support(y)
-        sigma = np.sort(order[:k])
-        if k <= cap and abs(space.norm(proj(y, sigma)) - 1.0) <= tol:
-            return sigma
-        return None
-
     for size in range(1, cap + 1):
-        masks = _support_masks(space.dim, size)
-        vals = space.norm_rows(np.where(masks, y, 0.0))
-        hits = np.flatnonzero(np.abs(vals - 1.0) <= tol)
-        if hits.size:
-            return np.flatnonzero(masks[hits[0]])
+        values, masks = space.top_projection_rows(y[None, :], size)
+        if abs(values[0] - 1.0) <= tol:
+            return np.flatnonzero(masks[0])
     return None
-
-
-def _support_masks(dim, n):
-    """The size-n supports in range(dim), lexicographic, as row masks."""
-    combos = itertools.combinations(range(dim), n)
-    return np.asarray([[i in c for i in range(dim)] for c in combos],
-                      dtype=bool).reshape(-1, dim)

@@ -1,8 +1,9 @@
 """The checks of a built approximating norm, each written once, for the
 CLI suites and corollary_b_pipeline: the window ||x|| < ||x||_phi <=
 (1 + eps) ||x|| (claim 1 is its strict lower half), claim 2d sampled at
-every net point, and the active-set margin of local finite dependence.
-The constants are the pipeline's budgets; the CLI passes its own.
+every net point, the active-set margin of local finite dependence, and
+the bumps outside an active set staying off.  The constants are the
+pipeline's budgets; the CLI passes its own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from .renorm import active_set, phi_norm_batch, phi_unit_pool, verify_claim2d
 
 __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
-           "approx_window", "claim2d_sweep", "active_sets"]
+           "approx_window", "claim2d_sweep", "active_sets",
+           "inactive_violations"]
 
 CHECK_COUNT = 200    # approx-window samples
 POOL_COUNT = 2000    # claim-2d pool size
@@ -100,3 +102,12 @@ def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
     shape = (-1,) + (1,) * (pool.samples.ndim - 1)
     points = pool.samples / pool.norms.reshape(shape)
     return MarginCheck(points, tuple(active_set(spec, u) for u in points))
+
+
+def inactive_violations(spec, coords, rhos, outside) -> int:
+    """Pairs of a row and a net point in `outside` whose bump argument
+    coords / rhos passes the zero threshold: the bump is positive there,
+    even where its value underflows to 0.0."""
+    zero = np.array([spec.family.functions[i].zero_threshold
+                     for i in outside])
+    return int(np.count_nonzero(coords[:, outside] / rhos[:, None] > zero))

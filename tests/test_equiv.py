@@ -24,7 +24,8 @@ from smoothnorm.equiv import (
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
 from smoothnorm.renorm import phi_norm, phi_norm_batch, smoothness_check
 from smoothnorm.spaces import (euclidean_space, lap_space,
-                               lorentz_predual_space, proj, sup_space)
+                               lorentz_predual_space, lorentz_space, proj,
+                               sup_space)
 
 W4 = [1.0, 0.5, 0.25, 0.125]
 
@@ -194,13 +195,18 @@ class TestComputeCn:
         S /= np.max(np.abs(S), axis=1)[:, None]
         assert compute_cn(sp, S, 3) == 1.0
 
-    def test_lap_beyond_exhaustive_dim_refused(self):
-        # the top-|x| support is not the best one for a lap space: here
-        # it gives c_3 = 0.388 where brute force over all 3-supports
-        # gives 0.576, so the value is refused instead
+    def test_lap_dim13_matches_brute_force(self):
+        # the top-|x| support is not the best one for a lap space (it
+        # gives c_3 = 0.388 here); the top-term route is exact, against
+        # all C(13, 3) = 286 supports
         X = lap_space([range(0, 7), range(6, 13)], [1, 4], 13)
-        with pytest.raises(ParameterError):
-            compute_cn(X, unit_rows(X, 20, 0), 3)
+        S = unit_rows(X, 20, 0)
+        masks = np.asarray([np.isin(np.arange(13), sigma) for sigma in
+                            itertools.combinations(range(13), 3)])
+        brute = min(float(np.max(X.norm_rows(np.where(masks, x, 0.0))))
+                    for x in S)
+        assert compute_cn(X, S, 3) == brute
+        assert round(brute, 7) == 0.5755085
 
     def test_exhaustive_matches_inline_brute_force(self, lap3):
         S = unit_rows(lap3, 15, 10)
@@ -493,6 +499,24 @@ class TestPipelineChain:
         with pytest.raises(ParameterError):
             corollary_b_pipeline(lap3, unit_rows(lap3, 10, 28), 0.1,
                                  route="chain", Y=euclidean_space(2))
+
+    @pytest.mark.parametrize("space", [
+        lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5),
+        lap_space([[0], [1, 2]], [1.0, 2.0], 3),
+        euclidean_space(3),
+        lorentz_space([1.0, 0.5, 0.25]),
+    ], ids=["lap5", "lap3", "euclidean3", "lorentz3"])
+    def test_auto_takes_chain_without_enumerable_dual(self, space):
+        # every sample has a norming support at level dim, but sampled
+        # support balls are no boundary, so direct would fail
+        samples = np.random.default_rng(0).standard_normal((24, space.dim))
+        res = corollary_b_pipeline(space, samples, 0.1, seed=0)
+        assert res.route == "chain" and res.passed
+
+    def test_direct_needs_enumerable_dual(self, lap3):
+        with pytest.raises(ParameterError):
+            corollary_b_pipeline(lap3, unit_rows(lap3, 10, 30), 0.1,
+                                 route="direct")
 
     def test_enumerable_kind_on_chain_route(self, predual4):
         res = corollary_b_pipeline(

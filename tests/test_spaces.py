@@ -376,6 +376,72 @@ class TestProjections:
         np.testing.assert_array_equal(support([0.0, 1.0, 0.0, -2.0]), [1, 3])
 
 
+@st.composite
+def projection_cases(draw):
+    """A space of a kind with an exact top projection (dim <= 9), rows
+    drawn partly from a small pool so zeros and ties occur, and n."""
+    dim = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(
+        ["sup", "euclidean", "lorentz", "predual", "lap"]))
+    if kind == "sup":
+        X = sup_space(dim)
+    elif kind == "euclidean":
+        X = euclidean_space(dim)
+    elif kind == "lap":
+        sets = draw(st.lists(st.sets(st.integers(0, dim - 1), min_size=1),
+                             min_size=1, max_size=3))
+        rest = set(range(dim)).difference(*sets)
+        if rest:
+            sets.append(rest)
+        p = sorted(draw(st.lists(st.floats(1.0, 5.0), min_size=len(sets),
+                                 max_size=len(sets))))
+        X = lap_space([sorted(a) for a in sets], p, dim)
+    else:
+        tail = draw(st.lists(st.floats(0.05, 1.0), min_size=dim - 1,
+                             max_size=dim - 1))
+        w = [1.0] + sorted(tail, reverse=True)
+        X = lorentz_space(w) if kind == "lorentz" else (
+            lorentz_predual_space(w))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.3, 1.0, -2.5]),
+                        st.floats(-10.0, 10.0))
+    S = draw(arrays(float, st.tuples(st.integers(1, 4), st.just(dim)),
+                    elements=entries))
+    return X, S, draw(st.integers(0, dim))
+
+
+class TestTopProjectionRows:
+    @settings(max_examples=150, deadline=None)
+    @given(case=projection_cases())
+    def test_matches_brute_force(self, case):
+        X, S, n = case
+        values, masks = X.top_projection_rows(S, n)
+        supports = np.asarray(
+            [np.isin(np.arange(X.dim), sigma)
+             for sigma in itertools.combinations(range(X.dim), n)])
+        for x, value, mask in zip(S, values, masks):
+            assert value == np.max(X.norm_rows(np.where(supports, x, 0.0)))
+            assert np.count_nonzero(mask) == n
+            assert X.norm_rows(np.where(mask, x, 0.0)[None])[0] == value
+
+    def test_lap_top_terms_beat_top_entries(self):
+        # the largest |x_i| sits under exponent 4, where its term is small
+        X = lap_space([[1, 2], [0]], [1.0, 4.0], dim=3)
+        values, masks = X.top_projection_rows([[0.5, 0.4, 0.3]], 2)
+        assert masks.tolist() == [[False, True, True]]
+        assert values[0] == X.norm([0.0, 0.4, 0.3]) > X.norm([0.5, 0.4, 0])
+
+    def test_n_beyond_dim_is_full_support(self):
+        X = lorentz_space(GEOM3)
+        values, masks = X.top_projection_rows([[1.0, -2.0, 0.5]], 5)
+        assert masks.all() and values[0] == X.norm([1.0, -2.0, 0.5])
+
+    def test_errors(self):
+        with pytest.raises(ParameterError):
+            sup_space(3).top_projection_rows([[1.0, 0.0, 0.0]], -1)
+        with pytest.raises(ParameterError):
+            BOUNDARY5.top_projection_rows(np.eye(5), 2)
+
+
 class TestNormingSupport:
     def test_predual_frozen_example(self):
         X = lorentz_predual_space(GEOM3)
@@ -488,6 +554,24 @@ class TestDualExtremePoints:
                 x = rng.standard_normal(4)
                 np.testing.assert_allclose(np.max(pts @ x), X.norm(x),
                                            rtol=1e-12)
+
+    def test_predual_matches_loop_oracle(self):
+        """The blocks reproduce the per-row loop bit for bit, row order
+        and signed zeros included."""
+        for dim in range(3, 9):
+            X = lorentz_predual_space(1.0 / np.arange(1.0, dim + 1) ** 0.7)
+            for cap in range(1, dim + 1):
+                rows = []
+                for k in range(1, cap + 1):
+                    scale = 1.0 / X._wsums[k - 1]
+                    for combo in itertools.combinations(range(dim), k):
+                        for signs in itertools.product((1.0, -1.0),
+                                                       repeat=k):
+                            f = np.zeros(dim)
+                            f[list(combo)] = np.asarray(signs) * scale
+                            rows.append(f)
+                pts = X.dual_extreme_points(max_support=cap)
+                assert pts.tobytes() == np.asarray(rows).tobytes()
 
     def test_non_polyhedral_rejected(self):
         with pytest.raises(ParameterError):

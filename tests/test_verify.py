@@ -12,7 +12,7 @@ from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
                                lorentz_space, sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
 from smoothnorm.verify import (active_sets, approx_window, claim2d_sweep,
-                               window)
+                               inactive_violations, window)
 
 EPS = 0.1
 SLACK = 1e-9
@@ -123,3 +123,27 @@ class TestActiveSets:
 
     def test_empty_pool_has_no_margin(self, sup3_spec):
         assert active_sets(sup3_spec, 0).min_margin == np.inf
+
+
+class TestInactiveViolations:
+    def test_underflow_band_counts(self, sup3_spec):
+        # past the zero threshold the bump is positive, but exp underflow
+        # reads it as 0.0 for a stretch; halfway into that stretch is
+        # still a violation
+        fn = sup3_spec.family.functions[0]
+        a = fn.zero_threshold
+        lo, hi = 0.0, fn.exceed_threshold - a
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if fn(a + mid) == 0.0:
+                lo = mid
+            else:
+                hi = mid
+        probe = a + 0.5 * lo
+        assert probe > a and fn(probe) == 0.0
+        coords = np.zeros((3, len(sup3_spec.net)))
+        coords[:, 0] = [probe, a, 0.5 * a]
+        rhos = np.ones(3)
+        assert inactive_violations(sup3_spec, coords, rhos, [0]) == 1
+        assert inactive_violations(sup3_spec, 2.0 * coords, 2.0 * rhos,
+                                   [0, 1]) == 1
