@@ -1,7 +1,7 @@
 """End to end on a Lorentz predual: level sets, the assembled boundary
 norm, and the full verification pipeline.
 
-support_ball(space, n) collects the level-n dual functionals, compute_bn
+support_ball(space, n) lists the level-n dual extreme points, compute_bn
 and compute_cn measure the same quantity from two sides, build_F rescales
 the levels into an equivalent attained boundary norm, and
 corollary_b_pipeline chains everything into the smooth renorm checks.
@@ -27,10 +27,10 @@ def main():
     h_sets = []
     for n in levels:
         ball = support_ball(space, n)
-        h_sets.append(ball.functionals)
+        h_sets.append(ball)
         cn = compute_cn(space, S, n, identity_tol=1e-9)
-        print(f"  level {n}: {len(ball.functionals)} functionals "
-              f"(exact={ball.exact}), c_{n} = {cn:.9f}")
+        print(f"  level {n}: {len(ball)} functionals "
+              f"(exact={space.enumerable_dual}), c_{n} = {cn:.9f}")
 
     chain = RelativeBoundaryChain(
         space=space, h_sets=tuple(h_sets), samples=(S,) * len(levels),

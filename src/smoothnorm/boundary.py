@@ -37,6 +37,7 @@ and is still checked per instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,14 @@ DUAL_BALL_TOL = 1e-9
 _PREFILTER_ELEMS = 1 << 18
 
 
-def _key(f) -> bytes:
-    # adding 0.0 folds -0.0 into +0.0 so signed zeros share a key
-    return (np.asarray(f, dtype=float) + 0.0).tobytes()
+def _row_keys(rows) -> list[bytes]:
+    """One identity key per row: its bytes, from a single ``tobytes``
+    of the stacked rows (adding 0.0 folds -0.0 into +0.0 so signed
+    zeros share a key)."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    folded = (rows + 0.0).tobytes()
+    width = rows.itemsize * rows.shape[1]
+    return [folded[at:at + width] for at in range(0, len(folded), width)]
 
 
 def epsilon_n(eps, n) -> float:
@@ -161,11 +167,8 @@ class Decomposition:
         self.dual_ball_checked = space.dual_metric == "exact"
 
         self.members = np.vstack([p.members for p in self.pieces])
-        # one pass over the stacked rows, signed zeros folded once (_key)
-        folded = (self.members + 0.0).tobytes()
-        width = self.members.itemsize * space.dim
+        keys = iter(_row_keys(self.members))
         seen = {}
-        at = 0
         for p in self.pieces:
             if self.dual_ball_checked:
                 dn = space.dual_norm_rows(p.members)
@@ -176,12 +179,11 @@ class Decomposition:
                         f"piece {p.index} member {j} has dual norm "
                         f"{float(dn[j])} > 1 + {DUAL_BALL_TOL}")
             for j in range(len(p)):
-                first = seen.setdefault(folded[at:at + width], (p.index, j))
+                first = seen.setdefault(next(keys), (p.index, j))
                 if first[0] != p.index:
                     raise ConstructionError(
                         f"functional appears in pieces {first[0]} "
                         f"and {p.index}; pieces must be disjoint")
-                at += width
         self._locate = seen
 
         self.psi = tuple(np.full(len(p), _psi_value(self.epsilon, {p.index}))
@@ -197,7 +199,7 @@ class Decomposition:
 
     def locate(self, f):
         """(piece, member) position of a functional, by exact identity."""
-        key = _key(f)
+        key = _row_keys(f)[0]
         if key not in self._locate:
             raise ParameterError("functional is not a member of any piece")
         return self._locate[key]
@@ -218,7 +220,7 @@ def psi_binning(psis, eps_n):
         raise ParameterError("eps_n must be positive")
     bins: dict[int, list[int]] = {}
     for j, v in enumerate(psis):
-        k = int(np.floor((v - 1.0) / eps_n))
+        k = math.floor((v - 1.0) / eps_n)
         bins.setdefault(k, []).append(j)
     return {k: bins[k] for k in sorted(bins)}
 

@@ -1,11 +1,13 @@
 """Relative boundary chains and equivalent boundary-sup norms.
 
 The renorm machinery needs a decomposition that norms the sphere.  Two
-routes produce one here.  The direct route applies when every sphere
-sample exhibits a norming support: the dual-ball slices by support
-cardinality (support_ball) already form a boundary, and their level
-increments feed build_renorm as pieces.  The chain route drops that
-requirement: it measures the level constants
+routes produce one here.  The direct route applies when the dual ball
+is enumerable and every sphere sample exhibits a norming support: the
+dual-ball slices by support cardinality (support_ball, the dual extreme
+points of support at most n) already form a boundary, and their level
+increments feed build_renorm as pieces.  A sample of the dual sphere is
+no boundary, so support_ball refuses every other kind.  The chain route
+drops the norming-support requirement: it measures the level constants
 
     b_n = inf over samples of sup over the slice of h(x)
     c_n = inf over samples of max over |sigma| = n of ||P_sigma x||
@@ -14,19 +16,20 @@ requirement: it measures the level constants
 increments by a decreasing a-sequence so every sample attains a finite
 level, and takes the resulting symmetrized sup as a new equivalent norm
 whose boundary the increments are by construction (the inner max of
-c_n is ModelSpace.top_projection_rows, exact at every dimension).
+c_n is ModelSpace.top_projection_rows, exact at every dimension).  Its
+levels are the support balls when the dual ball is enumerable, else the
+norming functionals of each sample's best projections.
 corollary_b_pipeline runs either route end to end and verifies the
 built approximating norm.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (Decomposition, _key, check_lrc_criterion,
+from .boundary import (Decomposition, _row_keys, check_lrc_criterion,
                        net_property_report)
 from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import build_renorm
@@ -35,7 +38,6 @@ from .verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT, active_sets,
                      approx_window, claim2d_sweep)
 
 __all__ = [
-    "SupportBallSet",
     "RelativeBoundaryChain",
     "BoundaryNorm",
     "BoundaryNormSpace",
@@ -50,50 +52,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SupportBallSet:
-    """Finite picture of {h in the dual ball : |supp(h)| <= level}."""
+def support_ball(space, n) -> np.ndarray:
+    """Dual-ball slice by support cardinality: the (k, dim) extreme
+    points of {h in the dual ball : |supp(h)| <= n}.
 
-    level: int
-    functionals: np.ndarray
-    exact: bool
-
-    def __len__(self):
-        return len(self.functionals)
-
-
-def support_ball(space, n, resolution=64, seed=0, budget=200000):
-    """Dual-ball slice by support cardinality.
-
-    Exact extreme-point enumeration for kinds with an enumerable dual
-    (sup_finite, lorentz_predual); anything else gets `resolution`
-    dual-sphere samples per support, flagged approximate.  n = 0 is the
-    zero functional alone.
+    Only kinds with an enumerable dual (sup_finite, lorentz_predual)
+    have one; dual_extreme_points raises ParameterError for the rest.
+    n = 0 is the zero functional alone.
     """
     n = int(n)
     if n < 0:
         raise ParameterError("support level must be >= 0")
     if n == 0:
-        return SupportBallSet(0, np.zeros((1, space.dim)), True)
-    cap = min(n, space.dim)
-    if space.enumerable_dual:
-        return SupportBallSet(n, space.dual_extreme_points(
-            max_support=cap, budget=budget), True)
-    if resolution < 1:
-        raise ParameterError("resolution must be >= 1")
-    combos = [c for k in range(1, cap + 1)
-              for c in itertools.combinations(range(space.dim), k)]
-    if len(combos) * resolution > budget:
-        raise ParameterError(
-            f"{len(combos) * resolution} sampled functionals exceed "
-            f"budget {budget}")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for combo in combos:
-        block = np.zeros((resolution, space.dim))
-        block[:, combo] = rng.standard_normal((resolution, len(combo)))
-        rows.append(block / space.dual_norm_rows(block)[:, None])
-    return SupportBallSet(n, np.vstack(rows), False)
+        return np.zeros((1, space.dim))
+    return space.dual_extreme_points(max_support=min(n, space.dim))
 
 
 def compute_bn(h_set, samples) -> float:
@@ -103,8 +75,7 @@ def compute_bn(h_set, samples) -> float:
     representable here and rejected later where positivity is actually
     required (build_F).
     """
-    H = np.atleast_2d(np.asarray(getattr(h_set, "functionals", h_set),
-                                 dtype=float))
+    H = np.atleast_2d(np.asarray(h_set, dtype=float))
     S = np.atleast_2d(np.asarray(samples, dtype=float))
     if S.size == 0:
         raise ParameterError("sample set is empty")
@@ -120,7 +91,8 @@ def compute_cn(space, samples, n, identity_tol=None) -> float:
 
     With identity_tol set, also measures b_n on support_ball(space, n)
     and raises NumericError when the two disagree beyond the tolerance;
-    that check needs a kind whose support balls are exact.
+    support_ball raises ParameterError for a kind whose dual ball is
+    not enumerable.
     """
     if not space.monotone_unconditional:
         raise ParameterError("c_n needs a monotone unconditional basis")
@@ -129,12 +101,7 @@ def compute_cn(space, samples, n, identity_tol=None) -> float:
         raise ParameterError("sample set is empty")
     c = float(np.min(space.top_projection_rows(S, n)[0]))
     if identity_tol is not None:
-        ball = support_ball(space, n)
-        if not ball.exact:
-            raise ParameterError(
-                f"the b_n = c_n check needs exact support balls, "
-                f"kind {space.kind!r} has sampled ones")
-        b = compute_bn(ball, S)
+        b = compute_bn(support_ball(space, n), S)
         if abs(b - c) > identity_tol:
             raise NumericError(
                 f"b_{n} = {b} and c_{n} = {c} disagree beyond "
@@ -159,7 +126,6 @@ class RelativeBoundaryChain:
     level_ids: tuple
     b_values: np.ndarray
     c_values: np.ndarray | None = None
-    exact: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "h_sets", tuple(
@@ -187,10 +153,9 @@ class RelativeBoundaryChain:
             raise ConstructionError("level ids must strictly increase")
         if any(s.size == 0 for s in self.samples):
             raise ConstructionError("every level needs samples")
+        keys = [set(_row_keys(h)) for h in self.h_sets]
         for i in range(k - 1):
-            cur = {_key(f) for f in self.h_sets[i]}
-            nxt = {_key(f) for f in self.h_sets[i + 1]}
-            if not cur <= nxt:
+            if not keys[i] <= keys[i + 1]:
                 raise ConstructionError(
                     f"level {self.level_ids[i + 1]} does not contain "
                     f"level {self.level_ids[i]}")
@@ -212,8 +177,8 @@ class RelativeBoundaryChain:
         cur = self.h_sets[i]
         if i == 0:
             return cur
-        prev = {_key(f) for f in self.h_sets[i - 1]}
-        keep = [j for j, f in enumerate(cur) if _key(f) not in prev]
+        prev = set(_row_keys(self.h_sets[i - 1]))
+        keep = [j for j, key in enumerate(_row_keys(cur)) if key not in prev]
         return cur[keep] if keep else cur[:0]
 
 
@@ -258,8 +223,7 @@ class BoundaryNorm:
     def symmetric_pieces(self):
         """Each piece with both signs present (deduplicated), the form
         a boundary decomposition of |||.||| wants."""
-        return [np.asarray(_unique_rows(np.vstack([P, -P])))
-                for P in self.pieces]
+        return [_unique_rows(np.vstack([P, -P])) for P in self.pieces]
 
 
 def build_F(chain: RelativeBoundaryChain, a_strategy="default",
@@ -379,9 +343,9 @@ class PipelineResult:
 def _unique_rows(rows):
     """First occurrences of the rows, in order (signed zeros folded)."""
     first = {}
-    for f in rows:
-        first.setdefault(_key(f), f)
-    return list(first.values())
+    for j, key in enumerate(_row_keys(rows)):
+        first.setdefault(key, j)
+    return rows[list(first.values())]
 
 
 def _normalize_rows(space, rows):
@@ -404,12 +368,12 @@ def _level_samples(space, samples, level_count):
 
 
 def _support_ball_chain(space, sample_sets, level_ids, identity_tol):
-    """Exact support-ball levels, for kinds with enumerable dual balls."""
-    h_sets = tuple(support_ball(space, n).functionals for n in level_ids)
+    """Support-ball levels, for kinds with enumerable dual balls."""
+    h_sets = tuple(support_ball(space, n) for n in level_ids)
     b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
     c = np.asarray([compute_cn(space, s, n, identity_tol=identity_tol)
                     for n, s in zip(level_ids, sample_sets)])
-    return h_sets, b, c, True
+    return h_sets, b, c
 
 
 def _adapted_chain(space, sample_sets, level_ids):
@@ -417,19 +381,19 @@ def _adapted_chain(space, sample_sets, level_ids):
     each sample contributes the norming functional of its best
     |sigma| = n projection, so its own level-n sup equals the c_n inner
     value exactly."""
-    h_sets, acc, c = [], [], []
+    h_sets, acc, c = [], np.zeros((0, space.dim)), []
     for n, S in zip(level_ids, sample_sets):
         values, masks = space.top_projection_rows(S, n)
         if np.any(values <= 0.0):
             raise ConstructionError(
                 f"a sample projects to zero at level {n}")
-        acc.extend(space.norming_functional(p)
-                   for p in np.where(masks, S, 0.0))
-        acc = _unique_rows(acc)
-        h_sets.append(np.asarray(acc))
+        acc = _unique_rows(np.vstack(
+            [acc, *(space.norming_functional(p)
+                    for p in np.where(masks, S, 0.0))]))
+        h_sets.append(acc)
         c.append(np.min(values))
     b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
-    return tuple(h_sets), b, np.asarray(c), False
+    return tuple(h_sets), b, np.asarray(c)
 
 
 def _pipeline_report(phi, d, chain, seed):
@@ -460,8 +424,8 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
     "direct": every (normalized) sample must exhibit a norming support
     within max_level coordinates, which certifies that the union of
     support-ball levels is already a boundary; the level increments
-    become the decomposition pieces.  Sampled support balls are no
-    boundary, so this needs an enumerable dual ball.
+    become the decomposition pieces.  support_ball needs an enumerable
+    dual ball, and so does this route.
     "chain": measure b_n/c_n per level, rescale the increments with the
     a-sequence, and renorm the resulting boundary-sup space instead.
     "auto" picks direct when the dual ball is enumerable and all norming
@@ -500,15 +464,15 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
         raise ParameterError("factor spaces need the direct route")
 
     if space.enumerable_dual:
-        h_sets, b, c, exact = _support_ball_chain(
+        h_sets, b, c = _support_ball_chain(
             space, sample_sets, level_ids, identity_tol)
     else:
-        h_sets, b, c, exact = _adapted_chain(space, sample_sets, level_ids)
+        h_sets, b, c = _adapted_chain(space, sample_sets, level_ids)
     if chosen == "chain" and np.any(c <= 0.0):
         raise ConstructionError("c_n must be strictly positive")
     chain = RelativeBoundaryChain(
         space=space, h_sets=h_sets, samples=tuple(sample_sets),
-        level_ids=level_ids, b_values=b, c_values=c, exact=exact)
+        level_ids=level_ids, b_values=b, c_values=c)
     if chosen == "direct":
         pieces = [P for P in (chain.new_members(i) for i in range(levels))
                   if len(P)]

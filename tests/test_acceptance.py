@@ -340,7 +340,7 @@ def test_criterion_10_level_identities_and_rescaled_union(capsys):
                          (lorentz_predual_space(W6), 104)):
             S = unit_rows(sp, 25, seed)
             levels = tuple(range(1, sp.dim + 1))
-            h_sets = [support_ball(sp, n).functionals for n in levels]
+            h_sets = [support_ball(sp, n) for n in levels]
             chain = RelativeBoundaryChain(
                 space=sp, h_sets=h_sets, samples=(S,) * len(levels),
                 level_ids=levels,

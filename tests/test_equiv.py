@@ -76,18 +76,17 @@ def chain_result(lap3):
 class TestSupportBall:
     def test_sup_level_one(self):
         ball = support_ball(sup_space(3), 1)
-        assert ball.exact and len(ball) == 6
-        assert row_set(ball.functionals) == row_set(
+        assert len(ball) == 6
+        assert row_set(ball) == row_set(
             np.vstack([np.eye(3), -np.eye(3)]))
 
     def test_sup_higher_levels_add_no_extreme_points(self):
-        assert row_set(support_ball(sup_space(3), 3).functionals) == row_set(
-            support_ball(sup_space(3), 1).functionals)
+        assert row_set(support_ball(sup_space(3), 3)) == row_set(
+            support_ball(sup_space(3), 1))
 
     def test_level_zero(self):
-        ball = support_ball(sup_space(2), 0)
-        assert ball.exact
-        np.testing.assert_array_equal(ball.functionals, [[0.0, 0.0]])
+        np.testing.assert_array_equal(support_ball(sup_space(2), 0),
+                                      [[0.0, 0.0]])
 
     def test_predual_levels(self):
         sp = lorentz_predual_space([1.0, 0.5])
@@ -104,20 +103,30 @@ class TestSupportBall:
                 halves.append([0.5 * s0, s1, -1.0])
         hs = HalfspaceIntersection(np.asarray(halves), np.zeros(2))
         assert row_set(hs.intersections, 9) == row_set(
-            support_ball(sp, 2).functionals, 9)
+            support_ball(sp, 2), 9)
 
-    def test_sampled_kind_flagged(self):
-        ball = support_ball(euclidean_space(3), 2, resolution=16, seed=4)
-        assert not ball.exact
-        for f in ball.functionals:
-            assert np.count_nonzero(f) <= 2
-            np.testing.assert_allclose(np.linalg.norm(f), 1.0, rtol=1e-12)
+    def test_levels_are_nested_extreme_points(self, predual4):
+        levels = [support_ball(predual4, n) for n in range(1, 5)]
+        for n, ball in enumerate(levels, start=1):
+            np.testing.assert_array_equal(
+                ball, predual4.dual_extreme_points(max_support=n))
+        for cur, nxt in zip(levels, levels[1:]):
+            np.testing.assert_array_equal(nxt[:len(cur)], cur)
+
+    @pytest.mark.parametrize("space", [
+        euclidean_space(3),
+        lorentz_space([1.0, 0.5, 0.25]),
+        lap_space([[0], [1, 2]], [1.0, 2.0], 3),
+    ], ids=["euclidean3", "lorentz3", "lap3"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_refuses_kind_without_enumerable_dual(self, space, n):
+        # a sample of the dual sphere is no boundary
+        with pytest.raises(ParameterError):
+            support_ball(space, n)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             support_ball(sup_space(2), -1)
-        with pytest.raises(ParameterError):
-            support_ball(euclidean_space(8), 4, resolution=10**6)
 
 
 class TestComputeBn:
@@ -127,12 +136,6 @@ class TestComputeBn:
 
     def test_zero_set(self):
         assert compute_bn(np.zeros((1, 2)), [[1.0, 0.0]]) == 0.0
-
-    def test_accepts_support_ball(self, predual4):
-        S = unit_rows(predual4, 20, 2)
-        ball = support_ball(predual4, 2)
-        direct = compute_bn(ball.functionals, S)
-        assert compute_bn(ball, S) == direct
 
     def test_nondecreasing_in_level(self, predual4):
         S = unit_rows(predual4, 50, 3)
@@ -221,7 +224,7 @@ class TestComputeCn:
 class TestRelativeBoundaryChain:
     def chain(self, predual4, **overrides):
         S = unit_rows(predual4, 10, 11)
-        h = [support_ball(predual4, n).functionals for n in (1, 2)]
+        h = [support_ball(predual4, n) for n in (1, 2)]
         fields = dict(space=predual4, h_sets=h, samples=(S, S),
                       level_ids=(1, 2),
                       b_values=[compute_bn(hh, S) for hh in h])
@@ -235,7 +238,7 @@ class TestRelativeBoundaryChain:
         assert len(ch.new_members(1)) == 24
 
     def test_containment_enforced(self, predual4):
-        h1 = support_ball(predual4, 1).functionals
+        h1 = support_ball(predual4, 1)
         with pytest.raises(ConstructionError):
             self.chain(predual4, h_sets=(h1, h1[:4]))
 
@@ -292,7 +295,7 @@ class TestBuildF:
 
     def test_unit_coefficients_on_full_chain_reproduce_norm(self, predual4):
         S = unit_rows(predual4, 20, 16)
-        h = [support_ball(predual4, n).functionals for n in range(1, 5)]
+        h = [support_ball(predual4, n) for n in range(1, 5)]
         ch = RelativeBoundaryChain(
             space=predual4, h_sets=h, samples=(S,) * 4,
             level_ids=(1, 2, 3, 4),
@@ -306,7 +309,7 @@ class TestBuildF:
 
     def test_default_strategy_report(self, predual4):
         S = unit_rows(predual4, 40, 18)
-        h = [support_ball(predual4, n).functionals for n in range(1, 5)]
+        h = [support_ball(predual4, n) for n in range(1, 5)]
         ch = RelativeBoundaryChain(
             space=predual4, h_sets=h, samples=(S,) * 4,
             level_ids=(1, 2, 3, 4),
@@ -330,7 +333,7 @@ class TestBuildF:
 
     def test_coefficient_validation_and_callable(self, predual4):
         S = unit_rows(predual4, 10, 20)
-        H = support_ball(predual4, 4).functionals
+        H = support_ball(predual4, 4)
         ch = RelativeBoundaryChain(
             space=predual4, h_sets=(H,), samples=(S,), level_ids=(4,),
             b_values=[compute_bn(H, S)])
@@ -345,7 +348,7 @@ class TestBuildF:
 class TestBoundaryNormSpace:
     def test_quacks_like_a_space(self, predual4):
         S = unit_rows(predual4, 15, 21)
-        H = support_ball(predual4, 4).functionals
+        H = support_ball(predual4, 4)
         ch = RelativeBoundaryChain(
             space=predual4, h_sets=(H,), samples=(S,), level_ids=(4,),
             b_values=[compute_bn(H, S)])
@@ -389,7 +392,6 @@ class TestPipelineDirect:
         res = direct_result
         assert res.route == "direct"
         assert res.passed and res.report.passed
-        assert res.chain.exact
         assert res.boundary_norm is None
         assert [len(p.members) for p in res.decomposition.pieces] == [
             8, 24, 32, 16]
@@ -474,7 +476,6 @@ class TestPipelineChain:
         res = chain_result
         assert res.route == "chain"
         assert res.passed
-        assert not res.chain.exact
         assert res.report.bc_gap <= 1e-12
         np.testing.assert_allclose(res.chain.c_values[-1], 1.0, rtol=1e-9)
 
@@ -507,8 +508,8 @@ class TestPipelineChain:
         lorentz_space([1.0, 0.5, 0.25]),
     ], ids=["lap5", "lap3", "euclidean3", "lorentz3"])
     def test_auto_takes_chain_without_enumerable_dual(self, space):
-        # every sample has a norming support at level dim, but sampled
-        # support balls are no boundary, so direct would fail
+        # every sample has a norming support at level dim, but these
+        # kinds have no enumerable dual ball for the direct route
         samples = np.random.default_rng(0).standard_normal((24, space.dim))
         res = corollary_b_pipeline(space, samples, 0.1, seed=0)
         assert res.route == "chain" and res.passed
@@ -523,7 +524,6 @@ class TestPipelineChain:
             predual4, unit_rows(predual4, 60, 29), 0.1, route="chain",
             seed=4)
         assert res.route == "chain" and res.passed
-        assert res.chain.exact
         assert res.report.bc_gap <= 1e-9
 
 
