@@ -21,11 +21,18 @@ integration range; the log-space exponential-integral form keeps the
 ratio G(t-a)/G(b-a) accurate to ~1e-12 regardless of width.
 
 An OrliczFamily whose members are all OrliczFunctions is stored as
-stacked per-column arrays (zero threshold, log G(width), peak), so a
-batch of rows is evaluated in one pass that touches only the entries
-above their column's threshold; the bump formula is the same function
-OrliczFunction uses.  Families of other callables (for example the
-power family s -> s^p) are evaluated per group of identical callables.
+stacked per-column arrays (zero and exceed thresholds, log G(width),
+peak), so a batch of rows is evaluated in one pass that touches only the
+entries above their column's threshold; the bump formula is the same
+function OrliczFunction uses.  The entries of a row need not be the whole
+family: ``modular_rows`` takes per-row column indices, and index
+``len(family)`` is an inert slot with zero threshold +inf.  This is how
+renorm evaluates only the terms of a row that can be positive at a
+feasible scale; without indices, entry t of a row belongs to member t.
+The sum runs over the selected entries in row order either way, so a
+row with some always-zero terms left out sums the same values in the
+same order.  Families of other callables (for example the power family
+s -> s^p) are evaluated per group of identical callables.
 
 A generalized Luxemburg norm over a finite index set B is
 
@@ -75,15 +82,19 @@ def _log_g(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < _ASYM_SWITCH
-    if np.any(small):
+    large = ~small
+    if small.any():
         xs = x[small]
         s = np.full_like(xs, _ASYM_COEF[-1])
+        # in place: a modular call evaluates few entries, and on those
+        # allocation would dominate the series
         for c in _ASYM_COEF[-2::-1]:
-            s = s * xs + c
+            s *= xs
+            s += c
         out[small] = -1.0 / xs + 2.0 * np.log(xs) + np.log(s)
-    if np.any(~small):
-        xl = x[~small]
-        out[~small] = np.log(xl * expn(2, 1.0 / xl))
+    if large.any():
+        xl = x[large]
+        out[large] = np.log(xl * expn(2, 1.0 / xl))
     return out
 
 
@@ -204,6 +215,12 @@ class OrliczFamily:
     A family of OrliczFunctions is evaluated from stacked per-column
     constants; any other family is evaluated per group of identical
     callables, so constant families cost one vectorized call.
+
+    Attributes
+    ----------
+    zero_thresholds, exceed_thresholds : ndarray or None
+        The members' thresholds stacked in family order; None unless
+        every member is an OrliczFunction.
     """
 
     def __init__(self, functions):
@@ -212,8 +229,15 @@ class OrliczFamily:
             raise ParameterError("family index set must be nonempty")
         self.functions = functions
         self._groups = None
+        self._all_columns = np.arange(len(functions))[None]
+        self.zero_thresholds = self.exceed_thresholds = None
         if all(isinstance(fn, OrliczFunction) for fn in functions):
-            self._zero = np.array([fn.zero_threshold for fn in functions])
+            self.zero_thresholds = np.array(
+                [fn.zero_threshold for fn in functions])
+            self.exceed_thresholds = np.array(
+                [fn.exceed_threshold for fn in functions])
+            # the inert slot len(family) never passes its threshold
+            self._zero = np.append(self.zero_thresholds, np.inf)
             self._log_g_width = np.array(
                 [fn._log_g_width for fn in functions])
             self._peak = np.array([fn._peak for fn in functions])
@@ -234,14 +258,26 @@ class OrliczFamily:
         """sum_t phi_t(args_t) for an array aligned with the family."""
         return float(self.modular_rows(np.asarray(args, float)[None])[0])
 
-    def modular_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Row-wise modular for a batch: (n, len(family)) -> (n,)."""
+    def modular_rows(self, rows: np.ndarray, cols=None) -> np.ndarray:
+        """Row-wise modular for a batch: (n, w) -> (n,).
+
+        Entry (i, j) of ``rows`` is the argument of member ``cols[i, j]``,
+        where ``cols`` is an integer array of shape (n, w) or (1, w) and
+        index ``len(family)`` is an inert slot whose value is 0.  By
+        default w = len(family) and column j belongs to member j.  Column
+        indices need a family of OrliczFunctions.
+        """
         rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(self.functions):
+        if cols is None:
+            cols = self._all_columns
+        elif self._groups is not None:
             raise ParameterError(
-                f"expected (n, {len(self.functions)}) rows, got shape "
-                f"{rows.shape}"
-            )
+                "column indices need a family of OrliczFunctions")
+        if (rows.ndim != 2 or cols.shape[1:] != rows.shape[1:]
+                or cols.shape[0] not in (1, rows.shape[0])):
+            raise ParameterError(
+                f"rows of shape {rows.shape} do not match columns of shape "
+                f"{cols.shape}")
         if self._groups is not None:
             total = np.zeros(rows.shape[0])
             for fn, idx in self._groups:
@@ -251,9 +287,10 @@ class OrliczFamily:
             raise ParameterError("orlicz functions are defined for t >= 0")
         # Every bump vanishes up to its zero threshold, so only the
         # entries above it are evaluated.
-        r, c = np.nonzero(rows > self._zero)
-        vals = _bump(rows[r, c] - self._zero[c], self._log_g_width[c],
-                     self._peak[c], self._log_peak[c], 0)
+        r, j = np.nonzero(rows > self._zero[cols])
+        t = cols[r if len(cols) == len(rows) else 0, j]
+        vals = _bump(rows[r, j] - self._zero[t], self._log_g_width[t],
+                     self._peak[t], self._log_peak[t], 0)
         return np.bincount(r, weights=vals, minlength=rows.shape[0])
 
 
@@ -299,7 +336,8 @@ def luxemburg_norm(family: OrliczFamily, coords, tol=DEFAULT_TOL,
     """
     coords = np.asarray(coords, dtype=float)
     bracket = feasible_scale_inf(
-        family.modular_rows, _coordinate_rows(family, coords[None]), tol=tol)
+        lambda z, _: family.modular_rows(z),
+        _coordinate_rows(family, coords[None]), tol=tol)
     value = float(bracket.hi[0])
     if not full_output:
         return value
@@ -318,7 +356,8 @@ def luxemburg_norm_batch(family: OrliczFamily, rows,
     for large sample pools.
     """
     rows = _coordinate_rows(family, np.atleast_2d(np.asarray(rows, float)))
-    return feasible_scale_inf(family.modular_rows, rows, tol=tol).hi
+    return feasible_scale_inf(lambda z, _: family.modular_rows(z), rows,
+                              tol=tol).hi
 
 
 @dataclass(frozen=True)

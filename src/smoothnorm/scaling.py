@@ -9,7 +9,9 @@ for a modular S that is continuous and nondecreasing in each coordinate,
 with S(z) -> infinity as z -> infinity for z != 0 and S(0) <= 1.
 ``feasible_scale_inf`` is the package's only solver for these infima.
 It works on a batch of coordinate rows with a row-wise modular
-``modular_rows: (k, m) -> (k,)``, and a single vector is a batch of one.
+``modular_rows(z, idx) -> (k,)``, where ``z`` is a (k, m) block of scaled
+rows and ``idx`` the positions of those rows in the batch, so a modular
+can keep per-row data; a single vector is a batch of one.
 
 Each row is scaled to peak 1 and goes through the same steps: double
 from 1 until feasible, halve while feasible (moving the upper end down
@@ -59,7 +61,9 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
     Parameters
     ----------
     modular_rows : callable
-        Row-wise modular, (k, m) array of nonnegative entries -> (k,).
+        Row-wise modular ``modular_rows(z, idx)``: ``z`` a (k, m) array of
+        nonnegative entries, ``idx`` the (k,) indices of its rows in
+        ``rows``; returns (k,).
     rows : array_like, shape (n, m)
         Coordinate rows; signs are ignored.
     tol : float
@@ -98,7 +102,7 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
         z = scratch[:len(idx)]
         np.take(source, idx, axis=0, out=z, mode="clip")
         z /= scale[:, None]
-        return modular_rows(z) <= 1.0
+        return modular_rows(z, idx) <= 1.0
 
     lo = np.zeros(len(rows))
     hi = np.zeros(len(rows))

@@ -359,7 +359,8 @@ class LapSpace(ModelSpace):
         self._exponent_table = table
 
     def _norm_rows(self, X):
-        return feasible_scale_inf(self._lap_modular_rows, X).hi
+        return feasible_scale_inf(
+            lambda z, _: self._lap_modular_rows(z), X).hi
 
     def lap_modular(self, z) -> float:
         """Phi(z) = sum_k max_{n: k in A_n} |z_k|^{p_n}."""
@@ -383,7 +384,7 @@ class LapSpace(ModelSpace):
         if n in (0, self.dim):
             return np.abs(S)
 
-        def top_modular_rows(rows):
+        def top_modular_rows(rows, _):
             return np.sum(np.sort(self._lap_terms(rows), axis=1)[:, -n:],
                           axis=1)
 

@@ -108,6 +108,5 @@ def inactive_violations(spec, coords, rhos, outside) -> int:
     """Pairs of a row and a net point in `outside` whose bump argument
     coords / rhos passes the zero threshold: the bump is positive there,
     even where its value underflows to 0.0."""
-    zero = np.array([spec.family.functions[i].zero_threshold
-                     for i in outside])
+    zero = spec.family.zero_thresholds[outside]
     return int(np.count_nonzero(coords[:, outside] / rhos[:, None] > zero))

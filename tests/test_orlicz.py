@@ -25,6 +25,7 @@ from smoothnorm.orlicz import (
     luxemburg_norm_batch,
     make_orlicz,
 )
+from smoothnorm.scaling import feasible_scale_inf
 
 # Frozen from the quad oracle below: 1.5 / int_0.5^1 exp(-1/(s-0.5)) ds.
 SCALE_HALF_ONE = 79.92697483562232
@@ -256,6 +257,82 @@ class TestStackedFamily:
         fam = OrliczFamily([make_orlicz(0.5, 1.0)] * 2)
         with pytest.raises(ParameterError):
             fam.modular_rows(np.array([[0.1, -0.1]]))
+
+    def test_stacked_thresholds_match_members(self):
+        rng = np.random.default_rng(6)
+        fns = [make_orlicz(a, a + w) for a, w in
+               zip(rng.uniform(0.1, 2.0, 9), rng.uniform(1e-3, 1.0, 9))]
+        fam = OrliczFamily(fns)
+        np.testing.assert_array_equal(
+            fam.zero_thresholds, [fn.zero_threshold for fn in fns])
+        np.testing.assert_array_equal(
+            fam.exceed_thresholds, [fn.exceed_threshold for fn in fns])
+        plain = power_family(2.0, 3)
+        assert plain.zero_thresholds is None
+        assert plain.exceed_thresholds is None
+
+    def test_column_indices_select_members(self):
+        """Entries given with their member indices sum exactly as the
+        full rows, in the same order, when every left-out entry is at or
+        below its zero threshold; the inert slot len(family) adds 0."""
+        rng = np.random.default_rng(8)
+        m = 10
+        fns = [make_orlicz(a, a + w) for a, w in
+               zip(rng.uniform(0.1, 2.0, m), rng.uniform(1e-3, 1.0, m))]
+        fam = OrliczFamily(fns)
+        zero = fam.zero_thresholds
+        full = rng.uniform(0.0, 3.0, (30, m))
+        keep = rng.random((30, m)) < 0.4
+        full[~keep] = np.minimum(full[~keep], np.broadcast_to(
+            zero, full.shape)[~keep])
+        width = keep.sum(axis=1).max() + 2
+        cols = np.full((30, width), m)
+        rows = np.full((30, width), 1e300)  # inert slots: never counted
+        for i in range(30):
+            j = np.flatnonzero(keep[i])
+            cols[i, :len(j)] = j
+            rows[i, :len(j)] = full[i, j]
+        assert np.array_equal(fam.modular_rows(rows, cols),
+                              fam.modular_rows(full))
+        assert np.array_equal(
+            fam.modular_rows(full, np.arange(m)[None]),
+            fam.modular_rows(full))
+        assert np.array_equal(fam.modular_rows(rows[:1], cols[:1]),
+                              fam.modular_rows(full[:1]))
+
+    def test_column_index_errors(self):
+        fam = OrliczFamily([make_orlicz(0.5, 1.0)] * 3)
+        with pytest.raises(ParameterError):
+            fam.modular_rows(np.ones((2, 2)), np.zeros((2, 3), dtype=int))
+        with pytest.raises(ParameterError):
+            fam.modular_rows(np.ones((3, 2)), np.zeros((2, 2), dtype=int))
+        with pytest.raises(ParameterError):
+            fam.modular_rows(np.ones((1, 2)))
+        with pytest.raises(ParameterError, match="OrliczFunctions"):
+            power_family(2.0, 3).modular_rows(
+                np.ones((1, 2)), np.zeros((1, 2), dtype=int))
+
+
+def test_modular_receives_row_indices():
+    """feasible_scale_inf hands the modular each block's row positions
+    in the batch: the block rows are those rows, rescaled."""
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((12, 4)) * rng.uniform(0.1, 5.0, (12, 1))
+    rows[3] = 0.0
+    fam = power_family(2.0, 4)
+    seen = []
+
+    def modular(z, idx):
+        seen.append(idx.copy())
+        ratio = z / np.abs(rows[idx])
+        np.testing.assert_allclose(ratio, np.broadcast_to(
+            ratio[:, :1], ratio.shape), rtol=1e-12)
+        return fam.modular_rows(z)
+
+    values = feasible_scale_inf(modular, rows).hi
+    assert np.array_equal(values, luxemburg_norm_batch(fam, rows))
+    assert all(np.all(np.diff(idx) > 0) and 3 not in idx for idx in seen)
+    assert any(len(idx) == 11 for idx in seen)
 
 
 def nonfinite_vectors(dim):

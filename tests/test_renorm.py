@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,9 +12,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from smoothnorm.boundary import Decomposition, build_net
-from smoothnorm.errors import ConstructionError, ParameterError
-from smoothnorm.orlicz import OrliczFamily, make_orlicz
+from smoothnorm.errors import ConstructionError, NumericError, ParameterError
+from smoothnorm.orlicz import (OrliczFamily, luxemburg_norm,
+                               luxemburg_norm_batch, make_orlicz)
 from smoothnorm.renorm import (
+    PRUNE_TOL,
+    ActiveSet,
     PhiNormSpec,
     _sphere_samples,
     active_set,
@@ -24,7 +30,8 @@ from smoothnorm.renorm import (
     smoothness_check,
     verify_claim2d,
 )
-from smoothnorm.spaces import euclidean_space, sup_space
+from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
+                               sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
 
 
@@ -59,6 +66,37 @@ def ladder3_spec():
 def euclid_factor_spec():
     d = sup_decomposition(2)
     return build_renorm(d.space, d, euclidean_space(2), budget=256, seed=0)
+
+
+@pytest.fixture(scope="module")
+def ladder3_euclid_spec():
+    d = ladder_decomposition(3)
+    return build_renorm(d.space, d, euclidean_space(2), budget=256, seed=0)
+
+
+def predual_decomposition(dim, eps=0.1):
+    """lorentz_predual with weights 1/sqrt(k + 1): piece n - 1 holds the
+    2^n C(dim, n) dual extreme points of support size n, signed 1/W_n on
+    the support (the benchmark's predual7 at dim 7)."""
+    weights = [1.0 / math.sqrt(k + 1) for k in range(dim)]
+    wsums = list(itertools.accumulate(weights))
+    pieces = []
+    for n in range(1, dim + 1):
+        piece = []
+        for combo in itertools.combinations(range(dim), n):
+            for signs in itertools.product((1.0, -1.0), repeat=n):
+                f = [0.0] * dim
+                for i, sign in zip(combo, signs):
+                    f[i] = sign / wsums[n - 1]
+                piece.append(f)
+        pieces.append(piece)
+    return Decomposition(lorentz_predual_space(weights), pieces, eps)
+
+
+@pytest.fixture(scope="module")
+def predual7_spec():
+    d = predual_decomposition(7)
+    return build_renorm(d.space, d, None, seed=1)
 
 
 class TestBuildRenorm:
@@ -102,6 +140,11 @@ class TestBuildRenorm:
         # psi inverted, theta not
         family = OrliczFamily([make_orlicz(1.0 / 1.0625, 0.99)] * len(net))
         with pytest.raises(ConstructionError, match="theta"):
+            PhiNormSpec(net=net, family=family, X=d.space, Y=None,
+                        epsilon=0.1)
+        # thresholds are read from a family of OrliczFunctions
+        family = OrliczFamily([lambda s: s ** 2] * len(net))
+        with pytest.raises(ConstructionError, match="OrliczFunctions"):
             PhiNormSpec(net=net, family=family, X=d.space, Y=None,
                         epsilon=0.1)
 
@@ -228,7 +271,142 @@ class TestPhiNorm:
             assert base < rho <= (1.0 + spec.epsilon) * base * (1.0 + 1e-9)
 
 
+def unpruned(spec, X):
+    """The Luxemburg norms over the whole net, no term left out."""
+    return luxemburg_norm_batch(spec.family, pi_coords_batch(spec, X))
+
+
+def kept_terms(spec, coords):
+    """The pruning rule on (n, len(net)) coordinate rows: psi_t u_t >
+    L (1 - PRUNE_TOL), u = coords / peak and L = max_t theta_t u_t."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = coords / coords.max(axis=1, keepdims=True)
+    bound = np.max(spec.net.theta * u, axis=1, keepdims=True)
+    return spec.net.psi * u > bound * (1.0 - PRUNE_TOL)
+
+
+def pruning_cases(spec):
+    """Vectors on the edges of the pruning rule for a ladder spec (net
+    rows +-e_i, psi and theta falling with i).  With x_0 = 1 the peak is
+    1 and L = theta_0; x_i = b puts psi u exactly on L (kept) or on the
+    cut L (1 - PRUNE_TOL) (pruned).  (0.97, 0, 1, ...) has its peak on a
+    pruned term: theta_0 * 0.97 > psi of e_2."""
+    psi, theta = spec.net.psi, spec.net.theta
+    dim = spec.X.dim
+    cases = []
+    for i, target in itertools.product(
+            range(1, dim), (theta[0], theta[0] * (1.0 - PRUNE_TOL))):
+        b0 = target / psi[2 * i]
+        for b in b0 + np.arange(-8, 9) * np.spacing(b0):
+            if psi[2 * i] * b == target:
+                x = np.zeros(dim)
+                x[0], x[i] = 1.0, b
+                cases.append(x)
+    peak_pruned = np.zeros(dim)
+    peak_pruned[0], peak_pruned[2] = 0.97, 1.0
+    cases.append(peak_pruned)
+    return cases
+
+
+def as_input(spec, x):
+    """A vector, or for a euclidean factor the matrix with x in column 0,
+    whose coordinates are |x_i|."""
+    if spec.Y is None:
+        return x
+    M = np.zeros((spec.X.dim, spec.Y.dim))
+    M[:, 0] = x
+    return M
+
+
+class TestPrunedEvaluation:
+    """phi_norm_batch and phi_norm bisect only the terms the pruning rule
+    keeps; the Luxemburg norm over the whole net is the reference, bit
+    for bit."""
+
+    def test_cases_sit_on_the_rule(self, ladder3_spec):
+        spec = ladder3_spec
+        coords = pi_coords_batch(spec, np.array(pruning_cases(spec)))
+        u = coords / coords.max(axis=1, keepdims=True)
+        L = np.max(spec.net.theta * u, axis=1, keepdims=True)
+        assert (spec.net.psi * u == L).any(axis=1).sum() >= 2
+        assert (spec.net.psi * u == L * (1.0 - PRUNE_TOL)).any(axis=1).sum() \
+            >= 2
+        kept = kept_terms(spec, coords)
+        assert (~kept & (coords == coords.max(axis=1, keepdims=True))).any()
+
+    @pytest.mark.parametrize("name", ["ladder3_spec", "ladder3_euclid_spec"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(picks=st.lists(st.tuples(st.integers(0, 12), st.integers(-60, 60)),
+                          min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_unpruned(self, request, name, picks, seed):
+        spec = request.getfixturevalue(name)
+        cases = pruning_cases(spec) + [np.zeros(spec.X.dim)]
+        rng = np.random.default_rng(seed)
+        shape = as_input(spec, cases[0]).shape
+        X = np.array([2.0 ** e * (as_input(spec, cases[k]) if k < len(cases)
+                                  else rng.standard_normal(shape))
+                      for k, e in picks])
+        expected = unpruned(spec, X)
+        assert np.array_equal(phi_norm_batch(spec, X), expected)
+        assert np.array_equal([phi_norm(spec, x) for x in X], expected)
+
+    def test_predual7_matches_unpruned(self, predual7_spec):
+        """The benchmark's predual7 net: about 2 of 2,186 terms survive a
+        gaussian row, and some rows have their peak on a pruned term."""
+        spec = predual7_spec
+        assert len(spec.net) == 2186
+        X = np.random.default_rng(1).standard_normal((2048, 7))
+        coords = pi_coords_batch(spec, X)
+        kept = kept_terms(spec, coords)
+        assert kept.any(axis=1).all() and kept.sum(axis=1).mean() < 3.0
+        assert (~kept & (coords == coords.max(axis=1, keepdims=True))).any()
+        assert np.array_equal(phi_norm_batch(spec, X), unpruned(spec, X))
+
+    @pytest.mark.parametrize("scale", [5e-324, 3e-323, 1e-310, 1e300,
+                                       1.7e308, 1.79e308])
+    def test_extreme_scale_rows(self, predual7_spec, scale):
+        """Subnormal and near-overflow rows: the same value, or the same
+        error with the same bracket, as over the whole net."""
+        spec = predual7_spec
+        x = scale * np.eye(7)[0]
+
+        def outcome(call):
+            try:
+                return float(call())
+            except (NumericError, ParameterError) as exc:
+                return type(exc), str(exc), getattr(exc, "bracket", None)
+
+        expected = outcome(lambda: unpruned(spec, x[None])[0])
+        assert outcome(lambda: phi_norm(spec, x)) == expected
+        assert outcome(lambda: phi_norm_batch(spec, x[None])[0]) == expected
+        if scale < 1e300:
+            assert 0.0 < expected < np.inf
+        elif scale > 1e300:
+            assert expected[0] is NumericError
+
+
 class TestActiveSet:
+    def test_matches_unpruned_reference(self, predual7_spec, ladder3_spec):
+        """The active set from the whole-net norm, and its indices are
+        among the terms the pruning rule keeps."""
+        rng = np.random.default_rng(29)
+        for spec in (predual7_spec, ladder3_spec):
+            max_psi = float(np.max(spec.net.psi))
+            for u in rng.standard_normal((12, spec.X.dim)):
+                coords = pi_coords(spec, u)
+                rho = luxemburg_norm(spec.family, coords)
+                weighted = spec.net.psi * coords
+                inside = weighted >= rho
+                margin = (1.0 if inside.all() else
+                          1.0 - float(np.max(weighted[~inside])) / rho)
+                a = active_set(spec, u)
+                assert a == ActiveSet(tuple(np.flatnonzero(inside)), margin,
+                                      rho, margin * rho / (2.0 * max_psi))
+                kept = np.flatnonzero(kept_terms(spec, coords[None])[0])
+                assert set(a.indices) <= set(kept)
+
     def test_vertex_activates_one_pair(self, sup2_spec):
         a = active_set(sup2_spec, np.array([1.0, 0.0]))
         assert tuple(a.indices) == (0, 2)
