@@ -33,7 +33,7 @@ def main():
               f"(exact={space.enumerable_dual}), c_{n} = {cn:.9f}")
 
     chain = RelativeBoundaryChain(
-        space=space, h_sets=tuple(h_sets), samples=(S,) * len(levels),
+        space=space, h_sets=tuple(h_sets), samples=S,
         level_ids=levels, b_values=[compute_bn(h, S) for h in h_sets])
     bn = build_F(chain)
     print()

@@ -324,7 +324,8 @@ class RunContext:
             try:
                 self._spec = build_renorm(
                     self.space, self.cfg.decomposition, self.Y,
-                    budget=self.budgets["build"], seed=self.seed)
+                    budget=self.budgets["build"], seed=self.seed,
+                    boundary_tol=self.tol["boundary"])
             except (ParameterError, ConstructionError,
                     NumericError) as exc:
                 self._spec_error = exc
@@ -604,7 +605,7 @@ def _suite_equiv(ctx):
     rng = np.random.default_rng(ss_samples)
     samples = rng.standard_normal((ctx.budgets["equiv"], ctx.space.dim))
     result = corollary_b_pipeline(
-        ctx.space, samples, ctx.eps, route="auto", Y=ctx.Y,
+        ctx.space, samples, ctx.eps, Y=ctx.Y,
         seed=_seed_int(ss_pipeline),
         identity_tol=ctx.tol["equiv_identity"])
     rep = result.report

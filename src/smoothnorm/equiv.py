@@ -1,13 +1,15 @@
 """Relative boundary chains and equivalent boundary-sup norms.
 
 The renorm machinery needs a decomposition that norms the sphere.  Two
-routes produce one here.  The direct route applies when the dual ball
-is enumerable and every sphere sample exhibits a norming support: the
-dual-ball slices by support cardinality (support_ball, the dual extreme
-points of support at most n) already form a boundary, and their level
-increments feed build_renorm as pieces.  A sample of the dual sphere is
-no boundary, so support_ball refuses every other kind.  The chain route
-drops the norming-support requirement: it measures the level constants
+routes produce one here, and the kind picks between them.  The direct
+route applies when the dual ball is enumerable: the dual-ball slices by
+support cardinality (support_ball, the dual extreme points of support
+at most n) already form a boundary, since every sample's norming
+support fits in dim levels, and their level increments feed
+build_renorm as pieces.  A sample of the dual sphere is no boundary, so
+support_ball refuses every other kind, and those take the chain route,
+which drops the norming-support requirement: it measures the level
+constants
 
     b_n = inf over samples of sup over the slice of h(x)
     c_n = inf over samples of max over |sigma| = n of ||P_sigma x||
@@ -17,10 +19,9 @@ increments by a decreasing a-sequence so every sample attains a finite
 level, and takes the resulting symmetrized sup as a new equivalent norm
 whose boundary the increments are by construction (the inner max of
 c_n is ModelSpace.top_projection_rows, exact at every dimension).  Its
-levels are the support balls when the dual ball is enumerable, else the
-norming functionals of each sample's best projections.
-corollary_b_pipeline runs either route end to end and verifies the
-built approximating norm.
+levels are the norming functionals of each sample's best projections.
+corollary_b_pipeline runs the kind's route end to end on one sample set
+and verifies the built approximating norm.
 """
 
 from __future__ import annotations
@@ -114,15 +115,14 @@ class RelativeBoundaryChain:
     """Increasing dual-ball subsets with their measured level constants.
 
     h_sets are cumulative: position i holds every functional of level
-    level_ids[i].  samples holds the per-level sphere sets the b and c
-    values were measured on.  b = 0 is representable (build_F refuses
-    it); monotonicity of b is validated only when all levels share one
-    sample set, since differing samples break the comparison.
+    level_ids[i].  samples is the one (s, dim) sphere set every level's
+    b and c values were measured on, so b is nondecreasing.  b = 0 is
+    representable (build_F refuses it).
     """
 
     space: object
     h_sets: tuple
-    samples: tuple
+    samples: np.ndarray
     level_ids: tuple
     b_values: np.ndarray
     c_values: np.ndarray | None = None
@@ -130,8 +130,8 @@ class RelativeBoundaryChain:
     def __post_init__(self):
         object.__setattr__(self, "h_sets", tuple(
             np.atleast_2d(np.asarray(h, dtype=float)) for h in self.h_sets))
-        object.__setattr__(self, "samples", tuple(
-            np.atleast_2d(np.asarray(s, dtype=float)) for s in self.samples))
+        object.__setattr__(self, "samples", np.atleast_2d(
+            np.asarray(self.samples, dtype=float)))
         object.__setattr__(self, "level_ids",
                            tuple(int(n) for n in self.level_ids))
         object.__setattr__(self, "b_values",
@@ -143,16 +143,16 @@ class RelativeBoundaryChain:
         k = len(self.h_sets)
         if k == 0:
             raise ConstructionError("chain needs at least one level")
-        if not (len(self.samples) == len(self.level_ids)
-                == len(self.b_values) == k):
+        if not len(self.level_ids) == len(self.b_values) == k:
             raise ConstructionError("chain fields must have equal length")
         if self.c_values is not None and len(self.c_values) != k:
             raise ConstructionError("c_values length mismatch")
         if any(n2 <= n1 for n1, n2 in zip(self.level_ids,
                                           self.level_ids[1:])):
             raise ConstructionError("level ids must strictly increase")
-        if any(s.size == 0 for s in self.samples):
-            raise ConstructionError("every level needs samples")
+        if self.samples.ndim != 2 or self.samples.size == 0:
+            raise ConstructionError(
+                "chain needs one nonempty (s, dim) sample array")
         keys = [set(_row_keys(h)) for h in self.h_sets]
         for i in range(k - 1):
             if not keys[i] <= keys[i + 1]:
@@ -162,12 +162,8 @@ class RelativeBoundaryChain:
         if np.any(self.b_values < -1e-12) or np.any(
                 self.b_values > 1.0 + 1e-9):
             raise ConstructionError("b values must lie in [0, 1]")
-        shared = all(s is self.samples[0]
-                     or s.tobytes() == self.samples[0].tobytes()
-                     for s in self.samples)
-        if shared and np.any(np.diff(self.b_values) < -1e-12):
-            raise ConstructionError(
-                "b must be nondecreasing for a fixed sample set")
+        if np.any(np.diff(self.b_values) < -1e-12):
+            raise ConstructionError("b must be nondecreasing")
 
     def __len__(self):
         return len(self.h_sets)
@@ -265,15 +261,15 @@ def build_F(chain: RelativeBoundaryChain, a_strategy="default",
         raise ConstructionError("every level increment is empty")
     matrix = np.vstack(pieces)
 
-    union = np.vstack(chain.samples)
-    vals = np.abs(union @ matrix.T)
+    S = chain.samples
+    vals = np.abs(S @ matrix.T)
     norms = np.max(vals, axis=1)
-    base = chain.space.norm_rows(union)
+    base = chain.space.norm_rows(S)
     if np.any(base <= 0.0):
         raise ParameterError("chain samples must be nonzero")
     ratios = norms / base
     attained = bool(all(np.any(vals[i] == norms[i])
-                        for i in range(len(union))))
+                        for i in range(len(S))))
     expected = (float(np.min(a * b)) - tol, float(np.max(a)) + tol)
     ratio_range = (float(np.min(ratios)), float(np.max(ratios)))
     return BoundaryNorm(
@@ -356,33 +352,22 @@ def _normalize_rows(space, rows):
     return rows / base[:, None]
 
 
-def _level_samples(space, samples, level_count):
-    if isinstance(samples, (list, tuple)):
-        if len(samples) != level_count:
-            raise ParameterError(
-                f"need {level_count} per-level sample sets, "
-                f"got {len(samples)}")
-        return [_normalize_rows(space, s) for s in samples]
-    pool = _normalize_rows(space, samples)
-    return [pool] * level_count
-
-
-def _support_ball_chain(space, sample_sets, level_ids, identity_tol):
+def _support_ball_chain(space, S, level_ids, identity_tol):
     """Support-ball levels, for kinds with enumerable dual balls."""
     h_sets = tuple(support_ball(space, n) for n in level_ids)
-    b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
-    c = np.asarray([compute_cn(space, s, n, identity_tol=identity_tol)
-                    for n, s in zip(level_ids, sample_sets)])
+    b = np.asarray([compute_bn(h, S) for h in h_sets])
+    c = np.asarray([compute_cn(space, S, n, identity_tol=identity_tol)
+                    for n in level_ids])
     return h_sets, b, c
 
 
-def _adapted_chain(space, sample_sets, level_ids):
+def _adapted_chain(space, S, level_ids):
     """Sample-adapted levels for kinds without enumerable dual balls:
     each sample contributes the norming functional of its best
     |sigma| = n projection, so its own level-n sup equals the c_n inner
     value exactly."""
     h_sets, acc, c = [], np.zeros((0, space.dim)), []
-    for n, S in zip(level_ids, sample_sets):
+    for n in level_ids:
         values, masks = space.top_projection_rows(S, n)
         if np.any(values <= 0.0):
             raise ConstructionError(
@@ -392,7 +377,7 @@ def _adapted_chain(space, sample_sets, level_ids):
                     for p in np.where(masks, S, 0.0))]))
         h_sets.append(acc)
         c.append(np.min(values))
-    b = np.asarray([compute_bn(h, s) for h, s in zip(h_sets, sample_sets)])
+    b = np.asarray([compute_bn(h, S) for h in h_sets])
     return tuple(h_sets), b, np.asarray(c)
 
 
@@ -417,64 +402,38 @@ def _pipeline_report(phi, d, chain, seed):
                 and claim.ok))
 
 
-def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
-                         seed=0, max_level=None, identity_tol=1e-9):
-    """Build and verify an approximating norm by one of two routes.
+def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
+                         identity_tol=1e-9):
+    """Build and verify an approximating norm by the kind's route.
 
-    "direct": every (normalized) sample must exhibit a norming support
-    within max_level coordinates, which certifies that the union of
-    support-ball levels is already a boundary; the level increments
-    become the decomposition pieces.  support_ball needs an enumerable
-    dual ball, and so does this route.
-    "chain": measure b_n/c_n per level, rescale the increments with the
-    a-sequence, and renorm the resulting boundary-sup space instead.
-    "auto" picks direct when the dual ball is enumerable and all norming
-    supports exist, else chain.
+    "direct" exactly when space.enumerable_dual: levels 1..dim hold
+    every sample's norming support, so the union of support-ball levels
+    is a boundary and the level increments become the decomposition
+    pieces.  "chain" for every other kind: measure b_n/c_n per level,
+    rescale the increments with the a-sequence, and renorm the
+    resulting boundary-sup space instead; factor spaces need the direct
+    route.
 
-    samples: one (s, dim) array shared by every level, or a list with
-    one array per level.  Levels run 1..max_level (default dim).
+    samples: one (s, dim) array of nonzero rows, normalized here and
+    shared by every level.
     """
-    if route not in ("auto", "direct", "chain"):
-        raise ParameterError(f"unknown route {route!r}")
-    levels = space.dim if max_level is None else int(max_level)
-    if not 1 <= levels <= space.dim:
-        raise ParameterError("max_level must lie in [1, dim]")
-    level_ids = tuple(range(1, levels + 1))
-    sample_sets = _level_samples(space, samples, levels)
-    union = np.unique(np.vstack(sample_sets), axis=0)
-
-    chosen = "chain" if route == "auto" else route
-    if route != "chain" and space.enumerable_dual:
-        # the truncated slice union is a boundary only when every sample
-        # has a norming support that fits inside the level cap; projection
-        # norms grow with the support and stay <= ||y|| = 1, so that holds
-        # iff the largest size-`levels` projection norm is 1
-        top = space.top_projection_rows(union, levels)[0]
-        missing = int(np.count_nonzero(np.abs(top - 1.0) > 1e-9))
-        if missing and route == "direct":
-            raise ConstructionError(
-                f"{missing} samples have no norming support within "
-                f"{levels} levels")
-        chosen = "direct" if missing == 0 else "chain"
-    elif route == "direct":
+    direct = space.enumerable_dual
+    if not direct and Y is not None:
         raise ParameterError(
-            f"the direct route needs an enumerable dual ball, kind "
-            f"{space.kind!r} has none")
-    if chosen == "chain" and Y is not None:
-        raise ParameterError("factor spaces need the direct route")
-
-    if space.enumerable_dual:
-        h_sets, b, c = _support_ball_chain(
-            space, sample_sets, level_ids, identity_tol)
+            f"factor spaces need the direct route, and kind "
+            f"{space.kind!r} has no enumerable dual ball")
+    level_ids = tuple(range(1, space.dim + 1))
+    S = _normalize_rows(space, samples)
+    union = np.unique(S, axis=0)
+    if direct:
+        h_sets, b, c = _support_ball_chain(space, S, level_ids, identity_tol)
     else:
-        h_sets, b, c = _adapted_chain(space, sample_sets, level_ids)
-    if chosen == "chain" and np.any(c <= 0.0):
-        raise ConstructionError("c_n must be strictly positive")
+        h_sets, b, c = _adapted_chain(space, S, level_ids)
     chain = RelativeBoundaryChain(
-        space=space, h_sets=h_sets, samples=tuple(sample_sets),
-        level_ids=level_ids, b_values=b, c_values=c)
-    if chosen == "direct":
-        pieces = [P for P in (chain.new_members(i) for i in range(levels))
+        space=space, h_sets=h_sets, samples=S, level_ids=level_ids,
+        b_values=b, c_values=c)
+    if direct:
+        pieces = [P for P in map(chain.new_members, range(len(chain)))
                   if len(P)]
         boundary_norm, base_space, boundary_samples = None, space, union
         decomposition = Decomposition(space, pieces, eps)
@@ -489,6 +448,6 @@ def corollary_b_pipeline(space, samples, eps, route="auto", Y=None, *,
                        boundary_samples=boundary_samples, seed=seed)
     report = _pipeline_report(phi, decomposition, chain, seed)
     return PipelineResult(
-        route=chosen, chain=chain, boundary_norm=boundary_norm,
-        base_space=base_space, decomposition=decomposition, phi_spec=phi,
-        report=report)
+        route="direct" if direct else "chain", chain=chain,
+        boundary_norm=boundary_norm, base_space=base_space,
+        decomposition=decomposition, phi_spec=phi, report=report)

@@ -300,7 +300,7 @@ def _point_index(spec, h):
 
 
 def verify_claim2d(spec: PhiNormSpec, h, g=None, *, count=2000, seed=0,
-                   tol=1e-7, norm_tol=1e-10, pool=None) -> Claim2dReport:
+                   tol=1e-7, pool=None) -> Claim2dReport:
     """Sample the phi-unit ball for values of (h tensor g) above
     1/theta(h), h given by its index in the net.
 
@@ -323,7 +323,7 @@ def verify_claim2d(spec: PhiNormSpec, h, g=None, *, count=2000, seed=0,
             raise ParameterError("g must have Euclidean norm 1")
 
     if pool is None:
-        pool = phi_unit_pool(spec, count, seed=seed, tol=norm_tol)
+        pool = phi_unit_pool(spec, count, seed=seed, tol=1e-10)
     if spec.Y is None:
         values = abs(g) * np.abs(pool.samples @ functional) / pool.norms
     else:
@@ -353,13 +353,12 @@ class SmoothnessReport:
     records: tuple
 
 
-def smoothness_check(normfn, x, directions, steps, *, kink_slope=-0.5,
-                     kink_scale=1e-6) -> SmoothnessReport:
+def smoothness_check(normfn, x, directions, steps) -> SmoothnessReport:
     """Probe first/second central differences of normfn along lines.
 
     A kink is flagged when the second difference grows like a negative
-    power of h (log-log slope <= kink_slope) at non-negligible size
-    (median |D2 * h| >= kink_scale); both gates together keep
+    power of h (log-log slope <= -0.5) at non-negligible size
+    (median |D2 * h| >= 1e-6); both gates together keep
     root-finding noise, which also scales like 1/h^2, from being
     mistaken for a derivative jump.
     """
@@ -398,5 +397,5 @@ def smoothness_check(normfn, x, directions, steps, *, kink_slope=-0.5,
         records.append(DirectionReport(
             direction=d, steps=tuple(steps), first_diffs=tuple(first),
             second_diffs=tuple(second), richardson=rich, slope=slope,
-            kink=slope <= kink_slope and scale >= kink_scale))
+            kink=slope <= -0.5 and scale >= 1e-6))
     return SmoothnessReport(point=x, records=tuple(records))

@@ -134,8 +134,7 @@ class ModelSpace:
         raise ParameterError(
             f"no closed-form norming functional for kind {self.kind!r}")
 
-    def dual_extreme_points(self, max_support=None,
-                            budget=200000) -> np.ndarray:
+    def dual_extreme_points(self, max_support=None) -> np.ndarray:
         """Extreme points of the dual unit ball, for enumerable kinds."""
         raise ParameterError(
             f"dual ball of kind {self.kind!r} is not enumerable here")
@@ -214,7 +213,7 @@ class SupSpace(ModelSpace):
         f[i] = _signs(x[i])
         return f
 
-    def dual_extreme_points(self, max_support=None, budget=200000):
+    def dual_extreme_points(self, max_support=None):
         eye = np.eye(self.dim)
         return np.vstack([eye, -eye])
 
@@ -296,15 +295,16 @@ class LorentzPredualSpace(_LorentzKind):
         f[idx] = _signs(x[idx]) / self._wsums[k - 1]
         return f
 
-    def dual_extreme_points(self, max_support=None, budget=200000):
+    def dual_extreme_points(self, max_support=None):
         """Sign patterns of 1/W_k on every k-subset, k <= max_support:
-        the vertices of the d(w,1)-ball."""
+        the vertices of the d(w,1)-ball; more than 200,000 of them is a
+        ParameterError."""
         cap = self.dim if max_support is None else min(
             int(max_support), self.dim)
         total = sum(2 ** k * comb(self.dim, k) for k in range(1, cap + 1))
-        if total > budget:
+        if total > 200_000:
             raise ParameterError(
-                f"{total} extreme points exceeds budget {budget}")
+                f"{total} extreme points exceeds the cap of 200,000")
         blocks = []
         for k in range(1, cap + 1):
             # indexed by (combination, sign pattern), both in itertools order

@@ -198,14 +198,13 @@ class ProductBoundaryReport:
         return max((1.0 - r.value for r in self.records), default=0.0)
 
 
-def boundary_product_check(N, M, samples, tol=1e-9,
-                           norm_tol=1e-7) -> ProductBoundaryReport:
+def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
     """Check the product set {f tensor g} norms unit tensor elements.
 
-    For each sample u with injective norm 1 (anything else is a
-    parameter error) the best g in M is paired with the best f in N for
-    the sliced vector u @ g, and the sample passes when that pairing
-    reaches 1 - tol.
+    For each sample u with injective norm 1 within 1e-7 (anything else
+    is a parameter error) the best g in M is paired with the best f in
+    N for the sliced vector u @ g, and the sample passes when that
+    pairing reaches 1 - tol.
     """
     N = np.atleast_2d(np.asarray(N, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -217,10 +216,10 @@ def boundary_product_check(N, M, samples, tol=1e-9,
             raise ParameterError("functional sets do not match the factors")
         strategy = "enumerate" if u.X.enumerable_dual else "sample+ascent"
         res = injective_norm(u, strategy)
-        if abs(res.value - 1.0) > norm_tol:
+        if abs(res.value - 1.0) > 1e-7:
             raise ParameterError(
                 f"sample {i} has injective norm {res.value}, expected 1 "
-                f"within {norm_tol}")
+                f"within 1e-7")
         sliced = u.matrix @ M.T
         vals = N @ sliced
         f_idx, g_idx = np.unravel_index(np.argmax(vals), vals.shape)

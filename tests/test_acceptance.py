@@ -342,7 +342,7 @@ def test_criterion_10_level_identities_and_rescaled_union(capsys):
             levels = tuple(range(1, sp.dim + 1))
             h_sets = [support_ball(sp, n) for n in levels]
             chain = RelativeBoundaryChain(
-                space=sp, h_sets=h_sets, samples=(S,) * len(levels),
+                space=sp, h_sets=h_sets, samples=S,
                 level_ids=levels,
                 b_values=[compute_bn(h, S) for h in h_sets])
             for strategy in ("default", "ones"):

@@ -384,6 +384,26 @@ class TestFailuresExitOne:
         assert rec["note"].startswith("error:")
 
 
+class TestBoundaryTolerance:
+    def test_boundary_tol_reaches_the_build(self, tmp_path):
+        # functionals of norm 1 - 1e-8 norm the sphere within the
+        # configured 1e-6, so the build's own check must use it too
+        c = 0.99999999
+        cfg = write_cfg(
+            tmp_path, space={"kind": "sup_finite", "dim": 2},
+            decomposition={"pieces": [[[c, 0.0], [-c, 0.0]],
+                                      [[0.0, c], [0.0, -c]]]},
+            tolerances={"boundary": 1e-6},
+            suites=["boundary", "claim2d", "localdep"])
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        suites = report_of(out)["suites"]
+        assert {k: v["status"] for k, v in suites.items()} == {
+            "boundary": "passed", "claim2d": "passed",
+            "localdep": "passed"}
+        assert suites["boundary"]["measured"]["boundary_tol"] == 1e-6
+
+
 class TestFactorSpace:
     def test_euclidean_factor_runs_all_suites(self, tmp_path):
         cfg = write_cfg(

@@ -46,7 +46,7 @@ def sup2_boundary_norm():
     S = unit_rows(sp, 30, 14)
     H = np.vstack([np.eye(2), -np.eye(2)])
     ch = RelativeBoundaryChain(
-        space=sp, h_sets=(H,), samples=(S,), level_ids=(0,),
+        space=sp, h_sets=(H,), samples=S, level_ids=(0,),
         b_values=[compute_bn(H, S)])
     return build_F(ch, a_strategy="ones")
 
@@ -70,7 +70,7 @@ def direct_result(predual4):
 @pytest.fixture(scope="module")
 def chain_result(lap3):
     samples = np.random.default_rng(1).standard_normal((64, 3))
-    return corollary_b_pipeline(lap3, samples, 0.1, route="chain", seed=0)
+    return corollary_b_pipeline(lap3, samples, 0.1, seed=0)
 
 
 class TestSupportBall:
@@ -225,7 +225,7 @@ class TestRelativeBoundaryChain:
     def chain(self, predual4, **overrides):
         S = unit_rows(predual4, 10, 11)
         h = [support_ball(predual4, n) for n in (1, 2)]
-        fields = dict(space=predual4, h_sets=h, samples=(S, S),
+        fields = dict(space=predual4, h_sets=h, samples=S,
                       level_ids=(1, 2),
                       b_values=[compute_bn(hh, S) for hh in h])
         fields.update(overrides)
@@ -252,19 +252,13 @@ class TestRelativeBoundaryChain:
         with pytest.raises(ConstructionError):
             self.chain(predual4, b_values=[0.9, 0.4])
 
-    def test_differing_samples_skip_monotone_check(self, predual4):
-        S1 = unit_rows(predual4, 10, 12)
-        S2 = unit_rows(predual4, 10, 13)
-        ch = self.chain(predual4, samples=(S1, S2), b_values=[0.9, 0.4])
-        assert ch.b_values[1] < ch.b_values[0]
-
     def test_shape_errors(self, predual4):
         with pytest.raises(ConstructionError):
             self.chain(predual4, level_ids=(2, 1))
         with pytest.raises(ConstructionError):
             self.chain(predual4, b_values=[1.0])
         with pytest.raises(ConstructionError):
-            self.chain(predual4, samples=(np.zeros((0, 4)),) * 2)
+            self.chain(predual4, samples=np.zeros((0, 4)))
 
 
 class TestDefaultASequence:
@@ -285,7 +279,7 @@ class TestBuildF:
         S = unit_rows(sp, 30, 14)
         H = np.vstack([np.eye(2), -np.eye(2)])
         ch = RelativeBoundaryChain(
-            space=sp, h_sets=(H,), samples=(S,), level_ids=(0,),
+            space=sp, h_sets=(H,), samples=S, level_ids=(0,),
             b_values=[compute_bn(H, S)])
         bn = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
         rng = np.random.default_rng(15)
@@ -297,7 +291,7 @@ class TestBuildF:
         S = unit_rows(predual4, 20, 16)
         h = [support_ball(predual4, n) for n in range(1, 5)]
         ch = RelativeBoundaryChain(
-            space=predual4, h_sets=h, samples=(S,) * 4,
+            space=predual4, h_sets=h, samples=S,
             level_ids=(1, 2, 3, 4),
             b_values=[compute_bn(hh, S) for hh in h])
         bn = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
@@ -311,7 +305,7 @@ class TestBuildF:
         S = unit_rows(predual4, 40, 18)
         h = [support_ball(predual4, n) for n in range(1, 5)]
         ch = RelativeBoundaryChain(
-            space=predual4, h_sets=h, samples=(S,) * 4,
+            space=predual4, h_sets=h, samples=S,
             level_ids=(1, 2, 3, 4),
             b_values=[compute_bn(hh, S) for hh in h])
         bn = build_F(ch)
@@ -326,7 +320,7 @@ class TestBuildF:
     def test_zero_b_rejected(self, predual4):
         S = unit_rows(predual4, 5, 19)
         ch = RelativeBoundaryChain(
-            space=predual4, h_sets=(np.zeros((1, 4)),), samples=(S,),
+            space=predual4, h_sets=(np.zeros((1, 4)),), samples=S,
             level_ids=(0,), b_values=[0.0])
         with pytest.raises(ConstructionError):
             build_F(ch)
@@ -335,7 +329,7 @@ class TestBuildF:
         S = unit_rows(predual4, 10, 20)
         H = support_ball(predual4, 4)
         ch = RelativeBoundaryChain(
-            space=predual4, h_sets=(H,), samples=(S,), level_ids=(4,),
+            space=predual4, h_sets=(H,), samples=S, level_ids=(4,),
             b_values=[compute_bn(H, S)])
         with pytest.raises(ParameterError):
             build_F(ch, a_strategy=[1.0, 2.0])
@@ -350,7 +344,7 @@ class TestBoundaryNormSpace:
         S = unit_rows(predual4, 15, 21)
         H = support_ball(predual4, 4)
         ch = RelativeBoundaryChain(
-            space=predual4, h_sets=(H,), samples=(S,), level_ids=(4,),
+            space=predual4, h_sets=(H,), samples=S, level_ids=(4,),
             b_values=[compute_bn(H, S)])
         space = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
         assert space.dim == 4
@@ -435,41 +429,6 @@ class TestPipelineDirect:
         assert len(res.decomposition.pieces) == 1
         assert len(res.phi_spec.net) == 6
 
-    def test_max_level_with_small_supports(self, predual4):
-        # samples supported on two slots norm within two levels
-        rng = np.random.default_rng(25)
-        rows = np.zeros((40, 4))
-        rows[:, :2] = rng.standard_normal((40, 2))
-        res = corollary_b_pipeline(predual4, rows, 0.1, seed=2,
-                                   max_level=2)
-        assert res.route == "direct"
-        assert res.chain.level_ids == (1, 2)
-        assert len(res.decomposition.pieces) == 2
-
-    def test_truncation_falls_back_to_chain(self, predual4):
-        # generic samples need deeper supports than two levels allow
-        rows = unit_rows(predual4, 50, 25)
-        res = corollary_b_pipeline(predual4, rows, 0.1, seed=2,
-                                   max_level=2)
-        assert res.route == "chain"
-        assert res.passed
-        with pytest.raises(ConstructionError):
-            corollary_b_pipeline(predual4, rows, 0.1, route="direct",
-                                 seed=2, max_level=2)
-
-    def test_per_level_sample_lists(self, predual4):
-        sets = [unit_rows(predual4, 20, 26 + n) for n in range(4)]
-        res = corollary_b_pipeline(predual4, sets, 0.1, seed=3)
-        assert res.passed
-        with pytest.raises(ParameterError):
-            corollary_b_pipeline(predual4, sets[:2], 0.1, seed=3)
-
-    def test_route_validation(self, predual4):
-        with pytest.raises(ParameterError):
-            corollary_b_pipeline(predual4, np.eye(4), 0.1, route="scenic")
-        with pytest.raises(ParameterError):
-            corollary_b_pipeline(predual4, np.eye(4), 0.1, max_level=9)
-
 
 class TestPipelineChain:
     def test_route_and_verdict(self, chain_result):
@@ -499,32 +458,22 @@ class TestPipelineChain:
     def test_factor_space_needs_direct_route(self, lap3):
         with pytest.raises(ParameterError):
             corollary_b_pipeline(lap3, unit_rows(lap3, 10, 28), 0.1,
-                                 route="chain", Y=euclidean_space(2))
+                                 Y=euclidean_space(2))
 
-    @pytest.mark.parametrize("space", [
-        lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5),
-        lap_space([[0], [1, 2]], [1.0, 2.0], 3),
-        euclidean_space(3),
-        lorentz_space([1.0, 0.5, 0.25]),
-    ], ids=["lap5", "lap3", "euclidean3", "lorentz3"])
-    def test_auto_takes_chain_without_enumerable_dual(self, space):
-        # every sample has a norming support at level dim, but these
-        # kinds have no enumerable dual ball for the direct route
+    @pytest.mark.parametrize("space, route", [
+        (lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5), "chain"),
+        (lap_space([[0], [1, 2]], [1.0, 2.0], 3), "chain"),
+        (euclidean_space(3), "chain"),
+        (lorentz_space([1.0, 0.5, 0.25]), "chain"),
+        (sup_space(3), "direct"),
+        (lorentz_predual_space(W4), "direct"),
+    ], ids=["lap5", "lap3", "euclidean3", "lorentz3", "sup3", "predual4"])
+    def test_auto_takes_chain_without_enumerable_dual(self, space, route):
+        # every sample has a norming support at level dim; the route is
+        # direct exactly when the kind's dual ball is enumerable
         samples = np.random.default_rng(0).standard_normal((24, space.dim))
         res = corollary_b_pipeline(space, samples, 0.1, seed=0)
-        assert res.route == "chain" and res.passed
-
-    def test_direct_needs_enumerable_dual(self, lap3):
-        with pytest.raises(ParameterError):
-            corollary_b_pipeline(lap3, unit_rows(lap3, 10, 30), 0.1,
-                                 route="direct")
-
-    def test_enumerable_kind_on_chain_route(self, predual4):
-        res = corollary_b_pipeline(
-            predual4, unit_rows(predual4, 60, 29), 0.1, route="chain",
-            seed=4)
-        assert res.route == "chain" and res.passed
-        assert res.report.bc_gap <= 1e-9
+        assert res.route == route and res.passed
 
 
 class TestLevelIdentitySweep:

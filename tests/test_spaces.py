@@ -49,7 +49,7 @@ def sup_boundary_space(dim):
     """The sup norm of R^dim as a one-level BoundaryNormSpace."""
     H = np.vstack([np.eye(dim), -np.eye(dim)])
     ch = RelativeBoundaryChain(
-        space=sup_space(dim), h_sets=(H,), samples=(H,), level_ids=(0,),
+        space=sup_space(dim), h_sets=(H,), samples=H, level_ids=(0,),
         b_values=[compute_bn(H, H)])
     return BoundaryNormSpace(build_F(ch, a_strategy="ones"))
 
@@ -572,6 +572,16 @@ class TestDualExtremePoints:
                             rows.append(f)
                 pts = X.dual_extreme_points(max_support=cap)
                 assert pts.tobytes() == np.asarray(rows).tobytes()
+
+    def test_predual_refuses_above_cap(self):
+        """3^dim - 1 vertices: 177,146 at dim 11 are listed, 531,440 at
+        dim 12 exceed the 200,000 cap."""
+        def predual(dim):
+            return lorentz_predual_space(1.0 / np.arange(1.0, dim + 1))
+
+        assert predual(11).dual_extreme_points().shape == (177146, 11)
+        with pytest.raises(ParameterError, match="531440"):
+            predual(12).dual_extreme_points()
 
     def test_non_polyhedral_rejected(self):
         with pytest.raises(ParameterError):
