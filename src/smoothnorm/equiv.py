@@ -102,12 +102,15 @@ def compute_cn(space, samples, n, identity_tol=None) -> float:
         raise ParameterError("sample set is empty")
     c = float(np.min(space.top_projection_rows(S, n)[0]))
     if identity_tol is not None:
-        b = compute_bn(support_ball(space, n), S)
-        if abs(b - c) > identity_tol:
-            raise NumericError(
-                f"b_{n} = {b} and c_{n} = {c} disagree beyond "
-                f"{identity_tol}")
+        _check_identity(n, compute_bn(support_ball(space, n), S), c,
+                        identity_tol)
     return c
+
+
+def _check_identity(n, b, c, tol):
+    if abs(b - c) > tol:
+        raise NumericError(
+            f"b_{n} = {b} and c_{n} = {c} disagree beyond {tol}")
 
 
 @dataclass(frozen=True)
@@ -353,12 +356,15 @@ def _normalize_rows(space, rows):
 
 
 def _support_ball_chain(space, S, level_ids, identity_tol):
-    """Support-ball levels, for kinds with enumerable dual balls."""
+    """Support-ball levels, for kinds with enumerable dual balls; each
+    level's b_n is checked against c_n as compute_cn does."""
     h_sets = tuple(support_ball(space, n) for n in level_ids)
-    b = np.asarray([compute_bn(h, S) for h in h_sets])
-    c = np.asarray([compute_cn(space, S, n, identity_tol=identity_tol)
-                    for n in level_ids])
-    return h_sets, b, c
+    b = [compute_bn(h, S) for h in h_sets]
+    c = [compute_cn(space, S, n) for n in level_ids]
+    if identity_tol is not None:
+        for n, bn, cn in zip(level_ids, b, c):
+            _check_identity(n, bn, cn, identity_tol)
+    return h_sets, np.asarray(b), np.asarray(c)
 
 
 def _adapted_chain(space, S, level_ids):

@@ -12,8 +12,8 @@ Y is restricted to euclidean factors (euclidean(1) doubles as the scalar
 case): the inner sup over g is then closed-form, g = f@u / ||f@u||_2, so
 the norm reduces to maximizing ||f @ u||_2 over the dual ball of X.  For
 polyhedral X duals (sup_finite, lorentz_predual) that maximum is an
-exact finite enumeration over extreme points; otherwise a seeded
-alternating ascent returns a certified lower bound with its witness.
+exact finite enumeration over extreme points; every other X kind is
+refused.
 """
 
 from __future__ import annotations
@@ -93,83 +93,41 @@ def tensor_apply(f, g, u) -> float:
 
 @dataclass(frozen=True)
 class InjectiveNormResult:
-    """Injective norm value with its witness pair.
-
-    exact is True for the enumeration strategy (and for u = 0); the
-    sampled ascent only certifies value <= true norm.
-    """
+    """Injective norm value with a witness pair attaining it."""
 
     value: float
     pair: DualPair
-    strategy: str
-    exact: bool
 
 
-def injective_norm(u: TensorElement, strategy="enumerate", *,
-                   samples=64, iters=60, seed=0,
-                   tol=1e-13) -> InjectiveNormResult:
+def injective_norm(u: TensorElement) -> InjectiveNormResult:
     """Injective norm sup { f @ u @ g } over the two dual balls.
 
-    strategy="enumerate" is exact and requires an enumerable X dual
-    ball; strategy="sample+ascent" alternates the closed-form g update
-    with a norming functional for the X side, from seeded random starts
-    plus the Y basis directions, and returns the best value found.
+    Exact: the max of ||f @ u||_2 over the dual extreme points f of X.
+    Raises ParameterError unless X has an enumerable dual ball and Y is
+    euclidean.
     """
     if not isinstance(u, TensorElement):
         raise ParameterError("injective_norm expects a TensorElement")
     if not isinstance(u.Y, EuclideanSpace):
         raise ParameterError("factor space Y must be euclidean")
+    if not u.X.enumerable_dual:
+        raise ParameterError(
+            f"injective_norm needs a polyhedral dual ball; "
+            f"X has kind {u.X.kind!r}")
     M = u.matrix
     dim_x, dim_y = M.shape
 
     if not M.any():
-        pair = DualPair(f=np.zeros(dim_x), g=np.zeros(dim_y))
-        return InjectiveNormResult(0.0, pair, strategy, exact=True)
+        return InjectiveNormResult(
+            0.0, DualPair(f=np.zeros(dim_x), g=np.zeros(dim_y)))
 
-    if strategy == "enumerate":
-        if not u.X.enumerable_dual:
-            raise ParameterError(
-                f"enumerate strategy needs a polyhedral dual ball; "
-                f"X has kind {u.X.kind!r}")
-        F = u.X.dual_extreme_points()
-        rows = F @ M
-        vals = np.linalg.norm(rows, axis=1)
-        best = int(np.argmax(vals))
-        value = float(vals[best])
-        g = rows[best] / value if value > 0.0 else np.zeros(dim_y)
-        return InjectiveNormResult(value, DualPair(f=F[best], g=g),
-                                   "enumerate", exact=True)
-
-    if strategy != "sample+ascent":
-        raise ParameterError(f"unknown strategy {strategy!r}")
-
-    rng = np.random.default_rng(seed)
-    starts = list(np.eye(dim_y))
-    raw = rng.standard_normal((samples, dim_y))
-    starts.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-
-    best_val = 0.0
-    best_pair = DualPair(f=np.zeros(dim_x), g=np.zeros(dim_y))
-    for g in starts:
-        val = 0.0
-        f = None
-        for _ in range(iters):
-            x = M @ g
-            if not x.any():
-                break
-            f = u.X.norming_functional(x)
-            y = f @ M
-            new_val = float(np.linalg.norm(y))
-            if new_val <= val + tol:
-                val = max(val, new_val)
-                break
-            val = new_val
-            g = y / new_val
-        if f is not None and val > best_val:
-            best_val = val
-            best_pair = DualPair(f=f, g=g)
-    return InjectiveNormResult(best_val, best_pair, "sample+ascent",
-                               exact=False)
+    F = u.X.dual_extreme_points()
+    rows = F @ M
+    vals = np.linalg.norm(rows, axis=1)
+    best = int(np.argmax(vals))
+    value = float(vals[best])
+    g = rows[best] / value if value > 0.0 else np.zeros(dim_y)
+    return InjectiveNormResult(value, DualPair(f=F[best], g=g))
 
 
 @dataclass(frozen=True)
@@ -181,7 +139,6 @@ class ProductAttainmentRecord:
     f_index: int
     g_index: int
     attained: bool
-    norm_exact: bool
 
 
 @dataclass(frozen=True)
@@ -201,10 +158,11 @@ class ProductBoundaryReport:
 def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
     """Check the product set {f tensor g} norms unit tensor elements.
 
-    For each sample u with injective norm 1 within 1e-7 (anything else
-    is a parameter error) the best g in M is paired with the best f in
-    N for the sliced vector u @ g, and the sample passes when that
-    pairing reaches 1 - tol.
+    For each sample u with injective norm 1 within 1e-7 (anything else,
+    or an X whose dual ball injective_norm refuses, is a parameter
+    error) the best g in M is paired with the best f in N for the
+    sliced vector u @ g, and the sample passes when that pairing
+    reaches 1 - tol.
     """
     N = np.atleast_2d(np.asarray(N, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -214,8 +172,7 @@ def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
             raise ParameterError("samples must be TensorElement instances")
         if N.shape[1] != u.X.dim or M.shape[1] != u.Y.dim:
             raise ParameterError("functional sets do not match the factors")
-        strategy = "enumerate" if u.X.enumerable_dual else "sample+ascent"
-        res = injective_norm(u, strategy)
+        res = injective_norm(u)
         if abs(res.value - 1.0) > 1e-7:
             raise ParameterError(
                 f"sample {i} has injective norm {res.value}, expected 1 "
@@ -226,5 +183,5 @@ def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
         value = float(vals[f_idx, g_idx])
         records.append(ProductAttainmentRecord(
             sample=i, value=value, f_index=int(f_idx), g_index=int(g_idx),
-            attained=value >= 1.0 - tol, norm_exact=res.exact))
+            attained=value >= 1.0 - tol))
     return ProductBoundaryReport(records=records, tol=tol)

@@ -55,7 +55,7 @@ def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
     if Y is None:
         base = X.norm_rows(samples)
     elif X.enumerable_dual:
-        # injective_norm(..., "enumerate") of every matrix at once
+        # injective_norm of every matrix at once
         base = np.linalg.norm(X.dual_extreme_points() @ samples,
                               axis=2).max(axis=1)
     else:

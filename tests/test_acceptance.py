@@ -230,7 +230,7 @@ def test_criterion_08_tensor_identities(capsys):
             v2 = float(apply_fY(f, u) @ g)
             v3 = float(apply_gX(g, u) @ f)
             assert abs(v1 - v2) <= 1e-12 and abs(v1 - v3) <= 1e-12
-            res = injective_norm(u, "enumerate")
+            res = injective_norm(u)
             oracle = float(np.max(np.linalg.norm(F @ M, axis=1)))
             assert res.value == oracle
 
@@ -240,8 +240,7 @@ def test_criterion_08_tensor_identities(capsys):
         samples = []
         for _ in range(20):
             M = rng.standard_normal((3, 2))
-            value = injective_norm(TensorElement(M, X, Y),
-                                   "enumerate").value
+            value = injective_norm(TensorElement(M, X, Y)).value
             samples.append(TensorElement(M / value, X, Y))
         report = boundary_product_check(F, circle, samples, tol=1e-4)
         assert report.passed
@@ -257,7 +256,7 @@ def test_criterion_08_tensor_identities(capsys):
         units, gs = [], []
         for _ in range(20):
             M = np.outer(rng.standard_normal(3), rng.standard_normal(2))
-            res = injective_norm(TensorElement(M, X, Y), "enumerate")
+            res = injective_norm(TensorElement(M, X, Y))
             units.append(TensorElement(M / res.value, X, Y))
             gs.append(res.pair.g)
         ranked = boundary_product_check(F, np.asarray(gs), units,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import HalfspaceIntersection
 
+from smoothnorm import equiv
 from smoothnorm.equiv import (
     BoundaryNormSpace,
     RelativeBoundaryChain,
@@ -428,6 +429,25 @@ class TestPipelineDirect:
         assert res.route == "direct" and res.passed
         assert len(res.decomposition.pieces) == 1
         assert len(res.phi_spec.net) == 6
+
+    def test_support_balls_enumerated_once(self, predual4, monkeypatch):
+        levels = []
+
+        def counting(space, n):
+            levels.append(n)
+            return support_ball(space, n)
+
+        monkeypatch.setattr(equiv, "support_ball", counting)
+        samples = np.random.default_rng(0).standard_normal((200, 4))
+        corollary_b_pipeline(predual4, samples, 0.1, seed=0)
+        assert levels == [1, 2, 3, 4]
+
+    def test_identity_mismatch_raises(self, predual4):
+        samples = np.random.default_rng(0).standard_normal((200, 4))
+        with pytest.raises(NumericError,
+                           match=r"^b_1 = .* and c_1 = .* disagree beyond "
+                                 r"-1\.0$"):
+            corollary_b_pipeline(predual4, samples, 0.1, identity_tol=-1.0)
 
 
 class TestPipelineChain:

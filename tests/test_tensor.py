@@ -1,4 +1,4 @@
-"""Slice operators, injective norm strategies, product boundary check."""
+"""Slice operators, the exact injective norm, product boundary check."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 from smoothnorm.errors import ParameterError
 from smoothnorm.spaces import (
     euclidean_space,
+    lap_space,
     lorentz_predual_space,
     lorentz_space,
     sup_space,
@@ -86,9 +87,8 @@ class TestPairingIdentity:
 class TestInjectiveNormEnumerate:
     def test_identity_on_sup2(self):
         u = element(np.eye(2))
-        res = injective_norm(u, "enumerate")
+        res = injective_norm(u)
         assert res.value == 1.0
-        assert res.exact and res.strategy == "enumerate"
         assert np.sum(np.abs(res.pair.f)) == 1.0
         np.testing.assert_allclose(np.linalg.norm(res.pair.g), 1.0,
                                    rtol=1e-12)
@@ -98,7 +98,7 @@ class TestInjectiveNormEnumerate:
         rng = np.random.default_rng(9)
         for _ in range(50):
             M = rng.standard_normal((4, 3))
-            res = injective_norm(element(M), "enumerate")
+            res = injective_norm(element(M))
             want = float(np.max(np.linalg.norm(M, axis=1)))
             assert res.value == want
 
@@ -107,7 +107,7 @@ class TestInjectiveNormEnumerate:
         Y = euclidean_space(2)
         rng = np.random.default_rng(17)
         M = rng.standard_normal((4, 2))
-        res = injective_norm(TensorElement(M, X, Y), "enumerate")
+        res = injective_norm(TensorElement(M, X, Y))
         want = max(float(np.linalg.norm(f @ M))
                    for f in X.dual_extreme_points())
         assert res.value == want
@@ -119,7 +119,7 @@ class TestInjectiveNormEnumerate:
                 x = rng.standard_normal(4)
                 y = rng.standard_normal(3)
                 u = TensorElement(np.outer(x, y), X, euclidean_space(3))
-                res = injective_norm(u, "enumerate")
+                res = injective_norm(u)
                 np.testing.assert_allclose(
                     res.value, X.norm(x) * np.linalg.norm(y), rtol=1e-12)
 
@@ -129,12 +129,12 @@ class TestInjectiveNormEnumerate:
             for _ in range(20):
                 x = rng.standard_normal(X.dim)
                 u = TensorElement(x[:, None], X, euclidean_space(1))
-                res = injective_norm(u, "enumerate")
+                res = injective_norm(u)
                 np.testing.assert_allclose(res.value, X.norm(x), rtol=1e-12)
 
     def test_zero_element(self):
-        res = injective_norm(element(np.zeros((3, 2))), "enumerate")
-        assert res.value == 0.0 and res.exact
+        res = injective_norm(element(np.zeros((3, 2))))
+        assert res.value == 0.0
 
     def test_slice_norm_bounded_by_dual_times_injective(self):
         rng = np.random.default_rng(8)
@@ -142,59 +142,37 @@ class TestInjectiveNormEnumerate:
         for _ in range(50):
             M = rng.standard_normal((3, 2))
             u = TensorElement(M, X, euclidean_space(2))
-            norm = injective_norm(u, "enumerate").value
+            norm = injective_norm(u).value
             f = rng.standard_normal(3)
             lhs = np.linalg.norm(apply_fY(f, u))
             assert lhs <= X.dual_norm(f) * norm + 1e-12 * max(1.0, lhs)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            injective_norm(np.eye(2), "enumerate")
+            injective_norm(np.eye(2))
         u = TensorElement(np.eye(2), euclidean_space(2), euclidean_space(2))
         with pytest.raises(ParameterError):
-            injective_norm(u, "enumerate")
+            injective_norm(u)
         v = TensorElement(np.eye(2), sup_space(2), sup_space(2))
         with pytest.raises(ParameterError):
-            injective_norm(v, "enumerate")
-        with pytest.raises(ParameterError):
-            injective_norm(element(np.eye(2)), "newton")
+            injective_norm(v)
 
 
-class TestInjectiveNormAscent:
-    def test_agrees_with_enumeration(self):
-        rng = np.random.default_rng(0)
-        for trial in range(30):
-            dx = int(rng.integers(2, 5))
-            dy = int(rng.integers(1, 4))
-            X = sup_space(dx) if trial % 2 else lorentz_predual_space(
-                [2.0 ** -k for k in range(dx)])
-            u = TensorElement(rng.standard_normal((dx, dy)), X,
-                              euclidean_space(dy))
-            enum = injective_norm(u, "enumerate")
-            asc = injective_norm(u, "sample+ascent", seed=trial)
-            assert asc.value <= enum.value + 1e-12
-            assert asc.value >= enum.value - 1e-9
-            assert not asc.exact
-
-    def test_witness_is_feasible(self):
+class TestInjectiveNormRefusal:
+    def test_lorentz_refused(self):
         rng = np.random.default_rng(4)
-        X = lorentz_space(GEOM)
-        u = TensorElement(rng.standard_normal((4, 2)), X, euclidean_space(2))
-        res = injective_norm(u, "sample+ascent")
-        # reported value is achieved by the reported pair
-        np.testing.assert_allclose(
-            tensor_apply(res.pair.f, res.pair.g, u), res.value, rtol=1e-10)
-        np.testing.assert_allclose(np.linalg.norm(res.pair.g), 1.0,
-                                   rtol=1e-12)
+        X, Y = lorentz_space(GEOM), euclidean_space(2)
+        # the zero element too: the refusal depends on X alone
+        for M in (rng.standard_normal((4, 2)), np.zeros((4, 2))):
+            with pytest.raises(ParameterError, match="'lorentz'"):
+                injective_norm(TensorElement(M, X, Y))
 
-    def test_seeded_determinism(self):
+    def test_lap_refused(self):
         rng = np.random.default_rng(6)
-        u = TensorElement(rng.standard_normal((3, 3)), lorentz_space(GEOM[:3]),
-                          euclidean_space(3))
-        a = injective_norm(u, "sample+ascent", seed=11)
-        b = injective_norm(u, "sample+ascent", seed=11)
-        assert a.value == b.value
-        np.testing.assert_array_equal(a.pair.f, b.pair.f)
+        X = lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)
+        u = TensorElement(rng.standard_normal((3, 3)), X, euclidean_space(3))
+        with pytest.raises(ParameterError, match="'lap'"):
+            injective_norm(u)
 
 
 class TestBoundaryProduct:
@@ -208,7 +186,6 @@ class TestBoundaryProduct:
         u = element(np.eye(2))
         report = boundary_product_check(N, M, [u], tol=1e-4)
         assert report.passed
-        assert report.records[0].norm_exact
 
     def test_rotation_needs_the_sampled_surrogate(self):
         c, s = np.cos(0.3), np.sin(0.3)
@@ -263,6 +240,5 @@ class TestBoundaryProduct:
         u = TensorElement(M, X, euclidean_space(2))
         f = X.norming_functional(x)
         G = (y / np.linalg.norm(y))[None, :]
-        report = boundary_product_check(f[None, :], G, [u], tol=1e-9)
-        assert report.passed
-        assert not report.records[0].norm_exact
+        with pytest.raises(ParameterError):
+            boundary_product_check(f[None, :], G, [u], tol=1e-9)
