@@ -6,7 +6,7 @@ orlicz    smooth Orlicz functions, generalized Luxemburg norms
 spaces    finite model spaces, norming supports, basis projections
 boundary  piecewise boundary decompositions, psi weights, separated nets
 tensor    injective tensor products of finite model spaces
-renorm    the phi-norm construction, active sets, claim-2d samples
+renorm    the phi-norm construction, active sets, claim-2d excess per net point
 verify    the approx window, claim-2d sweep and margin checks, written once
 equiv     relative boundary chains and equivalent-norm pipelines
 cli       config-driven verification suites and reports

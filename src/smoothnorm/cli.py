@@ -174,7 +174,7 @@ def _tol_value(key, value):
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"tolerance {key!r} must be a number")
-    if out < 0.0:
+    if not out >= 0.0:
         raise ConfigError(f"tolerance {key!r} must be >= 0")
     return out
 

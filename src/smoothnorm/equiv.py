@@ -74,7 +74,8 @@ def compute_bn(h_set, samples) -> float:
 
     Returns the raw measurement; zero (e.g. for the set {0}) is
     representable here and rejected later where positivity is actually
-    required (build_F).
+    required (build_F).  A non-finite entry in either argument is a
+    ParameterError.
     """
     H = np.atleast_2d(np.asarray(h_set, dtype=float))
     S = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -84,6 +85,8 @@ def compute_bn(h_set, samples) -> float:
         raise ParameterError("functional set is empty")
     if H.shape[1] != S.shape[1]:
         raise ParameterError("functional and sample dims differ")
+    if not (np.isfinite(H).all() and np.isfinite(S).all()):
+        raise ParameterError("functionals and samples must be finite")
     return float(np.min(np.max(S @ H.T, axis=1)))
 
 
@@ -162,8 +165,8 @@ class RelativeBoundaryChain:
                 raise ConstructionError(
                     f"level {self.level_ids[i + 1]} does not contain "
                     f"level {self.level_ids[i]}")
-        if np.any(self.b_values < -1e-12) or np.any(
-                self.b_values > 1.0 + 1e-9):
+        if not np.all((self.b_values >= -1e-12)
+                      & (self.b_values <= 1.0 + 1e-9)):
             raise ConstructionError("b values must lie in [0, 1]")
         if np.any(np.diff(self.b_values) < -1e-12):
             raise ConstructionError("b must be nondecreasing")

@@ -49,7 +49,6 @@ from .tensor import TensorElement
 __all__ = [
     "PhiNormSpec",
     "ActiveSet",
-    "Claim2dReport",
     "DirectionReport",
     "SmoothnessReport",
     "PhiUnitPool",
@@ -272,66 +271,19 @@ def active_set(spec: PhiNormSpec, u, tol=1e-10) -> ActiveSet:
                      radius=margin * rho / (2.0 * max_psi))
 
 
-@dataclass(frozen=True)
-class Claim2dReport:
-    """Sampled estimate of the dual phi-norm of one rank-one tensor.
+def verify_claim2d(spec: PhiNormSpec, pool: PhiUnitPool) -> np.ndarray:
+    """Sampled claim 2d: the excess of sup over unit g and pool samples u
+    of |(h tensor g)(u)| / ||u||_phi over 1/theta(h), per net point h.
 
-    Sampling certifies a lower bound of the sup, so passed=True means
-    no violation was found at this sampling fidelity.
+    Pi(u)(h) is the sup over unit g of |(h tensor g)(u)|, so one column
+    max of the pool's coordinate rows over its norms covers every g.
+    Sampling gives a lower bound of the sup: excess <= tol means no
+    violation was found at this pool's fidelity.  An empty pool gives
+    -1/theta(h).
     """
-
-    point: int
-    bound: float
-    sampled_max: float
-    count: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.sampled_max <= self.bound + self.tol
-
-
-def _point_index(spec, h):
-    if not isinstance(h, (int, np.integer)):
-        raise ParameterError("h must be a net point index")
-    if not 0 <= h < len(spec.net):
-        raise ParameterError("net point index out of range")
-    return int(h)
-
-
-def verify_claim2d(spec: PhiNormSpec, h, g=None, *, count=2000, seed=0,
-                   tol=1e-7, pool=None) -> Claim2dReport:
-    """Sample the phi-unit ball for values of (h tensor g) above
-    1/theta(h), h given by its index in the net.
-
-    Pass a PhiUnitPool to reuse one sample set across many net points.
-    """
-    idx = _point_index(spec, h)
-    functional = spec.net.matrix[idx]
-
-    if spec.Y is None:
-        g = 1.0 if g is None else float(g)
-        if abs(abs(g) - 1.0) > 1e-9:
-            raise ParameterError("g must be a unit scalar")
-    else:
-        if g is None:
-            raise ParameterError("euclidean factor needs an explicit g")
-        g = np.asarray(g, dtype=float)
-        if g.shape != (spec.Y.dim,):
-            raise ParameterError("g length does not match dim Y")
-        if abs(np.linalg.norm(g) - 1.0) > 1e-9:
-            raise ParameterError("g must have Euclidean norm 1")
-
-    if pool is None:
-        pool = phi_unit_pool(spec, count, seed=seed, tol=1e-10)
-    if spec.Y is None:
-        values = abs(g) * np.abs(pool.samples @ functional) / pool.norms
-    else:
-        values = np.abs(np.einsum("i,nij,j->n", functional,
-                                  pool.samples, g)) / pool.norms
-    best = float(np.max(values)) if len(values) else 0.0
-    return Claim2dReport(point=idx, bound=1.0 / float(spec.net.theta[idx]),
-                         sampled_max=best, count=len(pool.norms), tol=tol)
+    values = pi_coords_batch(spec, pool.samples)
+    values /= pool.norms[:, None]
+    return values.max(axis=0, initial=0.0) - 1.0 / spec.net.theta
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,22 @@ class TestConfigErrors:
         assert main(["run", str(cfg), "--tol", "ratio_slack"]) == 2
         assert main(["run", str(cfg), "--tol", "nope=1"]) == 2
 
+    def test_nan_tol_flag_exits_2(self, tmp_path):
+        # a NaN tolerance would make every "gap > tol" check pass
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        for value in ("nan", "-1"):
+            assert main(["run", str(cfg), "--suite", "boundary", "--tol",
+                         f"equiv_identity={value}", "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    def test_nan_tolerance_in_config_exits_2(self, tmp_path):
+        cfg = write_cfg(tmp_path, tolerances={"equiv_identity": float("nan")})
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "boundary",
+                     "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
     def test_missing_seed_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, seed=None)
         assert main(["run", str(cfg), "--suite", "boundary"]) == 2

@@ -153,6 +153,18 @@ class TestComputeBn:
         with pytest.raises(ParameterError):
             compute_bn(np.eye(3), [[1.0, 0.0]])
 
+    def test_nan_sample_refused(self):
+        with pytest.raises(ParameterError):
+            compute_bn(np.eye(2), [[np.nan, 1.0], [1.0, 0.5]])
+
+    def test_inf_sample_refused(self):
+        with pytest.raises(ParameterError):
+            compute_bn(np.eye(2), [[np.inf, 1.0], [1.0, 0.5]])
+
+    def test_nan_functional_refused(self):
+        with pytest.raises(ParameterError):
+            compute_bn([[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.5]])
+
 
 class TestComputeCn:
     def test_needs_monotone_flag(self):
@@ -248,6 +260,11 @@ class TestRelativeBoundaryChain:
             self.chain(predual4, b_values=[0.5, 1.5])
         with pytest.raises(ConstructionError):
             self.chain(predual4, b_values=[-0.2, 0.5])
+
+    def test_nan_b_refused(self, predual4):
+        # NaN fails every comparison, so the range test must be positive
+        with pytest.raises(ConstructionError):
+            self.chain(predual4, b_values=[np.nan, 1.0])
 
     def test_b_monotone_for_shared_samples(self, predual4):
         with pytest.raises(ConstructionError):

@@ -452,19 +452,30 @@ class TestActiveSet:
         assert checked > 0
 
 
+def per_point_excess(spec, pool):
+    """The per-net-point formula: max over the pool of |h(u)| / ||u||_phi
+    minus 1/theta(h), one net point at a time (scalar factor)."""
+    return np.array([
+        np.max(np.abs(pool.samples @ h) / pool.norms, initial=0.0)
+        - 1.0 / theta
+        for h, theta in zip(spec.net.matrix, spec.net.theta)])
+
+
 class TestClaim2d:
     def test_sampled_bound_holds(self, sup2_spec):
-        report = verify_claim2d(sup2_spec, 0, count=2000, seed=1)
-        assert report.passed
-        assert report.sampled_max <= report.bound + 1e-7
-        assert report.sampled_max > 0.9 * report.bound
+        pool = phi_unit_pool(sup2_spec, 2000, seed=1)
+        excess = verify_claim2d(sup2_spec, pool)
+        bound = 1.0 / sup2_spec.net.theta[0]
+        assert excess.shape == (len(sup2_spec.net),)
+        assert excess[0] <= 1e-7
+        assert excess[0] + bound > 0.9 * bound
 
     def test_shared_pool(self, sup2_spec):
         pool = phi_unit_pool(sup2_spec, 3000, seed=5)
-        reports = [verify_claim2d(sup2_spec, i, pool=pool)
-                   for i in range(len(sup2_spec.net))]
-        assert all(r.passed for r in reports)
-        assert all(r.count == len(pool.norms) for r in reports)
+        excess = verify_claim2d(sup2_spec, pool)
+        assert excess.shape == (len(sup2_spec.net),)
+        assert np.all(excess <= 1e-7)
+        assert len(pool.norms) == 3000
 
     def test_norming_vector_certificate(self, sup2_spec):
         # the rescaled norming vector itself stays under the dual bound
@@ -474,34 +485,32 @@ class TestClaim2d:
         assert value <= 1.0 / net.theta[0]
 
     def test_seeded_determinism(self, sup2_spec):
-        a = verify_claim2d(sup2_spec, 1, count=500, seed=9)
-        b = verify_claim2d(sup2_spec, 1, count=500, seed=9)
-        assert a.sampled_max == b.sampled_max
+        a = verify_claim2d(sup2_spec, phi_unit_pool(sup2_spec, 500, seed=9))
+        b = verify_claim2d(sup2_spec, phi_unit_pool(sup2_spec, 500, seed=9))
+        np.testing.assert_array_equal(a, b)
 
-    def test_scalar_g_validation(self, sup2_spec):
-        with pytest.raises(ParameterError):
-            verify_claim2d(sup2_spec, 0, g=0.8, count=10)
-        report = verify_claim2d(sup2_spec, 0, g=-1.0, count=100, seed=2)
-        assert report.sampled_max > 0.0
+    def test_matches_per_point_oracle(self, sup2_spec, ladder3_spec):
+        for spec in (sup2_spec, ladder3_spec):
+            pool = phi_unit_pool(spec, 400, seed=2)
+            np.testing.assert_allclose(verify_claim2d(spec, pool),
+                                       per_point_excess(spec, pool),
+                                       rtol=1e-14)
 
     def test_euclidean_g(self, euclid_factor_spec):
-        report = verify_claim2d(euclid_factor_spec, 0,
-                                g=np.array([1.0, 0.0]), count=500, seed=3)
-        assert report.passed
-        with pytest.raises(ParameterError):
-            verify_claim2d(euclid_factor_spec, 0, count=10)
-        with pytest.raises(ParameterError):
-            verify_claim2d(euclid_factor_spec, 0, g=np.array([1.0, 1.0]),
-                           count=10)
-
-    def test_point_lookup(self, sup2_spec):
-        by_index = verify_claim2d(sup2_spec, 2, count=100, seed=4)
-        by_point = verify_claim2d(sup2_spec, np.int64(2), count=100, seed=4)
-        assert by_index.sampled_max == by_point.sampled_max
-        with pytest.raises(ParameterError):
-            verify_claim2d(sup2_spec, 99, count=10)
-        with pytest.raises(ParameterError):
-            verify_claim2d(sup2_spec, sup2_spec.net.matrix[2], count=10)
+        # the excess is the sup over unit g: it dominates each fixed g
+        spec = euclid_factor_spec
+        pool = phi_unit_pool(spec, 500, seed=3)
+        excess = verify_claim2d(spec, pool)
+        assert np.all(excess <= 1e-7)
+        top = excess + 1.0 / spec.net.theta
+        rng = np.random.default_rng(11)
+        gs = [np.eye(2)[0], np.eye(2)[1]]
+        gs += [g / np.linalg.norm(g) for g in rng.standard_normal((3, 2))]
+        for g in gs:
+            for i, h in enumerate(spec.net.matrix):
+                values = np.abs(np.einsum("i,nij,j->n", h, pool.samples,
+                                          g)) / pool.norms
+                assert np.max(values) <= top[i] + 1e-15
 
 
 class TestSmoothnessCheck:

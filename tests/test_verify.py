@@ -6,8 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from smoothnorm import renorm, verify
 from smoothnorm.boundary import Decomposition
-from smoothnorm.renorm import active_set, build_renorm, verify_claim2d
+from smoothnorm.renorm import (active_set, build_renorm, phi_unit_pool,
+                               verify_claim2d)
 from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
                                lorentz_space, sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
@@ -94,22 +96,36 @@ class TestWindow:
 class TestClaim2dSweep:
     def test_matches_per_point_reports(self, sup3_spec):
         sweep = claim2d_sweep(sup3_spec, 300, seed=3)
-        reports = [verify_claim2d(sup3_spec, i, count=300, seed=3)
-                   for i in range(len(sup3_spec.net))]
+        excess = verify_claim2d(sup3_spec, phi_unit_pool(sup3_spec, 300,
+                                                         seed=3))
         assert sweep.ok and sweep.pool_size == 300
-        assert sweep.worst_excess == max(r.sampled_max - r.bound
-                                         for r in reports)
+        assert sweep.worst_excess == max(excess)
 
-    def test_euclidean_factor_uses_first_unit_vector(
-            self, euclid_factor_spec):
-        sweep = claim2d_sweep(euclid_factor_spec, 200, seed=4)
+    def test_euclidean_factor_takes_every_unit_g(self, euclid_factor_spec):
+        # Pi(u)(h) = ||h @ u||_2 is the sup over unit g of |h @ u @ g|,
+        # so the sweep's worst excess is at least the one at g = e_0
+        spec = euclid_factor_spec
+        sweep = claim2d_sweep(spec, 200, seed=4)
+        pool = phi_unit_pool(spec, 200, seed=4)
         g = np.eye(2)[0]
-        reports = [verify_claim2d(euclid_factor_spec, i, g, count=200,
-                                  seed=4)
-                   for i in range(len(euclid_factor_spec.net))]
+        at_e0 = max(
+            np.max(np.abs(pool.samples @ g @ h) / pool.norms) - 1.0 / theta
+            for h, theta in zip(spec.net.matrix, spec.net.theta))
         assert sweep.ok
-        assert sweep.worst_excess == max(r.sampled_max - r.bound
-                                         for r in reports)
+        assert sweep.worst_excess == max(verify_claim2d(spec, pool))
+        assert sweep.worst_excess >= at_e0
+
+    def test_one_call_per_sweep(self, sup3_spec, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return renorm.verify_claim2d(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_claim2d", counted)
+        sweep = claim2d_sweep(sup3_spec, 100, seed=1)
+        assert calls == [sup3_spec]
+        assert sweep.ok and sweep.pool_size == 100
 
 
 class TestActiveSets:
