@@ -19,7 +19,10 @@ from scipy.integrate import quad
 
 from smoothnorm.errors import NumericError, ParameterError
 from smoothnorm.orlicz import (
+    _ASYM_SWITCH,
+    _TINY_SERIES,
     OrliczFamily,
+    _log_g,
     check_lemma1_bounds,
     luxemburg_norm,
     luxemburg_norm_batch,
@@ -136,6 +139,46 @@ class TestOrliczEval:
         f = make_orlicz(0.5, 1.0)
         with pytest.raises(ParameterError):
             f(1.0, order=3)
+
+
+def on_array_path(x):
+    """_log_g of each entry of x, each placed first in an array whose
+    series entries outnumber _TINY_SERIES, so the in-place numpy loop
+    evaluates it."""
+    pad = np.full(_TINY_SERIES + 1, 0.5 * _ASYM_SWITCH)
+    return np.array([_log_g(np.concatenate([[v], pad]))[0]
+                     for v in np.ravel(x)])
+
+
+series_floats = st.floats(min_value=0.0, max_value=_ASYM_SWITCH,
+                          exclude_min=True, exclude_max=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestLogGTinyPath:
+    """Few series entries run the Horner loop on Python floats; the
+    values are the array loop's to the bit (subnormal x gives -inf)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(series_floats, min_size=1, max_size=_TINY_SERIES))
+    def test_series_entries(self, xs):
+        assert np.array_equal(_log_g(np.array(xs)), on_array_path(xs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(v=series_floats)
+    def test_zero_dimensional(self, v):
+        """OrliczFunction.__init__ passes its width as a 0-d array."""
+        got = _log_g(np.asarray(v))
+        assert got.shape == ()
+        assert np.array_equal(got, on_array_path(v)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=st.lists(st.one_of(series_floats,
+                                 st.floats(min_value=_ASYM_SWITCH,
+                                           max_value=10.0)),
+                       min_size=1, max_size=_TINY_SERIES + 4))
+    def test_both_sides_of_the_switch(self, xs):
+        assert np.array_equal(_log_g(np.array(xs)), on_array_path(xs))
 
 
 def power_family(p, size):
@@ -357,6 +400,23 @@ class TestNonFiniteRejected:
             luxemburg_norm(fam, c)
         with pytest.raises(ParameterError):
             luxemburg_norm_batch(fam, np.vstack([np.ones(4), c]))
+
+    def test_modular_nan_or_negative(self):
+        """A NaN argument used to read as 0, and a plain-callable family
+        skipped the sign check."""
+        f = make_orlicz(0.5, 1.0)
+        bump = OrliczFamily([f] * 2)
+        power = power_family(2.0, 2)
+        with pytest.raises(ParameterError):
+            f(math.nan)
+        with pytest.raises(ParameterError):
+            f(np.array([0.7, math.nan]))
+        for fam in (bump, power):
+            for bad in ([math.nan, 0.9], [-3.0, 0.5]):
+                with pytest.raises(ParameterError):
+                    fam.modular(bad)
+                with pytest.raises(ParameterError):
+                    fam.modular_rows(np.array([[0.9, 0.9], bad]))
 
 
 @st.composite

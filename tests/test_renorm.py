@@ -19,6 +19,7 @@ from smoothnorm.renorm import (
     PRUNE_TOL,
     ActiveSet,
     PhiNormSpec,
+    _luxemburg_rows,
     _sphere_samples,
     active_set,
     build_renorm,
@@ -241,9 +242,20 @@ class TestPhiNorm:
         rng = np.random.default_rng(17)
         U = rng.standard_normal((300, 3))
         batch = phi_norm_batch(ladder3_spec, U)
-        for u, value in zip(U, batch):
-            np.testing.assert_allclose(value, phi_norm(ladder3_spec, u),
-                                       rtol=1e-9)
+        assert np.array_equal(batch, [phi_norm(ladder3_spec, u) for u in U])
+
+    def test_predual7_block_matches_rows(self, predual7_spec):
+        """Each row of a 2,048-row block bisects to the bits it gets
+        alone: the block's modular calls mostly run _log_g's series as
+        numpy arrays, a lone row's on Python floats.  Both take their
+        coordinates from one pi_coords_batch call, since a matrix-vector
+        and a matrix-matrix product may round differently."""
+        spec = predual7_spec
+        rng = np.random.default_rng(23)
+        coords = pi_coords_batch(spec, rng.standard_normal((2048, 7)))
+        block = _luxemburg_rows(spec, coords, 1e-10)
+        rows = [_luxemburg_rows(spec, c[None], 1e-10)[0] for c in coords]
+        assert np.array_equal(block, rows)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
