@@ -95,7 +95,6 @@ class Piece:
 
     index: int
     members: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         members = np.atleast_2d(np.asarray(self.members, dtype=float))
@@ -149,7 +148,7 @@ class Decomposition:
         norm_pieces = []
         for n, p in enumerate(pieces):
             if not isinstance(p, Piece):
-                p = Piece(index=n, members=p, label=f"L{n}")
+                p = Piece(index=n, members=p)
             if p.index != n:
                 raise ParameterError(
                     f"piece indices must be consecutive from 0; "

@@ -58,7 +58,7 @@ from .boundary import (ClosureOracle, Decomposition, check_boundary,
                        check_lrc_criterion, net_property_report)
 from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
-from .renorm import (_sphere_samples, build_renorm, phi_norm,
+from .renorm import (_check_steps, _sphere_samples, build_renorm, phi_norm,
                      phi_norm_batch, pi_coords_batch, smoothness_check)
 from .spaces import (SupSpace, euclidean_space, lap_space,
                      lorentz_predual_space, lorentz_space, sup_space)
@@ -206,6 +206,13 @@ def _parse_smooth(spec, dim):
             f"smooth needs numeric point/direction/steps lists: {exc}")
     if len(point) != dim or len(direction) != dim:
         raise ConfigError("smooth point/direction must match the space dim")
+    if not (np.all(np.isfinite(point + direction)) and any(point)
+            and any(direction)):
+        raise ConfigError("smooth point/direction must be finite, nonzero")
+    try:
+        steps = _check_steps(steps)
+    except ParameterError as exc:
+        raise ConfigError(f"smooth {exc}")
     return {"point": point, "direction": direction, "steps": steps}
 
 
@@ -351,11 +358,11 @@ def _chunk_sizes(total):
 def _window_samples(ctx, suite):
     """The approx window on the suite's budget of gaussian samples, or
     None; fixed chunks and seeds make it independent of --parallel."""
-    spec, X, Y = ctx.phi_spec(), ctx.space, ctx.Y
-    shape = (X.dim,) if Y is None else (X.dim, Y.dim)
+    spec = ctx.phi_spec()
 
     def run_chunk(arg):
-        rows = np.random.default_rng(arg[0]).standard_normal((arg[1], *shape))
+        rows = np.random.default_rng(arg[0]).standard_normal(
+            (arg[1], *spec.sample_shape))
         return approx_window(spec, rows, ctx.tol["ratio_slack"])
 
     parts = ctx.map_chunks(run_chunk, list(zip(

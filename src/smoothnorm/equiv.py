@@ -228,31 +228,25 @@ class BoundaryNorm:
         return [_unique_rows(np.vstack([P, -P])) for P in self.pieces]
 
 
-def build_F(chain: RelativeBoundaryChain, a_strategy="default",
-            tol=1e-9) -> BoundaryNorm:
+def build_F(chain: RelativeBoundaryChain,
+            a_strategy="default") -> BoundaryNorm:
     """Scale the chain's level increments and measure the new norm.
 
-    a_strategy: "default" (the decreasing sequence above), "ones",
-    an explicit array, or a callable mapping b values to an array.
+    a_strategy: "default" (the decreasing sequence above) or "ones".
+    The expected ratio range [min a*b, max a] is widened by 1e-9 on
+    both sides.
     """
     b = chain.b_values
     if np.any(b <= 0.0):
         bad = [int(n) for n, v in zip(chain.level_ids, b) if v <= 0.0]
         raise ConstructionError(
             f"b must be strictly positive, got b <= 0 at levels {bad}")
-    if isinstance(a_strategy, str):
-        if a_strategy == "default":
-            a = default_a_sequence(chain.level_ids, b)
-        elif a_strategy == "ones":
-            a = np.ones(len(chain))
-        else:
-            raise ParameterError(f"unknown a_strategy {a_strategy!r}")
-    elif callable(a_strategy):
-        a = np.asarray(a_strategy(b), dtype=float)
-    else:
-        a = np.asarray(a_strategy, dtype=float)
-    if a.shape != (len(chain),) or np.any(a <= 0.0):
-        raise ParameterError("need one positive coefficient per level")
+    if not isinstance(a_strategy, str) or a_strategy not in ("default",
+                                                             "ones"):
+        raise ParameterError(
+            f"a_strategy must be 'default' or 'ones', got {a_strategy!r}")
+    a = (default_a_sequence(chain.level_ids, b) if a_strategy == "default"
+         else np.ones(len(chain)))
 
     pieces, ids, lrc = [], [], []
     for i, n in enumerate(chain.level_ids):
@@ -276,7 +270,7 @@ def build_F(chain: RelativeBoundaryChain, a_strategy="default",
     ratios = norms / base
     attained = bool(all(np.any(vals[i] == norms[i])
                         for i in range(len(S))))
-    expected = (float(np.min(a * b)) - tol, float(np.max(a)) + tol)
+    expected = (float(np.min(a * b)) - 1e-9, float(np.max(a)) + 1e-9)
     ratio_range = (float(np.min(ratios)), float(np.max(ratios)))
     return BoundaryNorm(
         pieces=tuple(pieces), level_ids=tuple(ids), a_values=a,
@@ -393,9 +387,9 @@ def _adapted_chain(space, S, level_ids):
 def _pipeline_report(phi, d, chain, seed):
     net_report = net_property_report(d, phi.net)
     rng = np.random.default_rng(seed + 101)
-    shape = ((CHECK_COUNT, phi.X.dim) if phi.Y is None
-             else (max(8, CHECK_COUNT // 4), phi.X.dim, phi.Y.dim))
-    win = approx_window(phi, rng.standard_normal(shape))
+    count = CHECK_COUNT if phi.Y is None else max(8, CHECK_COUNT // 4)
+    win = approx_window(phi, rng.standard_normal((count,
+                                                  *phi.sample_shape)))
     margins = active_sets(phi, MARGIN_COUNT, seed=seed + 202)
     claim = claim2d_sweep(phi, POOL_COUNT, seed=seed + 303)
     violations = 0 if win is None else win.violations

@@ -6,7 +6,8 @@ The bump construction used throughout the package is
     value(t) = 0                                     for 0 <= t <= a,
 
 with ``a = zero_threshold`` and ``scale`` chosen so that
-``value(exceed_threshold) = 1 + exceed_margin``.  The integrand is the
+``value(exceed_threshold) = 3/2``: the paper asks only that the bump
+exceed 1 there, and the overshoot 1/2 is fixed.  The integrand is the
 classic C-infinity flat bump, so value is smooth everywhere, convex,
 identically zero on [0, a], and grows without bound (asymptotically
 linearly).  Closed forms for the derivatives:
@@ -29,8 +30,8 @@ log and exp calls stay numpy's on both paths, because numpy's SIMD log
 and exp differ from the math module's in the last bit on some inputs.
 
 An OrliczFamily whose members are all OrliczFunctions is stored as
-stacked per-column arrays (zero and exceed thresholds, log G(width),
-peak), so a batch of rows is evaluated in one pass that touches only the
+stacked per-column arrays (zero and exceed thresholds, log G(width)),
+so a batch of rows is evaluated in one pass that touches only the
 entries above their column's threshold; the bump formula is the same
 function OrliczFunction uses.  The entries of a row need not be the whole
 family: ``modular_rows`` takes per-row column indices, and index
@@ -62,7 +63,7 @@ import numpy as np
 from scipy.special import expn
 
 from .errors import NumericError, ParameterError
-from .scaling import DEFAULT_TOL, feasible_scale_inf
+from .scaling import feasible_scale_inf
 
 __all__ = [
     "OrliczFunction",
@@ -79,6 +80,10 @@ _LOG_HUGE = 709.0
 # Switch point between the scipy expn branch and the asymptotic series.
 # At x = 0.01 both agree to ~1e-13 on the log scale.
 _ASYM_SWITCH = 0.01
+
+# value(exceed_threshold) of every bump, and its log.
+_PEAK = 1.5
+_LOG_PEAK = math.log1p(0.5)
 
 # Coefficients of the asymptotic series E2(z) ~ e^-z/z * sum (-1)^k (k+1)!/z^k,
 # written in powers of x = 1/z.  Truncation error at x <= 0.01 is < 1e-20.
@@ -122,10 +127,10 @@ def _log_g(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump(x, log_g_width, peak, log_peak, order):
+def _bump(x, log_g_width, order):
     """Bump value (or derivative) at zero_threshold + x, for x > 0.
 
-    The per-function constants are scalars or arrays aligned with x.
+    log_g_width is a scalar or an array aligned with x.
     """
     if order == 0:
         logv = _log_g(x) - log_g_width
@@ -134,9 +139,9 @@ def _bump(x, log_g_width, peak, log_peak, order):
     else:
         logv = -log_g_width - 1.0 / x - 2.0 * np.log(x)
     # The peak factor multiplies outside the exponential so that
-    # value(exceed_threshold) = 1 + exceed_margin exactly.
-    return np.where(logv + log_peak > _LOG_HUGE, np.inf,
-                    peak * np.exp(np.minimum(logv, _LOG_HUGE)))
+    # value(exceed_threshold) = _PEAK exactly.
+    return np.where(logv + _LOG_PEAK > _LOG_HUGE, np.inf,
+                    _PEAK * np.exp(np.minimum(logv, _LOG_HUGE)))
 
 
 class OrliczFunction:
@@ -148,9 +153,7 @@ class OrliczFunction:
         Right edge of the flat region; the function vanishes on
         [0, zero_threshold].
     exceed_threshold : float
-        Point where the function reaches 1 + exceed_margin.
-    exceed_margin : float
-        Overshoot above 1 at exceed_threshold (default 1/2).
+        Point where the function reaches 3/2.
     scale : float
         Normalization constant (may overflow to inf for very thin
         transitions; the function itself is always evaluated through
@@ -158,17 +161,14 @@ class OrliczFunction:
         representable).
     """
 
-    def __init__(self, zero_threshold, exceed_threshold, exceed_margin=0.5):
+    def __init__(self, zero_threshold, exceed_threshold):
         if not (0.0 < zero_threshold < exceed_threshold):
             raise ParameterError(
                 "need 0 < zero_threshold < exceed_threshold, got "
                 f"({zero_threshold}, {exceed_threshold})"
             )
-        if not exceed_margin > 0.0:
-            raise ParameterError("exceed_margin must be positive")
         self.zero_threshold = float(zero_threshold)
         self.exceed_threshold = float(exceed_threshold)
-        self.exceed_margin = float(exceed_margin)
         width = self.exceed_threshold - self.zero_threshold
         self._log_g_width = float(_log_g(np.asarray(width)))
         if not np.isfinite(self._log_g_width):
@@ -176,13 +176,11 @@ class OrliczFunction:
                 "normalization constant not representable for width "
                 f"{width}", bracket=None,
             )
-        self._peak = 1.0 + self.exceed_margin
-        self._log_peak = math.log1p(self.exceed_margin)
 
     @property
     def scale(self) -> float:
-        """(1 + exceed_margin) / G(width); inf if not representable."""
-        log_scale = self._log_peak - self._log_g_width
+        """(3/2) / G(width); inf if not representable."""
+        log_scale = _LOG_PEAK - self._log_g_width
         if log_scale > _LOG_HUGE:
             return math.inf
         return math.exp(log_scale)
@@ -198,8 +196,7 @@ class OrliczFunction:
         out = np.zeros_like(t)
         pos = t > a
         if np.any(pos):
-            out[pos] = _bump(t[pos] - a, self._log_g_width, self._peak,
-                             self._log_peak, order)
+            out[pos] = _bump(t[pos] - a, self._log_g_width, order)
         return out
 
     def __call__(self, t, order=0):
@@ -214,22 +211,14 @@ class OrliczFunction:
 
     def __repr__(self):
         return (f"OrliczFunction(zero_threshold={self.zero_threshold!r}, "
-                f"exceed_threshold={self.exceed_threshold!r}, "
-                f"exceed_margin={self.exceed_margin!r})")
+                f"exceed_threshold={self.exceed_threshold!r})")
 
 
 @functools.lru_cache(maxsize=None)
-def make_orlicz(zero_threshold, exceed_threshold, exceed_margin=0.5):
-    """Construct (and cache per threshold pair) a smooth Orlicz function.
-
-    Parameters
-    ----------
-    zero_threshold, exceed_threshold : float
-        0 < zero_threshold < exceed_threshold.
-    exceed_margin : float
-        value(exceed_threshold) = 1 + exceed_margin; default 1/2.
-    """
-    return OrliczFunction(zero_threshold, exceed_threshold, exceed_margin)
+def make_orlicz(zero_threshold, exceed_threshold):
+    """Construct (and cache per threshold pair) a smooth Orlicz function;
+    0 < zero_threshold < exceed_threshold."""
+    return OrliczFunction(zero_threshold, exceed_threshold)
 
 
 class OrliczFamily:
@@ -265,8 +254,6 @@ class OrliczFamily:
             self._zero = np.append(self.zero_thresholds, np.inf)
             self._log_g_width = np.array(
                 [fn._log_g_width for fn in functions])
-            self._peak = np.array([fn._peak for fn in functions])
-            self._log_peak = np.array([fn._log_peak for fn in functions])
             return
         groups: dict[int, list[int]] = {}
         for i, fn in enumerate(functions):
@@ -318,8 +305,7 @@ class OrliczFamily:
         if not r.size:
             return np.zeros(rows.shape[0])
         t = cols[r if len(cols) == len(rows) else 0, j]
-        vals = _bump(rows[r, j] - self._zero[t], self._log_g_width[t],
-                     self._peak[t], self._log_peak[t], 0)
+        vals = _bump(rows[r, j] - self._zero[t], self._log_g_width[t], 0)
         return np.bincount(r, weights=vals, minlength=rows.shape[0])
 
 
@@ -344,29 +330,27 @@ def _coordinate_rows(family, rows):
     return rows
 
 
-def luxemburg_norm(family: OrliczFamily, coords, tol=DEFAULT_TOL,
-                   full_output=False):
+def luxemburg_norm(family: OrliczFamily, coords, full_output=False):
     """Generalized Luxemburg norm of a finite coordinate vector.
 
     ||c||_phi = inf { rho > 0 : sum_t phi_t(|c_t|/rho) <= 1 }: the
-    certified upper bracket endpoint of feasible_scale_inf on a batch of
-    one, so feasibility at the result holds exactly as computed and the
-    value equals luxemburg_norm_batch on the same row.
+    certified upper bracket endpoint of feasible_scale_inf (relative
+    width scaling.DEFAULT_TOL) on a batch of one, so feasibility at the
+    result holds exactly as computed and the value equals
+    luxemburg_norm_batch on the same row.
 
     Parameters
     ----------
     family : OrliczFamily
     coords : array_like
         Finite coordinates aligned with the family's index order.
-    tol : float
-        Relative final bracket width.
     full_output : bool
         If True, return a LuxemburgResult instead of a float.
     """
     coords = np.asarray(coords, dtype=float)
     bracket = feasible_scale_inf(
         lambda z, _: family.modular_rows(z),
-        _coordinate_rows(family, coords[None]), tol=tol)
+        _coordinate_rows(family, coords[None]))
     value = float(bracket.hi[0])
     if not full_output:
         return value
@@ -376,8 +360,7 @@ def luxemburg_norm(family: OrliczFamily, coords, tol=DEFAULT_TOL,
                            iterations=bracket.iterations)
 
 
-def luxemburg_norm_batch(family: OrliczFamily, rows,
-                         tol=DEFAULT_TOL) -> np.ndarray:
+def luxemburg_norm_batch(family: OrliczFamily, rows) -> np.ndarray:
     """Luxemburg norms of many coordinate vectors at once.
 
     Same contract and, row for row, the same values as luxemburg_norm;
@@ -385,8 +368,7 @@ def luxemburg_norm_batch(family: OrliczFamily, rows,
     for large sample pools.
     """
     rows = _coordinate_rows(family, np.atleast_2d(np.asarray(rows, float)))
-    return feasible_scale_inf(lambda z, _: family.modular_rows(z), rows,
-                              tol=tol).hi
+    return feasible_scale_inf(lambda z, _: family.modular_rows(z), rows).hi
 
 
 @dataclass(frozen=True)
@@ -410,8 +392,8 @@ class Lemma1Report:
         return self.violations == 0
 
 
-def check_lemma1_bounds(family: OrliczFamily, alpha, beta, vectors,
-                        tol=DEFAULT_TOL) -> Lemma1Report:
+def check_lemma1_bounds(family: OrliczFamily, alpha, beta,
+                        vectors) -> Lemma1Report:
     """Check alpha*||c||_phi <= ||c||_inf <= beta*||c||_phi on samples.
 
     Preconditions (validated): every family member vanishes at alpha and
@@ -436,7 +418,7 @@ def check_lemma1_bounds(family: OrliczFamily, alpha, beta, vectors,
     checked = 0
     for c in vectors:
         c = np.asarray(c, dtype=float)
-        res = luxemburg_norm(family, c, tol=tol, full_output=True)
+        res = luxemburg_norm(family, c, full_output=True)
         sup = float(np.max(np.abs(c))) if c.size else 0.0
         width = res.hi - res.lo
         left = alpha * res.value - sup - alpha * width - dust * max(sup, 1.0)

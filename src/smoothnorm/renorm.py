@@ -42,7 +42,7 @@ import numpy as np
 from .boundary import NetB, build_net, check_boundary
 from .errors import ConstructionError, ParameterError
 from .orlicz import OrliczFamily, make_orlicz
-from .scaling import feasible_scale_inf
+from .scaling import DEFAULT_TOL, feasible_scale_inf
 from .spaces import EuclideanSpace, ModelSpace
 from .tensor import TensorElement
 
@@ -94,13 +94,18 @@ class PhiNormSpec:
         if (np.abs(exceed * self.net.theta - 1.0) > THRESHOLD_TOL).any():
             raise ConstructionError("exceed threshold does not invert theta")
 
+    @property
+    def sample_shape(self) -> tuple:
+        """Shape of one argument u: (dim X,), or (dim X, dim Y) for a
+        euclidean factor."""
+        return ((self.X.dim,) if self.Y is None
+                else (self.X.dim, self.Y.dim))
+
 
 def _resolve_factor(Y):
-    if Y is None or Y == "scalar":
-        return None
-    if isinstance(Y, EuclideanSpace):
+    if Y is None or isinstance(Y, EuclideanSpace):
         return Y
-    raise ParameterError("factor space must be scalar or euclidean")
+    raise ParameterError("factor space must be None (scalar) or euclidean")
 
 
 def _sphere_samples(X, budget, seed):
@@ -144,29 +149,15 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
     return PhiNormSpec(net=net, family=family, X=X, Y=Y, epsilon=d.epsilon)
 
 
-def _coerce_matrix(spec, u):
-    if isinstance(u, TensorElement):
-        return u.matrix
-    M = np.asarray(u, dtype=float)
-    if M.ndim != 2:
-        raise ParameterError("euclidean factor expects a matrix argument")
-    return M
-
-
 def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
-    """Coordinate vector of u, one entry per net point, in net order."""
-    if spec.Y is None:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (spec.X.dim,):
-            raise ParameterError("vector length does not match dim X")
-        return np.abs(spec.net.matrix @ u)
-    M = _coerce_matrix(spec, u)
-    if M.shape != (spec.X.dim, spec.Y.dim):
-        raise ParameterError("matrix shape does not match dim X x dim Y")
-    return np.linalg.norm(spec.net.matrix @ M, axis=1)
+    """Coordinate vector of u (a vector, a matrix or a TensorElement),
+    one entry per net point, in net order: the one-row pi_coords_batch."""
+    if isinstance(u, TensorElement):
+        u = u.matrix
+    return pi_coords_batch(spec, np.asarray(u, dtype=float)[None])[0]
 
 
-def _luxemburg_rows(spec: PhiNormSpec, coords, tol):
+def _luxemburg_rows(spec: PhiNormSpec, coords, tol=DEFAULT_TOL):
     """Luxemburg norms over spec.family of (n, len(net)) nonnegative
     coordinate rows, bisecting only the terms the pruning rule of the
     module docstring keeps."""
@@ -190,8 +181,9 @@ def _luxemburg_rows(spec: PhiNormSpec, coords, tol):
         tol=tol).hi
 
 
-def phi_norm(spec: PhiNormSpec, u, tol=1e-10) -> float:
-    """Luxemburg norm of the coordinate vector of u."""
+def phi_norm(spec: PhiNormSpec, u, tol=DEFAULT_TOL) -> float:
+    """Luxemburg norm of the coordinate vector of u, bisected to relative
+    width tol; the smoothness probes pass a tighter one."""
     return float(_luxemburg_rows(spec, pi_coords(spec, u)[None], tol)[0])
 
 
@@ -199,19 +191,20 @@ def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     """Coordinate rows for a batch: (n, dim X) vectors or
     (n, dim X, dim Y) matrices -> (n, len(net))."""
     batch = np.asarray(batch, dtype=float)
+    if batch.shape[1:] != spec.sample_shape:
+        raise ParameterError(f"expected a batch of shape (n, "
+                             f"*{spec.sample_shape}), got {batch.shape}")
     A = spec.net.matrix
     if spec.Y is None:
-        if batch.ndim != 2 or batch.shape[1] != spec.X.dim:
-            raise ParameterError("expected (n, dim X) vectors")
         return np.abs(batch @ A.T)
-    if batch.ndim != 3 or batch.shape[1:] != (spec.X.dim, spec.Y.dim):
-        raise ParameterError("expected (n, dim X, dim Y) matrices")
     return np.linalg.norm(np.einsum("pi,nij->npj", A, batch), axis=2)
 
 
-def phi_norm_batch(spec: PhiNormSpec, batch, tol=1e-10) -> np.ndarray:
-    """phi_norm of each batch element via one vectorized bisection."""
-    return _luxemburg_rows(spec, pi_coords_batch(spec, batch), tol)
+def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:
+    """phi-norms of a batch via one vectorized bisection: a batch of one
+    gives phi_norm's bits, but pi_coords_batch's matrix product may round
+    a row of a larger batch differently, and so its last bits."""
+    return _luxemburg_rows(spec, pi_coords_batch(spec, batch))
 
 
 @dataclass(frozen=True)
@@ -227,14 +220,12 @@ class PhiUnitPool:
     norms: np.ndarray
 
 
-def phi_unit_pool(spec: PhiNormSpec, count, seed=0, tol=1e-10):
+def phi_unit_pool(spec: PhiNormSpec, count, seed=0):
     """Draw `count` nonzero gaussian samples and compute their
     phi-norms in one batch."""
     rng = np.random.default_rng(seed)
-    shape = ((count, spec.X.dim) if spec.Y is None
-             else (count, spec.X.dim, spec.Y.dim))
-    samples = rng.standard_normal(shape)
-    norms = phi_norm_batch(spec, samples, tol=tol)
+    samples = rng.standard_normal((count, *spec.sample_shape))
+    norms = phi_norm_batch(spec, samples)
     keep = norms > 0.0
     return PhiUnitPool(samples=samples[keep], norms=norms[keep])
 
@@ -254,11 +245,11 @@ class ActiveSet:
     radius: float
 
 
-def active_set(spec: PhiNormSpec, u, tol=1e-10) -> ActiveSet:
+def active_set(spec: PhiNormSpec, u) -> ActiveSet:
     coords = pi_coords(spec, u)
     if not coords.any():
         raise ParameterError("active set is undefined at u = 0")
-    rho = float(_luxemburg_rows(spec, coords[None], tol)[0])
+    rho = float(_luxemburg_rows(spec, coords[None])[0])
     weighted = spec.net.psi * coords
     inside = weighted >= rho
     if np.all(inside):
@@ -305,6 +296,18 @@ class SmoothnessReport:
     records: tuple
 
 
+def _check_steps(steps) -> list:
+    """Finite-difference steps as floats: non-empty, finite, positive
+    and strictly decreasing, or ParameterError."""
+    steps = [float(h) for h in steps]
+    # written to fail on NaN too
+    if not (steps and all(0.0 < h < np.inf for h in steps)
+            and all(h2 < h1 for h1, h2 in zip(steps, steps[1:]))):
+        raise ParameterError(f"steps must be non-empty, finite, positive "
+                             f"and strictly decreasing, got {steps}")
+    return steps
+
+
 def smoothness_check(normfn, x, directions, steps) -> SmoothnessReport:
     """Probe first/second central differences of normfn along lines.
 
@@ -317,11 +320,7 @@ def smoothness_check(normfn, x, directions, steps) -> SmoothnessReport:
     x = np.asarray(x, dtype=float)
     if not x.any():
         raise ParameterError("smoothness probe needs x != 0")
-    steps = [float(h) for h in steps]
-    if any(h <= 0.0 for h in steps):
-        raise ParameterError("steps must be positive")
-    if any(h2 >= h1 for h1, h2 in zip(steps, steps[1:])):
-        raise ParameterError("steps must be strictly decreasing")
+    steps = _check_steps(steps)
 
     g0 = float(normfn(x))
     records = []

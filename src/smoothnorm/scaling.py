@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
+# Relative final bracket width; of the callers only phi_norm takes another.
 DEFAULT_TOL = 1e-10
 # Ulp nudges allowed when certifying the unnormalized value.
 MAX_NUDGES = 8

@@ -135,9 +135,18 @@ class ModelSpace:
             f"no closed-form norming functional for kind {self.kind!r}")
 
     def dual_extreme_points(self, max_support=None) -> np.ndarray:
-        """Extreme points of the dual unit ball, for enumerable kinds."""
+        """Extreme points of the dual unit ball, for enumerable kinds;
+        with max_support, only those of support size <= max_support
+        (at least 1: the zero functional is no extreme point)."""
         raise ParameterError(
             f"dual ball of kind {self.kind!r} is not enumerable here")
+
+    def _support_cap(self, max_support):
+        """max_support as a support size in [1, dim]."""
+        cap = self.dim if max_support is None else int(max_support)
+        if cap < 1:
+            raise ParameterError(f"max_support must be >= 1, got {cap}")
+        return min(cap, self.dim)
 
     # -- projections ---------------------------------------------------
 
@@ -214,6 +223,8 @@ class SupSpace(ModelSpace):
         return f
 
     def dual_extreme_points(self, max_support=None):
+        # every extreme point has support size 1
+        self._support_cap(max_support)
         eye = np.eye(self.dim)
         return np.vstack([eye, -eye])
 
@@ -299,8 +310,7 @@ class LorentzPredualSpace(_LorentzKind):
         """Sign patterns of 1/W_k on every k-subset, k <= max_support:
         the vertices of the d(w,1)-ball; more than 200,000 of them is a
         ParameterError."""
-        cap = self.dim if max_support is None else min(
-            int(max_support), self.dim)
+        cap = self._support_cap(max_support)
         total = sum(2 ** k * comb(self.dim, k) for k in range(1, cap + 1))
         if total > 200_000:
             raise ParameterError(
@@ -431,18 +441,16 @@ def support(f) -> np.ndarray:
     return np.nonzero(np.asarray(f))[0]
 
 
-def find_norming_support(space: ModelSpace, y, tol=1e-9, cap=None):
-    """Find sigma with ||P_sigma(y)|| = 1 and |sigma| <= cap for unit y,
+def find_norming_support(space: ModelSpace, y):
+    """Find sigma with ||P_sigma(y)|| = 1 for y of norm 1 (within 1e-7),
     or None: the support ``top_projection_rows`` gives at the smallest
-    size whose projection sup is within tol of 1."""
+    size whose projection sup is within 1e-9 of 1."""
     y = space._check_vec(y)
     ny = space.norm(y)
-    if abs(ny - 1.0) > max(tol, 1e-7):
+    if abs(ny - 1.0) > 1e-7:
         raise ParameterError(f"y must be on the unit sphere, got norm {ny}")
-
-    cap = space.dim if cap is None else min(int(cap), space.dim)
-    for size in range(1, cap + 1):
+    for size in range(1, space.dim + 1):
         values, masks = space.top_projection_rows(y[None, :], size)
-        if abs(values[0] - 1.0) <= tol:
+        if abs(values[0] - 1.0) <= 1e-9:
             return np.flatnonzero(masks[0])
     return None

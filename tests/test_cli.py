@@ -166,6 +166,29 @@ class TestConfigErrors:
                                           "steps": [1e-3]})
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"steps": []},
+        {"steps": [float("nan")]},
+        {"steps": [float("inf"), 1e-3]},
+        {"steps": [-1e-3, -1e-4]},
+        {"steps": [1e-4, 1e-3]},
+        {"point": [0.0, 0.0, 0.0]},
+        {"point": [float("nan"), 1.0, 0.0]},
+        {"direction": [float("inf"), -1.0, 0.0]},
+        {"direction": [0.0, 0.0, 0.0]},
+    ], ids=["no_steps", "nan_step", "inf_step", "negative_steps",
+            "increasing_steps", "zero_point", "nan_point", "inf_direction",
+            "zero_direction"])
+    def test_bad_smooth_probe_exits_2(self, tmp_path, change):
+        """Each of these used to load, then fail the smooth suite with
+        exit 1."""
+        probe = {"point": [1.0, 1.0, 0.0], "direction": [1.0, -1.0, 0.0],
+                 "steps": [1e-3, 1e-4], **change}
+        cfg = write_cfg(tmp_path, smooth=probe)
+        assert main(["run", str(cfg), "--suite", "smooth",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_bad_parallel(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert main(["run", str(cfg), "--parallel", "0"]) == 2

@@ -86,8 +86,9 @@ class TestSupportBall:
             support_ball(sup_space(3), 1))
 
     def test_level_zero(self):
-        np.testing.assert_array_equal(support_ball(sup_space(2), 0),
-                                      [[0.0, 0.0]])
+        for space in (sup_space(2), lorentz_predual_space([1.0, 0.5])):
+            np.testing.assert_array_equal(support_ball(space, 0),
+                                          [[0.0, 0.0]])
 
     def test_predual_levels(self):
         sp = lorentz_predual_space([1.0, 0.5])
@@ -343,7 +344,7 @@ class TestBuildF:
         with pytest.raises(ConstructionError):
             build_F(ch)
 
-    def test_coefficient_validation_and_callable(self, predual4):
+    def test_coefficient_validation(self, predual4):
         S = unit_rows(predual4, 10, 20)
         H = support_ball(predual4, 4)
         ch = RelativeBoundaryChain(
@@ -353,8 +354,6 @@ class TestBuildF:
             build_F(ch, a_strategy=[1.0, 2.0])
         with pytest.raises(ParameterError):
             build_F(ch, a_strategy="golden")
-        bn = build_F(ch, a_strategy=lambda b: 2.0 / b)
-        np.testing.assert_allclose(bn.a_values, 2.0)
 
 
 class TestBoundaryNormSpace:

@@ -92,8 +92,6 @@ class TestMakeOrlicz:
             make_orlicz(1.0, 0.5)
         with pytest.raises(ParameterError):
             make_orlicz(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            make_orlicz(0.5, 1.0, exceed_margin=0.0)
 
     def test_unbounded_growth(self):
         f = make_orlicz(0.5, 1.0)

@@ -376,6 +376,31 @@ class TestPrunedEvaluation:
         assert (~kept & (coords == coords.max(axis=1, keepdims=True))).any()
         assert np.array_equal(phi_norm_batch(spec, X), unpruned(spec, X))
 
+    def test_predual7_pinned_bits(self, predual7_spec):
+        """phi_norm at fixed points and two active-set margins, as the
+        float.hex strings the evaluation gives: any change to the bumps,
+        the bisection or the coordinates that moves a last bit fails."""
+        spec = predual7_spec
+        pins = [
+            ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "0x1.0fbbcd6640000p+0"),
+            ([1.0] * 7, "0x1.be5b0cbb1c64bp+0"),
+            ([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "0x1.3447a7551b561p+0"),
+            ([0.5, -0.25, 2.0, 0.0, 1.0, -3.0, 0.125],
+             "0x1.9799b41960000p+1"),
+            ([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0], "0x1.31b3471308000p+3"),
+            ([0.3, -0.7, 0.2, 0.9, -0.1, 0.4, 0.6], "0x1.f39674516c9f4p-1"),
+            ([1e200, -2e200, 3e199, 0.0, 5e200, 0.0, -1e199],
+             "0x1.bbbf7194d9574p+666"),
+            ([1e-300, 2e-300, -3e-300, 4e-300, 0.0, 0.0, 1e-301],
+             "0x1.6bf4c42579b0dp-995"),
+        ]
+        for u, want in pins:
+            assert phi_norm(spec, np.array(u)).hex() == want, u
+        margins = [(pins[3][0], "0x1.bd3b6bc415300p-5"),
+                   (pins[4][0], "0x1.e0d7768eb48d8p-4")]
+        for u, want in margins:
+            assert active_set(spec, np.array(u)).margin.hex() == want, u
+
     @pytest.mark.parametrize("scale", [5e-324, 3e-323, 1e-310, 1e300,
                                        1.7e308, 1.79e308])
     def test_extreme_scale_rows(self, predual7_spec, scale):

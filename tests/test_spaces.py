@@ -461,14 +461,6 @@ class TestNormingSupport:
             assert sigma is not None
             assert abs(X.norm(proj(y, sigma)) - 1.0) <= 1e-9
 
-    def test_predual_cap_bounds_support(self):
-        X = lorentz_predual_space(GEOM3)
-        y = np.ones(3) / X.norm(np.ones(3))
-        np.testing.assert_array_equal(find_norming_support(X, y, cap=3),
-                                      [0, 1, 2])
-        assert find_norming_support(X, y, cap=1) is None
-        assert find_norming_support(X, y, cap=2) is None
-
     def test_sup_returns_peak_coordinate(self):
         X = sup_space(3)
         sigma = find_norming_support(X, [0.2, -1.0, 0.5])
@@ -586,3 +578,11 @@ class TestDualExtremePoints:
     def test_non_polyhedral_rejected(self):
         with pytest.raises(ParameterError):
             euclidean_space(3).dual_extreme_points()
+
+    @pytest.mark.parametrize("max_support", [0, -1])
+    def test_support_cap_below_one_refused(self, max_support):
+        """sup_finite used to ignore the cap and list all its points, and
+        lorentz_predual failed inside numpy's concatenate."""
+        for X in (sup_space(3), lorentz_predual_space(GEOM3)):
+            with pytest.raises(ParameterError, match="max_support"):
+                X.dual_extreme_points(max_support=max_support)
