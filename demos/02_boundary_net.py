@@ -27,9 +27,9 @@ def main():
 
     print()
     print("piece weights (psi depends on which pieces contain the functional)")
-    for piece in d.pieces:
-        w = d.psi_of(*d.locate(piece.members[0]))
-        print(f"  piece {piece.index}: {len(piece.members)} members, psi {w}")
+    for n, piece in enumerate(d.pieces):
+        w = d.psi_of(*d.locate(piece[0]))
+        print(f"  piece {n}: {len(piece)} members, psi {w}")
 
     units = np.vstack([eye, -eye])
     rng = np.random.default_rng(202)

@@ -13,10 +13,8 @@ cli       config-driven verification suites and reports
 """
 
 from .boundary import (
-    ClosureOracle,
     Decomposition,
     NetB,
-    Piece,
     build_net,
     check_boundary,
     check_lrc_criterion,

@@ -1,12 +1,14 @@
 """Piecewise boundary decompositions, psi weights, and separated nets.
 
 A decomposition splits a set of dual-ball functionals into finitely many
-pieces L_0, ..., L_N.  Each functional f gets a weight
+pieces L_0, ..., L_N, given as arrays and held as aligned arrays over
+the stacked members: each member's piece id and psi weight
 
     psi(f) = 1 + (1/2) * eps * 2^(-n(f)) * (1 + (1/4) * sum_{i in I(f)} 2^(-i))
 
 where I(f) is the set of piece indices whose closure contains f (declared
-data, default: f's own piece) and n(f) = min I(f).  The per-piece scale is
+data, a mapping (piece, member) -> indices; default: f's own piece) and
+n(f) = min I(f).  The per-piece scale is
 
     eps_n = eps * 4^(-n) / 96,
 
@@ -29,10 +31,10 @@ pairwise loop, so the net is the same.
 
 The net is a set of aligned arrays, one entry per net point in piece,
 then psi-bin, then greedy order: the functional, psi, theta, piece and
-bin; ``home`` gives each member's net point, one array per piece.  Net
-points carry theta(f) = psi(f) - eps_n; theta > 1 holds for every valid
-closure oracle (psi - 1 >= (eps/2) * 2^(-n) > eps_n since n(f) <= n),
-and is still checked per instance.
+bin; ``home`` gives each member's net point, aligned with the members.
+Net points carry theta(f) = psi(f) - eps_n; theta > 1 holds for every
+valid closure mapping (psi - 1 >= (eps/2) * 2^(-n) > eps_n since
+n(f) <= n), and is still checked per instance.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ import numpy as np
 from .errors import ConstructionError, ParameterError
 
 __all__ = [
-    "Piece",
-    "ClosureOracle",
     "Decomposition",
     "NetB",
     "epsilon_n",
@@ -81,120 +81,84 @@ def epsilon_n(eps, n) -> float:
     return eps * 4.0 ** (-n) / 96.0
 
 
-def _psi_value(eps, index_set) -> float:
-    nf = min(index_set)
+def _psi_value(eps, indices) -> float:
+    nf = min(indices)
     isum = 0.0
-    for i in sorted(index_set):
+    for i in sorted(indices):
         isum += 2.0 ** (-i)
     return 1.0 + 0.5 * eps * (2.0 ** (-nf)) * (1.0 + 0.25 * isum)
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One level of a decomposition: an (m, dim) array of functionals."""
-
-    index: int
-    members: np.ndarray
-
-    def __post_init__(self):
-        members = np.atleast_2d(np.asarray(self.members, dtype=float))
-        object.__setattr__(self, "members", members)
-        if self.index < 0:
-            raise ParameterError("piece index must be >= 0")
-
-    def __len__(self):
-        return self.members.shape[0]
-
-
-class ClosureOracle:
-    """Declared closure data: (piece, member) -> set of piece indices.
-
-    The default for an unlisted member is the singleton of its own
-    piece.  Every listed set must contain the member's own piece.
-    """
-
-    def __init__(self, entries=None):
-        self._entries = {}
-        for key, idx in (entries or {}).items():
-            n, j = key
-            idx = frozenset(int(i) for i in idx)
-            if n not in idx:
-                raise ParameterError(
-                    f"closure set for member {key} must contain its own "
-                    f"piece {n}")
-            if min(idx) < 0:
-                raise ParameterError("closure sets contain a negative index")
-            self._entries[(int(n), int(j))] = idx
-
-    def index_set(self, n, j) -> frozenset:
-        return self._entries.get((n, j), frozenset((n,)))
-
-
 class Decomposition:
-    """Pieces + epsilon + ambient space + optional closure oracle.
+    """(m_n, dim) piece arrays + epsilon + ambient space + optional
+    closure mapping {(piece, member): piece indices}, which must include
+    the member's own piece (the default for an unlisted member).
 
-    Validates on construction: eps in (0, 1), consecutive piece indices
-    from 0, pairwise-disjoint pieces, and (when the ambient dual norm is
-    exact) membership of every functional in the dual ball up to 1e-9.
-    With a surrogate dual metric the ball check is recorded as skipped.
-    ``members`` stacks the pieces' members in piece order, and ``psi``
-    holds one array of psi weights per piece: the piece's default, with
-    the closure entries written over it.
+    Validates on construction: eps in (0, 1), pairwise-disjoint pieces,
+    the closure entries, and (when the ambient dual norm is exact)
+    membership of every functional in the dual ball up to 1e-9.  With a
+    surrogate dual metric the ball check is recorded as skipped.
+    ``members`` stacks the pieces in piece order, ``pieces`` are row
+    views of it, and ``piece`` and ``psi`` are aligned with it: each
+    member's piece id and psi weight (the piece's default, with the
+    closure entries written over it).
     """
 
     def __init__(self, space, pieces, epsilon, closure=None):
         if not (0.0 < epsilon < 1.0):
             raise ParameterError("epsilon must lie in (0, 1)")
-        norm_pieces = []
-        for n, p in enumerate(pieces):
-            if not isinstance(p, Piece):
-                p = Piece(index=n, members=p)
-            if p.index != n:
-                raise ParameterError(
-                    f"piece indices must be consecutive from 0; "
-                    f"piece {n} has index {p.index}")
-            if p.members.shape[1] != space.dim:
-                raise ParameterError("piece members must match space dim")
-            norm_pieces.append(p)
-        if not norm_pieces:
+        arrays = [np.atleast_2d(np.asarray(p, dtype=float)) for p in pieces]
+        if any(p.shape[1] != space.dim for p in arrays):
+            raise ParameterError("piece members must match space dim")
+        if not arrays:
             raise ParameterError("decomposition needs at least one piece")
 
         self.space = space
-        self.pieces = tuple(norm_pieces)
         self.epsilon = float(epsilon)
-        self.closure = closure if closure is not None else ClosureOracle()
         self.dual_ball_checked = space.dual_metric == "exact"
+        self.members = np.vstack(arrays)
+        sizes = [len(p) for p in arrays]
+        start = np.cumsum([0] + sizes)
+        self.pieces = tuple(self.members[a:b]
+                            for a, b in zip(start, start[1:]))
+        self.piece = np.repeat(np.arange(len(sizes)), sizes)
 
-        self.members = np.vstack([p.members for p in self.pieces])
         keys = iter(_row_keys(self.members))
         seen = {}
-        for p in self.pieces:
+        for n, p in enumerate(self.pieces):
             if self.dual_ball_checked:
-                dn = space.dual_norm_rows(p.members)
+                dn = space.dual_norm_rows(p)
                 outside = np.flatnonzero(dn > 1.0 + DUAL_BALL_TOL)
                 if outside.size:
                     j = int(outside[0])
                     raise ConstructionError(
-                        f"piece {p.index} member {j} has dual norm "
+                        f"piece {n} member {j} has dual norm "
                         f"{float(dn[j])} > 1 + {DUAL_BALL_TOL}")
             for j in range(len(p)):
-                first = seen.setdefault(next(keys), (p.index, j))
-                if first[0] != p.index:
+                first = seen.setdefault(next(keys), (n, j))
+                if first[0] != n:
                     raise ConstructionError(
                         f"functional appears in pieces {first[0]} "
-                        f"and {p.index}; pieces must be disjoint")
+                        f"and {n}; pieces must be disjoint")
         self._locate = seen
 
-        self.psi = tuple(np.full(len(p), _psi_value(self.epsilon, {p.index}))
-                         for p in self.pieces)
-        for (n, j), idx in self.closure._entries.items():
-            if n >= len(self.pieces) or not 0 <= j < len(self.pieces[n]):
+        self.psi = np.array([_psi_value(self.epsilon, {n})
+                             for n in range(len(sizes))])[self.piece]
+        for (n, j), idx in (closure or {}).items():
+            n, j, idx = int(n), int(j), {int(i) for i in idx}
+            if n not in idx:
+                raise ParameterError(
+                    f"closure set for member {(n, j)} must contain its "
+                    f"own piece {n}")
+            if min(idx) < 0:
+                raise ParameterError("closure sets contain a negative index")
+            if n >= len(sizes) or not 0 <= j < sizes[n]:
                 raise ParameterError(
                     f"closure entry ({n}, {j}) is not a member")
-            if max(idx) >= len(self.pieces):
+            if max(idx) >= len(sizes):
                 raise ParameterError(
                     f"closure entry ({n}, {j}) references a missing piece")
-            self.psi[n][j] = _psi_value(self.epsilon, idx)
+            self.psi[start[n] + j] = _psi_value(self.epsilon, idx)
 
     def locate(self, f):
         """(piece, member) position of a functional, by exact identity."""
@@ -205,7 +169,7 @@ class Decomposition:
 
     def psi_of(self, n, j) -> float:
         """psi weight of member j of piece n (see module docstring)."""
-        return float(self.psi[n][j])
+        return float(self.psi[self.piece == n][j])
 
 
 def psi_binning(psis, eps_n):
@@ -276,14 +240,15 @@ def _greedy_indices(members, separation, metric_rows):
 @dataclass(frozen=True)
 class NetB:
     """Union of the per-piece nets as aligned arrays, one entry per net
-    point, and ``home``: per piece, each member's net point index."""
+    point, and ``home``: each member's net point index, aligned with the
+    decomposition's members."""
 
     matrix: np.ndarray
     psi: np.ndarray
     theta: np.ndarray
     piece: np.ndarray
     bin_id: np.ndarray
-    home: tuple
+    home: np.ndarray
 
     def __len__(self):
         return len(self.psi)
@@ -292,38 +257,36 @@ class NetB:
 def build_net(d: Decomposition) -> NetB:
     """Bin each piece by psi, thin each bin to a greedy eps_n-net.
 
-    Member j of piece n, f, gets the net point h = home[n][j] with
+    Member i of d.members, f, gets the net point h = home[i] with
     ||f - h||_dual <= eps_n and |psi(f) - psi(h)| <= eps_n (same bin).
     Raises ConstructionError if any net point has theta <= 1.
     """
-    scales = [epsilon_n(d.epsilon, p.index) for p in d.pieces]
+    scales = np.array([epsilon_n(d.epsilon, n) for n in range(len(d.pieces))])
     rows: list[int] = []      # net points as rows of d.members
-    piece: list[int] = []
     bin_id: list[int] = []
-    home = []
+    home = np.empty(len(d.members), dtype=int)
     start = 0
-    for p, eps_n in zip(d.pieces, scales):
-        at = np.empty(len(p), dtype=int)
-        for k, members in psi_binning(d.psi[p.index].tolist(), eps_n).items():
-            kept, assign = _greedy_indices(p.members[members], eps_n,
+    for p, eps_n in zip(d.pieces, scales.tolist()):
+        psis = d.psi[start:start + len(p)].tolist()
+        for k, members in psi_binning(psis, eps_n).items():
+            at = np.add(members, start)
+            kept, assign = _greedy_indices(d.members[at], eps_n,
                                            d.space.dual_norm_rows)
-            at[members] = np.add(assign, len(rows))
-            rows += [start + members[i] for i in kept]
-            piece += [p.index] * len(kept)
+            home[at] = np.add(assign, len(rows))
+            rows += at[kept].tolist()
             bin_id += [k] * len(kept)
-        home.append(at)
         start += len(p)
 
-    piece = np.asarray(piece, dtype=int)
-    psi = np.concatenate(d.psi)[rows]
-    theta = psi - np.asarray(scales)[piece]
+    piece = d.piece[rows]
+    psi = d.psi[rows]
+    theta = psi - scales[piece]
     low = np.flatnonzero(~(theta > 1.0))
     if low.size:
         raise ConstructionError(
             f"net point in piece {piece[low[0]]} has theta = "
             f"{theta[low[0]]} <= 1")
     return NetB(matrix=d.members[rows], psi=psi, theta=theta, piece=piece,
-                bin_id=np.asarray(bin_id, dtype=int), home=tuple(home))
+                bin_id=np.asarray(bin_id, dtype=int), home=home)
 
 
 @dataclass(frozen=True)
@@ -342,17 +305,14 @@ class NetPropertyReport:
 def net_property_report(d: Decomposition, net: NetB) -> NetPropertyReport:
     """Verify ||f - h|| <= eps_n and |psi(f) - psi(h)| <= eps_n for the
     assigned net point h of every member f."""
-    max_dist = -np.inf
-    max_psi = -np.inf
-    for p, home in zip(d.pieces, net.home):
-        eps_n = epsilon_n(d.epsilon, p.index)
-        dist = d.space.dual_norm_rows(p.members - net.matrix[home])
-        dpsi = np.abs(d.psi[p.index] - net.psi[home])
-        max_dist = max(max_dist, np.max(dist - eps_n, initial=-np.inf))
-        max_psi = max(max_psi, np.max(dpsi - eps_n, initial=-np.inf))
-    return NetPropertyReport(checked=len(d.members),
-                             max_distance_excess=float(max_dist),
-                             max_psi_excess=float(max_psi))
+    scales = np.array([epsilon_n(d.epsilon, n)
+                       for n in range(len(d.pieces))])[d.piece]
+    dist = d.space.dual_norm_rows(d.members - net.matrix[net.home])
+    dpsi = np.abs(d.psi - net.psi[net.home])
+    return NetPropertyReport(
+        checked=len(d.members),
+        max_distance_excess=float(np.max(dist - scales, initial=-np.inf)),
+        max_psi_excess=float(np.max(dpsi - scales, initial=-np.inf)))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .boundary import (ClosureOracle, Decomposition, check_boundary,
+from .boundary import (Decomposition, check_boundary,
                        check_lrc_criterion, net_property_report)
 from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
@@ -147,17 +147,13 @@ def _build_decomposition(space, spec, epsilon):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad decomposition pieces: {exc}")
         if "closure" in spec:
-            entries = {}
+            closure = {}
             try:
                 for e in spec["closure"]:
-                    entries[(int(e["piece"]), int(e["member"]))] = [
+                    closure[(int(e["piece"]), int(e["member"]))] = [
                         int(i) for i in e["pieces"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad closure entry: {exc}")
-            try:
-                closure = ClosureOracle(entries)
-            except ParameterError as exc:
-                raise ConfigError(str(exc))
     else:
         raise ConfigError("decomposition needs a 'preset' or 'pieces'")
     try:
@@ -210,7 +206,7 @@ def _parse_smooth(spec, dim):
             and any(direction)):
         raise ConfigError("smooth point/direction must be finite, nonzero")
     try:
-        steps = _check_steps(steps)
+        steps = _check_steps(steps, np.asarray(point), [direction])
     except ParameterError as exc:
         raise ConfigError(f"smooth {exc}")
     return {"point": point, "direction": direction, "steps": steps}
@@ -546,7 +542,7 @@ def _suite_boundary(ctx):
     rep = check_boundary(ctx.space, d.members, samples,
                          tol=ctx.tol["boundary"])
     net_rep = net_property_report(d, spec.net)
-    lrc = [check_lrc_criterion(p.members) for p in d.pieces]
+    lrc = [check_lrc_criterion(p) for p in d.pieces]
     ok = rep.passed and net_rep.passed and all(r.passed for r in lrc)
     measured = {"min_sup": np.min(rep.max_values),
                 "boundary_tol": ctx.tol["boundary"],

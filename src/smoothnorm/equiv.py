@@ -384,7 +384,7 @@ def _adapted_chain(space, S, level_ids):
     return tuple(h_sets), b, np.asarray(c)
 
 
-def _pipeline_report(phi, d, chain, seed):
+def _pipeline_report(phi, d, chain, boundary_norm, seed):
     net_report = net_property_report(d, phi.net)
     rng = np.random.default_rng(seed + 101)
     count = CHECK_COUNT if phi.Y is None else max(8, CHECK_COUNT // 4)
@@ -395,6 +395,9 @@ def _pipeline_report(phi, d, chain, seed):
     violations = 0 if win is None else win.violations
     margins_positive = bool(margins.min_margin > 0.0)
     bc_gap = float(np.max(np.abs(chain.b_values - chain.c_values)))
+    # on the chain route the rescaled norm's own verdicts count too
+    boundary_ok = boundary_norm is None or (boundary_norm.equivalent
+                                            and boundary_norm.attained)
     return PipelineReport(
         net_passed=net_report.passed, approx_checked=win is not None,
         approx_violations=violations,
@@ -402,7 +405,7 @@ def _pipeline_report(phi, d, chain, seed):
         margins_positive=margins_positive, claim2d_ok=claim.ok,
         claim2d_worst_excess=float(claim.worst_excess), bc_gap=bc_gap,
         passed=(net_report.passed and violations == 0 and margins_positive
-                and claim.ok))
+                and claim.ok and boundary_ok))
 
 
 def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
@@ -449,7 +452,7 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
 
     phi = build_renorm(base_space, decomposition, Y,
                        boundary_samples=boundary_samples, seed=seed)
-    report = _pipeline_report(phi, decomposition, chain, seed)
+    report = _pipeline_report(phi, decomposition, chain, boundary_norm, seed)
     return PipelineResult(
         route="direct" if direct else "chain", chain=chain,
         boundary_norm=boundary_norm, base_space=base_space,

@@ -296,15 +296,22 @@ class SmoothnessReport:
     records: tuple
 
 
-def _check_steps(steps) -> list:
-    """Finite-difference steps as floats: non-empty, finite, positive
-    and strictly decreasing, or ParameterError."""
+def _check_steps(steps, x, directions) -> list:
+    """Finite-difference steps as floats: non-empty, finite, positive,
+    strictly decreasing and each moving x along every direction, or
+    ParameterError."""
     steps = [float(h) for h in steps]
     # written to fail on NaN too
     if not (steps and all(0.0 < h < np.inf for h in steps)
             and all(h2 < h1 for h1, h2 in zip(steps, steps[1:]))):
         raise ParameterError(f"steps must be non-empty, finite, positive "
                              f"and strictly decreasing, got {steps}")
+    for d in directions:
+        d = np.asarray(d, dtype=float)
+        for h in steps:
+            if np.array_equal(x + h * d, x):
+                raise ParameterError(
+                    f"step {h} underflows at x in direction {d}")
     return steps
 
 
@@ -320,7 +327,7 @@ def smoothness_check(normfn, x, directions, steps) -> SmoothnessReport:
     x = np.asarray(x, dtype=float)
     if not x.any():
         raise ParameterError("smoothness probe needs x != 0")
-    steps = _check_steps(steps)
+    steps = _check_steps(steps, x, directions)
 
     g0 = float(normfn(x))
     records = []
@@ -328,9 +335,6 @@ def smoothness_check(normfn, x, directions, steps) -> SmoothnessReport:
         d = np.asarray(d, dtype=float)
         first, second = [], []
         for h in steps:
-            if np.array_equal(x + h * d, x):
-                raise ParameterError(
-                    f"step {h} underflows at x in direction {d}")
             gp = float(normfn(x + h * d))
             gm = float(normfn(x - h * d))
             first.append((gp - gm) / (2.0 * h))

@@ -99,6 +99,15 @@ class InjectiveNormResult:
     pair: DualPair
 
 
+def _slice_norms(X, M):
+    """The dual extreme points F of X, the slices F @ M and their
+    2-norms, for one (dim X, dim Y) matrix or a (k, dim X, dim Y) stack
+    (then (k, len(F)) norms)."""
+    F = X.dual_extreme_points()
+    rows = F @ M
+    return F, rows, np.linalg.norm(rows, axis=-1)
+
+
 def injective_norm(u: TensorElement) -> InjectiveNormResult:
     """Injective norm sup { f @ u @ g } over the two dual balls.
 
@@ -121,9 +130,7 @@ def injective_norm(u: TensorElement) -> InjectiveNormResult:
         return InjectiveNormResult(
             0.0, DualPair(f=np.zeros(dim_x), g=np.zeros(dim_y)))
 
-    F = u.X.dual_extreme_points()
-    rows = F @ M
-    vals = np.linalg.norm(rows, axis=1)
+    F, rows, vals = _slice_norms(u.X, M)
     best = int(np.argmax(vals))
     value = float(vals[best])
     g = rows[best] / value if value > 0.0 else np.zeros(dim_y)

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .renorm import active_set, phi_norm_batch, phi_unit_pool, verify_claim2d
+from .tensor import _slice_norms
 
 __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
            "approx_window", "claim2d_sweep", "active_sets",
@@ -56,8 +57,7 @@ def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
         base = X.norm_rows(samples)
     elif X.enumerable_dual:
         # injective_norm of every matrix at once
-        base = np.linalg.norm(X.dual_extreme_points() @ samples,
-                              axis=2).max(axis=1)
+        base = _slice_norms(X, samples)[2].max(axis=1)
     else:
         return None
     keep = base > BASE_FLOOR

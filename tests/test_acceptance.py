@@ -151,7 +151,7 @@ def test_criterion_03_weight_constants(capsys):
         assert epsilon_n(0.96, 0) == 0.01
         X = sup_space(2)
         d = Decomposition(X, [np.vstack([np.eye(2), -np.eye(2)])], 0.1)
-        assert d.psi_of(*d.locate(d.pieces[0].members[0])) == 1.0625
+        assert d.psi_of(*d.locate(d.pieces[0][0])) == 1.0625
 
 
 def test_criterion_04_sup5_approximation(capsys, sup5_single_piece):

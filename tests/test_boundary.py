@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothnorm.boundary import (
-    ClosureOracle,
     Decomposition,
-    Piece,
     _greedy_indices,
     _psi_value,
     build_net,
@@ -57,7 +55,7 @@ class TestEpsilonN:
 class TestPsi:
     def test_single_piece_value_exact(self):
         d = sup2_decomposition(eps=0.1)
-        for f in d.pieces[0].members:
+        for f in d.pieces[0]:
             assert d.psi_of(*d.locate(f)) == 1.0625
 
     def test_closure_enlarges_weight(self):
@@ -65,7 +63,7 @@ class TestPsi:
         # well, which adds 2^-1 to its index sum
         members0 = np.array([[1.0, 0.0], [-1.0, 0.0]])
         members1 = np.array([[0.0, 1.0], [0.0, -1.0]])
-        closure = ClosureOracle({(0, 0): {0, 1}})
+        closure = {(0, 0): {0, 1}}
         d = Decomposition(sup_space(2), [members0, members1], 0.1,
                           closure=closure)
         assert d.psi_of(0, 0) == 1.06875
@@ -95,28 +93,6 @@ class TestPsi:
     def test_locate_by_value_identity(self):
         d = sup2_decomposition()
         assert d.locate(np.array([0.0, -1.0])) == (0, 3)
-
-
-class TestClosureOracle:
-    def test_default_is_own_piece(self):
-        oracle = ClosureOracle()
-        assert oracle.index_set(3, 17) == frozenset({3})
-
-    def test_must_contain_own_piece(self):
-        with pytest.raises(ParameterError):
-            ClosureOracle({(0, 0): {1}})
-
-    def test_entry_out_of_range_rejected(self):
-        members = np.eye(2)
-        with pytest.raises(ParameterError):
-            Decomposition(sup_space(2), [members], 0.1,
-                          closure=ClosureOracle({(0, 5): {0}}))
-        with pytest.raises(ParameterError):
-            Decomposition(sup_space(2), [members], 0.1,
-                          closure=ClosureOracle({(0, 0): {0, 9}}))
-        with pytest.raises(ParameterError, match=r"\(0, -1\) is not"):
-            Decomposition(sup_space(2), [members], 0.1,
-                          closure=ClosureOracle({(0, -1): {0}}))
 
 
 class TestDecompositionValidation:
@@ -178,10 +154,25 @@ class TestDecompositionValidation:
         d = Decomposition(space, [big], 0.1)
         assert not d.dual_ball_checked
 
-    def test_nonconsecutive_piece_indices_rejected(self):
-        p = Piece(index=1, members=np.eye(2))
+    def test_closure_must_contain_own_piece(self):
+        with pytest.raises(ParameterError, match="own piece 0"):
+            Decomposition(sup_space(2), [np.eye(2)], 0.1,
+                          closure={(0, 0): {1}})
+
+    def test_closure_entry_out_of_range_rejected(self):
+        members = np.eye(2)
         with pytest.raises(ParameterError):
-            Decomposition(sup_space(2), [p], 0.1)
+            Decomposition(sup_space(2), [members], 0.1,
+                          closure={(0, 5): {0}})
+        with pytest.raises(ParameterError):
+            Decomposition(sup_space(2), [members], 0.1,
+                          closure={(0, 0): {0, 9}})
+        with pytest.raises(ParameterError, match=r"\(0, -1\) is not"):
+            Decomposition(sup_space(2), [members], 0.1,
+                          closure={(0, -1): {0}})
+        with pytest.raises(ParameterError, match="negative index"):
+            Decomposition(sup_space(2), [members], 0.1,
+                          closure={(0, 0): {0, -1}})
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ParameterError):
@@ -333,8 +324,7 @@ class TestBuildNet:
         assert np.all(net.psi == 1.0625)
         assert np.all(net.theta == 1.0625 - eps_0)
         assert np.all(net.theta > 1.0)
-        for j in range(4):
-            assert net.home[0][j] == j
+        np.testing.assert_array_equal(net.home, np.arange(4))
 
     def test_close_pair_thins_to_one(self):
         delta = 5e-4
@@ -342,8 +332,8 @@ class TestBuildNet:
         d = Decomposition(sup_space(2), [members], 0.1)
         net = build_net(d)
         assert len(net) == 1
-        assert net.home[0][0] == 0
-        assert net.home[0][1] == 0
+        assert net.home[0] == 0
+        assert net.home[1] == 0
         report = net_property_report(d, net)
         assert report.passed and report.checked == 2
 
@@ -353,7 +343,7 @@ class TestBuildNet:
         delta = 5e-4
         members0 = np.array([[1.0, 0.0], [1.0 - delta, 0.0]])
         members1 = np.array([[0.0, 1.0]])
-        closure = ClosureOracle({(0, 0): {0, 1}})
+        closure = {(0, 0): {0, 1}}
         d = Decomposition(sup_space(2), [members0, members1], 0.1,
                           closure=closure)
         net = build_net(d)
@@ -376,18 +366,18 @@ class TestBuildNet:
                     if rng.random() < 0.3:
                         closure_entries[(n, j)] = set(
                             range(n, int(rng.integers(n, npieces)) + 1))
-            d = Decomposition(space, pieces, 0.3,
-                              closure=ClosureOracle(closure_entries))
+            d = Decomposition(space, pieces, 0.3, closure=closure_entries)
             net = build_net(d)
             assert net_property_report(d, net).passed
             assert np.all(net.theta > 1.0)
-            for n, p in enumerate(d.pieces):
-                assert len(net.home[n]) == len(p)
-                for j in range(len(p)):
-                    assert d.psi_of(n, j) == _psi_value(
-                        0.3, d.closure.index_set(n, j))
-                    assert 0 <= net.home[n][j] < len(net)
-                    assert net.piece[net.home[n][j]] == n
+            assert len(net.home) == len(d.members)
+            for i, f in enumerate(d.members):
+                n, j = d.locate(f)
+                assert d.piece[i] == n and d.psi[i] == d.psi_of(n, j)
+                assert d.psi_of(n, j) == _psi_value(
+                    0.3, closure_entries.get((n, j), {n}))
+                assert 0 <= net.home[i] < len(net)
+                assert net.piece[net.home[i]] == n
             for i, h in enumerate(net.matrix):
                 n, j = d.locate(h)
                 assert n == net.piece[i]

@@ -176,9 +176,10 @@ class TestConfigErrors:
         {"point": [float("nan"), 1.0, 0.0]},
         {"direction": [float("inf"), -1.0, 0.0]},
         {"direction": [0.0, 0.0, 0.0]},
+        {"steps": [1e-20]},
     ], ids=["no_steps", "nan_step", "inf_step", "negative_steps",
             "increasing_steps", "zero_point", "nan_point", "inf_direction",
-            "zero_direction"])
+            "zero_direction", "underflowing_step"])
     def test_bad_smooth_probe_exits_2(self, tmp_path, change):
         """Each of these used to load, then fail the smooth suite with
         exit 1."""

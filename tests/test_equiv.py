@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -404,7 +405,7 @@ class TestPipelineDirect:
         assert res.route == "direct"
         assert res.passed and res.report.passed
         assert res.boundary_norm is None
-        assert [len(p.members) for p in res.decomposition.pieces] == [
+        assert [len(p) for p in res.decomposition.pieces] == [
             8, 24, 32, 16]
         assert len(res.phi_spec.net) == 80
 
@@ -490,6 +491,21 @@ class TestPipelineChain:
         rho = phi_norm_batch(res.phi_spec, U)
         assert np.all(rho > base)
         assert np.all(rho <= 1.1 * base * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("verdict", ["equivalent", "attained"])
+    def test_boundary_norm_verdicts_gate_the_report(self, lap3, verdict,
+                                                    monkeypatch):
+        # the phi-norm checks alone do not pass a chain-route build whose
+        # rescaled norm fails its own equivalence or attainment check
+        def failing_build_F(chain):
+            return dataclasses.replace(build_F(chain), **{verdict: False})
+
+        monkeypatch.setattr(equiv, "build_F", failing_build_F)
+        samples = np.random.default_rng(1).standard_normal((64, 3))
+        res = corollary_b_pipeline(lap3, samples, 0.1, seed=0)
+        assert res.route == "chain"
+        assert res.report.net_passed and res.report.claim2d_ok
+        assert not res.passed
 
     def test_factor_space_needs_direct_route(self, lap3):
         with pytest.raises(ParameterError):

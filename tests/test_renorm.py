@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from smoothnorm.boundary import Decomposition, build_net
+from smoothnorm.cli import load_config
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
 from smoothnorm.orlicz import (OrliczFamily, luxemburg_norm,
                                luxemburg_norm_batch, make_orlicz)
@@ -160,6 +163,45 @@ class TestBuildRenorm:
                 if X.norm(x) > 1e-12:
                     loop.append(x / X.norm(x))
             np.testing.assert_array_equal(_sphere_samples(X, 40, 5), loop)
+
+
+# sha256 of each NetB array's bytes (home: one int64 per member)
+DEMO_SUP3_NET = dict(
+    matrix="c80ad3cc7d6948a3b87d101688ec56cd2a9f88fee6949b2a00631316af21292d",
+    psi="53c99eb22add927b9e63a4f98c964a69680a8549cfa206a967428a040757ef19",
+    theta="457104a9d8707abaaf64dd366c493b12be0bb809e2154f785f225efb73cba2f5",
+    piece="b8d04b8e4644977df092c27fedde0c770d5fb5f0ef931471306a21f8d18c3aea",
+    bin_id="9ce85d57dfa86b86d5c3138334cf7766dc21bf30b70acf697a5fffcd710c35f7",
+    home="f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61",
+)
+PREDUAL7_NET = dict(
+    matrix="0ca04f23a817056c2327759aa681904ca55cc206a26a70bdfe3c96c255a042e5",
+    psi="4d9eba0c9f77ede113b28546acbe49f3c6ee8654e88a5d62db9f0b1a2134c9c7",
+    theta="914efa474e6003d0aab47a8f51b366d771a12031f00cbd9db907b5d9dd8bbe8f",
+    piece="bc64b8bfac68cdc92aa4610ef86013319a979c37f07712168a7216da02e756b4",
+    bin_id="807e18e8ce2f896bccd3a1a649547ed0e0b0542ba9cc56a6d623c6057591e153",
+    home="7cd27ccf07b815a466b7e422f0e884e2b68755784818877099a2dcf49a1d2a04",
+)
+
+
+def net_digests(net):
+    return {name: hashlib.sha256(np.ascontiguousarray(
+                getattr(net, name)).tobytes()).hexdigest()
+            for name in DEMO_SUP3_NET}
+
+
+class TestPinnedNets:
+    """The nets behind the pinned report digests, bit for bit."""
+
+    def test_demo_sup3(self):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "demo_sup3.cfg"
+        net = build_net(load_config(cfg).decomposition)
+        assert net.home.dtype == np.int64
+        assert net_digests(net) == DEMO_SUP3_NET
+
+    def test_predual7(self, predual7_spec):
+        assert predual7_spec.net.home.dtype == np.int64
+        assert net_digests(predual7_spec.net) == PREDUAL7_NET
 
 
 class TestPiCoords:
