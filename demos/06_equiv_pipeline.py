@@ -1,17 +1,18 @@
 """End to end on a Lorentz predual: level sets, the assembled boundary
 norm, and the full verification pipeline.
 
-support_ball(space, n) lists the level-n dual extreme points, compute_bn
-and compute_cn measure the same quantity from two sides, build_F rescales
-the levels into an equivalent attained boundary norm, and
-corollary_b_pipeline chains everything into the smooth renorm checks.
+support_ball(space, n) lists the dual extreme points of support at
+most n, compute_bn and compute_cn measure the same quantity from two
+sides, a RelativeBoundaryChain holds each level's new functionals and
+measures its own b_n, build_F rescales the levels into an equivalent
+attained boundary-sup space, and corollary_b_pipeline chains everything
+into the smooth renorm checks.
 """
 
 import numpy as np
 
-from smoothnorm.equiv import (RelativeBoundaryChain, build_F, compute_bn,
-                              compute_cn, corollary_b_pipeline,
-                              support_ball)
+from smoothnorm.equiv import (RelativeBoundaryChain, build_F, compute_cn,
+                              corollary_b_pipeline, support_ball)
 from smoothnorm.spaces import lorentz_predual_space
 
 
@@ -24,17 +25,17 @@ def main():
 
     print(f"lorentz predual, weights {weights}")
     levels = tuple(range(1, 5))
-    h_sets = []
+    increments = []
     for n in levels:
+        # support_ball(space, n - 1) is the first rows of this slice
         ball = support_ball(space, n)
-        h_sets.append(ball)
+        increments.append(ball[sum(map(len, increments)):])
         cn = compute_cn(space, S, n, identity_tol=1e-9)
         print(f"  level {n}: {len(ball)} functionals "
               f"(exact={space.enumerable_dual}), c_{n} = {cn:.9f}")
 
-    chain = RelativeBoundaryChain(
-        space=space, h_sets=tuple(h_sets), samples=S,
-        level_ids=levels, b_values=[compute_bn(h, S) for h in h_sets])
+    chain = RelativeBoundaryChain(space=space, levels=increments,
+                                  samples=S, level_ids=levels)
     bn = build_F(chain)
     print()
     print(f"build_F: a = {np.asarray(bn.a_values).round(6)}")

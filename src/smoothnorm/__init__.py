@@ -22,7 +22,7 @@ from .boundary import (
     net_property_report,
 )
 from .equiv import (
-    BoundaryNorm,
+    BoundaryNormSpace,
     RelativeBoundaryChain,
     build_F,
     compute_bn,

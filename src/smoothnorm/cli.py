@@ -22,6 +22,10 @@ Config file (a JSON object):
   smooth         {"point": [...], "direction": [...], "steps": [...]};
                  optional; defaults to the first ridge of sup_finite
 
+An entry that none of these objects uses is a config error, at every
+level, and so is a decomposition "preset" given with "pieces" or
+"closure".
+
 Report (``report.json``, keys sorted, no timestamps or filesystem
 paths): config sha256, seed, space summary, epsilon, per-suite records
 {status, passed, samples, measured, note}, and the overall pass flag.
@@ -60,8 +64,8 @@ from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import (_check_steps, _sphere_samples, build_renorm, phi_norm,
                      phi_norm_batch, pi_coords_batch, smoothness_check)
-from .spaces import (SupSpace, euclidean_space, lap_space,
-                     lorentz_predual_space, lorentz_space, sup_space)
+from .spaces import (EuclideanSpace, LapSpace, LorentzPredualSpace,
+                     LorentzSpace, SupSpace)
 from .tensor import (TensorElement, apply_fY, apply_gX,
                      boundary_product_check, injective_norm, tensor_apply)
 from .verify import (CLAIM_TOL, RATIO_SLACK, ApproxWindow, active_sets,
@@ -73,6 +77,11 @@ SUITES = ("approx", "claim1", "claim2d", "localdep", "smooth",
 _BUDGETS = {"approx": 400, "claim1": 400, "claim2d": 2000,
             "localdep": 60, "boundary": 300, "tensor": 200,
             "equiv": 128, "build": 512}
+
+# the config's space kinds, each built by keyword from its parameters
+_KINDS = {"sup_finite": SupSpace, "euclidean": EuclideanSpace,
+          "lorentz": LorentzSpace, "lorentz_predual": LorentzPredualSpace,
+          "lap": LapSpace}
 
 _TOLERANCES = {"ratio_slack": RATIO_SLACK, "claim2d_excess": CLAIM_TOL,
                "richardson": 1e-5, "boundary": 1e-9,
@@ -91,48 +100,46 @@ class ConfigError(ValueError):
 # -- config loading ------------------------------------------------------
 
 
-def _build_space(spec):
+def _check_keys(what, spec, known):
+    """ConfigError naming every entry of spec outside known."""
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} entries: {sorted(unknown)}")
+
+
+def _build_space(spec, what="space", kinds=_KINDS):
+    """The kinds[spec["kind"]] space, built from the other entries by
+    keyword, so a missing or unused entry is a ConfigError naming it
+    (the constructor's TypeError names it)."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("space must be an object with a 'kind'")
-    kind = spec["kind"]
-    try:
-        if kind == "sup_finite":
-            return sup_space(int(spec["dim"]))
-        if kind == "euclidean":
-            return euclidean_space(int(spec["dim"]))
-        if kind == "lorentz":
-            return lorentz_space(spec["weights"])
-        if kind == "lorentz_predual":
-            return lorentz_predual_space(spec["weights"])
-        if kind == "lap":
-            return lap_space(spec["sets"], spec["exponents"],
-                             int(spec["dim"]))
-    except KeyError as exc:
+        raise ConfigError(f"{what} must be an object with a 'kind'")
+    params = dict(spec)
+    kind = params.pop("kind")
+    if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(
-            f"space kind {kind!r} needs a {exc.args[0]!r} entry")
+            f"unknown {what} kind {kind!r}; known: {sorted(kinds)}")
+    try:
+        return kinds[kind](**params)
     except (ParameterError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad space parameters: {exc}")
-    raise ConfigError(f"unknown space kind {kind!r}")
+        raise ConfigError(f"bad {what} {kind!r} parameters: {exc}")
 
 
 def _build_factor(spec):
     if spec in (None, "scalar"):
         return None
-    if isinstance(spec, dict) and spec.get("kind") == "euclidean":
-        try:
-            return euclidean_space(int(spec["dim"]))
-        except (KeyError, ParameterError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad factor space: {exc}")
-    raise ConfigError(
-        "factor_space must be 'scalar' or a euclidean {kind, dim} object")
+    return _build_space(spec, "factor_space", {"euclidean": EuclideanSpace})
 
 
 def _build_decomposition(space, spec, epsilon):
     if not isinstance(spec, dict):
         raise ConfigError("decomposition must be an object")
+    _check_keys("decomposition", spec, ("preset", "pieces", "closure"))
     closure = None
     preset = spec.get("preset")
     if preset is not None:
+        if "pieces" in spec or "closure" in spec:
+            raise ConfigError("a decomposition 'preset' takes no "
+                              "'pieces' or 'closure'")
         eye = np.eye(space.dim)
         if preset == "unit_vectors":
             pieces = [np.vstack([eye, -eye])]
@@ -150,6 +157,7 @@ def _build_decomposition(space, spec, epsilon):
             closure = {}
             try:
                 for e in spec["closure"]:
+                    _check_keys("closure", e, ("piece", "member", "pieces"))
                     closure[(int(e["piece"]), int(e["member"]))] = [
                         int(i) for i in e["pieces"]]
             except (KeyError, TypeError, ValueError) as exc:
@@ -193,6 +201,7 @@ def _resolve_suites(names):
 def _parse_smooth(spec, dim):
     if not isinstance(spec, dict):
         raise ConfigError("smooth must be an object")
+    _check_keys("smooth", spec, ("point", "direction", "steps"))
     try:
         point = [float(v) for v in spec["point"]]
         direction = [float(v) for v in spec["direction"]]
@@ -241,9 +250,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     known = {"space", "epsilon", "factor_space", "decomposition", "seed",
              "samples", "tolerances", "suites", "smooth"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config entries: {sorted(unknown)}")
+    _check_keys("config", data, known)
     if "space" not in data:
         raise ConfigError("config needs a 'space' section")
     space = _build_space(data["space"])

@@ -1,32 +1,34 @@
 """Relative boundary chains and equivalent boundary-sup norms.
 
 The renorm machinery needs a decomposition that norms the sphere.  Two
-routes produce one here, and the kind picks between them.  The direct
-route applies when the dual ball is enumerable: the dual-ball slices by
-support cardinality (support_ball, the dual extreme points of support
-at most n) already form a boundary, since every sample's norming
-support fits in dim levels, and their level increments feed
-build_renorm as pieces.  A sample of the dual sphere is no boundary, so
-support_ball refuses every other kind, and those take the chain route,
-which drops the norming-support requirement: it measures the level
-constants
+routes produce one here, and the kind picks between them.  Each holds
+its levels as a RelativeBoundaryChain: the functionals new at each
+level, measured on one sample set.  The direct route applies when the
+dual ball is enumerable: it lists the dual extreme points once
+(support_ball at level dim) and splits them by support size, so levels
+1..n together are the slice support_ball(space, n).  Those slices
+already form a boundary, since every sample's norming support fits in
+dim levels, and the level increments feed build_renorm as pieces.  A
+sample of the dual sphere is no boundary, so support_ball refuses every
+other kind, and those take the chain route, which drops the
+norming-support requirement: it measures the level constants
 
-    b_n = inf over samples of sup over the slice of h(x)
+    b_n = inf over samples of sup over levels 1..n of h(x)
     c_n = inf over samples of max over |sigma| = n of ||P_sigma x||
 
 (equal by duality for monotone unconditional bases), rescales the level
 increments by a decreasing a-sequence so every sample attains a finite
-level, and takes the resulting symmetrized sup as a new equivalent norm
-whose boundary the increments are by construction (the inner max of
-c_n is ModelSpace.top_projection_rows, exact at every dimension).  Its
-levels are the norming functionals of each sample's best projections.
+level, and renorms the resulting boundary_sup space, whose boundary the
+increments are by construction (the inner max of c_n is
+ModelSpace.top_projection_rows, exact at every dimension).  Its levels
+are the norming functionals of each sample's best projections.
 corollary_b_pipeline runs the kind's route end to end on one sample set
 and verifies the built approximating norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT, active_sets,
 
 __all__ = [
     "RelativeBoundaryChain",
-    "BoundaryNorm",
     "BoundaryNormSpace",
     "PipelineReport",
     "PipelineResult",
@@ -118,80 +119,73 @@ def _check_identity(n, b, c, tol):
 
 @dataclass(frozen=True)
 class RelativeBoundaryChain:
-    """Increasing dual-ball subsets with their measured level constants.
+    """Disjoint dual-ball level increments and their level constants.
 
-    h_sets are cumulative: position i holds every functional of level
-    level_ids[i].  samples is the one (s, dim) sphere set every level's
-    b and c values were measured on, so b is nondecreasing.  b = 0 is
-    representable (build_F refuses it).
+    levels[i] is the (k, dim) array of functionals new at level
+    level_ids[i], possibly empty; no functional appears twice.  samples
+    is the one (s, dim) sphere set every level is measured on.
+    b_values[i] is compute_bn on levels 1..i+1 together, so b is
+    nondecreasing; it must lie in [0, 1], and b = 0 is representable
+    (build_F refuses it).
     """
 
     space: object
-    h_sets: tuple
+    levels: tuple
     samples: np.ndarray
     level_ids: tuple
-    b_values: np.ndarray
     c_values: np.ndarray | None = None
+    b_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h_sets", tuple(
-            np.atleast_2d(np.asarray(h, dtype=float)) for h in self.h_sets))
-        object.__setattr__(self, "samples", np.atleast_2d(
-            np.asarray(self.samples, dtype=float)))
-        object.__setattr__(self, "level_ids",
-                           tuple(int(n) for n in self.level_ids))
-        object.__setattr__(self, "b_values",
-                           np.asarray(self.b_values, dtype=float))
-        if self.c_values is not None:
-            object.__setattr__(self, "c_values",
-                               np.asarray(self.c_values, dtype=float))
+        def put(name, value):
+            object.__setattr__(self, name, value)
 
-        k = len(self.h_sets)
+        put("levels", tuple(np.atleast_2d(np.asarray(h, dtype=float))
+                            for h in self.levels))
+        put("samples", np.atleast_2d(np.asarray(self.samples, dtype=float)))
+        put("level_ids", tuple(int(n) for n in self.level_ids))
+        if self.c_values is not None:
+            put("c_values", np.asarray(self.c_values, dtype=float))
+
+        k = len(self.levels)
         if k == 0:
             raise ConstructionError("chain needs at least one level")
-        if not len(self.level_ids) == len(self.b_values) == k:
+        if len(self.level_ids) != k or (self.c_values is not None
+                                        and len(self.c_values) != k):
             raise ConstructionError("chain fields must have equal length")
-        if self.c_values is not None and len(self.c_values) != k:
-            raise ConstructionError("c_values length mismatch")
         if any(n2 <= n1 for n1, n2 in zip(self.level_ids,
                                           self.level_ids[1:])):
             raise ConstructionError("level ids must strictly increase")
-        if self.samples.ndim != 2 or self.samples.size == 0:
+        dim = self.space.dim
+        if self.samples.size == 0 or any(
+                A.ndim != 2 or A.shape[1] != dim
+                for A in (self.samples, *self.levels)):
+            raise ConstructionError(f"chain needs a nonempty sample array "
+                                    f"and levels, each of width {dim}")
+        keys = _row_keys(np.vstack(self.levels))
+        if len(set(keys)) != len(keys):
             raise ConstructionError(
-                "chain needs one nonempty (s, dim) sample array")
-        keys = [set(_row_keys(h)) for h in self.h_sets]
-        for i in range(k - 1):
-            if not keys[i] <= keys[i + 1]:
-                raise ConstructionError(
-                    f"level {self.level_ids[i + 1]} does not contain "
-                    f"level {self.level_ids[i]}")
-        if not np.all((self.b_values >= -1e-12)
-                      & (self.b_values <= 1.0 + 1e-9)):
-            raise ConstructionError("b values must lie in [0, 1]")
-        if np.any(np.diff(self.b_values) < -1e-12):
-            raise ConstructionError("b must be nondecreasing")
+                "levels must be pairwise disjoint, with no repeated "
+                "functional")
+        b = np.asarray([compute_bn(np.vstack(self.levels[:i + 1]),
+                                   self.samples) for i in range(k)])
+        if not np.all((b >= -1e-12) & (b <= 1.0 + 1e-9)):
+            raise ConstructionError(f"b values must lie in [0, 1], got {b}")
+        put("b_values", b)
 
     def __len__(self):
-        return len(self.h_sets)
-
-    def new_members(self, i) -> np.ndarray:
-        """Rows of h_sets[i] absent from the previous level."""
-        cur = self.h_sets[i]
-        if i == 0:
-            return cur
-        prev = set(_row_keys(self.h_sets[i - 1]))
-        keep = [j for j, key in enumerate(_row_keys(cur)) if key not in prev]
-        return cur[keep] if keep else cur[:0]
+        return len(self.levels)
 
 
-def default_a_sequence(level_ids, b_values) -> np.ndarray:
+def default_a_sequence(level_ids, b) -> np.ndarray:
     """a_n = 1 + 2^(-n-1) + max over m >= n of (1 - b_m)/b_m.
 
     Strictly decreasing, always > 1, and a_n * b_n > 1 so the level-n
     term already beats the limiting sup for the level's own samples.
     """
-    b = np.asarray(b_values, dtype=float)
-    if np.any(b <= 0.0):
+    b = np.asarray(b, dtype=float)
+    # written so that NaN fails it
+    if not np.all(b > 0.0):
         raise ConstructionError("a-sequence needs strictly positive b")
     deficits = (1.0 - b) / b
     tail = np.maximum.accumulate(deficits[::-1])[::-1]
@@ -199,13 +193,17 @@ def default_a_sequence(level_ids, b_values) -> np.ndarray:
     return 1.0 + 2.0 ** (-(ids + 1.0)) + tail
 
 
-@dataclass(frozen=True)
-class BoundaryNorm:
-    """F = union of a_n-scaled level increments, with the symmetrized
-    sup |||x||| = max over F of |f(x)| and its measured equivalence.
+@dataclass(eq=False, repr=False)
+class BoundaryNormSpace(ModelSpace):
+    """The model space normed by a rescaled chain: F is the union of the
+    a_n-scaled level increments, |||x||| = max over F of |f(x)|, and the
+    record holds its measured equivalence to the chain's norm.
 
-    pieces keep only nonempty increments (level_ids names them);
-    a_values stays aligned with the full chain.
+    pieces keep only nonempty increments (level_ids names them) and
+    matrix stacks them; a_values stays aligned with the full chain.  The
+    norm is a finite sup of functionals, not coordinatewise monotone in
+    general.  Its dual metric is the coordinate l1 surrogate (the dual
+    of the sup norm), so the exact dual-ball check is skipped.
     """
 
     pieces: tuple
@@ -218,9 +216,17 @@ class BoundaryNorm:
     attained: bool
     lrc_reports: tuple
 
-    def norm_batch(self, rows) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return np.max(np.abs(rows @ self.matrix.T), axis=1)
+    kind = "boundary_sup"
+    monotone_unconditional = False
+    # its own binding, so a per-class wrapper (perfbench/tracer.py) can
+    # count it apart from ModelSpace.dual_norm
+    dual_norm = ModelSpace.dual_norm
+
+    def __post_init__(self):
+        super().__init__(self.matrix.shape[1])
+
+    def _norm_rows(self, X):
+        return np.max(np.abs(X @ self.matrix.T), axis=1)
 
     def symmetric_pieces(self):
         """Each piece with both signs present (deduplicated), the form
@@ -229,8 +235,9 @@ class BoundaryNorm:
 
 
 def build_F(chain: RelativeBoundaryChain,
-            a_strategy="default") -> BoundaryNorm:
-    """Scale the chain's level increments and measure the new norm.
+            a_strategy="default") -> BoundaryNormSpace:
+    """Scale the chain's level increments into the boundary_sup space
+    and measure it against the chain's norm on the chain's samples.
 
     a_strategy: "default" (the decreasing sequence above) or "ones".
     The expected ratio range [min a*b, max a] is widened by 1e-9 on
@@ -249,13 +256,12 @@ def build_F(chain: RelativeBoundaryChain,
          else np.ones(len(chain)))
 
     pieces, ids, lrc = [], [], []
-    for i, n in enumerate(chain.level_ids):
-        new = chain.new_members(i)
-        if len(new) == 0:
+    for a_n, n, level in zip(a, chain.level_ids, chain.levels):
+        if len(level) == 0:
             continue
-        piece = a[i] * new
+        piece = a_n * level
         pieces.append(piece)
-        ids.append(int(n))
+        ids.append(n)
         lrc.append(check_lrc_criterion(piece))
     if not pieces:
         raise ConstructionError("every level increment is empty")
@@ -272,38 +278,12 @@ def build_F(chain: RelativeBoundaryChain,
                         for i in range(len(S))))
     expected = (float(np.min(a * b)) - 1e-9, float(np.max(a)) + 1e-9)
     ratio_range = (float(np.min(ratios)), float(np.max(ratios)))
-    return BoundaryNorm(
+    return BoundaryNormSpace(
         pieces=tuple(pieces), level_ids=tuple(ids), a_values=a,
         matrix=matrix, ratio_range=ratio_range, expected_range=expected,
         equivalent=(expected[0] <= ratio_range[0]
                     and ratio_range[1] <= expected[1]),
         attained=attained, lrc_reports=tuple(lrc))
-
-
-class BoundaryNormSpace(ModelSpace):
-    """The model space normed by a BoundaryNorm's symmetrized sup.
-
-    The norm is a finite sup of functionals, not coordinatewise monotone
-    in general.  Its dual metric is the coordinate l1 surrogate (the
-    dual of the sup norm), so the exact dual-ball check is skipped.
-    """
-
-    kind = "boundary_sup"
-    monotone_unconditional = False
-    # its own binding, so a per-class wrapper (perfbench/tracer.py) can
-    # count it apart from ModelSpace.dual_norm
-    dual_norm = ModelSpace.dual_norm
-
-    def __init__(self, boundary_norm: BoundaryNorm):
-        super().__init__(boundary_norm.matrix.shape[1])
-        self.boundary = boundary_norm
-
-    def _norm_rows(self, X):
-        return self.boundary.norm_batch(X)
-
-    def __repr__(self):
-        return (f"BoundaryNormSpace(dim={self.dim}, "
-                f"pieces={len(self.boundary.pieces)})")
 
 
 @dataclass(frozen=True)
@@ -323,10 +303,13 @@ class PipelineReport:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """The route taken, its chain, the rescaled space on the chain route
+    (None on the direct route) and the verified approximating norm,
+    whose base space is phi_spec.X."""
+
     route: str
     chain: RelativeBoundaryChain
-    boundary_norm: BoundaryNorm | None
-    base_space: object
+    boundary_norm: BoundaryNormSpace | None
     decomposition: Decomposition
     phi_spec: object
     report: PipelineReport
@@ -352,36 +335,41 @@ def _normalize_rows(space, rows):
     return rows / base[:, None]
 
 
-def _support_ball_chain(space, S, level_ids, identity_tol):
-    """Support-ball levels, for kinds with enumerable dual balls; each
-    level's b_n is checked against c_n as compute_cn does."""
-    h_sets = tuple(support_ball(space, n) for n in level_ids)
-    b = [compute_bn(h, S) for h in h_sets]
-    c = [compute_cn(space, S, n) for n in level_ids]
-    if identity_tol is not None:
-        for n, bn, cn in zip(level_ids, b, c):
-            _check_identity(n, bn, cn, identity_tol)
-    return h_sets, np.asarray(b), np.asarray(c)
-
-
 def _adapted_chain(space, S, level_ids):
-    """Sample-adapted levels for kinds without enumerable dual balls:
-    each sample contributes the norming functional of its best
+    """Sample-adapted level increments for kinds without enumerable dual
+    balls: each sample contributes the norming functional of its best
     |sigma| = n projection, so its own level-n sup equals the c_n inner
     value exactly."""
-    h_sets, acc, c = [], np.zeros((0, space.dim)), []
+    levels, acc, c = [], np.zeros((0, space.dim)), []
     for n in level_ids:
         values, masks = space.top_projection_rows(S, n)
         if np.any(values <= 0.0):
             raise ConstructionError(
                 f"a sample projects to zero at level {n}")
-        acc = _unique_rows(np.vstack(
+        grown = _unique_rows(np.vstack(
             [acc, *(space.norming_functional(p)
                     for p in np.where(masks, S, 0.0))]))
-        h_sets.append(acc)
+        levels.append(grown[len(acc):])
+        acc = grown
         c.append(np.min(values))
-    b = np.asarray([compute_bn(h, S) for h in h_sets])
-    return tuple(h_sets), b, np.asarray(c)
+    return levels, c
+
+
+def _route_chain(space, S):
+    """Levels 1..dim on the unit rows S by the kind's route.  The
+    direct route enumerates the support ball at level dim once and
+    splits it by support size, so levels 1..n are support_ball(space, n)
+    row for row."""
+    level_ids = tuple(range(1, space.dim + 1))
+    if space.enumerable_dual:
+        ball = support_ball(space, space.dim)
+        sizes = np.count_nonzero(ball, axis=1)
+        levels = [ball[sizes == n] for n in level_ids]
+        c = [compute_cn(space, S, n) for n in level_ids]
+    else:
+        levels, c = _adapted_chain(space, S, level_ids)
+    return RelativeBoundaryChain(space=space, levels=levels, samples=S,
+                                 level_ids=level_ids, c_values=c)
 
 
 def _pipeline_report(phi, d, chain, boundary_norm, seed):
@@ -413,11 +401,12 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
     """Build and verify an approximating norm by the kind's route.
 
     "direct" exactly when space.enumerable_dual: levels 1..dim hold
-    every sample's norming support, so the union of support-ball levels
-    is a boundary and the level increments become the decomposition
-    pieces.  "chain" for every other kind: measure b_n/c_n per level,
-    rescale the increments with the a-sequence, and renorm the
-    resulting boundary-sup space instead; factor spaces need the direct
+    every sample's norming support, so the support ball at level dim is
+    a boundary, and its increments by support size become the
+    decomposition pieces, each level's b_n checked against c_n as
+    compute_cn does.  "chain" for every other kind: measure b_n/c_n per
+    level, rescale the increments with the a-sequence, and renorm the
+    resulting boundary_sup space instead; factor spaces need the direct
     route.
 
     samples: one (s, dim) array of nonzero rows, normalized here and
@@ -428,32 +417,27 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
         raise ParameterError(
             f"factor spaces need the direct route, and kind "
             f"{space.kind!r} has no enumerable dual ball")
-    level_ids = tuple(range(1, space.dim + 1))
     S = _normalize_rows(space, samples)
     union = np.unique(S, axis=0)
+    chain = _route_chain(space, S)
     if direct:
-        h_sets, b, c = _support_ball_chain(space, S, level_ids, identity_tol)
-    else:
-        h_sets, b, c = _adapted_chain(space, S, level_ids)
-    chain = RelativeBoundaryChain(
-        space=space, h_sets=h_sets, samples=S, level_ids=level_ids,
-        b_values=b, c_values=c)
-    if direct:
-        pieces = [P for P in map(chain.new_members, range(len(chain)))
-                  if len(P)]
-        boundary_norm, base_space, boundary_samples = None, space, union
-        decomposition = Decomposition(space, pieces, eps)
-    else:
-        boundary_norm = build_F(chain)
-        base_space = BoundaryNormSpace(boundary_norm)
+        if identity_tol is not None:
+            for n, b_n, c_n in zip(chain.level_ids, chain.b_values,
+                                   chain.c_values):
+                _check_identity(n, b_n, c_n, identity_tol)
+        boundary_norm, base, boundary_samples = None, space, union
         decomposition = Decomposition(
-            base_space, boundary_norm.symmetric_pieces(), eps)
-        boundary_samples = _normalize_rows(base_space, union)
+            space, [P for P in chain.levels if len(P)], eps)
+    else:
+        boundary_norm = base = build_F(chain)
+        decomposition = Decomposition(
+            base, boundary_norm.symmetric_pieces(), eps)
+        boundary_samples = _normalize_rows(base, union)
 
-    phi = build_renorm(base_space, decomposition, Y,
+    phi = build_renorm(base, decomposition, Y,
                        boundary_samples=boundary_samples, seed=seed)
     report = _pipeline_report(phi, decomposition, chain, boundary_norm, seed)
     return PipelineResult(
         route="direct" if direct else "chain", chain=chain,
-        boundary_norm=boundary_norm, base_space=base_space,
-        decomposition=decomposition, phi_spec=phi, report=report)
+        boundary_norm=boundary_norm, decomposition=decomposition,
+        phi_spec=phi, report=report)

@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 
 from smoothnorm.boundary import Decomposition, epsilon_n
-from smoothnorm.equiv import (RelativeBoundaryChain, build_F, compute_bn,
-                              compute_cn, corollary_b_pipeline,
-                              support_ball)
+from smoothnorm.equiv import (RelativeBoundaryChain, build_F, compute_cn,
+                              corollary_b_pipeline, support_ball)
 from smoothnorm.orlicz import (OrliczFamily, check_lemma1_bounds,
                                luxemburg_norm, make_orlicz)
 from smoothnorm.renorm import (active_set, build_renorm, phi_norm,
@@ -337,11 +336,12 @@ def test_criterion_10_level_identities_and_rescaled_union(capsys):
                          (lorentz_predual_space(W6), 104)):
             S = unit_rows(sp, 25, seed)
             levels = tuple(range(1, sp.dim + 1))
-            h_sets = [support_ball(sp, n) for n in levels]
+            # level n holds the functionals of support size exactly n
+            ball = support_ball(sp, sp.dim)
+            sizes = np.count_nonzero(ball, axis=1)
             chain = RelativeBoundaryChain(
-                space=sp, h_sets=h_sets, samples=S,
-                level_ids=levels,
-                b_values=[compute_bn(h, S) for h in h_sets])
+                space=sp, levels=[ball[sizes == n] for n in levels],
+                samples=S, level_ids=levels)
             for strategy in ("default", "ones"):
                 bn = build_F(chain, a_strategy=strategy)
                 assert bn.attained

@@ -190,6 +190,39 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("section, value, key", [
+        ("space", {"kind": "sup_finite", "dim": 3, "weights": [1, 2],
+                   "exponent": 4}, "weights"),
+        ("space", {"kind": "lorentz", "weights": [1.0, 0.5], "dim": 2},
+         "dim"),
+        ("decomposition", {"preset": "unit_vectors",
+                           "closure": [{"piece": 5, "member": 0,
+                                        "pieces": [5]}],
+                           "pieces": [[[7, 7, 7]]]}, "preset"),
+        ("decomposition", {"preset": "per_direction", "pieces": []},
+         "preset"),
+        ("decomposition", {"pieces": [[[1, 0, 0], [-1, 0, 0]]],
+                           "presets": "unit_vectors"}, "presets"),
+        ("decomposition", {"pieces": [[[1, 0, 0], [-1, 0, 0]]],
+                           "closure": [{"piece": 0, "member": 0,
+                                        "pieces": [0], "weight": 2}]},
+         "weight"),
+        ("factor_space", {"kind": "euclidean", "dim": 2, "weights": [1]},
+         "weights"),
+        ("smooth", {"point": [1.0, 1.0, 0.0], "direction": [1.0, -1.0, 0.0],
+                    "steps": [1e-3, 1e-4], "stepz": [1e-5]}, "stepz"),
+    ], ids=["space", "space_lorentz_dim", "decomposition_preset_and_pieces",
+            "decomposition_preset_and_empty_pieces", "decomposition",
+            "closure_entry", "factor_space", "smooth"])
+    def test_unused_entry_exits_2(self, tmp_path, capsys, section, value,
+                                  key):
+        """Each of these used to run with the entry ignored, exit 0."""
+        cfg = write_cfg(tmp_path, **{section: value})
+        assert main(["run", str(cfg), "--suite", "boundary",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_bad_parallel(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert main(["run", str(cfg), "--parallel", "0"]) == 2

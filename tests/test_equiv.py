@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import HalfspaceIntersection
 
 from smoothnorm import equiv
+from smoothnorm.boundary import _row_keys
 from smoothnorm.equiv import (
     BoundaryNormSpace,
     RelativeBoundaryChain,
@@ -30,6 +30,7 @@ from smoothnorm.spaces import (euclidean_space, lap_space,
                                sup_space)
 
 W4 = [1.0, 0.5, 0.25, 0.125]
+W8 = [1.0 / np.sqrt(k + 1) for k in range(8)]
 
 
 def unit_rows(space, count, seed):
@@ -47,10 +48,16 @@ def sup2_boundary_norm():
     sp = sup_space(2)
     S = unit_rows(sp, 30, 14)
     H = np.vstack([np.eye(2), -np.eye(2)])
-    ch = RelativeBoundaryChain(
-        space=sp, h_sets=(H,), samples=S, level_ids=(0,),
-        b_values=[compute_bn(H, S)])
+    ch = RelativeBoundaryChain(space=sp, levels=(H,), samples=S,
+                               level_ids=(0,))
     return build_F(ch, a_strategy="ones")
+
+
+def support_levels(space):
+    """The level increments of support_ball(space, n), n = 1..dim."""
+    balls = [np.zeros((0, space.dim))] + [
+        support_ball(space, n) for n in range(1, space.dim + 1)]
+    return [cur[len(prev):] for prev, cur in zip(balls, balls[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -238,47 +245,61 @@ class TestComputeCn:
 
 class TestRelativeBoundaryChain:
     def chain(self, predual4, **overrides):
-        S = unit_rows(predual4, 10, 11)
-        h = [support_ball(predual4, n) for n in (1, 2)]
-        fields = dict(space=predual4, h_sets=h, samples=S,
-                      level_ids=(1, 2),
-                      b_values=[compute_bn(hh, S) for hh in h])
+        h1, h2 = (support_ball(predual4, n) for n in (1, 2))
+        fields = dict(space=predual4, levels=(h1, h2[len(h1):]),
+                      samples=unit_rows(predual4, 10, 11),
+                      level_ids=(1, 2))
         fields.update(overrides)
         return RelativeBoundaryChain(**fields)
 
     def test_valid_chain(self, predual4):
         ch = self.chain(predual4)
         assert len(ch) == 2
-        assert len(ch.new_members(0)) == 8
-        assert len(ch.new_members(1)) == 24
+        assert len(ch.levels[0]) == 8
+        assert len(ch.levels[1]) == 24
+        for i, n in enumerate((1, 2)):
+            assert ch.b_values[i] == compute_bn(support_ball(predual4, n),
+                                                ch.samples)
 
-    def test_containment_enforced(self, predual4):
+    def test_disjointness_enforced(self, predual4):
         h1 = support_ball(predual4, 1)
-        with pytest.raises(ConstructionError):
-            self.chain(predual4, h_sets=(h1, h1[:4]))
+        with pytest.raises(ConstructionError, match="disjoint"):
+            self.chain(predual4, levels=(h1, h1[:4]))
+        # a repeat inside one level, and one with only a signed zero
+        # changed, count too
+        with pytest.raises(ConstructionError, match="disjoint"):
+            self.chain(predual4, levels=(h1, np.vstack([-h1[:1] * 0.5] * 2)))
+        flipped = h1[:1] * 0.5 + 0.0
+        flipped[0, 1] = -0.0
+        with pytest.raises(ConstructionError, match="disjoint"):
+            self.chain(predual4, levels=(h1, np.vstack([h1[:1] * 0.5,
+                                                         flipped])))
 
     def test_b_range_enforced(self, predual4):
-        with pytest.raises(ConstructionError):
-            self.chain(predual4, b_values=[0.5, 1.5])
-        with pytest.raises(ConstructionError):
-            self.chain(predual4, b_values=[-0.2, 0.5])
-
-    def test_nan_b_refused(self, predual4):
-        # NaN fails every comparison, so the range test must be positive
-        with pytest.raises(ConstructionError):
-            self.chain(predual4, b_values=[np.nan, 1.0])
-
-    def test_b_monotone_for_shared_samples(self, predual4):
-        with pytest.raises(ConstructionError):
-            self.chain(predual4, b_values=[0.9, 0.4])
+        # samples of norm 2 give b_2 = 2
+        with pytest.raises(ConstructionError, match=r"\[0, 1\]"):
+            self.chain(predual4, samples=2.0 * unit_rows(predual4, 10, 11))
 
     def test_shape_errors(self, predual4):
         with pytest.raises(ConstructionError):
             self.chain(predual4, level_ids=(2, 1))
         with pytest.raises(ConstructionError):
-            self.chain(predual4, b_values=[1.0])
+            self.chain(predual4, c_values=[1.0])
         with pytest.raises(ConstructionError):
             self.chain(predual4, samples=np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("field, width", [("levels", 3), ("levels", 5),
+                                              ("samples", 3)])
+    def test_wrong_width_refused(self, field, width):
+        # a width-3 level on a dim-2 space used to surface as numpy's
+        # matmul ValueError inside build_F
+        sp = sup_space(2)
+        fields = dict(levels=(np.vstack([np.eye(2), -np.eye(2)]),),
+                      samples=unit_rows(sp, 5, 12))
+        fields[field] = (np.ones((2, width)),) if field == "levels" \
+            else np.ones((4, width))
+        with pytest.raises(ConstructionError, match="width 2"):
+            RelativeBoundaryChain(space=sp, level_ids=(1,), **fields)
 
 
 class TestDefaultASequence:
@@ -292,16 +313,21 @@ class TestDefaultASequence:
         with pytest.raises(ConstructionError):
             default_a_sequence((1, 2), [0.0, 1.0])
 
+    def test_rejects_nan_b(self):
+        # NaN fails every comparison, so the check must be written
+        # positively; it used to return [nan, 1.125]
+        with pytest.raises(ConstructionError):
+            default_a_sequence((1, 2), [np.nan, 1.0])
+
 
 class TestBuildF:
     def test_single_level_boundary_reproduces_norm(self):
         sp = sup_space(2)
         S = unit_rows(sp, 30, 14)
         H = np.vstack([np.eye(2), -np.eye(2)])
-        ch = RelativeBoundaryChain(
-            space=sp, h_sets=(H,), samples=S, level_ids=(0,),
-            b_values=[compute_bn(H, S)])
-        bn = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
+        ch = RelativeBoundaryChain(space=sp, levels=(H,), samples=S,
+                                   level_ids=(0,))
+        bn = build_F(ch, a_strategy="ones")
         rng = np.random.default_rng(15)
         for _ in range(50):
             x = rng.standard_normal(2)
@@ -309,12 +335,10 @@ class TestBuildF:
 
     def test_unit_coefficients_on_full_chain_reproduce_norm(self, predual4):
         S = unit_rows(predual4, 20, 16)
-        h = [support_ball(predual4, n) for n in range(1, 5)]
-        ch = RelativeBoundaryChain(
-            space=predual4, h_sets=h, samples=S,
-            level_ids=(1, 2, 3, 4),
-            b_values=[compute_bn(hh, S) for hh in h])
-        bn = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
+        ch = RelativeBoundaryChain(space=predual4,
+                                   levels=support_levels(predual4),
+                                   samples=S, level_ids=(1, 2, 3, 4))
+        bn = build_F(ch, a_strategy="ones")
         rng = np.random.default_rng(17)
         for _ in range(50):
             x = rng.standard_normal(4)
@@ -323,11 +347,9 @@ class TestBuildF:
 
     def test_default_strategy_report(self, predual4):
         S = unit_rows(predual4, 40, 18)
-        h = [support_ball(predual4, n) for n in range(1, 5)]
-        ch = RelativeBoundaryChain(
-            space=predual4, h_sets=h, samples=S,
-            level_ids=(1, 2, 3, 4),
-            b_values=[compute_bn(hh, S) for hh in h])
+        ch = RelativeBoundaryChain(space=predual4,
+                                   levels=support_levels(predual4),
+                                   samples=S, level_ids=(1, 2, 3, 4))
         bn = build_F(ch)
         assert np.all(np.diff(bn.a_values) < 0.0)
         assert bn.equivalent and bn.attained
@@ -339,18 +361,17 @@ class TestBuildF:
 
     def test_zero_b_rejected(self, predual4):
         S = unit_rows(predual4, 5, 19)
-        ch = RelativeBoundaryChain(
-            space=predual4, h_sets=(np.zeros((1, 4)),), samples=S,
-            level_ids=(0,), b_values=[0.0])
+        ch = RelativeBoundaryChain(space=predual4,
+                                   levels=(np.zeros((1, 4)),), samples=S,
+                                   level_ids=(0,))
         with pytest.raises(ConstructionError):
             build_F(ch)
 
     def test_coefficient_validation(self, predual4):
         S = unit_rows(predual4, 10, 20)
         H = support_ball(predual4, 4)
-        ch = RelativeBoundaryChain(
-            space=predual4, h_sets=(H,), samples=S, level_ids=(4,),
-            b_values=[compute_bn(H, S)])
+        ch = RelativeBoundaryChain(space=predual4, levels=(H,), samples=S,
+                                   level_ids=(4,))
         with pytest.raises(ParameterError):
             build_F(ch, a_strategy=[1.0, 2.0])
         with pytest.raises(ParameterError):
@@ -361,17 +382,18 @@ class TestBoundaryNormSpace:
     def test_quacks_like_a_space(self, predual4):
         S = unit_rows(predual4, 15, 21)
         H = support_ball(predual4, 4)
-        ch = RelativeBoundaryChain(
-            space=predual4, h_sets=(H,), samples=S, level_ids=(4,),
-            b_values=[compute_bn(H, S)])
-        space = BoundaryNormSpace(build_F(ch, a_strategy="ones"))
+        ch = RelativeBoundaryChain(space=predual4, levels=(H,), samples=S,
+                                   level_ids=(4,))
+        space = build_F(ch, a_strategy="ones")
+        assert isinstance(space, BoundaryNormSpace)
+        assert space.kind == "boundary_sup"
         assert space.dim == 4
         assert space.dual_metric == "surrogate_l1"
         assert not space.monotone_unconditional
         rows = np.random.default_rng(22).standard_normal((10, 4))
         # batched and single matmuls may differ by an ulp
         np.testing.assert_allclose(
-            space.boundary.norm_batch(rows),
+            space.norm_rows(rows),
             [space.norm(x) for x in rows], rtol=1e-14)
         assert space.dual_norm([1.0, -2.0, 0.0, 0.5]) == 3.5
 
@@ -380,7 +402,7 @@ class TestBoundaryNormSpace:
                     elements=st.floats(-1e6, 1e6, allow_nan=False)))
     def test_dual_norm_rows(self, F):
         """Row-wise l1: bounds l-inf, one row is bitwise its batch row."""
-        space = BoundaryNormSpace(sup2_boundary_norm())
+        space = sup2_boundary_norm()
         batch = space.dual_norm_rows(F)
         assert np.all(batch >= np.max(np.abs(F), axis=1))
         for i, f in enumerate(F):
@@ -390,7 +412,7 @@ class TestBoundaryNormSpace:
     @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            at=st.integers(0, 1))
     def test_dual_norm_non_finite(self, bad, at):
-        space = BoundaryNormSpace(sup2_boundary_norm())
+        space = sup2_boundary_norm()
         f = np.array([0.5, 0.25])
         f[at] = bad
         with pytest.raises(ParameterError):
@@ -457,7 +479,7 @@ class TestPipelineDirect:
         monkeypatch.setattr(equiv, "support_ball", counting)
         samples = np.random.default_rng(0).standard_normal((200, 4))
         corollary_b_pipeline(predual4, samples, 0.1, seed=0)
-        assert levels == [1, 2, 3, 4]
+        assert levels == [4]
 
     def test_identity_mismatch_raises(self, predual4):
         samples = np.random.default_rng(0).standard_normal((200, 4))
@@ -465,6 +487,60 @@ class TestPipelineDirect:
                            match=r"^b_1 = .* and c_1 = .* disagree beyond "
                                  r"-1\.0$"):
             corollary_b_pipeline(predual4, samples, 0.1, identity_tol=-1.0)
+
+
+def cumulative_levels(space, S, level_ids):
+    """The adapted route's cumulative level sets as a chain held them
+    before it held increments: the oracle for the increments."""
+    h_sets, acc = [], np.zeros((0, space.dim))
+    for n in level_ids:
+        _, masks = space.top_projection_rows(S, n)
+        acc = equiv._unique_rows(np.vstack(
+            [acc, *(space.norming_functional(p)
+                    for p in np.where(masks, S, 0.0))]))
+        h_sets.append(acc)
+    return h_sets
+
+
+class TestRouteLevels:
+    """Each route's level increments, checked against the cumulative
+    sets they replace: levels 1..n together are that set row for row,
+    and b_n is compute_bn on it, bit for bit."""
+
+    @pytest.mark.parametrize("space", [sup_space(d) for d in range(1, 7)]
+                             + [lorentz_predual_space(W8[:d])
+                                for d in range(2, 9)],
+                             ids=[f"sup{d}" for d in range(1, 7)]
+                             + [f"predual{d}" for d in range(2, 9)])
+    def test_direct_levels_are_support_ball_increments(self, space):
+        S = equiv._normalize_rows(space, np.random.default_rng(
+            space.dim).standard_normal((40, space.dim)))
+        chain = equiv._route_chain(space, S)
+        assert chain.level_ids == tuple(range(1, space.dim + 1))
+        for i, n in enumerate(chain.level_ids):
+            ball = support_ball(space, n)
+            below = set(_row_keys(support_ball(space, n - 1)))
+            new = ball[[key not in below for key in _row_keys(ball)]]
+            np.testing.assert_array_equal(chain.levels[i], new)
+            np.testing.assert_array_equal(np.vstack(chain.levels[:i + 1]),
+                                          ball)
+            assert chain.b_values[i] == compute_bn(ball, S)
+
+    @pytest.mark.parametrize("space", [
+        lap_space([[0], [1, 2]], [1.0, 2.0], 3),
+        lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5),
+        lorentz_space([1.0, 0.5, 0.25]),
+        euclidean_space(3),
+    ], ids=["lap3", "lap5", "lorentz3", "euclidean3"])
+    def test_adapted_levels_match_cumulative_oracle(self, space):
+        S = equiv._normalize_rows(space, np.random.default_rng(
+            space.dim).standard_normal((40, space.dim)))
+        chain = equiv._route_chain(space, S)
+        oracle = cumulative_levels(space, S, chain.level_ids)
+        for i, h in enumerate(oracle):
+            np.testing.assert_array_equal(np.vstack(chain.levels[:i + 1]),
+                                          h)
+            assert chain.b_values[i] == compute_bn(h, S)
 
 
 class TestPipelineChain:
@@ -487,7 +563,7 @@ class TestPipelineChain:
         res = chain_result
         rng = np.random.default_rng(27)
         U = rng.standard_normal((200, 3))
-        base = np.array([res.base_space.norm(u) for u in U])
+        base = np.array([res.phi_spec.X.norm(u) for u in U])
         rho = phi_norm_batch(res.phi_spec, U)
         assert np.all(rho > base)
         assert np.all(rho <= 1.1 * base * (1.0 + 1e-9))
@@ -498,7 +574,9 @@ class TestPipelineChain:
         # the phi-norm checks alone do not pass a chain-route build whose
         # rescaled norm fails its own equivalence or attainment check
         def failing_build_F(chain):
-            return dataclasses.replace(build_F(chain), **{verdict: False})
+            space = build_F(chain)
+            setattr(space, verdict, False)
+            return space
 
         monkeypatch.setattr(equiv, "build_F", failing_build_F)
         samples = np.random.default_rng(1).standard_normal((64, 3))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from smoothnorm.equiv import (BoundaryNormSpace, RelativeBoundaryChain,
-                              build_F, compute_bn)
+                              build_F)
 from smoothnorm.errors import NumericError, ParameterError
 from smoothnorm.orlicz import make_orlicz
 from smoothnorm.spaces import (
@@ -48,10 +48,9 @@ CLOSED_FORM_KINDS = ALL_KINDS[:4]
 def sup_boundary_space(dim):
     """The sup norm of R^dim as a one-level BoundaryNormSpace."""
     H = np.vstack([np.eye(dim), -np.eye(dim)])
-    ch = RelativeBoundaryChain(
-        space=sup_space(dim), h_sets=(H,), samples=H, level_ids=(0,),
-        b_values=[compute_bn(H, H)])
-    return BoundaryNormSpace(build_F(ch, a_strategy="ones"))
+    ch = RelativeBoundaryChain(space=sup_space(dim), levels=(H,), samples=H,
+                               level_ids=(0,))
+    return build_F(ch, a_strategy="ones")
 
 
 BOUNDARY5 = sup_boundary_space(5)
