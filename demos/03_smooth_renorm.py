@@ -2,8 +2,9 @@
 
 The sup norm has a kink wherever two coordinates tie.  The built
 phi-norm stays within a factor 1+eps of it but is smooth at the ridge:
-second central differences stay bounded as the step shrinks and
-Richardson extrapolation of the gradient converges.
+along the line smoothness_check probes, second central differences stay
+bounded as the step shrinks and Richardson extrapolation of the gradient
+converges.
 """
 
 import numpy as np
@@ -37,9 +38,9 @@ def main():
     print()
     print(f"second central differences at x = {point}, "
           f"direction {direction}")
-    base_rep = smoothness_check(X.norm, point, [direction], steps).records[0]
+    base_rep = smoothness_check(X.norm, point, direction, steps)
     phi_rep = smoothness_check(lambda v: phi_norm(spec, v, tol=1e-13),
-                               point, [direction], steps).records[0]
+                               point, direction, steps)
     print(f"  {'step':>8}  {'sup norm':>14}  {'phi norm':>14}")
     for h, b, p in zip(steps, base_rep.second_diffs, phi_rep.second_diffs):
         print(f"  {h:>8.0e}  {b:>14.4f}  {p:>14.4f}")

@@ -2,7 +2,8 @@
 
 A matrix M represents an element of sup_finite(3) (x) euclidean(2).
 Slicing against a dual functional on either side gives a vector in the
-other space, the injective norm is exact: it enumerates the dual
+other space, and the pairing tensor_apply, summed from its definition,
+agrees with both slices.  The injective norm is exact: it enumerates the dual
 extreme points of X against Euclidean row norms (an X without an
 enumerable dual ball is refused), and boundary_product_check verifies
 that rank-one products of boundary functionals norm the unit samples.
@@ -36,8 +37,7 @@ def main():
     print()
     print(f"injective norm, enumerated: {res.value:.12f}")
     print(f"row-norm oracle:            {oracle:.12f}")
-    print(f"norming pair f = {np.asarray(res.pair.f)}, "
-          f"g = {np.asarray(res.pair.g).round(6)}")
+    print(f"norming pair f = {res.f}, g = {res.g.round(6)}")
 
     # product boundary: F x (circle grid) norms unit tensors to 1e-4
     angles = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)

@@ -16,9 +16,9 @@ Config file (a JSON object):
                  "closure" list of {"piece", "member", "pieces"} entries
   seed           base seed (integer); --seed overrides; a seed is
                  required because every suite draws samples
-  samples        per-suite budget overrides, keys as in _BUDGETS
-  tolerances     tolerance overrides, keys as in _TOLERANCES
-  suites         default suite selection, e.g. ["all"]
+  samples        per-suite budget overrides (an object), keys as in _BUDGETS
+  tolerances     tolerance overrides (an object), keys as in _TOLERANCES
+  suites         default suite selection (a list), e.g. ["all"]
   smooth         {"point": [...], "direction": [...], "steps": [...]};
                  optional; defaults to the first ridge of sup_finite
 
@@ -215,7 +215,7 @@ def _parse_smooth(spec, dim):
             and any(direction)):
         raise ConfigError("smooth point/direction must be finite, nonzero")
     try:
-        steps = _check_steps(steps, np.asarray(point), [direction])
+        steps = _check_steps(steps, np.asarray(point), np.asarray(direction))
     except ParameterError as exc:
         raise ConfigError(f"smooth {exc}")
     return {"point": point, "direction": direction, "steps": steps}
@@ -235,6 +235,16 @@ class RunConfig:
     suites: tuple
     smooth: dict | None
     sha256: str
+
+
+def _section(data, key, default):
+    """data[key], or default if it is absent or empty; ConfigError
+    unless it has default's type (a JSON object or list)."""
+    value = data.get(key) or default
+    if not isinstance(value, type(default)):
+        kind = "object" if isinstance(default, dict) else "list"
+        raise ConfigError(f"{key} must be a JSON {kind}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -272,7 +282,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError("seed must be an integer")
 
     budgets = dict(_BUDGETS)
-    for key, value in (data.get("samples") or {}).items():
+    for key, value in _section(data, "samples", {}).items():
         if key not in _BUDGETS:
             raise ConfigError(
                 f"unknown sample budget {key!r}; known: {sorted(_BUDGETS)}")
@@ -283,10 +293,10 @@ def load_config(path) -> RunConfig:
         budgets[key] = value
 
     tolerances = dict(_TOLERANCES)
-    for key, value in (data.get("tolerances") or {}).items():
+    for key, value in _section(data, "tolerances", {}).items():
         tolerances[key] = _tol_value(key, value)
 
-    suites = _resolve_suites(data.get("suites") or ["all"])
+    suites = _resolve_suites(_section(data, "suites", ["all"]))
     smooth = data.get("smooth")
     if smooth is not None:
         smooth = _parse_smooth(smooth, space.dim)
@@ -519,12 +529,11 @@ def _suite_smooth(ctx):
         direction = np.asarray(probe["direction"])
         steps = probe["steps"]
     spec = ctx.phi_spec()
-    base_rep = smoothness_check(ctx.space.norm, point, [direction], steps)
+    b = smoothness_check(ctx.space.norm, point, direction, steps)
     # tighter root-finding keeps second differences above the noise
-    phi_rep = smoothness_check(lambda v: phi_norm(spec, v, tol=1e-13),
-                               point, [direction], steps)
+    p = smoothness_check(lambda v: phi_norm(spec, v, tol=1e-13),
+                         point, direction, steps)
     rich_tol = ctx.tol["richardson"]
-    b, p = base_rep.records[0], phi_rep.records[0]
     ok = b.kink and not p.kink and p.richardson <= rich_tol
     measured = {"base_kink": b.kink, "phi_kink": p.kink,
                 "base_slope": b.slope, "phi_slope": p.slope,
@@ -593,7 +602,7 @@ def _suite_tensor(ctx):
             res = injective_norm(TensorElement(M, X, Y))
             if res.value <= 1e-12:
                 continue
-            gs.append(res.pair.g)
+            gs.append(res.g)
             units.append(TensorElement(M / res.value, X, Y))
         prep = boundary_product_check(F, np.asarray(gs), units,
                                       tol=1e-9)

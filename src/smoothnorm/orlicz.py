@@ -48,9 +48,9 @@ A generalized Luxemburg norm over a finite index set B is
     ||c||_phi = inf { rho > 0 : sum_t phi_t(|c_t| / rho) <= 1 },
 
 computed by scaling.feasible_scale_inf, the package's one certified
-bracket-and-bisect; a single vector is a batch of one.  The returned
-value is the certified upper bracket endpoint, so the modular constraint
-holds at the result as computed.
+bracket-and-bisect; a single vector is a batch of one.  luxemburg_norm
+returns the certified upper bracket endpoint, so the modular constraint
+holds at the result as computed; the bracket is feasible_scale_inf's.
 """
 
 from __future__ import annotations
@@ -309,17 +309,6 @@ class OrliczFamily:
         return np.bincount(r, weights=vals, minlength=rows.shape[0])
 
 
-@dataclass(frozen=True)
-class LuxemburgResult:
-    """Certified Luxemburg norm: value == hi, modular(coords/hi) <= 1."""
-
-    value: float
-    lo: float
-    hi: float
-    modular_at_value: float
-    iterations: int
-
-
 def _coordinate_rows(family, rows):
     """Validate (n, len(family)) coordinate rows."""
     if rows.ndim != 2 or rows.shape[1] != len(family):
@@ -330,34 +319,20 @@ def _coordinate_rows(family, rows):
     return rows
 
 
-def luxemburg_norm(family: OrliczFamily, coords, full_output=False):
+def luxemburg_norm(family: OrliczFamily, coords) -> float:
     """Generalized Luxemburg norm of a finite coordinate vector.
 
     ||c||_phi = inf { rho > 0 : sum_t phi_t(|c_t|/rho) <= 1 }: the
     certified upper bracket endpoint of feasible_scale_inf (relative
     width scaling.DEFAULT_TOL) on a batch of one, so feasibility at the
     result holds exactly as computed and the value equals
-    luxemburg_norm_batch on the same row.
-
-    Parameters
-    ----------
-    family : OrliczFamily
-    coords : array_like
-        Finite coordinates aligned with the family's index order.
-    full_output : bool
-        If True, return a LuxemburgResult instead of a float.
+    luxemburg_norm_batch on the same row.  feasible_scale_inf gives the
+    bracket itself.
     """
     coords = np.asarray(coords, dtype=float)
-    bracket = feasible_scale_inf(
+    return float(feasible_scale_inf(
         lambda z, _: family.modular_rows(z),
-        _coordinate_rows(family, coords[None]))
-    value = float(bracket.hi[0])
-    if not full_output:
-        return value
-    s_val = family.modular(np.abs(coords) / value) if value else 0.0
-    return LuxemburgResult(value=value, lo=float(bracket.lo[0]), hi=value,
-                           modular_at_value=s_val,
-                           iterations=bracket.iterations)
+        _coordinate_rows(family, coords[None])).hi[0])
 
 
 def luxemburg_norm_batch(family: OrliczFamily, rows) -> np.ndarray:
@@ -394,7 +369,8 @@ class Lemma1Report:
 
 def check_lemma1_bounds(family: OrliczFamily, alpha, beta,
                         vectors) -> Lemma1Report:
-    """Check alpha*||c||_phi <= ||c||_inf <= beta*||c||_phi on samples.
+    """Check alpha*||c||_phi <= ||c||_inf <= beta*||c||_phi on samples,
+    bracketing all of them in one feasible_scale_inf call.
 
     Preconditions (validated): every family member vanishes at alpha and
     reaches at least 1 at beta.
@@ -405,30 +381,21 @@ def check_lemma1_bounds(family: OrliczFamily, alpha, beta,
         raise ParameterError("need 0 < alpha < beta")
     for fn in family.functions:
         if float(fn(np.asarray([alpha]))[0]) != 0.0:
-            raise ParameterError(
-                "family member does not vanish at alpha")
+            raise ParameterError("family member does not vanish at alpha")
         if not float(fn(np.asarray([beta]))[0]) >= 1.0:
-            raise ParameterError(
-                "family member stays below 1 at beta")
+            raise ParameterError("family member stays below 1 at beta")
 
-    dust = 1e-12
-    violations = 0
-    max_left = 0.0
-    max_right = 0.0
-    checked = 0
-    for c in vectors:
-        c = np.asarray(c, dtype=float)
-        res = luxemburg_norm(family, c, full_output=True)
-        sup = float(np.max(np.abs(c))) if c.size else 0.0
-        width = res.hi - res.lo
-        left = alpha * res.value - sup - alpha * width - dust * max(sup, 1.0)
-        right = sup - beta * res.value - dust * max(sup, 1.0)
-        max_left = max(max_left, left)
-        max_right = max(max_right, right)
-        if left > 0.0 or right > 0.0:
-            violations += 1
-        checked += 1
+    rows = np.asarray(list(vectors), dtype=float)
+    if not len(rows):
+        rows = np.empty((0, len(family)))
+    bracket = feasible_scale_inf(lambda z, _: family.modular_rows(z),
+                                 _coordinate_rows(family, rows))
+    value, width = bracket.hi, bracket.hi - bracket.lo
+    sup = np.abs(rows).max(axis=1)
+    dust = 1e-12 * np.maximum(sup, 1.0)
+    left = alpha * value - sup - alpha * width - dust
+    right = sup - beta * value - dust
     return Lemma1Report(
-        checked=checked, violations=violations,
-        max_left_excess=max_left, max_right_excess=max_right,
-    )
+        checked=len(rows), violations=int(np.sum((left > 0) | (right > 0))),
+        max_left_excess=float(left.max(initial=0.0)),
+        max_right_excess=float(right.max(initial=0.0)))

@@ -1,10 +1,11 @@
 """Smooth approximating norms assembled from a separated net.
 
 Given a decomposition of a norming set for X into pieces, build_net
-thins it to net points h, each carrying weights theta(h) < psi(h).  Each
-net point gets a smooth convex bump phi_h vanishing on [0, 1/psi(h)]
-and exceeding 1 at 1/theta(h), and the approximating norm of u is the
-Luxemburg norm of the coordinate vector
+thins it to net points h, each carrying weights theta(h) < psi(h).  So
+the net fixes each point's smooth convex bump phi_h, vanishing on
+[0, 1/psi(h)] and exceeding 1 at 1/theta(h), and PhiNormSpec derives
+that family from it.  The approximating norm of u is the Luxemburg norm
+of the coordinate vector
 
     Pi(u)(h) = |h(u)|            (scalar factor)
     Pi(u)(h) = ||h @ u||_2       (euclidean factor, u a matrix)
@@ -28,14 +29,14 @@ row keeps about 2 of the 2,186 terms of the lorentz_predual dim-7 net.  The rela
 the roundings of u and of the thresholds 1/psi, 1/theta, and working on
 u rather than on Pi keeps subnormal and huge rows exact.
 
-smoothness_check is the numerical surrogate for smoothness claims: it
-contrasts second-difference blowup of a kinked norm (growing like 1/h)
-against the bounded behavior of a smooth one.
+smoothness_check is the numerical surrogate for smoothness claims: along
+one line it contrasts second-difference blowup of a kinked norm (growing
+like 1/h) against the bounded behavior of a smooth one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
     "PhiNormSpec",
     "ActiveSet",
     "DirectionReport",
-    "SmoothnessReport",
     "PhiUnitPool",
     "build_renorm",
     "pi_coords",
@@ -63,36 +63,27 @@ __all__ = [
     "smoothness_check",
 ]
 
-THRESHOLD_TOL = 1e-12
 # relative margin of the pruning rule (module docstring)
 PRUNE_TOL = 1e-12
 
 
 @dataclass
 class PhiNormSpec:
-    """A built approximating norm: net, bump family, and factor space.
+    """A built approximating norm: net, factor space, and the bump
+    family the net fixes (module docstring).
 
     Y is None for the scalar factor, else a euclidean ModelSpace.
     """
 
     net: NetB
-    family: OrliczFamily
     X: ModelSpace
     Y: ModelSpace | None
     epsilon: float
+    family: OrliczFamily = field(init=False)
 
     def __post_init__(self):
-        family = self.family
-        if len(family) != len(self.net):
-            raise ConstructionError("family must index the net points")
-        if family.zero_thresholds is None:
-            raise ConstructionError("family must consist of OrliczFunctions")
-        zero = family.zero_thresholds
-        if (np.abs(zero * self.net.psi - 1.0) > THRESHOLD_TOL).any():
-            raise ConstructionError("zero threshold does not invert psi")
-        exceed = family.exceed_thresholds
-        if (np.abs(exceed * self.net.theta - 1.0) > THRESHOLD_TOL).any():
-            raise ConstructionError("exceed threshold does not invert theta")
+        self.family = OrliczFamily([make_orlicz(z, e) for z, e in zip(
+            (1.0 / self.net.psi).tolist(), (1.0 / self.net.theta).tolist())])
 
     @property
     def sample_shape(self) -> tuple:
@@ -143,10 +134,7 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
             f"functionals do not norm the sample sphere; worst sup "
             f"f(x) = {worst}")
 
-    net = build_net(d)
-    family = OrliczFamily([make_orlicz(z, e) for z, e in zip(
-        (1.0 / net.psi).tolist(), (1.0 / net.theta).tolist())])
-    return PhiNormSpec(net=net, family=family, X=X, Y=Y, epsilon=d.epsilon)
+    return PhiNormSpec(net=build_net(d), X=X, Y=Y, epsilon=d.epsilon)
 
 
 def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
@@ -290,15 +278,9 @@ class DirectionReport:
     kink: bool
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    point: np.ndarray
-    records: tuple
-
-
-def _check_steps(steps, x, directions) -> list:
+def _check_steps(steps, x, direction) -> list:
     """Finite-difference steps as floats: non-empty, finite, positive,
-    strictly decreasing and each moving x along every direction, or
+    strictly decreasing and each moving x along direction, or
     ParameterError."""
     steps = [float(h) for h in steps]
     # written to fail on NaN too
@@ -306,17 +288,16 @@ def _check_steps(steps, x, directions) -> list:
             and all(h2 < h1 for h1, h2 in zip(steps, steps[1:]))):
         raise ParameterError(f"steps must be non-empty, finite, positive "
                              f"and strictly decreasing, got {steps}")
-    for d in directions:
-        d = np.asarray(d, dtype=float)
-        for h in steps:
-            if np.array_equal(x + h * d, x):
-                raise ParameterError(
-                    f"step {h} underflows at x in direction {d}")
+    for h in steps:
+        if np.array_equal(x + h * direction, x):
+            raise ParameterError(
+                f"step {h} underflows at x in direction {direction}")
     return steps
 
 
-def smoothness_check(normfn, x, directions, steps) -> SmoothnessReport:
-    """Probe first/second central differences of normfn along lines.
+def smoothness_check(normfn, x, direction, steps) -> DirectionReport:
+    """Probe first/second central differences of normfn along the line
+    through x in direction.
 
     A kink is flagged when the second difference grows like a negative
     power of h (log-log slope <= -0.5) at non-negligible size
@@ -325,32 +306,28 @@ def smoothness_check(normfn, x, directions, steps) -> SmoothnessReport:
     mistaken for a derivative jump.
     """
     x = np.asarray(x, dtype=float)
+    d = np.asarray(direction, dtype=float)
     if not x.any():
         raise ParameterError("smoothness probe needs x != 0")
-    steps = _check_steps(steps, x, directions)
+    steps = _check_steps(steps, x, d)
 
     g0 = float(normfn(x))
-    records = []
-    for d in directions:
-        d = np.asarray(d, dtype=float)
-        first, second = [], []
-        for h in steps:
-            gp = float(normfn(x + h * d))
-            gm = float(normfn(x - h * d))
-            first.append((gp - gm) / (2.0 * h))
-            second.append((gp - 2.0 * g0 + gm) / h ** 2)
-        rich = max((abs(b - a) for a, b in zip(first, first[1:])),
-                   default=0.0)
-        mags = np.abs(second)
-        if np.count_nonzero(mags) >= 2:
-            mask = mags > 0.0
-            slope = float(np.polyfit(np.log(np.asarray(steps)[mask]),
-                                     np.log(mags[mask]), 1)[0])
-        else:
-            slope = 0.0
-        scale = float(np.median(mags * np.asarray(steps)))
-        records.append(DirectionReport(
-            direction=d, steps=tuple(steps), first_diffs=tuple(first),
-            second_diffs=tuple(second), richardson=rich, slope=slope,
-            kink=slope <= -0.5 and scale >= 1e-6))
-    return SmoothnessReport(point=x, records=tuple(records))
+    first, second = [], []
+    for h in steps:
+        gp = float(normfn(x + h * d))
+        gm = float(normfn(x - h * d))
+        first.append((gp - gm) / (2.0 * h))
+        second.append((gp - 2.0 * g0 + gm) / h ** 2)
+    rich = max((abs(b - a) for a, b in zip(first, first[1:])), default=0.0)
+    mags = np.abs(second)
+    if np.count_nonzero(mags) >= 2:
+        mask = mags > 0.0
+        slope = float(np.polyfit(np.log(np.asarray(steps)[mask]),
+                                 np.log(mags[mask]), 1)[0])
+    else:
+        slope = 0.0
+    scale = float(np.median(mags * np.asarray(steps)))
+    return DirectionReport(
+        direction=d, steps=tuple(steps), first_diffs=tuple(first),
+        second_diffs=tuple(second), richardson=rich, slope=slope,
+        kink=slope <= -0.5 and scale >= 1e-6)

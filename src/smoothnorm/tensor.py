@@ -3,7 +3,8 @@
 An element u of X tensor Y is stored as its coefficient matrix over the
 standard bases, rows indexed by X and columns by Y.  A functional f on X
 slices u to the Y-vector apply_fY(f, u) = f @ u, a functional g on Y
-slices it to apply_gX(g, u) = u @ g, and the rank-one pairing satisfies
+slices it to apply_gX(g, u) = u @ g, and the rank-one pairing
+tensor_apply, the double sum of f_i u_ij g_j, satisfies
 
     (f tensor g)(u) = f @ u @ g = g(apply_fY(f, u)) = f(apply_gX(g, u)).
 
@@ -27,9 +28,7 @@ from .spaces import EuclideanSpace, ModelSpace
 
 __all__ = [
     "TensorElement",
-    "DualPair",
     "InjectiveNormResult",
-    "ProductAttainmentRecord",
     "ProductBoundaryReport",
     "apply_fY",
     "apply_gX",
@@ -53,14 +52,6 @@ class TensorElement:
             raise ParameterError(
                 f"matrix shape {self.matrix.shape} does not match "
                 f"dim X x dim Y = ({self.X.dim}, {self.Y.dim})")
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """A witness pair of functionals, f on X and g on Y."""
-
-    f: np.ndarray
-    g: np.ndarray
 
 
 def _matrix_of(u):
@@ -87,16 +78,23 @@ def apply_gX(g, u):
 
 
 def tensor_apply(f, g, u) -> float:
-    """The rank-one pairing (f tensor g)(u) = f @ u @ g."""
-    return float(apply_fY(f, u) @ np.asarray(g, dtype=float))
+    """The rank-one pairing (f tensor g)(u), summed as sum_ij f_i u_ij g_j
+    rather than through a slice, so that it checks both slices."""
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    M = _matrix_of(u)
+    if f.shape != (M.shape[0],) or g.shape != (M.shape[1],):
+        raise ParameterError("functional lengths do not match the factors")
+    return float(np.sum(np.outer(f, g) * M))
 
 
 @dataclass(frozen=True)
 class InjectiveNormResult:
-    """Injective norm value with a witness pair attaining it."""
+    """Injective norm value with witnesses f on X and g on Y attaining it."""
 
     value: float
-    pair: DualPair
+    f: np.ndarray
+    g: np.ndarray
 
 
 def _slice_norms(X, M):
@@ -127,39 +125,32 @@ def injective_norm(u: TensorElement) -> InjectiveNormResult:
     dim_x, dim_y = M.shape
 
     if not M.any():
-        return InjectiveNormResult(
-            0.0, DualPair(f=np.zeros(dim_x), g=np.zeros(dim_y)))
+        return InjectiveNormResult(0.0, np.zeros(dim_x), np.zeros(dim_y))
 
     F, rows, vals = _slice_norms(u.X, M)
     best = int(np.argmax(vals))
     value = float(vals[best])
     g = rows[best] / value if value > 0.0 else np.zeros(dim_y)
-    return InjectiveNormResult(value, DualPair(f=F[best], g=g))
-
-
-@dataclass(frozen=True)
-class ProductAttainmentRecord:
-    """Best rank-one pairing over N x M for one unit-norm sample."""
-
-    sample: int
-    value: float
-    f_index: int
-    g_index: int
-    attained: bool
+    return InjectiveNormResult(value, F[best], g)
 
 
 @dataclass(frozen=True)
 class ProductBoundaryReport:
-    records: list
+    """Per sample, the best rank-one pairing value over N x M and the
+    rows f_index of N and g_index of M attaining it."""
+
+    values: np.ndarray
+    f_index: np.ndarray
+    g_index: np.ndarray
     tol: float
 
     @property
     def passed(self) -> bool:
-        return all(r.attained for r in self.records)
+        return bool(np.all(self.values >= 1.0 - self.tol))
 
     @property
     def max_deficit(self) -> float:
-        return max((1.0 - r.value for r in self.records), default=0.0)
+        return float(np.max(1.0 - self.values)) if self.values.size else 0.0
 
 
 def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
@@ -173,7 +164,7 @@ def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
     """
     N = np.atleast_2d(np.asarray(N, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    records = []
+    values, f_index, g_index = [], [], []
     for i, u in enumerate(samples):
         if not isinstance(u, TensorElement):
             raise ParameterError("samples must be TensorElement instances")
@@ -184,11 +175,12 @@ def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
             raise ParameterError(
                 f"sample {i} has injective norm {res.value}, expected 1 "
                 f"within 1e-7")
-        sliced = u.matrix @ M.T
-        vals = N @ sliced
+        vals = N @ (u.matrix @ M.T)
         f_idx, g_idx = np.unravel_index(np.argmax(vals), vals.shape)
-        value = float(vals[f_idx, g_idx])
-        records.append(ProductAttainmentRecord(
-            sample=i, value=value, f_index=int(f_idx), g_index=int(g_idx),
-            attained=value >= 1.0 - tol))
-    return ProductBoundaryReport(records=records, tol=tol)
+        values.append(vals[f_idx, g_idx])
+        f_index.append(f_idx)
+        g_index.append(g_idx)
+    return ProductBoundaryReport(
+        values=np.array(values, dtype=float),
+        f_index=np.array(f_index, dtype=int),
+        g_index=np.array(g_index, dtype=int), tol=tol)

@@ -175,8 +175,7 @@ def test_criterion_05_ridge_contrast(capsys):
         direction = [1.0, -1.0, 0.0]
         steps = [1e-3, 1e-4]
 
-        base = smoothness_check(X.norm, point, [direction],
-                                steps).records[0]
+        base = smoothness_check(X.norm, point, direction, steps)
         for d2, h in zip(base.second_diffs, base.steps):
             assert abs(d2 * h / 2.0 - 1.0) <= 0.01
         assert base.kink
@@ -188,7 +187,7 @@ def test_criterion_05_ridge_contrast(capsys):
                               for i in range(3)], 0.1)
         spec = build_renorm(X, d, None, seed=0)
         phi = smoothness_check(lambda v: phi_norm(spec, v, tol=1e-13),
-                               point, [direction], steps).records[0]
+                               point, direction, steps)
         assert not phi.kink
         assert phi.richardson <= 1e-5
         assert max(abs(v) for v in phi.second_diffs) < 1.0
@@ -249,13 +248,13 @@ def test_criterion_08_tensor_identities(capsys):
         exact = boundary_product_check(F, np.vstack([np.eye(2),
                                                      -np.eye(2)]),
                                        [basis], tol=1e-12)
-        assert exact.passed and exact.records[0].value == 1.0
+        assert exact.passed and exact.values[0] == 1.0
         units, gs = [], []
         for _ in range(20):
             M = np.outer(rng.standard_normal(3), rng.standard_normal(2))
             res = injective_norm(TensorElement(M, X, Y))
             units.append(TensorElement(M / res.value, X, Y))
-            gs.append(res.pair.g)
+            gs.append(res.g)
         ranked = boundary_product_check(F, np.asarray(gs), units,
                                         tol=1e-9)
         assert ranked.passed
@@ -290,14 +289,13 @@ def test_criterion_09_predual_pipeline(capsys, predual4_pipeline):
         point = [1.0, 0.5, 0.0, 0.0]
         direction = [1.0, -1.0, 0.0, 0.0]
         steps = [1e-3, 1e-4]
-        base_rep = smoothness_check(space.norm, point, [direction],
-                                    steps).records[0]
+        base_rep = smoothness_check(space.norm, point, direction, steps)
         assert base_rep.kink
         for d2, h in zip(base_rep.second_diffs, base_rep.steps):
             assert abs(d2 * h - 1.0) <= 0.01
         phi_rep = smoothness_check(
-            lambda v: phi_norm(spec, v, tol=1e-13), point, [direction],
-            steps).records[0]
+            lambda v: phi_norm(spec, v, tol=1e-13), point, direction,
+            steps)
         assert not phi_rep.kink
         assert phi_rep.richardson <= 1e-5
 

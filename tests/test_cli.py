@@ -223,6 +223,18 @@ class TestConfigErrors:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("section,value", [
+        ("samples", [1, 2]), ("tolerances", "x"), ("suites", "all")])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, section,
+                                       value):
+        """A samples or tolerances list used to crash with a traceback
+        (exit 1), and a suites string was read letter by letter."""
+        cfg = write_cfg(tmp_path, **{section: value})
+        assert main(["run", str(cfg), "--suite", "boundary",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{section} must be a JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_bad_parallel(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert main(["run", str(cfg), "--parallel", "0"]) == 2

@@ -449,15 +449,13 @@ class TestPipelineDirect:
         y = np.array([1.0, 0.5, 0.0, 0.0])
         d = np.array([1.0, -1.0, 0.0, 0.0])
         steps = (1e-3, 1e-4)
-        base = smoothness_check(lambda w: predual4.norm(w), y, [d],
-                                steps).records[0]
+        base = smoothness_check(lambda w: predual4.norm(w), y, d, steps)
         assert base.kink
         for d2, h in zip(base.second_diffs, steps):
             np.testing.assert_allclose(d2, 1.0 / h, rtol=1e-2)
         spec = direct_result.phi_spec
         smooth = smoothness_check(
-            lambda w: phi_norm(spec, w, tol=1e-13), y, [d],
-            steps).records[0]
+            lambda w: phi_norm(spec, w, tol=1e-13), y, d, steps)
         assert not smooth.kink
         assert smooth.richardson <= 1e-5
 

@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from smoothnorm import orlicz as orlicz_module
 from smoothnorm.errors import NumericError, ParameterError
 from smoothnorm.orlicz import (
     _ASYM_SWITCH,
     _TINY_SERIES,
+    Lemma1Report,
     OrliczFamily,
     _log_g,
     check_lemma1_bounds,
@@ -231,12 +233,14 @@ class TestLuxemburgNorm:
                     * rng.uniform(0.1, 10, size=(20, 1)))
             batch = luxemburg_norm_batch(fam, rows)
             for c, value in zip(rows, batch):
-                res = luxemburg_norm(fam, c, full_output=True)
-                assert res.value == value
+                got = luxemburg_norm(fam, c)
+                bracket = feasible_scale_inf(
+                    lambda z, _: fam.modular_rows(z), c[None])
+                assert got == value
                 assert luxemburg_norm_batch(fam, [c])[0] == value
-                assert fam.modular(np.abs(c) / res.value) <= 1.0
-                assert res.modular_at_value <= 1.0
-                assert fam.modular(np.abs(c) / res.lo) > 1.0
+                assert fam.modular(np.abs(c) / got) <= 1.0
+                assert fam.modular(np.abs(c) / bracket.hi[0]) <= 1.0
+                assert fam.modular(np.abs(c) / bracket.lo[0]) > 1.0
             assert np.all(fam.modular_rows(np.abs(rows) / batch[:, None])
                           <= 1.0)
 
@@ -445,6 +449,29 @@ class TestLuxemburgNormAxioms:
         assert lhs <= rhs + 1e-9 * max(rhs, 1.0)
 
 
+def lemma1_loop_oracle(family, alpha, beta, vectors):
+    """check_lemma1_bounds as a loop over the vectors, one certified
+    bracket each."""
+    dust = 1e-12
+    violations, max_left, max_right, checked = 0, 0.0, 0.0, 0
+    for c in vectors:
+        c = np.asarray(c, dtype=float)
+        bracket = feasible_scale_inf(lambda z, _: family.modular_rows(z),
+                                     c[None])
+        value, lo = float(bracket.hi[0]), float(bracket.lo[0])
+        sup = float(np.max(np.abs(c)))
+        left = alpha * value - sup - alpha * (value - lo) \
+            - dust * max(sup, 1.0)
+        right = sup - beta * value - dust * max(sup, 1.0)
+        max_left = max(max_left, left)
+        max_right = max(max_right, right)
+        violations += left > 0.0 or right > 0.0
+        checked += 1
+    return Lemma1Report(checked=checked, violations=violations,
+                        max_left_excess=max_left,
+                        max_right_excess=max_right)
+
+
 class TestLemma1Bounds:
     def test_bump_family_pinches_sup_norm(self):
         """phi(alpha) = 0, phi(beta) = 1.5 >= 1 forces
@@ -463,6 +490,43 @@ class TestLemma1Bounds:
         fam = OrliczFamily([make_orlicz(alpha, beta)])
         report = check_lemma1_bounds(fam, alpha, beta, [np.array([3.0])])
         assert report.passed
+
+    def test_one_bracket_call_matches_vector_loop(self, monkeypatch):
+        """One feasible_scale_inf call brackets every vector, and the
+        report equals the loop of one bracket per vector bit for bit."""
+        rng = np.random.default_rng(12)
+        cases = [(0.5, 2.0, [make_orlicz(0.5, 2.0)] * 8),
+                 (0.8, 1.6, [make_orlicz(0.8, 1.6)] * 8),
+                 (0.25, 4.0, [make_orlicz(0.25, 4.0)] * 8),
+                 (0.5, 2.0, [make_orlicz(0.5, 2.0), make_orlicz(0.6, 1.5)]
+                  * 4),
+                 (1.0, 1.001, [make_orlicz(1.0, 1.001)] * 20)]
+        calls = []
+        real = orlicz_module.feasible_scale_inf
+
+        def counted(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        for alpha, beta, functions in cases:
+            fam = OrliczFamily(functions)
+            vecs = (rng.standard_normal((150, len(fam)))
+                    * 10.0 ** rng.uniform(-2, 2, size=(150, 1)))
+            want = lemma1_loop_oracle(fam, alpha, beta, vecs)
+            calls.clear()
+            monkeypatch.setattr(orlicz_module, "feasible_scale_inf", counted)
+            report = check_lemma1_bounds(fam, alpha, beta, list(vecs))
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert report == want
+            # per-row brackets are the one-vector brackets, bit for bit
+            loop = [real(lambda z, _: fam.modular_rows(z), c[None])
+                    for c in vecs]
+            assert calls[0].lo.tolist() == [b.lo[0] for b in loop]
+            assert calls[0].hi.tolist() == [b.hi[0] for b in loop]
+            assert report.checked == 150
+        empty = check_lemma1_bounds(OrliczFamily(cases[0][2]), 0.5, 2.0, [])
+        assert empty.checked == 0 and empty.passed
 
     def test_precondition_violations_rejected(self):
         fam = OrliczFamily([make_orlicz(0.5, 1.0)])

@@ -16,12 +16,10 @@ from scipy.optimize import brentq
 from smoothnorm.boundary import Decomposition, build_net
 from smoothnorm.cli import load_config
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
-from smoothnorm.orlicz import (OrliczFamily, luxemburg_norm,
-                               luxemburg_norm_batch, make_orlicz)
+from smoothnorm.orlicz import luxemburg_norm, luxemburg_norm_batch
 from smoothnorm.renorm import (
     PRUNE_TOL,
     ActiveSet,
-    PhiNormSpec,
     _luxemburg_rows,
     _sphere_samples,
     active_set,
@@ -133,24 +131,6 @@ class TestBuildRenorm:
         d = sup_decomposition(2)
         with pytest.raises(ParameterError):
             build_renorm(d.space, d, sup_space(2))
-
-    def test_threshold_invariant_enforced(self):
-        d = sup_decomposition(2)
-        net = build_net(d)
-        family = OrliczFamily([make_orlicz(0.5, 2.0)] * len(net))
-        with pytest.raises(ConstructionError):
-            PhiNormSpec(net=net, family=family, X=d.space, Y=None,
-                        epsilon=0.1)
-        # psi inverted, theta not
-        family = OrliczFamily([make_orlicz(1.0 / 1.0625, 0.99)] * len(net))
-        with pytest.raises(ConstructionError, match="theta"):
-            PhiNormSpec(net=net, family=family, X=d.space, Y=None,
-                        epsilon=0.1)
-        # thresholds are read from a family of OrliczFunctions
-        family = OrliczFamily([lambda s: s ** 2] * len(net))
-        with pytest.raises(ConstructionError, match="OrliczFunctions"):
-            PhiNormSpec(net=net, family=family, X=d.space, Y=None,
-                        epsilon=0.1)
 
     def test_sphere_samples_match_row_loop(self):
         """One gaussian block continues the same stream as one draw per
@@ -597,9 +577,8 @@ class TestSmoothnessCheck:
         X = sup_space(3)
         x = np.array([1.0, 1.0, 0.0])
         steps = (2.0 ** -10, 2.0 ** -13, 2.0 ** -16)
-        rep = smoothness_check(lambda w: X.norm(w), x,
-                               [np.array([1.0, -1.0, 0.0])], steps)
-        r = rep.records[0]
+        r = smoothness_check(lambda w: X.norm(w), x,
+                             np.array([1.0, -1.0, 0.0]), steps)
         # g(t) = 1 + |t| and power-of-two steps stay exact in floats
         for d2, h in zip(r.second_diffs, steps):
             assert d2 == 2.0 / h
@@ -611,9 +590,8 @@ class TestSmoothnessCheck:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(3)
         d = rng.standard_normal(3)
-        rep = smoothness_check(lambda w: X.norm(w), x, [d],
-                               (1e-3, 1e-4, 1e-5))
-        r = rep.records[0]
+        r = smoothness_check(lambda w: X.norm(w), x, d,
+                             (1e-3, 1e-4, 1e-5))
         want = float(d @ x) / np.linalg.norm(x)
         np.testing.assert_allclose(r.first_diffs[-1], want, atol=1e-6)
         assert not r.kink
@@ -622,9 +600,8 @@ class TestSmoothnessCheck:
         spec = ladder3_spec
         x = np.array([1.0, 1.0, 0.0])
         d = np.array([1.0, -1.0, 0.0])
-        rep = smoothness_check(lambda w: phi_norm(spec, w, tol=1e-13),
-                               x, [d], (1e-3, 1e-4))
-        r = rep.records[0]
+        r = smoothness_check(lambda w: phi_norm(spec, w, tol=1e-13),
+                             x, d, (1e-3, 1e-4))
         assert not r.kink
         assert r.richardson <= 1e-5
         assert max(abs(v) for v in r.second_diffs) < 1.0
@@ -637,16 +614,16 @@ class TestSmoothnessCheck:
             x = rng.standard_normal(3)
             x /= spec.X.norm(x)
             d = rng.standard_normal(3)
-            rep = smoothness_check(normfn, x, [d], (1e-6, 5e-7))
-            assert rep.records[0].richardson <= 1e-5
+            rep = smoothness_check(normfn, x, d, (1e-6, 5e-7))
+            assert rep.richardson <= 1e-5
 
     def test_parameter_errors(self, sup2_spec):
         fn = lambda w: float(np.max(np.abs(w)))
         with pytest.raises(ParameterError):
-            smoothness_check(fn, np.zeros(2), [np.ones(2)], (1e-3,))
+            smoothness_check(fn, np.zeros(2), np.ones(2), (1e-3,))
         with pytest.raises(ParameterError):
-            smoothness_check(fn, np.ones(2), [np.ones(2)], (1e-3, 1e-2))
+            smoothness_check(fn, np.ones(2), np.ones(2), (1e-3, 1e-2))
         with pytest.raises(ParameterError):
-            smoothness_check(fn, np.ones(2), [np.ones(2)], (0.0,))
+            smoothness_check(fn, np.ones(2), np.ones(2), (0.0,))
         with pytest.raises(ParameterError):
-            smoothness_check(fn, np.ones(2), [np.ones(2)], (1e-30,))
+            smoothness_check(fn, np.ones(2), np.ones(2), (1e-30,))

@@ -57,6 +57,10 @@ class TestSlices:
             apply_fY([1.0, 0.0, 0.0], u)
         with pytest.raises(ParameterError):
             apply_gX([1.0, 0.0], u)
+        with pytest.raises(ParameterError):
+            tensor_apply(np.ones(2), np.ones(2), u)
+        with pytest.raises(ParameterError):
+            tensor_apply(np.ones(3), np.ones(3), u)
 
     def test_linear_in_both_arguments(self):
         rng = np.random.default_rng(5)
@@ -83,14 +87,24 @@ class TestPairingIdentity:
             assert abs(float(apply_fY(f, u) @ g) - want) <= 1e-12 * scale
             assert abs(float(f @ apply_gX(g, u)) - want) <= 1e-12 * scale
 
+    def test_pairing_is_the_double_sum_not_a_slice(self):
+        """Where the left slice rounds 1e16 + 1 to 1e16, the slice form
+        loses the pairing; tensor_apply keeps the double sum, so the
+        three-way identity can fail on either leg."""
+        f, g = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+        M = np.array([[1e16, 1e16], [1.0, 0.0]])
+        u = element(M)
+        assert float(apply_fY(f, u) @ g) == 0.0
+        assert tensor_apply(f, g, u) == pairing_oracle(f, M, g) == 1.0
+
 
 class TestInjectiveNormEnumerate:
     def test_identity_on_sup2(self):
         u = element(np.eye(2))
         res = injective_norm(u)
         assert res.value == 1.0
-        assert np.sum(np.abs(res.pair.f)) == 1.0
-        np.testing.assert_allclose(np.linalg.norm(res.pair.g), 1.0,
+        assert np.sum(np.abs(res.f)) == 1.0
+        np.testing.assert_allclose(np.linalg.norm(res.g), 1.0,
                                    rtol=1e-12)
 
     def test_matches_row_max_oracle(self):
@@ -203,7 +217,7 @@ class TestBoundaryProduct:
         M = np.vstack([np.eye(2), -np.eye(2)])
         report = boundary_product_check(N, M, [u], tol=1e-12)
         assert report.passed
-        assert report.records[0].value == 1.0
+        assert report.values[0] == 1.0
 
     def test_rank_one_attained_by_norming_pair(self):
         rng = np.random.default_rng(21)
@@ -216,14 +230,14 @@ class TestBoundaryProduct:
         G = np.vstack([self.circle(100), y[None, :] / np.linalg.norm(y)])
         report = boundary_product_check(N, G, [u], tol=1e-9)
         assert report.passed
-        assert report.records[0].g_index == 100
+        assert report.g_index[0] == 100
 
     def test_missing_face_fails_without_raising(self):
         u = element(-np.outer([1.0, 0.0], [1.0, 0.0]))
         report = boundary_product_check(np.array([[1.0, 0.0]]),
                                         np.array([[1.0, 0.0]]), [u])
         assert not report.passed
-        assert report.records[0].value == -1.0
+        assert report.values[0] == -1.0
         assert report.max_deficit == 2.0
 
     def test_unnormalized_sample_rejected(self):
