@@ -5,7 +5,7 @@ support_ball(space, n) lists the dual extreme points of support at
 most n, compute_bn and compute_cn measure the same quantity from two
 sides, a RelativeBoundaryChain holds each level's new functionals and
 measures its own b_n, build_F rescales the levels into an equivalent
-attained boundary-sup space, and corollary_b_pipeline chains everything
+boundary-sup space, and corollary_b_pipeline chains everything
 into the smooth renorm checks.
 """
 
@@ -41,7 +41,7 @@ def main():
     print(f"build_F: a = {np.asarray(bn.a_values).round(6)}")
     print(f"  ratio range {tuple(round(v, 6) for v in bn.ratio_range)} "
           f"inside expected {tuple(round(v, 6) for v in bn.expected_range)}")
-    print(f"  equivalent {bn.equivalent}, attained {bn.attained}, "
+    print(f"  equivalent {bn.equivalent}, "
           f"LRC pieces passed {all(r.passed for r in bn.lrc_reports)}")
 
     samples = np.random.default_rng(607).standard_normal((150, 4))

@@ -43,6 +43,20 @@ row with some always-zero terms left out sums the same values in the
 same order.  Families of other callables (for example the power family
 s -> s^p) are evaluated per group of identical callables.
 
+``modular_inverse`` inverts the modular of k equal entries of one bump:
+z*(k) is the largest float z at which the sum of k copies of the bump at
+z, computed as ``modular_rows`` computes a row, is at most 1.  Each
+OrliczFunction caches its values, filled on first use by one bisection
+on the float bit pattern between the zero and exceed thresholds that
+covers every (bump, k) pair still missing.  Each step is one vectorized
+bump evaluation, and there are as many steps as the widest gap between
+the thresholds' bit patterns has bits: 43 for the seven bumps of the
+lorentz_predual dim-7 net, about 4 ms once per process on a 2-core
+x86-64 VM.  A value depends only on (bump, k), so the order of fills
+does not matter.  renorm uses the table to start a row with one kind of
+kept term, and feasible_scale_inf checks that start before using it, so
+a wrong entry costs time, never a wrong norm.
+
 A generalized Luxemburg norm over a finite index set B is
 
     ||c||_phi = inf { rho > 0 : sum_t phi_t(|c_t| / rho) <= 1 },
@@ -69,6 +83,7 @@ __all__ = [
     "OrliczFunction",
     "OrliczFamily",
     "make_orlicz",
+    "modular_inverse",
     "luxemburg_norm",
     "luxemburg_norm_batch",
     "check_lemma1_bounds",
@@ -169,6 +184,8 @@ class OrliczFunction:
             )
         self.zero_threshold = float(zero_threshold)
         self.exceed_threshold = float(exceed_threshold)
+        # modular_inverse's cache: k -> z*(k)
+        self._inverse = {}
         width = self.exceed_threshold - self.zero_threshold
         self._log_g_width = float(_log_g(np.asarray(width)))
         if not np.isfinite(self._log_g_width):
@@ -219,6 +236,40 @@ def make_orlicz(zero_threshold, exceed_threshold):
     """Construct (and cache per threshold pair) a smooth Orlicz function;
     0 < zero_threshold < exceed_threshold."""
     return OrliczFunction(zero_threshold, exceed_threshold)
+
+
+def modular_inverse(functions, counts) -> np.ndarray:
+    """z*(k) for each pair of an OrliczFunction and a count k >= 1: the
+    largest float z with sum of k copies of fn(z) <= 1 as computed
+    (module docstring).  Missing pairs are filled in one bisection."""
+    pairs = list(zip(functions, (int(k) for k in counts)))
+    missing = list(dict.fromkeys(
+        (fn, k) for fn, k in pairs if k not in fn._inverse))
+    if missing:
+        zero = np.array([fn.zero_threshold for fn, _ in missing])
+        log_g_width = np.array([fn._log_g_width for fn, _ in missing])
+        k = np.array([k for _, k in missing])
+        # positive floats order as their bit patterns; the modular is 0 at
+        # the zero threshold and at least 3/2 at the exceed threshold
+        lo = zero.view(np.int64).copy()
+        hi = np.array([fn.exceed_threshold for fn, _ in missing]).view(
+            np.int64)
+        while True:
+            todo = np.flatnonzero(hi - lo > 1)
+            if not todo.size:
+                break
+            mid = lo[todo] + (hi[todo] - lo[todo]) // 2
+            vals = _bump(mid.view(float) - zero[todo], log_g_width[todo], 0)
+            # summed from 0.0 in row order, as np.bincount sums a row
+            total = np.zeros(len(todo))
+            for copy in range(int(k[todo].max())):
+                total = np.where(copy < k[todo], total + vals, total)
+            ok = total <= 1.0
+            lo[todo[ok]] = mid[ok]
+            hi[todo[~ok]] = mid[~ok]
+        for (fn, count), z in zip(missing, lo.view(float).tolist()):
+            fn._inverse[count] = z
+    return np.array([fn._inverse[k] for fn, k in pairs])
 
 
 class OrliczFamily:

@@ -24,10 +24,22 @@ term attaining L survives, and phi_h(1/theta(h)) = 1.5 > 1, so at every
 scale where a pruned bump is positive the row is already infeasible
 through that term.  Every feasibility test therefore decides as it would
 over the whole net, and a feasible modular sums the same values in the
-same order, so the norms are the unpruned ones bit for bit.  A gaussian
-row keeps about 2 of the 2,186 terms of the lorentz_predual dim-7 net.  The relative margin 1e-12 absorbs
-the roundings of u and of the thresholds 1/psi, 1/theta, and working on
-u rather than on Pi keeps subnormal and huge rows exact.
+same order, so a row that is bisected gets the whole-net value bit for
+bit.  A gaussian row keeps about 2 of the 2,186 terms of the
+lorentz_predual dim-7 net.  The relative margin 1e-12 absorbs the
+roundings of u and of the thresholds 1/psi, 1/theta, and working on u
+rather than on Pi keeps subnormal and huge rows exact.
+
+Most rows are single-class: every kept term has the same bump and the
+same coordinate c, as h and -h do.  Such a row's modular at scale s is k
+copies of phi(u_c / s), so orlicz.modular_inverse's z*(k) gives its
+answer: the smallest float s with fl(u_c / s) <= z*.  That s is passed
+to feasible_scale_inf as a start, which checks it on the kept terms
+(feasible at s, infeasible one float below) before the usual
+certification, and bisects the row instead if any check fails.  A solved
+row is exact to the float on the peak-normalized scale, so it can lie
+up to the bisection tolerance below the whole-net value, inside the
+whole-net bracket; a start ignores ``tol``.
 
 smoothness_check is the numerical surrogate for smoothness claims: along
 one line it contrasts second-difference blowup of a kinked norm (growing
@@ -42,7 +54,7 @@ import numpy as np
 
 from .boundary import NetB, build_net, check_boundary
 from .errors import ConstructionError, ParameterError
-from .orlicz import OrliczFamily, make_orlicz
+from .orlicz import OrliczFamily, make_orlicz, modular_inverse
 from .scaling import DEFAULT_TOL, feasible_scale_inf
 from .spaces import EuclideanSpace, ModelSpace
 from .tensor import TensorElement
@@ -65,6 +77,8 @@ __all__ = [
 
 # relative margin of the pruning rule (module docstring)
 PRUNE_TOL = 1e-12
+# ulp steps _smallest_scale takes each way before it gives up
+SCALE_STEPS = 4
 
 
 @dataclass
@@ -147,9 +161,11 @@ def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
 
 def _luxemburg_rows(spec: PhiNormSpec, coords, tol=DEFAULT_TOL):
     """Luxemburg norms over spec.family of (n, len(net)) nonnegative
-    coordinate rows, bisecting only the terms the pruning rule of the
-    module docstring keeps."""
+    coordinate rows, evaluating only the terms the pruning rule of the
+    module docstring keeps and starting single-class rows from the
+    inverse table."""
     n, m = coords.shape
+    family = spec.family
     with np.errstate(divide="ignore", invalid="ignore"):
         peak = coords.max(axis=1, initial=0.0)
         unit = coords / peak[:, None]
@@ -159,19 +175,58 @@ def _luxemburg_rows(spec: PhiNormSpec, coords, tol=DEFAULT_TOL):
         r, j = np.nonzero(weighted > bound[:, None])
     counts = np.bincount(r, minlength=n)
     width = counts.max(initial=0) + 1
-    slot = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
+    first = np.cumsum(counts) - counts
+    slot = np.arange(len(r)) - first[r]
     cols = np.full((n, width), m)
     cols[r, slot] = j
     vals = np.repeat(peak[:, None], width, axis=1)
     vals[r, slot] = coords[r, j]
+
+    # single-class rows: every kept term has the bump and the coordinate
+    # of the row's first kept term (module docstring)
+    j0 = j[first[r]]
+    other = ((coords[r, j] != coords[r, j0])
+             | (family.zero_thresholds[j] != family.zero_thresholds[j0])
+             | (family.exceed_thresholds[j] != family.exceed_thresholds[j0]))
+    single = np.flatnonzero((counts > 0)
+                            & (np.bincount(r[other], minlength=n) == 0))
+    start = np.full(n, np.nan)
+    if single.size:
+        col = j[first[single]]
+        zstar = modular_inverse([family.functions[c] for c in col.tolist()],
+                                counts[single])
+        start[single] = _smallest_scale(coords[single, col] / peak[single],
+                                        zstar)
     return feasible_scale_inf(
-        lambda z, idx: spec.family.modular_rows(z, cols[idx]), vals,
-        tol=tol).hi
+        lambda z, idx: family.modular_rows(z, cols[idx]), vals, tol=tol,
+        start=start).hi
+
+
+def _smallest_scale(u0, zstar):
+    """Per entry, the smallest float s with fl(u0 / s) <= z*, from the
+    quotient u0 / z* by float division only; fl(u0 / s) does not rise
+    with s.  An entry still off after a few ulp steps is left there, and
+    feasible_scale_inf's checks reject it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = u0 / zstar
+        for _ in range(SCALE_STEPS):
+            up = u0 / s > zstar
+            if not up.any():
+                break
+            s[up] = np.nextafter(s[up], np.inf)
+        for _ in range(SCALE_STEPS):
+            below = np.nextafter(s, 0.0)
+            down = u0 / below <= zstar
+            if not down.any():
+                break
+            s[down] = below[down]
+    return s
 
 
 def phi_norm(spec: PhiNormSpec, u, tol=DEFAULT_TOL) -> float:
-    """Luxemburg norm of the coordinate vector of u, bisected to relative
-    width tol; the smoothness probes pass a tighter one."""
+    """Luxemburg norm of the coordinate vector of u: exact to the float
+    for a single-class row, else bisected to relative width tol; the
+    smoothness probes pass a tighter one."""
     return float(_luxemburg_rows(spec, pi_coords(spec, u)[None], tol)[0])
 
 

@@ -21,6 +21,15 @@ The upper endpoint is then certified on the unnormalized row: where
 ``|c| / value`` rounds differently from ``(|c| / peak) / hi`` and the
 modular exceeds 1, ``value`` is nudged up by one ulp at a time.  So
 S(|c| / value) <= 1 holds as computed, with no tolerance.
+
+A caller that can predict a row's answer passes it as a start: a scale
+s on the peak-normalized row.  The start is a hint, never trusted.  It
+is used only if the modular is feasible at s and infeasible at the float
+below s, and the row's unnormalized value then certifies within
+``MAX_NUDGES`` nudges; such a row is settled at float resolution with no
+bisection.  Every other row takes the steps above.  A start is also
+ignored where those steps could have left the float range on the way to
+s, so a row that raises without a start raises the same way with one.
 """
 
 from dataclasses import dataclass
@@ -42,12 +51,14 @@ class ScalingBracket:
     Per row, S(|c| / lo) > 1 on the peak-normalized scale and
     S(|c| / hi) <= 1 on the row itself; ``hi`` is the norm.  Zero rows
     have lo = hi = 0.  ``iterations`` is the number of bisection steps
-    summed over the rows.
+    summed over the rows; ``hinted`` is the number of rows settled from a
+    checked start.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     iterations: int
+    hinted: int
 
 
 def _failure(message, row, lo, hi):
@@ -55,7 +66,7 @@ def _failure(message, row, lo, hi):
                         bracket=(float(lo[row]), float(hi[row])))
 
 
-def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
+def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
     """Bracket and bisect inf{rho > 0 : modular_rows(|c| / rho) <= 1}
     for every row c of ``rows``.
 
@@ -69,6 +80,9 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
         Coordinate rows; signs are ignored.
     tol : float
         Relative final bracket width.
+    start : array_like, shape (n,), optional
+        Per-row starting scales on the peak-normalized row, checked
+        before use (module docstring); NaN marks a row without one.
 
     Returns
     -------
@@ -100,6 +114,8 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
     scratch = np.empty_like(rows)
 
     def feasible(source, idx, scale):
+        if not idx.size:
+            return np.zeros(0, dtype=bool)
         z = scratch[:len(idx)]
         np.take(source, idx, axis=0, out=z, mode="clip")
         z /= scale[:, None]
@@ -107,9 +123,43 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
 
     lo = np.zeros(len(rows))
     hi = np.zeros(len(rows))
-    hi[live] = 1.0
 
-    todo = live
+    def certify(todo):
+        """Nudge the unnormalized hi of rows todo up until the modular
+        is feasible on the row itself; return the rows that still are
+        not after MAX_NUDGES nudges."""
+        for _ in range(MAX_NUDGES):
+            todo = todo[~feasible(rows, todo, hi[todo])]
+            if not todo.size:
+                return todo
+            hi[todo] = np.nextafter(hi[todo], np.inf)
+        return todo[~feasible(rows, todo, hi[todo])]
+
+    hinted, rest = live[:0], live
+    if start is not None:
+        s = np.asarray(start, dtype=float)[live]
+        # Where doubling or halving towards s would leave the float range,
+        # the row goes the long way and raises there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            usable = ((s > 0.0)
+                      & np.isfinite(2.0 * np.maximum(peak[live], 1.0) * s)
+                      & (np.minimum(peak[live], 1.0) * s / 2.0 > 0.0))
+        hinted, s = live[usable], s[usable]
+        below = np.nextafter(s, 0.0)
+        ok = feasible(unit, hinted, s)
+        hinted, s, below = hinted[ok], s[ok], below[ok]
+        ok = ~feasible(unit, hinted, below)
+        hinted = hinted[ok]
+        lo[hinted] = below[ok] * peak[hinted]
+        hi[hinted] = s[ok] * peak[hinted]
+        settled = np.zeros(len(rows), dtype=bool)
+        settled[hinted] = True
+        settled[certify(hinted)] = False
+        hinted = np.flatnonzero(settled)
+        rest = live[~settled[live]]
+    todo = rest
+    hi[rest] = 1.0
+
     while True:
         todo = todo[~feasible(unit, todo, hi[todo])]
         if not todo.size:
@@ -124,8 +174,8 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
                            peak * hi / 2.0, peak * hi)
         hi[todo] *= 2.0
 
-    lo[live] = hi[live] / 2.0
-    todo = live
+    lo[rest] = hi[rest] / 2.0
+    todo = rest
     while True:
         todo = todo[feasible(unit, todo, lo[todo])]
         if not todo.size:
@@ -140,7 +190,7 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
 
     # Invariant: S(unit / lo) > 1 >= S(unit / hi).
     iterations = 0
-    todo = live
+    todo = rest
     while True:
         todo = todo[hi[todo] - lo[todo] > tol * hi[todo]]
         mid = 0.5 * (lo[todo] + hi[todo])
@@ -153,15 +203,11 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL):
         hi[todo[feas]] = mid[feas]
         lo[todo[~feas]] = mid[~feas]
 
-    lo *= peak
-    hi *= peak
-    todo = live
-    for nudges in range(MAX_NUDGES + 1):
-        todo = todo[~feasible(rows, todo, hi[todo])]
-        if not todo.size:
-            break
-        if nudges == MAX_NUDGES:
-            raise _failure("could not certify feasibility at result",
-                           todo[0], lo, hi)
-        hi[todo] = np.nextafter(hi[todo], np.inf)
-    return ScalingBracket(lo=lo, hi=hi, iterations=int(iterations))
+    lo[rest] *= peak[rest]
+    hi[rest] *= peak[rest]
+    failed = certify(rest)
+    if failed.size:
+        raise _failure("could not certify feasibility at result", failed[0],
+                       lo, hi)
+    return ScalingBracket(lo=lo, hi=hi, iterations=int(iterations),
+                          hinted=len(hinted))

@@ -29,6 +29,7 @@ from smoothnorm.orlicz import (
     luxemburg_norm,
     luxemburg_norm_batch,
     make_orlicz,
+    modular_inverse,
 )
 from smoothnorm.scaling import feasible_scale_inf
 
@@ -356,6 +357,35 @@ class TestStackedFamily:
         with pytest.raises(ParameterError, match="OrliczFunctions"):
             power_family(2.0, 3).modular_rows(
                 np.ones((1, 2)), np.zeros((1, 2), dtype=int))
+
+
+class TestModularInverse:
+    # fresh objects, so make_orlicz's shared cache is not touched
+    BUMPS = [orlicz_module.OrliczFunction(0.5, 1.0),
+             orlicz_module.OrliczFunction(0.9411764705882353,
+                                          0.9421000981354268),
+             orlicz_module.OrliczFunction(1e-3, 2.5e3)]
+
+    def test_largest_feasible_float(self):
+        """z*(k) meets the modular as modular_rows computes it, and the
+        next float does not."""
+        for fn, k in itertools.product(self.BUMPS, (1, 2, 3, 6)):
+            z = float(modular_inverse([fn], [k])[0])
+            fam = OrliczFamily([fn] * k)
+            assert fam.modular_rows(np.full((1, k), z))[0] <= 1.0
+            assert fam.modular_rows(
+                np.full((1, k), np.nextafter(z, np.inf)))[0] > 1.0
+            assert fn.zero_threshold < z < fn.exceed_threshold
+
+    def test_cached_and_independent_of_fill_order(self, monkeypatch):
+        pairs = list(itertools.product(self.BUMPS, (1, 2, 4)))
+        together = modular_inverse(*zip(*pairs))
+        for fn in self.BUMPS:
+            fn._inverse.clear()
+        alone = [modular_inverse([fn], [k])[0] for fn, k in pairs[::-1]]
+        assert np.array_equal(together, alone[::-1])
+        monkeypatch.setattr(orlicz_module, "_bump", None)  # no evaluation
+        assert np.array_equal(modular_inverse(*zip(*pairs)), together)
 
 
 def test_modular_receives_row_indices():

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from smoothnorm.boundary import Decomposition, build_net
 from smoothnorm.cli import load_config
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
-from smoothnorm.orlicz import luxemburg_norm, luxemburg_norm_batch
+from smoothnorm import orlicz, renorm
 from smoothnorm.renorm import (
     PRUNE_TOL,
     ActiveSet,
@@ -32,6 +32,7 @@ from smoothnorm.renorm import (
     smoothness_check,
     verify_claim2d,
 )
+from smoothnorm.scaling import DEFAULT_TOL, MAX_NUDGES, feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
                                sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
@@ -305,9 +306,38 @@ class TestPhiNorm:
             assert base < rho <= (1.0 + spec.epsilon) * base * (1.0 + 1e-9)
 
 
-def unpruned(spec, X):
-    """The Luxemburg norms over the whole net, no term left out."""
-    return luxemburg_norm_batch(spec.family, pi_coords_batch(spec, X))
+def whole_net(spec, coords, tol=DEFAULT_TOL):
+    """feasible_scale_inf over the whole net, no term left out."""
+    return feasible_scale_inf(lambda z, _: spec.family.modular_rows(z),
+                              coords, tol=tol)
+
+
+def check_whole_net(spec, coords, values):
+    """Pruned values against the whole net, row by row: each lies in the
+    whole-net bracket and is certified over the whole family.  A row
+    that differs from the whole-net value was solved from its start: its
+    peak-normalized scale is the whole-net bisection run to float
+    resolution, whose previous float is infeasible, and its value is that
+    scale times the peak, nudged up to certification.  Returns the mask
+    of solved rows."""
+    values = np.asarray(values, dtype=float)
+    bracket = whole_net(spec, coords)
+    assert np.all((bracket.lo <= values) & (values <= bracket.hi))
+    live = coords.any(axis=1)
+    assert np.array_equal(values > 0.0, live)
+    modular = spec.family.modular_rows
+    assert np.all(modular(coords[live] / values[live, None]) <= 1.0)
+    solved = values != bracket.hi
+    peak = coords[solved].max(axis=1)
+    unit = coords[solved] / peak[:, None]
+    scale = whole_net(spec, unit, tol=0.0).hi
+    assert np.all(modular(unit / np.nextafter(scale, 0.0)[:, None]) > 1.0)
+    value = scale * peak
+    for _ in range(MAX_NUDGES):
+        over = modular(coords[solved] / value[:, None]) > 1.0
+        value[over] = np.nextafter(value[over], np.inf)
+    assert np.array_equal(values[solved], value)
+    return solved
 
 
 def kept_terms(spec, coords):
@@ -354,8 +384,8 @@ def as_input(spec, x):
 
 class TestPrunedEvaluation:
     """phi_norm_batch and phi_norm bisect only the terms the pruning rule
-    keeps; the Luxemburg norm over the whole net is the reference, bit
-    for bit."""
+    keeps, or solve a single-class row from its checked start; the
+    Luxemburg norm over the whole net is the reference (check_whole_net)."""
 
     def test_cases_sit_on_the_rule(self, ladder3_spec):
         spec = ladder3_spec
@@ -382,9 +412,12 @@ class TestPrunedEvaluation:
         X = np.array([2.0 ** e * (as_input(spec, cases[k]) if k < len(cases)
                                   else rng.standard_normal(shape))
                       for k, e in picks])
-        expected = unpruned(spec, X)
-        assert np.array_equal(phi_norm_batch(spec, X), expected)
-        assert np.array_equal([phi_norm(spec, x) for x in X], expected)
+        batch = phi_norm_batch(spec, X)
+        check_whole_net(spec, pi_coords_batch(spec, X), batch)
+        singles = [phi_norm(spec, x) for x in X]
+        check_whole_net(spec, np.array([pi_coords(spec, x) for x in X]),
+                        singles)
+        assert np.array_equal(singles, batch)
 
     def test_predual7_matches_unpruned(self, predual7_spec):
         """The benchmark's predual7 net: about 2 of 2,186 terms survive a
@@ -396,40 +429,45 @@ class TestPrunedEvaluation:
         kept = kept_terms(spec, coords)
         assert kept.any(axis=1).all() and kept.sum(axis=1).mean() < 3.0
         assert (~kept & (coords == coords.max(axis=1, keepdims=True))).any()
-        assert np.array_equal(phi_norm_batch(spec, X), unpruned(spec, X))
+        check_whole_net(spec, coords, phi_norm_batch(spec, X))
 
     def test_predual7_pinned_bits(self, predual7_spec):
         """phi_norm at fixed points and two active-set margins, as the
         float.hex strings the evaluation gives: any change to the bumps,
-        the bisection or the coordinates that moves a last bit fails."""
+        the bisection, the inverse table or the coordinates that moves a
+        last bit fails.  Each value lies in its whole-net bracket."""
         spec = predual7_spec
         pins = [
-            ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "0x1.0fbbcd6640000p+0"),
-            ([1.0] * 7, "0x1.be5b0cbb1c64bp+0"),
-            ([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "0x1.3447a7551b561p+0"),
+            ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "0x1.0fbbcd6615e53p+0"),
+            ([1.0] * 7, "0x1.be5b0cbae87edp+0"),
+            ([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "0x1.3447a754f6f06p+0"),
             ([0.5, -0.25, 2.0, 0.0, 1.0, -3.0, 0.125],
-             "0x1.9799b41960000p+1"),
-            ([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0], "0x1.31b3471308000p+3"),
-            ([0.3, -0.7, 0.2, 0.9, -0.1, 0.4, 0.6], "0x1.f39674516c9f4p-1"),
+             "0x1.9799b41920d7cp+1"),
+            ([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0], "0x1.31b34712d8a1dp+3"),
+            ([0.3, -0.7, 0.2, 0.9, -0.1, 0.4, 0.6], "0x1.f396745126c01p-1"),
             ([1e200, -2e200, 3e199, 0.0, 5e200, 0.0, -1e199],
-             "0x1.bbbf7194d9574p+666"),
+             "0x1.bbbf719494953p+666"),
             ([1e-300, 2e-300, -3e-300, 4e-300, 0.0, 0.0, 1e-301],
-             "0x1.6bf4c42579b0dp-995"),
+             "0x1.6bf4c42541a76p-995"),
         ]
         for u, want in pins:
-            assert phi_norm(spec, np.array(u)).hex() == want, u
-        margins = [(pins[3][0], "0x1.bd3b6bc415300p-5"),
-                   (pins[4][0], "0x1.e0d7768eb48d8p-4")]
+            value = phi_norm(spec, np.array(u))
+            assert value.hex() == want, u
+            check_whole_net(spec, pi_coords(spec, np.array(u))[None], [value])
+        margins = [(pins[3][0], "0x1.bd3b6bbf64d60p-5"),
+                   (pins[4][0], "0x1.e0d7768c84638p-4")]
         for u, want in margins:
             assert active_set(spec, np.array(u)).margin.hex() == want, u
 
     @pytest.mark.parametrize("scale", [5e-324, 3e-323, 1e-310, 1e300,
                                        1.7e308, 1.79e308])
     def test_extreme_scale_rows(self, predual7_spec, scale):
-        """Subnormal and near-overflow rows: the same value, or the same
-        error with the same bracket, as over the whole net."""
+        """Subnormal and near-overflow rows: a value that passes
+        check_whole_net, or the same error with the same bracket as over
+        the whole net."""
         spec = predual7_spec
         x = scale * np.eye(7)[0]
+        coords = pi_coords_batch(spec, x[None])
 
         def outcome(call):
             try:
@@ -437,30 +475,108 @@ class TestPrunedEvaluation:
             except (NumericError, ParameterError) as exc:
                 return type(exc), str(exc), getattr(exc, "bracket", None)
 
-        expected = outcome(lambda: unpruned(spec, x[None])[0])
-        assert outcome(lambda: phi_norm(spec, x)) == expected
-        assert outcome(lambda: phi_norm_batch(spec, x[None])[0]) == expected
+        expected = outcome(lambda: whole_net(spec, coords).hi[0])
+        got = [outcome(lambda: phi_norm(spec, x)),
+               outcome(lambda: phi_norm_batch(spec, x[None])[0])]
+        if isinstance(expected, tuple):
+            assert got == [expected, expected]
+        else:
+            check_whole_net(spec, np.vstack([coords, coords]), got)
         if scale < 1e300:
             assert 0.0 < expected < np.inf
         elif scale > 1e300:
             assert expected[0] is NumericError
 
 
+def capture_brackets(monkeypatch):
+    """Record every (start, ScalingBracket) of renorm's feasible_scale_inf
+    calls."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        bracket = feasible_scale_inf(*args, **kwargs)
+        seen.append((kwargs.get("start"), bracket))
+        return bracket
+
+    monkeypatch.setattr(renorm, "feasible_scale_inf", recording)
+    return seen
+
+
+class TestCheckedStart:
+    """A single-class row starts from its bump's inverse table; the start
+    is checked before use, never trusted."""
+
+    def test_predual7_modular_calls(self, predual7_spec, monkeypatch):
+        """A gaussian point costs at most 4 modular calls: feasible at the
+        start, infeasible below it, and at most one certification nudge.
+        A batch settles nearly all its rows from their starts."""
+        spec = predual7_spec
+        phi_norm(spec, np.ones(7))  # fill the table outside the count
+        calls = []
+        inner = spec.family.modular_rows
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(spec.family, "modular_rows", counting)
+        for x in np.random.default_rng(0).standard_normal((32, 7)):
+            calls.clear()
+            phi_norm(spec, x)
+            assert len(calls) <= 4, x
+        seen = capture_brackets(monkeypatch)
+        X = np.random.default_rng(1).standard_normal((2048, 7))
+        phi_norm_batch(spec, X)
+        assert seen[-1][1].hinted >= 0.99 * 2048
+
+    @pytest.mark.parametrize("wrong, wild", [
+        (lambda z: np.nextafter(z, np.inf), False),
+        (lambda z: np.nextafter(z, 0.0), False),
+        (lambda z: 2.0 * z, True), (lambda z: 0.5 * z, True),
+        (lambda z: np.full_like(z, 1e6), True),
+        (lambda z: np.full_like(z, np.nan), True)],
+        ids=["ulp_high", "ulp_low", "double", "half", "huge", "nan"])
+    def test_wrong_table_falls_back(self, predual7_spec, monkeypatch, wrong,
+                                    wild):
+        """With every table entry off, each value still passes
+        check_whole_net, and a row whose start moved is the whole-net
+        value itself: it came from the bisection, not from its start.  An
+        entry one ulp off can leave a start where it was."""
+        spec = predual7_spec
+        X = np.random.default_rng(3).standard_normal((256, 7))
+        seen = capture_brackets(monkeypatch)
+        phi_norm_batch(spec, X)
+        start = seen[-1][0]
+        monkeypatch.setattr(renorm, "modular_inverse",
+                            lambda fns, ks: wrong(orlicz.modular_inverse(
+                                fns, ks)))
+        values = phi_norm_batch(spec, X)
+        moved_start, bracket = seen[-1]
+        coords = pi_coords_batch(spec, X)
+        solved = check_whole_net(spec, coords, values)
+        moved = ~(moved_start == start)
+        assert moved.all() if wild else moved.any()
+        assert np.array_equal(values[moved], whole_net(spec, coords).hi[moved])
+        assert not solved[moved].any()
+        assert bracket.hinted <= len(X) - moved.sum()
+
+
 class TestActiveSet:
     def test_matches_unpruned_reference(self, predual7_spec, ladder3_spec):
-        """The active set from the whole-net norm, and its indices are
-        among the terms the pruning rule keeps."""
+        """The active set from a phi-value that passes check_whole_net,
+        and its indices are among the terms the pruning rule keeps."""
         rng = np.random.default_rng(29)
         for spec in (predual7_spec, ladder3_spec):
             max_psi = float(np.max(spec.net.psi))
             for u in rng.standard_normal((12, spec.X.dim)):
                 coords = pi_coords(spec, u)
-                rho = luxemburg_norm(spec.family, coords)
+                a = active_set(spec, u)
+                rho = a.phi_value
+                check_whole_net(spec, coords[None], [rho])
                 weighted = spec.net.psi * coords
                 inside = weighted >= rho
                 margin = (1.0 if inside.all() else
                           1.0 - float(np.max(weighted[~inside])) / rho)
-                a = active_set(spec, u)
                 assert a == ActiveSet(tuple(np.flatnonzero(inside)), margin,
                                       rho, margin * rho / (2.0 * max_psi))
                 kept = np.flatnonzero(kept_terms(spec, coords[None])[0])
