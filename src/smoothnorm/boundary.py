@@ -18,16 +18,32 @@ the dual metric.  Every member f of a bin then has a net point h with
 ||f - h|| <= eps_n and |psi(f) - psi(h)| <= eps_n, which is the
 approximation property the smooth-renorming construction consumes.
 
-The greedy net is exact and batched.  Every dual metric here bounds the
+The greedy net is exact.  Every dual metric here bounds the
 l-infinity distance from above (l1 >= l-inf, l2 >= l-inf, and both
 Lorentz duals have w_0 = 1), so ||f - h|| < eps_n implies
-max |f - h| < eps_n.  Each bin is therefore first compared in l-infinity
-against its earlier kept members, in row blocks whose temporaries stay
-at a few MB: m^2 * dim / 2 vectorised element operations at most for a
-bin of m members, fewer once members are rejected.  Each candidate then
-costs one ``dual_norm_rows`` call on the kept points that pass, and none
-when no kept point does.  Greedy order and ties are those of the plain
-pairwise loop, so the net is the same.
+max |f - h| < eps_n.  A sieve first finds the members that no other
+member of their bin comes that close to.  Each member gets the integer
+keys floor(x / eps_n), and the members are sorted on (group, key), one
+coordinate after another, starting from one group per piece and psi-bin;
+a group is split wherever the key jumps by more than 2.  A pair within
+l-infinity distance eps_n has exact quotients less than 1 apart, so
+exact keys at most 1 apart; rounding x / eps_n up onto the next
+integer can add 1 more, so 2 is the threshold that never separates a
+near pair.  That bound needs every integer near the key to be a float,
+so a key that is not finite or reaches 2^52 in magnitude never splits
+a group.  A member left alone in its group
+is kept and is its own home, whatever the greedy order, and it is near
+no other member, so the greedy loop over the rest does not need it.
+
+Only the members the sieve could not isolate go through the greedy
+loop, in input order, one bin at a time.  They are first compared in
+l-infinity against the bin's earlier kept members, in row blocks whose
+temporaries stay at a few MB: m^2 * dim / 2 vectorised element
+operations at most for m such members, fewer once members are
+rejected.  Each candidate then costs one ``dual_norm_rows`` call on the
+kept points that pass, and none when no kept point does.  Greedy order,
+ties and homes are those of the plain pairwise loop, so the net is the
+same.  On the lorentz_predual nets every member is isolated.
 
 The net is a set of aligned arrays, one entry per net point in piece,
 then psi-bin, then greedy order: the functional, psi, theta, piece and
@@ -39,7 +55,6 @@ n(f) <= n), and is still checked per instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +75,9 @@ __all__ = [
 DUAL_BALL_TOL = 1e-9
 # Elements of each l-infinity prefilter temporary (2 MB).
 _PREFILTER_ELEMS = 1 << 18
+# Sieve keys at or above this magnitude never split a group (module
+# docstring).
+_KEY_LIMIT = 2.0 ** 52
 
 
 def _row_keys(rows) -> list[bytes]:
@@ -167,9 +185,31 @@ class Decomposition:
             raise ParameterError("functional is not a member of any piece")
         return self._locate[key]
 
+    def missing(self, rows, tol=DUAL_BALL_TOL):
+        """Index of the first row with no member within l-infinity
+        distance tol, or None.  Rows are looked up by identity key
+        first; only the rows that miss are compared by distance."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        misses = np.array([j for j, key in enumerate(_row_keys(rows))
+                           if key not in self._locate], dtype=int)
+        block = max(1, _PREFILTER_ELEMS // max(self.members.size, 1))
+        for at in range(0, len(misses), block):
+            part = misses[at:at + block]
+            near = _linf_distances(rows[part], self.members) <= tol
+            far = part[~near.any(axis=1)]
+            if far.size:
+                return int(far[0])
+        return None
+
     def psi_of(self, n, j) -> float:
         """psi weight of member j of piece n (see module docstring)."""
         return float(self.psi[self.piece == n][j])
+
+
+def _psi_bins(psi, eps_n):
+    """Bin id of each psi value as a float: floor((psi - 1) / eps_n),
+    bit for bit what math.floor gives on the same quotient."""
+    return np.floor((psi - 1.0) / eps_n)
 
 
 def psi_binning(psis, eps_n):
@@ -179,13 +219,16 @@ def psi_binning(psis, eps_n):
     {bin id: list of member indices} with bins and members in stable
     order.  Each bin's psi diameter is < eps_n by construction.
     """
-    if eps_n <= 0.0:
+    if not eps_n > 0.0:
         raise ParameterError("eps_n must be positive")
-    bins: dict[int, list[int]] = {}
-    for j, v in enumerate(psis):
-        k = math.floor((v - 1.0) / eps_n)
-        bins.setdefault(k, []).append(j)
-    return {k: bins[k] for k in sorted(bins)}
+    psis = np.asarray(psis, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(psis)):
+        raise ParameterError("psi values must be finite")
+    keys = _psi_bins(psis, eps_n)
+    order = np.argsort(keys, kind="stable")
+    ids, first = np.unique(keys[order], return_index=True)
+    return {int(k): part.tolist()
+            for k, part in zip(ids.tolist(), np.split(order, first[1:]))}
 
 
 def _linf_distances(X, Y):
@@ -254,6 +297,33 @@ class NetB:
         return len(self.psi)
 
 
+def _isolated(members, sep, group):
+    """Members that no other member of their group comes within
+    l-infinity distance < sep of (the sieve of the module docstring).
+
+    ``group`` holds one int id per member; ``sep`` is each member's
+    separation.  Returns a boolean mask aligned with ``members``.
+    """
+    m = len(group)
+    sizes = np.bincount(group)
+    cut = np.ones(m, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = np.floor(members / sep[:, None])
+        for key in keys.T:
+            if m == 0 or sizes.max() == 1:
+                break
+            order = np.lexsort((key, group))
+            k = key[order]
+            g = group[order]
+            ok = np.abs(k) < _KEY_LIMIT
+            np.not_equal(g[1:], g[:-1], out=cut[1:])
+            cut[1:] |= (k[1:] - k[:-1] > 2.0) & ok[1:] & ok[:-1]
+            group = np.empty_like(group)
+            group[order] = np.cumsum(cut) - 1
+            sizes = np.bincount(group)
+    return sizes[group] == 1
+
+
 def build_net(d: Decomposition) -> NetB:
     """Bin each piece by psi, thin each bin to a greedy eps_n-net.
 
@@ -262,21 +332,29 @@ def build_net(d: Decomposition) -> NetB:
     Raises ConstructionError if any net point has theta <= 1.
     """
     scales = np.array([epsilon_n(d.epsilon, n) for n in range(len(d.pieces))])
-    rows: list[int] = []      # net points as rows of d.members
-    bin_id: list[int] = []
-    home = np.empty(len(d.members), dtype=int)
-    start = 0
-    for p, eps_n in zip(d.pieces, scales.tolist()):
-        psis = d.psi[start:start + len(p)].tolist()
-        for k, members in psi_binning(psis, eps_n).items():
-            at = np.add(members, start)
-            kept, assign = _greedy_indices(d.members[at], eps_n,
-                                           d.space.dual_norm_rows)
-            home[at] = np.add(assign, len(rows))
-            rows += at[kept].tolist()
-            bin_id += [k] * len(kept)
-        start += len(p)
+    sep = scales[d.piece]
+    bins = _psi_bins(d.psi, sep)
+    # members in piece, bin, then input order: the net's order
+    order = np.lexsort((bins, d.piece))
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = ((d.piece[order[1:]] != d.piece[order[:-1]])
+                  | (bins[order[1:]] != bins[order[:-1]]))
+    group = np.empty(len(order), dtype=int)
+    group[order] = np.cumsum(starts) - 1
 
+    keep = _isolated(d.members, sep, group)
+    homes = np.arange(len(keep))      # each member's net point, as a member
+    rest = order[~keep[order]]
+    if rest.size:
+        for at in np.split(rest, np.flatnonzero(np.diff(group[rest])) + 1):
+            kept, assign = _greedy_indices(d.members[at], sep[at[0]],
+                                           d.space.dual_norm_rows)
+            keep[at[kept]] = True
+            homes[at] = at[kept][assign]
+
+    rows = order[keep[order]]
+    position = np.empty(len(keep), dtype=int)
+    position[rows] = np.arange(len(rows))
     piece = d.piece[rows]
     psi = d.psi[rows]
     theta = psi - scales[piece]
@@ -286,7 +364,7 @@ def build_net(d: Decomposition) -> NetB:
             f"net point in piece {piece[low[0]]} has theta = "
             f"{theta[low[0]]} <= 1")
     return NetB(matrix=d.members[rows], psi=psi, theta=theta, piece=piece,
-                bin_id=np.asarray(bin_id, dtype=int), home=home)
+                bin_id=bins[rows].astype(int), home=position[homes])
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,10 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
     and its bump family.
 
     The norming precondition is checked on boundary_samples, or on
-    `budget` random unit vectors when none are supplied; failure is a
-    construction error.
+    `budget` random unit vectors when none are supplied.  When X's dual
+    ball is enumerable it is also checked exactly: every dual extreme
+    point must be a member, within boundary_tol in l-infinity.  Either
+    failure is a construction error.
     """
     Y = _resolve_factor(Y)
     if d.space is not X and (d.space.kind, d.space.dim) != (X.kind, X.dim):
@@ -147,6 +149,14 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
         raise ConstructionError(
             f"functionals do not norm the sample sphere; worst sup "
             f"f(x) = {worst}")
+    if X.enumerable_dual:
+        # every vertex of a polytope is exposed, so a boundary holds them all
+        points = X.dual_extreme_points()
+        j = d.missing(points, tol=boundary_tol)
+        if j is not None:
+            raise ConstructionError(
+                f"functionals are no boundary: dual extreme point "
+                f"{points[j].tolist()} is not a member")
 
     return PhiNormSpec(net=build_net(d), X=X, Y=Y, epsilon=d.epsilon)
 

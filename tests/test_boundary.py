@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from smoothnorm import boundary
 from smoothnorm.boundary import (
     Decomposition,
     _greedy_indices,
@@ -195,6 +198,27 @@ class TestPsiBinning:
     def test_requires_positive_width(self):
         with pytest.raises(ParameterError):
             psi_binning([1.05], 0.0)
+        with pytest.raises(ParameterError):
+            psi_binning([1.05], float("nan"))
+
+    def test_non_finite_psi_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="finite"):
+                psi_binning([1.05, bad], 0.01)
+
+    def test_matches_math_floor_loop(self):
+        """The vectorised bins are the per-member math.floor loop's."""
+        rng = np.random.default_rng(9)
+        for eps_n in (0.25, 0.01, 1e-3 / 3.0, 7.3e-7):
+            psis = 1.0 + eps_n * rng.integers(0, 6, size=300) * rng.choice(
+                [1.0, 1.0 - 2 ** -52, 1.0 + 2 ** -52, 0.5], size=300)
+            want = {}
+            for j, v in enumerate(psis.tolist()):
+                want.setdefault(math.floor((v - 1.0) / eps_n), []).append(j)
+            got = psi_binning(psis, eps_n)
+            assert list(got) == sorted(want)
+            assert got == want
+            assert all(type(k) is int for k in got)
 
 
 def greedy_oracle(members, separation, metric):
@@ -310,6 +334,158 @@ class TestGreedyAgainstPairwiseLoop:
                              lambda f, g: space.dual_norm(f - g))
         monkeypatch.setattr("smoothnorm.boundary._PREFILTER_ELEMS", 1000)
         assert _greedy_indices(rows, 0.05, space.dual_norm_rows) == want
+
+
+def pairwise_net(d):
+    """The plain O(m^2) net of a decomposition: per piece, per psi-bin
+    (math.floor per member), each member against every kept member in
+    kept order, one dual_norm call per pair.  Returns the NetB fields."""
+    rows, bin_ids, home = [], [], np.full(len(d.members), -1)
+    for n in range(len(d.pieces)):
+        sep = epsilon_n(d.epsilon, n)
+        bins = {}
+        for i in np.flatnonzero(d.piece == n).tolist():
+            k = math.floor((float(d.psi[i]) - 1.0) / sep)
+            bins.setdefault(k, []).append(i)
+        for k in sorted(bins):
+            at = bins[k]
+            kept, assign = greedy_oracle(
+                d.members[at], sep, lambda f, g: d.space.dual_norm(f - g))
+            home[at] = np.add(assign, len(rows))
+            rows += [at[j] for j in kept]
+            bin_ids += [k] * len(kept)
+    scales = np.array([epsilon_n(d.epsilon, n)
+                       for n in range(len(d.pieces))])
+    return dict(matrix=d.members[rows], psi=d.psi[rows],
+                theta=d.psi[rows] - scales[d.piece[rows]],
+                piece=d.piece[rows], bin_id=np.array(bin_ids, dtype=int),
+                home=home)
+
+
+# ways to move one coordinate of a grid row k * sep: not at all, one ulp
+# either side, or by a fraction of sep (so the greedy net really thins)
+SIEVE_SHIFTS = {
+    "none": lambda v, sep: v,
+    "ulp_up": lambda v, sep: math.nextafter(v, math.inf),
+    "ulp_down": lambda v, sep: math.nextafter(v, -math.inf),
+    "quarter": lambda v, sep: v + 0.25 * sep,
+    "minus_half": lambda v, sep: v - 0.5 * sep,
+    "almost_sep": lambda v, sep: v + 0.999 * sep,
+    "sep": lambda v, sep: v + sep,
+}
+
+
+@st.composite
+def sieve_decompositions(draw):
+    """Decompositions of 1 to 3 pieces whose members sit on the grid of
+    their piece's eps_n (negative coordinates included), one coordinate
+    moved by an ulp or a fraction of eps_n, repeated and clustered; some
+    members get a closure entry, so pieces hold more than one psi-bin."""
+    space = draw(st.sampled_from(GREEDY_SPACES))
+    eps = draw(st.sampled_from([0.96, 0.3]))
+    npieces = draw(st.integers(1, 3))
+    pieces, closure, seen = [], {}, set()
+    for n in range(npieces):
+        sep = epsilon_n(eps, n)
+        centres = draw(st.lists(
+            st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+            min_size=1, max_size=4))
+        picks = draw(st.lists(
+            st.tuples(st.integers(0, len(centres) - 1),
+                      st.sampled_from(sorted(SIEVE_SHIFTS)),
+                      st.integers(0, 2), st.booleans()),
+            min_size=1, max_size=25))
+        rows, keys = [], set()
+        for c, shift, axis, wide in picks:
+            row = np.asarray(centres[c], dtype=float) * sep
+            row[axis] = SIEVE_SHIFTS[shift](float(row[axis]), sep)
+            key = (row + 0.0).tobytes()
+            if key in seen:
+                continue      # pieces must be disjoint
+            keys.add(key)
+            if wide and n + 1 < npieces:
+                closure[(n, len(rows))] = {n, npieces - 1}
+            rows.append(row)
+        assume(rows)
+        seen |= keys
+        pieces.append(np.array(rows))
+    return Decomposition(space, pieces, eps, closure=closure)
+
+
+class TestSieve:
+    @settings(max_examples=200, deadline=None)
+    @given(d=sieve_decompositions())
+    def test_same_net_as_pairwise_greedy(self, d):
+        net = build_net(d)
+        want = pairwise_net(d)
+        for name, array in want.items():
+            got = getattr(net, name)
+            np.testing.assert_array_equal(got, array, err_msg=name)
+            assert got.dtype == array.dtype, name
+            assert got.tobytes() == array.tobytes(), name
+
+    def test_non_finite_members_never_split(self):
+        """A non-finite key splits no group: the infinite members stay
+        with the finite ones, though their keys jump by more than 2."""
+        space = lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)
+        members = np.array([[0.0, 0.0, 0.0], [0.001, 0.0, 0.0],
+                            [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0],
+                            [-np.inf, 0.0, 0.0]])
+        d = Decomposition(space, [members], 0.96)
+        sep = np.full(len(members), epsilon_n(0.96, 0))
+        isolated = boundary._isolated(members, sep, np.zeros(5, dtype=int))
+        assert not isolated.any()
+        # no l-infinity distance to a non-finite member is below eps_n
+        with np.errstate(invalid="ignore"):
+            net = build_net(d)
+        np.testing.assert_array_equal(net.home, [0, 0, 1, 2, 3])
+
+    def test_predual7_skips_the_greedy_loop(self, monkeypatch):
+        """On predual7 (pieces: the dual extreme points of each support
+        size) the sieve isolates every member, so none reaches the
+        greedy loop and every member is its own net point."""
+        space = lorentz_predual_space(
+            [1.0 / math.sqrt(k + 1) for k in range(7)])
+        points = space.dual_extreme_points()
+        support = np.count_nonzero(points, axis=1)
+        d = Decomposition(space, [points[support == n] for n in range(1, 8)],
+                          0.1)
+        seen = []
+        greedy = boundary._greedy_indices
+
+        def counted(members, *args):
+            seen.append(len(members))
+            return greedy(members, *args)
+
+        monkeypatch.setattr(boundary, "_greedy_indices", counted)
+        net = build_net(d)
+        assert seen == []
+        assert len(net) == len(d.members) == 2186
+        np.testing.assert_array_equal(net.matrix[net.home], d.members)
+
+
+class TestMissing:
+    def test_exact_and_near_rows_found(self):
+        d = sup2_decomposition()
+        rows = np.array([[-1.0, 0.0], [0.0, 1.0 - 1e-10], [-0.0, -1.0]])
+        assert d.missing(rows) is None
+
+    def test_first_missing_row_named(self):
+        d = Decomposition(sup_space(2), [np.array([[1.0, 0.0]])], 0.1)
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        assert d.missing(rows) == 1
+        # beyond the tolerance in one coordinate is a miss
+        assert d.missing(np.array([[1.0, 2e-9]])) == 0
+        assert d.missing(np.array([[1.0, 2e-9]]), tol=1e-8) is None
+
+    def test_blocks_agree(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        members = rng.uniform(-0.3, 0.3, size=(50, 3))
+        d = Decomposition(sup_space(3), [members], 0.1)
+        rows = members[::-1] + np.where(np.arange(50) == 37, 1e-3, 0.0)[:, None]
+        assert d.missing(rows) == 37
+        monkeypatch.setattr(boundary, "_PREFILTER_ELEMS", 10)
+        assert d.missing(rows) == 37
 
 
 class TestBuildNet:

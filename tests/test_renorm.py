@@ -128,6 +128,21 @@ class TestBuildRenorm:
         with pytest.raises(ConstructionError):
             build_renorm(X, d, None, budget=64, seed=0)
 
+    def test_missing_extreme_point_rejected(self):
+        """Without one pair +-f of support 7, predual7's members pass the
+        sampled norming check at seed 1, yet about 1e-4 of directions
+        are no longer normed; the exact check refuses the decomposition
+        and names f."""
+        d = predual_decomposition(7)
+        f = d.pieces[6][0]
+        pieces = [p[~(np.all(p == f, axis=1) | np.all(p == -f, axis=1))]
+                  for p in d.pieces]
+        assert sum(map(len, pieces)) == len(d.members) - 2
+        short = Decomposition(d.space, pieces, d.epsilon)
+        with pytest.raises(ConstructionError,
+                           match=r"dual extreme point \[0\.2488"):
+            build_renorm(short.space, short, None, seed=1)
+
     def test_factor_space_validated(self):
         d = sup_decomposition(2)
         with pytest.raises(ParameterError):
@@ -164,6 +179,17 @@ PREDUAL7_NET = dict(
     home="7cd27ccf07b815a466b7e422f0e884e2b68755784818877099a2dcf49a1d2a04",
 )
 
+# predual_decomposition(9): 19,682 members, every one a net point.  Pinned
+# from the net the plain pairwise greedy loop built, before the sieve.
+PREDUAL9_NET = dict(
+    matrix="710268885eb65c2915a8b7a74e768b6a29479b9fe61514f13ef3c15591086b60",
+    psi="03cbba44e066503eb391c6eea6d978bd9d3b9ed23daf1d4a248f2cb61d4e7bca",
+    theta="d0ff2f0aa6115601245a217911d7469a95288b6de7301c60f0323d34f77dfff5",
+    piece="fda53ee5f59de9e41f8636dce82198276fe41e84509fd61979d063307cc0cea7",
+    bin_id="3f6c322abe869ea7fe6689c67dee2215566a8feccdb692e49dc354cb3c271a44",
+    home="17d6161758e8082d5078279ace291c2632fe51f467a0bc6584434834581af618",
+)
+
 
 def net_digests(net):
     return {name: hashlib.sha256(np.ascontiguousarray(
@@ -183,6 +209,13 @@ class TestPinnedNets:
     def test_predual7(self, predual7_spec):
         assert predual7_spec.net.home.dtype == np.int64
         assert net_digests(predual7_spec.net) == PREDUAL7_NET
+
+    def test_predual9_growth(self):
+        """The 19,682-member net, as the pairwise greedy loop built it
+        before members could bypass it."""
+        net = build_net(predual_decomposition(9))
+        assert len(net) == 19682
+        assert net_digests(net) == PREDUAL9_NET
 
 
 class TestPiCoords:
