@@ -65,7 +65,6 @@ __all__ = [
     "Decomposition",
     "NetB",
     "epsilon_n",
-    "psi_binning",
     "build_net",
     "net_property_report",
     "check_boundary",
@@ -203,6 +202,8 @@ class Decomposition:
 
     def psi_of(self, n, j) -> float:
         """psi weight of member j of piece n (see module docstring)."""
+        if not (0 <= n < len(self.pieces) and 0 <= j < len(self.pieces[n])):
+            raise ParameterError(f"({n}, {j}) is not a member")
         return float(self.psi[self.piece == n][j])
 
 
@@ -210,25 +211,6 @@ def _psi_bins(psi, eps_n):
     """Bin id of each psi value as a float: floor((psi - 1) / eps_n),
     bit for bit what math.floor gives on the same quotient."""
     return np.floor((psi - 1.0) / eps_n)
-
-
-def psi_binning(psis, eps_n):
-    """Group member indices into half-open psi-bins of width eps_n.
-
-    Bin k covers [1 + k*eps_n, 1 + (k+1)*eps_n).  Returns
-    {bin id: list of member indices} with bins and members in stable
-    order.  Each bin's psi diameter is < eps_n by construction.
-    """
-    if not eps_n > 0.0:
-        raise ParameterError("eps_n must be positive")
-    psis = np.asarray(psis, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(psis)):
-        raise ParameterError("psi values must be finite")
-    keys = _psi_bins(psis, eps_n)
-    order = np.argsort(keys, kind="stable")
-    ids, first = np.unique(keys[order], return_index=True)
-    return {int(k): part.tolist()
-            for k, part in zip(ids.tolist(), np.split(order, first[1:]))}
 
 
 def _linf_distances(X, Y):

@@ -24,22 +24,22 @@ term attaining L survives, and phi_h(1/theta(h)) = 1.5 > 1, so at every
 scale where a pruned bump is positive the row is already infeasible
 through that term.  Every feasibility test therefore decides as it would
 over the whole net, and a feasible modular sums the same values in the
-same order, so a row that is bisected gets the whole-net value bit for
-bit.  A gaussian row keeps about 2 of the 2,186 terms of the
-lorentz_predual dim-7 net.  The relative margin 1e-12 absorbs the
-roundings of u and of the thresholds 1/psi, 1/theta, and working on u
-rather than on Pi keeps subnormal and huge rows exact.
+same order, so a row gets the whole-net value bit for bit.  A gaussian
+row keeps about 2 of the 2,186 terms of the lorentz_predual dim-7 net.
+The relative margin 1e-12 absorbs the roundings of u and of the
+thresholds 1/psi, 1/theta, and working on u rather than on Pi keeps
+subnormal and huge rows exact.
 
-Most rows are single-class: every kept term has the same bump and the
-same coordinate c, as h and -h do.  Such a row's modular at scale s is k
-copies of phi(u_c / s), so orlicz.modular_inverse's z*(k) gives its
-answer: the smallest float s with fl(u_c / s) <= z*.  That s is passed
-to feasible_scale_inf as a start, which checks it on the kept terms
-(feasible at s, infeasible one float below) before the usual
-certification, and bisects the row instead if any check fails.  A solved
-row is exact to the float on the peak-normalized scale, so it can lie
-up to the bisection tolerance below the whole-net value, inside the
-whole-net bracket; a start ignores ``tol``.
+Every row is bisected to float resolution (``tol=0.0``) from a bracket
+on that scale, so its value is the whole-net one at ``tol=0.0``
+whatever the bracket.  Most rows are single-class: every kept term has
+the same bump and the same coordinate c, as h and -h do.  Such a row's
+modular at scale s is k copies of phi(u_c / s), so
+orlicz.modular_inverse's z*(k) gives its answer: the smallest float s
+with fl(u_c / s) <= z*, bracketed as (the float below s, s).  Any other
+row is bracketed by [L, P], P = max_h psi(h) u_h: at L a term reaches
+1/theta, where its bump is 1.5, and at P every bump is zero.
+feasible_scale_inf checks both ends and widens a wrong bracket.
 
 smoothness_check is the numerical surrogate for smoothness claims: along
 one line it contrasts second-difference blowup of a kinked norm (growing
@@ -55,7 +55,7 @@ import numpy as np
 from .boundary import NetB, build_net, check_boundary
 from .errors import ConstructionError, ParameterError
 from .orlicz import OrliczFamily, make_orlicz, modular_inverse
-from .scaling import DEFAULT_TOL, feasible_scale_inf
+from .scaling import feasible_scale_inf
 from .spaces import EuclideanSpace, ModelSpace
 from .tensor import TensorElement
 
@@ -169,20 +169,20 @@ def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
     return pi_coords_batch(spec, np.asarray(u, dtype=float)[None])[0]
 
 
-def _luxemburg_rows(spec: PhiNormSpec, coords, tol=DEFAULT_TOL):
+def _luxemburg_rows(spec: PhiNormSpec, coords):
     """Luxemburg norms over spec.family of (n, len(net)) nonnegative
-    coordinate rows, evaluating only the terms the pruning rule of the
-    module docstring keeps and starting single-class rows from the
-    inverse table."""
+    coordinate rows, bisecting only the terms the pruning rule of the
+    module docstring keeps, from the brackets it describes."""
     n, m = coords.shape
     family = spec.family
     with np.errstate(divide="ignore", invalid="ignore"):
         peak = coords.max(axis=1, initial=0.0)
         unit = coords / peak[:, None]
         weighted = unit * spec.net.theta
-        bound = weighted.max(axis=1) * (1.0 - PRUNE_TOL)
+        lo = weighted.max(axis=1)
         np.multiply(unit, spec.net.psi, out=weighted)
-        r, j = np.nonzero(weighted > bound[:, None])
+        hi = weighted.max(axis=1)
+        r, j = np.nonzero(weighted > (lo * (1.0 - PRUNE_TOL))[:, None])
     counts = np.bincount(r, minlength=n)
     width = counts.max(initial=0) + 1
     first = np.cumsum(counts) - counts
@@ -200,23 +200,23 @@ def _luxemburg_rows(spec: PhiNormSpec, coords, tol=DEFAULT_TOL):
              | (family.exceed_thresholds[j] != family.exceed_thresholds[j0]))
     single = np.flatnonzero((counts > 0)
                             & (np.bincount(r[other], minlength=n) == 0))
-    start = np.full(n, np.nan)
     if single.size:
         col = j[first[single]]
         zstar = modular_inverse([family.functions[c] for c in col.tolist()],
                                 counts[single])
-        start[single] = _smallest_scale(coords[single, col] / peak[single],
-                                        zstar)
+        hi[single] = _smallest_scale(coords[single, col] / peak[single],
+                                     zstar)
+        lo[single] = np.nextafter(hi[single], 0.0)
     return feasible_scale_inf(
-        lambda z, idx: family.modular_rows(z, cols[idx]), vals, tol=tol,
-        start=start).hi
+        lambda z, idx: family.modular_rows(z, cols[idx]), vals, tol=0.0,
+        start=(lo, hi)).hi
 
 
 def _smallest_scale(u0, zstar):
     """Per entry, the smallest float s with fl(u0 / s) <= z*, from the
     quotient u0 / z* by float division only; fl(u0 / s) does not rise
     with s.  An entry still off after a few ulp steps is left there, and
-    feasible_scale_inf's checks reject it."""
+    feasible_scale_inf widens its bracket."""
     with np.errstate(divide="ignore", invalid="ignore"):
         s = u0 / zstar
         for _ in range(SCALE_STEPS):
@@ -233,11 +233,10 @@ def _smallest_scale(u0, zstar):
     return s
 
 
-def phi_norm(spec: PhiNormSpec, u, tol=DEFAULT_TOL) -> float:
-    """Luxemburg norm of the coordinate vector of u: exact to the float
-    for a single-class row, else bisected to relative width tol; the
-    smoothness probes pass a tighter one."""
-    return float(_luxemburg_rows(spec, pi_coords(spec, u)[None], tol)[0])
+def phi_norm(spec: PhiNormSpec, u) -> float:
+    """Luxemburg norm of the coordinate vector of u, exact to the float
+    on the peak-normalized scale."""
+    return float(_luxemburg_rows(spec, pi_coords(spec, u)[None])[0])
 
 
 def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:

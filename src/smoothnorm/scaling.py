@@ -13,23 +13,27 @@ It works on a batch of coordinate rows with a row-wise modular
 rows and ``idx`` the positions of those rows in the batch, so a modular
 can keep per-row data; a single vector is a batch of one.
 
-Each row is scaled to peak 1 and goes through the same steps: double
-from 1 until feasible, halve while feasible (moving the upper end down
-with it), then bisect until the bracket is ``tol``-relative narrow or at
-float resolution.  Rows that have converged are not evaluated again.
-The upper endpoint is then certified on the unnormalized row: where
-``|c| / value`` rounds differently from ``(|c| / peak) / hi`` and the
-modular exceeds 1, ``value`` is nudged up by one ulp at a time.  So
-S(|c| / value) <= 1 holds as computed, with no tolerance.
+Each row is scaled to peak 1 and goes through the same steps from an
+initial bracket (lo, hi) on that scale, by default (1/2, 1): double hi
+while it is infeasible (lo following it up), halve lo while it is
+feasible (hi following it down), then bisect until the bracket is
+``tol``-relative narrow or at float resolution.  Rows that have
+converged are not evaluated again.  The upper endpoint is then
+certified on the unnormalized row: where ``|c| / value`` rounds
+differently from ``(|c| / peak) / hi`` and the modular exceeds 1,
+``value`` is nudged up by one ulp at a time.  So S(|c| / value) <= 1
+holds as computed, with no tolerance.
 
-A caller that can predict a row's answer passes it as a start: a scale
-s on the peak-normalized row.  The start is a hint, never trusted.  It
-is used only if the modular is feasible at s and infeasible at the float
-below s, and the row's unnormalized value then certifies within
-``MAX_NUDGES`` nudges; such a row is settled at float resolution with no
-bisection.  Every other row takes the steps above.  A start is also
-ignored where those steps could have left the float range on the way to
-s, so a row that raises without a start raises the same way with one.
+A caller that can predict a row's answer passes its own bracket as a
+start.  It is never trusted: a right one costs the two endpoint checks,
+a wrong one is widened by the same loops.  At ``tol=0.0`` the bisection
+stops on adjacent floats, lo infeasible and hi feasible; as long as the
+computed modular does not rise with the scale there is one such pair,
+so the value does not depend on the start.  A start that is not
+``0 < lo < hi`` (NaN included), or whose ends one doubling or halving
+would take out of the float range, is replaced by the default.  So a
+right start raises exactly where the default does; a wrong one can
+differ only within a factor 2 of the float range's ends.
 """
 
 from dataclasses import dataclass
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-# Relative final bracket width; of the callers only phi_norm takes another.
+# Relative final bracket width; phi_norm bisects to the float instead.
 DEFAULT_TOL = 1e-10
 # Ulp nudges allowed when certifying the unnormalized value.
 MAX_NUDGES = 8
@@ -51,14 +55,12 @@ class ScalingBracket:
     Per row, S(|c| / lo) > 1 on the peak-normalized scale and
     S(|c| / hi) <= 1 on the row itself; ``hi`` is the norm.  Zero rows
     have lo = hi = 0.  ``iterations`` is the number of bisection steps
-    summed over the rows; ``hinted`` is the number of rows settled from a
-    checked start.
+    summed over the rows.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     iterations: int
-    hinted: int
 
 
 def _failure(message, row, lo, hi):
@@ -80,9 +82,9 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
         Coordinate rows; signs are ignored.
     tol : float
         Relative final bracket width.
-    start : array_like, shape (n,), optional
-        Per-row starting scales on the peak-normalized row, checked
-        before use (module docstring); NaN marks a row without one.
+    start : pair of array_like, shape (n,), optional
+        Per-row initial brackets (lo, hi) on the peak-normalized row
+        (module docstring); NaN marks a row without one.
 
     Returns
     -------
@@ -121,9 +123,6 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
         z /= scale[:, None]
         return modular_rows(z, idx) <= 1.0
 
-    lo = np.zeros(len(rows))
-    hi = np.zeros(len(rows))
-
     def certify(todo):
         """Nudge the unnormalized hi of rows todo up until the modular
         is feasible on the row itself; return the rows that still are
@@ -135,31 +134,18 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
             hi[todo] = np.nextafter(hi[todo], np.inf)
         return todo[~feasible(rows, todo, hi[todo])]
 
-    hinted, rest = live[:0], live
+    lo = np.full(len(rows), 0.5)
+    hi = np.ones(len(rows))
     if start is not None:
-        s = np.asarray(start, dtype=float)[live]
-        # Where doubling or halving towards s would leave the float range,
-        # the row goes the long way and raises there.
+        s_lo, s_hi = (np.asarray(end, dtype=float) for end in start)
+        # invalid or too near the float range's ends: the default
         with np.errstate(over="ignore", invalid="ignore"):
-            usable = ((s > 0.0)
-                      & np.isfinite(2.0 * np.maximum(peak[live], 1.0) * s)
-                      & (np.minimum(peak[live], 1.0) * s / 2.0 > 0.0))
-        hinted, s = live[usable], s[usable]
-        below = np.nextafter(s, 0.0)
-        ok = feasible(unit, hinted, s)
-        hinted, s, below = hinted[ok], s[ok], below[ok]
-        ok = ~feasible(unit, hinted, below)
-        hinted = hinted[ok]
-        lo[hinted] = below[ok] * peak[hinted]
-        hi[hinted] = s[ok] * peak[hinted]
-        settled = np.zeros(len(rows), dtype=bool)
-        settled[hinted] = True
-        settled[certify(hinted)] = False
-        hinted = np.flatnonzero(settled)
-        rest = live[~settled[live]]
-    todo = rest
-    hi[rest] = 1.0
+            ok = ((0.0 < s_lo) & (s_lo < s_hi)
+                  & np.isfinite(2.0 * np.maximum(peak, 1.0) * s_hi)
+                  & (np.minimum(peak, 1.0) * s_lo / 2.0 > 0.0))
+        lo[ok], hi[ok] = s_lo[ok], s_hi[ok]
 
+    todo = live
     while True:
         todo = todo[~feasible(unit, todo, hi[todo])]
         if not todo.size:
@@ -171,11 +157,11 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
         if too_big.any():
             row = todo[np.argmax(too_big)]
             raise _failure("no feasible scale found while doubling", row,
-                           peak * hi / 2.0, peak * hi)
+                           peak * lo, peak * hi)
+        lo[todo] = hi[todo]
         hi[todo] *= 2.0
 
-    lo[rest] = hi[rest] / 2.0
-    todo = rest
+    todo = live
     while True:
         todo = todo[feasible(unit, todo, lo[todo])]
         if not todo.size:
@@ -190,7 +176,7 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
 
     # Invariant: S(unit / lo) > 1 >= S(unit / hi).
     iterations = 0
-    todo = rest
+    todo = live
     while True:
         todo = todo[hi[todo] - lo[todo] > tol * hi[todo]]
         mid = 0.5 * (lo[todo] + hi[todo])
@@ -203,11 +189,10 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
         hi[todo[feas]] = mid[feas]
         lo[todo[~feas]] = mid[~feas]
 
-    lo[rest] *= peak[rest]
-    hi[rest] *= peak[rest]
-    failed = certify(rest)
+    lo *= peak
+    hi *= peak
+    failed = certify(live)
     if failed.size:
         raise _failure("could not certify feasibility at result", failed[0],
                        lo, hi)
-    return ScalingBracket(lo=lo, hi=hi, iterations=int(iterations),
-                          hinted=len(hinted))
+    return ScalingBracket(lo=lo, hi=hi, iterations=int(iterations))

@@ -186,8 +186,8 @@ def test_criterion_05_ridge_contrast(capsys):
         d = Decomposition(X, [np.vstack([eye[i], -eye[i]])
                               for i in range(3)], 0.1)
         spec = build_renorm(X, d, None, seed=0)
-        phi = smoothness_check(lambda v: phi_norm(spec, v, tol=1e-13),
-                               point, direction, steps)
+        phi = smoothness_check(lambda v: phi_norm(spec, v), point,
+                               direction, steps)
         assert not phi.kink
         assert phi.richardson <= 1e-5
         assert max(abs(v) for v in phi.second_diffs) < 1.0
@@ -293,9 +293,8 @@ def test_criterion_09_predual_pipeline(capsys, predual4_pipeline):
         assert base_rep.kink
         for d2, h in zip(base_rep.second_diffs, base_rep.steps):
             assert abs(d2 * h - 1.0) <= 0.01
-        phi_rep = smoothness_check(
-            lambda v: phi_norm(spec, v, tol=1e-13), point, direction,
-            steps)
+        phi_rep = smoothness_check(lambda v: phi_norm(spec, v), point,
+                                   direction, steps)
         assert not phi_rep.kink
         assert phi_rep.richardson <= 1e-5
 

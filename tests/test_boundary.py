@@ -13,13 +13,13 @@ from smoothnorm import boundary
 from smoothnorm.boundary import (
     Decomposition,
     _greedy_indices,
+    _psi_bins,
     _psi_value,
     build_net,
     check_boundary,
     check_lrc_criterion,
     epsilon_n,
     net_property_report,
-    psi_binning,
 )
 from smoothnorm.errors import ConstructionError, ParameterError
 from smoothnorm.spaces import (
@@ -92,6 +92,19 @@ class TestPsi:
         d = sup2_decomposition()
         with pytest.raises(ParameterError):
             d.psi_of(*d.locate(np.array([0.5, 0.5])))
+
+    def test_psi_of_rejects_non_member(self):
+        """A negative j used to read another member's weight, and an
+        index past the end raised numpy's IndexError."""
+        eye = np.eye(3)
+        d = Decomposition(sup_space(3), [np.vstack([eye[0], -eye[0]]),
+                                         np.vstack([eye[1:], -eye[1:]])],
+                          0.1, closure={(1, 3): {1, 0}})
+        assert d.psi_of(1, 3) == _psi_value(0.1, {0, 1})
+        for n, j in [(1, -1), (0, -2), (0, 2), (1, 4), (2, 0), (-1, 0)]:
+            with pytest.raises(ParameterError,
+                               match=rf"\({n}, {j}\) is not a member"):
+                d.psi_of(n, j)
 
     def test_locate_by_value_identity(self):
         d = sup2_decomposition()
@@ -183,28 +196,42 @@ class TestDecompositionValidation:
 
 
 class TestPsiBinning:
+    """_psi_bins gives each psi its half-open bin of width eps_n, bin k
+    covering [1 + k*eps_n, 1 + (k+1)*eps_n); build_net keeps it as
+    NetB.bin_id."""
+
     def test_frozen_example(self):
-        bins = psi_binning([1.1, 1.3, 1.35, 1.6], 0.25)
-        assert bins == {0: [0], 1: [1, 2], 2: [3]}
+        bins = _psi_bins(np.array([1.1, 1.3, 1.35, 1.6]), 0.25)
+        assert bins.tolist() == [0.0, 1.0, 1.0, 2.0]
 
     def test_bin_diameter(self):
         rng = np.random.default_rng(3)
         psis = 1.0 + rng.uniform(0.0, 0.1, size=400)
-        eps_n = 0.007
-        for members in psi_binning(psis, eps_n).values():
-            vals = psis[members]
-            assert vals.max() - vals.min() <= eps_n
+        bins = _psi_bins(psis, 0.007)
+        for k in np.unique(bins):
+            vals = psis[bins == k]
+            assert vals.max() - vals.min() <= 0.007
 
-    def test_requires_positive_width(self):
-        with pytest.raises(ParameterError):
-            psi_binning([1.05], 0.0)
-        with pytest.raises(ParameterError):
-            psi_binning([1.05], float("nan"))
-
-    def test_non_finite_psi_rejected(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ParameterError, match="finite"):
-                psi_binning([1.05, bad], 0.01)
+    def test_net_bins_by_piece_scale(self):
+        """Closure sets spread one piece's psi over several bins; the
+        net's bin_id is each point's bin at its piece's eps_n, and every
+        (piece, bin) group of net points is narrower than that eps_n."""
+        rng = np.random.default_rng(4)
+        eye = np.eye(3)
+        pieces = [rng.dirichlet(np.ones(3), size=40)
+                  * rng.choice([-1.0, 1.0], size=(40, 3))]
+        pieces += [np.vstack([e, -e]) for e in eye]
+        closure = {(0, j): {0} | {n for n in (1, 2, 3) if rng.random() < 0.5}
+                   for j in range(40)}
+        d = Decomposition(sup_space(3), pieces, 0.3, closure=closure)
+        net = build_net(d)
+        scale = np.array([epsilon_n(0.3, n) for n in range(4)])[net.piece]
+        assert np.array_equal(net.bin_id, _psi_bins(net.psi, scale))
+        groups = set(zip(net.piece.tolist(), net.bin_id.tolist()))
+        assert len(groups) > 6
+        for n, k in groups:
+            vals = net.psi[(net.piece == n) & (net.bin_id == k)]
+            assert vals.max() - vals.min() < epsilon_n(0.3, n)
 
     def test_matches_math_floor_loop(self):
         """The vectorised bins are the per-member math.floor loop's."""
@@ -212,13 +239,8 @@ class TestPsiBinning:
         for eps_n in (0.25, 0.01, 1e-3 / 3.0, 7.3e-7):
             psis = 1.0 + eps_n * rng.integers(0, 6, size=300) * rng.choice(
                 [1.0, 1.0 - 2 ** -52, 1.0 + 2 ** -52, 0.5], size=300)
-            want = {}
-            for j, v in enumerate(psis.tolist()):
-                want.setdefault(math.floor((v - 1.0) / eps_n), []).append(j)
-            got = psi_binning(psis, eps_n)
-            assert list(got) == sorted(want)
-            assert got == want
-            assert all(type(k) is int for k in got)
+            want = [math.floor((v - 1.0) / eps_n) for v in psis.tolist()]
+            assert _psi_bins(psis, eps_n).tolist() == want
 
 
 def greedy_oracle(members, separation, metric):

@@ -6,9 +6,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +410,16 @@ class TestDeterminism:
             (out_b / "report.json").read_bytes()
         assert (out_a / "approx_samples.csv").read_bytes() == \
             (out_b / "approx_samples.csv").read_bytes()
+
+    def test_readme_quotes_every_ci_digest(self):
+        """Each sha256 the CI workflow pins appears in README.md by its
+        first 8 hex digits, so the README cannot quote stale digests."""
+        root = Path(__file__).resolve().parents[1]
+        workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+        readme = (root / "README.md").read_text()
+        digests = re.findall(r"\b[0-9a-f]{64}\b", workflow)
+        assert len(digests) >= 5
+        assert [d for d in digests if f"`{d[:8]}" not in readme] == []
 
     def test_seed_changes_report(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -454,8 +454,7 @@ class TestPipelineDirect:
         for d2, h in zip(base.second_diffs, steps):
             np.testing.assert_allclose(d2, 1.0 / h, rtol=1e-2)
         spec = direct_result.phi_spec
-        smooth = smoothness_check(
-            lambda w: phi_norm(spec, w, tol=1e-13), y, d, steps)
+        smooth = smoothness_check(lambda w: phi_norm(spec, w), y, d, steps)
         assert not smooth.kink
         assert smooth.richardson <= 1e-5
 

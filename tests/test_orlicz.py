@@ -410,6 +410,65 @@ def test_modular_receives_row_indices():
     assert any(len(idx) == 11 for idx in seen)
 
 
+class TestInitialBracket:
+    """feasible_scale_inf's start is a per-row bracket (lo, hi) on the
+    peak-normalized scale: a right one costs its two endpoint checks and
+    the certification, and any other gives the unbracketed value."""
+
+    FAMILY = power_family(3.0, 4)
+
+    def count(self):
+        calls = []
+
+        def modular(z, _):
+            calls.append(len(z))
+            return self.FAMILY.modular_rows(z)
+
+        return modular, calls
+
+    def rows(self, scale):
+        rng = np.random.default_rng(31)
+        rows = rng.standard_normal((16, 4))
+        return scale * rows / np.abs(rows).max(axis=1, keepdims=True)
+
+    def test_right_bracket_costs_two_checks(self):
+        """Rows of peak 1, so one certification call finds every value
+        feasible; the unbracketed bisection takes dozens of steps."""
+        rows = self.rows(1.0)
+        modular, calls = self.count()
+        plain = feasible_scale_inf(modular, rows, tol=0.0)
+        assert len(calls) > 40 and plain.iterations > 40 * len(rows)
+        calls.clear()
+        got = feasible_scale_inf(modular, rows, tol=0.0,
+                                 start=(plain.lo, plain.hi))
+        assert calls == [len(rows)] * 3
+        assert got.iterations == 0
+        assert np.array_equal(got.hi, plain.hi)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_wrong_brackets_give_the_unbracketed_value(self, scale):
+        rows = self.rows(scale)
+        modular, _ = self.count()
+        plain = feasible_scale_inf(modular, rows, tol=0.0).hi
+        s = plain / np.abs(rows).max(axis=1)
+        nan = np.full_like(s, np.nan)
+        starts = {"hi infeasible": (s / 4.0, s / 2.0),
+                  "lo feasible": (2.0 * s, 4.0 * s),
+                  "far below": (s * 2.0 ** -60, s * 2.0 ** -59),
+                  "far above": (s * 2.0 ** 60, s * 2.0 ** 61),
+                  "nan": (nan, nan), "nan lo": (nan, s),
+                  "inverted": (2.0 * s, s / 2.0), "empty": (s, s),
+                  "zero lo": (0.0 * s, s), "negative": (-s, -s / 2.0),
+                  "infinite hi": (s / 2.0, np.inf * s)}
+        for name, start in starts.items():
+            got = feasible_scale_inf(modular, rows, tol=0.0, start=start)
+            assert np.array_equal(got.hi, plain), name
+        pick = np.arange(len(rows)) % len(starts)
+        mixed = tuple(np.choose(pick, ends) for ends in zip(*starts.values()))
+        got = feasible_scale_inf(modular, rows, tol=0.0, start=mixed)
+        assert np.array_equal(got.hi, plain)
+
+
 def nonfinite_vectors(dim):
     finite = st.floats(min_value=-50.0, max_value=50.0,
                        allow_nan=False, allow_infinity=False)

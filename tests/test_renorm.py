@@ -32,7 +32,7 @@ from smoothnorm.renorm import (
     smoothness_check,
     verify_claim2d,
 )
-from smoothnorm.scaling import DEFAULT_TOL, MAX_NUDGES, feasible_scale_inf
+from smoothnorm.scaling import feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
                                sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
@@ -69,6 +69,12 @@ def ladder3_spec():
 def euclid_factor_spec():
     d = sup_decomposition(2)
     return build_renorm(d.space, d, euclidean_space(2), budget=256, seed=0)
+
+
+@pytest.fixture(scope="module")
+def sup4_euclid3_spec():
+    d = ladder_decomposition(4)
+    return build_renorm(d.space, d, euclidean_space(3), budget=256, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -309,8 +315,8 @@ class TestPhiNorm:
         spec = predual7_spec
         rng = np.random.default_rng(23)
         coords = pi_coords_batch(spec, rng.standard_normal((2048, 7)))
-        block = _luxemburg_rows(spec, coords, 1e-10)
-        rows = [_luxemburg_rows(spec, c[None], 1e-10)[0] for c in coords]
+        block = _luxemburg_rows(spec, coords)
+        rows = [_luxemburg_rows(spec, c[None])[0] for c in coords]
         assert np.array_equal(block, rows)
 
     @settings(max_examples=30, deadline=None,
@@ -339,38 +345,23 @@ class TestPhiNorm:
             assert base < rho <= (1.0 + spec.epsilon) * base * (1.0 + 1e-9)
 
 
-def whole_net(spec, coords, tol=DEFAULT_TOL):
-    """feasible_scale_inf over the whole net, no term left out."""
+def whole_net(spec, coords):
+    """feasible_scale_inf over the whole net, no term left out, bisected
+    to float resolution."""
     return feasible_scale_inf(lambda z, _: spec.family.modular_rows(z),
-                              coords, tol=tol)
+                              coords, tol=0.0)
 
 
 def check_whole_net(spec, coords, values):
-    """Pruned values against the whole net, row by row: each lies in the
-    whole-net bracket and is certified over the whole family.  A row
-    that differs from the whole-net value was solved from its start: its
-    peak-normalized scale is the whole-net bisection run to float
-    resolution, whose previous float is infeasible, and its value is that
-    scale times the peak, nudged up to certification.  Returns the mask
-    of solved rows."""
+    """Pruned values against the whole net, row by row: each is the
+    whole-net value bit for bit, whatever bracket its bisection started
+    from, and is certified over the whole family."""
     values = np.asarray(values, dtype=float)
-    bracket = whole_net(spec, coords)
-    assert np.all((bracket.lo <= values) & (values <= bracket.hi))
+    assert np.array_equal(values, whole_net(spec, coords).hi)
     live = coords.any(axis=1)
     assert np.array_equal(values > 0.0, live)
-    modular = spec.family.modular_rows
-    assert np.all(modular(coords[live] / values[live, None]) <= 1.0)
-    solved = values != bracket.hi
-    peak = coords[solved].max(axis=1)
-    unit = coords[solved] / peak[:, None]
-    scale = whole_net(spec, unit, tol=0.0).hi
-    assert np.all(modular(unit / np.nextafter(scale, 0.0)[:, None]) > 1.0)
-    value = scale * peak
-    for _ in range(MAX_NUDGES):
-        over = modular(coords[solved] / value[:, None]) > 1.0
-        value[over] = np.nextafter(value[over], np.inf)
-    assert np.array_equal(values[solved], value)
-    return solved
+    assert np.all(spec.family.modular_rows(coords[live] / values[live, None])
+                  <= 1.0)
 
 
 def kept_terms(spec, coords):
@@ -417,8 +408,8 @@ def as_input(spec, x):
 
 class TestPrunedEvaluation:
     """phi_norm_batch and phi_norm bisect only the terms the pruning rule
-    keeps, or solve a single-class row from its checked start; the
-    Luxemburg norm over the whole net is the reference (check_whole_net)."""
+    keeps, from a bracket per row; the Luxemburg norm over the whole net
+    is the reference (check_whole_net)."""
 
     def test_cases_sit_on_the_rule(self, ladder3_spec):
         spec = ladder3_spec
@@ -535,14 +526,23 @@ def capture_brackets(monkeypatch):
     return seen
 
 
+def table_starts(start):
+    """Mask of the rows started from the inverse table: a bracket one
+    float wide."""
+    lo, hi = start
+    return lo == np.nextafter(hi, 0.0)
+
+
 class TestCheckedStart:
-    """A single-class row starts from its bump's inverse table; the start
-    is checked before use, never trusted."""
+    """Every row is bisected to the float from a bracket: a single-class
+    row's from its bump's inverse table, any other row's from the pruning
+    bounds [L, P].  The bracket is checked, never trusted."""
 
     def test_predual7_modular_calls(self, predual7_spec, monkeypatch):
         """A gaussian point costs at most 4 modular calls: feasible at the
         start, infeasible below it, and at most one certification nudge.
-        A batch settles nearly all its rows from their starts."""
+        In a batch, nearly every row starts from the table and takes no
+        bisection step, and every other row takes at most 45."""
         spec = predual7_spec
         phi_norm(spec, np.ones(7))  # fill the table outside the count
         calls = []
@@ -558,9 +558,18 @@ class TestCheckedStart:
             phi_norm(spec, x)
             assert len(calls) <= 4, x
         seen = capture_brackets(monkeypatch)
-        X = np.random.default_rng(1).standard_normal((2048, 7))
-        phi_norm_batch(spec, X)
-        assert seen[-1][1].hinted >= 0.99 * 2048
+        coords = pi_coords_batch(
+            spec, np.random.default_rng(1).standard_normal((2048, 7)))
+        _luxemburg_rows(spec, coords)
+        start, batch = seen[-1]
+        multi = np.flatnonzero(~table_starts(start))
+        assert 0 < multi.size <= 0.01 * 2048
+        steps = []
+        for i in multi:
+            _luxemburg_rows(spec, coords[i:i + 1])
+            steps.append(seen[-1][1].iterations)
+        assert max(steps) <= 45
+        assert batch.iterations == sum(steps)
 
     @pytest.mark.parametrize("wrong, wild", [
         (lambda z: np.nextafter(z, np.inf), False),
@@ -571,27 +580,49 @@ class TestCheckedStart:
         ids=["ulp_high", "ulp_low", "double", "half", "huge", "nan"])
     def test_wrong_table_falls_back(self, predual7_spec, monkeypatch, wrong,
                                     wild):
-        """With every table entry off, each value still passes
-        check_whole_net, and a row whose start moved is the whole-net
-        value itself: it came from the bisection, not from its start.  An
-        entry one ulp off can leave a start where it was."""
+        """With every table entry off, each value is still the whole-net
+        value bit for bit (check_whole_net).  An entry one ulp off can
+        leave a start where it was; the other rows' brackets do not come
+        from the table and stay."""
         spec = predual7_spec
         X = np.random.default_rng(3).standard_normal((256, 7))
         seen = capture_brackets(monkeypatch)
-        phi_norm_batch(spec, X)
+        right = phi_norm_batch(spec, X)
         start = seen[-1][0]
         monkeypatch.setattr(renorm, "modular_inverse",
                             lambda fns, ks: wrong(orlicz.modular_inverse(
                                 fns, ks)))
         values = phi_norm_batch(spec, X)
-        moved_start, bracket = seen[-1]
-        coords = pi_coords_batch(spec, X)
-        solved = check_whole_net(spec, coords, values)
-        moved = ~(moved_start == start)
-        assert moved.all() if wild else moved.any()
-        assert np.array_equal(values[moved], whole_net(spec, coords).hi[moved])
-        assert not solved[moved].any()
-        assert bracket.hinted <= len(X) - moved.sum()
+        check_whole_net(spec, pi_coords_batch(spec, X), values)
+        assert np.array_equal(values, right)
+        single = table_starts(start)
+        moved = seen[-1][0][1] != start[1]
+        assert moved[single].all() if wild else moved[single].any()
+        assert not moved[~single].any()
+
+    @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
+                                      "predual7_spec"])
+    def test_same_value_whatever_the_start(self, request, monkeypatch, name):
+        """Gaussian rows at scales 10^U(-3, 3) on the three specs the CI
+        digests pin (demo_sup3 is ladder3): phi_norm_batch is the
+        whole-net bisection to the float, bit for bit, with the right
+        inverse table and with one an ulp high, an ulp low, doubled or
+        NaN."""
+        spec = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        shape = spec.sample_shape
+        X = (rng.standard_normal((1000, *shape))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (1000,) + (1,) * len(shape)))
+        want = whole_net(spec, pi_coords_batch(spec, X)).hi
+        for wrong in (None, lambda z: np.nextafter(z, np.inf),
+                      lambda z: np.nextafter(z, 0.0), lambda z: 2.0 * z,
+                      lambda z: np.full_like(z, np.nan)):
+            if wrong is not None:
+                monkeypatch.setattr(
+                    renorm, "modular_inverse",
+                    lambda fns, ks, wrong=wrong: wrong(
+                        orlicz.modular_inverse(fns, ks)))
+            assert np.array_equal(phi_norm_batch(spec, X), want)
 
 
 class TestActiveSet:
@@ -749,7 +780,7 @@ class TestSmoothnessCheck:
         spec = ladder3_spec
         x = np.array([1.0, 1.0, 0.0])
         d = np.array([1.0, -1.0, 0.0])
-        r = smoothness_check(lambda w: phi_norm(spec, w, tol=1e-13),
+        r = smoothness_check(lambda w: phi_norm(spec, w),
                              x, d, (1e-3, 1e-4))
         assert not r.kink
         assert r.richardson <= 1e-5
@@ -758,7 +789,7 @@ class TestSmoothnessCheck:
     def test_gradient_consistency_at_random_points(self, ladder3_spec):
         spec = ladder3_spec
         rng = np.random.default_rng(29)
-        normfn = lambda w: phi_norm(spec, w, tol=1e-13)
+        normfn = lambda w: phi_norm(spec, w)
         for _ in range(20):
             x = rng.standard_normal(3)
             x /= spec.X.norm(x)
