@@ -53,9 +53,9 @@ bump evaluation, and there are as many steps as the widest gap between
 the thresholds' bit patterns has bits: 43 for the seven bumps of the
 lorentz_predual dim-7 net, about 4 ms once per process on a 2-core
 x86-64 VM.  A value depends only on (bump, k), so the order of fills
-does not matter.  renorm uses the table to bracket a row with one kind
-of kept term, and feasible_scale_inf checks that bracket and widens it
-if wrong, so a wrong entry costs time, never a different norm.
+does not matter.  renorm brackets every row from the table, and
+feasible_scale_inf checks that bracket and widens it if wrong, so a
+wrong entry costs time, never a different norm.
 
 A generalized Luxemburg norm over a finite index set B is
 

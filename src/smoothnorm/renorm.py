@@ -30,16 +30,31 @@ The relative margin 1e-12 absorbs the roundings of u and of the
 thresholds 1/psi, 1/theta, and working on u rather than on Pi keeps
 subnormal and huge rows exact.
 
+The rule is applied without a second array of the coordinates' size.
+Net order is piece, then psi-bin, so psi and theta are constant on runs
+of consecutive net points (PhiNormSpec.runs; 7 on the dim-7 net).
+Both roundings of fl(fl(c / peak) * w) do not fall as c rises, so a
+run's largest weighted term is its column maximum, weighted.  L and the
+rule's verdict on each (row, run) pair therefore come exactly from
+per-run column maxima, and the rule itself, unchanged, runs only on the
+columns of the pairs that pass: it keeps the same terms as over the
+whole row.
+
 Every row is bisected to float resolution (``tol=0.0``) from a bracket
 on that scale, so its value is the whole-net one at ``tol=0.0``
-whatever the bracket.  Most rows are single-class: every kept term has
-the same bump and the same coordinate c, as h and -h do.  Such a row's
-modular at scale s is k copies of phi(u_c / s), so
-orlicz.modular_inverse's z*(k) gives its answer: the smallest float s
-with fl(u_c / s) <= z*, bracketed as (the float below s, s).  Any other
-row is bracketed by [L, P], P = max_h psi(h) u_h: at L a term reaches
-1/theta, where its bump is 1.5, and at P every bump is zero.
-feasible_scale_inf checks both ends and widens a wrong bracket.
+whatever the bracket.  The bracket comes from orlicz.modular_inverse's
+table, z*_h(k) for k copies of bump h, through s_h(z), the smallest
+float s with fl(u_h / s) <= z (_smallest_scale).  Most rows are
+single-class: every kept term has the same bump and the same
+coordinate, as h and -h do.  Such a row's modular at scale s is k
+copies of phi(u_h / s), so its answer is s_h(z*_h(k)), bracketed as
+(the float below it, it).  Any other row of k kept terms lies between
+the float below max_h s_h(z*_h(1)), where some term alone exceeds 1,
+and max_h s_h(z*_h(k)), where each term is at most its bump at
+z*_h(k), a value k copies of which sum to at most 1.  That bracket is
+some 1e-8 relative wide, where the pruning bounds [L, max_h psi(h) u_h]
+are about eps_n.  feasible_scale_inf checks both ends and widens a
+wrong bracket.
 
 smoothness_check is the numerical surrogate for smoothness claims: along
 one line it contrasts second-difference blowup of a kinked norm (growing
@@ -49,6 +64,7 @@ like 1/h) against the bounded behavior of a smooth one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +77,7 @@ from .tensor import TensorElement
 
 __all__ = [
     "PhiNormSpec",
+    "NetRuns",
     "ActiveSet",
     "DirectionReport",
     "PhiUnitPool",
@@ -81,10 +98,20 @@ PRUNE_TOL = 1e-12
 SCALE_STEPS = 4
 
 
+class NetRuns(NamedTuple):
+    """The maximal runs of consecutive net points with equal psi and
+    theta: per run its first net index, length and two weights."""
+
+    start: np.ndarray
+    size: np.ndarray
+    psi: np.ndarray
+    theta: np.ndarray
+
+
 @dataclass
 class PhiNormSpec:
-    """A built approximating norm: net, factor space, and the bump
-    family the net fixes (module docstring).
+    """A built approximating norm: net, factor space, and what the net
+    fixes: its bump family and its runs (module docstring).
 
     Y is None for the scalar factor, else a euclidean ModelSpace.
     """
@@ -94,10 +121,18 @@ class PhiNormSpec:
     Y: ModelSpace | None
     epsilon: float
     family: OrliczFamily = field(init=False)
+    runs: NetRuns = field(init=False)
 
     def __post_init__(self):
+        psi, theta = self.net.psi, self.net.theta
         self.family = OrliczFamily([make_orlicz(z, e) for z, e in zip(
-            (1.0 / self.net.psi).tolist(), (1.0 / self.net.theta).tolist())])
+            (1.0 / psi).tolist(), (1.0 / theta).tolist())])
+        edge = np.ones(len(psi) + 1, dtype=bool)
+        edge[1:-1] = (psi[1:] != psi[:-1]) | (theta[1:] != theta[:-1])
+        bounds = np.flatnonzero(edge)
+        start = bounds[:-1]
+        self.runs = NetRuns(start, bounds[1:] - start, psi[start],
+                            theta[start])
 
     @property
     def sample_shape(self) -> tuple:
@@ -169,47 +204,80 @@ def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
     return pi_coords_batch(spec, np.asarray(u, dtype=float)[None])[0]
 
 
+def _kept_terms(spec: PhiNormSpec, coords):
+    """The pruning rule of the module docstring on (n, len(net))
+    nonnegative coordinate rows, from per-run column maxima: per row the
+    peak and L (NaN for a zero row), and the kept (row, column) pairs in
+    row-major order."""
+    start, size, psi, theta = spec.runs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.maximum.reduceat(coords, start, axis=1)
+        peak = np.maximum.reduce(top, axis=1)
+        top /= peak[:, None]
+        bound = np.maximum.reduce(top * theta, axis=1)
+        cut = bound * (1.0 - PRUNE_TOL)
+        top *= psi
+        # the (row, run) pairs that pass, expanded to their columns
+        r, k = (top > cut[:, None]).nonzero()
+        size = size[k]
+        ends = size.cumsum()
+        r = r.repeat(size)
+        j = (start[k] - ends + size).repeat(size) + np.arange(len(r))
+        keep = coords[r, j] / peak[r] * spec.net.psi[j] > cut[r]
+    return peak, bound, r[keep], j[keep]
+
+
 def _luxemburg_rows(spec: PhiNormSpec, coords):
     """Luxemburg norms over spec.family of (n, len(net)) nonnegative
     coordinate rows, bisecting only the terms the pruning rule of the
     module docstring keeps, from the brackets it describes."""
     n, m = coords.shape
     family = spec.family
-    with np.errstate(divide="ignore", invalid="ignore"):
-        peak = coords.max(axis=1, initial=0.0)
-        unit = coords / peak[:, None]
-        weighted = unit * spec.net.theta
-        lo = weighted.max(axis=1)
-        np.multiply(unit, spec.net.psi, out=weighted)
-        hi = weighted.max(axis=1)
-        r, j = np.nonzero(weighted > (lo * (1.0 - PRUNE_TOL))[:, None])
+    peak, _, r, j = _kept_terms(spec, coords)
     counts = np.bincount(r, minlength=n)
     width = counts.max(initial=0) + 1
-    first = np.cumsum(counts) - counts
-    slot = np.arange(len(r)) - first[r]
+    first = counts.cumsum() - counts
+    lead = first[r]
+    slot = np.arange(len(r)) - lead
     cols = np.full((n, width), m)
     cols[r, slot] = j
     vals = np.repeat(peak[:, None], width, axis=1)
-    vals[r, slot] = coords[r, j]
+    c = coords[r, j]
+    vals[r, slot] = c
 
     # single-class rows: every kept term has the bump and the coordinate
     # of the row's first kept term (module docstring)
-    j0 = j[first[r]]
-    other = ((coords[r, j] != coords[r, j0])
+    j0 = j[lead]
+    other = ((c != c[lead])
              | (family.zero_thresholds[j] != family.zero_thresholds[j0])
              | (family.exceed_thresholds[j] != family.exceed_thresholds[j0]))
-    single = np.flatnonzero((counts > 0)
-                            & (np.bincount(r[other], minlength=n) == 0))
-    if single.size:
-        col = j[first[single]]
-        zstar = modular_inverse([family.functions[c] for c in col.tolist()],
-                                counts[single])
-        hi[single] = _smallest_scale(coords[single, col] / peak[single],
-                                     zstar)
-        lo[single] = np.nextafter(hi[single], 0.0)
+    multi = np.bincount(r[other], minlength=n) > 0
+    # a row without kept terms (a zero row) gets the default bracket
+    lo, hi = np.full((2, n), np.nan)
+    rows = ((counts > 0) & ~multi).nonzero()[0]
+    t = first[rows]
+    hi[rows] = _table_scales(family, c[t] / peak[rows], j[t], counts[rows])
+    lo[rows] = np.nextafter(hi[rows], 0.0)
+    # any other row: from max_h s_h(z*_h(1)) to max_h s_h(z*_h(k))
+    if multi.any():
+        rows = multi.nonzero()[0]
+        t = multi[r].nonzero()[0]
+        u = c[t] / peak[r[t]]
+        at = np.cumsum(counts[rows]) - counts[rows]
+        hi[rows] = np.maximum.reduceat(
+            _table_scales(family, u, j[t], counts[r[t]]), at)
+        lo[rows] = np.nextafter(np.maximum.reduceat(
+            _table_scales(family, u, j[t], np.ones_like(t)), at), 0.0)
     return feasible_scale_inf(
         lambda z, idx: family.modular_rows(z, cols[idx]), vals, tol=0.0,
         start=(lo, hi)).hi
+
+
+def _table_scales(family, u, cols, counts):
+    """Per kept term, s(z*(k)) for its peak-normalized coordinate u, its
+    bump (a column of the family) and the count k (module docstring)."""
+    fns = [family.functions[col] for col in cols.tolist()]
+    return _smallest_scale(u, modular_inverse(fns, counts))
 
 
 def _smallest_scale(u0, zstar):
@@ -248,7 +316,8 @@ def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
                              f"*{spec.sample_shape}), got {batch.shape}")
     A = spec.net.matrix
     if spec.Y is None:
-        return np.abs(batch @ A.T)
+        coords = batch @ A.T
+        return np.abs(coords, out=coords)
     return np.linalg.norm(np.einsum("pi,nij->npj", A, batch), axis=2)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from smoothnorm import orlicz, renorm
 from smoothnorm.renorm import (
     PRUNE_TOL,
     ActiveSet,
+    _kept_terms,
     _luxemburg_rows,
     _sphere_samples,
     active_set,
@@ -345,11 +348,11 @@ class TestPhiNorm:
             assert base < rho <= (1.0 + spec.epsilon) * base * (1.0 + 1e-9)
 
 
-def whole_net(spec, coords):
+def whole_net(spec, coords, start=None):
     """feasible_scale_inf over the whole net, no term left out, bisected
-    to float resolution."""
+    to float resolution from `start` (default: its own)."""
     return feasible_scale_inf(lambda z, _: spec.family.modular_rows(z),
-                              coords, tol=0.0)
+                              coords, tol=0.0, start=start)
 
 
 def check_whole_net(spec, coords, values):
@@ -364,13 +367,16 @@ def check_whole_net(spec, coords, values):
                   <= 1.0)
 
 
-def kept_terms(spec, coords):
-    """The pruning rule on (n, len(net)) coordinate rows: psi_t u_t >
-    L (1 - PRUNE_TOL), u = coords / peak and L = max_t theta_t u_t."""
+def full_width_rule(spec, coords):
+    """The pruning rule over whole (n, len(net)) coordinate rows: L, P
+    and the mask of kept terms psi_t u_t > L (1 - PRUNE_TOL), where
+    u = coords / peak, L = max_t theta_t u_t and P = max_t psi_t u_t."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = coords / coords.max(axis=1, keepdims=True)
-    bound = np.max(spec.net.theta * u, axis=1, keepdims=True)
-    return spec.net.psi * u > bound * (1.0 - PRUNE_TOL)
+        u = coords / coords.max(axis=1, initial=0.0)[:, None]
+    bound = np.max(spec.net.theta * u, axis=1)
+    weighted = spec.net.psi * u
+    return (bound, np.max(weighted, axis=1),
+            weighted > (bound * (1.0 - PRUNE_TOL))[:, None])
 
 
 def pruning_cases(spec):
@@ -419,7 +425,7 @@ class TestPrunedEvaluation:
         assert (spec.net.psi * u == L).any(axis=1).sum() >= 2
         assert (spec.net.psi * u == L * (1.0 - PRUNE_TOL)).any(axis=1).sum() \
             >= 2
-        kept = kept_terms(spec, coords)
+        kept = full_width_rule(spec, coords)[2]
         assert (~kept & (coords == coords.max(axis=1, keepdims=True))).any()
 
     @pytest.mark.parametrize("name", ["ladder3_spec", "ladder3_euclid_spec"])
@@ -450,7 +456,7 @@ class TestPrunedEvaluation:
         assert len(spec.net) == 2186
         X = np.random.default_rng(1).standard_normal((2048, 7))
         coords = pi_coords_batch(spec, X)
-        kept = kept_terms(spec, coords)
+        kept = full_width_rule(spec, coords)[2]
         assert kept.any(axis=1).all() and kept.sum(axis=1).mean() < 3.0
         assert (~kept & (coords == coords.max(axis=1, keepdims=True))).any()
         check_whole_net(spec, coords, phi_norm_batch(spec, X))
@@ -512,6 +518,148 @@ class TestPrunedEvaluation:
             assert expected[0] is NumericError
 
 
+def closure_decomposition(subsets, eps=0.1):
+    """sup_space(3): piece 0 holds +-e_i, pieces 1 to 3 one inner point
+    0.5 e_i each.  Member j of piece 0 also lies in the closure of the
+    pieces subsets[j], and each closure set gives its own psi, so the
+    net's runs can split below piece size, down to one column each."""
+    pieces = [np.vstack([np.eye(3), -np.eye(3)])] + [0.5 * np.eye(3)[i:i + 1]
+                                                   for i in range(3)]
+    closure = {(0, j): {0, *s} for j, s in enumerate(subsets)}
+    return Decomposition(sup_space(3), pieces, eps, closure=closure)
+
+
+def check_runs(spec):
+    """spec.runs are the maximal runs of equal psi and theta in net
+    order, with those weights."""
+    start, size, psi, theta = spec.runs
+    assert start[0] == 0 and np.array_equal(start[1:], (start + size)[:-1])
+    assert size.sum() == len(spec.net) and (size > 0).all()
+    run = np.repeat(np.arange(len(start)), size)
+    assert np.array_equal(spec.net.psi, psi[run])
+    assert np.array_equal(spec.net.theta, theta[run])
+    assert ((psi[1:] != psi[:-1]) | (theta[1:] != theta[:-1])).all()
+
+
+def check_kept_terms(spec, coords):
+    """_kept_terms against the rule over whole rows, bit for bit: peak,
+    L and the kept (row, column) pairs in row-major order."""
+    peak, bound, r, j = _kept_terms(spec, coords)
+    want_bound, _, kept = full_width_rule(spec, coords)
+    assert np.array_equal(peak, coords.max(axis=1, initial=0.0))
+    assert np.array_equal(bound, want_bound, equal_nan=True)
+    want_r, want_j = np.nonzero(kept)
+    assert np.array_equal(r, want_r) and np.array_equal(j, want_j)
+
+
+def scaled_rows(spec, rng, n, scale):
+    """Coordinate rows of n gaussian inputs, a quarter of them zero,
+    times 10^U(-3, 3) times scale (the coordinates are scaled, so that a
+    euclidean factor's norms do not overflow)."""
+    X = rng.standard_normal((n, *spec.sample_shape))
+    X[rng.random(n) < 0.25] = 0.0
+    return (pi_coords_batch(spec, X)
+            * (scale * 10.0 ** rng.uniform(-3.0, 3.0, n))[:, None])
+
+
+class TestRunPruning:
+    """The pruning rule from per-run column maxima keeps exactly the
+    (row, column) pairs the rule over whole rows keeps, with the same L,
+    without an array of the coordinates' size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(subsets=st.lists(st.sets(st.integers(1, 3)), min_size=6,
+                            max_size=6),
+           n=st.sampled_from([1, 64]),
+           scale=st.sampled_from([1.0, 1e-300, 1e300]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_closure_nets(self, subsets, n, scale, seed):
+        d = closure_decomposition(subsets)
+        spec = build_renorm(d.space, d, None, budget=64, seed=0)
+        check_runs(spec)
+        check_kept_terms(spec, scaled_rows(spec, np.random.default_rng(seed),
+                                           n, scale))
+
+    def test_one_column_per_run(self):
+        """Six closure sets, six psi values: every run of piece 0 is one
+        net point, and the values still pass check_whole_net."""
+        d = closure_decomposition([set(), {1}, {2}, {3}, {1, 2}, {2, 3}])
+        spec = build_renorm(d.space, d, None, budget=64, seed=0)
+        check_runs(spec)
+        assert (spec.runs.size == 1).all()
+        rng = np.random.default_rng(2)
+        for n, scale in itertools.product((1, 64), (1.0, 1e-300, 1e300)):
+            coords = scaled_rows(spec, rng, n, scale)
+            check_kept_terms(spec, coords)
+            check_whole_net(spec, coords, _luxemburg_rows(spec, coords))
+
+    @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
+                                      "predual7_spec"])
+    def test_pinned_specs(self, request, name):
+        """The three specs the CI digests pin, batches of 1 and 64 at
+        scales 1, 1e-300 and 1e300 with zero rows, and the ladder's rows
+        on the edges of the rule."""
+        spec = request.getfixturevalue(name)
+        check_runs(spec)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            for n, scale in itertools.product((1, 64), (1.0, 1e-300, 1e300)):
+                check_kept_terms(spec, scaled_rows(spec, rng, n, scale))
+        if name == "ladder3_spec":
+            check_kept_terms(spec, pi_coords_batch(
+                spec, np.array(pruning_cases(spec))))
+        if name == "predual7_spec":
+            assert spec.runs.size.tolist() == [14, 84, 280, 560, 672, 448,
+                                               128]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_adds_no_warning(self, predual7_spec, ladder3_spec,
+                                        bad):
+        """NaN or inf input raises ParameterError, and emits only the
+        warnings its coordinates do."""
+        def messages(call, error=None):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+            return [str(w.message) for w in seen]
+
+        for spec in (predual7_spec, ladder3_spec):
+            dim = spec.X.dim
+            for at in range(dim):
+                u = np.ones(dim)
+                u[at] = bad
+                X = np.vstack([np.ones(dim), u, np.zeros(dim)])
+                assert messages(lambda: phi_norm(spec, u), ParameterError) \
+                    == messages(lambda: pi_coords(spec, u))
+                assert messages(lambda: phi_norm_batch(spec, X),
+                                ParameterError) \
+                    == messages(lambda: pi_coords_batch(spec, X))
+
+    def test_predual7_batch_memory(self, predual7_spec):
+        """phi_norm_batch of 2,000 predual7 rows holds one array of the
+        coordinates' size: its tracemalloc peak is at most 1.5 times the
+        coordinate array (3.1 times when the rule ran on whole rows)."""
+        spec = predual7_spec
+        X = np.random.default_rng(0).standard_normal((2000, 7))
+        phi_norm_batch(spec, X[:64])  # fill the inverse table first
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            phi_norm_batch(spec, X)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.5 * X.shape[0] * len(spec.net) * 8
+
+
 def capture_brackets(monkeypatch):
     """Record every (start, ScalingBracket) of renorm's feasible_scale_inf
     calls."""
@@ -534,9 +682,10 @@ def table_starts(start):
 
 
 class TestCheckedStart:
-    """Every row is bisected to the float from a bracket: a single-class
-    row's from its bump's inverse table, any other row's from the pruning
-    bounds [L, P].  The bracket is checked, never trusted."""
+    """Every row is bisected to the float from a bracket out of its
+    bumps' inverse tables: one float wide for a single-class row, about
+    1e-8 relative for any other.  The bracket is checked, never
+    trusted."""
 
     def test_predual7_modular_calls(self, predual7_spec, monkeypatch):
         """A gaussian point costs at most 4 modular calls: feasible at the
@@ -571,6 +720,29 @@ class TestCheckedStart:
         assert max(steps) <= 45
         assert batch.iterations == sum(steps)
 
+    def test_multi_class_table_bracket(self, predual7_spec, monkeypatch):
+        """The rows of 2,000 gaussian predual7 rows with more than one
+        class of kept terms: their table brackets are under 1e-6
+        relative wide, where [L, P] is about eps_n, and give the bits of
+        an [L, P] start in fewer bisection steps."""
+        spec = predual7_spec
+        coords = pi_coords_batch(
+            spec, np.random.default_rng(0).standard_normal((2000, 7)))
+        seen = capture_brackets(monkeypatch)
+        values = _luxemburg_rows(spec, coords)
+        lo, hi = seen[-1][0]
+        multi = np.flatnonzero(~table_starts((lo, hi)))
+        assert multi.size >= 4
+        assert np.all(hi[multi] - lo[multi] <= 1e-6 * hi[multi])
+        rows = coords[multi]
+        table = _luxemburg_rows(spec, rows)
+        steps = seen[-1][1].iterations
+        bound, top, _ = full_width_rule(spec, rows)
+        wide = whole_net(spec, rows, start=(bound, top))
+        assert np.array_equal(table, values[multi])
+        assert np.array_equal(wide.hi, table)
+        assert steps < wide.iterations
+
     @pytest.mark.parametrize("wrong, wild", [
         (lambda z: np.nextafter(z, np.inf), False),
         (lambda z: np.nextafter(z, 0.0), False),
@@ -581,9 +753,9 @@ class TestCheckedStart:
     def test_wrong_table_falls_back(self, predual7_spec, monkeypatch, wrong,
                                     wild):
         """With every table entry off, each value is still the whole-net
-        value bit for bit (check_whole_net).  An entry one ulp off can
-        leave a start where it was; the other rows' brackets do not come
-        from the table and stay."""
+        value bit for bit (check_whole_net).  Every row's bracket comes
+        from the table, so a wild entry moves each of them; an entry one
+        ulp off can leave a start where it was."""
         spec = predual7_spec
         X = np.random.default_rng(3).standard_normal((256, 7))
         seen = capture_brackets(monkeypatch)
@@ -595,10 +767,8 @@ class TestCheckedStart:
         values = phi_norm_batch(spec, X)
         check_whole_net(spec, pi_coords_batch(spec, X), values)
         assert np.array_equal(values, right)
-        single = table_starts(start)
         moved = seen[-1][0][1] != start[1]
-        assert moved[single].all() if wild else moved[single].any()
-        assert not moved[~single].any()
+        assert moved.all() if wild else moved.any()
 
     @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
                                       "predual7_spec"])
@@ -643,8 +813,8 @@ class TestActiveSet:
                           1.0 - float(np.max(weighted[~inside])) / rho)
                 assert a == ActiveSet(tuple(np.flatnonzero(inside)), margin,
                                       rho, margin * rho / (2.0 * max_psi))
-                kept = np.flatnonzero(kept_terms(spec, coords[None])[0])
-                assert set(a.indices) <= set(kept)
+                kept = full_width_rule(spec, coords[None])[2][0]
+                assert set(a.indices) <= set(np.flatnonzero(kept))
 
     def test_vertex_activates_one_pair(self, sup2_spec):
         a = active_set(sup2_spec, np.array([1.0, 0.0]))
