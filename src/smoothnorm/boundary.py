@@ -424,5 +424,5 @@ def check_lrc_criterion(members) -> LrcReport:
     members = np.atleast_2d(np.asarray(members, dtype=float))
     if members.size == 0:
         return LrcReport(cardinalities=(), passed=True)
-    cards = tuple(sorted({int(np.count_nonzero(f)) for f in members}))
+    cards = tuple(np.unique(np.count_nonzero(members, axis=1)).tolist())
     return LrcReport(cardinalities=cards, passed=len(cards) <= 1)

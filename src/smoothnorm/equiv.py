@@ -20,8 +20,8 @@ norming-support requirement: it measures the level constants
 increments by a decreasing a-sequence so every sample attains a finite
 level, and renorms the resulting boundary_sup space, whose boundary the
 increments are by construction (the inner max of c_n is
-ModelSpace.top_projection_rows, exact at every dimension).  Its levels
-are the norming functionals of each sample's best projections.
+ModelSpace.top_projection_rows, exact at every dimension).  Each level
+is one norming_functional_rows call on every sample's best projection.
 corollary_b_pipeline runs the kind's route end to end on one sample set
 and verifies the built approximating norm.
 """
@@ -333,18 +333,14 @@ def _normalize_rows(space, rows):
 
 def _adapted_chain(space, S, level_ids):
     """Sample-adapted level increments for kinds without enumerable dual
-    balls: each sample contributes the norming functional of its best
-    |sigma| = n projection, so its own level-n sup equals the c_n inner
-    value exactly."""
+    balls: one norming_functional_rows call per level gives each sample
+    the norming functional of its best |sigma| = n projection, so its own
+    level-n sup equals the c_n inner value exactly."""
     levels, acc, c = [], np.zeros((0, space.dim)), []
     for n in level_ids:
         values, masks = space.top_projection_rows(S, n)
-        if np.any(values <= 0.0):
-            raise ConstructionError(
-                f"a sample projects to zero at level {n}")
         grown = _unique_rows(np.vstack(
-            [acc, *(space.norming_functional(p)
-                    for p in np.where(masks, S, 0.0))]))
+            [acc, space.norming_functional_rows(np.where(masks, S, 0.0))]))
         levels.append(grown[len(acc):])
         acc = grown
         c.append(np.min(values))

@@ -61,13 +61,13 @@ def _signs(x):
 class ModelSpace:
     """A finite-dimensional model space; each kind is a subclass.
 
-    A kind supplies the row formula ``_norm_rows`` and, unless its dual
-    is the coordinate l1 norm, ``_dual_norm_rows``: (k, dim) -> (k,).
-    ``norm_rows`` / ``dual_norm_rows`` add the shape and non-finite
-    checks, and ``norm`` / ``dual_norm`` are their one-row case.  Kinds
-    with closed forms add ``_norming_functional`` and
-    ``dual_extreme_points``; a kind whose best supports are not the
-    largest |x_i| overrides ``_support_keys``.  Class attributes:
+    A kind supplies the row formulas ``_norm_rows``, ``_dual_norm_rows``
+    (unless its dual is the coordinate l1 norm) and, where closed forms
+    exist, ``_norming_functional_rows`` and ``dual_extreme_points``.  The
+    public ``*_rows`` methods add the shape and non-finite checks, and
+    ``norm`` / ``dual_norm`` / ``norming_functional`` are their one-row
+    case.  A kind whose best supports are not the largest |x_i|
+    overrides ``_support_keys``.  Class attributes:
 
     kind                    name in reports and messages
     dual_metric             "exact", or "surrogate_l1" when the dual
@@ -123,14 +123,21 @@ class ModelSpace:
     # -- closed forms --------------------------------------------------
 
     def norming_functional(self, x) -> np.ndarray:
-        """f with f(x) = ||x|| and dual norm 1, for kinds with a closed
-        form (all but orlicz_hM)."""
         x = self._check_vec(x)
-        if not np.any(x):
-            raise ParameterError("norming functional of 0 is undefined")
-        return self._norming_functional(x)
+        return self.norming_functional_rows(x[None, :])[0]
 
-    def _norming_functional(self, x):
+    def norming_functional_rows(self, X) -> np.ndarray:
+        """Row-wise f with f(x) = ||x|| and dual norm 1, (k, dim) ->
+        (k, dim), for the closed-form kinds; a zero row, or one with a
+        NaN or inf, is a ParameterError naming the row."""
+        X = self._check_rows(X)
+        peak = self._finite("norming functional", X, np.abs(X).max(axis=1))
+        if not np.all(peak > 0.0):
+            raise ParameterError(f"norming functional of 0 is undefined "
+                                 f"(row {int(np.argmin(peak))})")
+        return self._norming_functional_rows(X)
+
+    def _norming_functional_rows(self, X):
         raise ParameterError(
             f"no closed-form norming functional for kind {self.kind!r}")
 
@@ -215,12 +222,10 @@ class SupSpace(ModelSpace):
     def _norm_rows(self, X):
         return np.abs(X).max(axis=1)
 
-    def _norming_functional(self, x):
-        # a signed unit coordinate at the largest |x_i|
-        i = int(np.argmax(np.abs(x)))
-        f = np.zeros(self.dim)
-        f[i] = _signs(x[i])
-        return f
+    def _norming_functional_rows(self, X):
+        # a signed unit coordinate at each row's largest |x_i|
+        i = np.argmax(np.abs(X), axis=1)[:, None]
+        return np.where(np.arange(self.dim) == i, _signs(X), 0.0)
 
     def dual_extreme_points(self, max_support=None):
         # every extreme point has support size 1
@@ -245,8 +250,8 @@ class EuclideanSpace(ModelSpace):
 
     _dual_norm_rows = _norm_rows
 
-    def _norming_functional(self, x):
-        return x / self.norm(x)
+    def _norming_functional_rows(self, X):
+        return X / self.norm_rows(X)[:, None]
 
 
 class _LorentzKind(ModelSpace):
@@ -272,9 +277,11 @@ class _LorentzKind(ModelSpace):
         ranked = np.sort(np.abs(F), axis=1)[:, ::-1]
         return np.max(np.cumsum(ranked, axis=1) / self._wsums, axis=1)
 
-    def _rank_order(self, x):
-        """Indices by decreasing |x|, ties broken by index."""
-        return np.lexsort((np.arange(self.dim), -np.abs(x)))
+    def _ranks(self, X):
+        """Each entry's place in its row's order by decreasing |x|, ties
+        broken by index."""
+        order = np.argsort(-np.abs(X), axis=1, kind="stable")
+        return np.argsort(order, axis=1)
 
 
 class LorentzSpace(_LorentzKind):
@@ -282,12 +289,9 @@ class LorentzSpace(_LorentzKind):
     _norm_rows = _LorentzKind._weighted_sum_rows
     _dual_norm_rows = _LorentzKind._partial_ratio_rows
 
-    def _norming_functional(self, x):
-        # the weights re-sorted onto the rank order of |x|, signed
-        order = self._rank_order(x)
-        f = np.zeros(self.dim)
-        f[order] = _signs(x[order]) * self.weights
-        return f
+    def _norming_functional_rows(self, X):
+        # the weights re-sorted onto each row's rank order of |x|, signed
+        return _signs(X) * self.weights[self._ranks(X)]
 
 
 class LorentzPredualSpace(_LorentzKind):
@@ -296,15 +300,13 @@ class LorentzPredualSpace(_LorentzKind):
     _norm_rows = _LorentzKind._partial_ratio_rows
     _dual_norm_rows = _LorentzKind._weighted_sum_rows
 
-    def _norming_functional(self, x):
-        # the sign pattern of the smallest maximizing partial sum, scaled
-        # by 1/W_k (an extreme point of the dual d(w,1)-ball)
-        order = self._rank_order(x)
-        k = int(np.argmax(np.cumsum(np.abs(x)[order]) / self._wsums)) + 1
-        idx = order[:k]
-        f = np.zeros(self.dim)
-        f[idx] = _signs(x[idx]) / self._wsums[k - 1]
-        return f
+    def _norming_functional_rows(self, X):
+        # the sign pattern of each row's smallest maximizing partial sum,
+        # scaled by 1/W_k (an extreme point of the dual d(w,1)-ball)
+        ranked = np.sort(np.abs(X), axis=1)[:, ::-1]
+        k = np.argmax(np.cumsum(ranked, axis=1) / self._wsums, axis=1)
+        return np.where(self._ranks(X) <= k[:, None],
+                        _signs(X) / self._wsums[k][:, None], 0.0)
 
     def dual_extreme_points(self, max_support=None):
         """Sign patterns of 1/W_k on every k-subset, k <= max_support:
@@ -401,16 +403,17 @@ class LapSpace(ModelSpace):
         rho = feasible_scale_inf(top_modular_rows, S).hi
         return self._lap_terms(S / np.where(rho > 0.0, rho, 1.0)[:, None])
 
-    def _norming_functional(self, x):
+    def _norming_functional_rows(self, X):
         # the normalized modular gradient (a subgradient selection where
-        # the active exponent ties or a coordinate vanishes)
-        u = x / self.norm(x)
-        au = np.abs(u)
+        # the active exponent ties or a coordinate vanishes), each row over
+        # its own g @ u: a vectorized row sum would round differently
+        U = X / self.norm_rows(X)[:, None]
+        AU = np.abs(U)
         with np.errstate(invalid="ignore"):
-            powers = au[None, :] ** self._exponent_table
-        p_act = self.exponents[np.nanargmax(powers, axis=0)]
-        g = np.where(au > 0.0, p_act * au ** (p_act - 1.0) * _signs(u), 0.0)
-        return g / float(g @ u)
+            powers = AU[:, None, :] ** self._exponent_table
+        P = self.exponents[np.nanargmax(powers, axis=1)]
+        G = np.where(AU > 0.0, P * AU ** (P - 1.0) * _signs(U), 0.0)
+        return G / np.array([g @ u for g, u in zip(G, U)])[:, None]
 
 
 # the factories, by kind parameters

@@ -582,6 +582,22 @@ class TestPipelineChain:
         assert res.report.net_passed and res.report.claim2d_ok
         assert not res.passed
 
+    def test_one_functional_call_per_level(self, monkeypatch):
+        space = lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5)
+        calls = []
+        rows_call = type(space).norming_functional_rows
+
+        def counting(self, X):
+            calls.append(len(X))
+            return rows_call(self, X)
+
+        monkeypatch.setattr(type(space), "norming_functional_rows",
+                            counting)
+        samples = np.random.default_rng(0).standard_normal((24, 5))
+        res = corollary_b_pipeline(space, samples, 0.1, seed=0)
+        assert res.route == "chain"
+        assert calls == [24] * 5
+
     def test_factor_space_needs_direct_route(self, lap3):
         with pytest.raises(ParameterError):
             corollary_b_pipeline(lap3, unit_rows(lap3, 10, 28), 0.1,

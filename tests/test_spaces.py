@@ -5,6 +5,7 @@ permutation maxima for lorentz, exhaustive disjoint selections for lap
 modulars, and direct Hoelder pairings for duality checks.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -477,6 +478,15 @@ class TestNormingSupport:
             find_norming_support(X, [2.0, 0.0])
 
 
+# the kinds with a closed-form norming functional, dim 5
+FUNCTIONAL_KINDS = ALL_KINDS[:5]
+
+# entries with zeros, signed zeros and tied |x_i| drawn in
+tie_prone = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
 class TestNormingFunctional:
     def test_all_closed_form_kinds(self):
         rng = np.random.default_rng(77)
@@ -487,23 +497,55 @@ class TestNormingFunctional:
             lorentz_predual_space(GEOM4),
         ]
         for X in cases:
-            for _ in range(50):
-                x = rng.standard_normal(4)
-                f = X.norming_functional(x)
-                np.testing.assert_allclose(np.dot(f, x), X.norm(x),
-                                           rtol=1e-12)
+            P = rng.standard_normal((50, 4))
+            F = X.norming_functional_rows(P)
+            np.testing.assert_allclose(np.sum(F * P, axis=1),
+                                       X.norm_rows(P), rtol=1e-12)
+            np.testing.assert_allclose(X.dual_norm_rows(F), 1.0, rtol=1e-12)
+            for x, f in zip(P, F):
+                np.testing.assert_allclose(np.dot(X.norming_functional(x), x),
+                                           X.norm(x), rtol=1e-12)
                 np.testing.assert_allclose(X.dual_norm(f), 1.0, rtol=1e-12)
 
     def test_lap_gradient_functional(self):
         X = lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)
         rng = np.random.default_rng(78)
-        for _ in range(100):
-            x = rng.standard_normal(3) * 10.0 ** rng.integers(-2, 3)
-            f = X.norming_functional(x)
-            np.testing.assert_allclose(np.dot(f, x), X.norm(x), rtol=1e-12)
+        P = rng.standard_normal((100, 3)) * 10.0 ** rng.integers(-2, 3,
+                                                                (100, 1))
+        F = X.norming_functional_rows(P)
+        np.testing.assert_allclose(np.sum(F * P, axis=1), X.norm_rows(P),
+                                   rtol=1e-12)
+        for x, f in zip(P, F):
+            np.testing.assert_allclose(np.dot(X.norming_functional(x), x),
+                                       X.norm(x), rtol=1e-12)
             # dual feasibility: bisection slack only
             y = rng.standard_normal(3)
             assert np.dot(f, y) <= X.norm(y) * (1.0 + 1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=st.sampled_from(FUNCTIONAL_KINDS),
+           P=st.sampled_from([1, 7, 256]).flatmap(
+               lambda k: arrays(float, (k, 5), elements=tie_prone)))
+    def test_rows_are_stacked_one_row_calls(self, X, P):
+        # bit for bit, signed zeros included; zero rows are refused
+        P[~np.any(P, axis=1), 0] = 1.0
+        F = X.norming_functional_rows(P)
+        one = np.array([X.norming_functional(x) for x in P])
+        assert F.shape == P.shape
+        assert F.tobytes() == one.tobytes()
+
+    def test_lap13_level_rows_pinned(self):
+        """The functionals of 32 samples' best projections at every level
+        of a lap13 space, as sha256 of their bytes: a row normalization
+        that rounds differently from each row's own g @ u fails."""
+        X = lap_space([list(range(7)), list(range(6, 13))], [1.0, 4.0], 13)
+        S = np.random.default_rng(13).standard_normal((32, 13))
+        S = S / X.norm_rows(S)[:, None]
+        P = np.vstack([np.where(X.top_projection_rows(S, n)[1], S, 0.0)
+                       for n in range(1, 14)])
+        F = X.norming_functional_rows(P)
+        assert hashlib.sha256(F.tobytes()).hexdigest() == (
+            "512db713b7bb961217a851a53e5584a1fa6f167d5b4246a44177275df8d59646")
 
     def test_lap_functional_support_and_basis(self):
         X = lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)
@@ -512,12 +554,38 @@ class TestNormingFunctional:
         np.testing.assert_array_equal(
             X.norming_functional([0.0, -2.0, 0.0]), [0.0, -1.0, 0.0])
 
-    def test_unsupported_kind_rejected(self):
-        from smoothnorm.orlicz import make_orlicz
-
-        X = orlicz_space(make_orlicz(0.5, 1.0), dim=2)
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("X", FUNCTIONAL_KINDS,
+                             ids=lambda X: X.kind)
+    def test_zero_row_anywhere_rejected(self, X, row):
+        P = np.random.default_rng(row).standard_normal((7, 5))
+        P[row] = -0.0 if row else 0.0
+        with pytest.raises(ParameterError,
+                           match=rf"^norming functional of 0 is undefined "
+                                 rf"\(row {row}\)$"):
+            X.norming_functional_rows(P)
         with pytest.raises(ParameterError):
-            X.norming_functional([1.0, 0.0])
+            X.norming_functional(P[row])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("X", FUNCTIONAL_KINDS,
+                             ids=lambda X: X.kind)
+    def test_non_finite_row_rejected(self, X, bad):
+        P = np.random.default_rng(5).standard_normal((7, 5))
+        P[4, 2] = bad
+        with pytest.raises(ParameterError,
+                           match=r"^norming functional: row 4 has a NaN or "
+                                 r"infinite coordinate$"):
+            X.norming_functional_rows(P)
+        with pytest.raises(ParameterError, match="row 0"):
+            X.norming_functional(P[4])
+
+    def test_unsupported_kind_rejected(self):
+        for X in (ALL_KINDS[5], BOUNDARY5):
+            with pytest.raises(ParameterError, match="no closed-form"):
+                X.norming_functional([1.0, 0.0, 0.0, 0.0, 0.0])
+            with pytest.raises(ParameterError, match="no closed-form"):
+                X.norming_functional_rows(np.eye(5))
 
 
 class TestDualExtremePoints:
