@@ -35,13 +35,10 @@ a group.  A member left alone in its group
 is kept and is its own home, whatever the greedy order, and it is near
 no other member, so the greedy loop over the rest does not need it.
 
-Only the members the sieve could not isolate go through the greedy
-loop, in input order, one bin at a time.  They are first compared in
-l-infinity against the bin's earlier kept members, in row blocks whose
-temporaries stay at a few MB: m^2 * dim / 2 vectorised element
-operations at most for m such members, fewer once members are
-rejected.  Each candidate then costs one ``dual_norm_rows`` call on the
-kept points that pass, and none when no kept point does.  Greedy order,
+Every other member goes through the plain greedy loop, in input
+order, one bin at a time: one vectorised l-infinity pass against the
+bin's kept members so far, then one ``dual_norm_rows`` call on the kept
+members that pass, and none when no kept member does.  Greedy order,
 ties and homes are those of the plain pairwise loop, so the net is the
 same.  On the lorentz_predual nets every member is isolated.
 
@@ -72,7 +69,7 @@ __all__ = [
 ]
 
 DUAL_BALL_TOL = 1e-9
-# Elements of each l-infinity prefilter temporary (2 MB).
+# Elements of each l-infinity temporary in Decomposition.missing (2 MB).
 _PREFILTER_ELEMS = 1 << 18
 # Sieve keys at or above this magnitude never split a group (module
 # docstring).
@@ -187,14 +184,16 @@ class Decomposition:
     def missing(self, rows, tol=DUAL_BALL_TOL):
         """Index of the first row with no member within l-infinity
         distance tol, or None.  Rows are looked up by identity key
-        first; only the rows that miss are compared by distance."""
+        first; only the rows that miss are compared by distance, in
+        blocks whose l-infinity temporaries stay at a few MB."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         misses = np.array([j for j, key in enumerate(_row_keys(rows))
                            if key not in self._locate], dtype=int)
         block = max(1, _PREFILTER_ELEMS // max(self.members.size, 1))
         for at in range(0, len(misses), block):
             part = misses[at:at + block]
-            near = _linf_distances(rows[part], self.members) <= tol
+            diff = rows[part].T[:, :, None] - self.members.T[:, None, :]
+            near = np.max(np.abs(diff, out=diff), axis=0) <= tol
             far = part[~near.any(axis=1)]
             if far.size:
                 return int(far[0])
@@ -213,14 +212,6 @@ def _psi_bins(psi, eps_n):
     return np.floor((psi - 1.0) / eps_n)
 
 
-def _linf_distances(X, Y):
-    """(len(X), len(Y)) l-infinity distances, as a maximum over
-    coordinate slabs."""
-    diff = (np.ascontiguousarray(X.T)[:, :, None]
-            - np.ascontiguousarray(Y.T)[:, None, :])
-    return np.max(np.abs(diff, out=diff), axis=0)
-
-
 def _greedy_indices(members, separation, metric_rows):
     """Greedy maximal separated subset of the rows, in input order.
 
@@ -229,37 +220,28 @@ def _greedy_indices(members, separation, metric_rows):
     row, in kept order, closer than separation.  ``metric_rows`` maps a
     (k, dim) array of differences to (k,) distances and must bound
     max |row| from above, so only kept rows within l-infinity distance
-    < separation are passed to it.  Returns (kept indices, home position
-    in ``kept`` of every row).
+    < separation are passed to it (never a non-finite difference).
+    Returns (kept indices, home position in ``kept`` of every row).
     """
     members = np.atleast_2d(np.asarray(members, dtype=float))
-    m = members.shape[0]
-    position = np.full(m, -1)
-    kept: list[int] = []
+    cols = np.empty(members.shape[::-1])      # the kept rows, as columns
+    kept = np.empty(len(members), dtype=int)
+    k = 0
     assign: list[int] = []
-    block = max(1, _PREFILTER_ELEMS // max(m * members.shape[1], 1))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        # columns: every row kept before this block, then the block itself,
-        # whose rows count only once kept (so only those before row i)
-        cols = np.arange(start, stop)
-        if kept:
-            cols = np.concatenate([kept, cols])
-        near = (_linf_distances(members[start:stop], members[cols])
-                < separation)
-        for i, cand in enumerate([cols[r] for r in near], start):
-            cand = cand[position[cand] >= 0]
-            home = -1
-            if cand.size:
-                hits = np.flatnonzero(
-                    metric_rows(members[i] - members[cand]) < separation)
-                if hits.size:
-                    home = int(position[cand[hits[0]]])
-            if home < 0:
-                position[i] = home = len(kept)
-                kept.append(i)
-            assign.append(home)
-    return kept, assign
+    for i, row in enumerate(members):
+        near = np.flatnonzero(
+            np.abs(row[:, None] - cols[:, :k]).max(axis=0) < separation)
+        if near.size:
+            hits = np.flatnonzero(
+                metric_rows(row - members[kept[near]]) < separation)
+            if hits.size:
+                assign.append(int(near[hits[0]]))
+                continue
+        cols[:, k] = row
+        kept[k] = i
+        assign.append(k)
+        k += 1
+    return kept[:k].tolist(), assign
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expn
 
 from .errors import NumericError, ParameterError
 from .scaling import feasible_scale_inf
@@ -137,6 +136,9 @@ def _log_g(x: np.ndarray) -> np.ndarray:
                 s += c
         out[small] = -1.0 / xs + 2.0 * np.log(xs) + np.log(s)
     if large.any():
+        # imported on first use: only this branch needs scipy.special,
+        # and it is most of the package's import time
+        from scipy.special import expn
         xl = x[large]
         out[large] = np.log(xl * expn(2, 1.0 / xl))
     return out

@@ -73,7 +73,7 @@ from .errors import ConstructionError, ParameterError
 from .orlicz import OrliczFamily, make_orlicz, modular_inverse
 from .scaling import feasible_scale_inf
 from .spaces import EuclideanSpace, ModelSpace
-from .tensor import TensorElement
+from .tensor import TensorElement, _slice_norms
 
 __all__ = [
     "PhiNormSpec",
@@ -318,7 +318,7 @@ def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     if spec.Y is None:
         coords = batch @ A.T
         return np.abs(coords, out=coords)
-    return np.linalg.norm(np.einsum("pi,nij->npj", A, batch), axis=2)
+    return _slice_norms(A, batch)
 
 
 def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:

@@ -14,7 +14,9 @@ case): the inner sup over g is then closed-form, g = f@u / ||f@u||_2, so
 the norm reduces to maximizing ||f @ u||_2 over the dual ball of X.  For
 polyhedral X duals (sup_finite, lorentz_predual) that maximum is an
 exact finite enumeration over extreme points; every other X kind is
-refused.
+refused.  The slice norms ||f @ u||_2 have one formula, _slice_norms,
+shared with the phi-norm coordinates; it scales each matrix by a power
+of two, so no square of a finite u overflows.
 """
 
 from __future__ import annotations
@@ -97,13 +99,19 @@ class InjectiveNormResult:
     g: np.ndarray
 
 
-def _slice_norms(X, M):
-    """The dual extreme points F of X, the slices F @ M and their
-    2-norms, for one (dim X, dim Y) matrix or a (k, dim X, dim Y) stack
-    (then (k, len(F)) norms)."""
-    F = X.dual_extreme_points()
-    rows = F @ M
-    return F, rows, np.linalg.norm(rows, axis=-1)
+def _slice_norms(F, M):
+    """||f @ u||_2 for every row f of F and u one (dim X, dim Y) matrix,
+    (len(F),) norms, or a (k, dim X, dim Y) stack, (k, len(F)) norms.
+    Each matrix is divided by the power of two of its largest entry and
+    its norms multiplied back: exact, except that a slice under about
+    2^-511 times that entry squares to a subnormal or 0, too small to
+    move a maximum or a peak-normalized coordinate."""
+    M = np.asarray(M, dtype=float)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    _, e = np.frexp(np.max(np.abs(stack), axis=(1, 2)))
+    scaled = np.ldexp(stack, -e[:, None, None])
+    norms = np.linalg.norm(np.einsum("pi,nij->npj", F, scaled), axis=2)
+    return np.ldexp(norms, e[:, None]).reshape(M.shape[:-2] + (len(F),))
 
 
 def injective_norm(u: TensorElement) -> InjectiveNormResult:
@@ -127,10 +135,11 @@ def injective_norm(u: TensorElement) -> InjectiveNormResult:
     if not M.any():
         return InjectiveNormResult(0.0, np.zeros(dim_x), np.zeros(dim_y))
 
-    F, rows, vals = _slice_norms(u.X, M)
+    F = u.X.dual_extreme_points()
+    vals = _slice_norms(F, M)
     best = int(np.argmax(vals))
     value = float(vals[best])
-    g = rows[best] / value if value > 0.0 else np.zeros(dim_y)
+    g = apply_fY(F[best], M) / value if value > 0.0 else np.zeros(dim_y)
     return InjectiveNormResult(value, F[best], g)
 
 

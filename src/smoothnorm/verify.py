@@ -57,7 +57,7 @@ def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
         base = X.norm_rows(samples)
     elif X.enumerable_dual:
         # injective_norm of every matrix at once
-        base = _slice_norms(X, samples)[2].max(axis=1)
+        base = _slice_norms(X.dual_extreme_points(), samples).max(axis=1)
     else:
         return None
     keep = base > BASE_FLOOR

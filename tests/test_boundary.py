@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -345,8 +346,8 @@ class TestGreedyAgainstPairwiseLoop:
                                        space.dual_norm_rows)
         assert (kept, assign) == want
 
-    def test_same_net_across_row_blocks(self, monkeypatch):
-        """Bins larger than one prefilter block give the same net."""
+    def test_same_net_on_clustered_rows(self):
+        """300 rows in 30 tight clusters: most rows find a home."""
         rng = np.random.default_rng(5)
         centres = rng.uniform(-1, 1, size=(30, 3))
         rows = centres[rng.integers(0, 30, size=300)] + rng.uniform(
@@ -354,8 +355,25 @@ class TestGreedyAgainstPairwiseLoop:
         space = lorentz_predual_space([1.0, 0.5, 0.25])
         want = greedy_oracle(rows, 0.05,
                              lambda f, g: space.dual_norm(f - g))
-        monkeypatch.setattr("smoothnorm.boundary._PREFILTER_ELEMS", 1000)
         assert _greedy_indices(rows, 0.05, space.dual_norm_rows) == want
+
+    def test_same_net_on_separated_grid(self):
+        """A grid spaced 1.5 separation apart keeps every row, and the
+        l-infinity pass leaves the metric nothing to decide."""
+        sep = 0.05
+        axis = 1.5 * sep * np.arange(-2, 3)
+        rows = np.array(list(itertools.product(axis, repeat=3)))
+        space = lorentz_predual_space([1.0, 0.5, 0.25])
+        want = greedy_oracle(rows, sep, lambda f, g: space.dual_norm(f - g))
+        assert want == (list(range(125)), list(range(125)))
+        calls = []
+
+        def metric_rows(D):
+            calls.append(len(D))
+            return space.dual_norm_rows(D)
+
+        assert _greedy_indices(rows, sep, metric_rows) == want
+        assert calls == []
 
 
 def pairwise_net(d):

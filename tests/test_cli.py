@@ -536,6 +536,16 @@ class TestEntryPoints:
         assert "[boundary] passed" in proc.stdout
         assert (out / "report.json").exists()
 
+    def test_import_leaves_scipy_special_out(self):
+        """Only the large-argument branch of orlicz._log_g needs
+        scipy.special, so importing the CLI does not load it."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, smoothnorm.cli; "
+             "print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_script(self, tmp_path):
         exe = shutil.which("smoothnorm")
         if exe is None:

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from smoothnorm.boundary import Decomposition, build_net
-from smoothnorm.cli import load_config
+from smoothnorm.cli import RunContext, _seed_int, load_config
+from smoothnorm.equiv import corollary_b_pipeline
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
-from smoothnorm import orlicz, renorm
+from smoothnorm import boundary, orlicz, renorm
 from smoothnorm.renorm import (
     PRUNE_TOL,
     ActiveSet,
@@ -39,6 +40,8 @@ from smoothnorm.scaling import feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
                                sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sup_decomposition(dim, eps=0.1):
@@ -199,6 +202,18 @@ PREDUAL9_NET = dict(
     home="17d6161758e8082d5078279ace291c2632fe51f467a0bc6584434834581af618",
 )
 
+# configs/lap13_equiv.cfg, equiv suite: the chain route's boundary_sup
+# net, 762 points from 792 members.  Pinned from the net the greedy loop
+# with l-infinity row blocks built.
+LAP13_CHAIN_NET = dict(
+    matrix="e1367e5aa4c9d27e5f7d87e81c8e673c6b005ac34fcb137d6df78fae35cd6832",
+    psi="4eeadac2c1b4639a31b4e220fc158928aa8a8a38e5fead4d06e265d6c716e1d0",
+    theta="973f01d6231f9b11451b750fa3606bdc6c385c09321f9dd3bb9f8acd9bef7261",
+    piece="709898ea9388025f09cac1ee52e89b35ebb017ab4a590f740cec4aef9192cc5e",
+    bin_id="b6ec87206310d20b7d25f17eb854169576e1af5968c7fb25ce4385fce3c80787",
+    home="87e7ee860f7c7333dadc34a82dadd27b1aed7b3bc5a3b34b47eb4477aa6c37ac",
+)
+
 
 def net_digests(net):
     return {name: hashlib.sha256(np.ascontiguousarray(
@@ -210,8 +225,7 @@ class TestPinnedNets:
     """The nets behind the pinned report digests, bit for bit."""
 
     def test_demo_sup3(self):
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "demo_sup3.cfg"
-        net = build_net(load_config(cfg).decomposition)
+        net = build_net(load_config(CONFIGS / "demo_sup3.cfg").decomposition)
         assert net.home.dtype == np.int64
         assert net_digests(net) == DEMO_SUP3_NET
 
@@ -225,6 +239,33 @@ class TestPinnedNets:
         net = build_net(predual_decomposition(9))
         assert len(net) == 19682
         assert net_digests(net) == PREDUAL9_NET
+
+    def test_lap13_chain_route(self, tmp_path, monkeypatch):
+        """The chain-route net of the lap13 equiv suite, from that
+        suite's inputs: the one shipped net whose members reach the
+        greedy loop (58 of 792, in four bins)."""
+        cfg = load_config(CONFIGS / "lap13_equiv.cfg")
+        ctx = RunContext(cfg, cfg.seed, 1, tmp_path)
+        ss_samples, ss_pipeline = ctx.child("equiv").spawn(2)
+        samples = np.random.default_rng(ss_samples).standard_normal(
+            (cfg.budgets["equiv"], cfg.space.dim))
+        seen = []
+        greedy = boundary._greedy_indices
+
+        def counted(members, *args):
+            seen.append(len(members))
+            return greedy(members, *args)
+
+        monkeypatch.setattr(boundary, "_greedy_indices", counted)
+        result = corollary_b_pipeline(
+            cfg.space, samples, cfg.epsilon, Y=cfg.factor,
+            seed=_seed_int(ss_pipeline),
+            identity_tol=ctx.tol["equiv_identity"])
+        assert result.route == "chain"
+        assert seen == [20, 22, 4, 12]
+        net = result.phi_spec.net
+        assert len(net) == 762
+        assert net_digests(net) == LAP13_CHAIN_NET
 
 
 class TestPiCoords:
@@ -346,6 +387,21 @@ class TestPhiNorm:
             base = injective_norm(u).value
             rho = phi_norm(spec, u)
             assert base < rho <= (1.0 + spec.epsilon) * base * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("k", [530, 1000, -1000])
+    def test_euclidean_factor_scales_by_powers_of_two(self, sup4_euclid3_spec,
+                                                      k):
+        """Scaling a matrix by 2^k scales both norms by 2^k exactly, also
+        where the slices' squares overflow or underflow (at 2^530 phi_norm
+        used to raise and injective_norm to give inf with g = 0)."""
+        spec = sup4_euclid3_spec
+        M = np.random.default_rng(23).standard_normal((4, 3))
+        scaled = np.ldexp(M, k)
+        assert phi_norm(spec, scaled) == np.ldexp(phi_norm(spec, M), k)
+        want = injective_norm(TensorElement(M, spec.X, spec.Y))
+        got = injective_norm(TensorElement(scaled, spec.X, spec.Y))
+        assert got.value == np.ldexp(want.value, k)
+        np.testing.assert_array_equal(got.g, want.g)
 
 
 def whole_net(spec, coords, start=None):
