@@ -48,13 +48,14 @@ def main():
     result = corollary_b_pipeline(space, samples, 0.1, seed=0)
     rep = result.report
     print()
+    win = rep.window
     print(f"pipeline route {result.route!r}: passed {rep.passed}")
-    print(f"  approx checked {rep.approx_checked}, "
-          f"violations {rep.approx_violations}, "
-          f"min rel gap {rep.min_rel_gap:.3e}")
-    print(f"  margins positive {rep.margins_positive}, "
-          f"claim2d ok {rep.claim2d_ok} "
-          f"(worst excess {rep.claim2d_worst_excess:.3e})")
+    print(f"  approx checked {len(win.gap) > 0}, "
+          f"violations {win.violations}, "
+          f"min rel gap {np.min(win.gap):.3e}")
+    print(f"  margins positive {rep.margins.min_margin > 0.0}, "
+          f"claim2d ok {rep.claim2d.ok} "
+          f"(worst excess {rep.claim2d.worst_excess:.3e})")
     print(f"  b/c identity gap {rep.bc_gap:.3e}")
     print()
     print("same checks via the CLI: "

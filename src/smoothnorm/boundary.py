@@ -129,7 +129,6 @@ class Decomposition:
 
         self.space = space
         self.epsilon = float(epsilon)
-        self.dual_ball_checked = space.dual_metric == "exact"
         self.members = np.vstack(arrays)
         sizes = [len(p) for p in arrays]
         start = np.cumsum([0] + sizes)
@@ -173,6 +172,12 @@ class Decomposition:
                 raise ParameterError(
                     f"closure entry ({n}, {j}) references a missing piece")
             self.psi[start[n] + j] = _psi_value(self.epsilon, idx)
+
+    @property
+    def dual_ball_checked(self) -> bool:
+        """Whether the pieces were checked against the dual ball: only an
+        exact dual metric allows it."""
+        return self.space.dual_metric == "exact"
 
     def locate(self, f):
         """(piece, member) position of a functional, by exact identity."""
@@ -359,11 +364,15 @@ def net_property_report(d: Decomposition, net: NetB) -> NetPropertyReport:
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    """Per-sample sup of f(x) over the candidate boundary set."""
+    """Per-sample sup of f(x) over the candidate boundary set; a sample
+    is attained when its sup reaches 1 - tol."""
 
     max_values: np.ndarray
-    attained: np.ndarray
     tol: float
+
+    @property
+    def attained(self) -> np.ndarray:
+        return self.max_values >= 1.0 - self.tol
 
     @property
     def passed(self) -> bool:
@@ -374,12 +383,14 @@ def check_boundary(space, functionals, sphere_samples, tol=1e-9):
     """Check sup_f f(x) reaches 1 (within tol) on unit-sphere samples.
 
     Samples must be normalized: any ||x|| outside 1 +- tol-ish is a
-    parameter error, not a failed check.
+    parameter error, not a failed check, and so is an empty sample set.
     """
     A = np.atleast_2d(np.asarray(functionals, dtype=float))
     X = np.atleast_2d(np.asarray(sphere_samples, dtype=float))
     if A.shape[1] != space.dim or X.shape[1] != space.dim:
         raise ParameterError("shape mismatch with space dim")
+    if X.shape[0] == 0:
+        raise ParameterError("sample set is empty")
     norm_tol = max(tol, 1e-7)
     norms = space.norm_rows(X)
     off = np.flatnonzero(np.abs(norms - 1.0) > norm_tol)
@@ -387,10 +398,7 @@ def check_boundary(space, functionals, sphere_samples, tol=1e-9):
         raise ParameterError(
             f"sample has norm {float(norms[off[0]])}, expected 1 within "
             f"{norm_tol}")
-    vals = X @ A.T
-    max_values = np.max(vals, axis=1)
-    attained = max_values >= 1.0 - tol
-    return BoundaryReport(max_values=max_values, attained=attained, tol=tol)
+    return BoundaryReport(max_values=np.max(X @ A.T, axis=1), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -399,12 +407,15 @@ class LrcReport:
     all members share one support cardinality."""
 
     cardinalities: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return len(self.cardinalities) <= 1
 
 
 def check_lrc_criterion(members) -> LrcReport:
     members = np.atleast_2d(np.asarray(members, dtype=float))
     if members.size == 0:
-        return LrcReport(cardinalities=(), passed=True)
-    cards = tuple(np.unique(np.count_nonzero(members, axis=1)).tolist())
-    return LrcReport(cardinalities=cards, passed=len(cards) <= 1)
+        return LrcReport(cardinalities=())
+    return LrcReport(cardinalities=tuple(
+        np.unique(np.count_nonzero(members, axis=1)).tolist()))

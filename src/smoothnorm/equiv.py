@@ -32,13 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (Decomposition, _row_keys, check_lrc_criterion,
-                       net_property_report)
+from .boundary import (Decomposition, NetPropertyReport, _row_keys,
+                       check_lrc_criterion, net_property_report)
 from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import build_renorm
 from .spaces import ModelSpace
-from .verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT, active_sets,
-                     approx_window, claim2d_sweep)
+from .verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT, ApproxWindow,
+                     Claim2dSweep, MarginCheck, active_sets, approx_window,
+                     claim2d_sweep)
 
 __all__ = [
     "RelativeBoundaryChain",
@@ -112,7 +113,8 @@ def compute_cn(space, samples, n, identity_tol=None) -> float:
 
 
 def _check_identity(n, b, c, tol):
-    if abs(b - c) > tol:
+    # written so that NaN fails it
+    if not abs(b - c) <= tol:
         raise NumericError(
             f"b_{n} = {b} and c_{n} = {c} disagree beyond {tol}")
 
@@ -199,20 +201,18 @@ class BoundaryNormSpace(ModelSpace):
     a_n-scaled level increments, |||x||| = max over F of |f(x)|, and the
     record holds its measured equivalence to the chain's norm.
 
-    pieces keep only nonempty increments (level_ids names them) and
-    matrix stacks them; a_values stays aligned with the full chain.  The
-    norm is a finite sup of functionals, not coordinatewise monotone in
+    pieces keep only the nonempty increments, in level order, and matrix
+    stacks them; a_values stays aligned with the full chain.  The norm
+    is a finite sup of functionals, not coordinatewise monotone in
     general.  Its dual metric is the coordinate l1 surrogate (the dual
     of the sup norm), so the exact dual-ball check is skipped.
     """
 
     pieces: tuple
-    level_ids: tuple
     a_values: np.ndarray
     matrix: np.ndarray
     ratio_range: tuple
     expected_range: tuple
-    equivalent: bool
     lrc_reports: tuple
 
     kind = "boundary_sup"
@@ -223,6 +223,12 @@ class BoundaryNormSpace(ModelSpace):
 
     def __post_init__(self):
         super().__init__(self.matrix.shape[1])
+
+    @property
+    def equivalent(self) -> bool:
+        """The measured ratio range lies inside the expected one."""
+        return (self.expected_range[0] <= self.ratio_range[0]
+                and self.ratio_range[1] <= self.expected_range[1])
 
     def _norm_rows(self, X):
         return np.max(np.abs(X @ self.matrix.T), axis=1)
@@ -240,7 +246,10 @@ def build_F(chain: RelativeBoundaryChain,
 
     a_strategy: "default" (the decreasing sequence above) or "ones".
     The expected ratio range [min a*b, max a] is widened by 1e-9 on
-    both sides.
+    both sides.  The chain's first level is nonempty (compute_bn
+    refuses an empty one) and no sample is zero (one gives b = 0,
+    refused here), so the space has a piece and every ratio a nonzero
+    base.
     """
     b = chain.b_values
     if np.any(b <= 0.0):
@@ -254,61 +263,56 @@ def build_F(chain: RelativeBoundaryChain,
     a = (default_a_sequence(chain.level_ids, b) if a_strategy == "default"
          else np.ones(len(chain)))
 
-    pieces, ids, lrc = [], [], []
-    for a_n, n, level in zip(a, chain.level_ids, chain.levels):
-        if len(level) == 0:
-            continue
-        piece = a_n * level
-        pieces.append(piece)
-        ids.append(n)
-        lrc.append(check_lrc_criterion(piece))
-    if not pieces:
-        raise ConstructionError("every level increment is empty")
+    pieces = tuple(a_n * level for a_n, level in zip(a, chain.levels)
+                   if len(level))
     matrix = np.vstack(pieces)
-
     S = chain.samples
-    norms = np.max(np.abs(S @ matrix.T), axis=1)
-    base = chain.space.norm_rows(S)
-    if np.any(base <= 0.0):
-        raise ParameterError("chain samples must be nonzero")
-    ratios = norms / base
-    expected = (float(np.min(a * b)) - 1e-9, float(np.max(a)) + 1e-9)
-    ratio_range = (float(np.min(ratios)), float(np.max(ratios)))
+    ratios = np.max(np.abs(S @ matrix.T), axis=1) / chain.space.norm_rows(S)
     return BoundaryNormSpace(
-        pieces=tuple(pieces), level_ids=tuple(ids), a_values=a,
-        matrix=matrix, ratio_range=ratio_range, expected_range=expected,
-        equivalent=(expected[0] <= ratio_range[0]
-                    and ratio_range[1] <= expected[1]),
-        lrc_reports=tuple(lrc))
+        pieces=pieces, a_values=a, matrix=matrix,
+        ratio_range=(float(np.min(ratios)), float(np.max(ratios))),
+        expected_range=(float(np.min(a * b)) - 1e-9,
+                        float(np.max(a)) + 1e-9),
+        lrc_reports=tuple(check_lrc_criterion(P) for P in pieces))
 
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Verification digest of a pipeline-built approximating norm."""
+    """The checks the pipeline ran on its approximating norm, each its
+    own record: the net property, the approx window, the active-set
+    margins and the claim-2d sweep; then the largest |b_n - c_n| and
+    the rescaled space's equivalence verdict (True on the direct
+    route, which has no rescaled space)."""
 
-    net_passed: bool
-    approx_checked: bool
-    approx_violations: int
-    min_rel_gap: float
-    margins_positive: bool
-    claim2d_ok: bool
-    claim2d_worst_excess: float
+    net: NetPropertyReport
+    window: ApproxWindow
+    margins: MarginCheck
+    claim2d: Claim2dSweep
     bc_gap: float
-    passed: bool
+    equivalent: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.net.passed and self.window.violations == 0
+                and self.margins.min_margin > 0.0 and self.claim2d.ok
+                and self.equivalent)
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """The route taken, its chain, the rescaled space on the chain route
-    (None on the direct route) and the verified approximating norm,
-    whose base space is phi_spec.X."""
+    """The chain, the rescaled space on the chain route (None on the
+    direct route) and the verified approximating norm, whose base space
+    is phi_spec.X."""
 
-    route: str
     chain: RelativeBoundaryChain
     boundary_norm: BoundaryNormSpace | None
     decomposition: Decomposition
     phi_spec: object
     report: PipelineReport
+
+    @property
+    def route(self) -> str:
+        return "direct" if self.boundary_norm is None else "chain"
 
     @property
     def passed(self) -> bool:
@@ -365,26 +369,19 @@ def _route_chain(space, S):
 
 
 def _pipeline_report(phi, d, chain, boundary_norm, seed):
-    net_report = net_property_report(d, phi.net)
-    rng = np.random.default_rng(seed + 101)
+    """The four checks on their own seeds.  The window always exists:
+    the direct route's base has an enumerable dual ball, and the chain
+    route refuses a factor."""
     count = CHECK_COUNT if phi.Y is None else max(8, CHECK_COUNT // 4)
-    win = approx_window(phi, rng.standard_normal((count,
-                                                  *phi.sample_shape)))
-    margins = active_sets(phi, MARGIN_COUNT, seed=seed + 202)
-    claim = claim2d_sweep(phi, POOL_COUNT, seed=seed + 303)
-    violations = 0 if win is None else win.violations
-    margins_positive = bool(margins.min_margin > 0.0)
-    bc_gap = float(np.max(np.abs(chain.b_values - chain.c_values)))
-    # on the chain route the rescaled norm's own verdict counts too
-    boundary_ok = boundary_norm is None or boundary_norm.equivalent
+    rows = np.random.default_rng(seed + 101).standard_normal(
+        (count, *phi.sample_shape))
     return PipelineReport(
-        net_passed=net_report.passed, approx_checked=win is not None,
-        approx_violations=violations,
-        min_rel_gap=float("nan") if win is None else float(np.min(win.gap)),
-        margins_positive=margins_positive, claim2d_ok=claim.ok,
-        claim2d_worst_excess=float(claim.worst_excess), bc_gap=bc_gap,
-        passed=(net_report.passed and violations == 0 and margins_positive
-                and claim.ok and boundary_ok))
+        net=net_property_report(d, phi.net),
+        window=approx_window(phi, rows),
+        margins=active_sets(phi, MARGIN_COUNT, seed=seed + 202),
+        claim2d=claim2d_sweep(phi, POOL_COUNT, seed=seed + 303),
+        bc_gap=float(np.max(np.abs(chain.b_values - chain.c_values))),
+        equivalent=boundary_norm is None or boundary_norm.equivalent)
 
 
 def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
@@ -427,8 +424,8 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
 
     phi = build_renorm(base, decomposition, Y,
                        boundary_samples=boundary_samples, seed=seed)
-    report = _pipeline_report(phi, decomposition, chain, boundary_norm, seed)
     return PipelineResult(
-        route="direct" if direct else "chain", chain=chain,
-        boundary_norm=boundary_norm, decomposition=decomposition,
-        phi_spec=phi, report=report)
+        chain=chain, boundary_norm=boundary_norm,
+        decomposition=decomposition, phi_spec=phi,
+        report=_pipeline_report(phi, decomposition, chain, boundary_norm,
+                                seed))

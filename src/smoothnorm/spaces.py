@@ -264,8 +264,10 @@ class _LorentzKind(ModelSpace):
         super().__init__(len(w))
         if w.shape != (self.dim,):
             raise ParameterError("weights must have length dim")
-        if w[0] != 1.0 or np.any(w <= 0.0):
-            raise ParameterError("need w_0 = 1 and all weights positive")
+        # written so that NaN fails it
+        if not (w[0] == 1.0 and np.all((w > 0.0) & np.isfinite(w))):
+            raise ParameterError(
+                "need w_0 = 1 and all weights finite and positive")
         self.weights = w
         self._wsums = np.cumsum(w)
 
@@ -352,8 +354,12 @@ class LapSpace(ModelSpace):
         p = np.asarray(exponents, dtype=float)
         if len(sets) != len(p) or len(sets) == 0:
             raise ParameterError("need one exponent per index set")
-        if np.any(p < 1.0) or np.any(np.diff(p) < 0.0):
-            raise ParameterError("exponents must be >= 1, nondecreasing")
+        # written so that NaN fails it: a NaN exponent would read as the
+        # exponent table's "not in this set" marker
+        if not (np.all((p >= 1.0) & np.isfinite(p))
+                and np.all(np.diff(p) >= 0.0)):
+            raise ParameterError(
+                "exponents must be finite, >= 1 and nondecreasing")
         covered = set()
         for s in sets:
             if s.size == 0 or s.min() < 0 or s.max() >= self.dim:

@@ -159,7 +159,7 @@ class ProductBoundaryReport:
 
     @property
     def max_deficit(self) -> float:
-        return float(np.max(1.0 - self.values)) if self.values.size else 0.0
+        return float(np.max(1.0 - self.values))
 
 
 def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
@@ -169,8 +169,11 @@ def boundary_product_check(N, M, samples, tol=1e-9) -> ProductBoundaryReport:
     or an X whose dual ball injective_norm refuses, is a parameter
     error) the best g in M is paired with the best f in N for the
     sliced vector u @ g, and the sample passes when that pairing
-    reaches 1 - tol.
+    reaches 1 - tol.  An empty sample set is a parameter error.
     """
+    samples = list(samples)
+    if not samples:
+        raise ParameterError("sample set is empty")
     N = np.atleast_2d(np.asarray(N, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
     values, f_index, g_index = [], [], []

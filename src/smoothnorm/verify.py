@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ParameterError
 from .renorm import active_set, phi_norm_batch, phi_unit_pool, verify_claim2d
 from .tensor import _slice_norms
 
@@ -66,6 +67,15 @@ def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
                   spec.epsilon, slack)
 
 
+def _pool(spec, count, seed):
+    """phi_unit_pool, refusing one that holds no sample: a check on
+    nothing would pass."""
+    pool = phi_unit_pool(spec, count, seed=seed)
+    if not len(pool.norms):
+        raise ParameterError(f"sample set is empty ({count} drawn)")
+    return pool
+
+
 class Claim2dSweep(NamedTuple):
     ok: bool
     worst_excess: float
@@ -76,7 +86,7 @@ def claim2d_sweep(spec, count=POOL_COUNT, seed=0,
                   tol=CLAIM_TOL) -> Claim2dSweep:
     """verify_claim2d on one pool of `count` samples: every net point
     and, for a euclidean factor, every unit g at once."""
-    pool = phi_unit_pool(spec, count, seed=seed)
+    pool = _pool(spec, count, seed)
     worst = float(np.max(verify_claim2d(spec, pool)))
     return Claim2dSweep(worst <= tol, worst, len(pool.norms))
 
@@ -89,12 +99,12 @@ class MarginCheck(NamedTuple):
 
     @property
     def min_margin(self) -> float:
-        return min((a.margin for a in self.sets), default=np.inf)
+        return min(a.margin for a in self.sets)
 
 
 def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
     """Active sets at `count` gaussian samples scaled to phi-norm 1."""
-    pool = phi_unit_pool(spec, count, seed=seed)
+    pool = _pool(spec, count, seed)
     shape = (-1,) + (1,) * (pool.samples.ndim - 1)
     points = pool.samples / pool.norms.reshape(shape)
     return MarginCheck(points, tuple(active_set(spec, u) for u in points))

@@ -632,6 +632,19 @@ class TestCheckBoundary:
         with pytest.raises(ParameterError):
             check_boundary(space, np.eye(2), np.array([[0.5, 0.2]]))
 
+    def test_empty_sample_set_refused(self):
+        # zero samples used to pass with nothing checked
+        with pytest.raises(ParameterError, match="empty"):
+            check_boundary(sup_space(2), np.eye(2), np.zeros((0, 2)))
+
+    def test_attained_is_derived_from_max_values(self):
+        report = check_boundary(sup_space(2), np.array([[1.0, 0.0]]),
+                                np.array([[1.0, 0.5], [0.5, -1.0]]),
+                                tol=0.25)
+        np.testing.assert_array_equal(report.max_values, [1.0, 0.5])
+        np.testing.assert_array_equal(report.attained, [True, False])
+        assert not report.passed
+
     def test_euclidean_self_attainment(self):
         space = euclidean_space(2)
         angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)

@@ -112,6 +112,23 @@ class TestConfigErrors:
                      "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("space", [
+        {"kind": "lap", "dim": 13, "sets": [list(range(13)),
+                                            list(range(6, 13))],
+         "exponents": [1, float("nan")]},
+        {"kind": "lorentz", "weights": [1.0, float("nan"), 0.25]},
+        {"kind": "lorentz_predual", "weights": [1.0, 0.5, float("inf")]},
+    ], ids=["lap_nan_exponent", "lorentz_nan_weight", "predual_inf_weight"])
+    def test_non_finite_space_parameter_exits_2(self, tmp_path, capsys,
+                                                space):
+        # json writes and reads NaN and Infinity; the lap config used to
+        # run to exit 0 as the plain l1 norm
+        cfg = write_cfg(tmp_path, space=space, suites=["equiv"])
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_seed_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, seed=None)
         assert main(["run", str(cfg), "--suite", "boundary"]) == 2

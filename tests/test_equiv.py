@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import HalfspaceIntersection
 
 from smoothnorm import equiv
-from smoothnorm.boundary import _row_keys
+from smoothnorm.boundary import _row_keys, net_property_report
 from smoothnorm.equiv import (
     BoundaryNormSpace,
     RelativeBoundaryChain,
@@ -28,6 +29,8 @@ from smoothnorm.renorm import phi_norm, phi_norm_batch, smoothness_check
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, lorentz_space, proj,
                                sup_space)
+from smoothnorm.verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT,
+                               active_sets, approx_window, claim2d_sweep)
 
 W4 = [1.0, 0.5, 0.25, 0.125]
 W8 = [1.0 / np.sqrt(k + 1) for k in range(8)]
@@ -213,6 +216,12 @@ class TestComputeCn:
         with pytest.raises(NumericError):
             compute_cn(predual4, S, 1, identity_tol=-1.0)
 
+    def test_nan_identity_tol_fails(self, predual4):
+        # NaN fails every comparison; it used to skip the check
+        S = unit_rows(predual4, 10, 8)
+        with pytest.raises(NumericError, match="beyond nan$"):
+            compute_cn(predual4, S, 1, identity_tol=np.nan)
+
     def test_heuristic_matches_sup_norm_beyond_exhaustive_dim(self):
         sp = sup_space(14)
         rng = np.random.default_rng(9)
@@ -359,6 +368,40 @@ class TestBuildF:
         assert [r.cardinalities for r in bn.lrc_reports] == [
             (1,), (2,), (3,), (4,)]
 
+    def test_equivalent_is_derived_from_the_ranges(self, predual4):
+        S = unit_rows(predual4, 40, 18)
+        bn = build_F(RelativeBoundaryChain(
+            space=predual4, levels=support_levels(predual4), samples=S,
+            level_ids=(1, 2, 3, 4)))
+        lo, hi = bn.ratio_range
+        assert bn.equivalent
+        assert not replace(bn, expected_range=(2.0 * hi, np.inf)).equivalent
+        assert not replace(bn, expected_range=(0.0, 0.5 * lo)).equivalent
+        assert replace(bn, expected_range=(lo, hi)).equivalent
+
+    def test_empty_later_levels_are_dropped(self, predual4):
+        # only the first level must be nonempty (compute_bn refuses an
+        # empty one); an empty increment adds no piece
+        S = unit_rows(predual4, 10, 20)
+        H = support_ball(predual4, 4)
+        bn = build_F(RelativeBoundaryChain(
+            space=predual4, levels=(H, np.zeros((0, 4))), samples=S,
+            level_ids=(4, 5)), a_strategy="ones")
+        assert len(bn.pieces) == 1 and len(bn.a_values) == 2
+        with pytest.raises(ParameterError, match="functional set is empty"):
+            RelativeBoundaryChain(space=predual4, levels=(np.zeros((0, 4)), H),
+                                  samples=S, level_ids=(1, 2))
+
+    def test_zero_sample_rejected_by_its_b(self, predual4):
+        # a zero sample gives b = 0 at every level, refused before any
+        # ratio divides by its norm
+        S = np.vstack([unit_rows(predual4, 5, 19), np.zeros((1, 4))])
+        ch = RelativeBoundaryChain(space=predual4,
+                                   levels=support_levels(predual4),
+                                   samples=S, level_ids=(1, 2, 3, 4))
+        with pytest.raises(ConstructionError, match="strictly positive"):
+            build_F(ch)
+
     def test_zero_b_rejected(self, predual4):
         S = unit_rows(predual4, 5, 19)
         ch = RelativeBoundaryChain(space=predual4,
@@ -485,6 +528,43 @@ class TestPipelineDirect:
                                  r"-1\.0$"):
             corollary_b_pipeline(predual4, samples, 0.1, identity_tol=-1.0)
 
+    def test_nan_identity_tol_fails(self, predual4):
+        samples = np.random.default_rng(0).standard_normal((200, 4))
+        with pytest.raises(NumericError, match=r"^b_1 = .* beyond nan$"):
+            corollary_b_pipeline(predual4, samples, 0.1,
+                                 identity_tol=np.nan)
+
+
+class TestPipelineReport:
+    """The report holds the records of the checks it ran, each value
+    once, and derives its verdict from them."""
+
+    @pytest.mark.parametrize("which", ["direct", "chain"])
+    def test_records_are_the_checks_on_the_pipeline_seeds(
+            self, which, direct_result, chain_result):
+        res = direct_result if which == "direct" else chain_result
+        phi, rep, seed = res.phi_spec, res.report, 0
+        assert rep.net == net_property_report(res.decomposition, phi.net)
+        rows = np.random.default_rng(seed + 101).standard_normal(
+            (CHECK_COUNT, *phi.sample_shape))
+        for got, want in zip(rep.window, approx_window(phi, rows)):
+            np.testing.assert_array_equal(got, want)
+        margins = active_sets(phi, MARGIN_COUNT, seed=seed + 202)
+        np.testing.assert_array_equal(rep.margins.points, margins.points)
+        assert rep.margins.sets == margins.sets
+        assert rep.claim2d == claim2d_sweep(phi, POOL_COUNT, seed=seed + 303)
+        assert rep.bc_gap == np.max(np.abs(res.chain.b_values
+                                           - res.chain.c_values))
+
+    def test_each_value_is_stored_once(self):
+        assert [f.name for f in fields(equiv.PipelineReport)] == [
+            "net", "window", "margins", "claim2d", "bc_gap", "equivalent"]
+        assert [f.name for f in fields(equiv.PipelineResult)] == [
+            "chain", "boundary_norm", "decomposition", "phi_spec", "report"]
+        assert [f.name for f in fields(BoundaryNormSpace)] == [
+            "pieces", "a_values", "matrix", "ratio_range", "expected_range",
+            "lrc_reports"]
+
 
 def cumulative_levels(space, S, level_ids):
     """The adapted route's cumulative level sets as a chain held them
@@ -569,18 +649,19 @@ class TestPipelineChain:
     def test_boundary_norm_verdicts_gate_the_report(self, lap3, verdict,
                                                     monkeypatch):
         # the phi-norm checks alone do not pass a chain-route build whose
-        # rescaled norm fails its own equivalence check
+        # rescaled norm misses its expected ratio range
         def failing_build_F(chain):
             space = build_F(chain)
-            setattr(space, verdict, False)
-            return space
+            return replace(space, expected_range=(
+                2.0 * space.ratio_range[1], space.expected_range[1]))
 
         monkeypatch.setattr(equiv, "build_F", failing_build_F)
         samples = np.random.default_rng(1).standard_normal((64, 3))
         res = corollary_b_pipeline(lap3, samples, 0.1, seed=0)
         assert res.route == "chain"
-        assert res.report.net_passed and res.report.claim2d_ok
-        assert not res.passed
+        assert not getattr(res.boundary_norm, verdict)
+        assert res.report.net.passed and res.report.claim2d.ok
+        assert not res.passed and not res.report.passed
 
     def test_one_functional_call_per_level(self, monkeypatch):
         space = lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5)

@@ -140,6 +140,14 @@ class TestBuildRenorm:
         with pytest.raises(ConstructionError):
             build_renorm(X, d, None, budget=64, seed=0)
 
+    def test_zero_budget_refused(self):
+        # with no sample to check, one functional of euclidean(3) used to
+        # build a one-point net
+        X = euclidean_space(3)
+        d = Decomposition(X, [np.array([[1.0, 0.0, 0.0]])], 0.1)
+        with pytest.raises(ParameterError, match="empty"):
+            build_renorm(X, d, None, budget=0, seed=0)
+
     def test_missing_extreme_point_rejected(self):
         """Without one pair +-f of support 7, predual7's members pass the
         sampled norming check at seed 1, yet about 1e-4 of directions

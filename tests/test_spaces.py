@@ -150,6 +150,14 @@ class TestLorentzPredual:
             lorentz_predual_space([1.0, -0.5])
 
 
+@pytest.mark.parametrize("factory", [lorentz_space, lorentz_predual_space])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_lorentz_weight_refused(factory, bad):
+    # used to construct, then fail at the first norm with NumericError
+    with pytest.raises(ParameterError, match="finite"):
+        factory([1.0, bad, 0.25])
+
+
 class TestLorentz:
     def test_sorted_weight_pairing(self):
         X = lorentz_space(GEOM3)
@@ -243,6 +251,11 @@ class TestLap:
             lap_space([[0], [1]], [2.0, 1.0], dim=2)  # not nondecreasing
         with pytest.raises(ParameterError):
             lap_space([[0], [1]], [0.5, 1.0], dim=2)  # p < 1
+        # NaN is the exponent table's "not in this set" marker, so a NaN
+        # exponent used to drop its set and give the plain l1 norm
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                lap_space([range(13), range(6, 13)], [1.0, bad], dim=13)
 
 
 class TestNormAxioms:

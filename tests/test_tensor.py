@@ -245,6 +245,11 @@ class TestBoundaryProduct:
             boundary_product_check(np.eye(2), np.eye(2),
                                    [element(2.0 * np.eye(2))])
 
+    def test_empty_sample_set_refused(self):
+        # no sample used to pass, with max_deficit 0.0
+        with pytest.raises(ParameterError, match="empty"):
+            boundary_product_check(np.eye(2), np.eye(2), [])
+
     def test_ascent_normalization_flagged(self):
         X = lorentz_space(GEOM)
         rng = np.random.default_rng(14)

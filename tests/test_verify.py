@@ -8,6 +8,7 @@ import pytest
 
 from smoothnorm import renorm, verify
 from smoothnorm.boundary import Decomposition
+from smoothnorm.errors import ParameterError
 from smoothnorm.renorm import (active_set, build_renorm, phi_unit_pool,
                                verify_claim2d)
 from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
@@ -115,6 +116,11 @@ class TestClaim2dSweep:
         assert sweep.worst_excess == max(verify_claim2d(spec, pool))
         assert sweep.worst_excess >= at_e0
 
+    def test_empty_pool_refused(self, sup3_spec):
+        # a sweep over no sample used to return ok=True
+        with pytest.raises(ParameterError, match="empty"):
+            claim2d_sweep(sup3_spec, 0)
+
     def test_one_call_per_sweep(self, sup3_spec, monkeypatch):
         calls = []
 
@@ -137,8 +143,10 @@ class TestActiveSets:
             assert act.phi_value == pytest.approx(1.0, rel=1e-9)
         assert check.min_margin == min(a.margin for a in check.sets) > 0.0
 
-    def test_empty_pool_has_no_margin(self, sup3_spec):
-        assert active_sets(sup3_spec, 0).min_margin == np.inf
+    def test_empty_pool_refused(self, sup3_spec):
+        # a margin over no point used to read inf, and pass
+        with pytest.raises(ParameterError, match="empty"):
+            active_sets(sup3_spec, 0)
 
 
 class TestInactiveViolations:
