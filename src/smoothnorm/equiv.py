@@ -124,11 +124,11 @@ class RelativeBoundaryChain:
     """Disjoint dual-ball level increments and their level constants.
 
     levels[i] is the (k, dim) array of functionals new at level
-    level_ids[i], possibly empty; no functional appears twice.  samples
-    is the one (s, dim) sphere set every level is measured on.
-    b_values[i] is compute_bn on levels 1..i+1 together, so b is
-    nondecreasing; it must lie in [0, 1], and b = 0 is representable
-    (build_F refuses it).
+    level_ids[i], empty only after the first; no functional appears
+    twice.  samples is the one (s, dim) sphere set every level is
+    measured on.  b_values[i] is compute_bn on levels 1..i+1 together,
+    so b is nondecreasing; it must lie in [0, 1], and b = 0 is
+    representable (build_F refuses it).
     """
 
     space: object
@@ -164,6 +164,8 @@ class RelativeBoundaryChain:
                 for A in (self.samples, *self.levels)):
             raise ConstructionError(f"chain needs a nonempty sample array "
                                     f"and levels, each of width {dim}")
+        if not len(self.levels[0]):
+            raise ConstructionError("the chain's first level is empty")
         keys = _row_keys(np.vstack(self.levels))
         if len(set(keys)) != len(keys):
             raise ConstructionError(
@@ -246,7 +248,7 @@ def build_F(chain: RelativeBoundaryChain,
 
     a_strategy: "default" (the decreasing sequence above) or "ones".
     The expected ratio range [min a*b, max a] is widened by 1e-9 on
-    both sides.  The chain's first level is nonempty (compute_bn
+    both sides.  The chain's first level is nonempty (the chain
     refuses an empty one) and no sample is zero (one gives b = 0,
     refused here), so the space has a piece and every ratio a nonzero
     base.
@@ -293,8 +295,8 @@ class PipelineReport:
 
     @property
     def passed(self) -> bool:
-        return (self.net.passed and self.window.violations == 0
-                and self.margins.min_margin > 0.0 and self.claim2d.ok
+        return (self.net.passed and self.window.passed
+                and self.margins.passed and self.claim2d.ok
                 and self.equivalent)
 
 
@@ -395,7 +397,10 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
     compute_cn does.  "chain" for every other kind: measure b_n/c_n per
     level, rescale the increments with the a-sequence, and renorm the
     resulting boundary_sup space instead; factor spaces need the direct
-    route.
+    route.  build_renorm then checks the decomposition once, by the
+    base's kind: against every dual extreme point on the direct route,
+    and on the chain route at the distinct samples, normalized in the
+    boundary_sup norm.
 
     samples: one (s, dim) array of nonzero rows, normalized here and
     shared by every level.
@@ -406,24 +411,23 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
             f"factor spaces need the direct route, and kind "
             f"{space.kind!r} has no enumerable dual ball")
     S = _normalize_rows(space, samples)
-    union = np.unique(S, axis=0)
     chain = _route_chain(space, S)
     if direct:
         if identity_tol is not None:
             for n, b_n, c_n in zip(chain.level_ids, chain.b_values,
                                    chain.c_values):
                 _check_identity(n, b_n, c_n, identity_tol)
-        boundary_norm, base, boundary_samples = None, space, union
+        boundary_norm, base, boundary_samples = None, space, None
         decomposition = Decomposition(
             space, [P for P in chain.levels if len(P)], eps)
     else:
         boundary_norm = base = build_F(chain)
         decomposition = Decomposition(
             base, boundary_norm.symmetric_pieces(), eps)
-        boundary_samples = _normalize_rows(base, union)
+        boundary_samples = _normalize_rows(base, np.unique(S, axis=0))
 
     phi = build_renorm(base, decomposition, Y,
-                       boundary_samples=boundary_samples, seed=seed)
+                       boundary_samples=boundary_samples)
     return PipelineResult(
         chain=chain, boundary_norm=boundary_norm,
         decomposition=decomposition, phi_spec=phi,

@@ -163,35 +163,47 @@ def _sphere_samples(X, budget, seed):
 
 def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
                  seed=0, boundary_tol=1e-9) -> PhiNormSpec:
-    """Verify the decomposition norms the sphere, then build the net
-    and its bump family.
+    """Check that the members are a boundary of X's dual ball, then
+    build the net and its bump family.
 
-    The norming precondition is checked on boundary_samples, or on
-    `budget` random unit vectors when none are supplied.  When X's dual
-    ball is enumerable it is also checked exactly: every dual extreme
-    point must be a member, within boundary_tol in l-infinity.  Either
-    failure is a construction error.
+    The kind picks the one check.  When X's dual ball is enumerable
+    (sup_finite, lorentz_predual) it is exact: every dual extreme point
+    must be a member within boundary_tol / dim in l-infinity; budget and
+    seed go unused there, and boundary_samples is a ParameterError.
+    Every other kind is sampled: sup over the members of f(x) must reach
+    1 - boundary_tol at each row of boundary_samples (unit vectors), or
+    at `budget` random unit vectors drawn from `seed` when none are
+    supplied.  Either failure is a ConstructionError.
     """
     Y = _resolve_factor(Y)
     if d.space is not X and (d.space.kind, d.space.dim) != (X.kind, X.dim):
         raise ParameterError("decomposition was built over a different space")
-    samples = (np.atleast_2d(np.asarray(boundary_samples, dtype=float))
-               if boundary_samples is not None
-               else _sphere_samples(X, budget, seed))
-    report = check_boundary(X, d.members, samples, tol=boundary_tol)
-    if not report.passed:
-        worst = float(np.min(report.max_values))
-        raise ConstructionError(
-            f"functionals do not norm the sample sphere; worst sup "
-            f"f(x) = {worst}")
     if X.enumerable_dual:
-        # every vertex of a polytope is exposed, so a boundary holds them all
+        if boundary_samples is not None:
+            raise ParameterError(
+                f"kind {X.kind!r} is checked on its dual extreme points, "
+                f"so boundary_samples are not used")
+        # every vertex of a polytope is exposed, so a boundary holds them
+        # all; and ||x||_1 <= dim ||x|| on both kinds (Lorentz weights do
+        # not increase from w_0 = 1), so a member within boundary_tol / dim
+        # of each vertex keeps sup f(x) within boundary_tol of 1 at every
+        # unit x, which the sampled check asks only at its samples
         points = X.dual_extreme_points()
-        j = d.missing(points, tol=boundary_tol)
+        j = d.missing(points, tol=boundary_tol / X.dim)
         if j is not None:
             raise ConstructionError(
                 f"functionals are no boundary: dual extreme point "
                 f"{points[j].tolist()} is not a member")
+    else:
+        samples = (np.atleast_2d(np.asarray(boundary_samples, dtype=float))
+                   if boundary_samples is not None
+                   else _sphere_samples(X, budget, seed))
+        report = check_boundary(X, d.members, samples, tol=boundary_tol)
+        if not report.passed:
+            worst = float(np.min(report.max_values))
+            raise ConstructionError(
+                f"functionals do not norm the sample sphere; worst sup "
+                f"f(x) = {worst}")
 
     return PhiNormSpec(net=build_net(d), X=X, Y=Y, epsilon=d.epsilon)
 

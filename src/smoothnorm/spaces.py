@@ -17,15 +17,18 @@ EuclideanSpace, OrliczSpace, LapSpace, LorentzSpace, LorentzPredualSpace):
     lorentz_predual  d_*(w,1): max_k (sum of k largest |x|) / W_k,
                      W_k = w_0 + ... + w_{k-1}
 
-All kinds here have 1-unconditional monotone bases.  Lorentz weights are
-expected nonincreasing with w_0 = 1 (only positivity and w_0 = 1 are
-checkable invariants at finite truncation; the norm formulas apply the
-weights in the given order against the decreasing rearrangement).
+All kinds here have 1-unconditional monotone bases.  Lorentz weights
+are finite, positive and nonincreasing with w_0 = 1; equal weights are
+allowed.  The formulas apply the weights in the given order against the
+decreasing rearrangement, so an increasing pair would make lorentz no
+norm (||e_0 + e_1|| above ||e_0|| + ||e_1||) and would list predual dual
+extreme points that are not extreme.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from math import comb
 
 import numpy as np
@@ -84,6 +87,9 @@ class ModelSpace:
     enumerable_dual = False
 
     def __init__(self, dim):
+        # bool is an int, and int() would truncate 2.5 silently
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+            raise ParameterError(f"dim must be an integer, got {dim!r}")
         if dim < 1:
             raise ParameterError("dim must be >= 1")
         self.dim = int(dim)
@@ -268,6 +274,9 @@ class _LorentzKind(ModelSpace):
         if not (w[0] == 1.0 and np.all((w > 0.0) & np.isfinite(w))):
             raise ParameterError(
                 "need w_0 = 1 and all weights finite and positive")
+        if np.any(np.diff(w) > 0.0):
+            raise ParameterError(
+                f"weights must be nonincreasing, got {w.tolist()}")
         self.weights = w
         self._wsums = np.cumsum(w)
 

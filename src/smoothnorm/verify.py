@@ -42,6 +42,10 @@ class ApproxWindow(NamedTuple):
     def violations(self) -> int:
         return int(np.count_nonzero(~self.inside))
 
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
+
 
 def window(samples, base, phi, eps, slack=RATIO_SLACK) -> ApproxWindow:
     """The window predicate and the gap on given base and phi values."""
@@ -100,6 +104,10 @@ class MarginCheck(NamedTuple):
     @property
     def min_margin(self) -> float:
         return min(a.margin for a in self.sets)
+
+    @property
+    def passed(self) -> bool:
+        return self.min_margin > 0.0
 
 
 def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:

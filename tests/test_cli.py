@@ -18,6 +18,8 @@ import pytest
 from smoothnorm.cli import ConfigError, SUITES, _resolve_suites, \
     load_config, main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 BASE = {
     "space": {"kind": "sup_finite", "dim": 3},
     "epsilon": 0.1,
@@ -127,6 +129,25 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("space, word", [
+        ({"kind": "lorentz", "weights": [1.0, 2.0]}, "nonincreasing"),
+        ({"kind": "lorentz_predual", "weights": [1.0, 2.0]},
+         "nonincreasing"),
+        ({"kind": "sup_finite", "dim": 2.5}, "integer"),
+    ], ids=["lorentz_increasing", "predual_increasing", "fractional_dim"])
+    def test_space_that_is_no_norm_exits_2(self, tmp_path, capsys, space,
+                                           word):
+        """Each of these used to run to exit 0: increasing weights give
+        no norm, and dim 2.5 was reported as dim 2."""
+        data = json.loads((CONFIGS / "demo_sup3.cfg").read_text())
+        data["space"] = space
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_missing_seed_exits_2(self, tmp_path):

@@ -380,15 +380,16 @@ class TestBuildF:
         assert replace(bn, expected_range=(lo, hi)).equivalent
 
     def test_empty_later_levels_are_dropped(self, predual4):
-        # only the first level must be nonempty (compute_bn refuses an
-        # empty one); an empty increment adds no piece
+        # only the first level must be nonempty (the chain refuses an
+        # empty one, as it does its other malformed levels); an empty
+        # increment adds no piece
         S = unit_rows(predual4, 10, 20)
         H = support_ball(predual4, 4)
         bn = build_F(RelativeBoundaryChain(
             space=predual4, levels=(H, np.zeros((0, 4))), samples=S,
             level_ids=(4, 5)), a_strategy="ones")
         assert len(bn.pieces) == 1 and len(bn.a_values) == 2
-        with pytest.raises(ParameterError, match="functional set is empty"):
+        with pytest.raises(ConstructionError, match="first level is empty"):
             RelativeBoundaryChain(space=predual4, levels=(np.zeros((0, 4)), H),
                                   samples=S, level_ids=(1, 2))
 

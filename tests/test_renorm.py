@@ -37,8 +37,8 @@ from smoothnorm.renorm import (
     verify_claim2d,
 )
 from smoothnorm.scaling import feasible_scale_inf
-from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
-                               sup_space)
+from smoothnorm.spaces import (euclidean_space, lap_space,
+                               lorentz_predual_space, sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -149,10 +149,10 @@ class TestBuildRenorm:
             build_renorm(X, d, None, budget=0, seed=0)
 
     def test_missing_extreme_point_rejected(self):
-        """Without one pair +-f of support 7, predual7's members pass the
-        sampled norming check at seed 1, yet about 1e-4 of directions
-        are no longer normed; the exact check refuses the decomposition
-        and names f."""
+        """Without one pair +-f of support 7, predual7's members still
+        norm 512 gaussian unit vectors from seed 1, yet about 1e-4 of
+        directions are no longer normed; the exact check refuses the
+        decomposition and names f."""
         d = predual_decomposition(7)
         f = d.pieces[6][0]
         pieces = [p[~(np.all(p == f, axis=1) | np.all(p == -f, axis=1))]
@@ -162,6 +162,87 @@ class TestBuildRenorm:
         with pytest.raises(ConstructionError,
                            match=r"dual extreme point \[0\.2488"):
             build_renorm(short.space, short, None, seed=1)
+
+    def test_enumerable_kinds_are_not_sampled(self, monkeypatch):
+        """demo_sup3, sup4 x euclidean(3) and predual7 are checked on
+        their dual extreme points alone, and keep their pinned nets."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled boundary check ran")
+
+        monkeypatch.setattr(renorm, "_sphere_samples", refuse)
+        monkeypatch.setattr(renorm, "check_boundary", refuse)
+        cfg = load_config(CONFIGS / "demo_sup3.cfg")
+        demo = build_renorm(cfg.space, cfg.decomposition, cfg.factor,
+                            budget=cfg.budgets["build"], seed=cfg.seed)
+        assert net_digests(demo.net) == DEMO_SUP3_NET
+        d = ladder_decomposition(4)
+        sup4 = build_renorm(d.space, d, euclidean_space(3), budget=256,
+                            seed=0)
+        assert net_digests(sup4.net) == SUP4_EUCLID3_NET
+        d = predual_decomposition(7)
+        assert net_digests(build_renorm(d.space, d, None, seed=1).net) == (
+            PREDUAL7_NET)
+
+    @pytest.mark.parametrize("space", [
+        euclidean_space(3), lap_space([[0], [1, 2]], [1.0, 2.0], 3)],
+        ids=["euclidean", "lap"])
+    def test_other_kinds_are_sampled(self, monkeypatch, space):
+        """Without an enumerable dual ball, the members are checked on
+        the given unit vectors, or on `budget` drawn ones."""
+        calls = []
+        checked = renorm.check_boundary
+
+        def counting(X, members, samples, tol):
+            calls.append(len(samples))
+            return checked(X, members, samples, tol=tol)
+
+        monkeypatch.setattr(renorm, "check_boundary", counting)
+        eye = np.eye(3)
+        d = Decomposition(space, [np.vstack([eye, -eye])], 0.1)
+        build_renorm(space, d, None, boundary_samples=eye)
+        # the signed units norm the units, but not the sphere
+        with pytest.raises(ConstructionError, match="sample sphere"):
+            build_renorm(space, d, None, budget=64, seed=0)
+        assert calls == [3, 64]
+
+    def test_chain_route_is_sampled(self, monkeypatch):
+        """The chain route's boundary_sup base is checked on the
+        distinct samples, once, and draws none of its own."""
+        calls = []
+        checked = renorm.check_boundary
+
+        def counting(X, members, samples, tol):
+            calls.append((X.kind, len(samples)))
+            return checked(X, members, samples, tol=tol)
+
+        monkeypatch.setattr(renorm, "check_boundary", counting)
+        samples = np.random.default_rng(1).standard_normal((64, 3))
+        result = corollary_b_pipeline(
+            lap_space([[0], [1, 2]], [1.0, 2.0], 3), samples, 0.1, seed=0)
+        assert result.route == "chain"
+        assert calls == [("boundary_sup", 64)]
+
+    def test_extreme_point_tolerance_is_over_dim(self):
+        """A member 2e-9 / 3 off e_0 in sup_finite(3) can lose up to
+        2e-9 of sup f(x) at a unit x, so the default boundary_tol 1e-9
+        refuses it; 0.5e-9 / 3 off stays within it."""
+        X = sup_space(3)
+        for shift, refused in ((2e-9 / 3, True), (0.5e-9 / 3, False)):
+            members = np.vstack([np.eye(3), -np.eye(3)])
+            members[0, 0] -= shift
+            d = Decomposition(X, [members], 0.1)
+            if refused:
+                with pytest.raises(ConstructionError,
+                                   match=r"dual extreme point "
+                                         r"\[1\.0, 0\.0, 0\.0\]"):
+                    build_renorm(X, d, None)
+            else:
+                assert len(build_renorm(X, d, None).net) == 6
+
+    def test_samples_refused_for_enumerable_kinds(self):
+        d = sup_decomposition(3)
+        with pytest.raises(ParameterError, match="boundary_samples"):
+            build_renorm(d.space, d, None, boundary_samples=np.eye(3))
 
     def test_factor_space_validated(self):
         d = sup_decomposition(2)
@@ -197,6 +278,17 @@ PREDUAL7_NET = dict(
     piece="bc64b8bfac68cdc92aa4610ef86013319a979c37f07712168a7216da02e756b4",
     bin_id="807e18e8ce2f896bccd3a1a649547ed0e0b0542ba9cc56a6d623c6057591e153",
     home="7cd27ccf07b815a466b7e422f0e884e2b68755784818877099a2dcf49a1d2a04",
+)
+
+# ladder_decomposition(4) with a euclidean(3) factor: the benchmark's
+# sup4 x euclidean(3) net, 8 points
+SUP4_EUCLID3_NET = dict(
+    matrix="271a80bfb10b85a5e314ea9ebf784d88f5b94ae07fa57dbd958796ebf635b13e",
+    psi="544e7a967e4b1697a475231d6ef9bf73be2a059176a2f41fd1fc5fd892b94b6e",
+    theta="08561fd5f9549b76c683578d07caa0c8d620d73f561424117b37a8a59af0595f",
+    piece="180941be1558d74985419655da4d740bfd03c74d183912260494a08af4cf9bee",
+    bin_id="319a1400e1277a1ff30ec4b93bc366a44d1aa8aa6febc41968fbdf8830219bff",
+    home="fece8d601cd4c9020e24f9e4a47feedefb2bceff5e9798d8056aea8700052eaa",
 )
 
 # predual_decomposition(9): 19,682 members, every one a net point.  Pinned

@@ -158,6 +158,32 @@ def test_non_finite_lorentz_weight_refused(factory, bad):
         factory([1.0, bad, 0.25])
 
 
+@pytest.mark.parametrize("factory", [lorentz_space, lorentz_predual_space])
+def test_increasing_lorentz_weights_refused(factory):
+    # lorentz_space([1.0, 2.0]) used to give norm(e0 + e1) = 3.0 with
+    # norm(e0) = norm(e1) = 1.0, which is no norm
+    for weights in ([1.0, 2.0], [1.0, 0.5, 0.75]):
+        with pytest.raises(ParameterError, match="nonincreasing"):
+            factory(weights)
+    # equal weights are allowed: lorentz is then l1, its predual sup
+    X = factory([1.0, 1.0, 1.0])
+    expected = 6.0 if factory is lorentz_space else 3.0
+    assert X.norm([1.0, -2.0, 3.0]) == expected
+
+
+@pytest.mark.parametrize("dim", [2.5, 3.0, True])
+def test_non_integer_dim_refused(dim):
+    # sup_space(2.5) used to be a 2-dimensional space
+    for factory in (sup_space, euclidean_space):
+        with pytest.raises(ParameterError, match="integer"):
+            factory(dim)
+
+
+def test_numpy_integer_dim_accepted():
+    X = sup_space(np.int64(3))
+    assert X.dim == 3 and type(X.dim) is int
+
+
 class TestLorentz:
     def test_sorted_weight_pairing(self):
         X = lorentz_space(GEOM3)

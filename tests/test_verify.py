@@ -3,6 +3,8 @@ active-set margins."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,11 @@ class TestWindow:
         win = window(np.zeros((5, 2)), base, phi, EPS, SLACK)
         # phi == base is outside, the upper edge itself is inside
         assert win.inside.tolist() == [False, True, False, True, True]
-        assert win.violations == 2
+        assert win.violations == 2 and not win.passed
         assert win.gap[0] == 0.0 and win.gap[3] > 0.0
+        inside = [1, 3, 4]
+        assert window(np.zeros((3, 2)), base[inside], phi[inside], EPS,
+                      SLACK).passed
 
     def test_small_base_rows_dropped(self, sup3_spec):
         rows = np.random.default_rng(1).standard_normal((6, 3))
@@ -142,6 +147,14 @@ class TestActiveSets:
             assert act == active_set(sup3_spec, u)
             assert act.phi_value == pytest.approx(1.0, rel=1e-9)
         assert check.min_margin == min(a.margin for a in check.sets) > 0.0
+        assert check.passed is True
+
+    def test_passed_needs_a_positive_margin(self, sup3_spec):
+        check = active_sets(sup3_spec, 3, seed=5)
+        for margin, passed in ((0.0, False), (-1.0, False), (1e-300, True)):
+            last = dataclasses.replace(check.sets[2], margin=margin)
+            sets = check.sets[:2] + (last,)
+            assert check._replace(sets=sets).passed is passed
 
     def test_empty_pool_refused(self, sup3_spec):
         # a margin over no point used to read inf, and pass
