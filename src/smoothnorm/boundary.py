@@ -109,9 +109,11 @@ class Decomposition:
     the member's own piece (the default for an unlisted member).
 
     Validates on construction: eps in (0, 1), pairwise-disjoint pieces,
-    the closure entries, and (when the ambient dual norm is exact)
-    membership of every functional in the dual ball up to 1e-9.  With a
-    surrogate dual metric the ball check is recorded as skipped.
+    the closure entries, bump thresholds fl(1/psi) < fl(1/theta) that
+    separate in floats for every member (ConstructionError naming the
+    first piece where they do not), and (when the ambient dual norm is
+    exact) membership of every functional in the dual ball up to 1e-9.
+    With a surrogate dual metric the ball check is recorded as skipped.
     ``members`` stacks the pieces in piece order, ``pieces`` are row
     views of it, and ``piece`` and ``psi`` are aligned with it: each
     member's piece id and psi weight (the piece's default, with the
@@ -172,6 +174,21 @@ class Decomposition:
                 raise ParameterError(
                     f"closure entry ({n}, {j}) references a missing piece")
             self.psi[start[n] + j] = _psi_value(self.epsilon, idx)
+
+        # each member's bump rises from 1/psi to 1/theta, theta = psi -
+        # eps_n; from piece 22 on (at eps 0.1) eps_n falls below the
+        # float spacing at psi, and the two thresholds coincide
+        scales = np.array([epsilon_n(self.epsilon, n)
+                           for n in range(len(sizes))])[self.piece]
+        flat = np.flatnonzero(~(1.0 / self.psi
+                                < 1.0 / (self.psi - scales)))
+        if flat.size:
+            i = int(flat[0])
+            raise ConstructionError(
+                f"piece {int(self.piece[i])} is past the float depth: its "
+                f"bump thresholds 1/psi and 1/theta do not separate, with "
+                f"eps_n = {float(scales[i])} and float spacing "
+                f"{float(np.spacing(self.psi[i]))} at psi")
 
     @property
     def dual_ball_checked(self) -> bool:

@@ -19,11 +19,12 @@ norming-support requirement: it measures the level constants
 (equal by duality for monotone unconditional bases), rescales the level
 increments by a decreasing a-sequence so every sample attains a finite
 level, and renorms the resulting boundary_sup space, whose boundary the
-increments are by construction (the inner max of c_n is
-ModelSpace.top_projection_rows, exact at every dimension).  Each level
-is one norming_functional_rows call on every sample's best projection.
-corollary_b_pipeline runs the kind's route end to end on one sample set
-and verifies the built approximating norm.
+increments are by construction.  Each level is one
+norming_functional_rows call on every sample's best projection.  A
+chain is measured in one pass: b_n from one product of the samples with
+every level, c_n from one ModelSpace.top_projections walk (exact at
+every dimension).  corollary_b_pipeline runs the kind's route end to
+end on one sample set and verifies the built approximating norm.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class RelativeBoundaryChain:
     level_ids[i], empty only after the first; no functional appears
     twice.  samples is the one (s, dim) sphere set every level is
     measured on.  b_values[i] is compute_bn on levels 1..i+1 together,
-    so b is nondecreasing; it must lie in [0, 1], and b = 0 is
+    read off one running max along the levels of one product, so b is
+    exactly nondecreasing; it must lie in [0, 1], and b = 0 is
     representable (build_F refuses it).
     """
 
@@ -166,13 +168,18 @@ class RelativeBoundaryChain:
                                     f"and levels, each of width {dim}")
         if not len(self.levels[0]):
             raise ConstructionError("the chain's first level is empty")
-        keys = _row_keys(np.vstack(self.levels))
+        H = np.vstack(self.levels)
+        if not (np.isfinite(H).all() and np.isfinite(self.samples).all()):
+            raise ParameterError("functionals and samples must be finite")
+        keys = _row_keys(H)
         if len(set(keys)) != len(keys):
             raise ConstructionError(
                 "levels must be pairwise disjoint, with no repeated "
                 "functional")
-        b = np.asarray([compute_bn(np.vstack(self.levels[:i + 1]),
-                                   self.samples) for i in range(k)])
+        top = self.samples @ H.T
+        np.maximum.accumulate(top, axis=1, out=top)
+        # each level's last column (an empty level repeats the one before it)
+        b = top[:, np.cumsum([len(h) for h in self.levels]) - 1].min(axis=0)
         if not np.all((b >= -1e-12) & (b <= 1.0 + 1e-9)):
             raise ConstructionError(f"b values must lie in [0, 1], got {b}")
         put("b_values", b)
@@ -331,41 +338,37 @@ def _unique_rows(rows):
 
 def _normalize_rows(space, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.size == 0:
+        raise ParameterError("sample set is empty")
     base = space.norm_rows(rows)
     if np.any(base <= 0.0):
         raise ParameterError("samples must be nonzero")
     return rows / base[:, None]
 
 
-def _adapted_chain(space, S, level_ids):
-    """Sample-adapted level increments for kinds without enumerable dual
-    balls: one norming_functional_rows call per level gives each sample
-    the norming functional of its best |sigma| = n projection, so its own
-    level-n sup equals the c_n inner value exactly."""
-    levels, acc, c = [], np.zeros((0, space.dim)), []
-    for n in level_ids:
-        values, masks = space.top_projection_rows(S, n)
-        grown = _unique_rows(np.vstack(
-            [acc, space.norming_functional_rows(np.where(masks, S, 0.0))]))
-        levels.append(grown[len(acc):])
-        acc = grown
-        c.append(np.min(values))
-    return levels, c
-
-
 def _route_chain(space, S):
-    """Levels 1..dim on the unit rows S by the kind's route.  The
-    direct route enumerates the support ball at level dim once and
-    splits it by support size, so levels 1..n are support_ball(space, n)
-    row for row."""
+    """Levels 1..dim on the unit rows S by the kind's route, with c_n
+    from one top_projections pass.  The direct route splits the support
+    ball at level dim by support size, so levels 1..n are
+    support_ball(space, n) row for row.  The chain route's level n holds
+    the new norming functionals of every sample's best |sigma| = n
+    projection, so a sample's level-n sup is its c_n inner value."""
     level_ids = tuple(range(1, space.dim + 1))
     if space.enumerable_dual:
         ball = support_ball(space, space.dim)
         sizes = np.count_nonzero(ball, axis=1)
-        levels = [ball[sizes == n] for n in level_ids]
-        c = [compute_cn(space, S, n) for n in level_ids]
-    else:
-        levels, c = _adapted_chain(space, S, level_ids)
+    levels, c, seen = [], [], set()
+    for n, (values, masks) in zip(level_ids,
+                                  space.top_projections(S, level_ids)):
+        c.append(np.min(values))
+        if space.enumerable_dual:
+            levels.append(ball[sizes == n])
+            continue
+        F = _unique_rows(space.norming_functional_rows(
+            np.where(masks, S, 0.0)))
+        keys = _row_keys(F)
+        levels.append(F[[key not in seen for key in keys]])
+        seen.update(keys)
     return RelativeBoundaryChain(space=space, levels=levels, samples=S,
                                  level_ids=level_ids, c_values=c)
 

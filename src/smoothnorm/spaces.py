@@ -61,6 +61,13 @@ def _signs(x):
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
+def _ranks(X):
+    """Each entry's place in its row's order by decreasing |x|, ties
+    broken by index."""
+    order = np.argsort(-np.abs(X), axis=1, kind="stable")
+    return np.argsort(order, axis=1)
+
+
 class ModelSpace:
     """A finite-dimensional model space; each kind is a subclass.
 
@@ -70,7 +77,7 @@ class ModelSpace:
     public ``*_rows`` methods add the shape and non-finite checks, and
     ``norm`` / ``dual_norm`` / ``norming_functional`` are their one-row
     case.  A kind whose best supports are not the largest |x_i|
-    overrides ``_support_keys``.  Class attributes:
+    overrides ``_support_ranks``.  Class attributes:
 
     kind                    name in reports and messages
     dual_metric             "exact", or "surrogate_l1" when the dual
@@ -167,24 +174,28 @@ class ModelSpace:
         """max over |sigma| = n of ||P_sigma x|| per row x of S, as the
         ``norm_rows`` of the masked rows, and the (k, dim) boolean masks
         of supports attaining it (n above dim: the full support)."""
+        return next(self.top_projections(S, (n,)))
+
+    def top_projections(self, S, sizes):
+        """``top_projection_rows(S, n)`` for each n of sizes in turn, from
+        one ranking of the rows: the support of size n is the entries
+        ranked below n, the n largest keys with ties to the lower index."""
         S = self._check_rows(S)
         if not self.monotone_unconditional:
             raise ParameterError(
                 f"kind {self.kind!r} has no monotone unconditional basis")
-        n = min(int(n), self.dim)
-        if n < 0:
-            raise ParameterError("support size must be >= 0")
-        # the n largest keys, ties to the lower index
-        order = np.argsort(-self._support_keys(S, n), axis=1,
-                           kind="stable")[:, :n]
-        masks = np.zeros(S.shape, dtype=bool)
-        np.put_along_axis(masks, order, True, axis=1)
-        return self.norm_rows(np.where(masks, S, 0.0)), masks
+        ranks = _ranks(S)
+        for n in sizes:
+            n = min(int(n), self.dim)
+            if n < 0:
+                raise ParameterError("support size must be >= 0")
+            masks = self._support_ranks(S, n, ranks) < n
+            yield self.norm_rows(np.where(masks, S, 0.0)), masks
 
-    def _support_keys(self, S, n):
-        # |x|: exact for the symmetric kinds, whose computed norms depend
-        # only on the decreasing rearrangement of |x|
-        return np.abs(S)
+    def _support_ranks(self, S, n, ranks):
+        # the ranks by |x|: exact for the symmetric kinds, whose computed
+        # norms depend only on the decreasing rearrangement of |x|
+        return ranks
 
     # -- plumbing ------------------------------------------------------
 
@@ -288,12 +299,6 @@ class _LorentzKind(ModelSpace):
         ranked = np.sort(np.abs(F), axis=1)[:, ::-1]
         return np.max(np.cumsum(ranked, axis=1) / self._wsums, axis=1)
 
-    def _ranks(self, X):
-        """Each entry's place in its row's order by decreasing |x|, ties
-        broken by index."""
-        order = np.argsort(-np.abs(X), axis=1, kind="stable")
-        return np.argsort(order, axis=1)
-
 
 class LorentzSpace(_LorentzKind):
     kind = "lorentz"
@@ -302,7 +307,7 @@ class LorentzSpace(_LorentzKind):
 
     def _norming_functional_rows(self, X):
         # the weights re-sorted onto each row's rank order of |x|, signed
-        return _signs(X) * self.weights[self._ranks(X)]
+        return _signs(X) * self.weights[_ranks(X)]
 
 
 class LorentzPredualSpace(_LorentzKind):
@@ -316,7 +321,7 @@ class LorentzPredualSpace(_LorentzKind):
         # scaled by 1/W_k (an extreme point of the dual d(w,1)-ball)
         ranked = np.sort(np.abs(X), axis=1)[:, ::-1]
         k = np.argmax(np.cumsum(ranked, axis=1) / self._wsums, axis=1)
-        return np.where(self._ranks(X) <= k[:, None],
+        return np.where(_ranks(X) <= k[:, None],
                         _signs(X) / self._wsums[k][:, None], 0.0)
 
     def dual_extreme_points(self, max_support=None):
@@ -404,19 +409,21 @@ class LapSpace(ModelSpace):
             powers = np.abs(rows)[:, None, :] ** self._exponent_table
         return np.nanmax(powers, axis=1)
 
-    def _support_keys(self, S, n):
+    def _support_ranks(self, S, n, ranks):
         # Phi's largest value over size-n supports is the sum of its n
         # largest terms, itself a modular whose scaling infimum is the
-        # largest projection norm; rank the terms at that scale
+        # largest projection norm; rank the terms at that scale (any
+        # ranks give sizes 0 and dim their one support)
         if n in (0, self.dim):
-            return np.abs(S)
+            return ranks
 
         def top_modular_rows(rows, _):
             return np.sum(np.sort(self._lap_terms(rows), axis=1)[:, -n:],
                           axis=1)
 
         rho = feasible_scale_inf(top_modular_rows, S).hi
-        return self._lap_terms(S / np.where(rho > 0.0, rho, 1.0)[:, None])
+        return _ranks(self._lap_terms(
+            S / np.where(rho > 0.0, rho, 1.0)[:, None]))
 
     def _norming_functional_rows(self, X):
         # the normalized modular gradient (a subgradient selection where
@@ -461,14 +468,14 @@ def support(f) -> np.ndarray:
 
 def find_norming_support(space: ModelSpace, y):
     """Find sigma with ||P_sigma(y)|| = 1 for y of norm 1 (within 1e-7),
-    or None: the support ``top_projection_rows`` gives at the smallest
-    size whose projection sup is within 1e-9 of 1."""
+    or None: the support ``top_projections`` gives at the smallest size
+    whose projection sup is within 1e-9 of 1."""
     y = space._check_vec(y)
     ny = space.norm(y)
     if abs(ny - 1.0) > 1e-7:
         raise ParameterError(f"y must be on the unit sphere, got norm {ny}")
-    for size in range(1, space.dim + 1):
-        values, masks = space.top_projection_rows(y[None, :], size)
+    for values, masks in space.top_projections(y[None, :],
+                                               range(1, space.dim + 1)):
         if abs(values[0] - 1.0) <= 1e-9:
             return np.flatnonzero(masks[0])
     return None

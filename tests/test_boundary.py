@@ -195,6 +195,25 @@ class TestDecompositionValidation:
         with pytest.raises(ParameterError):
             Decomposition(sup_space(3), [np.eye(2)], 0.1)
 
+    @pytest.mark.parametrize("eps, depth", [(0.1, 22), (0.5, 23),
+                                            (0.9, 24)])
+    def test_float_depth_refused_naming_the_piece(self, eps, depth):
+        # from this piece on theta = psi - eps_n rounds to psi, and the
+        # bump's two thresholds 1/psi and 1/theta coincide
+        def per_direction(dim):
+            eye = np.eye(dim)
+            return [np.vstack([e, -e]) for e in eye]
+
+        Decomposition(sup_space(depth), per_direction(depth), eps)
+        psi = _psi_value(eps, {depth})
+        with pytest.raises(ConstructionError) as info:
+            Decomposition(sup_space(depth + 1), per_direction(depth + 1),
+                          eps)
+        message = str(info.value)
+        assert f"piece {depth} " in message
+        assert str(epsilon_n(eps, depth)) in message
+        assert str(float(np.spacing(psi))) in message
+
 
 class TestPsiBinning:
     """_psi_bins gives each psi its half-open bin of width eps_n, bin k

@@ -172,6 +172,17 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, samples={"nonsense": 10})
         assert main(["run", str(cfg)]) == 2
 
+    def test_float_depth_is_a_bad_decomposition(self, tmp_path, capsys):
+        # piece 22 is past the float depth at eps 0.1; piece 21 is not
+        cfg = write_cfg(tmp_path, space={"kind": "sup_finite", "dim": 23})
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad decomposition" in err and "piece 22 " in err
+        assert not (out / "report.json").exists()
+        load_config(write_cfg(tmp_path,
+                              space={"kind": "sup_finite", "dim": 22}))
+
     def test_unknown_preset(self, tmp_path):
         cfg = write_cfg(tmp_path, decomposition={"preset": "fancy"})
         assert main(["run", str(cfg)]) == 2

@@ -311,6 +311,92 @@ class TestRelativeBoundaryChain:
             RelativeBoundaryChain(space=sp, level_ids=(1,), **fields)
 
 
+@st.composite
+def random_chains(draw):
+    """A chain over sup_finite(dim) with 1 to 6 levels, the later ones
+    possibly empty, and 1 to 6 samples: nonnegative functionals of l1
+    norm at most 1 and nonnegative unit samples, so b lies in [0, 1]."""
+    dim = draw(st.integers(1, 11))
+    sizes = [draw(st.integers(1, 4))] + draw(
+        st.lists(st.integers(0, 4), max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    H = rng.random((sum(sizes), dim)) / dim
+    S = rng.random((draw(st.integers(1, 6)), dim))
+    S /= S.max(axis=1, keepdims=True)
+    levels = np.split(H, np.cumsum(sizes)[:-1])
+    return RelativeBoundaryChain(space=sup_space(dim), levels=levels,
+                                 samples=S,
+                                 level_ids=range(1, len(sizes) + 1))
+
+
+class TestChainInOnePass:
+    """b from one product and a running max, against compute_bn on each
+    prefix of levels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chain=random_chains())
+    def test_b_matches_compute_bn_per_prefix(self, chain):
+        b, S = chain.b_values, chain.samples
+        assert np.all(np.diff(b) >= 0.0)
+        H = np.vstack(chain.levels)
+        # a one-row prefix or a single sample goes through gemv, which
+        # rounds apart from the one product's gemm
+        bound = 2 * chain.space.dim * 2.0 ** -53 * np.max(
+            np.abs(S) @ np.abs(H).T)
+        for i in range(len(chain)):
+            prefix = np.vstack(chain.levels[:i + 1])
+            oracle = compute_bn(prefix, S)
+            if len(S) >= 2 and len(prefix) >= 2:
+                assert b[i] == oracle
+            else:
+                assert abs(b[i] - oracle) <= bound
+
+    def test_one_row_first_level_keeps_b_nondecreasing(self):
+        # level 2 lies below level 1 at the sample that sets b_1, so
+        # b_2 = b_1; a product per prefix of levels put b_2 one ulp
+        # below b_1 here, as a one-row product rounds apart from a
+        # longer one
+        rng = np.random.default_rng(3)
+        h1 = rng.random((1, 10)) / 10
+        h2 = 0.1 * rng.random((3, 10)) / 10
+        S = rng.random((4, 10))
+        S /= S.max(axis=1, keepdims=True)
+        chain = RelativeBoundaryChain(space=sup_space(10), levels=(h1, h2),
+                                      samples=S, level_ids=(1, 2))
+        assert chain.b_values[1] == chain.b_values[0]
+
+    def test_non_finite_entries_refused(self):
+        sp = sup_space(2)
+        H = np.vstack([np.eye(2), -np.eye(2)])
+        with pytest.raises(ParameterError, match="finite"):
+            RelativeBoundaryChain(space=sp, levels=(H,), samples=[
+                [1.0, np.nan]], level_ids=(1,))
+        with pytest.raises(ParameterError, match="finite"):
+            RelativeBoundaryChain(space=sp, levels=(H, [[np.inf, 0.0]]),
+                                  samples=[[1.0, 0.5]], level_ids=(1, 2))
+
+    @pytest.mark.parametrize("space", [
+        sup_space(4), lorentz_predual_space(W4),
+        lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5),
+        lorentz_space([1.0, 0.5, 0.25]), euclidean_space(3),
+    ], ids=["sup4", "predual4", "lap5", "lorentz3", "euclidean3"])
+    def test_one_top_projections_pass_per_route(self, space, monkeypatch):
+        calls = []
+        walk = type(space).top_projections
+
+        def counting(self, S, sizes):
+            calls.append(tuple(sizes))
+            return walk(self, S, sizes)
+
+        monkeypatch.setattr(type(space), "top_projections", counting)
+        S = equiv._normalize_rows(space, np.random.default_rng(
+            0).standard_normal((16, space.dim)))
+        chain = equiv._route_chain(space, S)
+        assert calls == [tuple(range(1, space.dim + 1))]
+        for n, c_n in zip(chain.level_ids, chain.c_values):
+            assert c_n == compute_cn(space, S, n)
+
+
 class TestDefaultASequence:
     def test_properties(self):
         a = default_a_sequence((1, 2, 3), [0.5, 0.8, 1.0])
@@ -679,6 +765,13 @@ class TestPipelineChain:
         res = corollary_b_pipeline(space, samples, 0.1, seed=0)
         assert res.route == "chain"
         assert calls == [24] * 5
+
+    @pytest.mark.parametrize("space", [sup_space(3), lap_space(
+        [[0], [1, 2]], [1.0, 2.0], 3)], ids=["direct", "chain"])
+    def test_empty_sample_set_refused(self, space):
+        # the chain route used to fail in numpy's min of no values
+        with pytest.raises(ParameterError, match="empty"):
+            corollary_b_pipeline(space, np.zeros((0, 3)), 0.1)
 
     def test_factor_space_needs_direct_route(self, lap3):
         with pytest.raises(ParameterError):

@@ -462,6 +462,19 @@ class TestTopProjectionRows:
             assert np.count_nonzero(mask) == n
             assert X.norm_rows(np.where(mask, x, 0.0)[None])[0] == value
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=projection_cases(), data=st.data())
+    def test_one_walk_matches_per_size_calls(self, case, data):
+        # every size, then sizes in any order with repeats: the one
+        # ranking is shared, and no size changes it
+        X, S, _ = case
+        sizes = [*range(X.dim + 2), *data.draw(
+            st.lists(st.integers(0, X.dim + 1), max_size=8))]
+        for n, (values, masks) in zip(sizes, X.top_projections(S, sizes)):
+            one_values, one_masks = X.top_projection_rows(S, n)
+            assert values.tobytes() == one_values.tobytes()
+            np.testing.assert_array_equal(masks, one_masks)
+
     def test_lap_top_terms_beat_top_entries(self):
         # the largest |x_i| sits under exponent 4, where its term is small
         X = lap_space([[1, 2], [0]], [1.0, 4.0], dim=3)
@@ -479,6 +492,8 @@ class TestTopProjectionRows:
             sup_space(3).top_projection_rows([[1.0, 0.0, 0.0]], -1)
         with pytest.raises(ParameterError):
             BOUNDARY5.top_projection_rows(np.eye(5), 2)
+        with pytest.raises(ParameterError):
+            list(sup_space(3).top_projections([[1.0, 0.0, 0.0]], [1, -1]))
 
 
 class TestNormingSupport:
