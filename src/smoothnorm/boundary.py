@@ -115,9 +115,9 @@ class Decomposition:
     exact) membership of every functional in the dual ball up to 1e-9.
     With a surrogate dual metric the ball check is recorded as skipped.
     ``members`` stacks the pieces in piece order, ``pieces`` are row
-    views of it, and ``piece`` and ``psi`` are aligned with it: each
-    member's piece id and psi weight (the piece's default, with the
-    closure entries written over it).
+    views of it, and ``piece``, ``psi`` and ``eps_n`` are aligned with
+    it: each member's piece id, psi weight (the piece's default, with
+    the closure entries written over it) and its piece's eps_n.
     """
 
     def __init__(self, space, pieces, epsilon, closure=None):
@@ -178,16 +178,16 @@ class Decomposition:
         # each member's bump rises from 1/psi to 1/theta, theta = psi -
         # eps_n; from piece 22 on (at eps 0.1) eps_n falls below the
         # float spacing at psi, and the two thresholds coincide
-        scales = np.array([epsilon_n(self.epsilon, n)
-                           for n in range(len(sizes))])[self.piece]
+        self.eps_n = np.array([epsilon_n(self.epsilon, n)
+                               for n in range(len(sizes))])[self.piece]
         flat = np.flatnonzero(~(1.0 / self.psi
-                                < 1.0 / (self.psi - scales)))
+                                < 1.0 / (self.psi - self.eps_n)))
         if flat.size:
             i = int(flat[0])
             raise ConstructionError(
                 f"piece {int(self.piece[i])} is past the float depth: its "
                 f"bump thresholds 1/psi and 1/theta do not separate, with "
-                f"eps_n = {float(scales[i])} and float spacing "
+                f"eps_n = {float(self.eps_n[i])} and float spacing "
                 f"{float(np.spacing(self.psi[i]))} at psi")
 
     @property
@@ -317,9 +317,7 @@ def build_net(d: Decomposition) -> NetB:
     ||f - h||_dual <= eps_n and |psi(f) - psi(h)| <= eps_n (same bin).
     Raises ConstructionError if any net point has theta <= 1.
     """
-    scales = np.array([epsilon_n(d.epsilon, n) for n in range(len(d.pieces))])
-    sep = scales[d.piece]
-    bins = _psi_bins(d.psi, sep)
+    bins = _psi_bins(d.psi, d.eps_n)
     # members in piece, bin, then input order: the net's order
     order = np.lexsort((bins, d.piece))
     starts = np.ones(len(order), dtype=bool)
@@ -328,12 +326,12 @@ def build_net(d: Decomposition) -> NetB:
     group = np.empty(len(order), dtype=int)
     group[order] = np.cumsum(starts) - 1
 
-    keep = _isolated(d.members, sep, group)
+    keep = _isolated(d.members, d.eps_n, group)
     homes = np.arange(len(keep))      # each member's net point, as a member
     rest = order[~keep[order]]
     if rest.size:
         for at in np.split(rest, np.flatnonzero(np.diff(group[rest])) + 1):
-            kept, assign = _greedy_indices(d.members[at], sep[at[0]],
+            kept, assign = _greedy_indices(d.members[at], d.eps_n[at[0]],
                                            d.space.dual_norm_rows)
             keep[at[kept]] = True
             homes[at] = at[kept][assign]
@@ -343,7 +341,7 @@ def build_net(d: Decomposition) -> NetB:
     position[rows] = np.arange(len(rows))
     piece = d.piece[rows]
     psi = d.psi[rows]
-    theta = psi - scales[piece]
+    theta = psi - d.eps_n[rows]
     low = np.flatnonzero(~(theta > 1.0))
     if low.size:
         raise ConstructionError(
@@ -369,14 +367,12 @@ class NetPropertyReport:
 def net_property_report(d: Decomposition, net: NetB) -> NetPropertyReport:
     """Verify ||f - h|| <= eps_n and |psi(f) - psi(h)| <= eps_n for the
     assigned net point h of every member f."""
-    scales = np.array([epsilon_n(d.epsilon, n)
-                       for n in range(len(d.pieces))])[d.piece]
     dist = d.space.dual_norm_rows(d.members - net.matrix[net.home])
     dpsi = np.abs(d.psi - net.psi[net.home])
     return NetPropertyReport(
         checked=len(d.members),
-        max_distance_excess=float(np.max(dist - scales, initial=-np.inf)),
-        max_psi_excess=float(np.max(dpsi - scales, initial=-np.inf)))
+        max_distance_excess=float(np.max(dist - d.eps_n, initial=-np.inf)),
+        max_psi_excess=float(np.max(dpsi - d.eps_n, initial=-np.inf)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ Config file (a JSON object):
                  required because every suite draws samples
   samples        per-suite budget overrides (an object), keys as in _BUDGETS
   tolerances     tolerance overrides (an object), keys as in _TOLERANCES
-  suites         default suite selection (a list), e.g. ["all"]
+  suites         default suite selection (a non-empty list), e.g. ["all"]
   smooth         {"point": [...], "direction": [...], "steps": [...]};
                  optional; defaults to the first ridge of sup_finite
 
@@ -63,13 +63,13 @@ from .boundary import (Decomposition, check_boundary,
 from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import (_check_steps, _sphere_samples, build_renorm, phi_norm,
-                     phi_norm_batch, pi_coords_batch, smoothness_check)
+                     smoothness_check)
 from .spaces import (EuclideanSpace, LapSpace, LorentzPredualSpace,
                      LorentzSpace, SupSpace)
 from .tensor import (TensorElement, apply_fY, apply_gX,
                      boundary_product_check, injective_norm, tensor_apply)
-from .verify import (CLAIM_TOL, RATIO_SLACK, ApproxWindow, active_sets,
-                     approx_window, claim2d_sweep, inactive_violations)
+from .verify import (CLAIM_TOL, PERTURBATIONS, RATIO_SLACK, ApproxWindow,
+                     active_sets, approx_window, claim2d_sweep)
 
 SUITES = ("approx", "claim1", "claim2d", "localdep", "smooth",
           "boundary", "tensor", "equiv")
@@ -89,7 +89,6 @@ _TOLERANCES = {"ratio_slack": RATIO_SLACK, "claim2d_excess": CLAIM_TOL,
 
 # chunk count is fixed so reports do not depend on --parallel
 _CHUNKS = 8
-_PERTURBATIONS = 20
 _NO_WINDOW = "matrix base norms need an enumerable dual ball"
 
 
@@ -238,11 +237,11 @@ class RunConfig:
 
 
 def _section(data, key, default):
-    """data[key], or default if it is absent or empty; ConfigError
-    unless it has default's type (a JSON object or list)."""
-    value = data.get(key) or default
-    if not isinstance(value, type(default)):
-        kind = "object" if isinstance(default, dict) else "list"
+    """data[key], or default if it is absent; ConfigError unless it has
+    default's type (a JSON object, or a non-empty list)."""
+    value = data.get(key, default)
+    if not isinstance(value, type(default)) or value == []:
+        kind = "object" if isinstance(default, dict) else "non-empty list"
         raise ConfigError(f"{key} must be a JSON {kind}")
     return value
 
@@ -475,38 +474,16 @@ def _suite_claim2d(ctx):
 
 
 def _suite_localdep(ctx):
-    spec = ctx.phi_spec()
-    ss_points, ss_moves = ctx.child("localdep").spawn(2)
-    margins = active_sets(spec, ctx.budgets["localdep"], seed=ss_points)
-    rng = np.random.default_rng(ss_moves)
-    inactive_checked = violations = 0
-    for u, act in zip(margins.points, margins.sets):
-        if act.margin <= 0.0:
-            violations += 1
-            continue
-        outside = np.setdiff1d(np.arange(len(spec.net)), act.indices)
-        if not outside.size:
-            continue
-        moves = rng.standard_normal((_PERTURBATIONS, *u.shape))
-        # phi >= base norm, so a phi-scaled step stays inside the
-        # certified radius for the base-norm Lipschitz bound
-        scale = phi_norm_batch(spec, moves)
-        moves = moves[scale > 0.0]
-        scale = scale[scale > 0.0]
-        shape = (-1,) + (1,) * u.ndim
-        probes = u + moves * (0.9 * act.radius / scale).reshape(shape)
-        violations += inactive_violations(
-            spec, pi_coords_batch(spec, probes), phi_norm_batch(spec, probes),
-            outside)
-        inactive_checked += len(probes) * len(outside)
+    margins = active_sets(ctx.phi_spec(), ctx.budgets["localdep"],
+                          seed=ctx.child("localdep"))
     points = len(margins.sets)
     measured = {"points": points,
-                "perturbations_per_point": _PERTURBATIONS,
+                "perturbations_per_point": PERTURBATIONS,
                 "min_margin": margins.min_margin,
-                "inactive_checked": inactive_checked,
-                "violations": violations}
-    ok = violations == 0 and margins.passed
-    return _record("passed" if ok else "failed", points, measured), []
+                "inactive_checked": margins.inactive_checked,
+                "violations": margins.violations}
+    return _record("passed" if margins.passed else "failed", points,
+                   measured), []
 
 
 def _suite_smooth(ctx):
@@ -515,19 +492,14 @@ def _suite_smooth(ctx):
                        "ridge probes are defined for the scalar factor"), []
     probe = ctx.cfg.smooth
     if probe is None:
-        if isinstance(ctx.space, SupSpace) and ctx.space.dim >= 2:
-            point = np.zeros(ctx.space.dim)
-            point[:2] = 1.0
-            direction = np.zeros(ctx.space.dim)
-            direction[0], direction[1] = 1.0, -1.0
-            steps = [1e-3, 1e-4]
-        else:
+        if not (isinstance(ctx.space, SupSpace) and ctx.space.dim >= 2):
             return _record("skipped", 0, {},
                            "no ridge probe configured for this space"), []
-    else:
-        point = np.asarray(probe["point"])
-        direction = np.asarray(probe["direction"])
-        steps = probe["steps"]
+        pad = np.zeros(ctx.space.dim - 2)
+        probe = {"point": np.r_[1.0, 1.0, pad],
+                 "direction": np.r_[1.0, -1.0, pad], "steps": [1e-3, 1e-4]}
+    point, direction = (np.asarray(probe[k]) for k in ("point", "direction"))
+    steps = probe["steps"]
     spec = ctx.phi_spec()
     b = smoothness_check(ctx.space.norm, point, direction, steps)
     p = smoothness_check(lambda v: phi_norm(spec, v), point, direction,

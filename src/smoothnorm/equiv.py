@@ -289,9 +289,9 @@ def build_F(chain: RelativeBoundaryChain,
 class PipelineReport:
     """The checks the pipeline ran on its approximating norm, each its
     own record: the net property, the approx window, the active-set
-    margins and the claim-2d sweep; then the largest |b_n - c_n| and
-    the rescaled space's equivalence verdict (True on the direct
-    route, which has no rescaled space)."""
+    margins and their probes, and the claim-2d sweep; then the largest
+    |b_n - c_n| and the rescaled space's equivalence verdict (True on
+    the direct route, which has no rescaled space)."""
 
     net: NetPropertyReport
     window: ApproxWindow

@@ -306,8 +306,8 @@ class LorentzSpace(_LorentzKind):
     _dual_norm_rows = _LorentzKind._partial_ratio_rows
 
     def _norming_functional_rows(self, X):
-        # the weights re-sorted onto each row's rank order of |x|, signed
-        return _signs(X) * self.weights[_ranks(X)]
+        # the weights on each row's rank order of |x|, signed; zeros get 0.0
+        return np.where(X != 0.0, _signs(X) * self.weights[_ranks(X)], 0.0)
 
 
 class LorentzPredualSpace(_LorentzKind):

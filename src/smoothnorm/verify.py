@@ -1,9 +1,9 @@
 """The checks of a built approximating norm, each written once, for the
 CLI suites and corollary_b_pipeline: the window ||x|| < ||x||_phi <=
 (1 + eps) ||x|| (claim 1 is its strict lower half), claim 2d sampled on
-one pool for every net point and unit g, the active-set margin of local
-finite dependence, and the bumps outside an active set staying off.
-The constants are the pipeline's budgets; the CLI passes its own.
+one pool for every net point and unit g, and local finite dependence:
+active-set margins, probed for a bump outside the set that wakes within
+the set's certified radius.  The constants are the pipeline's budgets.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .renorm import active_set, phi_norm_batch, phi_unit_pool, verify_claim2d
+from .renorm import (active_set, phi_norm_batch, phi_unit_pool,
+                     pi_coords_batch, verify_claim2d)
 from .tensor import _slice_norms
 
 __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
@@ -23,6 +24,7 @@ __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
 CHECK_COUNT = 200    # approx-window samples
 POOL_COUNT = 2000    # claim-2d pool size
 MARGIN_COUNT = 10    # active-set points
+PERTURBATIONS = 20   # probes per active set
 CLAIM_TOL = 1e-7     # allowed claim-2d excess over 1/theta(h)
 RATIO_SLACK = 1e-9   # relative slack on the window's upper edge
 BASE_FLOOR = 1e-12   # samples with a base norm at or below this are dropped
@@ -96,10 +98,14 @@ def claim2d_sweep(spec, count=POOL_COUNT, seed=0,
 
 
 class MarginCheck(NamedTuple):
-    """Active sets at points of the phi-unit sphere, in pool order."""
+    """Active sets at points of the phi-unit sphere, in pool order; their
+    probes checked inactive_checked (probe, outside net point) pairs, and
+    violations counts points with no positive margin and woken pairs."""
 
     points: np.ndarray
     sets: tuple
+    inactive_checked: int
+    violations: int
 
     @property
     def min_margin(self) -> float:
@@ -107,15 +113,40 @@ class MarginCheck(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.min_margin > 0.0
+        return self.min_margin > 0.0 and self.violations == 0
 
 
 def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
-    """Active sets at `count` gaussian samples scaled to phi-norm 1."""
-    pool = _pool(spec, count, seed)
+    """Active sets at `count` gaussian samples scaled to phi-norm 1, each
+    probed at PERTURBATIONS points 0.9 of its certified radius away; the
+    seed (an int or a SeedSequence) spawns the points' and moves' seeds."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    ss_points, ss_moves = seed.spawn(2)
+    pool = _pool(spec, count, ss_points)
     shape = (-1,) + (1,) * (pool.samples.ndim - 1)
     points = pool.samples / pool.norms.reshape(shape)
-    return MarginCheck(points, tuple(active_set(spec, u) for u in points))
+    sets = tuple(active_set(spec, u) for u in points)
+    rng = np.random.default_rng(ss_moves)
+    checked = violations = 0
+    for u, act in zip(points, sets):
+        if act.margin <= 0.0:
+            violations += 1
+            continue
+        outside = np.setdiff1d(np.arange(len(spec.net)), act.indices)
+        if not outside.size:
+            continue
+        moves = rng.standard_normal((PERTURBATIONS, *u.shape))
+        # phi >= base norm, so a phi-scaled step stays inside the
+        # certified radius for the base-norm Lipschitz bound
+        scale = phi_norm_batch(spec, moves)
+        moves, scale = moves[scale > 0.0], scale[scale > 0.0]
+        probes = u + moves * (0.9 * act.radius / scale).reshape(shape)
+        violations += inactive_violations(
+            spec, pi_coords_batch(spec, probes), phi_norm_batch(spec, probes),
+            outside)
+        checked += len(probes) * len(outside)
+    return MarginCheck(points, sets, checked, violations)
 
 
 def inactive_violations(spec, coords, rhos, outside) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import re
 import shutil
@@ -275,12 +276,18 @@ class TestConfigErrors:
         assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize("section,value", [
-        ("samples", [1, 2]), ("tolerances", "x"), ("suites", "all")])
+        ("samples", [1, 2]), ("tolerances", "x"), ("suites", "all"),
+        ("samples", False), ("samples", 0), ("samples", None),
+        ("tolerances", ""), ("suites", 0), ("suites", None),
+        ("suites", [])])
     def test_malformed_section_exits_2(self, tmp_path, capsys, section,
                                        value):
         """A samples or tolerances list used to crash with a traceback
-        (exit 1), and a suites string was read letter by letter."""
-        cfg = write_cfg(tmp_path, **{section: value})
+        (exit 1), and a suites string was read letter by letter.  A
+        false, zero, empty or null section used to be taken as absent
+        (exit 0), and an empty suites list ran every suite."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.dumps({**BASE, section: value}))
         assert main(["run", str(cfg), "--suite", "boundary",
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{section} must be a JSON" in capsys.readouterr().err
@@ -571,6 +578,67 @@ class TestFactorSpace:
         with (out / "approx_samples.csv").open() as fh:
             header = next(csv.reader(fh))
         assert header[1:7] == [f"x{i}" for i in range(6)]
+
+
+class TestSuitePaths:
+    """Suite branches that none of the shipped configs reaches."""
+
+    def test_configured_smooth_probe_matches_default_ridge(self, tmp_path):
+        data = json.loads((CONFIGS / "demo_sup3.cfg").read_text())
+        records, tables = [], []
+        for smooth in (None, {"point": [1, 1, 0], "direction": [1, -1, 0],
+                              "steps": [1e-3, 1e-4]}):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(json.dumps(
+                {**data, **({"smooth": smooth} if smooth else {})}))
+            out = tmp_path / f"o{len(records)}"
+            assert main(["run", str(cfg), "--suite", "smooth",
+                         "--out", str(out)]) == 0
+            records.append(report_of(out)["suites"]["smooth"])
+            tables.append((out / "smooth_finite_differences.csv")
+                          .read_text())
+        assert records[0] == records[1]
+        assert records[0]["status"] == "passed"
+        assert tables[0] == tables[1]
+
+    def test_matrix_window_skipped_without_enumerable_dual(self, tmp_path):
+        w = [1.0, 0.5, 0.25]
+        piece = [[s * w[i] for s, i in zip(signs, perm)]
+                 for perm in itertools.permutations(range(3))
+                 for signs in itertools.product((1.0, -1.0), repeat=3)]
+        assert len(piece) == 48
+        cfg = write_cfg(tmp_path, space={"kind": "lorentz", "weights": w},
+                        factor_space={"kind": "euclidean", "dim": 2},
+                        decomposition={"pieces": [piece]})
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "approx", "--suite",
+                     "claim1", "--out", str(out)]) == 0
+        suites = report_of(out)["suites"]
+        assert list(suites) == ["approx", "claim1"]
+        for name in suites:
+            assert suites[name] == {
+                "status": "skipped", "passed": True, "samples": 0,
+                "measured": {},
+                "note": "matrix base norms need an enumerable dual ball"}
+        assert not (out / "approx_samples.csv").exists()
+
+    def test_equiv_chain_route_keys(self, tmp_path):
+        cfg = write_cfg(tmp_path,
+                        space={"kind": "lap", "dim": 5,
+                               "sets": [[0, 1, 2], [2, 3, 4]],
+                               "exponents": [1, 3]},
+                        samples={"equiv": 16}, suites=["equiv"])
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        rec = report_of(out)["suites"]["equiv"]
+        assert rec["status"] == "passed" and rec["samples"] == 16
+        m = rec["measured"]
+        assert m["route"] == "chain"
+        assert m["level_ids"] == [1, 2, 3, 4, 5]
+        assert len(m["a_values"]) == 5
+        assert np.all(np.diff(m["a_values"]) < 0.0)
+        lo, hi = m["ratio_range"]
+        assert 0.0 < lo <= hi
 
 
 class TestEntryPoints:

@@ -638,7 +638,9 @@ class TestPipelineReport:
             np.testing.assert_array_equal(got, want)
         margins = active_sets(phi, MARGIN_COUNT, seed=seed + 202)
         np.testing.assert_array_equal(rep.margins.points, margins.points)
-        assert rep.margins.sets == margins.sets
+        assert rep.margins[1:] == margins[1:]
+        # the probes ran, and woke no bump
+        assert rep.margins.inactive_checked > 0 == rep.margins.violations
         assert rep.claim2d == claim2d_sweep(phi, POOL_COUNT, seed=seed + 303)
         assert rep.bc_gap == np.max(np.abs(res.chain.b_values
                                            - res.chain.c_values))
@@ -792,6 +794,23 @@ class TestPipelineChain:
         samples = np.random.default_rng(0).standard_normal((24, space.dim))
         res = corollary_b_pipeline(space, samples, 0.1, seed=0)
         assert res.route == route and res.passed
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, 0.5, 0.25], [1.0, 0.7, 0.5, 0.3], W8[:6]],
+        ids=["lorentz3", "lorentz4", "lorentz6"])
+    def test_lorentz_levels_have_support_n(self, weights):
+        """A Lorentz functional of a projection used to take the full
+        support: b_1 < 0 raised on 7 of these seeds at lorentz4 and 9
+        at lorentz6, and bc_gap reached 0.41 at lorentz3."""
+        space = lorentz_space(weights)
+        for seed in range(20):
+            samples = np.random.default_rng(seed).standard_normal(
+                (48, space.dim))
+            res = corollary_b_pipeline(space, samples, 0.1, seed=seed)
+            assert res.route == "chain" and res.passed
+            assert res.report.bc_gap <= 1e-12
+            for n, level in zip(res.chain.level_ids, res.chain.levels):
+                assert np.all(np.count_nonzero(level, axis=1) == n)
 
 
 class TestLevelIdentitySweep:

@@ -608,6 +608,23 @@ class TestNormingFunctional:
         np.testing.assert_array_equal(
             X.norming_functional([0.0, -2.0, 0.0]), [0.0, -1.0, 0.0])
 
+    def test_lorentz_functional_stays_on_the_support(self):
+        """A zero coordinate used to get sign +1 and a weight, so a
+        projection's functional had full support."""
+        X = lorentz_space([1.0, 0.7, 0.5, 0.3])
+        np.testing.assert_array_equal(
+            X.norming_functional([0.5, 0.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
+        P = np.array([[0.0, -2.0, 0.0, 1.0], [-0.0, 3.0, 0.5, -0.0],
+                      [0.2, -0.1, 0.4, 0.3]])
+        F = X.norming_functional_rows(P)
+        np.testing.assert_array_equal(F, [[0.0, -1.0, 0.0, 0.7],
+                                          [0.0, 1.0, 0.7, 0.0],
+                                          [0.5, -0.3, 1.0, 0.7]])
+        assert not np.signbit(F[P == 0.0]).any()
+        np.testing.assert_allclose(np.sum(F * P, axis=1), X.norm_rows(P),
+                                   rtol=1e-15)
+        assert X.dual_norm_rows(F).tolist() == [1.0, 1.0, 1.0]
+
     @pytest.mark.parametrize("row", [0, 3, 6])
     @pytest.mark.parametrize("X", FUNCTIONAL_KINDS,
                              ids=lambda X: X.kind)

@@ -1,23 +1,27 @@
 """The shared verification layer: approx window, claim-2d sweep and
-active-set margins."""
+active-set margins with their probes."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from smoothnorm import renorm, verify
 from smoothnorm.boundary import Decomposition
+from smoothnorm.cli import main
+from smoothnorm.equiv import corollary_b_pipeline
 from smoothnorm.errors import ParameterError
 from smoothnorm.renorm import (active_set, build_renorm, phi_unit_pool,
                                verify_claim2d)
-from smoothnorm.spaces import (euclidean_space, lorentz_predual_space,
-                               lorentz_space, sup_space)
+from smoothnorm.spaces import (euclidean_space, lap_space,
+                               lorentz_predual_space, lorentz_space,
+                               sup_space)
 from smoothnorm.tensor import TensorElement, injective_norm
-from smoothnorm.verify import (active_sets, approx_window, claim2d_sweep,
-                               inactive_violations, window)
+from smoothnorm.verify import (PERTURBATIONS, active_sets, approx_window,
+                               claim2d_sweep, inactive_violations, window)
 
 EPS = 0.1
 SLACK = 1e-9
@@ -160,6 +164,71 @@ class TestActiveSets:
         # a margin over no point used to read inf, and pass
         with pytest.raises(ParameterError, match="empty"):
             active_sets(sup3_spec, 0)
+
+    def test_seed_spawns_points_and_moves(self, sup3_spec):
+        check = active_sets(sup3_spec, 8, seed=5)
+        ss_points, _ = np.random.SeedSequence(5).spawn(2)
+        pool = phi_unit_pool(sup3_spec, 8, seed=ss_points)
+        np.testing.assert_array_equal(check.points,
+                                      pool.samples / pool.norms[:, None])
+        again = active_sets(sup3_spec, 8, seed=np.random.SeedSequence(5))
+        np.testing.assert_array_equal(again.points, check.points)
+        assert again[1:] == check[1:]
+
+    def test_probes_every_bump_outside_each_set(self, sup3_spec):
+        check = active_sets(sup3_spec, 8, seed=5)
+        outside = sum(len(sup3_spec.net) - len(a.indices)
+                      for a in check.sets)
+        assert outside > 0
+        assert check.inactive_checked == PERTURBATIONS * outside
+        assert check.violations == 0 and check.passed
+
+
+class TestWokenBump:
+    """One woken bump fails every reader of the probes: the record, the
+    pipeline on both routes and the CLI localdep suite.  The pipeline
+    used to ask only for positive margins."""
+
+    @pytest.fixture(autouse=True)
+    def woken(self, monkeypatch):
+        monkeypatch.setattr(verify, "inactive_violations",
+                            lambda spec, coords, rhos, outside: 1)
+
+    def test_margin_check(self, sup3_spec):
+        check = active_sets(sup3_spec, 4, seed=5)
+        assert check.min_margin > 0.0
+        assert check.violations == 4 and not check.passed
+
+    @pytest.mark.parametrize("space, route", [
+        (lorentz_predual_space([1.0, 0.5, 0.25]), "direct"),
+        (lap_space([[0], [1, 2]], [1.0, 2.0], 3), "chain")],
+        ids=["direct", "chain"])
+    def test_pipeline(self, space, route):
+        samples = np.random.default_rng(1).standard_normal((64, 3))
+        res = corollary_b_pipeline(space, samples, 0.1, seed=0)
+        rep = res.report
+        assert res.route == route
+        assert rep.margins.violations > 0 and rep.margins.min_margin > 0.0
+        assert not rep.margins.passed
+        assert not rep.passed and not res.passed
+        # the probes alone fail it
+        quiet = rep.margins._replace(violations=0)
+        assert dataclasses.replace(rep, margins=quiet).passed
+
+    def test_cli_localdep(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.dumps({
+            "space": {"kind": "sup_finite", "dim": 3}, "epsilon": 0.1,
+            "decomposition": {"preset": "per_direction"}, "seed": 7,
+            "samples": {"localdep": 4, "build": 64}}))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "localdep",
+                     "--out", str(out)]) == 1
+        rec = json.loads((out / "report.json").read_text())[
+            "suites"]["localdep"]
+        assert rec["status"] == "failed"
+        assert rec["measured"]["violations"] == 4
+        assert rec["measured"]["min_margin"] > 0.0
 
 
 class TestInactiveViolations:
