@@ -326,15 +326,17 @@ class RunContext:
         self.out_dir = Path(out_dir)
         self.tol = cfg.tolerances
         self.budgets = cfg.budgets
-        # fixed spawn positions keep each suite's draws independent of
-        # which other suites were selected
-        root = np.random.SeedSequence(self.seed)
-        self._children = dict(zip(SUITES, root.spawn(len(SUITES))))
         self._spec = None
         self._spec_error = None
 
     def child(self, suite):
-        return self._children[suite]
+        """The suite's seed: child i of SeedSequence(seed), i its place
+        in SUITES, so its draws do not depend on which other suites were
+        selected.  Each call builds it afresh, because spawning from a
+        SeedSequence advances it, and a suite run twice must draw the
+        same numbers."""
+        return np.random.SeedSequence(self.seed,
+                                      spawn_key=(SUITES.index(suite),))
 
     def phi_spec(self):
         if self._spec_error is not None:

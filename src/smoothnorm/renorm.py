@@ -51,10 +51,19 @@ copies of phi(u_h / s), so its answer is s_h(z*_h(k)), bracketed as
 (the float below it, it).  Any other row of k kept terms lies between
 the float below max_h s_h(z*_h(1)), where some term alone exceeds 1,
 and max_h s_h(z*_h(k)), where each term is at most its bump at
-z*_h(k), a value k copies of which sum to at most 1.  That bracket is
-some 1e-8 relative wide, where the pruning bounds [L, max_h psi(h) u_h]
-are about eps_n.  feasible_scale_inf checks both ends and widens a
-wrong bracket.
+z*_h(k), a value k copies of which sum to at most 1.  That table
+bracket is some 1e-8 relative wide (the pruning bounds
+[L, max_h psi(h) u_h] are about eps_n), which left about 27 bisection
+steps per row.  So orlicz.newton_scales takes Newton steps on the log of the
+row's modular from its upper end, with the bumps' closed-form
+derivative, and the row starts START_ULPS floats either side of the
+result; a result outside the table bracket (NaN included) gives the
+table bracket instead.  On 40,000 gaussian rows at scales 10^U(-3, 3)
+every such start held its answer on the three specs the CI digests pin
+(2 bisection steps per row: 18, 40 and 165 such rows on demo_sup3,
+sup4 x euclidean(3) and lorentz_predual dim 7, which took 512, 997 and
+4,375 steps from the table bracket).  feasible_scale_inf checks both
+ends of every start and widens a wrong one.
 
 smoothness_check is the numerical surrogate for smoothness claims: along
 one line it contrasts second-difference blowup of a kinked norm (growing
@@ -70,7 +79,8 @@ import numpy as np
 
 from .boundary import NetB, build_net, check_boundary
 from .errors import ConstructionError, ParameterError
-from .orlicz import OrliczFamily, make_orlicz, modular_inverse
+from .orlicz import (OrliczFamily, make_orlicz, modular_inverse,
+                     newton_scales)
 from .scaling import feasible_scale_inf
 from .spaces import EuclideanSpace, ModelSpace
 from .tensor import TensorElement, _slice_norms
@@ -96,6 +106,8 @@ __all__ = [
 PRUNE_TOL = 1e-12
 # ulp steps _smallest_scale takes each way before it gives up
 SCALE_STEPS = 4
+# floats each way around a Newton proposal in a multi-class row's start
+START_ULPS = 2
 
 
 class NetRuns(NamedTuple):
@@ -270,19 +282,34 @@ def _luxemburg_rows(spec: PhiNormSpec, coords):
     t = first[rows]
     hi[rows] = _table_scales(family, c[t] / peak[rows], j[t], counts[rows])
     lo[rows] = np.nextafter(hi[rows], 0.0)
-    # any other row: from max_h s_h(z*_h(1)) to max_h s_h(z*_h(k))
+    # any other row: Newton from max_h s_h(z*_h(k)), padded, if it lands
+    # in the table bracket from max_h s_h(z*_h(1)) (module docstring)
     if multi.any():
         rows = multi.nonzero()[0]
         t = multi[r].nonzero()[0]
         u = c[t] / peak[r[t]]
         at = np.cumsum(counts[rows]) - counts[rows]
-        hi[rows] = np.maximum.reduceat(
+        top = np.maximum.reduceat(
             _table_scales(family, u, j[t], counts[r[t]]), at)
-        lo[rows] = np.nextafter(np.maximum.reduceat(
+        low = np.nextafter(np.maximum.reduceat(
             _table_scales(family, u, j[t], np.ones_like(t)), at), 0.0)
+        guess = newton_scales(family, u, j[t],
+                              np.repeat(np.arange(len(rows)), counts[rows]),
+                              top)
+        # NaN fails both comparisons
+        inside = (low <= guess) & (guess <= top)
+        lo[rows] = np.where(inside, _ulp_steps(guess, 0.0), low)
+        hi[rows] = np.where(inside, _ulp_steps(guess, np.inf), top)
     return feasible_scale_inf(
         lambda z, idx: family.modular_rows(z, cols[idx]), vals, tol=0.0,
         start=(lo, hi)).hi
+
+
+def _ulp_steps(x, toward):
+    """x moved START_ULPS floats toward `toward`."""
+    for _ in range(START_ULPS):
+        x = np.nextafter(x, toward)
+    return x
 
 
 def _table_scales(family, u, cols, counts):

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothnorm.cli import ConfigError, SUITES, _resolve_suites, \
-    load_config, main
+from smoothnorm.cli import ConfigError, RunContext, SUITES, \
+    _resolve_suites, load_config, main, run_suite
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -466,6 +466,18 @@ class TestDeterminism:
             (out_b / "report.json").read_bytes()
         assert (out_a / "approx_samples.csv").read_bytes() == \
             (out_b / "approx_samples.csv").read_bytes()
+
+    @pytest.mark.parametrize("suite", ["localdep", "approx", "equiv"])
+    def test_suite_repeats_on_one_context(self, tmp_path, suite):
+        """A suite run twice on one RunContext gives the same record and
+        tables: these three spawn seeds from the context's suite seed."""
+        cfg = load_config(CONFIGS / "demo_sup3.cfg")
+        ctx = RunContext(cfg, cfg.seed, 1, tmp_path)
+        first, second = run_suite(suite, ctx), run_suite(suite, ctx)
+        assert first[0]["status"] != "failed"
+        assert first[0] == second[0]
+        assert [(t.name, t.rows) for t in first[1]] == \
+            [(t.name, t.rows) for t in second[1]]
 
     def test_readme_quotes_every_ci_digest(self):
         """Each sha256 the CI workflow pins appears in README.md by its

@@ -9,6 +9,7 @@ for power families.
 
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +31,7 @@ from smoothnorm.orlicz import (
     luxemburg_norm_batch,
     make_orlicz,
     modular_inverse,
+    newton_scales,
 )
 from smoothnorm.scaling import feasible_scale_inf
 
@@ -386,6 +388,36 @@ class TestModularInverse:
         assert np.array_equal(together, alone[::-1])
         monkeypatch.setattr(orlicz_module, "_bump", None)  # no evaluation
         assert np.array_equal(modular_inverse(*zip(*pairs)), together)
+
+
+class TestNewtonScales:
+    BUMPS = TestModularInverse.BUMPS
+
+    def test_lands_on_the_root(self):
+        """From a start 1e-4 relative above the root (renorm's table
+        starts are about 1e-8 above it), the proposal is within 2 floats
+        of feasible_scale_inf's value at tol=0 on rows of mixed bumps; a
+        term's row is given by owner."""
+        fam = OrliczFamily(self.BUMPS)
+        rng = np.random.default_rng(4)
+        rows = rng.uniform(0.2, 1.0, (50, 3))
+        rows[:, 0] = 1.0
+        want = feasible_scale_inf(lambda z, _: fam.modular_rows(z), rows,
+                                  tol=0.0).hi
+        owner = np.repeat(np.arange(50), 3)
+        got = newton_scales(fam, rows.ravel(), np.tile(np.arange(3), 50),
+                            owner, want * (1.0 + 1e-4))
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+    def test_no_term_above_threshold_is_not_finite(self):
+        """At a start where every term is 0, the proposal is not finite
+        (the caller falls back), and no warning is raised."""
+        fam = OrliczFamily(self.BUMPS[:1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = newton_scales(fam, np.array([0.4, 1.0]), np.zeros(2, int),
+                                np.array([0, 1]), np.array([1.0, np.nan]))
+        assert not np.isfinite(got).any()
 
 
 def test_modular_receives_row_indices():

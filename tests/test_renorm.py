@@ -22,6 +22,7 @@ from smoothnorm.errors import ConstructionError, NumericError, ParameterError
 from smoothnorm import boundary, orlicz, renorm
 from smoothnorm.renorm import (
     PRUNE_TOL,
+    START_ULPS,
     ActiveSet,
     _kept_terms,
     _luxemburg_rows,
@@ -837,17 +838,27 @@ def table_starts(start):
     return lo == np.nextafter(hi, 0.0)
 
 
+def newton_starts(start):
+    """Mask of the rows started from a Newton proposal: a bracket
+    2 * START_ULPS floats wide."""
+    lo, hi = start
+    for _ in range(2 * START_ULPS):
+        hi = np.nextafter(hi, 0.0)
+    return lo == hi
+
+
 class TestCheckedStart:
     """Every row is bisected to the float from a bracket out of its
-    bumps' inverse tables: one float wide for a single-class row, about
-    1e-8 relative for any other.  The bracket is checked, never
-    trusted."""
+    bumps' inverse tables: one float wide for a single-class row; for
+    any other, a few floats around a Newton proposal inside the table
+    bracket, which is about 1e-8 relative wide.  The bracket is
+    checked, never trusted."""
 
     def test_predual7_modular_calls(self, predual7_spec, monkeypatch):
         """A gaussian point costs at most 4 modular calls: feasible at the
         start, infeasible below it, and at most one certification nudge.
         In a batch, nearly every row starts from the table and takes no
-        bisection step, and every other row takes at most 45."""
+        bisection step, and every other row takes at most 3 (2 measured)."""
         spec = predual7_spec
         phi_norm(spec, np.ones(7))  # fill the table outside the count
         calls = []
@@ -873,14 +884,14 @@ class TestCheckedStart:
         for i in multi:
             _luxemburg_rows(spec, coords[i:i + 1])
             steps.append(seen[-1][1].iterations)
-        assert max(steps) <= 45
+        assert max(steps) <= 3
         assert batch.iterations == sum(steps)
 
     def test_multi_class_table_bracket(self, predual7_spec, monkeypatch):
         """The rows of 2,000 gaussian predual7 rows with more than one
-        class of kept terms: their table brackets are under 1e-6
-        relative wide, where [L, P] is about eps_n, and give the bits of
-        an [L, P] start in fewer bisection steps."""
+        class of kept terms: their starts are under 1e-6 relative wide,
+        where [L, P] is about eps_n, and give the bits of an [L, P] start
+        in fewer bisection steps."""
         spec = predual7_spec
         coords = pi_coords_batch(
             spec, np.random.default_rng(0).standard_normal((2000, 7)))
@@ -925,6 +936,70 @@ class TestCheckedStart:
         assert np.array_equal(values, right)
         moved = seen[-1][0][1] != start[1]
         assert moved.all() if wild else moved.any()
+
+    @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
+                                      "predual7_spec"])
+    def test_newton_starts(self, request, monkeypatch, name):
+        """40,000 gaussian rows at scales 10^U(-3, 3) on the three specs
+        the CI digests pin, in batches of 4,000: every multi-class row
+        starts from a Newton proposal whose bracket holds its answer
+        (infeasible at lo, feasible at hi over the whole net), takes at
+        most 3 bisection steps (2 measured), and gets the whole-net
+        value.  A row's whole-net value does not depend on its batch,
+        so only the multi-class rows are bisected over the whole net;
+        the single-class rows' start is the table's, which
+        test_same_value_whatever_the_start checks."""
+        spec = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        shape = spec.sample_shape
+        X = (rng.standard_normal((40000, *shape))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (40000,) + (1,) * len(shape)))
+        seen = capture_brackets(monkeypatch)
+        multi = steps = 0
+        for batch in np.split(X, 10):
+            coords = pi_coords_batch(spec, batch)
+            values = _luxemburg_rows(spec, coords)
+            start, bracket = seen[-1]
+            lo, hi = start
+            newton = newton_starts(start)
+            assert np.array_equal(newton, ~table_starts(start))
+            rows = coords[newton]
+            unit = rows / rows.max(axis=1)[:, None]
+            modular = spec.family.modular_rows
+            assert np.all(modular(unit / lo[newton, None]) > 1.0)
+            assert np.all(modular(unit / hi[newton, None]) <= 1.0)
+            assert np.array_equal(values[newton], whole_net(spec, rows).hi)
+            multi += newton.sum()
+            steps += bracket.iterations
+        assert multi > 0
+        assert steps <= 3 * multi
+
+    @pytest.mark.parametrize("wrong, wild", [
+        (lambda z: np.nextafter(z, np.inf), False),
+        (lambda z: np.nextafter(z, 0.0), False),
+        (lambda z: 2.0 * z, True), (lambda z: np.full_like(z, np.nan), True)],
+        ids=["ulp_high", "ulp_low", "double", "nan"])
+    def test_wrong_newton_falls_back(self, predual7_spec, monkeypatch, wrong,
+                                     wild):
+        """With every Newton proposal off, each value is still the
+        whole-net value bit for bit (check_whole_net).  A proposal one
+        ulp off stays a start a few floats wide; a doubled or NaN one
+        lies outside the table bracket, so that bracket is the start."""
+        spec = predual7_spec
+        coords = pi_coords_batch(
+            spec, np.random.default_rng(3).standard_normal((500, 7)))
+        seen = capture_brackets(monkeypatch)
+        right = _luxemburg_rows(spec, coords)
+        monkeypatch.setattr(renorm, "newton_scales",
+                            lambda *args: wrong(orlicz.newton_scales(*args)))
+        values = _luxemburg_rows(spec, coords)
+        check_whole_net(spec, coords, values)
+        assert np.array_equal(values, right)
+        start = seen[-1][0]
+        multi = ~table_starts(start)
+        assert multi.any()
+        wide = start[1][multi] - start[0][multi] > 1e-12 * start[1][multi]
+        assert wide.all() if wild else not wide.any()
 
     @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
                                       "predual7_spec"])
