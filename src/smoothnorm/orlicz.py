@@ -55,7 +55,11 @@ lorentz_predual dim-7 net, about 4 ms once per process on a 2-core
 x86-64 VM.  A value depends only on (bump, k), so the order of fills
 does not matter.  renorm brackets every row from the table, and
 feasible_scale_inf checks that bracket and widens it if wrong, so a
-wrong entry costs time, never a different norm.
+wrong entry costs time, never a different norm.  The per-function
+caches answer one Python lookup per pair, so renorm copies the values
+it has asked for into an array per spec and gathers from that; the
+array is filled only through this function, so it holds the same
+values.
 
 ``newton_scales`` is the other proposer: for rows of terms with
 different bumps it takes NEWTON_STEPS Newton steps on

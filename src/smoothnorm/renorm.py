@@ -44,7 +44,10 @@ Every row is bisected to float resolution (``tol=0.0``) from a bracket
 on that scale, so its value is the whole-net one at ``tol=0.0``
 whatever the bracket.  The bracket comes from orlicz.modular_inverse's
 table, z*_h(k) for k copies of bump h, through s_h(z), the smallest
-float s with fl(u_h / s) <= z (_smallest_scale).  Most rows are
+float s with fl(u_h / s) <= z (_smallest_scale).  The spec keeps these
+values as a (run x k) array, since a run's columns share a bump, filled
+through modular_inverse on first use of each (run, k); the kept terms
+read it in one gather.  Most rows are
 single-class: every kept term has the same bump and the same
 coordinate, as h and -h do.  Such a row's modular at scale s is k
 copies of phi(u_h / s), so its answer is s_h(z*_h(k)), bracketed as
@@ -63,7 +66,14 @@ every such start held its answer on the three specs the CI digests pin
 (2 bisection steps per row: 18, 40 and 165 such rows on demo_sup3,
 sup4 x euclidean(3) and lorentz_predual dim 7, which took 512, 997 and
 4,375 steps from the table bracket).  feasible_scale_inf checks both
-ends of every start and widens a wrong one.
+ends of every start and its certificate in one modular call, and widens
+a wrong one.  A single-class row's start holds, so such a row is done
+after that call unless its certificate needs a nudge: phi_norm at a
+single-class point makes one modular call (two with a nudge), and a
+batch one more per bisection step of its other rows, plus one to
+certify them.  On 200 parts of 64 gaussian lorentz_predual dim-7 rows
+that is 491 calls, where checking the start's ends and certificate in
+calls of their own took 855.
 
 smoothness_check is the numerical surrogate for smoothness claims: along
 one line it contrasts second-difference blowup of a kinked norm (growing
@@ -134,6 +144,8 @@ class PhiNormSpec:
     epsilon: float
     family: OrliczFamily = field(init=False)
     runs: NetRuns = field(init=False)
+    # z*(k) per run and count k, NaN where not yet filled (_zstar)
+    _zstar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         psi, theta = self.net.psi, self.net.theta
@@ -145,6 +157,7 @@ class PhiNormSpec:
         start = bounds[:-1]
         self.runs = NetRuns(start, bounds[1:] - start, psi[start],
                             theta[start])
+        self._zstar = np.full((len(start), 0), np.nan)
 
     @property
     def sample_shape(self) -> tuple:
@@ -280,7 +293,7 @@ def _luxemburg_rows(spec: PhiNormSpec, coords):
     lo, hi = np.full((2, n), np.nan)
     rows = ((counts > 0) & ~multi).nonzero()[0]
     t = first[rows]
-    hi[rows] = _table_scales(family, c[t] / peak[rows], j[t], counts[rows])
+    hi[rows] = _table_scales(spec, c[t] / peak[rows], j[t], counts[rows])
     lo[rows] = np.nextafter(hi[rows], 0.0)
     # any other row: Newton from max_h s_h(z*_h(k)), padded, if it lands
     # in the table bracket from max_h s_h(z*_h(1)) (module docstring)
@@ -290,9 +303,9 @@ def _luxemburg_rows(spec: PhiNormSpec, coords):
         u = c[t] / peak[r[t]]
         at = np.cumsum(counts[rows]) - counts[rows]
         top = np.maximum.reduceat(
-            _table_scales(family, u, j[t], counts[r[t]]), at)
+            _table_scales(spec, u, j[t], counts[r[t]]), at)
         low = np.nextafter(np.maximum.reduceat(
-            _table_scales(family, u, j[t], np.ones_like(t)), at), 0.0)
+            _table_scales(spec, u, j[t], np.ones_like(t)), at), 0.0)
         guess = newton_scales(family, u, j[t],
                               np.repeat(np.arange(len(rows)), counts[rows]),
                               top)
@@ -312,11 +325,37 @@ def _ulp_steps(x, toward):
     return x
 
 
-def _table_scales(family, u, cols, counts):
+def _table_scales(spec, u, cols, counts):
     """Per kept term, s(z*(k)) for its peak-normalized coordinate u, its
-    bump (a column of the family) and the count k (module docstring)."""
-    fns = [family.functions[col] for col in cols.tolist()]
-    return _smallest_scale(u, modular_inverse(fns, counts))
+    bump (a net column) and the count k (module docstring)."""
+    return _smallest_scale(u, _zstar(spec, cols, counts))
+
+
+def _zstar(spec, cols, counts):
+    """Per kept term, z*(k) of the bump of net column cols[t] for the
+    count k = counts[t] >= 1: one gather from spec._zstar, a (run x k)
+    table whose missing entries are filled through modular_inverse.  An
+    entry depends only on (bump, k), so a fill that a concurrent call
+    loses by widening the table is only refilled, from modular_inverse's
+    caches."""
+    run = np.searchsorted(spec.runs.start, cols, side="right") - 1
+    table = spec._zstar
+    width = counts.max(initial=0) + 1
+    if width > table.shape[1]:
+        wider = np.full((len(table), width), np.nan)
+        wider[:, :table.shape[1]] = table
+        spec._zstar = table = wider
+    z = table[run, counts]
+    missing = np.isnan(z)
+    if missing.any():
+        # one entry per (run, k) pair; a run's first column holds its bump
+        pairs = np.unique(run[missing] * table.shape[1] + counts[missing])
+        run_k = np.divmod(pairs, table.shape[1])
+        fns = [spec.family.functions[col]
+               for col in spec.runs.start[run_k[0]].tolist()]
+        table[run_k] = modular_inverse(fns, run_k[1])
+        z = table[run, counts]
+    return z
 
 
 def _smallest_scale(u0, zstar):
@@ -348,11 +387,14 @@ def phi_norm(spec: PhiNormSpec, u) -> float:
 
 def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     """Coordinate rows for a batch: (n, dim X) vectors or
-    (n, dim X, dim Y) matrices -> (n, len(net))."""
+    (n, dim X, dim Y) matrices -> (n, len(net)).  A NaN or inf entry is
+    a ParameterError."""
     batch = np.asarray(batch, dtype=float)
     if batch.shape[1:] != spec.sample_shape:
         raise ParameterError(f"expected a batch of shape (n, "
                              f"*{spec.sample_shape}), got {batch.shape}")
+    if not np.isfinite(batch).all():
+        raise ParameterError("coordinates must be finite")
     A = spec.net.matrix
     if spec.Y is None:
         coords = batch @ A.T

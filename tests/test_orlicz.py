@@ -247,9 +247,12 @@ class TestLuxemburgNorm:
             assert np.all(fam.modular_rows(np.abs(rows) / batch[:, None])
                           <= 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bracketing_failure_reports_finite_bracket(self):
         """A family that is never feasible (doubling fails) or always
-        feasible (halving fails) raises with the row's finite bracket."""
+        feasible (halving fails) raises with the row's finite bracket,
+        and without a RuntimeWarning: a scaled row that overflows to inf
+        reads as infeasible."""
         never = lambda s: 2.0 + np.asarray(s, dtype=float)
         always = lambda s: np.zeros_like(np.asarray(s, dtype=float))
         for fn in (never, always):
@@ -420,32 +423,54 @@ class TestNewtonScales:
         assert not np.isfinite(got).any()
 
 
+def segments(idx):
+    """idx split where it stops increasing."""
+    return np.split(idx, np.flatnonzero(np.diff(idx) <= 0) + 1)
+
+
 def test_modular_receives_row_indices():
     """feasible_scale_inf hands the modular each block's row positions
-    in the batch: the block rows are those rows, rescaled."""
+    in the batch: the block rows are those rows, rescaled, increasing
+    within each segment of a call.  Without a start a call has one
+    segment; from a start, the start round checks every live row at
+    both ends and at its certificate, three segments in one call."""
     rng = np.random.default_rng(9)
     rows = rng.standard_normal((12, 4)) * rng.uniform(0.1, 5.0, (12, 1))
     rows[3] = 0.0
     fam = power_family(2.0, 4)
-    seen = []
+    plain = lambda z, _: fam.modular_rows(z)
+    peak = np.abs(rows).max(axis=1)
+    unit = np.abs(rows) / np.where(peak > 0.0, peak, 1.0)[:, None]
+    # a right start: the bracket of the peak-normalized rows
+    right = feasible_scale_inf(plain, unit, tol=0.0)
+    live = set(range(12)) - {3}
+    for kwargs, most in (({}, 1),
+                         ({"tol": 0.0, "start": (right.lo, right.hi)}, 3)):
+        seen = []
 
-    def modular(z, idx):
-        seen.append(idx.copy())
-        ratio = z / np.abs(rows[idx])
-        np.testing.assert_allclose(ratio, np.broadcast_to(
-            ratio[:, :1], ratio.shape), rtol=1e-12)
-        return fam.modular_rows(z)
+        def modular(z, idx):
+            seen.append(idx.copy())
+            ratio = z / np.abs(rows[idx])
+            np.testing.assert_allclose(ratio, np.broadcast_to(
+                ratio[:, :1], ratio.shape), rtol=1e-12)
+            return fam.modular_rows(z)
 
-    values = feasible_scale_inf(modular, rows).hi
-    assert np.array_equal(values, luxemburg_norm_batch(fam, rows))
-    assert all(np.all(np.diff(idx) > 0) and 3 not in idx for idx in seen)
-    assert any(len(idx) == 11 for idx in seen)
+        values = feasible_scale_inf(modular, rows, **kwargs).hi
+        assert np.array_equal(values,
+                              feasible_scale_inf(plain, rows, **kwargs).hi)
+        assert all(len(segments(idx)) <= most and 3 not in idx
+                   for idx in seen)
+        assert any(set(idx.tolist()) == live for idx in seen)
+    assert [len(part) for part in segments(seen[0])] == [11, 11, 11]
+    assert np.array_equal(feasible_scale_inf(plain, rows).hi,
+                          luxemburg_norm_batch(fam, rows))
 
 
 class TestInitialBracket:
     """feasible_scale_inf's start is a per-row bracket (lo, hi) on the
-    peak-normalized scale: a right one costs its two endpoint checks and
-    the certification, and any other gives the unbracketed value."""
+    peak-normalized scale: a right one costs one modular call, which
+    checks both its ends and the certificate, and any other gives the
+    unbracketed value."""
 
     FAMILY = power_family(3.0, 4)
 
@@ -464,8 +489,8 @@ class TestInitialBracket:
         return scale * rows / np.abs(rows).max(axis=1, keepdims=True)
 
     def test_right_bracket_costs_two_checks(self):
-        """Rows of peak 1, so one certification call finds every value
-        feasible; the unbracketed bisection takes dozens of steps."""
+        """Both ends and the certificate of every row in one call of 3n
+        rows; the unbracketed bisection takes dozens of steps."""
         rows = self.rows(1.0)
         modular, calls = self.count()
         plain = feasible_scale_inf(modular, rows, tol=0.0)
@@ -473,9 +498,52 @@ class TestInitialBracket:
         calls.clear()
         got = feasible_scale_inf(modular, rows, tol=0.0,
                                  start=(plain.lo, plain.hi))
-        assert calls == [len(rows)] * 3
+        assert calls == [3 * len(rows)]
         assert got.iterations == 0
         assert np.array_equal(got.hi, plain.hi)
+
+    def test_refused_start_certificate_still_nudges(self):
+        """A modular that refuses the certificate at the start's hi for
+        some rows: the start round takes that certificate, and those
+        rows are nudged as the solve without a start nudges them, with
+        no second check at the refused hi."""
+        rows = self.rows(3.0)
+        peak = np.abs(rows).max(axis=1)
+        unit = np.abs(rows) / peak[:, None]
+        right = feasible_scale_inf(lambda z, _: self.FAMILY.modular_rows(z),
+                                   unit, tol=0.0)
+        # the certificate's z at the start's hi, where it differs from the
+        # normalized check at the same hi
+        target = np.abs(rows) / (peak * right.hi)[:, None]
+        chosen = np.flatnonzero(
+            (target != unit / right.hi[:, None]).any(axis=1))[::2]
+        assert chosen.size >= 3
+
+        calls = []
+
+        def refusing(z, idx):
+            calls.append(len(z))
+            out = self.FAMILY.modular_rows(z)
+            hit = np.isin(idx, chosen) & (z == target[idx]).all(axis=1)
+            out[hit] = 2.0
+            return out
+
+        plain = feasible_scale_inf(refusing, rows, tol=0.0)
+        unrefused = feasible_scale_inf(
+            lambda z, _: self.FAMILY.modular_rows(z), rows, tol=0.0)
+        nudged = np.zeros(len(rows), dtype=bool)
+        nudged[chosen] = True
+        assert np.array_equal(plain.hi[nudged],
+                              np.nextafter(unrefused.hi[nudged], np.inf))
+        assert np.array_equal(plain.hi[~nudged], unrefused.hi[~nudged])
+        calls.clear()
+        got = feasible_scale_inf(refusing, rows, tol=0.0,
+                                 start=(right.lo, right.hi))
+        # the start round, then the refused rows once, nudged
+        assert calls == [3 * len(rows), chosen.size]
+        assert np.array_equal(got.hi, plain.hi)
+        assert np.array_equal(got.lo, plain.lo)
+        assert got.iterations == 0
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
     def test_wrong_brackets_give_the_unbracketed_value(self, scale):

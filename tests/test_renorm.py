@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +26,11 @@ from smoothnorm.renorm import (
     PRUNE_TOL,
     START_ULPS,
     ActiveSet,
+    PhiNormSpec,
     _kept_terms,
     _luxemburg_rows,
     _sphere_samples,
+    _zstar,
     active_set,
     build_renorm,
     phi_norm,
@@ -464,12 +468,14 @@ class TestPhiNorm:
         rows = [_luxemburg_rows(spec, c[None])[0] for c in coords]
         assert np.array_equal(block, rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            at=st.integers(0, 2))
     def test_non_finite_rejected(self, ladder3_spec, bad, at):
-        """A NaN row used to come back from the batch as 0.0."""
+        """A NaN row used to come back from the batch as 0.0; now it is
+        refused before the matrix product warns."""
         u = np.array([np.nan, 1.0, 0.0])
         u[at] = bad
         with pytest.raises(ParameterError):
@@ -772,8 +778,8 @@ class TestRunPruning:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_adds_no_warning(self, predual7_spec, ladder3_spec,
                                         bad):
-        """NaN or inf input raises ParameterError, and emits only the
-        warnings its coordinates do."""
+        """NaN or inf input raises ParameterError before the matrix
+        product, so it emits no warning, coordinates included."""
         def messages(call, error=None):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
@@ -790,11 +796,11 @@ class TestRunPruning:
                 u = np.ones(dim)
                 u[at] = bad
                 X = np.vstack([np.ones(dim), u, np.zeros(dim)])
-                assert messages(lambda: phi_norm(spec, u), ParameterError) \
-                    == messages(lambda: pi_coords(spec, u))
-                assert messages(lambda: phi_norm_batch(spec, X),
-                                ParameterError) \
-                    == messages(lambda: pi_coords_batch(spec, X))
+                for call in (lambda: phi_norm(spec, u),
+                             lambda: pi_coords(spec, u),
+                             lambda: phi_norm_batch(spec, X),
+                             lambda: pi_coords_batch(spec, X)):
+                    assert messages(call, ParameterError) == []
 
     def test_predual7_batch_memory(self, predual7_spec):
         """phi_norm_batch of 2,000 predual7 rows holds one array of the
@@ -815,6 +821,12 @@ class TestRunPruning:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 1.5 * X.shape[0] * len(spec.net) * 8
+
+
+def fresh_spec(spec):
+    """spec rebuilt from its net, with an empty inverse table."""
+    return PhiNormSpec(net=spec.net, X=spec.X, Y=spec.Y,
+                       epsilon=spec.epsilon)
 
 
 def capture_brackets(monkeypatch):
@@ -855,10 +867,11 @@ class TestCheckedStart:
     checked, never trusted."""
 
     def test_predual7_modular_calls(self, predual7_spec, monkeypatch):
-        """A gaussian point costs at most 4 modular calls: feasible at the
-        start, infeasible below it, and at most one certification nudge.
-        In a batch, nearly every row starts from the table and takes no
-        bisection step, and every other row takes at most 3 (2 measured)."""
+        """A single-class gaussian point costs exactly 1 modular call: it
+        is feasible at the start's hi, infeasible at its lo, one float
+        below, and certified, all in the start round.  In a batch, nearly
+        every row starts from the table and takes no bisection step, and
+        every other row takes at most 3 (2 measured)."""
         spec = predual7_spec
         phi_norm(spec, np.ones(7))  # fill the table outside the count
         calls = []
@@ -869,11 +882,12 @@ class TestCheckedStart:
             return inner(*args)
 
         monkeypatch.setattr(spec.family, "modular_rows", counting)
+        seen = capture_brackets(monkeypatch)
         for x in np.random.default_rng(0).standard_normal((32, 7)):
             calls.clear()
             phi_norm(spec, x)
-            assert len(calls) <= 4, x
-        seen = capture_brackets(monkeypatch)
+            assert table_starts(seen[-1][0])[0], x
+            assert len(calls) == 1, x
         coords = pi_coords_batch(
             spec, np.random.default_rng(1).standard_normal((2048, 7)))
         _luxemburg_rows(spec, coords)
@@ -923,14 +937,15 @@ class TestCheckedStart:
         value bit for bit (check_whole_net).  Every row's bracket comes
         from the table, so a wild entry moves each of them; an entry one
         ulp off can leave a start where it was."""
-        spec = predual7_spec
         X = np.random.default_rng(3).standard_normal((256, 7))
         seen = capture_brackets(monkeypatch)
-        right = phi_norm_batch(spec, X)
+        right = phi_norm_batch(predual7_spec, X)
         start = seen[-1][0]
         monkeypatch.setattr(renorm, "modular_inverse",
                             lambda fns, ks: wrong(orlicz.modular_inverse(
                                 fns, ks)))
+        # a fresh spec: predual7_spec's own table is filled already
+        spec = fresh_spec(predual7_spec)
         values = phi_norm_batch(spec, X)
         check_whole_net(spec, pi_coords_batch(spec, X), values)
         assert np.array_equal(values, right)
@@ -1003,6 +1018,51 @@ class TestCheckedStart:
 
     @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
                                       "predual7_spec"])
+    def test_table_gather_matches_modular_inverse(self, request, name):
+        """For every kept term of 10,000 gaussian rows at scales
+        10^U(-3, 3), at its row's count and at count 1, the spec's table
+        gives modular_inverse's z* for the term's own bump, bit for bit,
+        on a fresh table and on a filled one."""
+        spec = fresh_spec(request.getfixturevalue(name))
+        rng = np.random.default_rng(8)
+        shape = spec.sample_shape
+        X = (rng.standard_normal((10000, *shape))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (10000,) + (1,) * len(shape)))
+        _, _, r, j = _kept_terms(spec, pi_coords_batch(spec, X))
+        counts = np.bincount(r)[r]
+        fns = [spec.family.functions[col] for col in j.tolist()]
+        for k in (counts, np.ones_like(counts)):
+            want = orlicz.modular_inverse(fns, k)
+            assert np.array_equal(_zstar(spec, j, k), want)
+            assert np.array_equal(_zstar(spec, j, k), want)
+        assert counts.max() > 1
+
+    def test_table_shared_by_threads(self, sup4_euclid3_spec):
+        """Threads filling and widening one spec's table at once, as the
+        CLI's --parallel chunks do: each batch gets its values from a
+        table filled by one thread alone, bit for bit."""
+        rng = np.random.default_rng(12)
+        X = (rng.standard_normal((16, 200, 4, 3))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (16, 200, 1, 1)))
+        # sup4 x euclidean(3) rows keep up to 8 terms: the table widens
+        want = [phi_norm_batch(fresh_spec(sup4_euclid3_spec), batch)
+                for batch in X]
+        spec = fresh_spec(sup4_euclid3_spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(phi_norm_batch, spec, batch)
+                           for batch in X]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for values, expected in zip(got, want):
+            assert np.array_equal(values, expected)
+        assert spec._zstar.shape[1] > 2
+
+    @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
+                                      "predual7_spec"])
     def test_same_value_whatever_the_start(self, request, monkeypatch, name):
         """Gaussian rows at scales 10^U(-3, 3) on the three specs the CI
         digests pin (demo_sup3 is ladder3): phi_norm_batch is the
@@ -1015,15 +1075,16 @@ class TestCheckedStart:
         X = (rng.standard_normal((1000, *shape))
              * 10.0 ** rng.uniform(-3.0, 3.0, (1000,) + (1,) * len(shape)))
         want = whole_net(spec, pi_coords_batch(spec, X)).hi
-        for wrong in (None, lambda z: np.nextafter(z, np.inf),
+        assert np.array_equal(phi_norm_batch(spec, X), want)
+        for wrong in (lambda z: np.nextafter(z, np.inf),
                       lambda z: np.nextafter(z, 0.0), lambda z: 2.0 * z,
                       lambda z: np.full_like(z, np.nan)):
-            if wrong is not None:
-                monkeypatch.setattr(
-                    renorm, "modular_inverse",
-                    lambda fns, ks, wrong=wrong: wrong(
-                        orlicz.modular_inverse(fns, ks)))
-            assert np.array_equal(phi_norm_batch(spec, X), want)
+            monkeypatch.setattr(
+                renorm, "modular_inverse",
+                lambda fns, ks, wrong=wrong: wrong(
+                    orlicz.modular_inverse(fns, ks)))
+            # each wrong table fills a fresh spec's empty one
+            assert np.array_equal(phi_norm_batch(fresh_spec(spec), X), want)
 
 
 class TestActiveSet:
