@@ -40,40 +40,41 @@ per-run column maxima, and the rule itself, unchanged, runs only on the
 columns of the pairs that pass: it keeps the same terms as over the
 whole row.
 
-Every row is bisected to float resolution (``tol=0.0``) from a bracket
+Every row is bisected to float resolution (``tol=0.0``) from a start
 on that scale, so its value is the whole-net one at ``tol=0.0``
-whatever the bracket.  The bracket comes from orlicz.modular_inverse's
+whatever the start.  The start comes from orlicz.modular_inverse's
 table, z*_h(k) for k copies of bump h, through s_h(z), the smallest
 float s with fl(u_h / s) <= z (_smallest_scale).  The spec keeps these
 values as a (run x k) array, since a run's columns share a bump, filled
-through modular_inverse on first use of each (run, k); the kept terms
-read it in one gather.  Most rows are
-single-class: every kept term has the same bump and the same
-coordinate, as h and -h do.  Such a row's modular at scale s is k
-copies of phi(u_h / s), so its answer is s_h(z*_h(k)), bracketed as
-(the float below it, it).  Any other row of k kept terms lies between
-the float below max_h s_h(z*_h(1)), where some term alone exceeds 1,
-and max_h s_h(z*_h(k)), where each term is at most its bump at
-z*_h(k), a value k copies of which sum to at most 1.  That table
+through modular_inverse on first use of each (run, k).  A batch's kept
+terms read it in one gather, and one np.maximum.reduceat gives each
+row of k kept terms T = max_h s_h(z*_h(k)).  T is feasible: each term
+is at most its bump at z*_h(k), a value k copies of which sum to at
+most 1.  Most rows are single-class: every kept term has the same bump
+and the same coordinate, as h and -h do.  Such a row's modular at
+scale s is k copies of phi(u_h / s), so T is its answer, and it starts
+as (the float below T, T).  Any other row lies above the float below
+max_h s_h(z*_h(1)), where some term alone exceeds 1.  That table
 bracket is some 1e-8 relative wide (the pruning bounds
 [L, max_h psi(h) u_h] are about eps_n), which left about 27 bisection
-steps per row.  So orlicz.newton_scales takes Newton steps on the log of the
-row's modular from its upper end, with the bumps' closed-form
-derivative, and the row starts START_ULPS floats either side of the
-result; a result outside the table bracket (NaN included) gives the
-table bracket instead.  On 40,000 gaussian rows at scales 10^U(-3, 3)
-every such start held its answer on the three specs the CI digests pin
-(2 bisection steps per row: 18, 40 and 165 such rows on demo_sup3,
-sup4 x euclidean(3) and lorentz_predual dim 7, which took 512, 997 and
-4,375 steps from the table bracket).  feasible_scale_inf checks both
-ends of every start and its certificate in one modular call, and widens
-a wrong one.  A single-class row's start holds, so such a row is done
-after that call unless its certificate needs a nudge: phi_norm at a
-single-class point makes one modular call (two with a nudge), and a
-batch one more per bisection step of its other rows, plus one to
-certify them.  On 200 parts of 64 gaussian lorentz_predual dim-7 rows
-that is 491 calls, where checking the start's ends and certificate in
-calls of their own took 855.
+steps per row.  So orlicz.newton_scales takes Newton steps on the log
+of the row's modular from T, with the bumps' closed-form derivative,
+and the row starts START_ULPS floats either side of the result.  A NaN,
+non-positive or infinite result is no start, so the row gets
+feasible_scale_inf's default bracket; a wrong finite one is widened
+there.  On 40,000 gaussian rows at scales 10^U(-3, 3) every such start
+held its answer on the three specs the CI digests pin (2 bisection
+steps per row: 18, 40 and 165 such rows on demo_sup3, sup4 x
+euclidean(3) and lorentz_predual dim 7, which took 512, 997 and 4,375
+steps from the table bracket).  feasible_scale_inf checks both ends
+of every start and its certificate in one modular call.  A
+single-class row's start holds, so such a row is done after that call
+unless its certificate needs a nudge: phi_norm at a single-class point
+makes one modular call (two with a nudge), and a batch one more per
+bisection step of its other rows, plus one to certify them.  On 200
+parts of 64 gaussian lorentz_predual dim-7 rows that is 491 calls,
+where checking the start's ends and certificate in calls of their own
+took 855.
 
 smoothness_check is the numerical surrogate for smoothness claims: along
 one line it contrasts second-difference blowup of a kinked norm (growing
@@ -282,37 +283,30 @@ def _luxemburg_rows(spec: PhiNormSpec, coords):
     c = coords[r, j]
     vals[r, slot] = c
 
-    # single-class rows: every kept term has the bump and the coordinate
-    # of the row's first kept term (module docstring)
+    # per row, T = max_h s_h(z*_h(k)) over its kept terms (module
+    # docstring); a zero row keeps none, and its NaN start is no start
+    hi = np.full(n, np.nan)
+    rows = np.flatnonzero(counts)
+    u = c / peak[r]
+    hi[rows] = np.maximum.reduceat(_table_scales(spec, u, j, counts[r]),
+                                   first[rows])
+    # T is a single-class row's answer: it starts one float below.  Any
+    # other row, where some kept term differs from the row's first in its
+    # bump or coordinate, starts around Newton from T
+    lo = np.nextafter(hi, 0.0)
     j0 = j[lead]
     other = ((c != c[lead])
              | (family.zero_thresholds[j] != family.zero_thresholds[j0])
              | (family.exceed_thresholds[j] != family.exceed_thresholds[j0]))
     multi = np.bincount(r[other], minlength=n) > 0
-    # a row without kept terms (a zero row) gets the default bracket
-    lo, hi = np.full((2, n), np.nan)
-    rows = ((counts > 0) & ~multi).nonzero()[0]
-    t = first[rows]
-    hi[rows] = _table_scales(spec, c[t] / peak[rows], j[t], counts[rows])
-    lo[rows] = np.nextafter(hi[rows], 0.0)
-    # any other row: Newton from max_h s_h(z*_h(k)), padded, if it lands
-    # in the table bracket from max_h s_h(z*_h(1)) (module docstring)
     if multi.any():
         rows = multi.nonzero()[0]
-        t = multi[r].nonzero()[0]
-        u = c[t] / peak[r[t]]
-        at = np.cumsum(counts[rows]) - counts[rows]
-        top = np.maximum.reduceat(
-            _table_scales(spec, u, j[t], counts[r[t]]), at)
-        low = np.nextafter(np.maximum.reduceat(
-            _table_scales(spec, u, j[t], np.ones_like(t)), at), 0.0)
-        guess = newton_scales(family, u, j[t],
+        t = multi[r]
+        guess = newton_scales(family, u[t], j[t],
                               np.repeat(np.arange(len(rows)), counts[rows]),
-                              top)
-        # NaN fails both comparisons
-        inside = (low <= guess) & (guess <= top)
-        lo[rows] = np.where(inside, _ulp_steps(guess, 0.0), low)
-        hi[rows] = np.where(inside, _ulp_steps(guess, np.inf), top)
+                              hi[rows])
+        lo[rows] = _ulp_steps(guess, 0.0)
+        hi[rows] = _ulp_steps(guess, np.inf)
     return feasible_scale_inf(
         lambda z, idx: family.modular_rows(z, cols[idx]), vals, tol=0.0,
         start=(lo, hi)).hi

@@ -13,36 +13,34 @@ It works on a batch of coordinate rows with a row-wise modular
 rows and ``idx`` the positions of those rows in the batch, so a modular
 can keep per-row data; a single vector is a batch of one.
 
-Each row is scaled to peak 1 and goes through the same steps from an
-initial bracket (lo, hi) on that scale, by default (1/2, 1): double hi
-while it is infeasible (lo following it up), halve lo while it is
-feasible (hi following it down), then bisect until the bracket is
-``tol``-relative narrow or at float resolution.  Rows that have
-converged are not evaluated again.  The upper endpoint is then
-certified on the unnormalized row: where ``|c| / value`` rounds
-differently from ``(|c| / peak) / hi`` and the modular exceeds 1,
-``value`` is nudged up by one ulp at a time.  So S(|c| / value) <= 1
-holds as computed, with no tolerance.
+Each row is scaled to peak 1 and goes through the same steps from a
+bracket (lo, hi) on that scale: double hi while it is infeasible (lo
+following it up), halve lo while it is feasible (hi following it down),
+then bisect until the bracket is ``tol``-relative narrow or at float
+resolution.  Rows that have converged are not evaluated again.  The
+upper endpoint is then certified on the unnormalized row: where
+``|c| / value`` rounds differently from ``(|c| / peak) / hi`` and the
+modular exceeds 1, ``value`` is nudged up by one ulp at a time.  So
+S(|c| / value) <= 1 holds as computed, with no tolerance.
 
-A caller that can predict a row's answer passes its own bracket as a
-start.  It is never trusted.  The start round checks every row at both
-ends of its start and, where the start was taken, the certificate at
-its hi, in one modular call whose ``idx`` holds each row once per
-segment.  A row whose start holds, that has no bisection step left and
-whose certificate passes is done, so a right start costs that one call;
-if its certificate fails, its first nudge needs no second check.  Every
-other row goes on through the loops above from what the round found (a
-row doubled from its hi is not checked again at its new lo, just found
-infeasible): a wrong start is widened on the same z values, and each
-row gets the bracket and bisection steps it got when the start's ends
-were checked in calls of their own.  At ``tol=0.0`` the
-bisection stops on adjacent floats, lo infeasible and hi feasible; as
-long as the computed modular does not rise with the scale there is one
-such pair, so the value does not depend on the start.  A start that is
-not ``0 < lo < hi`` (NaN included), or whose ends one doubling or
-halving would take out of the float range, is replaced by the default.
-So a right start raises exactly where the default does; a wrong one
-can differ only within a factor 2 of the float range's ends.
+The bracket is the row's start, a caller's prediction of its answer,
+or the default (1/2, 1) where it has none (NaN), where the start is not
+``0 < lo < hi``, or where one doubling or halving would take its ends
+out of the float range.  A start is never trusted.  Every solve opens
+with the start round: one modular call checks every live row at both
+ends of its bracket and, where a start was taken, the certificate at
+its hi; its ``idx`` holds each row once per segment.  A row whose start
+holds, with no bisection step left and a passing certificate, is done,
+so a right start costs that one call; one whose certificate fails needs
+no second check before its first nudge.  Every other row goes on
+through the loops above from what the round found (a doubled row's new
+lo was just found infeasible, so it is not checked again), and gets the
+bits it got when each end was checked in a call of its own.  At
+``tol=0.0`` the bisection stops on adjacent floats, lo infeasible and
+hi feasible; as long as the computed modular does not rise with the
+scale there is one such pair, so the value does not depend on the
+start.  A right start raises exactly where the default does; a wrong
+one can differ only within a factor 2 of the float range's ends.
 """
 
 from dataclasses import dataclass
@@ -131,22 +129,25 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
     unit = rows / np.where(peak > 0.0, peak, 1.0)[:, None]
     # One scratch buffer for every evaluation: the rows are copied into
     # it and divided in place, so no iteration allocates a batch.  The
-    # start round (below) checks up to three segments of rows at once.
-    scratch = np.empty((len(rows) * (1 if start is None else 3),
-                        rows.shape[1]))
+    # start round (below) checks three segments of rows at most.
+    scratch = np.empty((3 * len(rows), rows.shape[1]))
 
-    def scaled(source, idx, scale, z):
-        # np.take's default mode="raise" would copy through a second
-        # buffer; an entry that overflows to inf reads as infeasible
-        np.take(source, idx, axis=0, out=z, mode="clip")
-        with np.errstate(over="ignore"):
-            z /= scale[:, None]
-
-    def feasible(source, idx, scale):
+    def feasible(*segments):
+        """Per row of the segments (source, idx, scale), stacked, whether
+        the modular of source[idx] / scale is at most 1: one call."""
+        idx = np.concatenate([seg[1] for seg in segments])
         if not idx.size:
             return np.zeros(0, dtype=bool)
         z = scratch[:len(idx)]
-        scaled(source, idx, scale, z)
+        at = 0
+        for source, part, scale in segments:
+            block = z[at:at + len(part)]
+            at += len(part)
+            # np.take's default mode="raise" would copy through a second
+            # buffer; an entry that overflows to inf reads as infeasible
+            np.take(source, part, axis=0, out=block, mode="clip")
+            with np.errstate(over="ignore"):
+                block /= scale[:, None]
         return modular_rows(z, idx) <= 1.0
 
     def certify(todo, refused):
@@ -156,61 +157,45 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
         (the mask refused) is nudged without a second check."""
         bad = refused[todo]
         check = todo[~bad]
-        bad[~bad] = ~feasible(rows, check, hi[check])
+        bad[~bad] = ~feasible((rows, check, hi[check]))
         todo = todo[bad]
         for _ in range(MAX_NUDGES):
             if not todo.size:
                 return todo
             hi[todo] = np.nextafter(hi[todo], np.inf)
-            todo = todo[~feasible(rows, todo, hi[todo])]
+            todo = todo[~feasible((rows, todo, hi[todo]))]
         return todo
 
-    def start_round(ok):
-        """The first round from a start, in one modular call: every live
-        row at hi and at lo on the peak-normalized scale and, where the
-        start was taken (ok), the certificate at peak * hi, the product
-        certify divides by.  Returns the rows to double (infeasible at
-        hi), to halve (feasible at both ends) and still open, and the
-        mask of rows refused at their certificate.  A row whose start
-        holds and has no bisection step left keeps its hi, so it is done
-        if its certificate passed, and refused if not.  A doubled row's
-        new lo is a scale just found infeasible, so the halving loop does
-        not check it again."""
-        on = ok[live]
-        taken = live[on]
-        k = len(live)
-        z = scratch[:2 * k + len(taken)]
-        scaled(unit, live, hi[live], z[:k])
-        scaled(unit, live, lo[live], z[k:2 * k])
-        scaled(rows, taken, peak[taken] * hi[taken], z[2 * k:])
-        feas = modular_rows(z, np.concatenate([live, live, taken])) <= 1.0
-        at_hi, at_lo = feas[:k], feas[k:2 * k]
-        certified = np.zeros(k, dtype=bool)
-        certified[on] = feas[2 * k:]
-        holds = on & at_hi & ~at_lo & ~_midpoints(lo[live], hi[live], tol)[1]
-        refused = np.zeros(len(rows), dtype=bool)
-        refused[live[holds & ~certified]] = True
-        todo = ~(holds & certified)
-        return (live[todo & ~at_hi], live[todo & at_hi & at_lo], live[todo],
-                refused)
+    # a start that is NaN, not 0 < lo < hi or too near the float range's
+    # ends is not taken: the row gets the default
+    s_lo, s_hi = (np.full((2, len(rows)), np.nan) if start is None
+                  else (np.asarray(end, dtype=float) for end in start))
+    with np.errstate(over="ignore", invalid="ignore"):
+        taken = ((0.0 < s_lo) & (s_lo < s_hi)
+                 & np.isfinite(2.0 * np.maximum(peak, 1.0) * s_hi)
+                 & (np.minimum(peak, 1.0) * s_lo / 2.0 > 0.0))
+    lo = np.where(taken, s_lo, 0.5)
+    hi = np.where(taken, s_hi, 1.0)
 
-    lo = np.full(len(rows), 0.5)
-    hi = np.ones(len(rows))
-    rest, down, refused = live, None, np.zeros(len(rows), dtype=bool)
-    if start is not None:
-        s_lo, s_hi = (np.asarray(end, dtype=float) for end in start)
-        # invalid or too near the float range's ends: the default
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = ((0.0 < s_lo) & (s_lo < s_hi)
-                  & np.isfinite(2.0 * np.maximum(peak, 1.0) * s_hi)
-                  & (np.minimum(peak, 1.0) * s_lo / 2.0 > 0.0))
-        lo[ok], hi[ok] = s_lo[ok], s_hi[ok]
-        if live.size:
-            up, down, rest, refused = start_round(ok)
-    if down is None:
-        up = live[~feasible(unit, live, hi[live])]
+    # The start round: every live row at hi and at lo and, where its start
+    # was taken, its certificate at peak * hi, the product certify divides
+    # by.  A row whose start holds with no bisection step left keeps its
+    # hi: it is done if its certificate passed, and refused if not.
+    k = len(live)
+    on = taken[live]
+    cert = live[on]
+    feas = feasible((unit, live, hi[live]), (unit, live, lo[live]),
+                    (rows, cert, peak[cert] * hi[cert]))
+    at_hi, at_lo = feas[:k], feas[k:2 * k]
+    certified = np.zeros(k, dtype=bool)
+    certified[on] = feas[2 * k:]
+    holds = on & at_hi & ~at_lo & ~_midpoints(lo[live], hi[live], tol)[1]
+    refused = np.zeros(len(rows), dtype=bool)
+    refused[live[holds & ~certified]] = True
+    left = ~(holds & certified)
+    rest = live[left]
 
-    todo = up
+    todo = live[left & ~at_hi]
     while todo.size:
         # Both the normalized and the unnormalized scale must stay finite.
         with np.errstate(over="ignore"):
@@ -222,9 +207,10 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
                            peak * lo, peak * hi)
         lo[todo] = hi[todo]
         hi[todo] *= 2.0
-        todo = todo[~feasible(unit, todo, hi[todo])]
+        todo = todo[~feasible((unit, todo, hi[todo]))]
 
-    todo = rest[feasible(unit, rest, lo[rest])] if down is None else down
+    # a doubled row's lo was just found infeasible: it is not checked again
+    todo = live[left & at_hi & at_lo]
     while todo.size:
         too_small = np.minimum(peak[todo], 1.0) * lo[todo] / 2.0 == 0.0
         if too_small.any():
@@ -233,7 +219,7 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
                            peak * lo, peak * hi)
         hi[todo] = lo[todo]
         lo[todo] /= 2.0
-        todo = todo[feasible(unit, todo, lo[todo])]
+        todo = todo[feasible((unit, todo, lo[todo]))]
 
     # Invariant: S(unit / lo) > 1 >= S(unit / hi).
     iterations = 0
@@ -244,7 +230,7 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
         if not todo.size:
             break
         iterations += todo.size
-        feas = feasible(unit, todo, mid)
+        feas = feasible((unit, todo, mid))
         hi[todo[feas]] = mid[feas]
         lo[todo[~feas]] = mid[~feas]
 

@@ -110,7 +110,10 @@ class ModelSpace:
     def norm_rows(self, X) -> np.ndarray:
         """Row-wise norm, (k, dim) -> (k,)."""
         X = self._check_rows(X)
-        return self._finite("norm", X, self._norm_rows(X))
+        # _finite raises on every non-finite value, so none warns first
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._norm_rows(X)
+        return self._finite("norm", X, out)
 
     def dual_norm(self, f) -> float:
         f = self._check_vec(f)
@@ -125,7 +128,9 @@ class ModelSpace:
         row sums are used, so a row's value is the same bits in any batch.
         """
         F = self._check_rows(F)
-        return self._finite("dual norm", F, self._dual_norm_rows(F))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._dual_norm_rows(F)
+        return self._finite("dual norm", F, out)
 
     def _norm_rows(self, X):
         raise NotImplementedError

@@ -538,6 +538,7 @@ class TestBoundaryNormSpace:
         for i, f in enumerate(F):
             assert space.dual_norm(f) == batch[i]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=20, deadline=None)
     @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            at=st.integers(0, 1))

@@ -7,6 +7,7 @@ grid scans for one-dimensional Luxemburg infima, and closed-form p-norms
 for power families.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -34,6 +35,7 @@ from smoothnorm.orlicz import (
     newton_scales,
 )
 from smoothnorm.scaling import feasible_scale_inf
+from smoothnorm.spaces import lap_space
 
 # Frozen from the quad oracle below: 1.5 / int_0.5^1 exp(-1/(s-0.5)) ds.
 SCALE_HALF_ONE = 79.92697483562232
@@ -431,9 +433,10 @@ def segments(idx):
 def test_modular_receives_row_indices():
     """feasible_scale_inf hands the modular each block's row positions
     in the batch: the block rows are those rows, rescaled, increasing
-    within each segment of a call.  Without a start a call has one
-    segment; from a start, the start round checks every live row at
-    both ends and at its certificate, three segments in one call."""
+    within each segment of a call.  Every solve opens with the start
+    round, which checks every live row at both ends of its bracket and,
+    where a start was taken, at its certificate: two segments in one
+    call without a start, three from one; later calls have one."""
     rng = np.random.default_rng(9)
     rows = rng.standard_normal((12, 4)) * rng.uniform(0.1, 5.0, (12, 1))
     rows[3] = 0.0
@@ -444,7 +447,8 @@ def test_modular_receives_row_indices():
     # a right start: the bracket of the peak-normalized rows
     right = feasible_scale_inf(plain, unit, tol=0.0)
     live = set(range(12)) - {3}
-    for kwargs, most in (({}, 1),
+    first = []
+    for kwargs, most in (({}, 2),
                          ({"tol": 0.0, "start": (right.lo, right.hi)}, 3)):
         seen = []
 
@@ -461,9 +465,53 @@ def test_modular_receives_row_indices():
         assert all(len(segments(idx)) <= most and 3 not in idx
                    for idx in seen)
         assert any(set(idx.tolist()) == live for idx in seen)
-    assert [len(part) for part in segments(seen[0])] == [11, 11, 11]
+        first.append([len(part) for part in segments(seen[0])])
+    assert first == [[11, 11], [11, 11, 11]]
     assert np.array_equal(feasible_scale_inf(plain, rows).hi,
                           luxemburg_norm_batch(fam, rows))
+
+
+# sha256 of (lo, hi, iterations) of the five solves of
+# test_solve_without_start_pinned
+NO_START_SHA256 = (
+    "4b40be643ad7e15b653671f34bae0e456b1f27430f3c9da8ac651699236c0c20")
+
+
+def test_solve_without_start_pinned():
+    """The solve without a start, on a power family and a mixed bump
+    family at tol 1e-10 and 0.0 and on a lap modular, over rows at
+    scales 10^U(-3, 3) with zero rows: lo, hi and iterations are pinned
+    bit for bit, and so are the modular calls.  The first call checks
+    every live row at both ends of the default bracket (1/2, 1), one
+    call fewer than checking each end in a call of its own."""
+    rng = np.random.default_rng(23)
+    rows = (rng.standard_normal((300, 6))
+            * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1)))
+    rows[::25] = 0.0
+    power = power_family(3.0, 6)
+    mixed = OrliczFamily([make_orlicz(0.5, 1.0), make_orlicz(2.0, 3.0),
+                          make_orlicz(0.8, 1.2)] * 2)
+    lap = lap_space([[0, 1], [2, 3, 4], [5], [1, 4]],
+                    [1.0, 1.5, 2.0, 3.0], dim=6)
+    digest = hashlib.sha256()
+    calls = []
+    for modular, tol in ((power.modular_rows, 1e-10),
+                         (power.modular_rows, 0.0),
+                         (mixed.modular_rows, 1e-10),
+                         (mixed.modular_rows, 0.0),
+                         (lap._lap_modular_rows, 1e-10)):
+        seen = []
+
+        def counting(z, _, modular=modular):
+            seen.append(len(z))
+            return modular(z)
+
+        got = feasible_scale_inf(counting, rows, tol=tol)
+        digest.update(got.lo.tobytes() + got.hi.tobytes()
+                      + str(got.iterations).encode())
+        calls.append(len(seen))
+    assert digest.hexdigest() == NO_START_SHA256
+    assert calls == [37, 56, 38, 57, 38]
 
 
 class TestInitialBracket:

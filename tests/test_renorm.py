@@ -862,9 +862,8 @@ def newton_starts(start):
 class TestCheckedStart:
     """Every row is bisected to the float from a bracket out of its
     bumps' inverse tables: one float wide for a single-class row; for
-    any other, a few floats around a Newton proposal inside the table
-    bracket, which is about 1e-8 relative wide.  The bracket is
-    checked, never trusted."""
+    any other, a few floats around a Newton proposal from the table's
+    upper end.  The bracket is checked, never trusted."""
 
     def test_predual7_modular_calls(self, predual7_spec, monkeypatch):
         """A single-class gaussian point costs exactly 1 modular call: it
@@ -989,17 +988,19 @@ class TestCheckedStart:
         assert multi > 0
         assert steps <= 3 * multi
 
-    @pytest.mark.parametrize("wrong, wild", [
-        (lambda z: np.nextafter(z, np.inf), False),
-        (lambda z: np.nextafter(z, 0.0), False),
-        (lambda z: 2.0 * z, True), (lambda z: np.full_like(z, np.nan), True)],
+    @pytest.mark.parametrize("wrong, expect", [
+        (lambda z: np.nextafter(z, np.inf), "padded"),
+        (lambda z: np.nextafter(z, 0.0), "padded"),
+        (lambda z: 2.0 * z, "missed"),
+        (lambda z: np.full_like(z, np.nan), "default")],
         ids=["ulp_high", "ulp_low", "double", "nan"])
     def test_wrong_newton_falls_back(self, predual7_spec, monkeypatch, wrong,
-                                     wild):
+                                     expect):
         """With every Newton proposal off, each value is still the
-        whole-net value bit for bit (check_whole_net).  A proposal one
-        ulp off stays a start a few floats wide; a doubled or NaN one
-        lies outside the table bracket, so that bracket is the start."""
+        whole-net value bit for bit (check_whole_net).  A finite proposal
+        stays a start a few floats wide: a doubled one is feasible at its
+        lo, and feasible_scale_inf widens it.  A NaN one is no start, so
+        the row gets the default bracket."""
         spec = predual7_spec
         coords = pi_coords_batch(
             spec, np.random.default_rng(3).standard_normal((500, 7)))
@@ -1013,8 +1014,16 @@ class TestCheckedStart:
         start = seen[-1][0]
         multi = ~table_starts(start)
         assert multi.any()
-        wide = start[1][multi] - start[0][multi] > 1e-12 * start[1][multi]
-        assert wide.all() if wild else not wide.any()
+        lo, hi = start
+        if expect == "default":
+            assert np.isnan(lo[multi]).all() and np.isnan(hi[multi]).all()
+        else:
+            assert np.array_equal(newton_starts(start), multi)
+        if expect == "missed":
+            rows = coords[multi]
+            unit = rows / rows.max(axis=1)[:, None]
+            assert np.all(
+                spec.family.modular_rows(unit / lo[multi, None]) <= 1.0)
 
     @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
                                       "predual7_spec"])

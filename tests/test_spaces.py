@@ -371,6 +371,7 @@ class TestNonFinite:
     """NaN or inf input raises ParameterError; finite input whose value
     overflows raises NumericError.  Nothing returns a non-finite value."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            at=st.integers(0, 4), row=st.integers(0, 2),
@@ -385,6 +386,7 @@ class TestNonFinite:
         with pytest.raises(ParameterError, match=f"row {row}"):
             X.dual_norm_rows(F)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(big=arrays(float, 5, elements=st.floats(1e308, 1.79e308)),
            X=st.sampled_from(ALL_KINDS))
@@ -394,6 +396,7 @@ class TestNonFinite:
         with pytest.raises(NumericError, match="row 1"):
             X.dual_norm_rows(np.vstack([np.zeros(5), big]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(big=arrays(float, 5, elements=st.floats(1e308, 1.79e308)),
            X=st.sampled_from(CLOSED_FORM_KINDS[1:]))
