@@ -398,8 +398,10 @@ def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
 
 def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     """phi-norms of a batch via one vectorized bisection: a batch of one
-    gives phi_norm's bits, but pi_coords_batch's matrix product may round
-    a row of a larger batch differently, and so its last bits."""
+    gives phi_norm's bits.  With the scalar factor, pi_coords_batch's
+    matrix product may round a row of a larger batch differently, and so
+    its last bits; a euclidean-factor row's bits do not depend on the
+    batch."""
     return _luxemburg_rows(spec, pi_coords_batch(spec, batch))
 
 

@@ -15,8 +15,15 @@ the norm reduces to maximizing ||f @ u||_2 over the dual ball of X.  For
 polyhedral X duals (sup_finite, lorentz_predual) that maximum is an
 exact finite enumeration over extreme points; every other X kind is
 refused.  The slice norms ||f @ u||_2 have one formula, _slice_norms,
-shared with the phi-norm coordinates; it scales each matrix by a power
-of two, so no square of a finite u overflows.
+shared with the phi-norm coordinates and the approx window; it scales
+each matrix by a power of two, so no square of a finite u overflows,
+and contracts in one fixed order, each product and sum rounded on its
+own,
+
+    c_j = (f_0 u_0j + f_1 u_1j) + ... + f_{m-1} u_{m-1,j},
+    ||f @ u||_2 = sqrt((c_0^2 + c_1^2) + ... + c_{n-1}^2),
+
+so a matrix's norms depend on that matrix alone, whatever its batch.
 """
 
 from __future__ import annotations
@@ -102,16 +109,41 @@ class InjectiveNormResult:
 def _slice_norms(F, M):
     """||f @ u||_2 for every row f of F and u one (dim X, dim Y) matrix,
     (len(F),) norms, or a (k, dim X, dim Y) stack, (k, len(F)) norms.
+
     Each matrix is divided by the power of two of its largest entry and
     its norms multiplied back: exact, except that a slice under about
     2^-511 times that entry squares to a subnormal or 0, too small to
-    move a maximum or a peak-normalized coordinate."""
+    move a maximum or a peak-normalized coordinate.  The scaled stack is
+    a copy, laid out (dim X, dim Y, k), so the caller's array is never
+    written; it is contracted in one fixed order, each product and sum
+    rounded on its own: c_j = (f_0 u_0j + f_1 u_1j) + ... + f_{m-1} u_{m-1,j}, then
+    sqrt((c_0^2 + c_1^2) + ... + c_{n-1}^2).  So a matrix's norms
+    depend on that matrix alone, whatever the rest of the stack."""
     M = np.asarray(M, dtype=float)
     stack = M.reshape((-1,) + M.shape[-2:])
-    _, e = np.frexp(np.max(np.abs(stack), axis=(1, 2)))
-    scaled = np.ldexp(stack, -e[:, None, None])
-    norms = np.linalg.norm(np.einsum("pi,nij->npj", F, scaled), axis=2)
-    return np.ldexp(norms, e[:, None]).reshape(M.shape[:-2] + (len(F),))
+    k, dim_x, dim_y = stack.shape
+    T = np.empty((dim_x, dim_y, k))
+    T[...] = stack.transpose(1, 2, 0)
+    top = np.maximum.reduce(np.abs(T).reshape(dim_x * dim_y, k), axis=0)
+    _, e = np.frexp(top)
+    np.ldexp(T, -e, out=T)
+    # the longer of len(F) and dim_y * k runs innermost in memory, so
+    # each ufunc loop is long; the order of the operations is the same
+    shape = (len(F), dim_y, k)
+    acc = np.empty(shape) if len(F) <= dim_y * k else np.empty(shape[::-1]).T
+    prod = np.empty_like(acc)
+    cols = F.T[:, :, None, None]
+    np.multiply(cols[0], T[0], out=acc)
+    for f, t in zip(cols[1:], T[1:]):
+        acc += np.multiply(f, t, out=prod)
+    np.square(acc, out=acc)
+    norms = acc[:, 0]
+    for j in range(1, dim_y):
+        norms += acc[:, j]
+    np.sqrt(norms, out=norms)
+    out = np.empty((k, len(F)))
+    np.ldexp(norms.T, e[:, None], out=out)
+    return out.reshape(M.shape[:-2] + (len(F),))
 
 
 def injective_norm(u: TensorElement) -> InjectiveNormResult:

@@ -133,9 +133,11 @@ def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
         if act.margin <= 0.0:
             violations += 1
             continue
-        outside = np.setdiff1d(np.arange(len(spec.net)), act.indices)
-        if not outside.size:
+        n_outside = len(spec.net) - len(act.indices)
+        if not n_outside:
             continue
+        outside = np.ones(len(spec.net), dtype=bool)
+        outside[np.asarray(act.indices, dtype=np.intp)] = False
         moves = rng.standard_normal((PERTURBATIONS, *u.shape))
         # phi >= base norm, so a phi-scaled step stays inside the
         # certified radius for the base-norm Lipschitz bound
@@ -145,13 +147,17 @@ def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
         violations += inactive_violations(
             spec, pi_coords_batch(spec, probes), phi_norm_batch(spec, probes),
             outside)
-        checked += len(probes) * len(outside)
+        checked += len(probes) * n_outside
     return MarginCheck(points, sets, checked, violations)
 
 
 def inactive_violations(spec, coords, rhos, outside) -> int:
-    """Pairs of a row and a net point in `outside` whose bump argument
-    coords / rhos passes the zero threshold: the bump is positive there,
-    even where its value underflows to 0.0."""
-    zero = spec.family.zero_thresholds[outside]
-    return int(np.count_nonzero(coords[:, outside] / rhos[:, None] > zero))
+    """Pairs of a row and a net point in `outside` (indices or a boolean
+    mask over the net) whose bump argument coords / rhos passes the zero
+    threshold: the bump is positive there, even where its value
+    underflows to 0.0.  Counted on every column under the mask."""
+    mask = np.zeros(len(spec.net), dtype=bool)
+    mask[outside] = True
+    woken = coords / rhos[:, None] > spec.family.zero_thresholds
+    woken &= mask
+    return int(np.count_nonzero(woken))

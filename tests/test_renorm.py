@@ -44,7 +44,7 @@ from smoothnorm.renorm import (
 from smoothnorm.scaling import feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, sup_space)
-from smoothnorm.tensor import TensorElement, injective_norm
+from smoothnorm.tensor import TensorElement, _slice_norms, injective_norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -403,6 +403,103 @@ class TestPiCoords:
             pi_coords(euclid_factor_spec, np.ones((3, 2)))
         with pytest.raises(ParameterError):
             pi_coords_batch(sup2_spec, np.ones((4, 3)))
+
+
+def einsum_slice_norms(F, M):
+    """The euclidean-factor coordinates as one einsum contraction and
+    np.linalg.norm, the formula _slice_norms replaced: its fixed-order
+    product must keep these bits for every dim Y from 2 to 7."""
+    M = np.asarray(M, dtype=float)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    _, e = np.frexp(np.max(np.abs(stack), axis=(1, 2)))
+    scaled = np.ldexp(stack, -e[:, None, None])
+    norms = np.linalg.norm(np.einsum("pi,nij->npj", F, scaled), axis=2)
+    return np.ldexp(norms, e[:, None]).reshape(M.shape[:-2] + (len(F),))
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.int64),
+                                  np.asarray(b).view(np.int64))
+
+
+def spread_matrices(rng, n, dim_x, dim_y):
+    """Gaussian matrices, each scaled by its own power of two in
+    2^[-600, 600]: the per-matrix scaling of _slice_norms is exercised."""
+    scale = np.ldexp(1.0, rng.integers(-600, 601, n))
+    return rng.standard_normal((n, dim_x, dim_y)) * scale[:, None, None]
+
+
+@pytest.fixture(scope="module")
+def euclid_nets(predual7_spec):
+    """Nets keyed by name; the factor is set per test."""
+    sup4 = sup_decomposition(4)
+    predual5 = predual_decomposition(5)
+    return {"sup4": build_renorm(sup4.space, sup4, None, seed=0),
+            "predual5": build_renorm(predual5.space, predual5, None, seed=1),
+            "predual7": predual7_spec}
+
+
+def with_factor(spec, dim_y):
+    return PhiNormSpec(spec.net, spec.X, euclidean_space(dim_y), spec.epsilon)
+
+
+class TestFixedOrderCoords:
+    """Euclidean-factor coordinates depend on the matrix alone, and keep
+    the bits of the einsum formula for dim Y 2 to 7."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(net=st.sampled_from(["sup4", "predual5", "predual7"]),
+           dim_y=st.integers(2, 7), at=st.integers(0, 255),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_bits_whatever_the_batch(self, euclid_nets, net, dim_y, at,
+                                         seed):
+        spec = with_factor(euclid_nets[net], dim_y)
+        batch = spread_matrices(np.random.default_rng(seed), 256,
+                                spec.X.dim, dim_y)
+        whole = pi_coords_batch(spec, batch)
+        lo = min(max(at - 3, 0), 256 - 7)
+        assert_same_bits(pi_coords_batch(spec, batch[lo:lo + 7]),
+                         whole[lo:lo + 7])
+        assert_same_bits(pi_coords_batch(spec, batch[at:at + 1])[0],
+                         whole[at])
+        assert_same_bits(pi_coords(spec, batch[at]), whole[at])
+        assert_same_bits(whole, einsum_slice_norms(spec.net.matrix, batch))
+
+    @pytest.mark.parametrize("dim_y", range(2, 8))
+    def test_random_net_bits(self, dim_y):
+        rng = np.random.default_rng(dim_y)
+        F = rng.standard_normal((40, 5))
+        batch = spread_matrices(rng, 256, 5, dim_y)
+        whole = _slice_norms(F, batch)
+        assert whole.flags.c_contiguous and whole.shape == (256, 40)
+        assert_same_bits(whole, einsum_slice_norms(F, batch))
+        assert_same_bits(_slice_norms(F, batch[100:107]), whole[100:107])
+        for k in (0, 100, 255):
+            assert_same_bits(_slice_norms(F, batch[k]), whole[k])
+        assert _slice_norms(F, batch[:0]).shape == (0, 40)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 4, 3), (9, 4, 3)],
+                             ids=["matrix", "stack of one", "batch"])
+    @pytest.mark.parametrize("writeable", [True, False],
+                             ids=["writeable", "read-only"])
+    def test_input_left_alone(self, euclid_nets, shape, writeable):
+        """A single matrix's (1, dim X, dim Y) stack transposes to a view
+        that is already contiguous, so scaling that view in place would
+        write into the caller's array."""
+        spec = with_factor(euclid_nets["sup4"], 3)
+        u = 3.0 * np.random.default_rng(5).standard_normal(shape)
+        before = u.copy()
+        u.setflags(write=writeable)
+        if u.ndim == 2:
+            pi_coords(spec, u)
+            phi_norm(spec, u)
+            injective_norm(TensorElement(u, spec.X, spec.Y))
+        else:
+            pi_coords_batch(spec, u)
+            phi_norm_batch(spec, u)
+        _slice_norms(spec.net.matrix, u)
+        assert_same_bits(u, before)
 
 
 class TestPhiNorm:

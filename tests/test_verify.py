@@ -253,3 +253,18 @@ class TestInactiveViolations:
         assert inactive_violations(sup3_spec, coords, rhos, [0]) == 1
         assert inactive_violations(sup3_spec, 2.0 * coords, 2.0 * rhos,
                                    [0, 1]) == 1
+
+    def test_mask_counts_as_indices(self, sup3_spec):
+        rng = np.random.default_rng(3)
+        net = len(sup3_spec.net)
+        coords = rng.uniform(0.0, 2.0, (20, net)) / sup3_spec.net.psi
+        rhos = rng.uniform(1.0, 2.0, 20)
+        outside = np.array([0, 2, net - 1])
+        mask = np.zeros(net, dtype=bool)
+        mask[outside] = True
+        want = int(np.count_nonzero(
+            coords[:, outside] / rhos[:, None]
+            > sup3_spec.family.zero_thresholds[outside]))
+        assert 0 < want < coords[:, outside].size
+        assert inactive_violations(sup3_spec, coords, rhos, outside) == want
+        assert inactive_violations(sup3_spec, coords, rhos, mask) == want
