@@ -48,6 +48,14 @@ bin; ``home`` gives each member's net point, aligned with the members.
 Net points carry theta(f) = psi(f) - eps_n; theta > 1 holds for every
 valid closure mapping (psi - 1 >= (eps/2) * 2^(-n) > eps_n since
 n(f) <= n), and is still checked per instance.
+
+Every pass of n rows against a set of columns (net points, members,
+functionals) runs in the row blocks of row_blocks(n, width): runs of
+max(1, BLOCK_ELEMS // width) consecutive rows, where width is a row's
+float count in the pass's largest temporary.  No such temporary then
+exceeds about BLOCK_ELEMS floats (8 MB), whatever n is, and the blocks
+are a fixed function of n and width, so a row's bits repeat whenever
+its call does, at any --parallel.
 """
 
 from __future__ import annotations
@@ -66,11 +74,12 @@ __all__ = [
     "net_property_report",
     "check_boundary",
     "check_lrc_criterion",
+    "row_blocks",
 ]
 
 DUAL_BALL_TOL = 1e-9
-# Elements of each l-infinity temporary in Decomposition.missing (2 MB).
-_PREFILTER_ELEMS = 1 << 18
+# floats in one row block of an n x columns pass (module docstring)
+BLOCK_ELEMS = 2 ** 20
 # Sieve keys at or above this magnitude never split a group (module
 # docstring).
 _KEY_LIMIT = 2.0 ** 52
@@ -84,6 +93,13 @@ def _row_keys(rows) -> list[bytes]:
     folded = (rows + 0.0).tobytes()
     width = rows.itemsize * rows.shape[1]
     return [folded[at:at + width] for at in range(0, len(folded), width)]
+
+
+def row_blocks(n, width) -> list[slice]:
+    """Slices of rows 0..n-1 in order, max(1, BLOCK_ELEMS // width) rows
+    each and the last one ragged; none for n = 0."""
+    step = max(1, BLOCK_ELEMS // max(width, 1))
+    return [slice(at, min(at + step, n)) for at in range(0, n, step)]
 
 
 def epsilon_n(eps, n) -> float:
@@ -207,13 +223,12 @@ class Decomposition:
         """Index of the first row with no member within l-infinity
         distance tol, or None.  Rows are looked up by identity key
         first; only the rows that miss are compared by distance, in
-        blocks whose l-infinity temporaries stay at a few MB."""
+        row blocks of width members x dim (module docstring)."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         misses = np.array([j for j, key in enumerate(_row_keys(rows))
                            if key not in self._locate], dtype=int)
-        block = max(1, _PREFILTER_ELEMS // max(self.members.size, 1))
-        for at in range(0, len(misses), block):
-            part = misses[at:at + block]
+        for block in row_blocks(len(misses), self.members.size):
+            part = misses[block]
             diff = rows[part].T[:, :, None] - self.members.T[:, None, :]
             near = np.max(np.abs(diff, out=diff), axis=0) <= tol
             far = part[~near.any(axis=1)]
@@ -396,7 +411,9 @@ def check_boundary(space, functionals, sphere_samples, tol=1e-9):
     """Check sup_f f(x) reaches 1 (within tol) on unit-sphere samples.
 
     Samples must be normalized: any ||x|| outside 1 +- tol-ish is a
-    parameter error, not a failed check, and so is an empty sample set.
+    parameter error, not a failed check, and so are an empty sample or
+    functional set and a NaN or inf entry.  Each sample's sup is taken
+    per row block (module docstring).
     """
     A = np.atleast_2d(np.asarray(functionals, dtype=float))
     X = np.atleast_2d(np.asarray(sphere_samples, dtype=float))
@@ -404,6 +421,10 @@ def check_boundary(space, functionals, sphere_samples, tol=1e-9):
         raise ParameterError("shape mismatch with space dim")
     if X.shape[0] == 0:
         raise ParameterError("sample set is empty")
+    if A.shape[0] == 0:
+        raise ParameterError("functional set is empty")
+    if not (np.isfinite(A).all() and np.isfinite(X).all()):
+        raise ParameterError("functionals and samples must be finite")
     norm_tol = max(tol, 1e-7)
     norms = space.norm_rows(X)
     off = np.flatnonzero(np.abs(norms - 1.0) > norm_tol)
@@ -411,7 +432,10 @@ def check_boundary(space, functionals, sphere_samples, tol=1e-9):
         raise ParameterError(
             f"sample has norm {float(norms[off[0]])}, expected 1 within "
             f"{norm_tol}")
-    return BoundaryReport(max_values=np.max(X @ A.T, axis=1), tol=tol)
+    top = np.empty(len(X))
+    for block in row_blocks(len(X), len(A)):
+        top[block] = np.max(X[block] @ A.T, axis=1)
+    return BoundaryReport(max_values=top, tol=tol)
 
 
 @dataclass(frozen=True)

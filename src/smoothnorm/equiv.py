@@ -21,8 +21,9 @@ increments by a decreasing a-sequence so every sample attains a finite
 level, and renorms the resulting boundary_sup space, whose boundary the
 increments are by construction.  Each level is one
 norming_functional_rows call on every sample's best projection.  A
-chain is measured in one pass: b_n from one product of the samples with
-every level, c_n from one ModelSpace.top_projections walk (exact at
+chain is measured in one pass: b_n from the product of the samples with
+every level, one row block of samples at a time (boundary.row_blocks),
+c_n from one ModelSpace.top_projections walk (exact at
 every dimension).  corollary_b_pipeline runs the kind's route end to
 end on one sample set and verifies the built approximating norm.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import (Decomposition, NetPropertyReport, _row_keys,
-                       check_lrc_criterion, net_property_report)
+                       check_lrc_criterion, net_property_report, row_blocks)
 from .errors import ConstructionError, NumericError, ParameterError
 from .renorm import build_renorm
 from .spaces import ModelSpace
@@ -128,8 +129,9 @@ class RelativeBoundaryChain:
     level_ids[i], empty only after the first; no functional appears
     twice.  samples is the one (s, dim) sphere set every level is
     measured on.  b_values[i] is compute_bn on levels 1..i+1 together,
-    read off one running max along the levels of one product, so b is
-    exactly nondecreasing; it must lie in [0, 1], and b = 0 is
+    read off one running max along the levels of the product, with a
+    running min over its sample row blocks, so b is exactly
+    nondecreasing; it must lie in [0, 1], and b = 0 is
     representable (build_F refuses it).
     """
 
@@ -176,10 +178,14 @@ class RelativeBoundaryChain:
             raise ConstructionError(
                 "levels must be pairwise disjoint, with no repeated "
                 "functional")
-        top = self.samples @ H.T
-        np.maximum.accumulate(top, axis=1, out=top)
-        # each level's last column (an empty level repeats the one before it)
-        b = top[:, np.cumsum([len(h) for h in self.levels]) - 1].min(axis=0)
+        # each level's last column (an empty level repeats the one before
+        # it), its minimum running over the sample row blocks
+        ends = np.cumsum([len(h) for h in self.levels]) - 1
+        b = np.full(k, np.inf)
+        for block in row_blocks(len(self.samples), len(H)):
+            top = self.samples[block] @ H.T
+            np.maximum.accumulate(top, axis=1, out=top)
+            np.minimum(b, top[:, ends].min(axis=0), out=b)
         if not np.all((b >= -1e-12) & (b <= 1.0 + 1e-9)):
             raise ConstructionError(f"b values must lie in [0, 1], got {b}")
         put("b_values", b)

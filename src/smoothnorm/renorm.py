@@ -40,6 +40,15 @@ per-run column maxima, and the rule itself, unchanged, runs only on the
 columns of the pairs that pass: it keeps the same terms as over the
 whole row.
 
+Nor is an array of a whole batch's coordinates needed.  A batch runs in
+the row blocks of boundary.row_blocks, a row being len(net) floats
+wide, times dim Y for a euclidean factor: pi_coords_batch fills its
+output, phi_norm_batch evaluates and verify_claim2d takes its running
+column max one block at a time, and a call that fits in one block (every
+phi_norm) takes a single matrix product and no loop.  A scalar-factor
+row's coordinates, and so its value's last bits, depend on its block,
+which is a fixed function of the row count and the net size.
+
 Every row is bisected to float resolution (``tol=0.0``) from a start
 on that scale, so its value is the whole-net one at ``tol=0.0``
 whatever the start.  The start comes from orlicz.modular_inverse's
@@ -88,7 +97,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import NetB, build_net, check_boundary
+from .boundary import NetB, build_net, check_boundary, row_blocks
 from .errors import ConstructionError, ParameterError
 from .orlicz import (OrliczFamily, make_orlicz, modular_inverse,
                      newton_scales)
@@ -236,10 +245,12 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
 
 def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
     """Coordinate vector of u (a vector, a matrix or a TensorElement),
-    one entry per net point, in net order: the one-row pi_coords_batch."""
+    one entry per net point, in net order: the one-row pi_coords_batch,
+    whose one row is always one block."""
     if isinstance(u, TensorElement):
         u = u.matrix
-    return pi_coords_batch(spec, np.asarray(u, dtype=float)[None])[0]
+    batch = _checked_batch(spec, np.asarray(u, dtype=float)[None])
+    return _coords(spec, batch)[0]
 
 
 def _kept_terms(spec: PhiNormSpec, coords):
@@ -379,30 +390,63 @@ def phi_norm(spec: PhiNormSpec, u) -> float:
     return float(_luxemburg_rows(spec, pi_coords(spec, u)[None])[0])
 
 
-def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
-    """Coordinate rows for a batch: (n, dim X) vectors or
-    (n, dim X, dim Y) matrices -> (n, len(net)).  A NaN or inf entry is
-    a ParameterError."""
+def _checked_batch(spec: PhiNormSpec, batch) -> np.ndarray:
+    """The batch as floats of shape (n, *spec.sample_shape), all finite,
+    or ParameterError."""
     batch = np.asarray(batch, dtype=float)
     if batch.shape[1:] != spec.sample_shape:
         raise ParameterError(f"expected a batch of shape (n, "
                              f"*{spec.sample_shape}), got {batch.shape}")
     if not np.isfinite(batch).all():
         raise ParameterError("coordinates must be finite")
+    return batch
+
+
+def _blocks(spec: PhiNormSpec, n) -> list[slice]:
+    """boundary.row_blocks over n rows against the net: a row's width is
+    its len(net) coordinates, times dim Y for a euclidean factor, whose
+    slice norms hold dim Y floats per coordinate."""
+    width = len(spec.net) if spec.Y is None else len(spec.net) * spec.Y.dim
+    return row_blocks(n, width)
+
+
+def _coords(spec: PhiNormSpec, batch, out=None) -> np.ndarray:
+    """Coordinate rows of a checked batch, by one matrix product for the
+    scalar factor, into `out` when given."""
     A = spec.net.matrix
     if spec.Y is None:
-        coords = batch @ A.T
+        coords = np.matmul(batch, A.T, out=out)
         return np.abs(coords, out=coords)
-    return _slice_norms(A, batch)
+    return _slice_norms(A, batch, out=out)
+
+
+def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
+    """Coordinate rows for a batch: (n, dim X) vectors or
+    (n, dim X, dim Y) matrices -> (n, len(net)), filled one row block
+    (_blocks) at a time.  A NaN or inf entry is a ParameterError."""
+    batch = _checked_batch(spec, batch)
+    blocks = _blocks(spec, len(batch))
+    if len(blocks) < 2:
+        return _coords(spec, batch)
+    coords = np.empty((len(batch), len(spec.net)))
+    for block in blocks:
+        _coords(spec, batch[block], out=coords[block])
+    return coords
 
 
 def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:
-    """phi-norms of a batch via one vectorized bisection: a batch of one
-    gives phi_norm's bits.  With the scalar factor, pi_coords_batch's
-    matrix product may round a row of a larger batch differently, and so
-    its last bits; a euclidean-factor row's bits do not depend on the
-    batch."""
-    return _luxemburg_rows(spec, pi_coords_batch(spec, batch))
+    """phi-norms of a batch, one vectorized bisection per row block
+    (_blocks), so no n x net array is held: a batch of one gives
+    phi_norm's bits, and a row gets the bits of its pi_coords_batch
+    row.  With the scalar factor, the matrix product may round a row
+    differently in another block, and so its last bits; a
+    euclidean-factor row's bits do not depend on the batch."""
+    batch = _checked_batch(spec, batch)
+    blocks = _blocks(spec, len(batch))
+    if len(blocks) < 2:
+        return _luxemburg_rows(spec, _coords(spec, batch))
+    return np.concatenate([_luxemburg_rows(spec, _coords(spec, batch[block]))
+                           for block in blocks])
 
 
 @dataclass(frozen=True)
@@ -468,11 +512,15 @@ def verify_claim2d(spec: PhiNormSpec, pool: PhiUnitPool) -> np.ndarray:
     max of the pool's coordinate rows over its norms covers every g.
     Sampling gives a lower bound of the sup: excess <= tol means no
     violation was found at this pool's fidelity.  An empty pool gives
-    -1/theta(h).
+    -1/theta(h).  The column max runs over the row blocks that
+    phi_norm_batch normed the pool in, so no n x net array is held.
     """
-    values = pi_coords_batch(spec, pool.samples)
-    values /= pool.norms[:, None]
-    return values.max(axis=0, initial=0.0) - 1.0 / spec.net.theta
+    top = np.zeros(len(spec.net))
+    for block in _blocks(spec, len(pool.norms)):
+        values = pi_coords_batch(spec, pool.samples[block])
+        values /= pool.norms[block, None]
+        np.maximum(top, values.max(axis=0), out=top)
+    return top - 1.0 / spec.net.theta
 
 
 @dataclass(frozen=True)

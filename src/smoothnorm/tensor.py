@@ -106,9 +106,10 @@ class InjectiveNormResult:
     g: np.ndarray
 
 
-def _slice_norms(F, M):
+def _slice_norms(F, M, out=None):
     """||f @ u||_2 for every row f of F and u one (dim X, dim Y) matrix,
-    (len(F),) norms, or a (k, dim X, dim Y) stack, (k, len(F)) norms.
+    (len(F),) norms, or a (k, dim X, dim Y) stack, (k, len(F)) norms,
+    written into `out` when given.
 
     Each matrix is divided by the power of two of its largest entry and
     its norms multiplied back: exact, except that a slice under about
@@ -141,7 +142,8 @@ def _slice_norms(F, M):
     for j in range(1, dim_y):
         norms += acc[:, j]
     np.sqrt(norms, out=norms)
-    out = np.empty((k, len(F)))
+    if out is None:
+        out = np.empty((k, len(F)))
     np.ldexp(norms.T, e[:, None], out=out)
     return out.reshape(M.shape[:-2] + (len(F),))
 

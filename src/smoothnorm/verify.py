@@ -4,6 +4,9 @@ CLI suites and corollary_b_pipeline: the window ||x|| < ||x||_phi <=
 one pool for every net point and unit g, and local finite dependence:
 active-set margins, probed for a bump outside the set that wakes within
 the set's certified radius.  The constants are the pipeline's budgets.
+The window's samples and the claim-2d pool meet the net, and the dual
+extreme points, one boundary.row_blocks block at a time, so neither is
+held as one array of every sample's coordinates.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .boundary import row_blocks
 from .errors import ParameterError
 from .renorm import (active_set, phi_norm_batch, phi_unit_pool,
                      pi_coords_batch, verify_claim2d)
@@ -63,8 +67,11 @@ def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
     if Y is None:
         base = X.norm_rows(samples)
     elif X.enumerable_dual:
-        # injective_norm of every matrix at once
-        base = _slice_norms(X.dual_extreme_points(), samples).max(axis=1)
+        # injective_norm of every matrix, one row block at a time
+        P = X.dual_extreme_points()
+        base = np.empty(len(samples))
+        for block in row_blocks(len(samples), len(P) * Y.dim):
+            base[block] = _slice_norms(P, samples[block]).max(axis=1)
     else:
         return None
     keep = base > BASE_FLOOR

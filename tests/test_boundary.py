@@ -543,7 +543,7 @@ class TestMissing:
         d = Decomposition(sup_space(3), [members], 0.1)
         rows = members[::-1] + np.where(np.arange(50) == 37, 1e-3, 0.0)[:, None]
         assert d.missing(rows) == 37
-        monkeypatch.setattr(boundary, "_PREFILTER_ELEMS", 10)
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 10)
         assert d.missing(rows) == 37
 
 
@@ -655,6 +655,39 @@ class TestCheckBoundary:
         # zero samples used to pass with nothing checked
         with pytest.raises(ParameterError, match="empty"):
             check_boundary(sup_space(2), np.eye(2), np.zeros((0, 2)))
+
+    def test_empty_functional_set_refused(self):
+        # numpy's zero-size reduction error before
+        with pytest.raises(ParameterError, match="functional set is empty"):
+            check_boundary(sup_space(2), np.zeros((0, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_functional_refused(self, bad):
+        # one NaN member used to make every sample's sup NaN
+        functionals = np.vstack([np.eye(2), -np.eye(2)])
+        functionals[2, 1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            check_boundary(sup_space(2), functionals, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_refused(self, bad):
+        samples = np.array([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ParameterError, match="finite"):
+            check_boundary(sup_space(2), np.eye(2), samples)
+
+    def test_blocks_agree(self, monkeypatch):
+        """Sups taken over row blocks of three samples (BLOCK_ELEMS 30 on
+        10 functionals) equal the whole product's row max; every entry
+        is a multiple of 1/8, so every product is exact."""
+        rng = np.random.default_rng(8)
+        space = sup_space(3)
+        functionals = rng.integers(-8, 9, size=(10, 3)) / 8.0
+        samples = rng.integers(-8, 9, size=(11, 3)) / 8.0
+        samples[:, 0] = 1.0
+        whole = np.max(samples @ functionals.T, axis=1)
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 30)
+        report = check_boundary(space, functionals, samples, tol=1e-12)
+        assert np.array_equal(report.max_values, whole)
 
     def test_attained_is_derived_from_max_values(self):
         report = check_boundary(sup_space(2), np.array([[1.0, 0.0]]),

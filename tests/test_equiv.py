@@ -351,6 +351,23 @@ class TestChainInOnePass:
             else:
                 assert abs(b[i] - oracle) <= bound
 
+    def test_b_over_sample_blocks(self):
+        """2,500 samples against 1,024 functionals run in sample blocks
+        of 1,024, 1,024 and 452 rows; b equals the whole product's
+        running max and column min.  Every entry is a multiple of 1/64
+        or 1/16, so every product and sum is exact."""
+        rng = np.random.default_rng(6)
+        H = np.unique(rng.integers(0, 9, size=(1100, 8)), axis=0)[:1024] / 64
+        S = rng.integers(0, 17, size=(2500, 8)) / 16
+        S[:, 0] = 1.0
+        assert len(H) == 1024
+        levels = np.split(H, [100, 400, 400, 1000])
+        chain = RelativeBoundaryChain(space=sup_space(8), levels=levels,
+                                      samples=S, level_ids=range(1, 6))
+        top = np.maximum.accumulate(S @ H.T, axis=1)
+        ends = np.cumsum([len(h) for h in levels]) - 1
+        assert np.array_equal(chain.b_values, top[:, ends].min(axis=0))
+
     def test_one_row_first_level_keeps_b_nondecreasing(self):
         # level 2 lies below level 1 at the sample that sets b_1, so
         # b_2 = b_1; a product per prefix of levels put b_2 one ulp

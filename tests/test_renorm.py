@@ -45,6 +45,7 @@ from smoothnorm.scaling import feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, sup_space)
 from smoothnorm.tensor import TensorElement, _slice_norms, injective_norm
+from smoothnorm.verify import approx_window, claim2d_sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -900,24 +901,107 @@ class TestRunPruning:
                     assert messages(call, ParameterError) == []
 
     def test_predual7_batch_memory(self, predual7_spec):
-        """phi_norm_batch of 2,000 predual7 rows holds one array of the
-        coordinates' size: its tracemalloc peak is at most 1.5 times the
-        coordinate array (3.1 times when the rule ran on whole rows)."""
+        """phi_norm_batch of 2,000 predual7 rows holds at most one array
+        of the coordinates' size: its tracemalloc peak is at most 1.5
+        times the coordinate array (3.1 times when the rule ran on whole
+        rows)."""
         spec = predual7_spec
         X = np.random.default_rng(0).standard_normal((2000, 7))
         phi_norm_batch(spec, X[:64])  # fill the inverse table first
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            phi_norm_batch(spec, X)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: phi_norm_batch(spec, X))
         assert peak <= 1.5 * X.shape[0] * len(spec.net) * 8
+
+
+def traced_peak(call):
+    """tracemalloc peak of call(), in bytes above what was held before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestRowBlocks:
+    """Every batch x net pass runs in boundary.row_blocks: 479 rows per
+    block on the 2,186-point predual7 net."""
+
+    def test_rule(self):
+        assert boundary.BLOCK_ELEMS == 2 ** 20
+        assert boundary.row_blocks(0, 5) == []
+        assert boundary.row_blocks(3, 0) == [slice(0, 3)]
+        assert boundary.row_blocks(3, 2 ** 21) == [slice(0, 1), slice(1, 2),
+                                                    slice(2, 3)]
+        sizes = [b.stop - b.start for b in boundary.row_blocks(1000, 2186)]
+        assert sizes == [479, 479, 42]
+
+    def test_predual7_blocks_match_lone_calls(self, predual7_spec):
+        """A batch of three full blocks and a ragged tail: each block's
+        coordinate rows and phi-norms have the bits of the same call on
+        that block alone, and every value is the whole-net one."""
+        spec = predual7_spec
+        X = np.random.default_rng(31).standard_normal((3 * 479 + 50, 7))
+        blocks = renorm._blocks(spec, len(X))
+        assert [b.stop - b.start for b in blocks] == [479, 479, 479, 50]
+        coords = pi_coords_batch(spec, X)
+        values = phi_norm_batch(spec, X)
+        for b in blocks:
+            assert_same_bits(coords[b], pi_coords_batch(spec, X[b]))
+            assert_same_bits(values[b], phi_norm_batch(spec, X[b]))
+        check_whole_net(spec, coords, values)
+
+    def test_euclidean_blocks_move_no_bit(self, sup4_euclid3_spec,
+                                          monkeypatch):
+        """A euclidean-factor row's bits do not depend on its block: 50
+        matrices in one block and in blocks of 7 (a row being len(net) x
+        dim Y floats wide) give the same coordinates, phi-norms and
+        window."""
+        spec = sup4_euclid3_spec
+        M = spread_matrices(np.random.default_rng(3), 50, 4, 3)
+
+        def run():
+            win = approx_window(spec, M)
+            return (pi_coords_batch(spec, M), phi_norm_batch(spec, M),
+                    win.base, win.phi)
+
+        whole = run()
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 7 * len(spec.net) * 3)
+        assert len(renorm._blocks(spec, 50)) == 8
+        for want, got in zip(whole, run()):
+            assert_same_bits(got, want)
+
+    def test_claim2d_running_max(self, predual7_spec):
+        """verify_claim2d on a 1,000-sample pool (blocks of 479, 479 and
+        42) is the column max of the per-block formula, and within
+        rounding of the per-point one."""
+        spec = predual7_spec
+        pool = phi_unit_pool(spec, 1000, seed=4)
+        parts = [np.abs(pool.samples[b] @ spec.net.matrix.T)
+                 / pool.norms[b, None]
+                 for b in boundary.row_blocks(1000, len(spec.net))]
+        want = np.max([p.max(axis=0) for p in parts], axis=0)
+        excess = verify_claim2d(spec, pool)
+        assert_same_bits(excess, want - 1.0 / spec.net.theta)
+        np.testing.assert_allclose(excess, per_point_excess(spec, pool),
+                                   rtol=0.0, atol=1e-14)
+
+    def test_claim2d_empty_pool(self, predual7_spec):
+        spec = predual7_spec
+        pool = renorm.PhiUnitPool(np.zeros((0, 7)), np.zeros(0))
+        assert_same_bits(verify_claim2d(spec, pool), -1.0 / spec.net.theta)
+
+    def test_claim2d_sweep_memory(self, predual7_spec):
+        """A 2,000-sample predual7 sweep never holds the 2,000 x 2,186
+        coordinate array (35 MB): its tracemalloc peak stays under 20
+        MB (44 MB when the pool went through whole)."""
+        spec = predual7_spec
+        claim2d_sweep(spec, 64)  # fill the inverse table first
+        assert traced_peak(lambda: claim2d_sweep(spec, 2000)) < 20e6
 
 
 def fresh_spec(spec):
