@@ -379,8 +379,11 @@ def _window_samples(ctx, suite):
             (arg[1], *spec.sample_shape))
         return approx_window(spec, rows, ctx.tol["ratio_slack"])
 
-    parts = ctx.map_chunks(run_chunk, list(zip(
-        ctx.child(suite).spawn(_CHUNKS), _chunk_sizes(ctx.budgets[suite]))))
+    # approx_window refuses an empty sample set, so a budget under
+    # _CHUNKS runs only its nonempty chunks, on the same seeds
+    parts = ctx.map_chunks(run_chunk, [
+        (ss, n) for ss, n in zip(ctx.child(suite).spawn(_CHUNKS),
+                                 _chunk_sizes(ctx.budgets[suite])) if n])
     return (None if parts[0] is None
             else ApproxWindow(*map(np.concatenate, zip(*parts))))
 

@@ -43,11 +43,15 @@ whole row.
 Nor is an array of a whole batch's coordinates needed.  A batch runs in
 the row blocks of boundary.row_blocks, a row being len(net) floats
 wide, times dim Y for a euclidean factor: pi_coords_batch fills its
-output, phi_norm_batch evaluates and verify_claim2d takes its running
-column max one block at a time, and a call that fits in one block (every
-phi_norm) takes a single matrix product and no loop.  A scalar-factor
-row's coordinates, and so its value's last bits, depend on its block,
-which is a fixed function of the row count and the net size.
+output one block at a time, and a call that fits in one block (every
+phi_norm) takes a single matrix product and no loop.  A pass that needs
+more than the norms computes each block's coordinates once, into one
+reused buffer (_coord_blocks), and reads both from that array:
+phi_norm_batch evaluates there, verify_claim2d divides the block by its
+norms in place and takes a running column max, and verify.active_sets
+counts its probes' woken bumps block by block.  A scalar-factor row's
+coordinates, and so its value's last bits, depend on its block, which
+is a fixed function of the row count and the net size.
 
 Every row is bisected to float resolution (``tol=0.0``) from a start
 on that scale, so its value is the whole-net one at ``tol=0.0``
@@ -434,6 +438,22 @@ def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     return coords
 
 
+def _coord_blocks(spec: PhiNormSpec, batch):
+    """(block, coords, norms) per row block (_blocks) of a checked batch:
+    the block's coordinate rows from one product, and their phi-norms
+    read from that same array.  Every block is written into one buffer,
+    so no two blocks are ever held at once, and a block's coords are
+    only valid until the next is asked for."""
+    blocks = _blocks(spec, len(batch))
+    if not blocks:
+        return
+    buffer = np.empty((blocks[0].stop, len(spec.net)))
+    for block in blocks:
+        coords = _coords(spec, batch[block],
+                         out=buffer[:block.stop - block.start])
+        yield block, coords, _luxemburg_rows(spec, coords)
+
+
 def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     """phi-norms of a batch, one vectorized bisection per row block
     (_blocks), so no n x net array is held: a batch of one gives
@@ -442,11 +462,9 @@ def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     differently in another block, and so its last bits; a
     euclidean-factor row's bits do not depend on the batch."""
     batch = _checked_batch(spec, batch)
-    blocks = _blocks(spec, len(batch))
-    if len(blocks) < 2:
+    if len(_blocks(spec, len(batch))) < 2:
         return _luxemburg_rows(spec, _coords(spec, batch))
-    return np.concatenate([_luxemburg_rows(spec, _coords(spec, batch[block]))
-                           for block in blocks])
+    return np.concatenate([norms for *_, norms in _coord_blocks(spec, batch)])
 
 
 @dataclass(frozen=True)
@@ -462,11 +480,22 @@ class PhiUnitPool:
     norms: np.ndarray
 
 
+def _draw(spec: PhiNormSpec, count, seed) -> np.ndarray:
+    """`count` gaussian samples of spec's sample shape from
+    default_rng(seed); a count that is not a nonnegative integer is a
+    ParameterError."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
+            or count < 0:
+        raise ParameterError(
+            f"sample count must be a nonnegative integer, got {count!r}")
+    return np.random.default_rng(seed).standard_normal(
+        (count, *spec.sample_shape))
+
+
 def phi_unit_pool(spec: PhiNormSpec, count, seed=0):
     """Draw `count` nonzero gaussian samples and compute their
     phi-norms in one batch."""
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((count, *spec.sample_shape))
+    samples = _draw(spec, count, seed)
     norms = phi_norm_batch(spec, samples)
     keep = norms > 0.0
     return PhiUnitPool(samples=samples[keep], norms=norms[keep])
@@ -504,23 +533,29 @@ def active_set(spec: PhiNormSpec, u) -> ActiveSet:
                      radius=margin * rho / (2.0 * max_psi))
 
 
-def verify_claim2d(spec: PhiNormSpec, pool: PhiUnitPool) -> np.ndarray:
-    """Sampled claim 2d: the excess of sup over unit g and pool samples u
-    of |(h tensor g)(u)| / ||u||_phi over 1/theta(h), per net point h.
+def verify_claim2d(spec: PhiNormSpec, samples) -> tuple[np.ndarray, int]:
+    """Sampled claim 2d: the excess of sup over unit g and samples u of
+    |(h tensor g)(u)| / ||u||_phi over 1/theta(h), per net point h, and
+    the number of samples with a positive phi-norm, the ones it ran on.
 
     Pi(u)(h) is the sup over unit g of |(h tensor g)(u)|, so one column
-    max of the pool's coordinate rows over its norms covers every g.
+    max of the samples' coordinate rows over their norms covers every g.
     Sampling gives a lower bound of the sup: excess <= tol means no
-    violation was found at this pool's fidelity.  An empty pool gives
-    -1/theta(h).  The column max runs over the row blocks that
-    phi_norm_batch normed the pool in, so no n x net array is held.
+    violation was found at this draw's fidelity.  No sample with a
+    positive norm gives -1/theta(h).  Each row block's coordinates are
+    computed once (_coord_blocks): they are normed, then divided in
+    place by their norms, a zero row's by inf, so that it adds nothing,
+    and folded into a running column max.  No n x net array is held.
     """
+    samples = _checked_batch(spec, samples)
     top = np.zeros(len(spec.net))
-    for block in _blocks(spec, len(pool.norms)):
-        values = pi_coords_batch(spec, pool.samples[block])
-        values /= pool.norms[block, None]
-        np.maximum(top, values.max(axis=0), out=top)
-    return top - 1.0 / spec.net.theta
+    kept = 0
+    for _, coords, norms in _coord_blocks(spec, samples):
+        positive = norms > 0.0
+        kept += int(np.count_nonzero(positive))
+        coords /= np.where(positive, norms, np.inf)[:, None]
+        np.maximum(top, coords.max(axis=0), out=top)
+    return top - 1.0 / spec.net.theta, kept
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,15 @@ CLI suites and corollary_b_pipeline: the window ||x|| < ||x||_phi <=
 one pool for every net point and unit g, and local finite dependence:
 active-set margins, probed for a bump outside the set that wakes within
 the set's certified radius.  The constants are the pipeline's budgets.
-The window's samples and the claim-2d pool meet the net, and the dual
-extreme points, one boundary.row_blocks block at a time, so neither is
-held as one array of every sample's coordinates.
+The window's samples, the claim-2d draw and each point's probes meet
+the net, and the dual extreme points, one boundary.row_blocks block at a
+time, so none is held as one array of every sample's coordinates.  The
+claim-2d draw and the probes compute each block's coordinates once and
+read their phi-norms and what the check needs from that one array: a
+2,000-sample lorentz_predual dim-7 sweep peaks at about 11.4 MB traced,
+one 479-row block of the 2,186-point net and the norms' work arrays.
+A check on nothing would pass, so every check refuses an empty sample
+set, and a count that is not a nonnegative integer, with ParameterError.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ import numpy as np
 
 from .boundary import row_blocks
 from .errors import ParameterError
-from .renorm import (active_set, phi_norm_batch, phi_unit_pool,
-                     pi_coords_batch, verify_claim2d)
+from .renorm import (_coord_blocks, _draw, active_set, phi_norm_batch,
+                     phi_unit_pool, verify_claim2d)
 from .tensor import _slice_norms
 
 __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
@@ -75,18 +81,12 @@ def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
     else:
         return None
     keep = base > BASE_FLOOR
+    if not keep.any():
+        raise ParameterError(f"sample set is empty ({len(keep)} given, none "
+                             f"with a base norm above {BASE_FLOOR})")
     samples, base = samples[keep], base[keep]
     return window(samples, base, phi_norm_batch(spec, samples),
                   spec.epsilon, slack)
-
-
-def _pool(spec, count, seed):
-    """phi_unit_pool, refusing one that holds no sample: a check on
-    nothing would pass."""
-    pool = phi_unit_pool(spec, count, seed=seed)
-    if not len(pool.norms):
-        raise ParameterError(f"sample set is empty ({count} drawn)")
-    return pool
 
 
 class Claim2dSweep(NamedTuple):
@@ -97,11 +97,15 @@ class Claim2dSweep(NamedTuple):
 
 def claim2d_sweep(spec, count=POOL_COUNT, seed=0,
                   tol=CLAIM_TOL) -> Claim2dSweep:
-    """verify_claim2d on one pool of `count` samples: every net point
-    and, for a euclidean factor, every unit g at once."""
-    pool = _pool(spec, count, seed)
-    worst = float(np.max(verify_claim2d(spec, pool)))
-    return Claim2dSweep(worst <= tol, worst, len(pool.norms))
+    """verify_claim2d on `count` gaussian samples, drawn as phi_unit_pool
+    draws them: every net point and, for a euclidean factor, every unit
+    g at once.  A draw with no sample of positive norm is refused: a
+    check on nothing would pass."""
+    excess, kept = verify_claim2d(spec, _draw(spec, count, seed))
+    if not kept:
+        raise ParameterError(f"sample set is empty ({count} drawn)")
+    worst = float(np.max(excess))
+    return Claim2dSweep(worst <= tol, worst, kept)
 
 
 class MarginCheck(NamedTuple):
@@ -130,7 +134,9 @@ def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     ss_points, ss_moves = seed.spawn(2)
-    pool = _pool(spec, count, ss_points)
+    pool = phi_unit_pool(spec, count, seed=ss_points)
+    if not len(pool.norms):
+        raise ParameterError(f"sample set is empty ({count} drawn)")
     shape = (-1,) + (1,) * (pool.samples.ndim - 1)
     points = pool.samples / pool.norms.reshape(shape)
     sets = tuple(active_set(spec, u) for u in points)
@@ -151,9 +157,8 @@ def active_sets(spec, count=MARGIN_COUNT, seed=0) -> MarginCheck:
         scale = phi_norm_batch(spec, moves)
         moves, scale = moves[scale > 0.0], scale[scale > 0.0]
         probes = u + moves * (0.9 * act.radius / scale).reshape(shape)
-        violations += inactive_violations(
-            spec, pi_coords_batch(spec, probes), phi_norm_batch(spec, probes),
-            outside)
+        for _, coords, rhos in _coord_blocks(spec, probes):
+            violations += inactive_violations(spec, coords, rhos, outside)
         checked += len(probes) * n_outside
     return MarginCheck(points, sets, checked, violations)
 
@@ -162,7 +167,14 @@ def inactive_violations(spec, coords, rhos, outside) -> int:
     """Pairs of a row and a net point in `outside` (indices or a boolean
     mask over the net) whose bump argument coords / rhos passes the zero
     threshold: the bump is positive there, even where its value
-    underflows to 0.0.  Counted on every column under the mask."""
+    underflows to 0.0.  Counted on every column under the mask.  A
+    non-positive (or NaN) entry of rhos is a ParameterError."""
+    rhos = np.asarray(rhos, dtype=float)
+    bad = ~(rhos > 0.0)
+    if bad.any():
+        raise ParameterError(
+            f"phi-norms must be positive, got {rhos[bad][0]} at row "
+            f"{int(np.flatnonzero(bad)[0])}")
     mask = np.zeros(len(spec.net), dtype=bool)
     mask[outside] = True
     woken = coords / rhos[:, None] > spec.family.zero_thresholds

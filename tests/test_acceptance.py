@@ -208,7 +208,7 @@ def test_criterion_07_rank_one_dual_bound(capsys, sup5_single_piece):
         spec, _ = sup5_single_piece
         pool = phi_unit_pool(spec, 10_000, seed=7)
         assert len(pool.norms) == 10_000
-        excess = verify_claim2d(spec, pool)
+        excess, _ = verify_claim2d(spec, pool.samples)
         assert np.all(excess <= 1e-7)
 
 

@@ -985,7 +985,7 @@ class TestRowBlocks:
                  / pool.norms[b, None]
                  for b in boundary.row_blocks(1000, len(spec.net))]
         want = np.max([p.max(axis=0) for p in parts], axis=0)
-        excess = verify_claim2d(spec, pool)
+        excess, _ = verify_claim2d(spec, pool.samples)
         assert_same_bits(excess, want - 1.0 / spec.net.theta)
         np.testing.assert_allclose(excess, per_point_excess(spec, pool),
                                    rtol=0.0, atol=1e-14)
@@ -993,15 +993,94 @@ class TestRowBlocks:
     def test_claim2d_empty_pool(self, predual7_spec):
         spec = predual7_spec
         pool = renorm.PhiUnitPool(np.zeros((0, 7)), np.zeros(0))
-        assert_same_bits(verify_claim2d(spec, pool), -1.0 / spec.net.theta)
+        assert_same_bits(verify_claim2d(spec, pool.samples)[0],
+                         -1.0 / spec.net.theta)
 
     def test_claim2d_sweep_memory(self, predual7_spec):
         """A 2,000-sample predual7 sweep never holds the 2,000 x 2,186
-        coordinate array (35 MB): its tracemalloc peak stays under 20
-        MB (44 MB when the pool went through whole)."""
+        coordinate array (35 MB), nor two of its 479-row blocks (8.4 MB
+        each): its tracemalloc peak stays under 13 MB (about 11.4 MB;
+        16.8 MB when each block's coordinates were computed twice, 44 MB
+        when the pool went through whole)."""
         spec = predual7_spec
         claim2d_sweep(spec, 64)  # fill the inverse table first
-        assert traced_peak(lambda: claim2d_sweep(spec, 2000)) < 20e6
+        assert traced_peak(lambda: claim2d_sweep(spec, 2000)) < 13e6
+
+
+def two_pass_claim2d(spec, samples):
+    """verify_claim2d as two passes: phi_norm_batch's norms, then per
+    row block the column max of the blocks' coordinates over them."""
+    norms = phi_norm_batch(spec, samples)
+    top = np.zeros(len(spec.net))
+    for b in renorm._blocks(spec, len(samples)):
+        values = pi_coords_batch(spec, samples[b]) / norms[b, None]
+        top = np.maximum(top, values.max(axis=0))
+    return top - 1.0 / spec.net.theta
+
+
+class TestClaim2dOnePass:
+    """verify_claim2d computes each row block's coordinates once and
+    reads the norms and the column max from that one array."""
+
+    def test_predual7_bits(self, predual7_spec):
+        spec = predual7_spec
+        samples = np.random.default_rng(4).standard_normal((1000, 7))
+        sizes = [b.stop - b.start for b in renorm._blocks(spec, 1000)]
+        assert sizes == [479, 479, 42]
+        norms = phi_norm_batch(spec, samples)
+        want = np.max([
+            (np.abs(samples[b] @ spec.net.matrix.T) / norms[b, None])
+            .max(axis=0) for b in renorm._blocks(spec, 1000)], axis=0)
+        excess, kept = verify_claim2d(spec, samples)
+        assert kept == 1000
+        assert_same_bits(excess, want - 1.0 / spec.net.theta)
+        assert_same_bits(excess, two_pass_claim2d(spec, samples))
+
+    def test_euclidean_factor_bits(self, sup4_euclid3_spec, monkeypatch):
+        spec = sup4_euclid3_spec
+        M = spread_matrices(np.random.default_rng(5), 50, 4, 3)
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 7 * len(spec.net) * 3)
+        assert len(renorm._blocks(spec, 50)) == 8
+        excess, kept = verify_claim2d(spec, M)
+        assert kept == 50
+        assert_same_bits(excess, two_pass_claim2d(spec, M))
+        coords = pi_coords_batch(spec, M) / phi_norm_batch(spec, M)[:, None]
+        assert_same_bits(excess, coords.max(axis=0) - 1.0 / spec.net.theta)
+
+    def test_empty_draw(self, predual7_spec):
+        spec = predual7_spec
+        excess, kept = verify_claim2d(spec, np.zeros((0, 7)))
+        assert kept == 0
+        assert_same_bits(excess, -1.0 / spec.net.theta)
+
+    def test_zero_rows_add_nothing(self, sup2_spec):
+        # a zero row's coordinates are divided by inf, not by its norm
+        # 0, so it adds nothing and warns of nothing (the suite runs
+        # with RuntimeWarning as an error)
+        samples = np.random.default_rng(6).standard_normal((40, 2))
+        samples[[0, 17, 39]] = 0.0
+        excess, kept = verify_claim2d(sup2_spec, samples)
+        assert kept == 37
+        nonzero = np.delete(samples, [0, 17, 39], axis=0)
+        assert_same_bits(excess, verify_claim2d(sup2_spec, nonzero)[0])
+        assert_same_bits(verify_claim2d(sup2_spec, np.zeros((3, 2)))[0],
+                         -1.0 / sup2_spec.net.theta)
+
+    def test_one_product_per_block(self, predual7_spec, monkeypatch):
+        """A 1,000-sample sweep makes one coordinate product per block,
+        three in all (six when the norms and the column max each made
+        their own)."""
+        calls = []
+
+        def counted(spec, batch, out=None):
+            calls.append(len(batch))
+            return coords(spec, batch, out=out)
+
+        coords = renorm._coords
+        monkeypatch.setattr(renorm, "_coords", counted)
+        sweep = claim2d_sweep(predual7_spec, 1000, seed=2)
+        assert calls == [479, 479, 42]
+        assert sweep.pool_size == 1000
 
 
 def fresh_spec(spec):
@@ -1355,7 +1434,7 @@ def per_point_excess(spec, pool):
 class TestClaim2d:
     def test_sampled_bound_holds(self, sup2_spec):
         pool = phi_unit_pool(sup2_spec, 2000, seed=1)
-        excess = verify_claim2d(sup2_spec, pool)
+        excess, _ = verify_claim2d(sup2_spec, pool.samples)
         bound = 1.0 / sup2_spec.net.theta[0]
         assert excess.shape == (len(sup2_spec.net),)
         assert excess[0] <= 1e-7
@@ -1363,7 +1442,7 @@ class TestClaim2d:
 
     def test_shared_pool(self, sup2_spec):
         pool = phi_unit_pool(sup2_spec, 3000, seed=5)
-        excess = verify_claim2d(sup2_spec, pool)
+        excess, _ = verify_claim2d(sup2_spec, pool.samples)
         assert excess.shape == (len(sup2_spec.net),)
         assert np.all(excess <= 1e-7)
         assert len(pool.norms) == 3000
@@ -1376,22 +1455,24 @@ class TestClaim2d:
         assert value <= 1.0 / net.theta[0]
 
     def test_seeded_determinism(self, sup2_spec):
-        a = verify_claim2d(sup2_spec, phi_unit_pool(sup2_spec, 500, seed=9))
-        b = verify_claim2d(sup2_spec, phi_unit_pool(sup2_spec, 500, seed=9))
+        a, _ = verify_claim2d(
+            sup2_spec, phi_unit_pool(sup2_spec, 500, seed=9).samples)
+        b, _ = verify_claim2d(
+            sup2_spec, phi_unit_pool(sup2_spec, 500, seed=9).samples)
         np.testing.assert_array_equal(a, b)
 
     def test_matches_per_point_oracle(self, sup2_spec, ladder3_spec):
         for spec in (sup2_spec, ladder3_spec):
             pool = phi_unit_pool(spec, 400, seed=2)
-            np.testing.assert_allclose(verify_claim2d(spec, pool),
-                                       per_point_excess(spec, pool),
+            excess, _ = verify_claim2d(spec, pool.samples)
+            np.testing.assert_allclose(excess, per_point_excess(spec, pool),
                                        rtol=1e-14)
 
     def test_euclidean_g(self, euclid_factor_spec):
         # the excess is the sup over unit g: it dominates each fixed g
         spec = euclid_factor_spec
         pool = phi_unit_pool(spec, 500, seed=3)
-        excess = verify_claim2d(spec, pool)
+        excess, _ = verify_claim2d(spec, pool.samples)
         assert np.all(excess <= 1e-7)
         top = excess + 1.0 / spec.net.theta
         rng = np.random.default_rng(11)

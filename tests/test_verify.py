@@ -9,12 +9,13 @@ import json
 import numpy as np
 import pytest
 
-from smoothnorm import renorm, verify
+from smoothnorm import boundary, renorm, verify
 from smoothnorm.boundary import Decomposition
 from smoothnorm.cli import main
 from smoothnorm.equiv import corollary_b_pipeline
 from smoothnorm.errors import ParameterError
-from smoothnorm.renorm import (active_set, build_renorm, phi_unit_pool,
+from smoothnorm.renorm import (active_set, build_renorm, phi_norm_batch,
+                               phi_unit_pool, pi_coords_batch,
                                verify_claim2d)
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, lorentz_space,
@@ -93,6 +94,20 @@ class TestWindow:
         assert win.base.tolist() == want
         assert win.violations == 0
 
+    @pytest.mark.parametrize("rows", [np.zeros((0, 3)), np.zeros((4, 3)),
+                                      np.full((2, 3), 1e-13)],
+                             ids=["none", "zeros", "under-floor"])
+    def test_nothing_to_check_refused(self, sup3_spec, rows):
+        # a window on no sample used to pass, with no row inside it
+        with pytest.raises(ParameterError, match="empty"):
+            approx_window(sup3_spec, rows)
+
+    def test_nothing_to_check_refused_for_matrices(self,
+                                                    euclid_factor_spec):
+        for mats in (np.zeros((0, 2, 2)), np.zeros((3, 2, 2))):
+            with pytest.raises(ParameterError, match="empty"):
+                approx_window(euclid_factor_spec, mats)
+
     def test_not_checkable_without_enumerable_dual(self):
         X = lorentz_space([1.0, 0.5])
         signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
@@ -106,8 +121,8 @@ class TestWindow:
 class TestClaim2dSweep:
     def test_matches_per_point_reports(self, sup3_spec):
         sweep = claim2d_sweep(sup3_spec, 300, seed=3)
-        excess = verify_claim2d(sup3_spec, phi_unit_pool(sup3_spec, 300,
-                                                         seed=3))
+        excess, _ = verify_claim2d(
+            sup3_spec, phi_unit_pool(sup3_spec, 300, seed=3).samples)
         assert sweep.ok and sweep.pool_size == 300
         assert sweep.worst_excess == max(excess)
 
@@ -121,14 +136,36 @@ class TestClaim2dSweep:
         at_e0 = max(
             np.max(np.abs(pool.samples @ g @ h) / pool.norms) - 1.0 / theta
             for h, theta in zip(spec.net.matrix, spec.net.theta))
+        excess, _ = verify_claim2d(spec, pool.samples)
         assert sweep.ok
-        assert sweep.worst_excess == max(verify_claim2d(spec, pool))
+        assert sweep.worst_excess == max(excess)
         assert sweep.worst_excess >= at_e0
 
     def test_empty_pool_refused(self, sup3_spec):
         # a sweep over no sample used to return ok=True
         with pytest.raises(ParameterError, match="empty"):
             claim2d_sweep(sup3_spec, 0)
+
+    @pytest.mark.parametrize("count", [-5, 2.5, True, "10", None])
+    def test_count_must_be_a_count(self, sup3_spec, count):
+        # -5 was numpy's "negative dimensions", 2.5 and True a TypeError
+        with pytest.raises(ParameterError, match=f"count.*{count!r}"):
+            claim2d_sweep(sup3_spec, count)
+        with pytest.raises(ParameterError, match=f"count.*{count!r}"):
+            phi_unit_pool(sup3_spec, count)
+
+    def test_numpy_integer_count(self, sup3_spec):
+        assert claim2d_sweep(sup3_spec, np.int64(50), seed=1) \
+            == claim2d_sweep(sup3_spec, 50, seed=1)
+
+    def test_draw_is_phi_unit_pools(self, sup3_spec):
+        # the sweep draws as phi_unit_pool does, and runs on the rows it
+        # keeps
+        sweep = claim2d_sweep(sup3_spec, 100, seed=8)
+        pool = phi_unit_pool(sup3_spec, 100, seed=8)
+        excess, kept = verify_claim2d(sup3_spec, pool.samples)
+        assert sweep == (max(excess) <= 1e-7, max(excess), kept)
+        assert kept == len(pool.norms) == 100
 
     def test_one_call_per_sweep(self, sup3_spec, monkeypatch):
         calls = []
@@ -165,6 +202,31 @@ class TestActiveSets:
         with pytest.raises(ParameterError, match="empty"):
             active_sets(sup3_spec, 0)
 
+    @pytest.mark.parametrize("count", [-1, 2.5, True])
+    def test_count_must_be_a_count(self, sup3_spec, count):
+        with pytest.raises(ParameterError, match=f"count.*{count!r}"):
+            active_sets(sup3_spec, count)
+
+    def test_probes_in_blocks_match_two_passes(self, sup3_spec,
+                                               monkeypatch):
+        """Probes over several row blocks give the record that a second
+        coordinate pass per point gives: pi_coords_batch of the probes,
+        then phi_norm_batch.  Bumps are woken at 4 times the coordinates,
+        so that the per-block counts have something to add up."""
+        spec = sup3_spec
+        inactive = verify.inactive_violations
+        monkeypatch.setattr(
+            verify, "inactive_violations",
+            lambda spec, coords, rhos, outside: inactive(
+                spec, 4.0 * coords, rhos, outside))
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 7 * len(spec.net))
+        assert len(renorm._blocks(spec, PERTURBATIONS)) == 3
+        check = active_sets(spec, 6, seed=9)
+        want = two_pass_active_sets(spec, 6, seed=9)
+        np.testing.assert_array_equal(check.points, want.points)
+        assert check[1:] == want[1:]
+        assert check.violations > 0
+
     def test_seed_spawns_points_and_moves(self, sup3_spec):
         check = active_sets(sup3_spec, 8, seed=5)
         ss_points, _ = np.random.SeedSequence(5).spawn(2)
@@ -182,6 +244,27 @@ class TestActiveSets:
         assert outside > 0
         assert check.inactive_checked == PERTURBATIONS * outside
         assert check.violations == 0 and check.passed
+
+
+def two_pass_active_sets(spec, count, seed):
+    """active_sets with each point's probes taken in two passes:
+    pi_coords_batch, then phi_norm_batch."""
+    ss_points, ss_moves = np.random.SeedSequence(seed).spawn(2)
+    pool = phi_unit_pool(spec, count, seed=ss_points)
+    points = pool.samples / pool.norms[:, None]
+    sets = tuple(active_set(spec, u) for u in points)
+    rng = np.random.default_rng(ss_moves)
+    checked = violations = 0
+    for u, act in zip(points, sets):
+        outside = np.setdiff1d(np.arange(len(spec.net)), act.indices)
+        moves = rng.standard_normal((PERTURBATIONS, *u.shape))
+        scale = phi_norm_batch(spec, moves)
+        probes = u + moves * (0.9 * act.radius / scale)[:, None]
+        violations += verify.inactive_violations(
+            spec, pi_coords_batch(spec, probes), phi_norm_batch(spec, probes),
+            outside)
+        checked += len(probes) * len(outside)
+    return verify.MarginCheck(points, sets, checked, violations)
 
 
 class TestWokenBump:
@@ -253,6 +336,14 @@ class TestInactiveViolations:
         assert inactive_violations(sup3_spec, coords, rhos, [0]) == 1
         assert inactive_violations(sup3_spec, 2.0 * coords, 2.0 * rhos,
                                    [0, 1]) == 1
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_non_positive_rho_refused(self, sup3_spec, bad):
+        # a zero rho used to divide by zero, with a RuntimeWarning
+        coords = np.ones((3, len(sup3_spec.net)))
+        rhos = np.array([1.0, bad, 2.0])
+        with pytest.raises(ParameterError, match="row 1"):
+            inactive_violations(sup3_spec, coords, rhos, [0])
 
     def test_mask_counts_as_indices(self, sup3_spec):
         rng = np.random.default_rng(3)
