@@ -55,7 +55,7 @@ max(1, BLOCK_ELEMS // width) consecutive rows, where width is a row's
 float count in the pass's largest temporary.  No such temporary then
 exceeds about BLOCK_ELEMS floats (8 MB), whatever n is, and the blocks
 are a fixed function of n and width, so a row's bits repeat whenever
-its call does, at any --parallel.
+its call does.
 """
 
 from __future__ import annotations
@@ -124,11 +124,13 @@ class Decomposition:
     closure mapping {(piece, member): piece indices}, which must include
     the member's own piece (the default for an unlisted member).
 
-    Validates on construction: eps in (0, 1), pairwise-disjoint pieces,
-    the closure entries, bump thresholds fl(1/psi) < fl(1/theta) that
-    separate in floats for every member (ConstructionError naming the
-    first piece where they do not), and (when the ambient dual norm is
-    exact) membership of every functional in the dual ball up to 1e-9.
+    Validates on construction: eps in (0, 1), finite members on every
+    kind (ParameterError naming the first piece and member that is not),
+    pairwise-disjoint pieces, the closure entries, bump thresholds
+    fl(1/psi) < fl(1/theta) that separate in floats for every member
+    (ConstructionError naming the first piece where they do not), and
+    (when the ambient dual norm is exact) membership of every functional
+    in the dual ball up to 1e-9.
     With a surrogate dual metric the ball check is recorded as skipped.
     ``members`` stacks the pieces in piece order, ``pieces`` are row
     views of it, and ``piece``, ``psi`` and ``eps_n`` are aligned with
@@ -153,6 +155,13 @@ class Decomposition:
         self.pieces = tuple(self.members[a:b]
                             for a, b in zip(start, start[1:]))
         self.piece = np.repeat(np.arange(len(sizes)), sizes)
+        finite = np.isfinite(self.members).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            n = int(self.piece[i])
+            raise ParameterError(
+                f"piece {n} member {i - int(start[n])} has a NaN or "
+                f"infinite coordinate")
 
         keys = iter(_row_keys(self.members))
         seen = {}

@@ -14,7 +14,7 @@ Config file (a JSON object):
   decomposition  {"preset": "unit_vectors" | "per_direction"} or
                  {"pieces": [[[coords], ...], ...]} with an optional
                  "closure" list of {"piece", "member", "pieces"} entries
-  seed           base seed (integer); --seed overrides; a seed is
+  seed           base seed (an integer >= 0); --seed overrides; a seed is
                  required because every suite draws samples
   samples        per-suite budget overrides (an object), keys as in _BUDGETS
   tolerances     tolerance overrides (an object), keys as in _TOLERANCES
@@ -50,7 +50,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -68,8 +67,8 @@ from .spaces import (EuclideanSpace, LapSpace, LorentzPredualSpace,
                      LorentzSpace, SupSpace)
 from .tensor import (TensorElement, apply_fY, apply_gX,
                      boundary_product_check, injective_norm, tensor_apply)
-from .verify import (CLAIM_TOL, PERTURBATIONS, RATIO_SLACK, ApproxWindow,
-                     active_sets, approx_window, claim2d_sweep)
+from .verify import (CLAIM_TOL, PERTURBATIONS, RATIO_SLACK, active_sets,
+                     approx_window, claim2d_sweep)
 
 SUITES = ("approx", "claim1", "claim2d", "localdep", "smooth",
           "boundary", "tensor", "equiv")
@@ -87,8 +86,6 @@ _TOLERANCES = {"ratio_slack": RATIO_SLACK, "claim2d_excess": CLAIM_TOL,
                "richardson": 1e-5, "boundary": 1e-9,
                "tensor_identity": 1e-12, "equiv_identity": 1e-9}
 
-# chunk count is fixed so reports do not depend on --parallel
-_CHUNKS = 8
 _NO_WINDOW = "matrix base norms need an enumerable dual ball"
 
 
@@ -277,8 +274,8 @@ def load_config(path) -> RunConfig:
 
     seed = data.get("seed")
     if seed is not None and (isinstance(seed, bool)
-                             or not isinstance(seed, int)):
-        raise ConfigError("seed must be an integer")
+                             or not isinstance(seed, int) or seed < 0):
+        raise ConfigError("seed must be a nonnegative integer")
 
     budgets = dict(_BUDGETS)
     for key, value in _section(data, "samples", {}).items():
@@ -316,13 +313,12 @@ class RunContext:
     replayed to every suite that needs it.
     """
 
-    def __init__(self, cfg: RunConfig, seed, parallel, out_dir):
+    def __init__(self, cfg: RunConfig, seed, out_dir):
         self.cfg = cfg
         self.space = cfg.space
         self.Y = cfg.factor
         self.eps = cfg.epsilon
         self.seed = int(seed)
-        self.parallel = int(parallel)
         self.out_dir = Path(out_dir)
         self.tol = cfg.tolerances
         self.budgets = cfg.budgets
@@ -353,39 +349,18 @@ class RunContext:
                 raise
         return self._spec
 
-    def map_chunks(self, fn, chunks):
-        if self.parallel <= 1:
-            return [fn(c) for c in chunks]
-        with ThreadPoolExecutor(max_workers=self.parallel) as pool:
-            return list(pool.map(fn, chunks))
-
 
 def _seed_int(ss):
     return int(ss.generate_state(1)[0])
 
 
-def _chunk_sizes(total):
-    base, extra = divmod(total, _CHUNKS)
-    return [base + (1 if i < extra else 0) for i in range(_CHUNKS)]
-
-
 def _window_samples(ctx, suite):
-    """The approx window on the suite's budget of gaussian samples, or
-    None; fixed chunks and seeds make it independent of --parallel."""
+    """The approx window on the suite's budget of gaussian samples, drawn
+    in one call from the suite's seed, or None (approx_window)."""
     spec = ctx.phi_spec()
-
-    def run_chunk(arg):
-        rows = np.random.default_rng(arg[0]).standard_normal(
-            (arg[1], *spec.sample_shape))
-        return approx_window(spec, rows, ctx.tol["ratio_slack"])
-
-    # approx_window refuses an empty sample set, so a budget under
-    # _CHUNKS runs only its nonempty chunks, on the same seeds
-    parts = ctx.map_chunks(run_chunk, [
-        (ss, n) for ss, n in zip(ctx.child(suite).spawn(_CHUNKS),
-                                 _chunk_sizes(ctx.budgets[suite])) if n])
-    return (None if parts[0] is None
-            else ApproxWindow(*map(np.concatenate, zip(*parts))))
+    rows = np.random.default_rng(ctx.child(suite)).standard_normal(
+        (ctx.budgets[suite], *spec.sample_shape))
+    return approx_window(spec, rows, ctx.tol["ratio_slack"])
 
 
 # -- report plumbing -----------------------------------------------------
@@ -670,8 +645,9 @@ def _build_parser():
                           "config 'suites' entry, else all")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
+    # hidden; kept, as 1 only, for callers that still pass it
     run.add_argument("--parallel", type=int, default=1,
-                     help="worker threads for sample evaluation")
+                     help=argparse.SUPPRESS)
     run.add_argument("--tol", action="append", default=[],
                      metavar="KEY=VALUE",
                      help="tolerance override (repeatable)")
@@ -688,8 +664,11 @@ def main(argv=None) -> int:
         if seed is None:
             raise ConfigError("a seed is required: set 'seed' in the "
                               "config or pass --seed")
-        if args.parallel < 1:
-            raise ConfigError("--parallel must be >= 1")
+        if seed < 0:
+            raise ConfigError("--seed must be a nonnegative integer")
+        if args.parallel != 1:
+            raise ConfigError("--parallel takes only 1: the suites run "
+                              "on one thread")
         overrides = {}
         for item in args.tol:
             key, sep, value = item.partition("=")
@@ -699,7 +678,7 @@ def main(argv=None) -> int:
         if overrides:
             cfg = replace(cfg,
                           tolerances={**cfg.tolerances, **overrides})
-        ctx = RunContext(cfg, seed, args.parallel, args.out)
+        ctx = RunContext(cfg, seed, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

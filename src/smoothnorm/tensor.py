@@ -106,6 +106,15 @@ class InjectiveNormResult:
     g: np.ndarray
 
 
+def _refuse_non_finite(what, M):
+    """ParameterError naming the first row of M (along its first axis)
+    that holds a NaN or inf, as ModelSpace.norm_rows refuses one."""
+    finite = np.isfinite(M).all(axis=tuple(range(1, M.ndim)))
+    if not finite.all():
+        raise ParameterError(f"{what}: row {int(np.argmin(finite))} has a "
+                             f"NaN or infinite coordinate")
+
+
 def _slice_norms(F, M, out=None):
     """||f @ u||_2 for every row f of F and u one (dim X, dim Y) matrix,
     (len(F),) norms, or a (k, dim X, dim Y) stack, (k, len(F)) norms,
@@ -153,7 +162,7 @@ def injective_norm(u: TensorElement) -> InjectiveNormResult:
 
     Exact: the max of ||f @ u||_2 over the dual extreme points f of X.
     Raises ParameterError unless X has an enumerable dual ball and Y is
-    euclidean.
+    euclidean, and on a NaN or inf entry, naming its row.
     """
     if not isinstance(u, TensorElement):
         raise ParameterError("injective_norm expects a TensorElement")
@@ -165,6 +174,7 @@ def injective_norm(u: TensorElement) -> InjectiveNormResult:
             f"X has kind {u.X.kind!r}")
     M = u.matrix
     dim_x, dim_y = M.shape
+    _refuse_non_finite("injective norm", M)
 
     if not M.any():
         return InjectiveNormResult(0.0, np.zeros(dim_x), np.zeros(dim_y))

@@ -25,7 +25,7 @@ from .boundary import row_blocks
 from .errors import ParameterError
 from .renorm import (_coord_blocks, _draw, active_set, phi_norm_batch,
                      phi_unit_pool, verify_claim2d)
-from .tensor import _slice_norms
+from .tensor import _refuse_non_finite, _slice_norms
 
 __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
            "approx_window", "claim2d_sweep", "active_sets",
@@ -68,12 +68,14 @@ def window(samples, base, phi, eps, slack=RATIO_SLACK) -> ApproxWindow:
 def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
     """The window on (k, dim X) vectors, or on (k, dim X, dim Y) matrices
     against their exact injective norm (None without an enumerable dual
-    ball).  Samples with a base norm <= BASE_FLOOR are dropped."""
+    ball).  Samples with a base norm <= BASE_FLOOR are dropped; a sample
+    with a NaN or inf entry is a ParameterError naming its row."""
     X, Y = spec.X, spec.Y
     if Y is None:
         base = X.norm_rows(samples)
     elif X.enumerable_dual:
         # injective_norm of every matrix, one row block at a time
+        _refuse_non_finite("injective norm", samples)
         P = X.dual_extreme_points()
         base = np.empty(len(samples))
         for block in row_blocks(len(samples), len(P) * Y.dim):

@@ -165,6 +165,22 @@ class TestDecompositionValidation:
                            match=r"piece 1 member 1 has dual norm 1\.4 "):
             Decomposition(sup_space(2), [np.eye(2), members], 0.1)
 
+    @pytest.mark.parametrize("space", [
+        sup_space(3), euclidean_space(3), lorentz_space([1.0, 0.5, 0.25]),
+        lorentz_predual_space([1.0, 0.5, 0.25]),
+        lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)], ids=lambda sp: sp.kind)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_refused(self, space, bad):
+        """A surrogate dual metric (lap) used to take a NaN or inf member,
+        and build_net built a net out of it; the exact kinds refused one
+        only through dual_norm_rows, naming no piece."""
+        piece = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+        piece[1, 0] = bad
+        with pytest.raises(ParameterError,
+                           match=r"^piece 1 member 1 has a NaN or infinite "
+                                 r"coordinate$"):
+            Decomposition(space, [np.eye(3)[:1], piece], 0.1)
+
     def test_surrogate_dual_skips_ball_check(self):
         space = lap_space([[0, 1], [2]], [1.0, 2.0], 3)
         big = np.array([[2.0, 2.0, 2.0]])
@@ -485,18 +501,26 @@ class TestSieve:
 
     def test_non_finite_members_never_split(self):
         """A non-finite key splits no group: the infinite members stay
-        with the finite ones, though their keys jump by more than 2."""
+        with the finite ones, though their keys jump by more than 2.
+        Decomposition refuses a non-finite member, so build_net meets a
+        non-finite key only where x / eps_n overflows a finite member."""
         space = lap_space([[0], [1, 2]], [1.0, 2.0], dim=3)
         members = np.array([[0.0, 0.0, 0.0], [0.001, 0.0, 0.0],
                             [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0],
                             [-np.inf, 0.0, 0.0]])
-        d = Decomposition(space, [members], 0.96)
         sep = np.full(len(members), epsilon_n(0.96, 0))
         isolated = boundary._isolated(members, sep, np.zeros(5, dtype=int))
         assert not isolated.any()
-        # no l-infinity distance to a non-finite member is below eps_n
-        with np.errstate(invalid="ignore"):
-            net = build_net(d)
+        huge = np.array([[0.0, 0.0, 0.0], [0.001, 0.0, 0.0],
+                         [1e308, 0.0, 0.0], [1.5e308, 0.0, 0.0],
+                         [1.7e308, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(huge[2:, 0] / sep[2:]).all()
+        d = Decomposition(space, [huge], 0.96)
+        assert not boundary._isolated(huge, sep,
+                                      np.zeros(5, dtype=int)).any()
+        # no l-infinity distance between the huge members is below eps_n
+        net = build_net(d)
         np.testing.assert_array_equal(net.home, [0, 0, 1, 2, 3])
 
     def test_predual7_skips_the_greedy_loop(self, monkeypatch):

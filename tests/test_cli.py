@@ -167,6 +167,43 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, seed="lucky")
         assert main(["run", str(cfg)]) == 2
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        # a negative seed used to die in SeedSequence with a ValueError
+        # traceback (exit 1, no report)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "approx", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert "--seed must be a nonnegative integer" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, seed=-3)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "approx",
+                     "--out", str(out)]) == 2
+        assert "seed must be a nonnegative integer" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_non_finite_decomposition_member_exits_2(self, tmp_path, capsys):
+        # lap has a surrogate dual metric, so no dual-ball check read the
+        # members, and a net was built out of the NaN one
+        pieces = [[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                  [[0.0, 1.0, 0.0], [float("nan"), 0.0, 1.0]]]
+        cfg = write_cfg(tmp_path, space={"kind": "lap", "dim": 3,
+                                         "sets": [[0], [1, 2]],
+                                         "exponents": [1, 2]},
+                        decomposition={"pieces": pieces})
+        assert "NaN" in cfg.read_text()
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "boundary",
+                     "--out", str(out)]) == 2
+        assert "bad decomposition: piece 1 member 1 has a NaN or " \
+            "infinite coordinate" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_bad_sample_budget(self, tmp_path):
         cfg = write_cfg(tmp_path, samples={"approx": 0})
         assert main(["run", str(cfg)]) == 2
@@ -293,9 +330,20 @@ class TestConfigErrors:
         assert f"{section} must be a JSON" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
-    def test_bad_parallel(self, tmp_path):
+    def test_bad_parallel(self, tmp_path, capsys):
+        # the suites run on one thread; only 1 is accepted
         cfg = write_cfg(tmp_path)
-        assert main(["run", str(cfg), "--parallel", "0"]) == 2
+        out = tmp_path / "o"
+        for value in ("0", "2"):
+            assert main(["run", str(cfg), "--suite", "approx", "--parallel",
+                         value, "--out", str(out)]) == 2
+            assert "the suites run on one thread" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_parallel_not_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "--parallel" not in capsys.readouterr().out
 
     def test_resolve_suites_fixed_order(self):
         assert _resolve_suites(["smooth", "approx"]) == ("approx",
@@ -455,24 +503,52 @@ class TestDeterminism:
             assert (out_a / name).read_bytes() == \
                 (out_b / name).read_bytes()
 
-    def test_parallel_does_not_change_bytes(self, tmp_path):
+    def test_parallel_one_still_runs(self, tmp_path):
+        # the benchmark harness passes --parallel 1
         cfg = write_cfg(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         base = ["run", str(cfg), "--suite", "approx",
                 "--suite", "claim1"]
         assert main(base + ["--out", str(out_a)]) == 0
-        assert main(base + ["--parallel", "3", "--out", str(out_b)]) == 0
+        assert main(base + ["--parallel", "1", "--out", str(out_b)]) == 0
         assert (out_a / "report.json").read_bytes() == \
             (out_b / "report.json").read_bytes()
         assert (out_a / "approx_samples.csv").read_bytes() == \
             (out_b / "approx_samples.csv").read_bytes()
+
+    def test_window_suites_draw_once(self, tmp_path):
+        """approx_samples.csv holds the suite's whole budget, drawn by one
+        standard_normal call on the suite's seed, in draw order."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "approx",
+                     "--out", str(out)]) == 0
+        ss = np.random.SeedSequence(BASE["seed"],
+                                    spawn_key=(SUITES.index("approx"),))
+        want = np.random.default_rng(ss).standard_normal(
+            (BASE["samples"]["approx"], 3))
+        with (out / "approx_samples.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(r[0]) for r in rows] == list(range(len(want)))
+        got = np.array([[float(v) for v in r[1:4]] for r in rows])
+        assert got.tobytes() == want.tobytes()
+
+    def test_budget_of_one_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, samples={"approx": 1, "claim1": 1,
+                                           "build": 64})
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "approx",
+                     "--suite", "claim1", "--out", str(out)]) == 0
+        suites = report_of(out)["suites"]
+        assert suites["approx"]["samples"] == suites["claim1"]["samples"] \
+            == 1
 
     @pytest.mark.parametrize("suite", ["localdep", "approx", "equiv"])
     def test_suite_repeats_on_one_context(self, tmp_path, suite):
         """A suite run twice on one RunContext gives the same record and
         tables: these three spawn seeds from the context's suite seed."""
         cfg = load_config(CONFIGS / "demo_sup3.cfg")
-        ctx = RunContext(cfg, cfg.seed, 1, tmp_path)
+        ctx = RunContext(cfg, cfg.seed, tmp_path)
         first, second = run_suite(suite, ctx), run_suite(suite, ctx)
         assert first[0]["status"] != "failed"
         assert first[0] == second[0]

@@ -351,7 +351,7 @@ class TestPinnedNets:
         suite's inputs: the one shipped net whose members reach the
         greedy loop (58 of 792, in four bins)."""
         cfg = load_config(CONFIGS / "lap13_equiv.cfg")
-        ctx = RunContext(cfg, cfg.seed, 1, tmp_path)
+        ctx = RunContext(cfg, cfg.seed, tmp_path)
         ss_samples, ss_pipeline = ctx.child("equiv").spawn(2)
         samples = np.random.default_rng(ss_samples).standard_normal(
             (cfg.budgets["equiv"], cfg.space.dim))
@@ -1307,9 +1307,10 @@ class TestCheckedStart:
         assert counts.max() > 1
 
     def test_table_shared_by_threads(self, sup4_euclid3_spec):
-        """Threads filling and widening one spec's table at once, as the
-        CLI's --parallel chunks do: each batch gets its values from a
-        table filled by one thread alone, bit for bit."""
+        """Threads filling and widening one spec's table at once, as a
+        library caller's threads may (the CLI runs on one): each batch
+        gets its values from a table filled by one thread alone, bit for
+        bit."""
         rng = np.random.default_rng(12)
         X = (rng.standard_normal((16, 200, 4, 3))
              * 10.0 ** rng.uniform(-3.0, 3.0, (16, 200, 1, 1)))

@@ -188,6 +188,21 @@ class TestInjectiveNormRefusal:
         with pytest.raises(ParameterError, match="'lap'"):
             injective_norm(u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused(self, bad):
+        """A NaN entry used to give value nan with f = e_0 and g = 0, and
+        an inf one a RuntimeWarning in the slice norms; the product check
+        took the NaN value as a unit sample."""
+        M = np.full((3, 2), 0.25)
+        M[1, 0] = bad
+        u = TensorElement(M, sup_space(3), euclidean_space(2))
+        with pytest.raises(ParameterError,
+                           match="row 1 has a NaN or infinite coordinate"):
+            injective_norm(u)
+        with pytest.raises(ParameterError,
+                           match="row 1 has a NaN or infinite coordinate"):
+            boundary_product_check(np.eye(3), np.eye(2), [u])
+
 
 class TestBoundaryProduct:
     def circle(self, n):

@@ -108,6 +108,21 @@ class TestWindow:
             with pytest.raises(ParameterError, match="empty"):
                 approx_window(euclid_factor_spec, mats)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_refused(self, bad):
+        """A NaN sample used to get a NaN base, fail base > BASE_FLOOR and
+        be dropped, so the window passed on the other 4 of 5; an inf one
+        raised a RuntimeWarning.  The scalar path refuses both in
+        norm_rows."""
+        X = sup_space(4)
+        spec = build_renorm(X, per_direction(X), euclidean_space(3),
+                            budget=128, seed=0)
+        mats = np.random.default_rng(5).standard_normal((5, 4, 3))
+        mats[2, 3, 1] = bad
+        with pytest.raises(ParameterError,
+                           match="row 2 has a NaN or infinite coordinate"):
+            approx_window(spec, mats)
+
     def test_not_checkable_without_enumerable_dual(self):
         X = lorentz_space([1.0, 0.5])
         signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
