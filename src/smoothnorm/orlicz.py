@@ -38,10 +38,13 @@ family: ``modular_rows`` takes per-row column indices, and index
 ``len(family)`` is an inert slot with zero threshold +inf.  This is how
 renorm evaluates only the terms of a row that can be positive at a
 feasible scale; without indices, entry t of a row belongs to member t.
-The sum runs over the selected entries in row order either way, so a
-row with some always-zero terms left out sums the same values in the
-same order.  Families of other callables (for example the power family
-s -> s^p) are evaluated per group of identical callables.
+An index outside [0, len(family)], a negative one included, or one that
+is not an integer is refused.  The entries above their thresholds are
+selected and read by flat index, and np.bincount sums them per row in
+row order either way, so a row with some always-zero terms left out
+sums the same values in the same order.  Families of other callables
+(for example the power family s -> s^p) are evaluated per group of
+identical callables.
 
 ``modular_inverse`` inverts the modular of k equal entries of one bump:
 z*(k) is the largest float z at which the sum of k copies of the bump at
@@ -370,8 +373,9 @@ class OrliczFamily:
         """Row-wise modular for a batch: (n, w) -> (n,).
 
         Entry (i, j) of ``rows`` is the argument of member ``cols[i, j]``,
-        where ``cols`` is an integer array of shape (n, w) or (1, w) and
-        index ``len(family)`` is an inert slot whose value is 0.  By
+        where ``cols`` is an integer array of shape (n, w) or (1, w) with
+        entries in [0, len(family)], and index ``len(family)`` is an inert
+        slot whose value is 0; any other ``cols`` is a ParameterError.  By
         default w = len(family) and column j belongs to member j.  Column
         indices need a family of OrliczFunctions.
         """
@@ -381,6 +385,8 @@ class OrliczFamily:
         elif self._groups is not None:
             raise ParameterError(
                 "column indices need a family of OrliczFunctions")
+        else:
+            cols = self._checked_columns(cols)
         if (rows.ndim != 2 or cols.shape[1:] != rows.shape[1:]
                 or cols.shape[0] not in (1, rows.shape[0])):
             raise ParameterError(
@@ -396,13 +402,29 @@ class OrliczFamily:
                 total += np.sum(fn(rows[:, idx]), axis=1)
             return total
         # Every bump vanishes up to its zero threshold, so only the
-        # entries above it are evaluated.
-        r, j = np.nonzero(rows > self._zero[cols])
-        if not r.size:
-            return np.zeros(rows.shape[0])
-        t = cols[r if len(cols) == len(rows) else 0, j]
-        vals = _bump(rows[r, j] - self._zero[t], self._log_g_width[t], 0)
-        return np.bincount(r, weights=vals, minlength=rows.shape[0])
+        # entries above it are evaluated, read by flat index in row order
+        n, w = rows.shape
+        flat = (rows > self._zero.take(cols)).ravel().nonzero()[0]
+        if not flat.size:
+            return np.zeros(n)
+        t = cols.take(flat if len(cols) == n else flat % w)
+        vals = _bump(rows.take(flat) - self._zero[t], self._log_g_width[t], 0)
+        return np.bincount(flat // w, weights=vals, minlength=n)
+
+    def _checked_columns(self, cols):
+        """cols as an integer array with every entry in [0, len(family)],
+        or ParameterError naming its first bad entry."""
+        cols = np.asarray(cols)
+        if cols.dtype.kind not in "iu":
+            raise ParameterError(
+                f"column indices must be integers, got dtype {cols.dtype}")
+        if cols.size and (cols.min() < 0 or cols.max() > len(self)):
+            at = np.argmax((cols < 0) | (cols > len(self)))
+            where = tuple(int(i) for i in np.unravel_index(at, cols.shape))
+            raise ParameterError(
+                f"column index {cols.flat[at]} at {where} is outside "
+                f"[0, {len(self)}]")
+        return cols
 
 
 def _coordinate_rows(family, rows):

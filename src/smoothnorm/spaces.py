@@ -184,11 +184,14 @@ class ModelSpace:
     def top_projections(self, S, sizes):
         """``top_projection_rows(S, n)`` for each n of sizes in turn, from
         one ranking of the rows: the support of size n is the entries
-        ranked below n, the n largest keys with ties to the lower index."""
+        ranked below n, the n largest keys with ties to the lower index.
+        A row that holds a NaN or inf is a ParameterError naming the row,
+        raised before any ranking."""
         S = self._check_rows(S)
         if not self.monotone_unconditional:
             raise ParameterError(
                 f"kind {self.kind!r} has no monotone unconditional basis")
+        self._finite("top projection", S, np.abs(S).max(axis=1))
         ranks = _ranks(S)
         for n in sizes:
             n = min(int(n), self.dim)

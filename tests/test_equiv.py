@@ -222,6 +222,12 @@ class TestComputeCn:
         with pytest.raises(NumericError, match="beyond nan$"):
             compute_cn(predual4, S, 1, identity_tol=np.nan)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # a NaN entry, ranked last and masked out, gave c_2 = 1.0
+        with pytest.raises(ParameterError, match="row 1"):
+            compute_cn(sup_space(3), [[1.0, 0.5, 0.0], [bad, 1.0, 1.0]], 2)
+
     def test_heuristic_matches_sup_norm_beyond_exhaustive_dim(self):
         sp = sup_space(14)
         rng = np.random.default_rng(9)

@@ -365,6 +365,38 @@ class TestStackedFamily:
             power_family(2.0, 3).modular_rows(
                 np.ones((1, 2)), np.zeros((1, 2), dtype=int))
 
+    @pytest.mark.parametrize("bad", [-1, -2, -3, 4, 2 ** 40])
+    def test_column_index_out_of_range_rejected(self, bad):
+        """Indices run over [0, len(family)]: -1 used to read the inert
+        slot, -2 the last member, and 4 raised numpy's IndexError.  The
+        first bad entry in row order is named."""
+        fam = OrliczFamily([make_orlicz(0.5, 1.0)] * 3)
+        rows = np.full((2, 3), 2.0)
+        for cols, where in (([[0, 1, bad], [bad, 2, 3]], (0, 2)),
+                            ([[3, bad, 0]], (0, 1))):
+            with pytest.raises(ParameterError,
+                               match=rf"^column index {bad} at "
+                                     rf"\({where[0]}, {where[1]}\) is "
+                                     rf"outside \[0, 3\]$"):
+                fam.modular_rows(rows[:len(cols)], np.array(cols))
+
+    @pytest.mark.parametrize("cols", [np.zeros((1, 2)),
+                                      np.ones((1, 2), dtype=bool),
+                                      np.array([[0, 1.5]])])
+    def test_non_integer_columns_rejected(self, cols):
+        fam = OrliczFamily([make_orlicz(0.5, 1.0)] * 3)
+        with pytest.raises(ParameterError, match="must be integers"):
+            fam.modular_rows(np.ones((1, 2)), cols)
+
+    def test_every_index_in_range_accepted(self):
+        """0, len(family) and a list of lists are all valid columns; an
+        empty call returns no rows."""
+        fam = OrliczFamily([make_orlicz(0.5, 1.0)] * 3)
+        assert fam.modular_rows([[2.0, 2.0]], [[0, 3]])[0] == fam.modular(
+            [2.0, 0.0, 0.0])
+        assert fam.modular_rows(np.zeros((0, 2)),
+                                np.zeros((0, 2), dtype=int)).shape == (0,)
+
 
 class TestModularInverse:
     # fresh objects, so make_orlicz's shared cache is not touched

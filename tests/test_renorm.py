@@ -41,7 +41,8 @@ from smoothnorm.renorm import (
     smoothness_check,
     verify_claim2d,
 )
-from smoothnorm.scaling import feasible_scale_inf
+from smoothnorm.orlicz import _bump
+from smoothnorm.scaling import _row_peaks, feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, sup_space)
 from smoothnorm.tensor import TensorElement, _slice_norms, injective_norm
@@ -327,6 +328,18 @@ def net_digests(net):
             for name in DEMO_SUP3_NET}
 
 
+def lap13_equiv_pipeline(out_dir):
+    """corollary_b_pipeline on the inputs of the lap13 equiv suite."""
+    cfg = load_config(CONFIGS / "lap13_equiv.cfg")
+    ctx = RunContext(cfg, cfg.seed, out_dir)
+    ss_samples, ss_pipeline = ctx.child("equiv").spawn(2)
+    samples = np.random.default_rng(ss_samples).standard_normal(
+        (cfg.budgets["equiv"], cfg.space.dim))
+    return corollary_b_pipeline(
+        cfg.space, samples, cfg.epsilon, Y=cfg.factor,
+        seed=_seed_int(ss_pipeline), identity_tol=ctx.tol["equiv_identity"])
+
+
 class TestPinnedNets:
     """The nets behind the pinned report digests, bit for bit."""
 
@@ -350,11 +363,6 @@ class TestPinnedNets:
         """The chain-route net of the lap13 equiv suite, from that
         suite's inputs: the one shipped net whose members reach the
         greedy loop (58 of 792, in four bins)."""
-        cfg = load_config(CONFIGS / "lap13_equiv.cfg")
-        ctx = RunContext(cfg, cfg.seed, tmp_path)
-        ss_samples, ss_pipeline = ctx.child("equiv").spawn(2)
-        samples = np.random.default_rng(ss_samples).standard_normal(
-            (cfg.budgets["equiv"], cfg.space.dim))
         seen = []
         greedy = boundary._greedy_indices
 
@@ -363,10 +371,7 @@ class TestPinnedNets:
             return greedy(members, *args)
 
         monkeypatch.setattr(boundary, "_greedy_indices", counted)
-        result = corollary_b_pipeline(
-            cfg.space, samples, cfg.epsilon, Y=cfg.factor,
-            seed=_seed_int(ss_pipeline),
-            identity_tol=ctx.tol["equiv_identity"])
+        result = lap13_equiv_pipeline(tmp_path)
         assert result.route == "chain"
         assert seen == [20, 22, 4, 12]
         net = result.phi_spec.net
@@ -910,6 +915,160 @@ class TestRunPruning:
         phi_norm_batch(spec, X[:64])  # fill the inverse table first
         peak = traced_peak(lambda: phi_norm_batch(spec, X))
         assert peak <= 1.5 * X.shape[0] * len(spec.net) * 8
+
+
+# The row-major forms that the run-major maxima and flat indices
+# replaced, kept as references: every value must match them bit for bit.
+
+
+def row_major_kept_terms(spec, coords):
+    """_kept_terms with (n, runs) maxima and 2-D indices."""
+    start, size, psi, theta = spec.runs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.maximum.reduceat(coords, start, axis=1)
+        peak = np.maximum.reduce(top, axis=1)
+        top /= peak[:, None]
+        bound = np.maximum.reduce(top * theta, axis=1)
+        cut = bound * (1.0 - PRUNE_TOL)
+        top *= psi
+        r, k = (top > cut[:, None]).nonzero()
+        size = size[k]
+        ends = size.cumsum()
+        r = r.repeat(size)
+        j = (start[k] - ends + size).repeat(size) + np.arange(len(r))
+        keep = coords[r, j] / peak[r] * spec.net.psi[j] > cut[r]
+    return peak, bound, r[keep], j[keep]
+
+
+def nonzero_modular_rows(family, rows, cols):
+    """OrliczFamily.modular_rows' entry selection by 2-D np.nonzero."""
+    r, j = np.nonzero(rows > family._zero[cols])
+    if not r.size:
+        return np.zeros(rows.shape[0])
+    t = cols[r if len(cols) == len(rows) else 0, j]
+    vals = _bump(rows[r, j] - family._zero[t], family._log_g_width[t], 0)
+    return np.bincount(r, weights=vals, minlength=rows.shape[0])
+
+
+def row_peaks(rows):
+    """feasible_scale_inf's per-row peak as one reduction per row."""
+    return rows.max(axis=1, initial=0.0)
+
+
+@pytest.fixture(scope="module")
+def oracle_specs(predual7_spec, sup4_euclid3_spec, tmp_path_factory):
+    """The demo_sup3, sup4 x euclidean(3), lorentz_predual dim 5 and 7
+    specs and the lap13 equiv suite's chain-route spec (13 runs of up
+    to 64 points)."""
+    demo = load_config(CONFIGS / "demo_sup3.cfg")
+    predual5 = predual_decomposition(5)
+    return {
+        "demo_sup3": build_renorm(demo.space, demo.decomposition, None),
+        "sup4_euclid3": sup4_euclid3_spec,
+        "predual5": build_renorm(predual5.space, predual5, None),
+        "predual7": predual7_spec,
+        "lap13": lap13_equiv_pipeline(
+            tmp_path_factory.mktemp("lap13")).phi_spec,
+    }
+
+
+def oracle_scales(rng, n):
+    """n row scales 10^U(-300, 300), about one in eight each zero,
+    subnormal (1e-320) and huge (1e306)."""
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    kind = rng.integers(0, 8, n)
+    scale[kind == 0] = 0.0
+    scale[kind == 1] = 1e-320
+    scale[kind == 2] = 1e306
+    return scale[:, None]
+
+
+def oracle_coords(spec, seed, n):
+    """Coordinate rows of n gaussian inputs at oracle_scales."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, *spec.sample_shape))
+    return pi_coords_batch(spec, X) * oracle_scales(rng, n)
+
+
+def assert_same_values(a, b):
+    """Same dtype and bits, where any NaN matches any NaN: the sign of
+    the NaN that marks a zero row's L depends on numpy's reduction loop,
+    and carries no value."""
+    assert a.dtype == b.dtype
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def kept_slots(spec, coords):
+    """Per row its kept terms' columns, then inert slots, and their
+    peak-normalized coordinates, then 1.0: the (cols, rows) a modular
+    call of _luxemburg_rows receives, at scale 1."""
+    peak, _, r, j = row_major_kept_terms(spec, coords)
+    n, m = coords.shape
+    counts = np.bincount(r, minlength=n)
+    slot = np.arange(len(r)) - (counts.cumsum() - counts)[r]
+    cols = np.full((n, counts.max(initial=0) + 1), m)
+    cols[r, slot] = j
+    unit = np.ones(cols.shape)
+    unit[r, slot] = coords[r, j] / peak[r]
+    return cols, unit
+
+
+ORACLE_SPECS = ["demo_sup3", "sup4_euclid3", "predual5", "predual7", "lap13"]
+
+
+class TestFlatIndexOracles:
+    """The run-major maxima and flat indices of the batch path against
+    the row-major forms they replaced (references above), bit for bit."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(name=st.sampled_from(ORACLE_SPECS), n=st.integers(0, 600),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kept_terms(self, oracle_specs, name, n, seed):
+        spec = oracle_specs[name]
+        coords = oracle_coords(spec, seed, n)
+        for got, want in zip(_kept_terms(spec, coords),
+                             row_major_kept_terms(spec, coords)):
+            assert_same_values(got, want)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(name=st.sampled_from(ORACLE_SPECS), n=st.integers(0, 600),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_modular_rows(self, oracle_specs, name, n, seed):
+        """Kept terms with inert slots, per-row and (1, w) broadcast
+        columns, the whole family, at scales where some bumps are zero
+        and some positive."""
+        spec = oracle_specs[name]
+        family = spec.family
+        coords = oracle_coords(spec, seed, n)
+        cols, unit = kept_slots(spec, coords)
+        rng = np.random.default_rng(seed)
+        # u / s passes threshold 1 / psi_h where s < psi_h u
+        s = spec.net.psi.max() * 10.0 ** rng.uniform(-0.5, 0.5, (n, 1))
+        z = unit / s
+        # whole rows, the default columns: a few, as they are wide
+        wide = rng.uniform(0.0, 2.0, (min(n, 8), len(family))) / spec.net.psi
+        one = rng.integers(0, len(family) + 1, (1, cols.shape[1]))
+        for rows, idx in ((z, cols), (z, one), (z[:1], cols[:1]),
+                          (z[:0], cols[:0]), (z[:0], one)):
+            got = family.modular_rows(rows, idx)
+            assert got.tobytes() == nonzero_modular_rows(
+                family, rows, idx).tobytes()
+        assert family.modular_rows(wide).tobytes() == nonzero_modular_rows(
+            family, wide, family._all_columns).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 600), w=st.integers(0, 9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_peaks(self, n, w, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.abs(rng.standard_normal((n, w))) * oracle_scales(rng, n)
+        assert _row_peaks(rows).tobytes() == row_peaks(rows).tobytes()
+        assert _row_peaks(rows[:, ::-1]).tobytes() == \
+            row_peaks(rows[:, ::-1]).tobytes()
 
 
 def traced_peak(call):

@@ -490,6 +490,22 @@ class TestTopProjectionRows:
         values, masks = X.top_projection_rows([[1.0, -2.0, 0.5]], 5)
         assert masks.all() and values[0] == X.norm([1.0, -2.0, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("X", ALL_KINDS, ids=lambda X: X.kind)
+    def test_non_finite_row_rejected(self, X, bad):
+        """A row holding a NaN or inf is refused before ranking, at every
+        size: a NaN ranked last and masked out gave a number (1.0 on
+        sup_finite and lorentz_predual at n = 2, 1.118 on euclidean)."""
+        S = np.ones((3, 5))
+        S[1, 0] = bad
+        for n in (0, 2, 5):
+            with pytest.raises(ParameterError,
+                               match=r"^top projection: row 1 has a NaN or "
+                                     r"infinite coordinate$"):
+                X.top_projection_rows(S, n)
+        with pytest.raises(ParameterError, match="row 1"):
+            next(X.top_projections(S, [2, 4]))
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             sup_space(3).top_projection_rows([[1.0, 0.0, 0.0]], -1)
