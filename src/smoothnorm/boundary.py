@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, check_integer
 
 __all__ = [
     "Decomposition",
@@ -185,7 +185,9 @@ class Decomposition:
         self.psi = np.array([_psi_value(self.epsilon, {n})
                              for n in range(len(sizes))])[self.piece]
         for (n, j), idx in (closure or {}).items():
-            n, j, idx = int(n), int(j), {int(i) for i in idx}
+            n = check_integer(n, "closure piece")
+            j = check_integer(j, "closure member")
+            idx = {check_integer(i, "closure set entry") for i in idx}
             if n not in idx:
                 raise ParameterError(
                     f"closure set for member {(n, j)} must contain its "

@@ -61,8 +61,8 @@ from .boundary import (Decomposition, check_boundary,
                        check_lrc_criterion, net_property_report)
 from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
-from .renorm import (_check_steps, _sphere_samples, build_renorm, phi_norm,
-                     smoothness_check)
+from .renorm import (_check_steps, _draw, _sphere_samples, build_renorm,
+                     phi_norm, smoothness_check)
 from .spaces import (EuclideanSpace, LapSpace, LorentzPredualSpace,
                      LorentzSpace, SupSpace)
 from .tensor import (TensorElement, apply_fY, apply_gX,
@@ -154,8 +154,7 @@ def _build_decomposition(space, spec, epsilon):
             try:
                 for e in spec["closure"]:
                     _check_keys("closure", e, ("piece", "member", "pieces"))
-                    closure[(int(e["piece"]), int(e["member"]))] = [
-                        int(i) for i in e["pieces"]]
+                    closure[(e["piece"], e["member"])] = list(e["pieces"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad closure entry: {exc}")
     else:
@@ -358,8 +357,7 @@ def _window_samples(ctx, suite):
     """The approx window on the suite's budget of gaussian samples, drawn
     in one call from the suite's seed, or None (approx_window)."""
     spec = ctx.phi_spec()
-    rows = np.random.default_rng(ctx.child(suite)).standard_normal(
-        (ctx.budgets[suite], *spec.sample_shape))
+    rows = _draw(spec, ctx.budgets[suite], ctx.child(suite))
     return approx_window(spec, rows, ctx.tol["ratio_slack"])
 
 

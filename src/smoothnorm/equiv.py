@@ -4,14 +4,14 @@ The renorm machinery needs a decomposition that norms the sphere.  Two
 routes produce one here, and the kind picks between them.  Each holds
 its levels as a RelativeBoundaryChain: the functionals new at each
 level, measured on one sample set.  The direct route applies when the
-dual ball is enumerable: it lists the dual extreme points once
-(support_ball at level dim) and splits them by support size, so levels
-1..n together are the slice support_ball(space, n).  Those slices
-already form a boundary, since every sample's norming support fits in
-dim levels, and the level increments feed build_renorm as pieces.  A
-sample of the dual sphere is no boundary, so support_ball refuses every
-other kind, and those take the chain route, which drops the
-norming-support requirement: it measures the level constants
+dual ball is enumerable: its levels are the kind's support_levels, the
+dual extreme points split once by support size, and support_ball(space,
+n) stacks levels 1..n.  Those levels together already form a boundary,
+since every sample's norming support fits in dim levels, and they feed
+build_renorm as pieces.  A sample of the dual sphere is no boundary, so
+support_levels refuses every other kind, and those take the chain
+route, which drops the norming-support requirement: it measures the
+level constants
 
     b_n = inf over samples of sup over levels 1..n of h(x)
     c_n = inf over samples of max over |sigma| = n of ||P_sigma x||
@@ -36,8 +36,9 @@ import numpy as np
 
 from .boundary import (Decomposition, NetPropertyReport, _row_keys,
                        check_lrc_criterion, net_property_report, row_blocks)
-from .errors import ConstructionError, NumericError, ParameterError
-from .renorm import build_renorm
+from .errors import (ConstructionError, NumericError, ParameterError,
+                     check_integer)
+from .renorm import _draw, build_renorm
 from .spaces import ModelSpace
 from .verify import (CHECK_COUNT, MARGIN_COUNT, POOL_COUNT, ApproxWindow,
                      Claim2dSweep, MarginCheck, active_sets, approx_window,
@@ -59,18 +60,18 @@ __all__ = [
 
 def support_ball(space, n) -> np.ndarray:
     """Dual-ball slice by support cardinality: the (k, dim) extreme
-    points of {h in the dual ball : |supp(h)| <= n}.
+    points of {h in the dual ball : |supp(h)| <= n}, the space's support
+    levels 1..n stacked in order.
 
     Only kinds with an enumerable dual (sup_finite, lorentz_predual)
-    have one; dual_extreme_points raises ParameterError for the rest.
+    have one; support_levels raises ParameterError for the rest.
     n = 0 is the zero functional alone.
     """
-    n = int(n)
-    if n < 0:
+    if check_integer(n, "support level") < 0:
         raise ParameterError("support level must be >= 0")
     if n == 0:
         return np.zeros((1, space.dim))
-    return space.dual_extreme_points(max_support=min(n, space.dim))
+    return np.vstack(space.support_levels()[:n])
 
 
 def compute_bn(h_set, samples) -> float:
@@ -149,7 +150,8 @@ class RelativeBoundaryChain:
         put("levels", tuple(np.atleast_2d(np.asarray(h, dtype=float))
                             for h in self.levels))
         put("samples", np.atleast_2d(np.asarray(self.samples, dtype=float)))
-        put("level_ids", tuple(int(n) for n in self.level_ids))
+        put("level_ids", tuple(check_integer(n, "level id")
+                               for n in self.level_ids))
         if self.c_values is not None:
             put("c_values", np.asarray(self.c_values, dtype=float))
 
@@ -354,27 +356,25 @@ def _normalize_rows(space, rows):
 
 def _route_chain(space, S):
     """Levels 1..dim on the unit rows S by the kind's route, with c_n
-    from one top_projections pass.  The direct route splits the support
-    ball at level dim by support size, so levels 1..n are
-    support_ball(space, n) row for row.  The chain route's level n holds
-    the new norming functionals of every sample's best |sigma| = n
-    projection, so a sample's level-n sup is its c_n inner value."""
+    from one top_projections pass.  The direct route's levels are one
+    support_levels call, so levels 1..n are support_ball(space, n) row
+    for row.  The chain route's level n holds the new norming
+    functionals of every sample's best |sigma| = n projection, so a
+    sample's level-n sup is its c_n inner value."""
     level_ids = tuple(range(1, space.dim + 1))
+    tops = space.top_projections(S, level_ids)
     if space.enumerable_dual:
-        ball = support_ball(space, space.dim)
-        sizes = np.count_nonzero(ball, axis=1)
-    levels, c, seen = [], [], set()
-    for n, (values, masks) in zip(level_ids,
-                                  space.top_projections(S, level_ids)):
-        c.append(np.min(values))
-        if space.enumerable_dual:
-            levels.append(ball[sizes == n])
-            continue
-        F = _unique_rows(space.norming_functional_rows(
-            np.where(masks, S, 0.0)))
-        keys = _row_keys(F)
-        levels.append(F[[key not in seen for key in keys]])
-        seen.update(keys)
+        levels = space.support_levels()
+        c = [np.min(values) for values, _ in tops]
+    else:
+        levels, c, seen = [], [], set()
+        for values, masks in tops:
+            c.append(np.min(values))
+            F = _unique_rows(space.norming_functional_rows(
+                np.where(masks, S, 0.0)))
+            keys = _row_keys(F)
+            levels.append(F[[key not in seen for key in keys]])
+            seen.update(keys)
     return RelativeBoundaryChain(space=space, levels=levels, samples=S,
                                  level_ids=level_ids, c_values=c)
 
@@ -384,11 +384,9 @@ def _pipeline_report(phi, d, chain, boundary_norm, seed):
     the direct route's base has an enumerable dual ball, and the chain
     route refuses a factor."""
     count = CHECK_COUNT if phi.Y is None else max(8, CHECK_COUNT // 4)
-    rows = np.random.default_rng(seed + 101).standard_normal(
-        (count, *phi.sample_shape))
     return PipelineReport(
         net=net_property_report(d, phi.net),
-        window=approx_window(phi, rows),
+        window=approx_window(phi, _draw(phi, count, seed + 101)),
         margins=active_sets(phi, MARGIN_COUNT, seed=seed + 202),
         claim2d=claim2d_sweep(phi, POOL_COUNT, seed=seed + 303),
         bc_gap=float(np.max(np.abs(chain.b_values - chain.c_values))),

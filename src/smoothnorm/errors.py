@@ -4,6 +4,8 @@ Three failure classes: bad arguments, numerical non-convergence, and
 constructions whose validity checks fail on instantiated data.
 """
 
+import numbers
+
 
 class ParameterError(ValueError):
     """Raised when an argument violates a documented precondition."""
@@ -23,3 +25,11 @@ class NumericError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """Raised when a constructed instance fails its own validity checks."""
+
+
+def check_integer(value, what) -> int:
+    """value as an int, or a ParameterError naming it: bool is an int,
+    and int() would truncate 2.5 or parse "1" silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)

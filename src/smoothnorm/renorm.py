@@ -107,7 +107,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import NetB, build_net, check_boundary, row_blocks
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, check_integer
 from .orlicz import (OrliczFamily, make_orlicz, modular_inverse,
                      newton_scales)
 from .scaling import feasible_scale_inf
@@ -478,11 +478,9 @@ def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhiUnitPool:
-    """A reusable pool of random samples with certified phi-norms.
-
-    Pairing values against the pool divide by `norms` instead of
-    rescaling the samples, which keeps the feasibility certificate of
-    the batched Luxemburg computation intact.
+    """Gaussian samples of positive phi-norm and those norms, from one
+    batch; verify.active_sets divides the samples by their norms to get
+    points of the phi-unit sphere.
     """
 
     samples: np.ndarray
@@ -493,8 +491,7 @@ def _draw(spec: PhiNormSpec, count, seed) -> np.ndarray:
     """`count` gaussian samples of spec's sample shape from
     default_rng(seed); a count that is not a nonnegative integer is a
     ParameterError."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
-            or count < 0:
+    if check_integer(count, "sample count") < 0:
         raise ParameterError(
             f"sample count must be a nonnegative integer, got {count!r}")
     return np.random.default_rng(seed).standard_normal(

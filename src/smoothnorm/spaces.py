@@ -28,12 +28,10 @@ extreme points that are not extreme.
 from __future__ import annotations
 
 import itertools
-import numbers
-from math import comb
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, check_integer
 from .orlicz import OrliczFamily, OrliczFunction, luxemburg_norm_batch
 from .scaling import feasible_scale_inf
 
@@ -73,7 +71,7 @@ class ModelSpace:
 
     A kind supplies the row formulas ``_norm_rows``, ``_dual_norm_rows``
     (unless its dual is the coordinate l1 norm) and, where closed forms
-    exist, ``_norming_functional_rows`` and ``dual_extreme_points``.  The
+    exist, ``_norming_functional_rows`` and ``support_levels``.  The
     public ``*_rows`` methods add the shape and non-finite checks, and
     ``norm`` / ``dual_norm`` / ``norming_functional`` are their one-row
     case.  A kind whose best supports are not the largest |x_i|
@@ -84,7 +82,7 @@ class ModelSpace:
                             norm rows are coordinate l1 standing in
     monotone_unconditional  the unit vector basis is 1-unconditional
                             and monotone
-    enumerable_dual         dual_extreme_points lists the dual ball's
+    enumerable_dual         support_levels lists the dual ball's
                             extreme points
     """
 
@@ -94,12 +92,9 @@ class ModelSpace:
     enumerable_dual = False
 
     def __init__(self, dim):
-        # bool is an int, and int() would truncate 2.5 silently
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-            raise ParameterError(f"dim must be an integer, got {dim!r}")
-        if dim < 1:
+        self.dim = check_integer(dim, "dim")
+        if self.dim < 1:
             raise ParameterError("dim must be >= 1")
-        self.dim = int(dim)
 
     # -- norms ---------------------------------------------------------
 
@@ -159,19 +154,17 @@ class ModelSpace:
         raise ParameterError(
             f"no closed-form norming functional for kind {self.kind!r}")
 
-    def dual_extreme_points(self, max_support=None) -> np.ndarray:
-        """Extreme points of the dual unit ball, for enumerable kinds;
-        with max_support, only those of support size <= max_support
-        (at least 1: the zero functional is no extreme point)."""
+    def support_levels(self):
+        """The extreme points of the dual unit ball split by support size,
+        for enumerable kinds: dim (k, dim) arrays, level k - 1 holding
+        those of support k (possibly none).  These are the paper's level
+        increments, piece k - 1 of the direct route."""
         raise ParameterError(
             f"dual ball of kind {self.kind!r} is not enumerable here")
 
-    def _support_cap(self, max_support):
-        """max_support as a support size in [1, dim]."""
-        cap = self.dim if max_support is None else int(max_support)
-        if cap < 1:
-            raise ParameterError(f"max_support must be >= 1, got {cap}")
-        return min(cap, self.dim)
+    def dual_extreme_points(self) -> np.ndarray:
+        """The dual unit ball's extreme points: the support levels stacked."""
+        return np.vstack(self.support_levels())
 
     # -- projections ---------------------------------------------------
 
@@ -194,7 +187,7 @@ class ModelSpace:
         self._finite("top projection", S, np.abs(S).max(axis=1))
         ranks = _ranks(S)
         for n in sizes:
-            n = min(int(n), self.dim)
+            n = min(check_integer(n, "support size"), self.dim)
             if n < 0:
                 raise ParameterError("support size must be >= 0")
             masks = self._support_ranks(S, n, ranks) < n
@@ -252,11 +245,10 @@ class SupSpace(ModelSpace):
         i = np.argmax(np.abs(X), axis=1)[:, None]
         return np.where(np.arange(self.dim) == i, _signs(X), 0.0)
 
-    def dual_extreme_points(self, max_support=None):
+    def support_levels(self):
         # every extreme point has support size 1
-        self._support_cap(max_support)
         eye = np.eye(self.dim)
-        return np.vstack([eye, -eye])
+        return [np.vstack([eye, -eye])] + [eye[:0]] * (self.dim - 1)
 
 
 class EuclideanSpace(ModelSpace):
@@ -332,25 +324,24 @@ class LorentzPredualSpace(_LorentzKind):
         return np.where(_ranks(X) <= k[:, None],
                         _signs(X) / self._wsums[k][:, None], 0.0)
 
-    def dual_extreme_points(self, max_support=None):
-        """Sign patterns of 1/W_k on every k-subset, k <= max_support:
-        the vertices of the d(w,1)-ball; more than 200,000 of them is a
-        ParameterError."""
-        cap = self._support_cap(max_support)
-        total = sum(2 ** k * comb(self.dim, k) for k in range(1, cap + 1))
+    def support_levels(self):
+        """Level k - 1 holds the sign patterns of 1/W_k on every k-subset:
+        the vertices of the d(w,1)-ball, 3^dim - 1 in all; more than
+        200,000 of them is a ParameterError."""
+        total = 3 ** self.dim - 1
         if total > 200_000:
             raise ParameterError(
                 f"{total} extreme points exceeds the cap of 200,000")
-        blocks = []
-        for k in range(1, cap + 1):
+        levels = []
+        for k in range(1, self.dim + 1):
             # indexed by (combination, sign pattern), both in itertools order
             combos = list(itertools.combinations(range(self.dim), k))
             signs = np.asarray(list(itertools.product((1.0, -1.0), repeat=k)))
-            block = np.zeros((len(combos), len(signs), self.dim))
-            np.put_along_axis(block, np.asarray(combos)[:, None, :],
+            level = np.zeros((len(combos), len(signs), self.dim))
+            np.put_along_axis(level, np.asarray(combos)[:, None, :],
                               signs * (1.0 / self._wsums[k - 1]), axis=2)
-            blocks.append(block.reshape(-1, self.dim))
-        return np.vstack(blocks)
+            levels.append(level.reshape(-1, self.dim))
+        return levels
 
 
 class OrliczSpace(ModelSpace):
@@ -372,7 +363,8 @@ class LapSpace(ModelSpace):
 
     def __init__(self, sets, exponents, dim):
         super().__init__(dim)
-        sets = [np.asarray(sorted(s), dtype=int) for s in sets]
+        sets = [np.asarray(sorted(check_integer(i, "index set entry")
+                                  for i in s), dtype=int) for s in sets]
         p = np.asarray(exponents, dtype=float)
         if len(sets) != len(p) or len(sets) == 0:
             raise ParameterError("need one exponent per index set")

@@ -192,6 +192,19 @@ class TestDecompositionValidation:
             Decomposition(sup_space(2), [np.eye(2)], 0.1,
                           closure={(0, 0): {1}})
 
+    @pytest.mark.parametrize("closure, message", [
+        ({(0.9, 0): {0}}, "closure piece must be an integer, got 0.9"),
+        ({(0, "1"): {0}}, "closure member must be an integer, got '1'"),
+        ({(0, 1): [0, 0.2]}, "closure set entry must be an integer, "
+                             "got 0.2"),
+        ({(0, 1): [0, True]}, "closure set entry must be an integer, "
+                              "got True"),
+    ], ids=["piece", "member", "set_entry", "bool_set_entry"])
+    def test_closure_entry_non_integer_rejected(self, closure, message):
+        # each was truncated: (0.9, "1") -> (0, 1), [True, 0.2] -> {1, 0}
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            Decomposition(sup_space(2), [np.eye(2)], 0.1, closure=closure)
+
     def test_closure_entry_out_of_range_rejected(self):
         members = np.eye(2)
         with pytest.raises(ParameterError):
@@ -746,6 +759,4 @@ class TestLrcCriterion:
 
     def test_predual_patterns_share_cardinality(self):
         space = lorentz_predual_space([1.0, 0.5, 0.25, 0.125])
-        pts = [f for f in space.dual_extreme_points(max_support=2)
-               if np.count_nonzero(f) == 2]
-        assert check_lrc_criterion(np.array(pts)).passed
+        assert check_lrc_criterion(space.support_levels()[1]).passed

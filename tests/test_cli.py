@@ -240,6 +240,44 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, decomposition=decomposition)
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"piece": 0.9, "member": 1, "pieces": [0]},
+         "closure piece must be an integer, got 0.9"),
+        ({"piece": 0, "member": "1", "pieces": [0]},
+         "closure member must be an integer, got '1'"),
+        ({"piece": 0, "member": 1, "pieces": [True, 0.2]},
+         "closure set entry must be an integer, got True"),
+    ], ids=["piece", "member", "pieces"])
+    def test_non_integer_closure_entry_exits_2(self, tmp_path, capsys,
+                                               entry, message):
+        """{"piece": 0.9, "member": "1", "pieces": [true, 0.2]} used to
+        run as (0, 1) -> {1, 0}, exit 0."""
+        decomposition = {
+            "pieces": [[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                       [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+                       [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]],
+            "closure": [entry],
+        }
+        cfg = write_cfg(tmp_path, decomposition=decomposition)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "boundary",
+                     "--out", str(out)]) == 2
+        assert f"bad decomposition: {message}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_non_integer_lap_index_exits_2(self, tmp_path, capsys):
+        """"sets": [[0, 1.5, 2.9]] used to run as {0, 1, 2}, and the
+        equiv suite to exit 0."""
+        cfg = write_cfg(tmp_path, space={"kind": "lap", "dim": 3,
+                                         "sets": [[0, 1.5, 2.9]],
+                                         "exponents": [1]},
+                        suites=["equiv"])
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "index set entry must be an integer, got 1.5" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_epsilon_out_of_range(self, tmp_path):
         cfg = write_cfg(tmp_path, epsilon=1.5)
         assert main(["run", str(cfg)]) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -119,11 +120,11 @@ class TestSupportBall:
             support_ball(sp, 2), 9)
 
     def test_levels_are_nested_extreme_points(self, predual4):
-        levels = [support_ball(predual4, n) for n in range(1, 5)]
-        for n, ball in enumerate(levels, start=1):
-            np.testing.assert_array_equal(
-                ball, predual4.dual_extreme_points(max_support=n))
-        for cur, nxt in zip(levels, levels[1:]):
+        levels = predual4.support_levels()
+        balls = [support_ball(predual4, n) for n in range(1, 5)]
+        for n, ball in enumerate(balls, start=1):
+            np.testing.assert_array_equal(ball, np.vstack(levels[:n]))
+        for cur, nxt in zip(balls, balls[1:]):
             np.testing.assert_array_equal(nxt[:len(cur)], cur)
 
     @pytest.mark.parametrize("space", [
@@ -140,6 +141,18 @@ class TestSupportBall:
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             support_ball(sup_space(2), -1)
+
+    @pytest.mark.parametrize("n", [1.9, True, np.float64(2.0), "1"])
+    def test_non_integer_level_refused(self, predual4, n):
+        # 1.9 and True each gave level 1
+        with pytest.raises(ParameterError,
+                           match=rf"^support level must be an integer, "
+                                 rf"got {re.escape(repr(n))}$"):
+            support_ball(predual4, n)
+
+    def test_numpy_integer_level_accepted(self, predual4):
+        np.testing.assert_array_equal(support_ball(predual4, np.int64(2)),
+                                      support_ball(predual4, 2))
 
 
 class TestComputeBn:
@@ -205,6 +218,15 @@ class TestComputeCn:
             c = compute_cn(predual4, S, n, identity_tol=1e-9)
             b = compute_bn(support_ball(predual4, n), S)
             assert abs(b - c) <= 1e-9
+
+    @pytest.mark.parametrize("identity_tol", [None, 1e-9])
+    def test_non_integer_level_refused(self, predual4, identity_tol):
+        # 1.9 measured c_1
+        S = unit_rows(predual4, 10, 8)
+        with pytest.raises(ParameterError,
+                           match=r"^support size must be an integer, "
+                                 r"got 1\.9$"):
+            compute_cn(predual4, S, 1.9, identity_tol=identity_tol)
 
     def test_identity_needs_exact_balls(self, lap3):
         S = unit_rows(lap3, 5, 7)
@@ -298,6 +320,16 @@ class TestRelativeBoundaryChain:
     def test_shape_errors(self, predual4):
         with pytest.raises(ConstructionError):
             self.chain(predual4, level_ids=(2, 1))
+
+    @pytest.mark.parametrize("bad", [1.7, True, "2"])
+    def test_non_integer_level_id_refused(self, predual4, bad):
+        # (1.7, 2) was stored as (1, 2)
+        with pytest.raises(ParameterError,
+                           match=rf"^level id must be an integer, "
+                                 rf"got {re.escape(repr(bad))}$"):
+            self.chain(predual4, level_ids=(bad, 2))
+        assert self.chain(
+            predual4, level_ids=(np.int64(1), 2)).level_ids == (1, 2)
         with pytest.raises(ConstructionError):
             self.chain(predual4, c_values=[1.0])
         with pytest.raises(ConstructionError):
@@ -621,16 +653,26 @@ class TestPipelineDirect:
         assert len(res.phi_spec.net) == 6
 
     def test_support_balls_enumerated_once(self, predual4, monkeypatch):
-        levels = []
+        # the direct route reads its levels from one support_levels call
+        calls, inside = [], []
+        support_levels = type(predual4).support_levels
+        route_chain = equiv._route_chain
 
-        def counting(space, n):
-            levels.append(n)
-            return support_ball(space, n)
+        def counting(space):
+            calls.append(space)
+            return support_levels(space)
 
-        monkeypatch.setattr(equiv, "support_ball", counting)
+        def route(space, S):
+            before = len(calls)
+            chain = route_chain(space, S)
+            inside.append(len(calls) - before)
+            return chain
+
+        monkeypatch.setattr(type(predual4), "support_levels", counting)
+        monkeypatch.setattr(equiv, "_route_chain", route)
         samples = np.random.default_rng(0).standard_normal((200, 4))
         corollary_b_pipeline(predual4, samples, 0.1, seed=0)
-        assert levels == [4]
+        assert inside == [1]
 
     def test_identity_mismatch_raises(self, predual4):
         samples = np.random.default_rng(0).standard_normal((200, 4))

@@ -7,6 +7,7 @@ modulars, and direct Hoelder pairings for duality checks.
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ class TestLap:
             z = rng.standard_normal(dim) * 2.0
             assert X.lap_modular(z) == lap_modular_oracle(X.sets, p, z)
 
+    @pytest.mark.parametrize("sets", [[[0.5, 1.7]], [[0, 1.0]],
+                                      [[True, 0]], [["0", 1]]])
+    def test_non_integer_index_refused(self, sets):
+        # [[0.5, 1.7]] gave the index set [0, 1]
+        with pytest.raises(ParameterError,
+                           match=r"^index set entry must be an integer"):
+            lap_space(sets, [1.0], dim=2)
+
+    def test_numpy_integer_indices_accepted(self):
+        X = lap_space([np.arange(2)], [1.5], dim=2)
+        assert [s.tolist() for s in X.sets] == [[0, 1]]
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             lap_space([[0]], [1.0], dim=2)  # does not cover
@@ -506,6 +519,17 @@ class TestTopProjectionRows:
         with pytest.raises(ParameterError, match="row 1"):
             next(X.top_projections(S, [2, 4]))
 
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(1.0)])
+    def test_non_integer_size_refused(self, n):
+        # 2.5 acted as 2
+        X = sup_space(3)
+        with pytest.raises(ParameterError,
+                           match=rf"^support size must be an integer, "
+                                 rf"got {re.escape(repr(n))}$"):
+            X.top_projection_rows([[1.0, 0.0, 0.0]], n)
+        with pytest.raises(ParameterError, match="integer"):
+            list(X.top_projections([[1.0, 0.0, 0.0]], [1, n]))
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             sup_space(3).top_projection_rows([[1.0, 0.0, 0.0]], -1)
@@ -705,22 +729,53 @@ class TestDualExtremePoints:
                                            rtol=1e-12)
 
     def test_predual_matches_loop_oracle(self):
-        """The blocks reproduce the per-row loop bit for bit, row order
-        and signed zeros included."""
+        """Each support level reproduces the per-row loop for its support
+        size bit for bit, row order and signed zeros included, and the
+        levels stack to dual_extreme_points."""
         for dim in range(3, 9):
             X = lorentz_predual_space(1.0 / np.arange(1.0, dim + 1) ** 0.7)
-            for cap in range(1, dim + 1):
+            levels = X.support_levels()
+            assert len(levels) == dim
+            for k, level in enumerate(levels, start=1):
                 rows = []
-                for k in range(1, cap + 1):
-                    scale = 1.0 / X._wsums[k - 1]
-                    for combo in itertools.combinations(range(dim), k):
-                        for signs in itertools.product((1.0, -1.0),
-                                                       repeat=k):
-                            f = np.zeros(dim)
-                            f[list(combo)] = np.asarray(signs) * scale
-                            rows.append(f)
-                pts = X.dual_extreme_points(max_support=cap)
-                assert pts.tobytes() == np.asarray(rows).tobytes()
+                scale = 1.0 / X._wsums[k - 1]
+                for combo in itertools.combinations(range(dim), k):
+                    for signs in itertools.product((1.0, -1.0), repeat=k):
+                        f = np.zeros(dim)
+                        f[list(combo)] = np.asarray(signs) * scale
+                        rows.append(f)
+                assert level.tobytes() == np.asarray(rows).tobytes()
+            assert (np.vstack(levels).tobytes()
+                    == X.dual_extreme_points().tobytes())
+
+    @pytest.mark.parametrize("X", [sup_space(1), sup_space(4)] + [
+        lorentz_predual_space(1.0 / np.arange(1.0, dim + 1) ** 0.7)
+        for dim in range(1, 8)], ids=lambda X: f"{X.kind}{X.dim}")
+    def test_levels_split_by_support_size(self, X):
+        """Level k - 1 holds points of support k, each of dual norm 1;
+        sup_finite's levels past the first are empty."""
+        levels = X.support_levels()
+        assert len(levels) == X.dim
+        for k, level in enumerate(levels, start=1):
+            assert level.shape[1] == X.dim
+            assert np.all(np.count_nonzero(level, axis=1) == k)
+            np.testing.assert_allclose(X.dual_norm_rows(level), 1.0,
+                                       rtol=0.0, atol=1e-12)
+        assert sum(len(level) for level in levels) == (
+            2 * X.dim if X.kind == "sup_finite" else 3 ** X.dim - 1)
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_predual_level_maxima_are_partial_ratios(self, dim):
+        """max over level k of h . |x| is the k-th partial ratio
+        (sum of the k largest |x_i|) / W_k: the closed form that needs
+        no enumeration."""
+        X = lorentz_predual_space(1.0 / np.arange(1.0, dim + 1) ** 0.7)
+        A = np.abs(np.random.default_rng(dim).standard_normal((50, dim)))
+        ratios = (np.cumsum(np.sort(A, axis=1)[:, ::-1], axis=1)
+                  / np.cumsum(X.weights))
+        for k, level in enumerate(X.support_levels(), start=1):
+            np.testing.assert_allclose(np.max(A @ level.T, axis=1),
+                                       ratios[:, k - 1], rtol=1e-12)
 
     def test_predual_refuses_above_cap(self):
         """3^dim - 1 vertices: 177,146 at dim 11 are listed, 531,440 at
@@ -733,13 +788,7 @@ class TestDualExtremePoints:
             predual(12).dual_extreme_points()
 
     def test_non_polyhedral_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="not enumerable"):
             euclidean_space(3).dual_extreme_points()
-
-    @pytest.mark.parametrize("max_support", [0, -1])
-    def test_support_cap_below_one_refused(self, max_support):
-        """sup_finite used to ignore the cap and list all its points, and
-        lorentz_predual failed inside numpy's concatenate."""
-        for X in (sup_space(3), lorentz_predual_space(GEOM3)):
-            with pytest.raises(ParameterError, match="max_support"):
-                X.dual_extreme_points(max_support=max_support)
+        with pytest.raises(ParameterError, match="not enumerable"):
+            euclidean_space(3).support_levels()
