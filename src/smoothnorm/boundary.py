@@ -49,6 +49,25 @@ Net points carry theta(f) = psi(f) - eps_n; theta > 1 holds for every
 valid closure mapping (psi - 1 >= (eps/2) * 2^(-n) > eps_n since
 n(f) <= n), and is still checked per instance.
 
+Row identity (disjoint pieces, locate, missing, and equiv's repeated
+functionals) is one RowIndex over the rows, with no Python work per
+row.  Each row's float64 words, signed zeros folded, are mixed one by
+one by murmur3's 64-bit finalizer, weighted by mixed per-position
+words and summed modulo 2^64 into one key; the keys are sorted once.
+The mix comes first because a sign flip changes only bit 63 of a word:
+summed raw, two sign flips would cancel.  The position weights are
+mixed too: with weights 2j + 1, distinct signed subsets share key sums
+(positions {0, 3} and {1, 2} both sum to 8), and Decomposition.missing
+on the lorentz_predual dim-10 ball then spent 1.7 s in the collision
+fallback (2-core x86-64 VM).  Rows whose keys are equal are compared
+exactly, and a collision (equal keys, different rows) falls back to
+comparing the key's rows by their bytes, so the index answers exactly
+as per-row byte keys do; a collision costs time, never an answer.  A
+small row set, whose pairs hold at most _PAIRWISE_WORDS words (a few
+dozen rows), compares every pair of rows word by word instead: a
+handful of numpy calls, where keying, sorting and searching take some
+thirty, each with a fixed cost that outweighs such a set's work.
+
 Every pass of n rows against a set of columns (net points, members,
 functionals) runs in the row blocks of row_blocks(n, width): runs of
 max(1, BLOCK_ELEMS // width) consecutive rows, where width is a row's
@@ -60,11 +79,13 @@ its call does.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError, check_integer
+from .errors import (ConstructionError, NumericError, ParameterError,
+                     check_integer)
 
 __all__ = [
     "Decomposition",
@@ -85,14 +106,150 @@ BLOCK_ELEMS = 2 ** 20
 _KEY_LIMIT = 2.0 ** 52
 
 
-def _row_keys(rows) -> list[bytes]:
-    """One identity key per row: its bytes, from a single ``tobytes``
-    of the stacked rows (adding 0.0 folds -0.0 into +0.0 so signed
-    zeros share a key)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    folded = (rows + 0.0).tobytes()
-    width = rows.itemsize * rows.shape[1]
-    return [folded[at:at + width] for at in range(0, len(folded), width)]
+# murmur3's 64-bit finalizer: each word of a row is mixed on its own
+# before the row's words are summed (module docstring)
+_MIX_SHIFT = np.uint64(33)
+_MIX_MULTIPLIERS = (np.uint64(0xFF51AFD7ED558CCD),
+                    np.uint64(0xC4CEB9FE1A85EC53))
+# multiples of the golden-ratio word, mixed, weight a row's words by
+# position (module docstring)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# a row set whose pairs hold at most this many words is compared pair
+# by pair (module docstring)
+_PAIRWISE_WORDS = 2 ** 12
+# words mixed per pass: 512 KB, which with its scratch stays in a core's
+# cache (on a 2-core x86-64 VM, 2.2 ms for 59,048 x 10 words, against
+# 4.6 ms for one pass over all of them)
+_MIX_BLOCK = 2 ** 16
+
+
+def _words(rows):
+    """The rows' float64 words as uint64, in a new array (adding 0.0
+    folds -0.0 into +0.0, so signed zeros share a word)."""
+    return (rows + 0.0).view(np.uint64)
+
+
+def _mix(words):
+    """murmur3's 64-bit finalizer on every word, in place."""
+    tmp = np.empty_like(words)
+    for multiplier in _MIX_MULTIPLIERS:
+        words ^= np.right_shift(words, _MIX_SHIFT, out=tmp)
+        words *= multiplier
+    words ^= np.right_shift(words, _MIX_SHIFT, out=tmp)
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(width):
+    """The position weights of a row of this width: multiples of the
+    golden-ratio word, mixed (read-only, as the cache shares them)."""
+    weights = _mix(np.arange(1, width + 1, dtype=np.uint64) * _GOLDEN)
+    weights.flags.writeable = False
+    return weights
+
+
+def _row_hash(rows):
+    """One uint64 key per row: its mixed words, weighted by position and
+    summed modulo 2^64.  Equal rows (signed zeros folded) share a key.
+    The words are mixed _MIX_BLOCK at a time, so that each pass over a
+    block finds it in cache."""
+    words = _words(rows)
+    flat = words.reshape(-1)
+    for at in range(0, flat.size, _MIX_BLOCK):
+        _mix(flat[at:at + _MIX_BLOCK])
+    return words @ _weights(rows.shape[1])
+
+
+class RowIndex:
+    """Identity index of a (n, dim) row set (module docstring).
+
+    ``rows`` is the float array indexed, ``first`` gives each row the
+    index of the first row equal to it (itself if none comes before),
+    and ``find`` looks other rows up.  Rows are equal when their float64
+    words are, after signed zeros are folded.  A small set, whose
+    n * n * dim words fit in _PAIRWISE_WORDS, keeps its words and no
+    keys.
+    """
+
+    def __init__(self, rows):
+        self.rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        self._words = None
+        if 0 < self.rows.size * len(self.rows) <= _PAIRWISE_WORDS:
+            self._words = _words(self.rows)
+            self.first = self._pairs(self._words).argmax(axis=1)
+            return
+        keys = _row_hash(self.rows)
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+        # the first row with each key, at every sorted position
+        self._head = self._order
+        self.first = np.arange(len(keys))
+        repeated = self._keys[1:] == self._keys[:-1]
+        if not repeated.any():
+            return
+        new = np.append(True, ~repeated)
+        self._head = np.minimum.reduceat(
+            self._order, np.flatnonzero(new))[np.cumsum(new) - 1]
+        self.first[self._order] = self._head
+        later = np.flatnonzero(self.first != np.arange(len(keys)))
+        clash = later[~self._equal(self.rows.take(later, axis=0),
+                                   self.first[later])]
+        for key in np.unique(keys[clash]):
+            # a collision: the key's rows are told apart by their bytes
+            seen = {}
+            for i in self._rows_with(key).tolist():
+                self.first[i] = seen.setdefault(
+                    _words(self.rows[i]).tobytes(), i)
+
+    def _pairs(self, words):
+        """Whether each row of words equals each indexed row."""
+        return (words[:, None, :] == self._words[None, :, :]).all(axis=2)
+
+    def _rows_with(self, key):
+        """Indices of the indexed rows with this key, ascending."""
+        lo = np.searchsorted(self._keys, key, side="left")
+        hi = np.searchsorted(self._keys, key, side="right")
+        return np.sort(self._order[lo:hi])
+
+    def _equal(self, rows, at):
+        """Whether each row equals the indexed row at its position, by a
+        float comparison: exact, but for rows with a NaN, which it never
+        calls equal, and which a collision fallback then compares."""
+        differ = rows != self.rows.take(at, axis=0)
+        # a boolean matrix product takes a row's "any" several times
+        # faster than np.any(axis=1) on short rows
+        return ~(differ @ np.ones(differ.shape[1], dtype=bool))
+
+    def find(self, rows) -> np.ndarray:
+        """Per row, the index of the first indexed row equal to it, or -1
+        (always for rows of another width)."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if not len(self.rows) or rows.shape[1] != self.rows.shape[1]:
+            return np.full(len(rows), -1)
+        if self._words is not None:
+            out = np.empty(len(rows), dtype=int)
+            for block in row_blocks(len(rows), self._words.size):
+                equal = self._pairs(_words(rows[block]))
+                out[block] = np.where(equal.any(axis=1),
+                                      equal.argmax(axis=1), -1)
+            return out
+        keys = _row_hash(rows)
+        # sorted queries search far faster than scattered ones
+        order = np.argsort(keys)
+        pos = np.empty_like(order)
+        pos[order] = np.searchsorted(self._keys, keys[order])
+        np.minimum(pos, len(self._keys) - 1, out=pos)
+        head = self._head[pos]
+        hit = self._keys[pos] == keys
+        found = hit & self._equal(rows, head)
+        out = np.where(found, head, -1)
+        for j in (hit & ~found).nonzero()[0].tolist():
+            # a collision: every indexed row with the key is compared
+            at = self._rows_with(keys[j])
+            equal = np.all(_words(rows[j]) == _words(self.rows[at]), axis=1)
+            if equal.any():
+                out[j] = at[equal][0]
+        return out
 
 
 def row_blocks(n, width) -> list[slice]:
@@ -126,11 +283,13 @@ class Decomposition:
 
     Validates on construction: eps in (0, 1), finite members on every
     kind (ParameterError naming the first piece and member that is not),
-    pairwise-disjoint pieces, the closure entries, bump thresholds
+    pairwise-disjoint pieces (naming the first member, in member order,
+    that an earlier piece holds), the closure entries, bump thresholds
     fl(1/psi) < fl(1/theta) that separate in floats for every member
     (ConstructionError naming the first piece where they do not), and
     (when the ambient dual norm is exact) membership of every functional
-    in the dual ball up to 1e-9.
+    in the dual ball up to 1e-9, each piece's ball check before its
+    disjointness check and both before any later piece's.
     With a surrogate dual metric the ball check is recorded as skipped.
     ``members`` stacks the pieces in piece order, ``pieces`` are row
     views of it, and ``piece``, ``psi`` and ``eps_n`` are aligned with
@@ -163,24 +322,33 @@ class Decomposition:
                 f"piece {n} member {i - int(start[n])} has a NaN or "
                 f"infinite coordinate")
 
-        keys = iter(_row_keys(self.members))
-        seen = {}
+        # checked piece by piece, in order: a piece's dual-ball check
+        # comes before its disjointness check
+        self._start = start
+        self._index = RowIndex(self.members)
+        shared = (self.piece[self._index.first] != self.piece).nonzero()[0]
+        norms = None
+        if self.dual_ball_checked:
+            try:
+                norms = space.dual_norm_rows(self.members)
+            except NumericError:
+                pass    # an overflow, raised below by its own piece's call
         for n, p in enumerate(self.pieces):
             if self.dual_ball_checked:
-                dn = space.dual_norm_rows(p)
+                dn = (space.dual_norm_rows(p) if norms is None
+                      else norms[start[n]:start[n + 1]])
                 outside = np.flatnonzero(dn > 1.0 + DUAL_BALL_TOL)
                 if outside.size:
                     j = int(outside[0])
                     raise ConstructionError(
                         f"piece {n} member {j} has dual norm "
                         f"{float(dn[j])} > 1 + {DUAL_BALL_TOL}")
-            for j in range(len(p)):
-                first = seen.setdefault(next(keys), (n, j))
-                if first[0] != n:
-                    raise ConstructionError(
-                        f"functional appears in pieces {first[0]} "
-                        f"and {n}; pieces must be disjoint")
-        self._locate = seen
+            if shared.size and self.piece[shared[0]] == n:
+                i = int(shared[0])
+                raise ConstructionError(
+                    f"functional appears in pieces "
+                    f"{int(self.piece[self._index.first[i]])} and {n}; "
+                    f"pieces must be disjoint")
 
         self.psi = np.array([_psi_value(self.epsilon, {n})
                              for n in range(len(sizes))])[self.piece]
@@ -224,20 +392,21 @@ class Decomposition:
         return self.space.dual_metric == "exact"
 
     def locate(self, f):
-        """(piece, member) position of a functional, by exact identity."""
-        key = _row_keys(f)[0]
-        if key not in self._locate:
+        """(piece, member) position of a functional, by exact identity:
+        the first member equal to it."""
+        i = int(self._index.find(f)[0])
+        if i < 0:
             raise ParameterError("functional is not a member of any piece")
-        return self._locate[key]
+        n = int(self.piece[i])
+        return n, i - int(self._start[n])
 
     def missing(self, rows, tol=DUAL_BALL_TOL):
         """Index of the first row with no member within l-infinity
-        distance tol, or None.  Rows are looked up by identity key
-        first; only the rows that miss are compared by distance, in
-        row blocks of width members x dim (module docstring)."""
+        distance tol, or None.  Rows are looked up in the identity index
+        first; only the rows it does not find are compared by distance,
+        in row blocks of width members x dim (module docstring)."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        misses = np.array([j for j, key in enumerate(_row_keys(rows))
-                           if key not in self._locate], dtype=int)
+        misses = (self._index.find(rows) < 0).nonzero()[0]
         for block in row_blocks(len(misses), self.members.size):
             part = misses[block]
             diff = rows[part].T[:, :, None] - self.members.T[:, None, :]
@@ -249,9 +418,11 @@ class Decomposition:
 
     def psi_of(self, n, j) -> float:
         """psi weight of member j of piece n (see module docstring)."""
+        n = check_integer(n, "piece")
+        j = check_integer(j, "member")
         if not (0 <= n < len(self.pieces) and 0 <= j < len(self.pieces[n])):
             raise ParameterError(f"({n}, {j}) is not a member")
-        return float(self.psi[self.piece == n][j])
+        return float(self.psi[self._start[n] + j])
 
 
 def _psi_bins(psi, eps_n):

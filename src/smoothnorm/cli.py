@@ -152,9 +152,12 @@ def _build_decomposition(space, spec, epsilon):
         if "closure" in spec:
             closure = {}
             try:
-                for e in spec["closure"]:
+                for k, e in enumerate(spec["closure"]):
                     _check_keys("closure", e, ("piece", "member", "pieces"))
-                    closure[(e["piece"], e["member"])] = list(e["pieces"])
+                    member = (e["piece"], e["member"])
+                    if member in closure:
+                        raise ValueError(f"entry {k} repeats member {member}")
+                    closure[member] = list(e["pieces"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad closure entry: {exc}")
     else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (Decomposition, NetPropertyReport, _row_keys,
+from .boundary import (Decomposition, NetPropertyReport, RowIndex,
                        check_lrc_criterion, net_property_report, row_blocks)
 from .errors import (ConstructionError, NumericError, ParameterError,
                      check_integer)
@@ -175,8 +175,7 @@ class RelativeBoundaryChain:
         H = np.vstack(self.levels)
         if not (np.isfinite(H).all() and np.isfinite(self.samples).all()):
             raise ParameterError("functionals and samples must be finite")
-        keys = _row_keys(H)
-        if len(set(keys)) != len(keys):
+        if np.any(RowIndex(H).first != np.arange(len(H))):
             raise ConstructionError(
                 "levels must be pairwise disjoint, with no repeated "
                 "functional")
@@ -338,10 +337,8 @@ class PipelineResult:
 
 def _unique_rows(rows):
     """First occurrences of the rows, in order (signed zeros folded)."""
-    first = {}
-    for j, key in enumerate(_row_keys(rows)):
-        first.setdefault(key, j)
-    return rows[list(first.values())]
+    first = RowIndex(rows).first
+    return rows[first == np.arange(len(first))]
 
 
 def _normalize_rows(space, rows):
@@ -367,14 +364,17 @@ def _route_chain(space, S):
         levels = space.support_levels()
         c = [np.min(values) for values, _ in tops]
     else:
-        levels, c, seen = [], [], set()
+        found, c = [], []
         for values, masks in tops:
             c.append(np.min(values))
-            F = _unique_rows(space.norming_functional_rows(
+            found.append(space.norming_functional_rows(
                 np.where(masks, S, 0.0)))
-            keys = _row_keys(F)
-            levels.append(F[[key not in seen for key in keys]])
-            seen.update(keys)
+        # a level keeps the first occurrence of each functional over all
+        # levels, in order
+        first = RowIndex(np.vstack(found)).first
+        new = np.split(first == np.arange(len(first)),
+                       np.cumsum([len(F) for F in found])[:-1])
+        levels = [F[keep] for F, keep in zip(found, new)]
     return RelativeBoundaryChain(space=space, levels=levels, samples=S,
                                  level_ids=level_ids, c_values=c)
 

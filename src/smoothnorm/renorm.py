@@ -32,7 +32,8 @@ subnormal and huge rows exact.
 
 The rule is applied without a second array of the coordinates' size.
 Net order is piece, then psi-bin, so psi and theta are constant on runs
-of consecutive net points (PhiNormSpec.runs; 7 on the dim-7 net).
+of consecutive net points (PhiNormSpec.runs; 7 on the dim-7 net), and
+PhiNormSpec makes one bump per run, repeated over the run's columns.
 Both roundings of fl(fl(c / peak) * w) do not fall as c rises, so a
 run's largest weighted term is its column maximum, weighted.  L and the
 rule's verdict on each (row, run) pair therefore come exactly from
@@ -168,14 +169,19 @@ class PhiNormSpec:
 
     def __post_init__(self):
         psi, theta = self.net.psi, self.net.theta
-        self.family = OrliczFamily([make_orlicz(z, e) for z, e in zip(
-            (1.0 / psi).tolist(), (1.0 / theta).tolist())])
         edge = np.ones(len(psi) + 1, dtype=bool)
         edge[1:-1] = (psi[1:] != psi[:-1]) | (theta[1:] != theta[:-1])
         bounds = np.flatnonzero(edge)
         start = bounds[:-1]
         self.runs = NetRuns(start, bounds[1:] - start, psi[start],
                             theta[start])
+        # one bump per run, repeated over its columns
+        functions = []
+        for z, e, size in zip((1.0 / self.runs.psi).tolist(),
+                              (1.0 / self.runs.theta).tolist(),
+                              self.runs.size.tolist()):
+            functions += [make_orlicz(z, e)] * size
+        self.family = OrliczFamily(functions)
         self._zstar = np.full((len(start), 0), np.nan)
 
     @property

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smoothnorm import boundary
+from smoothnorm import boundary, equiv
 from smoothnorm.boundary import (
     Decomposition,
     _greedy_indices,
@@ -22,7 +23,7 @@ from smoothnorm.boundary import (
     epsilon_n,
     net_property_report,
 )
-from smoothnorm.errors import ConstructionError, ParameterError
+from smoothnorm.errors import ConstructionError, NumericError, ParameterError
 from smoothnorm.spaces import (
     euclidean_space,
     lap_space,
@@ -107,6 +108,23 @@ class TestPsi:
                                match=rf"\({n}, {j}\) is not a member"):
                 d.psi_of(n, j)
 
+    @pytest.mark.parametrize("n, j, what", [
+        (0.5, 0, "piece must be an integer, got 0.5"),
+        (1, 1.0, "member must be an integer, got 1.0"),
+        (True, 1, "piece must be an integer, got True"),
+        (0, np.float64(1.0), "member must be an integer, got"),
+    ])
+    def test_psi_of_refuses_non_integers(self, n, j, what):
+        """(0.5, 0) raised numpy's TypeError, (1, 1.0) its IndexError,
+        and (True, 1) read member 1 of piece 1."""
+        eye = np.eye(3)
+        d = Decomposition(sup_space(3), [np.vstack([eye[0], -eye[0]]),
+                                         np.vstack([eye[1:], -eye[1:]])],
+                          0.1)
+        with pytest.raises(ParameterError, match=re.escape(what)):
+            d.psi_of(n, j)
+        assert d.psi_of(np.int64(1), np.int32(1)) == d.psi[3]
+
     def test_locate_by_value_identity(self):
         d = sup2_decomposition()
         assert d.locate(np.array([0.0, -1.0])) == (0, 3)
@@ -144,6 +162,28 @@ class TestDecompositionValidation:
             Decomposition(sup_space(2), [a, a.copy(), big], 0.1)
         with pytest.raises(ConstructionError, match="dual norm"):
             Decomposition(sup_space(2), [a, np.vstack([a, big]), a], 0.1)
+
+    def test_first_shared_member_named(self):
+        # piece 2 repeats a member of piece 0 and, earlier in its own
+        # order, one of piece 1: the earlier member is named
+        a, b, c = np.eye(3)
+        with pytest.raises(ConstructionError, match="pieces 1 and 2"):
+            Decomposition(sup_space(3), [np.vstack([a, c]), b[None],
+                                         np.vstack([b, a])], 0.1)
+
+    def test_overflow_checked_in_piece_order(self):
+        # a dual norm that overflows is raised by its own piece's call,
+        # naming its row there, after every earlier piece's checks
+        a = np.array([[1.0, 0.0]])
+        huge = np.array([[0.5, 0.5], [1e308, 1e308]])
+        with pytest.raises(ConstructionError, match="pieces 0 and 1"):
+            Decomposition(sup_space(2), [a, a.copy(), huge], 0.1)
+        with pytest.raises(NumericError,
+                           match=r"^dual norm: row 1 overflows the float "
+                                 r"range$"):
+            Decomposition(sup_space(2), [a, huge, a.copy()], 0.1)
+        with pytest.raises(ConstructionError, match="dual norm 1.8"):
+            Decomposition(sup_space(2), [np.array([[0.9, 0.9]]), huge], 0.1)
 
     def test_duplicate_inside_one_piece_is_allowed(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -582,6 +622,182 @@ class TestMissing:
         assert d.missing(rows) == 37
         monkeypatch.setattr(boundary, "BLOCK_ELEMS", 10)
         assert d.missing(rows) == 37
+
+
+def bytes_keys(rows):
+    """The identity keys RowIndex replaced: each row's bytes, signed
+    zeros folded, from one tobytes of the rows."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    folded = (rows + 0.0).tobytes()
+    width = rows.itemsize * rows.shape[1]
+    return [folded[at:at + width] for at in range(0, len(folded), width)]
+
+
+def oracle_locations(pieces):
+    """{key: first (piece, member)} by the per-member key loop RowIndex
+    replaced, and its disjointness error (None when disjoint)."""
+    seen = {}
+    keys = iter(bytes_keys(np.vstack(pieces)))
+    for n, p in enumerate(pieces):
+        for j in range(len(p)):
+            first = seen.setdefault(next(keys), (n, j))
+            if first[0] != n:
+                return seen, (f"functional appears in pieces {first[0]} "
+                              f"and {n}; pieces must be disjoint")
+    return seen, None
+
+
+def oracle_missing(members, rows, tol):
+    """Decomposition.missing by key lookup and a per-row distance."""
+    found = set(bytes_keys(members))
+    for j, (key, row) in enumerate(zip(bytes_keys(rows), rows)):
+        if key not in found and not np.any(
+                np.max(np.abs(members - row), axis=1) <= tol):
+            return j
+    return None
+
+
+def oracle_unique(rows):
+    """First occurrences of the rows, in order, by key lookup."""
+    first = {}
+    for j, key in enumerate(bytes_keys(rows)):
+        first.setdefault(key, j)
+    return rows[list(first.values())]
+
+
+def flip_zeros(rows):
+    """The rows with the sign of every zero entry flipped."""
+    return np.where(rows == 0.0, -rows, rows)
+
+
+def member_sets(seed):
+    """Random pieces of rows from {0, -0, 1/4, -1/4}^4, all in the
+    sup_finite(4) dual ball.  Odd seeds draw each piece on its own, so
+    rows repeat inside and across pieces; even seeds split distinct rows
+    into disjoint pieces, then repeat some rows inside their own piece,
+    about half with their zeros' signs flipped."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 0.25, -0.25])
+    k = int(rng.integers(1, 5))
+    if seed % 2:
+        return [values[rng.integers(0, 4, (int(rng.integers(0, 12)), 4))]
+                for _ in range(k)]
+    rows = np.unique(values[rng.integers(0, 4, (60, 4))] + 0.0, axis=0)
+    pieces = []
+    for p in np.array_split(rows[rng.permutation(len(rows))], k):
+        extra = p[rng.integers(0, len(p), int(rng.integers(0, 4)))]
+        extra = np.where(rng.random((len(extra), 1)) < 0.5,
+                         flip_zeros(extra), extra)
+        both = np.vstack([p, extra])
+        pieces.append(both[rng.permutation(len(both))])
+    return pieces
+
+
+@pytest.fixture(params=["pairwise", "hashed", "colliding"])
+def index_path(request, monkeypatch):
+    """Every row set compared pair by pair, or hashed; "colliding" gives
+    every row the same key, so that every identity question goes to the
+    exact collision fallback."""
+    monkeypatch.setattr(boundary, "_PAIRWISE_WORDS",
+                        2 ** 40 if request.param == "pairwise" else 0)
+    if request.param == "colliding":
+        monkeypatch.setattr(boundary, "_row_hash",
+                            lambda rows: np.zeros(len(rows), np.uint64))
+    return request.param
+
+
+class TestIdentityIndex:
+    """RowIndex and its users against the bytes-key code it replaced, on
+    each of its paths."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_decomposition_matches_bytes_keys(self, index_path, seed):
+        pieces = member_sets(seed)
+        seen, error = oracle_locations(pieces)
+        if error is not None:
+            with pytest.raises(ConstructionError,
+                               match=f"^{re.escape(error)}$"):
+                Decomposition(sup_space(4), pieces, 0.1)
+            return
+        d = Decomposition(sup_space(4), pieces, 0.1)
+        for f, key in zip(d.members, bytes_keys(d.members)):
+            assert d.locate(f) == seen[key]
+            assert d.locate(flip_zeros(f)) == seen[key]
+        rng = np.random.default_rng(seed + 1000)
+        values = np.array([0.0, 0.25, -0.25])
+        others = values[rng.integers(0, 3, (20, 4))]
+        for f, key in zip(others, bytes_keys(others)):
+            if key in seen:
+                assert d.locate(f) == seen[key]
+            else:
+                with pytest.raises(ParameterError, match="not a member"):
+                    d.locate(f)
+        for tol in (1e-9, 1e-6):
+            near = d.members.copy()
+            near[:, 0] += rng.choice([0.5, 2.0], len(near)) * tol
+            queries = np.vstack([d.members, flip_zeros(d.members), near,
+                                 others])
+            queries = queries[rng.permutation(len(queries))]
+            for cut in range(0, len(queries) + 1, 7):
+                assert d.missing(queries[:cut], tol) == oracle_missing(
+                    d.members, queries[:cut], tol)
+            assert d.missing(d.members[::-1], tol) is None
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unique_rows_match_bytes_keys(self, index_path, seed):
+        rows = np.vstack([np.zeros((0, 4)), *member_sets(seed)])
+        rows = np.vstack([rows, flip_zeros(rows[::2])])
+        assert equiv._unique_rows(rows).tobytes() == \
+            oracle_unique(rows).tobytes()
+
+    @pytest.mark.parametrize("space", [lorentz_space([1.0, 0.5, 0.25]),
+                                       lap_space([[0], [1, 2]], [1.0, 2.0],
+                                                 3)],
+                             ids=["lorentz3", "lap3"])
+    def test_chain_route_levels_match_seen_set(self, index_path, space):
+        """The chain route's levels against the seen-set loop it
+        replaced, on samples with repeats and sign flips."""
+        S = np.random.default_rng(3).standard_normal((12, space.dim))
+        S = equiv._normalize_rows(space, np.vstack([S, S[:4], -S[:4]]))
+        chain = equiv._route_chain(space, S)
+        seen = set()
+        for level, (_, masks) in zip(chain.levels, space.top_projections(
+                S, chain.level_ids)):
+            F = oracle_unique(space.norming_functional_rows(
+                np.where(masks, S, 0.0)))
+            keys = bytes_keys(F)
+            want = F[[key not in seen for key in keys]]
+            seen.update(keys)
+            assert level.tobytes() == want.tobytes()
+
+    def test_chain_refuses_repeats_across_levels(self, index_path):
+        a, b, c = np.eye(3)
+        S = np.array([[1.0, 0.5, 0.25]])
+        equiv.RelativeBoundaryChain(
+            space=sup_space(3), levels=[[a, b], [c, -a]], samples=S,
+            level_ids=(1, 2))
+        for levels in ([[a, b], [c, a]], [[a, a]],
+                       [[a, b], [flip_zeros(b)]]):
+            with pytest.raises(ConstructionError, match="pairwise disjoint"):
+                equiv.RelativeBoundaryChain(
+                    space=sup_space(3), levels=levels, samples=S,
+                    level_ids=tuple(range(1, len(levels) + 1)))
+
+    def test_words_differing_in_sign_only_get_distinct_keys(self):
+        """Summing raw words would map both sign flips of a row pair to
+        one key, as only bit 63 changes."""
+        rows = np.array(list(itertools.product([0.5, -0.5], repeat=6)))
+        assert len(np.unique(boundary._row_hash(rows))) == len(rows)
+
+    def test_find_takes_the_first_equal_row(self, index_path):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -0.0], [0.0, 1.0]])
+        index = boundary.RowIndex(rows)
+        assert index.first.tolist() == [0, 1, 0, 1]
+        assert index.find([[0.0, 1.0], [1.0, 1.0], [-0.0, 1.0]]).tolist() \
+            == [1, -1, 1]
+        assert index.find(np.ones((2, 3))).tolist() == [-1, -1]
+        assert boundary.RowIndex(np.zeros((0, 2))).find(rows).tolist() == \
+            [-1] * 4
 
 
 class TestBuildNet:

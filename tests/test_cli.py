@@ -265,6 +265,24 @@ class TestConfigErrors:
         assert f"bad decomposition: {message}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_repeated_closure_entry_exits_2(self, tmp_path, capsys):
+        """A second entry for member (0, 0) used to replace the first
+        silently, and the boundary suite to exit 0 with its set."""
+        decomposition = {
+            "pieces": [[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                       [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+                       [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]],
+            "closure": [{"piece": 0, "member": 0, "pieces": [0, 1]},
+                        {"piece": 0, "member": 0, "pieces": [0]}],
+        }
+        cfg = write_cfg(tmp_path, decomposition=decomposition)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "boundary",
+                     "--out", str(out)]) == 2
+        assert "bad closure entry: entry 1 repeats member (0, 0)" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_non_integer_lap_index_exits_2(self, tmp_path, capsys):
         """"sets": [[0, 1.5, 2.9]] used to run as {0, 1, 2}, and the
         equiv suite to exit 0."""

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import HalfspaceIntersection
 
 from smoothnorm import equiv
-from smoothnorm.boundary import _row_keys, net_property_report
+from smoothnorm.boundary import RowIndex, net_property_report
 from smoothnorm.equiv import (
     BoundaryNormSpace,
     RelativeBoundaryChain,
@@ -751,8 +751,8 @@ class TestRouteLevels:
         assert chain.level_ids == tuple(range(1, space.dim + 1))
         for i, n in enumerate(chain.level_ids):
             ball = support_ball(space, n)
-            below = set(_row_keys(support_ball(space, n - 1)))
-            new = ball[[key not in below for key in _row_keys(ball)]]
+            below = RowIndex(support_ball(space, n - 1))
+            new = ball[below.find(ball) < 0]
             np.testing.assert_array_equal(chain.levels[i], new)
             np.testing.assert_array_equal(np.vstack(chain.levels[:i + 1]),
                                           ball)

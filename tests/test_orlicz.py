@@ -324,6 +324,22 @@ class TestStackedFamily:
         assert plain.zero_thresholds is None
         assert plain.exceed_thresholds is None
 
+    def test_mixed_family_takes_the_group_path(self):
+        """Bumps and plain callables together are evaluated per group of
+        one callable, each group its columns in order."""
+        a, b = make_orlicz(0.5, 1.0), make_orlicz(0.25, 0.75)
+        square = lambda s: np.asarray(s, dtype=float) ** 2
+        fns = [a, a, square, b, a, square]
+        fam = OrliczFamily(fns)
+        assert fam.zero_thresholds is None and fam.exceed_thresholds is None
+        assert [(fn, idx.tolist()) for fn, idx in fam._groups] == [
+            (a, [0, 1, 4]), (square, [2, 5]), (b, [3])]
+        rows = np.random.default_rng(9).uniform(0.0, 2.0, (5, 6))
+        loop = np.array([sum(f(x) for f, x in zip(fns, row))
+                         for row in rows])
+        np.testing.assert_allclose(fam.modular_rows(rows), loop,
+                                   rtol=1e-14, atol=0.0)
+
     def test_column_indices_select_members(self):
         """Entries given with their member indices sum exactly as the
         full rows, in the same order, when every left-out entry is at or

@@ -41,7 +41,7 @@ from smoothnorm.renorm import (
     smoothness_check,
     verify_claim2d,
 )
-from smoothnorm.orlicz import _bump
+from smoothnorm.orlicz import _bump, make_orlicz
 from smoothnorm.scaling import _row_peaks, feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, sup_space)
@@ -1016,6 +1016,30 @@ def kept_slots(spec, coords):
 
 
 ORACLE_SPECS = ["demo_sup3", "sup4_euclid3", "predual5", "predual7", "lap13"]
+
+
+class TestFamilyPerRun:
+    """PhiNormSpec makes one bump per run of the net; the family against
+    the bump made per column, as before."""
+
+    @pytest.mark.parametrize("name", ORACLE_SPECS)
+    def test_columns_match_per_column_bumps(self, oracle_specs, name):
+        spec = oracle_specs[name]
+        family, net = spec.family, spec.net
+        bumps = [make_orlicz(z, e) for z, e in zip(
+            (1.0 / net.psi).tolist(), (1.0 / net.theta).tolist())]
+        assert len(family.functions) == len(bumps)
+        assert all(got is want for got, want in zip(family.functions,
+                                                    bumps))
+        for attr, values in (
+                ("zero_thresholds", [fn.zero_threshold for fn in bumps]),
+                ("exceed_thresholds", [fn.exceed_threshold
+                                       for fn in bumps]),
+                ("_log_g_width", [fn._log_g_width for fn in bumps]),
+                ("_zero", [fn.zero_threshold for fn in bumps] + [np.inf])):
+            assert getattr(family, attr).tobytes() == \
+                np.array(values).tobytes()
+        assert len({id(fn) for fn in family.functions}) <= len(spec.runs.size)
 
 
 class TestFlatIndexOracles:
