@@ -39,7 +39,9 @@ def main():
         coords = pi_coords_batch(spec, probes)
         worst = 0.0
         for i in outside:
-            values = spec.family.functions[i](coords[:, i] / rhos)
+            # net point i's bump is the family member of its run
+            run = np.searchsorted(spec.runs.start, i, side="right") - 1
+            values = spec.family.functions[run](coords[:, i] / rhos)
             worst = max(worst, float(np.max(np.abs(values))))
         print(f"  20 perturbations at 0.9 * radius: "
               f"max inactive phi-term {worst} (exact zero expected)")

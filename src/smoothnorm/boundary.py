@@ -392,20 +392,21 @@ class Decomposition:
         return self.space.dual_metric == "exact"
 
     def locate(self, f):
-        """(piece, member) position of a functional, by exact identity:
-        the first member equal to it."""
-        i = int(self._index.find(f)[0])
+        """(piece, member) position of a functional, one vector of the
+        space's dim, by exact identity: the first member equal to it."""
+        i = int(self._index.find(self.space._check_vec(f))[0])
         if i < 0:
             raise ParameterError("functional is not a member of any piece")
         n = int(self.piece[i])
         return n, i - int(self._start[n])
 
     def missing(self, rows, tol=DUAL_BALL_TOL):
-        """Index of the first row with no member within l-infinity
-        distance tol, or None.  Rows are looked up in the identity index
-        first; only the rows it does not find are compared by distance,
-        in row blocks of width members x dim (module docstring)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        """Index of the first of (k, dim) rows with no member within
+        l-infinity distance tol, or None.  Rows are looked up in the
+        identity index first; only the rows it does not find are compared
+        by distance, in row blocks of width members x dim (module
+        docstring)."""
+        rows = self.space._check_rows(rows)
         misses = (self._index.find(rows) < 0).nonzero()[0]
         for block in row_blocks(len(misses), self.members.size):
             part = misses[block]

@@ -30,17 +30,16 @@ log and exp calls stay numpy's on both paths, because numpy's SIMD log
 and exp differ from the math module's in the last bit on some inputs.
 
 An OrliczFamily whose members are all OrliczFunctions is stored as
-stacked per-column arrays (zero and exceed thresholds, log G(width)),
-read once per distinct member, by identity, and gathered per column:
-renorm repeats one bump over each run of net columns, so a family of
-2,186 columns reads 7 bumps.  A batch of rows is evaluated in one pass
-that touches only the entries above their column's threshold; the bump
-formula is the same function OrliczFunction uses.  The entries of a row
-need not be the whole family: ``modular_rows`` takes per-row column
-indices, and index ``len(family)`` is an inert slot with zero threshold
-+inf.  This is how renorm evaluates only the terms of a row that can be
-positive at a feasible scale; without indices, entry t of a row belongs
-to member t.
+stacked per-member arrays (zero and exceed thresholds, log G(width)),
+so a batch of rows is evaluated in one pass that touches only the
+entries above their member's threshold; the bump formula is the same
+function OrliczFunction uses.  The entries of a row need not be the
+whole family, nor distinct members: ``modular_rows`` takes per-row
+column indices, and index ``len(family)`` is an inert slot with zero
+threshold +inf.  This is how renorm evaluates only the terms of a row
+that can be positive at a feasible scale, each through the member of
+its run of net points; without indices, entry t of a row belongs to
+member t.
 An index outside [0, len(family)], a negative one included, or one that
 is not an integer is refused.  The entries above their thresholds are
 selected and read by flat index, and np.bincount sums them per row in
@@ -91,7 +90,6 @@ holds at the result as computed; the bracket is feasible_scale_inf's.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -304,7 +302,7 @@ def newton_scales(family, u, cols, owner, start) -> np.ndarray:
     """Per row, a proposed root of its modular in the scale rho:
     NEWTON_STEPS Newton steps on g(rho) = log sum_t phi_t(u_t / rho)
     from ``start``, a feasible scale.  Term t has coordinate u[t], the
-    bump of family column cols[t] and row owner[t]; rows are 0..len(start)
+    bump of family member cols[t] and row owner[t]; rows are 0..len(start)
     - 1.  The result may be non-finite; it only proposes a bracket
     (module docstring)."""
     zero = family._zero[cols]
@@ -329,7 +327,7 @@ class OrliczFamily:
 
     Functions must accept numpy arrays (all OrliczFunction instances do;
     plain vectorized callables such as ``lambda s: s**p`` also qualify).
-    A family of OrliczFunctions is evaluated from stacked per-column
+    A family of OrliczFunctions is evaluated from stacked per-member
     constants; any other family is evaluated per group of identical
     callables, so constant families cost one vectorized call.
 
@@ -348,34 +346,23 @@ class OrliczFamily:
         self._groups = None
         self._all_columns = np.arange(len(functions))[None]
         self.zero_thresholds = self.exceed_thresholds = None
-        # the distinct functions by identity, in order of first use, and
-        # each run of one function: its slot among them and its length
-        slot_of, distinct, run_slot, run_size = {}, [], [], []
-        for key, run in itertools.groupby(functions, key=id):
-            run = list(run)
-            if key not in slot_of:
-                slot_of[key] = len(distinct)
-                distinct.append(run[0])
-            run_slot.append(slot_of[key])
-            run_size.append(len(run))
-        if all(isinstance(fn, OrliczFunction) for fn in distinct):
-            # per column its zero threshold, exceed threshold and log
-            # G(width), then the inert slot len(family), whose zero
-            # threshold +inf is never passed
-            values = [(fn.zero_threshold, fn.exceed_threshold,
-                       fn._log_g_width) for fn in distinct]
-            self._zero, exceed, log_g_width = np.repeat(
-                np.array([values[k] for k in run_slot]
-                         + [(np.inf, np.inf, np.inf)]).T,
-                run_size + [1], axis=1)
-            self.zero_thresholds = self._zero[:-1]
-            self.exceed_thresholds = exceed[:-1]
-            self._log_g_width = log_g_width[:-1]
+        if all(isinstance(fn, OrliczFunction) for fn in functions):
+            self.zero_thresholds = np.array(
+                [fn.zero_threshold for fn in functions])
+            self.exceed_thresholds = np.array(
+                [fn.exceed_threshold for fn in functions])
+            # the inert slot len(family) never passes its threshold
+            self._zero = np.append(self.zero_thresholds, np.inf)
+            self._log_g_width = np.array(
+                [fn._log_g_width for fn in functions])
             return
-        slot = np.repeat(run_slot, run_size)
-        self._groups = list(zip(distinct, np.split(
-            np.argsort(slot, kind="stable"),
-            np.cumsum(np.bincount(slot))[:-1])))
+        groups: dict[int, list[int]] = {}
+        for i, fn in enumerate(functions):
+            groups.setdefault(id(fn), []).append(i)
+        self._groups = [
+            (functions[idx[0]], np.asarray(idx, dtype=int))
+            for idx in groups.values()
+        ]
 
     def __len__(self):
         return len(self.functions)

@@ -33,7 +33,8 @@ subnormal and huge rows exact.
 The rule is applied without a second array of the coordinates' size.
 Net order is piece, then psi-bin, so psi and theta are constant on runs
 of consecutive net points (PhiNormSpec.runs; 7 on the dim-7 net), and
-PhiNormSpec makes one bump per run, repeated over the run's columns.
+PhiNormSpec.family holds one bump per run: a kept term is evaluated
+through its run's member, and its net column only gives its coordinate.
 Both roundings of fl(fl(c / peak) * w) do not fall as c rises, so a
 run's largest weighted term is its column maximum, weighted.  L and the
 rule's verdict on each (row, run) pair therefore come exactly from
@@ -64,7 +65,7 @@ on that scale, so its value is the whole-net one at ``tol=0.0``
 whatever the start.  The start comes from orlicz.modular_inverse's
 table, z*_h(k) for k copies of bump h, through s_h(z), the smallest
 float s with fl(u_h / s) <= z (_smallest_scale).  The spec keeps these
-values as a (run x k) array, since a run's columns share a bump, filled
+values as a (run x k) array, one row per family member, filled
 through modular_inverse on first use of each (run, k).  A batch's kept
 terms read it in one gather, and one np.maximum.reduceat gives each
 row of k kept terms T = max_h s_h(z*_h(k)).  T is feasible: each term
@@ -153,7 +154,8 @@ class NetRuns(NamedTuple):
 @dataclass
 class PhiNormSpec:
     """A built approximating norm: net, factor space, and what the net
-    fixes: its bump family and its runs (module docstring).
+    fixes: its runs and its bump family, one member per run (module
+    docstring).
 
     Y is None for the scalar factor, else a euclidean ModelSpace.
     """
@@ -175,13 +177,8 @@ class PhiNormSpec:
         start = bounds[:-1]
         self.runs = NetRuns(start, bounds[1:] - start, psi[start],
                             theta[start])
-        # one bump per run, repeated over its columns
-        functions = []
-        for z, e, size in zip((1.0 / self.runs.psi).tolist(),
-                              (1.0 / self.runs.theta).tolist(),
-                              self.runs.size.tolist()):
-            functions += [make_orlicz(z, e)] * size
-        self.family = OrliczFamily(functions)
+        self.family = OrliczFamily([make_orlicz(z, e) for z, e in zip(
+            (1.0 / self.runs.psi).tolist(), (1.0 / self.runs.theta).tolist())])
         self._zstar = np.full((len(start), 0), np.nan)
 
     @property
@@ -272,7 +269,7 @@ def _kept_terms(spec: PhiNormSpec, coords):
     """The pruning rule of the module docstring on (n, len(net))
     nonnegative coordinate rows, from per-run column maxima: per row the
     peak and L (NaN for a zero row), and the kept (row, column) pairs in
-    row-major order."""
+    row-major order, with each pair's run."""
     start, size, psi, theta = spec.runs
     m = coords.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -291,24 +288,26 @@ def _kept_terms(spec: PhiNormSpec, coords):
         r = r.repeat(size)
         j = (start[k] - ends + size).repeat(size) + np.arange(len(r))
         keep = coords.take(r * m + j) / peak[r] * spec.net.psi[j] > cut[r]
-    return peak, bound, r[keep], j[keep]
+    return peak, bound, r[keep], j[keep], k.repeat(size)[keep]
 
 
 def _luxemburg_rows(spec: PhiNormSpec, coords):
-    """Luxemburg norms over spec.family of (n, len(net)) nonnegative
+    """Luxemburg norms over the net's bumps of (n, len(net)) nonnegative
     coordinate rows, bisecting only the terms the pruning rule of the
-    module docstring keeps, from the brackets it describes."""
+    module docstring keeps, each through its run's member of
+    spec.family, from the brackets it describes."""
     n, m = coords.shape
     family = spec.family
-    peak, _, r, j = _kept_terms(spec, coords)
+    peak, _, r, j, run = _kept_terms(spec, coords)
     counts = np.bincount(r, minlength=n)
     width = counts.max(initial=0) + 1
     first = counts.cumsum() - counts
     lead = first[r]
-    # each kept term's flat index into the (n, width) arrays
+    # each kept term's flat index into the (n, width) arrays; in cols, a
+    # term is its run, the family member of its bump
     at = r * width + (np.arange(len(r)) - lead)
-    cols = np.full((n, width), m)
-    cols.ravel()[at] = j
+    cols = np.full((n, width), len(family))
+    cols.ravel()[at] = run
     vals = np.repeat(peak[:, None], width, axis=1)
     c = coords.take(r * m + j)
     vals.ravel()[at] = c
@@ -316,23 +315,23 @@ def _luxemburg_rows(spec: PhiNormSpec, coords):
     # per row, T = max_h s_h(z*_h(k)) over its kept terms (module
     # docstring); a zero row keeps none, and its NaN start is no start
     hi = np.full(n, np.nan)
-    rows = np.flatnonzero(counts)
+    rows = counts.nonzero()[0]
     u = c / peak[r]
-    hi[rows] = np.maximum.reduceat(_table_scales(spec, u, j, counts[r]),
+    hi[rows] = np.maximum.reduceat(_table_scales(spec, u, run, counts[r]),
                                    first[rows])
     # T is a single-class row's answer: it starts one float below.  Any
     # other row, where some kept term differs from the row's first in its
     # bump or coordinate, starts around Newton from T
     lo = np.nextafter(hi, 0.0)
-    j0 = j[lead]
-    other = ((c != c[lead])
-             | (family.zero_thresholds[j] != family.zero_thresholds[j0])
-             | (family.exceed_thresholds[j] != family.exceed_thresholds[j0]))
+    run0 = run[lead]
+    zero, exceed = family.zero_thresholds, family.exceed_thresholds
+    other = ((c != c[lead]) | (zero[run] != zero[run0])
+             | (exceed[run] != exceed[run0]))
     multi = np.bincount(r[other], minlength=n) > 0
     if multi.any():
         rows = multi.nonzero()[0]
         t = multi[r]
-        guess = newton_scales(family, u[t], j[t],
+        guess = newton_scales(family, u[t], run[t],
                               np.repeat(np.arange(len(rows)), counts[rows]),
                               hi[rows])
         lo[rows] = _ulp_steps(guess, 0.0)
@@ -349,36 +348,33 @@ def _ulp_steps(x, toward):
     return x
 
 
-def _table_scales(spec, u, cols, counts):
+def _table_scales(spec, u, runs, counts):
     """Per kept term, s(z*(k)) for its peak-normalized coordinate u, its
-    bump (a net column) and the count k (module docstring)."""
-    return _smallest_scale(u, _zstar(spec, cols, counts))
+    run's bump and the count k (module docstring)."""
+    return _smallest_scale(u, _zstar(spec, runs, counts))
 
 
-def _zstar(spec, cols, counts):
-    """Per kept term, z*(k) of the bump of net column cols[t] for the
-    count k = counts[t] >= 1: one gather from spec._zstar, a (run x k)
-    table whose missing entries are filled through modular_inverse.  An
-    entry depends only on (bump, k), so a fill that a concurrent call
-    loses by widening the table is only refilled, from modular_inverse's
-    caches."""
-    run = np.searchsorted(spec.runs.start, cols, side="right") - 1
+def _zstar(spec, runs, counts):
+    """Per kept term, z*(k) of the bump of run runs[t] for the count
+    k = counts[t] >= 1: one gather from spec._zstar, a (run x k) table
+    whose missing entries are filled through modular_inverse.  An entry
+    depends only on (bump, k), so a fill that a concurrent call loses by
+    widening the table is only refilled, from modular_inverse's caches."""
     table = spec._zstar
     width = counts.max(initial=0) + 1
     if width > table.shape[1]:
         wider = np.full((len(table), width), np.nan)
         wider[:, :table.shape[1]] = table
         spec._zstar = table = wider
-    z = table[run, counts]
+    z = table[runs, counts]
     missing = np.isnan(z)
     if missing.any():
-        # one entry per (run, k) pair; a run's first column holds its bump
-        pairs = np.unique(run[missing] * table.shape[1] + counts[missing])
+        # one entry per (run, k) pair
+        pairs = np.unique(runs[missing] * table.shape[1] + counts[missing])
         run_k = np.divmod(pairs, table.shape[1])
-        fns = [spec.family.functions[col]
-               for col in spec.runs.start[run_k[0]].tolist()]
+        fns = [spec.family.functions[run] for run in run_k[0].tolist()]
         table[run_k] = modular_inverse(fns, run_k[1])
-        z = table[run, counts]
+        z = table[runs, counts]
     return z
 
 

@@ -130,7 +130,7 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
     peak = _row_peaks(rows)
     if not np.all(np.isfinite(peak)):
         raise ParameterError("coordinates must be finite")
-    live = np.flatnonzero(peak > 0.0)
+    live = (peak > 0.0).nonzero()[0]
     # Peak normalization keeps brackets O(1) even for subnormal or huge
     # rows and makes the result scale-equivariant.
     unit = rows / np.where(peak > 0.0, peak, 1.0)[:, None]

@@ -179,6 +179,7 @@ def inactive_violations(spec, coords, rhos, outside) -> int:
             f"{int(np.flatnonzero(bad)[0])}")
     mask = np.zeros(len(spec.net), dtype=bool)
     mask[outside] = True
-    woken = coords / rhos[:, None] > spec.family.zero_thresholds
+    woken = coords / rhos[:, None] > np.repeat(spec.family.zero_thresholds,
+                                               spec.runs.size)
     woken &= mask
     return int(np.count_nonzero(woken))

@@ -59,11 +59,20 @@ def unit_rows(space, count, seed):
     return rows / np.asarray([space.norm(r) for r in rows])[:, None]
 
 
+def column_family(spec):
+    """One bump per net point, made from its own psi and theta, as
+    PhiNormSpec's family made them before it held one bump per run."""
+    net = spec.net
+    return OrliczFamily([make_orlicz(z, e) for z, e in zip(
+        (1.0 / net.psi).tolist(), (1.0 / net.theta).tolist())])
+
+
 def margins_and_inactivity(spec, base_norm, points, seed):
     """Active-set margins plus exact zero checks for perturbations at
     0.9 of the certified radius; returns (min margin, checked count,
     violation count)."""
     pool = phi_unit_pool(spec, points, seed=seed)
+    bumps = column_family(spec).functions
     rng = np.random.default_rng(seed + 1)
     min_margin = np.inf
     checked = 0
@@ -83,7 +92,7 @@ def margins_and_inactivity(spec, base_norm, points, seed):
         rhos = phi_norm_batch(spec, probes)
         coords = pi_coords_batch(spec, probes)
         for i in outside:
-            values = spec.family.functions[i](coords[:, i] / rhos)
+            values = bumps[i](coords[:, i] / rhos)
             checked += len(probes)
             violations += int(np.count_nonzero(values != 0.0))
     return min_margin, checked, violations

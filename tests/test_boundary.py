@@ -129,6 +129,18 @@ class TestPsi:
         d = sup2_decomposition()
         assert d.locate(np.array([0.0, -1.0])) == (0, 3)
 
+    @pytest.mark.parametrize("f, shape", [
+        ([[1.0, 0.0], [9.0, 9.0]], "(2, 2)"), (np.zeros((0, 2)), "(0, 2)"),
+        ([[0.0, -1.0]], "(1, 2)"), ([1.0, 0.0, 0.0], "(3,)"),
+        (1.0, "()")])
+    def test_locate_refuses_all_but_one_functional(self, f, shape):
+        """Two rows used to locate the first ((0, 0) for a member and a
+        stranger), and no row raised a raw IndexError."""
+        d = sup2_decomposition()
+        with pytest.raises(ParameterError, match=re.escape(
+                f"expected vector of shape (2,), got {shape}")):
+            d.locate(f)
+
 
 class TestDecompositionValidation:
     def test_epsilon_out_of_range(self):
@@ -622,6 +634,18 @@ class TestMissing:
         assert d.missing(rows) == 37
         monkeypatch.setattr(boundary, "BLOCK_ELEMS", 10)
         assert d.missing(rows) == 37
+
+    @pytest.mark.parametrize("rows, shape", [
+        (np.ones((2, 3)), "(2, 3)"), (np.ones((1, 1)), "(1, 1)"),
+        ([1.0, 0.0], "(2,)"), (np.ones((1, 1, 2)), "(1, 1, 2)")])
+    def test_rows_of_another_shape_refused(self, rows, shape):
+        """Rows of another width used to raise numpy's broadcast
+        ValueError; (0, dim) rows miss nothing."""
+        d = sup2_decomposition()
+        with pytest.raises(ParameterError, match=re.escape(
+                f"expected rows of shape (k, 2), got {shape}")):
+            d.missing(rows)
+        assert d.missing(np.zeros((0, 2))) is None
 
 
 def bytes_keys(rows):

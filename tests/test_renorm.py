@@ -41,7 +41,7 @@ from smoothnorm.renorm import (
     smoothness_check,
     verify_claim2d,
 )
-from smoothnorm.orlicz import _bump, make_orlicz
+from smoothnorm.orlicz import OrliczFamily, _bump, make_orlicz
 from smoothnorm.scaling import _row_peaks, feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, sup_space)
@@ -126,7 +126,10 @@ class TestBuildRenorm:
         assert len(sup2_spec.net) == 4
         net = sup2_spec.net
         np.testing.assert_array_equal(net.psi, 1.0625)
-        for fn, psi, theta in zip(sup2_spec.family.functions, net.psi,
+        run = run_of_column(sup2_spec)
+        assert len(run) == 4
+        for fn, psi, theta in zip([sup2_spec.family.functions[k]
+                                   for k in run.tolist()], net.psi,
                                   net.theta):
             assert abs(fn.zero_threshold * psi - 1.0) <= 1e-12
             assert abs(fn.exceed_threshold * theta - 1.0) <= 1e-12
@@ -516,7 +519,8 @@ class TestPhiNorm:
     def test_bisection_against_brentq(self, sup2_spec):
         coords = pi_coords(sup2_spec, np.array([1.0, 0.0]))
         rho = phi_norm(sup2_spec, np.array([1.0, 0.0]))
-        root = brentq(lambda r: sup2_spec.family.modular(coords / r) - 1.0,
+        family = column_family(sup2_spec)
+        root = brentq(lambda r: family.modular(coords / r) - 1.0,
                       1.0001, 1.11, xtol=1e-14)
         np.testing.assert_allclose(rho, root, rtol=1e-9)
 
@@ -614,10 +618,25 @@ class TestPhiNorm:
         np.testing.assert_array_equal(got.g, want.g)
 
 
+def run_of_column(spec):
+    """Per net point, the run that holds it: its bump's member of
+    spec.family."""
+    return np.repeat(np.arange(len(spec.runs.start)), spec.runs.size)
+
+
+def column_family(spec):
+    """One bump per net point, made from its own psi and theta, as
+    PhiNormSpec's family made them before it held one bump per run."""
+    net = spec.net
+    return OrliczFamily([make_orlicz(z, e) for z, e in zip(
+        (1.0 / net.psi).tolist(), (1.0 / net.theta).tolist())])
+
+
 def whole_net(spec, coords, start=None):
     """feasible_scale_inf over the whole net, no term left out, bisected
     to float resolution from `start` (default: its own)."""
-    return feasible_scale_inf(lambda z, _: spec.family.modular_rows(z),
+    family = column_family(spec)
+    return feasible_scale_inf(lambda z, _: family.modular_rows(z),
                               coords, tol=0.0, start=start)
 
 
@@ -629,8 +648,8 @@ def check_whole_net(spec, coords, values):
     assert np.array_equal(values, whole_net(spec, coords).hi)
     live = coords.any(axis=1)
     assert np.array_equal(values > 0.0, live)
-    assert np.all(spec.family.modular_rows(coords[live] / values[live, None])
-                  <= 1.0)
+    assert np.all(column_family(spec).modular_rows(
+        coords[live] / values[live, None]) <= 1.0)
 
 
 def full_width_rule(spec, coords):
@@ -809,13 +828,15 @@ def check_runs(spec):
 
 def check_kept_terms(spec, coords):
     """_kept_terms against the rule over whole rows, bit for bit: peak,
-    L and the kept (row, column) pairs in row-major order."""
-    peak, bound, r, j = _kept_terms(spec, coords)
+    L and the kept (row, column) pairs in row-major order, each with the
+    run that holds its column."""
+    peak, bound, r, j, k = _kept_terms(spec, coords)
     want_bound, _, kept = full_width_rule(spec, coords)
     assert np.array_equal(peak, coords.max(axis=1, initial=0.0))
     assert np.array_equal(bound, want_bound, equal_nan=True)
     want_r, want_j = np.nonzero(kept)
     assert np.array_equal(r, want_r) and np.array_equal(j, want_j)
+    assert np.array_equal(k, run_of_column(spec)[j])
 
 
 def scaled_rows(spec, rng, n, scale):
@@ -937,7 +958,7 @@ def row_major_kept_terms(spec, coords):
         r = r.repeat(size)
         j = (start[k] - ends + size).repeat(size) + np.arange(len(r))
         keep = coords[r, j] / peak[r] * spec.net.psi[j] > cut[r]
-    return peak, bound, r[keep], j[keep]
+    return peak, bound, r[keep], j[keep], k.repeat(size)[keep]
 
 
 def nonzero_modular_rows(family, rows, cols):
@@ -1004,7 +1025,7 @@ def kept_slots(spec, coords):
     """Per row its kept terms' columns, then inert slots, and their
     peak-normalized coordinates, then 1.0: the (cols, rows) a modular
     call of _luxemburg_rows receives, at scale 1."""
-    peak, _, r, j = row_major_kept_terms(spec, coords)
+    peak, _, r, j, _ = row_major_kept_terms(spec, coords)
     n, m = coords.shape
     counts = np.bincount(r, minlength=n)
     slot = np.arange(len(r)) - (counts.cumsum() - counts)[r]
@@ -1019,27 +1040,34 @@ ORACLE_SPECS = ["demo_sup3", "sup4_euclid3", "predual5", "predual7", "lap13"]
 
 
 class TestFamilyPerRun:
-    """PhiNormSpec makes one bump per run of the net; the family against
-    the bump made per column, as before."""
+    """PhiNormSpec makes one bump per run of the net: each member is the
+    bump of every net point of its run, and the per-run arrays, repeated
+    over the runs, are those of one bump per net point, bit for bit."""
 
     @pytest.mark.parametrize("name", ORACLE_SPECS)
     def test_columns_match_per_column_bumps(self, oracle_specs, name):
         spec = oracle_specs[name]
-        family, net = spec.family, spec.net
-        bumps = [make_orlicz(z, e) for z, e in zip(
-            (1.0 / net.psi).tolist(), (1.0 / net.theta).tolist())]
-        assert len(family.functions) == len(bumps)
-        assert all(got is want for got, want in zip(family.functions,
-                                                    bumps))
-        for attr, values in (
-                ("zero_thresholds", [fn.zero_threshold for fn in bumps]),
-                ("exceed_thresholds", [fn.exceed_threshold
-                                       for fn in bumps]),
-                ("_log_g_width", [fn._log_g_width for fn in bumps]),
-                ("_zero", [fn.zero_threshold for fn in bumps] + [np.inf])):
-            assert getattr(family, attr).tobytes() == \
-                np.array(values).tobytes()
-        assert len({id(fn) for fn in family.functions}) <= len(spec.runs.size)
+        family = spec.family
+        assert len(family) == len(spec.runs.start)
+        bumps = column_family(spec)
+        run = run_of_column(spec)
+        assert all(family.functions[k] is want for k, want in zip(
+            run.tolist(), bumps.functions))
+        for attr in ("zero_thresholds", "exceed_thresholds",
+                     "_log_g_width"):
+            assert np.repeat(getattr(family, attr), spec.runs.size).tobytes() \
+                == getattr(bumps, attr).tobytes()
+        assert family._zero.tobytes() == np.append(
+            family.zero_thresholds, np.inf).tobytes()
+
+    def test_member_counts(self, oracle_specs):
+        """3, 5, 7 and 13 members on demo_sup3, predual5, predual7 and
+        lap13's chain spec, against nets of 6, 242, 2,186 and 762."""
+        sizes = {name: (len(oracle_specs[name].family),
+                        len(oracle_specs[name].net))
+                 for name in ("demo_sup3", "predual5", "predual7", "lap13")}
+        assert sizes == {"demo_sup3": (3, 6), "predual5": (5, 242),
+                         "predual7": (7, 2186), "lap13": (13, 762)}
 
 
 class TestFlatIndexOracles:
@@ -1053,9 +1081,11 @@ class TestFlatIndexOracles:
     def test_kept_terms(self, oracle_specs, name, n, seed):
         spec = oracle_specs[name]
         coords = oracle_coords(spec, seed, n)
-        for got, want in zip(_kept_terms(spec, coords),
-                             row_major_kept_terms(spec, coords)):
-            assert_same_values(got, want)
+        got, want = (_kept_terms(spec, coords),
+                     row_major_kept_terms(spec, coords))
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert_same_values(a, b)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1064,9 +1094,10 @@ class TestFlatIndexOracles:
     def test_modular_rows(self, oracle_specs, name, n, seed):
         """Kept terms with inert slots, per-row and (1, w) broadcast
         columns, the whole family, at scales where some bumps are zero
-        and some positive."""
+        and some positive: on one bump per net point, and on the spec's
+        family of one bump per run, the same terms through their runs."""
         spec = oracle_specs[name]
-        family = spec.family
+        family = column_family(spec)
         coords = oracle_coords(spec, seed, n)
         cols, unit = kept_slots(spec, coords)
         rng = np.random.default_rng(seed)
@@ -1083,6 +1114,9 @@ class TestFlatIndexOracles:
                 family, rows, idx).tobytes()
         assert family.modular_rows(wide).tobytes() == nonzero_modular_rows(
             family, wide, family._all_columns).tobytes()
+        runs = np.append(run_of_column(spec), len(spec.family))[cols]
+        assert spec.family.modular_rows(z, runs).tobytes() == \
+            family.modular_rows(z, cols).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 600), w=st.integers(0, 9),
@@ -1422,7 +1456,7 @@ class TestCheckedStart:
             assert np.array_equal(newton, ~table_starts(start))
             rows = coords[newton]
             unit = rows / rows.max(axis=1)[:, None]
-            modular = spec.family.modular_rows
+            modular = column_family(spec).modular_rows
             assert np.all(modular(unit / lo[newton, None]) > 1.0)
             assert np.all(modular(unit / hi[newton, None]) <= 1.0)
             assert np.array_equal(values[newton], whole_net(spec, rows).hi)
@@ -1465,8 +1499,8 @@ class TestCheckedStart:
         if expect == "missed":
             rows = coords[multi]
             unit = rows / rows.max(axis=1)[:, None]
-            assert np.all(
-                spec.family.modular_rows(unit / lo[multi, None]) <= 1.0)
+            assert np.all(column_family(spec).modular_rows(
+                unit / lo[multi, None]) <= 1.0)
 
     @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
                                       "predual7_spec"])
@@ -1480,13 +1514,14 @@ class TestCheckedStart:
         shape = spec.sample_shape
         X = (rng.standard_normal((10000, *shape))
              * 10.0 ** rng.uniform(-3.0, 3.0, (10000,) + (1,) * len(shape)))
-        _, _, r, j = _kept_terms(spec, pi_coords_batch(spec, X))
+        _, _, r, j, run = _kept_terms(spec, pi_coords_batch(spec, X))
         counts = np.bincount(r)[r]
-        fns = [spec.family.functions[col] for col in j.tolist()]
+        bumps = column_family(spec).functions
+        fns = [bumps[col] for col in j.tolist()]
         for k in (counts, np.ones_like(counts)):
             want = orlicz.modular_inverse(fns, k)
-            assert np.array_equal(_zstar(spec, j, k), want)
-            assert np.array_equal(_zstar(spec, j, k), want)
+            assert np.array_equal(_zstar(spec, run, k), want)
+            assert np.array_equal(_zstar(spec, run, k), want)
         assert counts.max() > 1
 
     def test_table_shared_by_threads(self, sup4_euclid3_spec):
@@ -1583,6 +1618,7 @@ class TestActiveSet:
     def test_perturbations_inside_radius_keep_inactive_at_zero(
             self, ladder3_spec):
         spec = ladder3_spec
+        bumps = column_family(spec).functions
         rng = np.random.default_rng(23)
         checked = 0
         for _ in range(30):
@@ -1601,7 +1637,7 @@ class TestActiveSet:
                 coords = pi_coords(spec, v)
                 for i in outside:
                     # bump value exactly zero: below its flat threshold
-                    assert spec.family.functions[i](coords[i] / rho) == 0.0
+                    assert bumps[i](coords[i] / rho) == 0.0
                     checked += 1
         assert checked > 0
 

@@ -14,6 +14,7 @@ from smoothnorm.boundary import Decomposition
 from smoothnorm.cli import main
 from smoothnorm.equiv import corollary_b_pipeline
 from smoothnorm.errors import ParameterError
+from smoothnorm.orlicz import OrliczFamily, make_orlicz
 from smoothnorm.renorm import (active_set, build_renorm, phi_norm_batch,
                                phi_unit_pool, pi_coords_batch,
                                verify_claim2d)
@@ -31,6 +32,14 @@ SLACK = 1e-9
 def per_direction(space):
     eye = np.eye(space.dim)
     return Decomposition(space, [np.vstack([e, -e]) for e in eye], EPS)
+
+
+def column_family(spec):
+    """One bump per net point, made from its own psi and theta, as
+    PhiNormSpec's family made them before it held one bump per run."""
+    net = spec.net
+    return OrliczFamily([make_orlicz(z, e) for z, e in zip(
+        (1.0 / net.psi).tolist(), (1.0 / net.theta).tolist())])
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +379,7 @@ class TestInactiveViolations:
         mask[outside] = True
         want = int(np.count_nonzero(
             coords[:, outside] / rhos[:, None]
-            > sup3_spec.family.zero_thresholds[outside]))
+            > column_family(sup3_spec).zero_thresholds[outside]))
         assert 0 < want < coords[:, outside].size
         assert inactive_violations(sup3_spec, coords, rhos, outside) == want
         assert inactive_violations(sup3_spec, coords, rhos, mask) == want
