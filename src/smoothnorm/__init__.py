@@ -57,7 +57,6 @@ from .spaces import (
     lap_space,
     lorentz_predual_space,
     lorentz_space,
-    orlicz_space,
     proj,
     sup_space,
     support,

@@ -263,7 +263,7 @@ def epsilon_n(eps, n) -> float:
     """Separation scale of piece n: eps * 4^(-n) / 96."""
     if not (0.0 < eps < 1.0):
         raise ParameterError("eps must lie in (0, 1)")
-    if n < 0:
+    if check_integer(n, "piece index") < 0:
         raise ParameterError("piece index must be >= 0")
     return eps * 4.0 ** (-n) / 96.0
 

@@ -24,7 +24,8 @@ Config file (a JSON object):
 
 An entry that none of these objects uses is a config error, at every
 level, and so is a decomposition "preset" given with "pieces" or
-"closure".
+"closure".  A number is a JSON number: a string or a boolean where a
+number, or an array of numbers, is due is a config error too.
 
 Report (``report.json``, keys sorted, no timestamps or filesystem
 paths): config sha256, seed, space summary, epsilon, per-suite records
@@ -47,6 +48,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -103,10 +105,30 @@ def _check_keys(what, spec, known):
         raise ConfigError(f"unknown {what} entries: {sorted(unknown)}")
 
 
+def _number(value, what) -> float:
+    """A JSON number as a float: float() would take "0.1" and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_numbers(value, what):
+    """ConfigError naming `what` unless value is a number or nested lists
+    of them (one type scan a level): numpy reads [0, true] as [0, 1]."""
+    level = [value]
+    while level:
+        types = set(map(type, level))
+        if not types <= {int, float, list}:
+            raise ConfigError(f"{what} must hold only numbers")
+        level = list(itertools.chain.from_iterable(
+            v for v in level if type(v) is list)) if list in types else []
+
+
 def _build_space(spec, what="space", kinds=_KINDS):
     """The kinds[spec["kind"]] space, built from the other entries by
     keyword, so a missing or unused entry is a ConfigError naming it
-    (the constructor's TypeError names it)."""
+    (the constructor's TypeError names it); a list entry must hold only
+    numbers."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{what} must be an object with a 'kind'")
     params = dict(spec)
@@ -114,6 +136,9 @@ def _build_space(spec, what="space", kinds=_KINDS):
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(
             f"unknown {what} kind {kind!r}; known: {sorted(kinds)}")
+    for key, value in params.items():
+        if isinstance(value, list):
+            _check_numbers(value, f"{what} {kind!r} parameter {key!r}")
     try:
         return kinds[kind](**params)
     except (ParameterError, TypeError, ValueError) as exc:
@@ -145,6 +170,7 @@ def _build_decomposition(space, spec, epsilon):
         else:
             raise ConfigError(f"unknown decomposition preset {preset!r}")
     elif "pieces" in spec:
+        _check_numbers(spec["pieces"], "decomposition pieces")
         try:
             pieces = [np.asarray(p, dtype=float) for p in spec["pieces"]]
         except (TypeError, ValueError) as exc:
@@ -201,10 +227,10 @@ def _parse_smooth(spec, dim):
         raise ConfigError("smooth must be an object")
     _check_keys("smooth", spec, ("point", "direction", "steps"))
     try:
-        point = [float(v) for v in spec["point"]]
-        direction = [float(v) for v in spec["direction"]]
-        steps = [float(v) for v in spec["steps"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        point, direction, steps = (
+            [_number(v, f"smooth {key} entry") for v in spec[key]]
+            for key in ("point", "direction", "steps"))
+    except (KeyError, TypeError) as exc:
         raise ConfigError(
             f"smooth needs numeric point/direction/steps lists: {exc}")
     if len(point) != dim or len(direction) != dim:
@@ -264,10 +290,7 @@ def load_config(path) -> RunConfig:
     space = _build_space(data["space"])
     if "epsilon" not in data:
         raise ConfigError("config needs an epsilon")
-    try:
-        epsilon = float(data["epsilon"])
-    except (TypeError, ValueError):
-        raise ConfigError("epsilon must be a number")
+    epsilon = _number(data["epsilon"], "epsilon")
     factor = _build_factor(data.get("factor_space", "scalar"))
     if "decomposition" not in data:
         raise ConfigError("config needs a 'decomposition' section")
@@ -292,7 +315,8 @@ def load_config(path) -> RunConfig:
 
     tolerances = dict(_TOLERANCES)
     for key, value in _section(data, "tolerances", {}).items():
-        tolerances[key] = _tol_value(key, value)
+        tolerances[key] = _tol_value(
+            key, _number(value, f"tolerance {key!r}"))
 
     suites = _resolve_suites(_section(data, "suites", ["all"]))
     smooth = data.get("smooth")
@@ -350,10 +374,6 @@ class RunContext:
                 self._spec_error = exc
                 raise
         return self._spec
-
-
-def _seed_int(ss):
-    return int(ss.generate_state(1)[0])
 
 
 def _window_samples(ctx, suite):
@@ -564,14 +584,20 @@ def _suite_tensor(ctx):
     return _record("passed" if ok else "failed", count, measured), []
 
 
-def _suite_equiv(ctx):
+def _equiv_pipeline(ctx):
+    """corollary_b_pipeline on the equiv suite's inputs: its gaussian
+    samples and the pipeline's seed, both spawned from the suite's."""
     ss_samples, ss_pipeline = ctx.child("equiv").spawn(2)
     rng = np.random.default_rng(ss_samples)
     samples = rng.standard_normal((ctx.budgets["equiv"], ctx.space.dim))
-    result = corollary_b_pipeline(
+    return corollary_b_pipeline(
         ctx.space, samples, ctx.eps, Y=ctx.Y,
-        seed=_seed_int(ss_pipeline),
+        seed=int(ss_pipeline.generate_state(1)[0]),
         identity_tol=ctx.tol["equiv_identity"])
+
+
+def _suite_equiv(ctx):
+    result = _equiv_pipeline(ctx)
     rep = result.report
     measured = {"route": result.route,
                 "level_ids": list(result.chain.level_ids),
@@ -585,7 +611,7 @@ def _suite_equiv(ctx):
         measured["a_values"] = result.boundary_norm.a_values
         measured["ratio_range"] = list(result.boundary_norm.ratio_range)
     return _record("passed" if result.passed else "failed",
-                   len(samples), measured), []
+                   len(result.chain.samples), measured), []
 
 
 _SUITE_FNS = {"approx": _suite_approx, "claim1": _suite_claim1,

@@ -201,13 +201,16 @@ def default_a_sequence(level_ids, b) -> np.ndarray:
     Strictly decreasing, always > 1, and a_n * b_n > 1 so the level-n
     term already beats the limiting sup for the level's own samples.
     """
+    ids = np.asarray(level_ids, dtype=float)
     b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or ids.shape != b.shape:
+        raise ParameterError(f"need one b per level id, got shapes "
+                             f"{ids.shape} and {b.shape}")
     # written so that NaN fails it
     if not np.all(b > 0.0):
         raise ConstructionError("a-sequence needs strictly positive b")
     deficits = (1.0 - b) / b
     tail = np.maximum.accumulate(deficits[::-1])[::-1]
-    ids = np.asarray(level_ids, dtype=float)
     return 1.0 + 2.0 ** (-(ids + 1.0)) + tail
 
 
@@ -431,7 +434,7 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
         boundary_norm = base = build_F(chain)
         decomposition = Decomposition(
             base, boundary_norm.symmetric_pieces(), eps)
-        boundary_samples = _normalize_rows(base, np.unique(S, axis=0))
+        boundary_samples = _normalize_rows(base, _unique_rows(S))
 
     phi = build_renorm(base, decomposition, Y,
                        boundary_samples=boundary_samples)

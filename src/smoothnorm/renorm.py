@@ -50,10 +50,10 @@ maxima and indices change layout; every sum keeps its order.
 Nor is an array of a whole batch's coordinates needed.  A batch runs in
 the row blocks of boundary.row_blocks, a row being len(net) floats
 wide, times dim Y for a euclidean factor: pi_coords_batch fills its
-output one block at a time, and a call that fits in one block (every
-phi_norm) takes a single matrix product and no loop.  A pass that needs
-more than the norms computes each block's coordinates once, into one
-reused buffer (_coord_blocks), and reads both from that array:
+output one block at a time, while phi_norm and pi_coords, whose one row
+is always one block, take a single matrix product and no loop.  A pass
+that needs more than the coordinates computes each block's once, into
+one reused buffer (_coord_blocks), and reads its norms from that array:
 phi_norm_batch evaluates there, verify_claim2d divides the block by its
 norms in place and takes a running column max, and verify.active_sets
 counts its probes' woken bumps block by block.  A scalar-factor row's
@@ -189,12 +189,6 @@ class PhiNormSpec:
                 else (self.X.dim, self.Y.dim))
 
 
-def _resolve_factor(Y):
-    if Y is None or isinstance(Y, EuclideanSpace):
-        return Y
-    raise ParameterError("factor space must be None (scalar) or euclidean")
-
-
 def _sphere_samples(X, budget, seed):
     """`budget` gaussian rows over their norms; a row too close to 0 is
     replaced by the stream's next draw."""
@@ -222,7 +216,9 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
     at `budget` random unit vectors drawn from `seed` when none are
     supplied.  Either failure is a ConstructionError.
     """
-    Y = _resolve_factor(Y)
+    if not (Y is None or isinstance(Y, EuclideanSpace)):
+        raise ParameterError(
+            "factor space must be None (scalar) or euclidean")
     if d.space is not X and (d.space.kind, d.space.dim) != (X.kind, X.dim):
         raise ParameterError("decomposition was built over a different space")
     if X.enumerable_dual:
@@ -317,8 +313,8 @@ def _luxemburg_rows(spec: PhiNormSpec, coords):
     hi = np.full(n, np.nan)
     rows = counts.nonzero()[0]
     u = c / peak[r]
-    hi[rows] = np.maximum.reduceat(_table_scales(spec, u, run, counts[r]),
-                                   first[rows])
+    hi[rows] = np.maximum.reduceat(
+        _smallest_scale(u, _zstar(spec, run, counts[r])), first[rows])
     # T is a single-class row's answer: it starts one float below.  Any
     # other row, where some kept term differs from the row's first in its
     # bump or coordinate, starts around Newton from T
@@ -346,12 +342,6 @@ def _ulp_steps(x, toward):
     for _ in range(START_ULPS):
         x = np.nextafter(x, toward)
     return x
-
-
-def _table_scales(spec, u, runs, counts):
-    """Per kept term, s(z*(k)) for its peak-normalized coordinate u, its
-    run's bump and the count k (module docstring)."""
-    return _smallest_scale(u, _zstar(spec, runs, counts))
 
 
 def _zstar(spec, runs, counts):
@@ -440,11 +430,8 @@ def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     (n, dim X, dim Y) matrices -> (n, len(net)), filled one row block
     (_blocks) at a time.  A NaN or inf entry is a ParameterError."""
     batch = _checked_batch(spec, batch)
-    blocks = _blocks(spec, len(batch))
-    if len(blocks) < 2:
-        return _coords(spec, batch)
     coords = np.empty((len(batch), len(spec.net)))
-    for block in blocks:
+    for block in _blocks(spec, len(batch)):
         _coords(spec, batch[block], out=coords[block])
     return coords
 
@@ -473,9 +460,9 @@ def phi_norm_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     differently in another block, and so its last bits; a
     euclidean-factor row's bits do not depend on the batch."""
     batch = _checked_batch(spec, batch)
-    if len(_blocks(spec, len(batch))) < 2:
-        return _luxemburg_rows(spec, _coords(spec, batch))
-    return np.concatenate([norms for *_, norms in _coord_blocks(spec, batch)])
+    # the empty array stands for a batch of no rows, which has no block
+    return np.concatenate(
+        [np.empty(0), *(norms for *_, norms in _coord_blocks(spec, batch))])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Certified bracket-and-bisect for Luxemburg-type scaling infima.
 
 Every Luxemburg-type norm in this package (the phi-norm over an Orlicz
-family, the ``orlicz_hM`` space norm and the ``lap`` norm) has the form
+family and the ``lap`` norm) has the form
 
     ||c|| = inf { rho > 0 : S(|c| / rho) <= 1 }
 
@@ -105,7 +105,7 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
     rows : array_like, shape (n, m)
         Coordinate rows; signs are ignored.
     tol : float
-        Relative final bracket width.
+        Relative final bracket width, >= 0.
     start : pair of array_like, shape (n,), optional
         Per-row initial brackets (lo, hi) on the peak-normalized row
         (module docstring); NaN marks a row without one.
@@ -118,12 +118,15 @@ def feasible_scale_inf(modular_rows, rows, tol=DEFAULT_TOL, start=None):
     Raises
     ------
     ParameterError
-        If any coordinate is NaN or infinite.
+        If any coordinate is NaN or infinite, or tol is NaN or negative.
     NumericError
         If a row's scale leaves the float range while bracketing, or its
         value cannot be certified; ``bracket`` is that row's last finite
         (lo, hi).
     """
+    # written so that NaN fails it: a NaN tol took no bisection step
+    if not tol >= 0.0:
+        raise ParameterError(f"tol must be >= 0, got {tol!r}")
     rows = np.abs(np.asarray(rows, dtype=float))
     if rows.ndim != 2:
         raise ParameterError(f"expected (n, m) rows, got shape {rows.shape}")

@@ -3,11 +3,10 @@
 Vectors and functionals are plain 1-d numpy arrays over the index set
 {0, ..., dim-1}, batches are (k, dim) arrays of rows.  Each kind is a
 ModelSpace subclass holding its parameters (in the order below: SupSpace,
-EuclideanSpace, OrliczSpace, LapSpace, LorentzSpace, LorentzPredualSpace):
+EuclideanSpace, LapSpace, LorentzSpace, LorentzPredualSpace):
 
     sup_finite       ||x|| = max |x_i|                  (dual: l1)
     euclidean        ||x|| = l2                         (self-dual)
-    orlicz_hM        Luxemburg norm of a constant family M
     lap              l_{A,p}: Luxemburg-type norm of the modular
                      Phi(z) = sum_k max_{n: k in A_n} |z_k|^{p_n}
                      (per-index best exponent; equals the sup over
@@ -32,20 +31,17 @@ import itertools
 import numpy as np
 
 from .errors import NumericError, ParameterError, check_integer
-from .orlicz import OrliczFamily, OrliczFunction, luxemburg_norm_batch
 from .scaling import feasible_scale_inf
 
 __all__ = [
     "ModelSpace",
     "SupSpace",
     "EuclideanSpace",
-    "OrliczSpace",
     "LapSpace",
     "LorentzSpace",
     "LorentzPredualSpace",
     "sup_space",
     "euclidean_space",
-    "orlicz_space",
     "lap_space",
     "lorentz_space",
     "lorentz_predual_space",
@@ -344,20 +340,6 @@ class LorentzPredualSpace(_LorentzKind):
         return levels
 
 
-class OrliczSpace(ModelSpace):
-    kind = "orlicz_hM"
-
-    def __init__(self, m: OrliczFunction, dim):
-        if not isinstance(m, OrliczFunction):
-            raise ParameterError("orlicz_hM needs an OrliczFunction")
-        super().__init__(dim)
-        self.orlicz_m = m
-        self._family = OrliczFamily([m] * self.dim)
-
-    def _norm_rows(self, X):
-        return luxemburg_norm_batch(self._family, X)
-
-
 class LapSpace(ModelSpace):
     kind = "lap"
 
@@ -441,7 +423,6 @@ class LapSpace(ModelSpace):
 # the factories, by kind parameters
 sup_space = SupSpace
 euclidean_space = EuclideanSpace
-orlicz_space = OrliczSpace
 lap_space = LapSpace
 lorentz_space = LorentzSpace
 lorentz_predual_space = LorentzPredualSpace

@@ -56,6 +56,16 @@ class TestEpsilonN:
         with pytest.raises(ParameterError):
             epsilon_n(0.5, -1)
 
+    @pytest.mark.parametrize("n", [1.5, True, "1", np.float64(1.0)])
+    def test_non_integer_piece_index_refused(self, n):
+        # 1.5 used to give 1.3e-4, and True the value at piece 1
+        with pytest.raises(ParameterError,
+                           match="piece index must be an integer"):
+            epsilon_n(0.1, n)
+
+    def test_numpy_integer_piece_index_accepted(self):
+        assert epsilon_n(0.96, np.int64(1)) == 0.0025
+
 
 class TestPsi:
     def test_single_piece_value_exact(self):

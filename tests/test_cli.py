@@ -33,6 +33,13 @@ BASE = {
 }
 
 
+# the signed unit vectors of R^3, one piece's rows
+UNIT_ROWS3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+              [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+SMOOTH3 = {"point": [1, 1, 0], "direction": [1, -1, 0],
+           "steps": [1e-3, 1e-4]}
+
+
 def write_cfg(directory, name="run.cfg", **overrides):
     data = {**BASE, **overrides}
     for key, value in list(data.items()):
@@ -113,6 +120,38 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--suite", "boundary",
                      "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("overrides, entry", [
+        ({"epsilon": "0.1"}, "epsilon"),
+        ({"epsilon": True}, "epsilon"),
+        ({"tolerances": {"boundary": "1e-9"}}, "tolerance 'boundary'"),
+        ({"tolerances": {"boundary": False}}, "tolerance 'boundary'"),
+        ({"decomposition": {"pieces": [[["1", 0, 0]] + UNIT_ROWS3[1:]]}},
+         "decomposition pieces"),
+        ({"decomposition": {"pieces": [
+            UNIT_ROWS3[:1] + [[0, True, 0]] + UNIT_ROWS3[2:]]}},
+         "decomposition pieces"),
+        ({"space": {"kind": "lorentz", "weights": ["1", 0.5, 0.25]}},
+         "parameter 'weights'"),
+        ({"space": {"kind": "lap", "dim": 3, "sets": [[0], [1, 2]],
+                    "exponents": [1, True]}}, "parameter 'exponents'"),
+        ({"smooth": dict(SMOOTH3, point=["1", 1, 0])}, "smooth point"),
+        ({"smooth": dict(SMOOTH3, direction=[1, -1, False])},
+         "smooth direction"),
+        ({"smooth": dict(SMOOTH3, steps=["1e-3"])}, "smooth steps"),
+    ], ids=["epsilon_string", "epsilon_bool", "tolerance_string",
+            "tolerance_bool", "piece_string", "piece_bool",
+            "weight_string", "exponent_bool", "point_string",
+            "direction_bool", "step_string"])
+    def test_string_or_boolean_number_exits_2(self, tmp_path, capsys,
+                                              overrides, entry):
+        """JSON strings and booleans are no numbers: each of these ran
+        the boundary suite to exit 0, reading "1" and true as 1."""
+        cfg = write_cfg(tmp_path, suites=["boundary"], **overrides)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert entry in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("space", [

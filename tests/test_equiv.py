@@ -469,6 +469,14 @@ class TestDefaultASequence:
         with pytest.raises(ConstructionError):
             default_a_sequence((1, 2), [np.nan, 1.0])
 
+    @pytest.mark.parametrize("level_ids, b", [
+        ([1, 2, 3], [0.5, 0.6]), ([1, 2], [0.5, 0.6, 0.7]), (1, 0.5)],
+        ids=["short-b", "long-b", "scalars"])
+    def test_one_b_per_level_id(self, level_ids, b):
+        # the first used to raise numpy's broadcast ValueError
+        with pytest.raises(ParameterError, match="one b per level id"):
+            default_a_sequence(level_ids, b)
+
 
 class TestBuildF:
     def test_single_level_boundary_reproduces_norm(self):
@@ -817,6 +825,33 @@ class TestPipelineChain:
         assert not getattr(res.boundary_norm, verdict)
         assert res.report.net.passed and res.report.claim2d.ok
         assert not res.passed and not res.report.passed
+
+    def test_repeated_samples_build_the_same_spec(self, lap3, monkeypatch):
+        """A sample given twice, and one given again with -0.0 for a 0.0,
+        are one boundary sample each: the build is checked on the
+        distinct rows alone and gives the distinct samples' spec."""
+        distinct = np.random.default_rng(1).standard_normal((64, 3))
+        distinct[5, 1] = 0.0
+        signed = distinct[5].copy()
+        signed[1] = -0.0
+        repeated = np.vstack([distinct, distinct[17], signed])
+        checked = []
+        build_renorm = equiv.build_renorm
+
+        def recording(*args, boundary_samples, **kwargs):
+            checked.append(boundary_samples)
+            return build_renorm(*args, boundary_samples=boundary_samples,
+                                **kwargs)
+
+        monkeypatch.setattr(equiv, "build_renorm", recording)
+        want, got = (corollary_b_pipeline(lap3, S, 0.1, seed=0)
+                     for S in (distinct, repeated))
+        assert got.route == "chain" and got.passed
+        assert checked[1].tobytes() == checked[0].tobytes()
+        assert len(checked[1]) == 64
+        for name in ("matrix", "psi", "theta", "piece", "bin_id", "home"):
+            assert getattr(got.phi_spec.net, name).tobytes() == \
+                getattr(want.phi_spec.net, name).tobytes()
 
     def test_one_functional_call_per_level(self, monkeypatch):
         space = lap_space([[0, 1, 2], [2, 3, 4]], [1.0, 2.0], 5)

@@ -519,6 +519,15 @@ def test_modular_receives_row_indices():
                           luxemburg_norm_batch(fam, rows))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-10, -np.inf])
+def test_nan_or_negative_tol_refused(tol):
+    # a NaN tol took no bisection step: the l2 norm of (3, 4) came out 8
+    l2 = lambda z, _: (z ** 2).sum(axis=1)
+    with pytest.raises(ParameterError, match="tol must be >= 0"):
+        feasible_scale_inf(l2, [[3.0, 4.0]], tol=tol)
+    assert feasible_scale_inf(l2, [[3.0, 4.0]], tol=0.0).hi[0] == 5.0
+
+
 # sha256 of (lo, hi, iterations) of the five solves of
 # test_solve_without_start_pinned
 NO_START_SHA256 = (

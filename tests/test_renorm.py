@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from smoothnorm.boundary import Decomposition, build_net
-from smoothnorm.cli import RunContext, _seed_int, load_config
+from smoothnorm.cli import RunContext, _equiv_pipeline, load_config
 from smoothnorm.equiv import corollary_b_pipeline
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
 from smoothnorm import boundary, orlicz, renorm
@@ -334,13 +334,7 @@ def net_digests(net):
 def lap13_equiv_pipeline(out_dir):
     """corollary_b_pipeline on the inputs of the lap13 equiv suite."""
     cfg = load_config(CONFIGS / "lap13_equiv.cfg")
-    ctx = RunContext(cfg, cfg.seed, out_dir)
-    ss_samples, ss_pipeline = ctx.child("equiv").spawn(2)
-    samples = np.random.default_rng(ss_samples).standard_normal(
-        (cfg.budgets["equiv"], cfg.space.dim))
-    return corollary_b_pipeline(
-        cfg.space, samples, cfg.epsilon, Y=cfg.factor,
-        seed=_seed_int(ss_pipeline), identity_tol=ctx.tol["equiv_identity"])
+    return _equiv_pipeline(RunContext(cfg, cfg.seed, out_dir))
 
 
 class TestPinnedNets:
@@ -1191,6 +1185,15 @@ class TestRowBlocks:
         assert len(renorm._blocks(spec, 50)) == 8
         for want, got in zip(whole, run()):
             assert_same_bits(got, want)
+
+    def test_zero_rows(self, sup2_spec, sup4_euclid3_spec):
+        """A batch of no rows has no block, on either factor, and still
+        gets arrays of no rows."""
+        for spec in (sup2_spec, sup4_euclid3_spec):
+            batch = np.zeros((0, *spec.sample_shape))
+            assert renorm._blocks(spec, 0) == []
+            assert phi_norm_batch(spec, batch).shape == (0,)
+            assert pi_coords_batch(spec, batch).shape == (0, len(spec.net))
 
     def test_claim2d_running_max(self, predual7_spec):
         """verify_claim2d on a 1,000-sample pool (blocks of 479, 479 and

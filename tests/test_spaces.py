@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 from smoothnorm.equiv import (BoundaryNormSpace, RelativeBoundaryChain,
                               build_F)
 from smoothnorm.errors import NumericError, ParameterError
-from smoothnorm.orlicz import make_orlicz
 from smoothnorm.spaces import (
     euclidean_space,
     find_norming_support,
@@ -28,21 +27,19 @@ from smoothnorm.spaces import (
     proj,
     sup_space,
     support,
-    orlicz_space,
 )
 
 GEOM3 = [1.0, 0.5, 0.25]
 GEOM4 = [1.0, 0.5, 0.25, 0.125]
 GEOM5 = [1.0, 0.5, 0.25, 0.125, 0.0625]
 
-# one space of every kind, dim 5
+# one space of every kind, dim 5, each with a closed-form norming functional
 ALL_KINDS = [
     sup_space(5),
     euclidean_space(5),
     lorentz_space(GEOM5),
     lorentz_predual_space(GEOM5),
     lap_space([[0, 1], [1, 2, 3], [3, 4]], [1.0, 1.5, 2.0], dim=5),
-    orlicz_space(make_orlicz(0.7, 1.4), 5),
 ]
 CLOSED_FORM_KINDS = ALL_KINDS[:4]
 
@@ -244,10 +241,8 @@ class TestLap:
     def test_non_finite_rejected(self, bad, at):
         x = np.array([0.5, 1.0, 0.0])
         x[at] = bad
-        for X in (lap_space([[0], [1, 2]], [1.0, 2.0], dim=3),
-                  orlicz_space(make_orlicz(0.7, 1.4), 3)):
-            with pytest.raises(ParameterError):
-                X.norm(x)
+        with pytest.raises(ParameterError):
+            lap_space([[0], [1, 2]], [1.0, 2.0], dim=3).norm(x)
 
     def test_modular_equals_brute_force(self):
         """Per-index best exponent equals the max over disjoint
@@ -306,7 +301,7 @@ class TestNormAxioms:
     def test_homogeneity_and_triangle(self):
         rng = np.random.default_rng(12)
         for X in self.spaces():
-            cheap = X.kind not in ("lap", "orlicz_hM")
+            cheap = X.kind != "lap"
             n = 1000 if cheap else 100
             for _ in range(n):
                 u = rng.standard_normal(5)
@@ -575,9 +570,6 @@ class TestNormingSupport:
             find_norming_support(X, [2.0, 0.0])
 
 
-# the kinds with a closed-form norming functional, dim 5
-FUNCTIONAL_KINDS = ALL_KINDS[:5]
-
 # entries with zeros, signed zeros and tied |x_i| drawn in
 tie_prone = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -3.0]),
@@ -620,7 +612,7 @@ class TestNormingFunctional:
             assert np.dot(f, y) <= X.norm(y) * (1.0 + 1e-8)
 
     @settings(max_examples=60, deadline=None)
-    @given(X=st.sampled_from(FUNCTIONAL_KINDS),
+    @given(X=st.sampled_from(ALL_KINDS),
            P=st.sampled_from([1, 7, 256]).flatmap(
                lambda k: arrays(float, (k, 5), elements=tie_prone)))
     def test_rows_are_stacked_one_row_calls(self, X, P):
@@ -669,7 +661,7 @@ class TestNormingFunctional:
         assert X.dual_norm_rows(F).tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("row", [0, 3, 6])
-    @pytest.mark.parametrize("X", FUNCTIONAL_KINDS,
+    @pytest.mark.parametrize("X", ALL_KINDS,
                              ids=lambda X: X.kind)
     def test_zero_row_anywhere_rejected(self, X, row):
         P = np.random.default_rng(row).standard_normal((7, 5))
@@ -682,7 +674,7 @@ class TestNormingFunctional:
             X.norming_functional(P[row])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("X", FUNCTIONAL_KINDS,
+    @pytest.mark.parametrize("X", ALL_KINDS,
                              ids=lambda X: X.kind)
     def test_non_finite_row_rejected(self, X, bad):
         P = np.random.default_rng(5).standard_normal((7, 5))
@@ -695,11 +687,10 @@ class TestNormingFunctional:
             X.norming_functional(P[4])
 
     def test_unsupported_kind_rejected(self):
-        for X in (ALL_KINDS[5], BOUNDARY5):
-            with pytest.raises(ParameterError, match="no closed-form"):
-                X.norming_functional([1.0, 0.0, 0.0, 0.0, 0.0])
-            with pytest.raises(ParameterError, match="no closed-form"):
-                X.norming_functional_rows(np.eye(5))
+        with pytest.raises(ParameterError, match="no closed-form"):
+            BOUNDARY5.norming_functional([1.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ParameterError, match="no closed-form"):
+            BOUNDARY5.norming_functional_rows(np.eye(5))
 
 
 class TestDualExtremePoints:
