@@ -106,20 +106,29 @@ def _check_keys(what, spec, known):
 
 
 def _number(value, what) -> float:
-    """A JSON number as a float: float() would take "0.1" and true."""
+    """A JSON number as a float: float() would take "0.1" and true, and
+    an integer beyond the float range raises OverflowError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer beyond the float range")
 
 
 def _check_numbers(value, what):
-    """ConfigError naming `what` unless value is a number or nested lists
-    of them (one type scan a level): numpy reads [0, true] as [0, 1]."""
+    """ConfigError naming `what` unless value is a number in the float
+    range or nested lists of them (one type scan a level): numpy reads
+    [0, true] as [0, 1]."""
     level = [value]
     while level:
         types = set(map(type, level))
         if not types <= {int, float, list}:
             raise ConfigError(f"{what} must hold only numbers")
+        if int in types:
+            # the largest integer overflows if any does
+            _number(max(abs(v) for v in level if type(v) is int),
+                    f"an entry of {what}")
         level = list(itertools.chain.from_iterable(
             v for v in level if type(v) is list)) if list in types else []
 
@@ -202,8 +211,10 @@ def _tol_value(key, value):
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"tolerance {key!r} must be a number")
-    if not out >= 0.0:
-        raise ConfigError(f"tolerance {key!r} must be >= 0")
+    # an infinite tolerance would pass its check vacuously, and json
+    # writes it into the report as Infinity, which is no JSON
+    if not 0.0 <= out < np.inf:
+        raise ConfigError(f"tolerance {key!r} must be finite and >= 0")
     return out
 
 

@@ -25,10 +25,10 @@ scale where a pruned bump is positive the row is already infeasible
 through that term.  Every feasibility test therefore decides as it would
 over the whole net, and a feasible modular sums the same values in the
 same order, so a row gets the whole-net value bit for bit.  A gaussian
-row keeps about 2 of the 2,186 terms of the lorentz_predual dim-7 net.
-The relative margin 1e-12 absorbs the roundings of u and of the
-thresholds 1/psi, 1/theta, and working on u rather than on Pi keeps
-subnormal and huge rows exact.
+row keeps about 2 of the 2,186 terms of the lorentz_predual dim-7 net,
+h and -h of one representative (below).  The relative margin 1e-12
+absorbs the roundings of u and of the thresholds 1/psi, 1/theta, and
+working on u rather than on Pi keeps subnormal and huge rows exact.
 
 The rule is applied without a second array of the coordinates' size.
 Net order is piece, then psi-bin, so psi and theta are constant on runs
@@ -47,18 +47,37 @@ on its own.  Every gather and scatter on the batch path takes flat
 indices, as 2-D fancy indexing costs about four times a take.  Only
 maxima and indices change layout; every sum keeps its order.
 
+The coordinates come in pairs, as Pi(u)(-h) = Pi(u)(h), and on the
+symmetric dual balls used here a net point's negation is nearly always
+a net point of its run: all 2,186 points of the dim-7 net, 744 of the
+762 of the lap13 chain-route net.  So PhiNormSpec.fold keeps one
+coordinate per such pair, its earlier column's, the representative;
+every other column represents itself (1,093 representatives on the
+dim-7 net).  A run's representatives are consecutive, in net order.
+Every batch x net pass reads only these folded rows: the matrix
+product (or _slice_norms), abs, the per-run maxima and the pruning
+scan take half the work and memory, and h and -h get the same bits.
+_kept_terms then unfolds each kept representative into its net
+columns, itself and then its twin, which comes later in the net, and
+sorts back into net order only the rows that keep two or more.  The
+modular sums a row's terms in the order given, and float sums depend
+on their order, so net order keeps every value the one that the
+full-width rows of pi_coords_batch give, bit for bit.  pi_coords and
+pi_coords_batch unfold their rows by one gather.
+
 Nor is an array of a whole batch's coordinates needed.  A batch runs in
-the row blocks of boundary.row_blocks, a row being len(net) floats
-wide, times dim Y for a euclidean factor: pi_coords_batch fills its
-output one block at a time, while phi_norm and pi_coords, whose one row
-is always one block, take a single matrix product and no loop.  A pass
-that needs more than the coordinates computes each block's once, into
-one reused buffer (_coord_blocks), and reads its norms from that array:
+the row blocks of boundary.row_blocks, a row being one float per
+representative wide, times dim Y for a euclidean factor: 959 rows on
+the dim-7 net.  pi_coords_batch fills its output one block at a time, while
+phi_norm and pi_coords, whose one row is always one block, take a
+single matrix product and no loop.  A pass that needs more than the
+coordinates computes each block's once, into one reused buffer
+(_folded_blocks), and reads its norms from that array (_coord_blocks):
 phi_norm_batch evaluates there, verify_claim2d divides the block by its
 norms in place and takes a running column max, and verify.active_sets
 counts its probes' woken bumps block by block.  A scalar-factor row's
 coordinates, and so its value's last bits, depend on its block, which
-is a fixed function of the row count and the net size.
+is a fixed function of the row count and the folded net size.
 
 Every row is bisected to float resolution (``tol=0.0``) from a start
 on that scale, so its value is the whole-net one at ``tol=0.0``
@@ -108,7 +127,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import NetB, build_net, check_boundary, row_blocks
+from .boundary import NetB, RowIndex, build_net, check_boundary, row_blocks
 from .errors import ConstructionError, ParameterError, check_integer
 from .orlicz import (OrliczFamily, make_orlicz, modular_inverse,
                      newton_scales)
@@ -119,6 +138,7 @@ from .tensor import TensorElement, _slice_norms
 __all__ = [
     "PhiNormSpec",
     "NetRuns",
+    "NetFold",
     "ActiveSet",
     "DirectionReport",
     "PhiUnitPool",
@@ -151,11 +171,47 @@ class NetRuns(NamedTuple):
     theta: np.ndarray
 
 
+class NetFold(NamedTuple):
+    """The net's +-pairs folded into one coordinate each (module
+    docstring).  Per representative: its net column and its twin's (-1
+    where it has none) as a row of pair, the count of net columns it
+    stands for, and its row of the net matrix; per net column: the
+    position of its representative; per run: the position of its first
+    representative and their count."""
+
+    pair: np.ndarray
+    count: np.ndarray
+    matrix: np.ndarray
+    rep: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+
+def _fold(net: NetB, runs: NetRuns) -> NetFold:
+    """The fold of the net's +-pairs within its runs: of a pair, the
+    earlier column represents both; every other column itself."""
+    A = net.matrix
+    at = np.arange(len(A))
+    neg = RowIndex(A).find(-A)
+    run = np.repeat(np.arange(len(runs.start)), runs.size)
+    # a column's twin is its negation when that lies in its run and has
+    # it as negation in turn (so that no column is two columns' twin)
+    twin = np.where((neg >= 0) & (run.take(neg) == run)
+                    & (neg.take(neg) == at), neg, -1)
+    first = (twin < 0) | (twin > at)
+    column = first.nonzero()[0]
+    rep = (first.cumsum() - 1).take(np.where(first, at, twin))
+    pair = np.stack((column, twin.take(column)), axis=1)
+    return NetFold(pair, (pair[:, 1] >= 0) + 1, A.take(column, axis=0), rep,
+                   rep.take(runs.start),
+                   np.add.reduceat(first, runs.start, dtype=np.intp))
+
+
 @dataclass
 class PhiNormSpec:
     """A built approximating norm: net, factor space, and what the net
-    fixes: its runs and its bump family, one member per run (module
-    docstring).
+    fixes: its runs, the fold of its +-pairs, and its bump family, one
+    member per run (module docstring).
 
     Y is None for the scalar factor, else a euclidean ModelSpace.
     """
@@ -166,6 +222,7 @@ class PhiNormSpec:
     epsilon: float
     family: OrliczFamily = field(init=False)
     runs: NetRuns = field(init=False)
+    fold: NetFold = field(init=False, repr=False)
     # z*(k) per run and count k, NaN where not yet filled (_zstar)
     _zstar: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -177,6 +234,7 @@ class PhiNormSpec:
         start = bounds[:-1]
         self.runs = NetRuns(start, bounds[1:] - start, psi[start],
                             theta[start])
+        self.fold = _fold(self.net, self.runs)
         self.family = OrliczFamily([make_orlicz(z, e) for z, e in zip(
             (1.0 / self.runs.psi).tolist(), (1.0 / self.runs.theta).tolist())])
         self._zstar = np.full((len(start), 0), np.nan)
@@ -251,22 +309,29 @@ def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
     return PhiNormSpec(net=build_net(d), X=X, Y=Y, epsilon=d.epsilon)
 
 
-def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
-    """Coordinate vector of u (a vector, a matrix or a TensorElement),
-    one entry per net point, in net order: the one-row pi_coords_batch,
-    whose one row is always one block."""
+def _one_row(spec: PhiNormSpec, u) -> np.ndarray:
+    """The folded coordinate row of u (a vector, a matrix or a
+    TensorElement), one entry per representative: a batch of one is
+    always one block."""
     if isinstance(u, TensorElement):
         u = u.matrix
-    batch = _checked_batch(spec, np.asarray(u, dtype=float)[None])
-    return _coords(spec, batch)[0]
+    return _coords(spec,
+                   _checked_batch(spec, np.asarray(u, dtype=float)[None]))
+
+
+def pi_coords(spec: PhiNormSpec, u) -> np.ndarray:
+    """Coordinate vector of u (a vector, a matrix or a TensorElement),
+    one entry per net point, in net order: the one-row pi_coords_batch."""
+    return _one_row(spec, u)[0].take(spec.fold.rep)
 
 
 def _kept_terms(spec: PhiNormSpec, coords):
-    """The pruning rule of the module docstring on (n, len(net))
-    nonnegative coordinate rows, from per-run column maxima: per row the
-    peak and L (NaN for a zero row), and the kept (row, column) pairs in
-    row-major order, with each pair's run."""
-    start, size, psi, theta = spec.runs
+    """The pruning rule of the module docstring on n nonnegative folded
+    coordinate rows, from per-run column maxima: per row the peak and L
+    (NaN for a zero row), and the kept (row, net column) pairs in
+    row-major, net order, with each pair's run."""
+    _, _, psi, theta = spec.runs
+    start, size = spec.fold.start, spec.fold.size
     m = coords.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         # run-major, (runs, n): a reduction over a row's runs is then a
@@ -282,16 +347,41 @@ def _kept_terms(spec: PhiNormSpec, coords):
         size = size[k]
         ends = size.cumsum()
         r = r.repeat(size)
-        j = (start[k] - ends + size).repeat(size) + np.arange(len(r))
-        keep = coords.take(r * m + j) / peak[r] * spec.net.psi[j] > cut[r]
-    return peak, bound, r[keep], j[keep], k.repeat(size)[keep]
+        f = (start[k] - ends + size).repeat(size) + np.arange(len(r))
+        keep = coords.take(r * m + f) / peak[r] * psi[k].repeat(size) > cut[r]
+    return (peak, bound,
+            *_unfold(spec, r[keep], f[keep], k.repeat(size)[keep]))
+
+
+def _unfold(spec: PhiNormSpec, r, f, k):
+    """Kept (row, representative) pairs in row-major, folded order, and
+    their runs, as (row, net column) pairs in row-major, net order: a
+    representative, then its twin, which comes later in the net.  So
+    only the rows that keep two or more representatives are sorted."""
+    fold = spec.fold
+    count = fold.count.take(f)
+    j = fold.pair.take(f, axis=0).ravel()
+    j = j[j >= 0]
+    same = r[1:] == r[:-1]
+    r, k = r.repeat(count), k.repeat(count)
+    # any() costs about a microsecond even on no entries, and a lone
+    # phi_norm row mostly keeps one representative
+    if len(same) and same.any():
+        many = np.zeros(len(count), dtype=bool)
+        many[1:] = same
+        many[:-1] |= same
+        at = many.repeat(count).nonzero()[0]
+        key = r.take(at) * len(fold.rep)
+        j[at] = np.sort(key + j.take(at)) - key
+        k[at] = spec.runs.start.searchsorted(j.take(at), side="right") - 1
+    return r, j, k
 
 
 def _luxemburg_rows(spec: PhiNormSpec, coords):
-    """Luxemburg norms over the net's bumps of (n, len(net)) nonnegative
+    """Luxemburg norms over the net's bumps of n nonnegative folded
     coordinate rows, bisecting only the terms the pruning rule of the
-    module docstring keeps, each through its run's member of
-    spec.family, from the brackets it describes."""
+    module docstring keeps, in net order, each through its run's member
+    of spec.family, from the brackets it describes."""
     n, m = coords.shape
     family = spec.family
     peak, _, r, j, run = _kept_terms(spec, coords)
@@ -305,7 +395,7 @@ def _luxemburg_rows(spec: PhiNormSpec, coords):
     cols = np.full((n, width), len(family))
     cols.ravel()[at] = run
     vals = np.repeat(peak[:, None], width, axis=1)
-    c = coords.take(r * m + j)
+    c = coords.take(r * m + spec.fold.rep.take(j))
     vals.ravel()[at] = c
 
     # per row, T = max_h s_h(z*_h(k)) over its kept terms (module
@@ -392,7 +482,7 @@ def _smallest_scale(u0, zstar):
 def phi_norm(spec: PhiNormSpec, u) -> float:
     """Luxemburg norm of the coordinate vector of u, exact to the float
     on the peak-normalized scale."""
-    return float(_luxemburg_rows(spec, pi_coords(spec, u)[None])[0])
+    return float(_luxemburg_rows(spec, _one_row(spec, u))[0])
 
 
 def _checked_batch(spec: PhiNormSpec, batch) -> np.ndarray:
@@ -408,47 +498,56 @@ def _checked_batch(spec: PhiNormSpec, batch) -> np.ndarray:
 
 
 def _blocks(spec: PhiNormSpec, n) -> list[slice]:
-    """boundary.row_blocks over n rows against the net: a row's width is
-    its len(net) coordinates, times dim Y for a euclidean factor, whose
-    slice norms hold dim Y floats per coordinate."""
-    width = len(spec.net) if spec.Y is None else len(spec.net) * spec.Y.dim
-    return row_blocks(n, width)
+    """boundary.row_blocks over n rows against the folded net: a row's
+    width is its one coordinate per representative, times dim Y for a
+    euclidean factor, whose slice norms hold dim Y floats per
+    coordinate."""
+    width = len(spec.fold.matrix)
+    return row_blocks(n, width if spec.Y is None else width * spec.Y.dim)
 
 
 def _coords(spec: PhiNormSpec, batch, out=None) -> np.ndarray:
-    """Coordinate rows of a checked batch, by one matrix product for the
-    scalar factor, into `out` when given."""
-    A = spec.net.matrix
+    """Folded coordinate rows of a checked batch, one per representative
+    (module docstring), by one matrix product for the scalar factor,
+    into `out` when given."""
+    A = spec.fold.matrix
     if spec.Y is None:
         coords = np.matmul(batch, A.T, out=out)
         return np.abs(coords, out=coords)
     return _slice_norms(A, batch, out=out)
 
 
+def _folded_blocks(spec: PhiNormSpec, batch):
+    """(block, coords) per row block (_blocks) of a checked batch: the
+    block's folded coordinate rows from one product.  Every block is
+    written into one buffer, so no two blocks are ever held at once,
+    and a block's coords are only valid until the next is asked for."""
+    blocks = _blocks(spec, len(batch))
+    if not blocks:
+        return
+    buffer = np.empty((blocks[0].stop, len(spec.fold.matrix)))
+    for block in blocks:
+        yield block, _coords(spec, batch[block],
+                             out=buffer[:block.stop - block.start])
+
+
 def pi_coords_batch(spec: PhiNormSpec, batch) -> np.ndarray:
     """Coordinate rows for a batch: (n, dim X) vectors or
-    (n, dim X, dim Y) matrices -> (n, len(net)), filled one row block
-    (_blocks) at a time.  A NaN or inf entry is a ParameterError."""
+    (n, dim X, dim Y) matrices -> (n, len(net)), each row block's folded
+    coordinates (_folded_blocks) unfolded by one gather, so that h and
+    -h get the same bits.  A NaN or inf entry is a ParameterError."""
     batch = _checked_batch(spec, batch)
     coords = np.empty((len(batch), len(spec.net)))
-    for block in _blocks(spec, len(batch)):
-        _coords(spec, batch[block], out=coords[block])
+    for block, folded in _folded_blocks(spec, batch):
+        folded.take(spec.fold.rep, axis=1, out=coords[block])
     return coords
 
 
 def _coord_blocks(spec: PhiNormSpec, batch):
-    """(block, coords, norms) per row block (_blocks) of a checked batch:
-    the block's coordinate rows from one product, and their phi-norms
-    read from that same array.  Every block is written into one buffer,
-    so no two blocks are ever held at once, and a block's coords are
-    only valid until the next is asked for."""
-    blocks = _blocks(spec, len(batch))
-    if not blocks:
-        return
-    buffer = np.empty((blocks[0].stop, len(spec.net)))
-    for block in blocks:
-        coords = _coords(spec, batch[block],
-                         out=buffer[:block.stop - block.start])
+    """(block, coords, norms) per row block of a checked batch: the
+    block's folded coordinate rows (_folded_blocks), valid until the next
+    block is asked for, and their phi-norms read from that same array."""
+    for block, coords in _folded_blocks(spec, batch):
         yield block, coords, _luxemburg_rows(spec, coords)
 
 
@@ -512,10 +611,11 @@ class ActiveSet:
 
 
 def active_set(spec: PhiNormSpec, u) -> ActiveSet:
-    coords = pi_coords(spec, u)
-    if not coords.any():
+    folded = _one_row(spec, u)
+    if not folded.any():
         raise ParameterError("active set is undefined at u = 0")
-    rho = float(_luxemburg_rows(spec, coords[None])[0])
+    rho = float(_luxemburg_rows(spec, folded)[0])
+    coords = folded[0].take(spec.fold.rep)
     weighted = spec.net.psi * coords
     inside = weighted >= rho
     if np.all(inside):
@@ -537,20 +637,21 @@ def verify_claim2d(spec: PhiNormSpec, samples) -> tuple[np.ndarray, int]:
     max of the samples' coordinate rows over their norms covers every g.
     Sampling gives a lower bound of the sup: excess <= tol means no
     violation was found at this draw's fidelity.  No sample with a
-    positive norm gives -1/theta(h).  Each row block's coordinates are
-    computed once (_coord_blocks): they are normed, then divided in
-    place by their norms, a zero row's by inf, so that it adds nothing,
-    and folded into a running column max.  No n x net array is held.
+    positive norm gives -1/theta(h).  Each row block's folded
+    coordinates are computed once (_coord_blocks): they are normed, then
+    divided in place by their norms, a zero row's by inf, so that it
+    adds nothing, and taken into a running column max, which is unfolded
+    once at the end.  No n x net array is held.
     """
     samples = _checked_batch(spec, samples)
-    top = np.zeros(len(spec.net))
+    top = np.zeros(len(spec.fold.matrix))
     kept = 0
     for _, coords, norms in _coord_blocks(spec, samples):
         positive = norms > 0.0
         kept += int(np.count_nonzero(positive))
         coords /= np.where(positive, norms, np.inf)[:, None]
         np.maximum(top, coords.max(axis=0), out=top)
-    return top - 1.0 / spec.net.theta, kept
+    return top.take(spec.fold.rep) - 1.0 / spec.net.theta, kept
 
 
 @dataclass(frozen=True)

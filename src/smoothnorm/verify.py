@@ -7,10 +7,12 @@ the set's certified radius.  The constants are the pipeline's budgets.
 The window's samples, the claim-2d draw and each point's probes meet
 the net, and the dual extreme points, one boundary.row_blocks block at a
 time, so none is held as one array of every sample's coordinates.  The
-claim-2d draw and the probes compute each block's coordinates once and
-read their phi-norms and what the check needs from that one array: a
-2,000-sample lorentz_predual dim-7 sweep peaks at about 11.4 MB traced,
-one 479-row block of the 2,186-point net and the norms' work arrays.
+claim-2d draw and the probes compute each block's folded coordinates
+once, one per representative of a +-pair of net points (renorm module
+docstring), and read their phi-norms and what the check needs from that
+one array: a 2,000-sample lorentz_predual dim-7 sweep peaks at about
+11.4 MB traced, one 959-row block of the 1,093 representatives of the
+2,186-point net and the norms' work arrays.
 A check on nothing would pass, so every check refuses an empty sample
 set, and a count that is not a nonnegative integer, with ParameterError.
 """
@@ -169,17 +171,20 @@ def inactive_violations(spec, coords, rhos, outside) -> int:
     """Pairs of a row and a net point in `outside` (indices or a boolean
     mask over the net) whose bump argument coords / rhos passes the zero
     threshold: the bump is positive there, even where its value
-    underflows to 0.0.  Counted on every column under the mask.  A
-    non-positive (or NaN) entry of rhos is a ParameterError."""
+    underflows to 0.0.  coords are folded rows (renorm._coords), so a
+    woken representative counts once per net column of its own under
+    the mask.  A non-positive (or NaN) entry of rhos is a
+    ParameterError."""
     rhos = np.asarray(rhos, dtype=float)
     bad = ~(rhos > 0.0)
     if bad.any():
         raise ParameterError(
             f"phi-norms must be positive, got {rhos[bad][0]} at row "
             f"{int(np.flatnonzero(bad)[0])}")
+    fold = spec.fold
     mask = np.zeros(len(spec.net), dtype=bool)
     mask[outside] = True
+    weight = np.bincount(fold.rep[mask], minlength=len(fold.matrix))
     woken = coords / rhos[:, None] > np.repeat(spec.family.zero_thresholds,
-                                               spec.runs.size)
-    woken &= mask
-    return int(np.count_nonzero(woken))
+                                               fold.size)
+    return int(np.count_nonzero(woken, axis=0) @ weight)

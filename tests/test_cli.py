@@ -154,6 +154,47 @@ class TestConfigErrors:
         assert entry in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("overrides, entry", [
+        ({"epsilon": 10 ** 400}, "epsilon"),
+        ({"tolerances": {"boundary": 10 ** 400}}, "tolerance 'boundary'"),
+        ({"decomposition": {"pieces": [
+            [[10 ** 400, 0, 0]] + UNIT_ROWS3[1:]]}}, "decomposition pieces"),
+        ({"space": {"kind": "lorentz", "weights": [1, 0.5, -10 ** 400]}},
+         "parameter 'weights'"),
+    ], ids=["epsilon", "tolerance", "piece", "weight"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys,
+                                                overrides, entry):
+        """JSON integers past the float range: each of these crashed
+        with OverflowError, exit 1, before it was a config error."""
+        cfg = write_cfg(tmp_path, suites=["boundary"], **overrides)
+        assert "0" * 400 in cfg.read_text()
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert entry in err and "beyond the float range" in err
+        assert not (out / "report.json").exists()
+
+    def test_infinite_tol_flag_exits_2(self, tmp_path, capsys):
+        """An infinite tolerance passed claim 2d vacuously, exit 0, and
+        wrote Infinity, which is no JSON, into the report."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        for value in ("inf", "1e999"):
+            assert main(["run", str(cfg), "--suite", "claim2d", "--tol",
+                         f"claim2d_excess={value}", "--out", str(out)]) == 2
+            assert "finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_infinite_tolerance_in_config_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, tolerances={"ratio_slack": float("inf")})
+        assert "Infinity" in cfg.read_text()
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "approx",
+                     "--out", str(out)]) == 2
+        assert "tolerance 'ratio_slack' must be finite" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("space", [
         {"kind": "lap", "dim": 13, "sets": [list(range(13)),
                                             list(range(6, 13))],

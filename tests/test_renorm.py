@@ -46,7 +46,8 @@ from smoothnorm.scaling import _row_peaks, feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lap_space,
                                lorentz_predual_space, sup_space)
 from smoothnorm.tensor import TensorElement, _slice_norms, injective_norm
-from smoothnorm.verify import approx_window, claim2d_sweep
+from smoothnorm.verify import (approx_window, claim2d_sweep,
+                               inactive_violations)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -425,6 +426,13 @@ def assert_same_bits(a, b):
                                   np.asarray(b).view(np.int64))
 
 
+def folded(spec, coords):
+    """Full-width coordinate rows, whose twins are equal (as
+    pi_coords_batch gives them), on the representatives alone: the
+    folded rows that the private helpers take."""
+    return coords[:, spec.fold.pair[:, 0]]
+
+
 def spread_matrices(rng, n, dim_x, dim_y):
     """Gaussian matrices, each scaled by its own power of two in
     2^[-600, 600]: the per-matrix scaling of _slice_norms is exercised."""
@@ -564,7 +572,8 @@ class TestPhiNorm:
         and a matrix-matrix product may round differently."""
         spec = predual7_spec
         rng = np.random.default_rng(23)
-        coords = pi_coords_batch(spec, rng.standard_normal((2048, 7)))
+        coords = folded(spec, pi_coords_batch(spec,
+                                              rng.standard_normal((2048, 7))))
         block = _luxemburg_rows(spec, coords)
         rows = [_luxemburg_rows(spec, c[None])[0] for c in coords]
         assert np.array_equal(block, rows)
@@ -821,10 +830,10 @@ def check_runs(spec):
 
 
 def check_kept_terms(spec, coords):
-    """_kept_terms against the rule over whole rows, bit for bit: peak,
-    L and the kept (row, column) pairs in row-major order, each with the
-    run that holds its column."""
-    peak, bound, r, j, k = _kept_terms(spec, coords)
+    """_kept_terms on the folded rows against the rule over whole rows,
+    bit for bit: peak, L and the kept (row, column) pairs in row-major
+    order, each with the run that holds its column."""
+    peak, bound, r, j, k = _kept_terms(spec, folded(spec, coords))
     want_bound, _, kept = full_width_rule(spec, coords)
     assert np.array_equal(peak, coords.max(axis=1, initial=0.0))
     assert np.array_equal(bound, want_bound, equal_nan=True)
@@ -872,7 +881,8 @@ class TestRunPruning:
         for n, scale in itertools.product((1, 64), (1.0, 1e-300, 1e300)):
             coords = scaled_rows(spec, rng, n, scale)
             check_kept_terms(spec, coords)
-            check_whole_net(spec, coords, _luxemburg_rows(spec, coords))
+            check_whole_net(spec, coords,
+                            _luxemburg_rows(spec, folded(spec, coords)))
 
     @pytest.mark.parametrize("name", ["ladder3_spec", "sup4_euclid3_spec",
                                       "predual7_spec"])
@@ -930,6 +940,142 @@ class TestRunPruning:
         phi_norm_batch(spec, X[:64])  # fill the inverse table first
         peak = traced_peak(lambda: phi_norm_batch(spec, X))
         assert peak <= 1.5 * X.shape[0] * len(spec.net) * 8
+
+
+def check_fold(spec):
+    """spec.fold against its definition: each +-pair within a run is
+    one representative, its earlier column, with the later one as its
+    twin; every other column represents itself and has no negation in
+    its run; the folded runs and matrix are the representatives'."""
+    A, fold = spec.net.matrix, spec.fold
+    run = run_of_column(spec)
+    column, twin = fold.pair.T
+    paired = twin >= 0
+    assert np.array_equal(fold.count, paired + 1)
+    assert (np.diff(column) > 0).all() and (twin[paired] > column[paired]).all()
+    assert np.array_equal(A[twin[paired]], -A[column[paired]])
+    assert np.array_equal(run[twin[paired]], run[column[paired]])
+    assert np.array_equal(np.sort(np.append(column, twin[paired])),
+                          np.arange(len(A)))
+    at = np.arange(len(column))
+    assert np.array_equal(fold.rep[column], at)
+    assert np.array_equal(fold.rep[twin[paired]], at[paired])
+    for c in column[~paired]:
+        negation = (A == -A[c]).all(axis=1) & (run == run[c])
+        assert not negation.any() or negation.nonzero()[0].tolist() == [c]
+    assert fold.matrix.tobytes() == A[column].tobytes()
+    assert np.array_equal(np.repeat(np.arange(len(fold.size)), fold.size),
+                          run[column])
+    assert np.array_equal(fold.start, fold.size.cumsum() - fold.size)
+
+
+@pytest.fixture(scope="module")
+def split_pair_spec():
+    """sup_space(3) with a net of 9: +-e_1 and +-e_2 in one run, e_0
+    and -e_0 in two (e_0 lies in the closure of piece 1 too), and the
+    inner points 0.5 e_i, which have no negation in the net."""
+    d = closure_decomposition([{1}, set(), set(), set(), set(), set()])
+    return build_renorm(d.space, d, None, budget=64, seed=0)
+
+
+class TestSignFold:
+    """Each +-pair of net points within a run is one coordinate: the
+    product, the maxima and the pruning scan run on the representatives,
+    and every value is the whole-net one over the full-width rows."""
+
+    def test_fold_structure(self, split_pair_spec, oracle_specs):
+        spec = split_pair_spec
+        check_fold(spec)
+        assert spec.fold.pair.tolist() == [[0, 3], [1, 4], [2, -1], [5, -1],
+                                           [6, -1], [7, -1], [8, -1]]
+        sizes = {}
+        for name, spec in oracle_specs.items():
+            check_fold(spec)
+            sizes[name] = (len(spec.fold.matrix), len(spec.net))
+        assert sizes == {"demo_sup3": (3, 6), "sup4_euclid3": (4, 8),
+                         "predual5": (121, 242), "predual7": (1093, 2186),
+                         "lap13": (390, 762)}
+
+    def test_product_on_folded_width(self, predual7_spec):
+        X = np.random.default_rng(2).standard_normal((100, 7))
+        coords = renorm._coords(predual7_spec, X)
+        assert coords.shape == (100, 1093)
+        assert_same_bits(folded(predual7_spec, pi_coords_batch(
+            predual7_spec, X)), coords)
+
+    @pytest.mark.parametrize("name", ["split_pair", "lap13"])
+    def test_unpaired_columns_match_whole_net(self, request, oracle_specs,
+                                              name):
+        """Nets with columns that do not fold: phi_norm_batch is the
+        whole-net bisection over pi_coords_batch, bit for bit, and
+        phi_norm the one over pi_coords, also on rows that keep two or
+        more representatives, whose terms are sorted back into net
+        order (check_kept_terms).  On the split-pair net, rows near
+        |u_1| = |u_2| keep +-e_1 and +-e_2, whose unfolded order (0, 3,
+        1, 4) is not net order."""
+        spec = (request.getfixturevalue("split_pair_spec")
+                if name == "split_pair" else oracle_specs[name])
+        fold = spec.fold
+        assert (fold.pair[:, 1] < 0).any()
+        rng = np.random.default_rng(6)
+        X = (rng.standard_normal((600, *spec.sample_shape))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (600, 1)))
+        X[::50] = 0.0
+        if name == "split_pair":
+            X[1:200:10] = [0.0, 1.0, 0.9995] * X[1:200:10, :1]
+            X[2:200:10] = [0.5, -1.0, 0.9999] * X[2:200:10, :1]
+        coords = pi_coords_batch(spec, X)
+        values = phi_norm_batch(spec, X)
+        assert_same_bits(values, whole_net(spec, coords).hi)
+        check_whole_net(spec, coords, values)
+        check_kept_terms(spec, coords)
+        ones = np.array([pi_coords(spec, x) for x in X[:40]])
+        assert_same_bits([phi_norm(spec, x) for x in X[:40]],
+                         whole_net(spec, ones).hi)
+        _, _, r, j, _ = _kept_terms(spec, folded(spec, coords))
+        m = len(spec.net)
+        reps = np.unique(r * m + fold.rep[j])
+        assert (np.bincount(reps // m) > 1).any()
+        if name == "split_pair":
+            paired = (fold.pair[:, 1] >= 0)[reps % m]
+            assert (np.bincount(reps // m, weights=paired) > 1).any()
+
+    @pytest.mark.parametrize("name", ["demo_sup3", "sup4_euclid3",
+                                      "predual7", "lap13"])
+    def test_twins_get_the_same_bits(self, oracle_specs, name):
+        spec = oracle_specs[name]
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((300, *spec.sample_shape))
+        column, twin = spec.fold.pair.T
+        paired = twin >= 0
+        for coords in (pi_coords_batch(spec, X), pi_coords(spec, X[0])[None]):
+            assert_same_bits(coords[:, twin[paired]],
+                             coords[:, column[paired]])
+            assert_same_bits(coords, coords[:, column[spec.fold.rep]])
+
+    @pytest.mark.parametrize("name", ["split_pair", "demo_sup3", "predual7",
+                                      "lap13"])
+    def test_inactive_violations_count_net_columns(self, request,
+                                                   oracle_specs, name):
+        """On folded rows, a woken representative counts once per net
+        column of its own under the mask: the count on the full-width
+        rows, column by column."""
+        spec = (request.getfixturevalue("split_pair_spec")
+                if name == "split_pair" else oracle_specs[name])
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((50, spec.X.dim))
+        rhos = phi_norm_batch(spec, X) / 4.0
+        full = pi_coords_batch(spec, X)
+        zero = column_family(spec).zero_thresholds
+        for _ in range(5):
+            mask = rng.random(len(spec.net)) < 0.5
+            want = int(np.count_nonzero(
+                full[:, mask] / rhos[:, None] > zero[mask]))
+            assert want > 0
+            assert inactive_violations(spec, folded(spec, full), rhos,
+                                       mask) == want
+            assert inactive_violations(spec, folded(spec, full), rhos,
+                                       mask.nonzero()[0]) == want
 
 
 # The row-major forms that the run-major maxima and flat indices
@@ -1075,7 +1221,7 @@ class TestFlatIndexOracles:
     def test_kept_terms(self, oracle_specs, name, n, seed):
         spec = oracle_specs[name]
         coords = oracle_coords(spec, seed, n)
-        got, want = (_kept_terms(spec, coords),
+        got, want = (_kept_terms(spec, folded(spec, coords)),
                      row_major_kept_terms(spec, coords))
         assert len(got) == len(want) == 5
         for a, b in zip(got, want):
@@ -1139,8 +1285,9 @@ def traced_peak(call):
 
 
 class TestRowBlocks:
-    """Every batch x net pass runs in boundary.row_blocks: 479 rows per
-    block on the 2,186-point predual7 net."""
+    """Every batch x net pass runs in boundary.row_blocks on the folded
+    width: 959 rows per block on the 1,093 representatives of the
+    2,186-point predual7 net."""
 
     def test_rule(self):
         assert boundary.BLOCK_ELEMS == 2 ** 20
@@ -1156,15 +1303,19 @@ class TestRowBlocks:
         coordinate rows and phi-norms have the bits of the same call on
         that block alone, and every value is the whole-net one."""
         spec = predual7_spec
-        X = np.random.default_rng(31).standard_normal((3 * 479 + 50, 7))
+        step = renorm._blocks(spec, 2 ** 20)[0].stop
+        assert step == 959
+        X = np.random.default_rng(31).standard_normal((3 * step + 50, 7))
         blocks = renorm._blocks(spec, len(X))
-        assert [b.stop - b.start for b in blocks] == [479, 479, 479, 50]
+        assert [b.stop - b.start for b in blocks] == [step] * 3 + [50]
         coords = pi_coords_batch(spec, X)
         values = phi_norm_batch(spec, X)
         for b in blocks:
             assert_same_bits(coords[b], pi_coords_batch(spec, X[b]))
             assert_same_bits(values[b], phi_norm_batch(spec, X[b]))
-        check_whole_net(spec, coords, values)
+            # block by block, so that the whole-net bisection's work
+            # arrays stay the size of a block
+            check_whole_net(spec, coords[b], values[b])
 
     def test_euclidean_blocks_move_no_bit(self, sup4_euclid3_spec,
                                           monkeypatch):
@@ -1181,7 +1332,8 @@ class TestRowBlocks:
                     win.base, win.phi)
 
         whole = run()
-        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 7 * len(spec.net) * 3)
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS",
+                            7 * len(spec.fold.matrix) * 3)
         assert len(renorm._blocks(spec, 50)) == 8
         for want, got in zip(whole, run()):
             assert_same_bits(got, want)
@@ -1196,9 +1348,10 @@ class TestRowBlocks:
             assert pi_coords_batch(spec, batch).shape == (0, len(spec.net))
 
     def test_claim2d_running_max(self, predual7_spec):
-        """verify_claim2d on a 1,000-sample pool (blocks of 479, 479 and
-        42) is the column max of the per-block formula, and within
-        rounding of the per-point one."""
+        """verify_claim2d on a 1,000-sample pool (folded blocks of 959
+        and 41) is the column max of the full-width per-block formula
+        (blocks of 479, 479 and 42), and within rounding of the
+        per-point one."""
         spec = predual7_spec
         pool = phi_unit_pool(spec, 1000, seed=4)
         parts = [np.abs(pool.samples[b] @ spec.net.matrix.T)
@@ -1218,8 +1371,9 @@ class TestRowBlocks:
 
     def test_claim2d_sweep_memory(self, predual7_spec):
         """A 2,000-sample predual7 sweep never holds the 2,000 x 2,186
-        coordinate array (35 MB), nor two of its 479-row blocks (8.4 MB
-        each): its tracemalloc peak stays under 13 MB (about 11.4 MB;
+        coordinate array (35 MB), nor two of its 959-row blocks of 1,093
+        folded coordinates (8.4 MB each): its tracemalloc peak stays
+        under 13 MB (about 11.4 MB, as with 479-row blocks of 2,186;
         16.8 MB when each block's coordinates were computed twice, 44 MB
         when the pool went through whole)."""
         spec = predual7_spec
@@ -1246,7 +1400,7 @@ class TestClaim2dOnePass:
         spec = predual7_spec
         samples = np.random.default_rng(4).standard_normal((1000, 7))
         sizes = [b.stop - b.start for b in renorm._blocks(spec, 1000)]
-        assert sizes == [479, 479, 42]
+        assert sizes == [959, 41]
         norms = phi_norm_batch(spec, samples)
         want = np.max([
             (np.abs(samples[b] @ spec.net.matrix.T) / norms[b, None])
@@ -1259,7 +1413,8 @@ class TestClaim2dOnePass:
     def test_euclidean_factor_bits(self, sup4_euclid3_spec, monkeypatch):
         spec = sup4_euclid3_spec
         M = spread_matrices(np.random.default_rng(5), 50, 4, 3)
-        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 7 * len(spec.net) * 3)
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS",
+                            7 * len(spec.fold.matrix) * 3)
         assert len(renorm._blocks(spec, 50)) == 8
         excess, kept = verify_claim2d(spec, M)
         assert kept == 50
@@ -1287,19 +1442,21 @@ class TestClaim2dOnePass:
                          -1.0 / sup2_spec.net.theta)
 
     def test_one_product_per_block(self, predual7_spec, monkeypatch):
-        """A 1,000-sample sweep makes one coordinate product per block,
-        three in all (six when the norms and the column max each made
-        their own)."""
+        """A 1,000-sample sweep makes one coordinate product per block
+        of the folded width, two in all (four when the norms and the
+        column max each made their own), and each product gives the
+        1,093 representatives' coordinates."""
         calls = []
 
         def counted(spec, batch, out=None):
-            calls.append(len(batch))
-            return coords(spec, batch, out=out)
+            got = coords(spec, batch, out=out)
+            calls.append(got.shape)
+            return got
 
         coords = renorm._coords
         monkeypatch.setattr(renorm, "_coords", counted)
         sweep = claim2d_sweep(predual7_spec, 1000, seed=2)
-        assert calls == [479, 479, 42]
+        assert calls == [(959, 1093), (41, 1093)]
         assert sweep.pool_size == 1000
 
 
@@ -1367,8 +1524,8 @@ class TestCheckedStart:
             phi_norm(spec, x)
             assert table_starts(seen[-1][0])[0], x
             assert len(calls) == 1, x
-        coords = pi_coords_batch(
-            spec, np.random.default_rng(1).standard_normal((2048, 7)))
+        coords = folded(spec, pi_coords_batch(
+            spec, np.random.default_rng(1).standard_normal((2048, 7))))
         _luxemburg_rows(spec, coords)
         start, batch = seen[-1]
         multi = np.flatnonzero(~table_starts(start))
@@ -1389,13 +1546,13 @@ class TestCheckedStart:
         coords = pi_coords_batch(
             spec, np.random.default_rng(0).standard_normal((2000, 7)))
         seen = capture_brackets(monkeypatch)
-        values = _luxemburg_rows(spec, coords)
+        values = _luxemburg_rows(spec, folded(spec, coords))
         lo, hi = seen[-1][0]
         multi = np.flatnonzero(~table_starts((lo, hi)))
         assert multi.size >= 4
         assert np.all(hi[multi] - lo[multi] <= 1e-6 * hi[multi])
         rows = coords[multi]
-        table = _luxemburg_rows(spec, rows)
+        table = _luxemburg_rows(spec, folded(spec, rows))
         steps = seen[-1][1].iterations
         bound, top, _ = full_width_rule(spec, rows)
         wide = whole_net(spec, rows, start=(bound, top))
@@ -1452,7 +1609,7 @@ class TestCheckedStart:
         multi = steps = 0
         for batch in np.split(X, 10):
             coords = pi_coords_batch(spec, batch)
-            values = _luxemburg_rows(spec, coords)
+            values = _luxemburg_rows(spec, folded(spec, coords))
             start, bracket = seen[-1]
             lo, hi = start
             newton = newton_starts(start)
@@ -1485,10 +1642,10 @@ class TestCheckedStart:
         coords = pi_coords_batch(
             spec, np.random.default_rng(3).standard_normal((500, 7)))
         seen = capture_brackets(monkeypatch)
-        right = _luxemburg_rows(spec, coords)
+        right = _luxemburg_rows(spec, folded(spec, coords))
         monkeypatch.setattr(renorm, "newton_scales",
                             lambda *args: wrong(orlicz.newton_scales(*args)))
-        values = _luxemburg_rows(spec, coords)
+        values = _luxemburg_rows(spec, folded(spec, coords))
         check_whole_net(spec, coords, values)
         assert np.array_equal(values, right)
         start = seen[-1][0]
@@ -1517,7 +1674,8 @@ class TestCheckedStart:
         shape = spec.sample_shape
         X = (rng.standard_normal((10000, *shape))
              * 10.0 ** rng.uniform(-3.0, 3.0, (10000,) + (1,) * len(shape)))
-        _, _, r, j, run = _kept_terms(spec, pi_coords_batch(spec, X))
+        _, _, r, j, run = _kept_terms(spec,
+                                      folded(spec, pi_coords_batch(spec, X)))
         counts = np.bincount(r)[r]
         bumps = column_family(spec).functions
         fns = [bumps[col] for col in j.tolist()]

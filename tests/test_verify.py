@@ -243,7 +243,8 @@ class TestActiveSets:
             verify, "inactive_violations",
             lambda spec, coords, rhos, outside: inactive(
                 spec, 4.0 * coords, rhos, outside))
-        monkeypatch.setattr(boundary, "BLOCK_ELEMS", 7 * len(spec.net))
+        monkeypatch.setattr(boundary, "BLOCK_ELEMS",
+                            7 * len(spec.fold.matrix))
         assert len(renorm._blocks(spec, PERTURBATIONS)) == 3
         check = active_sets(spec, 6, seed=9)
         want = two_pass_active_sets(spec, 6, seed=9)
@@ -272,7 +273,7 @@ class TestActiveSets:
 
 def two_pass_active_sets(spec, count, seed):
     """active_sets with each point's probes taken in two passes:
-    pi_coords_batch, then phi_norm_batch."""
+    pi_coords_batch on the representatives, then phi_norm_batch."""
     ss_points, ss_moves = np.random.SeedSequence(seed).spawn(2)
     pool = phi_unit_pool(spec, count, seed=ss_points)
     points = pool.samples / pool.norms[:, None]
@@ -285,8 +286,8 @@ def two_pass_active_sets(spec, count, seed):
         scale = phi_norm_batch(spec, moves)
         probes = u + moves * (0.9 * act.radius / scale)[:, None]
         violations += verify.inactive_violations(
-            spec, pi_coords_batch(spec, probes), phi_norm_batch(spec, probes),
-            outside)
+            spec, pi_coords_batch(spec, probes)[:, spec.fold.pair[:, 0]],
+            phi_norm_batch(spec, probes), outside)
         checked += len(probes) * len(outside)
     return verify.MarginCheck(points, sets, checked, violations)
 
@@ -354,32 +355,41 @@ class TestInactiveViolations:
                 hi = mid
         probe = a + 0.5 * lo
         assert probe > a and fn(probe) == 0.0
-        coords = np.zeros((3, len(sup3_spec.net)))
+        # folded rows: representative 0 holds net column 0 and its twin
+        fold = sup3_spec.fold
+        assert fold.pair[:2].tolist() == [[0, 1], [2, 3]]
+        coords = np.zeros((3, len(fold.matrix)))
         coords[:, 0] = [probe, a, 0.5 * a]
         rhos = np.ones(3)
         assert inactive_violations(sup3_spec, coords, rhos, [0]) == 1
         assert inactive_violations(sup3_spec, 2.0 * coords, 2.0 * rhos,
-                                   [0, 1]) == 1
+                                   [0, 2]) == 1
+        assert inactive_violations(sup3_spec, 2.0 * coords, 2.0 * rhos,
+                                   [0, 1, 2]) == 2
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_non_positive_rho_refused(self, sup3_spec, bad):
         # a zero rho used to divide by zero, with a RuntimeWarning
-        coords = np.ones((3, len(sup3_spec.net)))
+        coords = np.ones((3, len(sup3_spec.fold.matrix)))
         rhos = np.array([1.0, bad, 2.0])
         with pytest.raises(ParameterError, match="row 1"):
             inactive_violations(sup3_spec, coords, rhos, [0])
 
     def test_mask_counts_as_indices(self, sup3_spec):
+        """Folded rows against the count on their full-width rows."""
         rng = np.random.default_rng(3)
         net = len(sup3_spec.net)
-        coords = rng.uniform(0.0, 2.0, (20, net)) / sup3_spec.net.psi
+        fold = sup3_spec.fold
+        coords = (rng.uniform(0.0, 2.0, (20, len(fold.matrix)))
+                  / sup3_spec.net.psi[fold.pair[:, 0]])
+        full = coords[:, fold.rep]
         rhos = rng.uniform(1.0, 2.0, 20)
         outside = np.array([0, 2, net - 1])
         mask = np.zeros(net, dtype=bool)
         mask[outside] = True
         want = int(np.count_nonzero(
-            coords[:, outside] / rhos[:, None]
+            full[:, outside] / rhos[:, None]
             > column_family(sup3_spec).zero_thresholds[outside]))
-        assert 0 < want < coords[:, outside].size
+        assert 0 < want < full[:, outside].size
         assert inactive_violations(sup3_spec, coords, rhos, outside) == want
         assert inactive_violations(sup3_spec, coords, rhos, mask) == want
