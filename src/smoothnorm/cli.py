@@ -63,8 +63,8 @@ from .boundary import (Decomposition, check_boundary,
                        check_lrc_criterion, net_property_report)
 from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
-from .renorm import (_check_steps, _draw, _sphere_samples, build_renorm,
-                     phi_norm, smoothness_check)
+from .renorm import (_check_steps, _draw, build_renorm, phi_norm,
+                     smoothness_check)
 from .spaces import (EuclideanSpace, LapSpace, LorentzPredualSpace,
                      LorentzSpace, SupSpace)
 from .tensor import (TensorElement, apply_fY, apply_gX,
@@ -215,6 +215,10 @@ def _tol_value(key, value):
     # writes it into the report as Infinity, which is no JSON
     if not 0.0 <= out < np.inf:
         raise ConfigError(f"tolerance {key!r} must be finite and >= 0")
+    # sup f(x) >= 0 at every x, so a boundary tolerance of 1 or more
+    # would pass any set (build_renorm refuses it too)
+    if key == "boundary" and out >= 1.0:
+        raise ConfigError(f"tolerance 'boundary' must be below 1, got {out}")
     return out
 
 
@@ -531,6 +535,19 @@ def _suite_smooth(ctx):
                     "first_difference", "second_difference"], rows)
     return _record("passed" if ok else "failed", len(steps),
                    measured), [table]
+
+
+def _sphere_samples(X, budget, seed):
+    """`budget` gaussian rows over their norms; a row too close to 0 is
+    replaced by the stream's next draw."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((0, X.dim))
+    while len(out) < budget:
+        rows = rng.standard_normal((budget - len(out), X.dim))
+        norms = X.norm_rows(rows)
+        keep = norms > 1e-12
+        out = np.vstack([out, rows[keep] / norms[keep, None]])
+    return out
 
 
 def _suite_boundary(ctx):

@@ -19,7 +19,10 @@ level constants
 (equal by duality for monotone unconditional bases), rescales the level
 increments by a decreasing a-sequence so every sample attains a finite
 level, and renorms the resulting boundary_sup space, whose boundary the
-increments are by construction.  Each level is one
+increments are by construction: its dual ball is the hull of +- its
+matrix rows, and the symmetric pieces hold each of them bit for bit,
+which build_renorm checks exactly, as it checks the direct route's
+pieces against the kind's dual extreme points.  Each level is one
 norming_functional_rows call on every sample's best projection.  A
 chain is measured in one pass: b_n from the product of the samples with
 every level, one row block of samples at a time (boundary.row_blocks),
@@ -224,7 +227,9 @@ class BoundaryNormSpace(ModelSpace):
     stacks them; a_values stays aligned with the full chain.  The norm
     is a finite sup of functionals, not coordinatewise monotone in
     general.  Its dual metric is the coordinate l1 surrogate (the dual
-    of the sup norm), so the exact dual-ball check is skipped.
+    of the sup norm), so the exact dual-ball check is skipped.  Its dual
+    ball is the hull of +- the matrix rows, which dual_extreme_points
+    lists.
     """
 
     pieces: tuple
@@ -236,6 +241,7 @@ class BoundaryNormSpace(ModelSpace):
 
     kind = "boundary_sup"
     monotone_unconditional = False
+    lists_vertices = True
     # its own binding, so a per-class wrapper (perfbench/tracer.py) can
     # count it apart from ModelSpace.dual_norm
     dual_norm = ModelSpace.dual_norm
@@ -256,6 +262,12 @@ class BoundaryNormSpace(ModelSpace):
         """Each piece with both signs present (deduplicated), the form
         a boundary decomposition of |||.||| wants."""
         return [_unique_rows(np.vstack([P, -P])) for P in self.pieces]
+
+    def dual_extreme_points(self):
+        """+- the matrix rows, deduplicated: the dual ball is their
+        convex hull, so they hold every vertex, and symmetric_pieces
+        holds each of them bit for bit."""
+        return _unique_rows(np.vstack([self.matrix, -self.matrix]))
 
 
 def build_F(chain: RelativeBoundaryChain,
@@ -407,10 +419,9 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
     compute_cn does.  "chain" for every other kind: measure b_n/c_n per
     level, rescale the increments with the a-sequence, and renorm the
     resulting boundary_sup space instead; factor spaces need the direct
-    route.  build_renorm then checks the decomposition once, by the
-    base's kind: against every dual extreme point on the direct route,
-    and on the chain route at the distinct samples, normalized in the
-    boundary_sup norm.
+    route.  build_renorm then checks the decomposition once, exactly,
+    against every dual extreme point of the base: the kind's own on the
+    direct route, +- the boundary_sup matrix rows on the chain route.
 
     samples: one (s, dim) array of nonzero rows, normalized here and
     shared by every level.
@@ -427,17 +438,15 @@ def corollary_b_pipeline(space, samples, eps, Y=None, *, seed=0,
             for n, b_n, c_n in zip(chain.level_ids, chain.b_values,
                                    chain.c_values):
                 _check_identity(n, b_n, c_n, identity_tol)
-        boundary_norm, base, boundary_samples = None, space, None
+        boundary_norm, base = None, space
         decomposition = Decomposition(
             space, [P for P in chain.levels if len(P)], eps)
     else:
         boundary_norm = base = build_F(chain)
         decomposition = Decomposition(
             base, boundary_norm.symmetric_pieces(), eps)
-        boundary_samples = _normalize_rows(base, _unique_rows(S))
 
-    phi = build_renorm(base, decomposition, Y,
-                       boundary_samples=boundary_samples)
+    phi = build_renorm(base, decomposition, Y)
     return PipelineResult(
         chain=chain, boundary_norm=boundary_norm,
         decomposition=decomposition, phi_spec=phi,

@@ -1,5 +1,11 @@
 """Smooth approximating norms assembled from a separated net.
 
+build_renorm first checks that the decomposition's members are a
+boundary of X's dual ball, exactly.  A finite set is a boundary only of
+a polytope, and then only if it holds every vertex, so every point of
+X.dual_extreme_points() must be a member; a kind that lists no vertices
+(euclidean, lap) is refused, and no build draws samples.
+
 Given a decomposition of a norming set for X into pieces, build_net
 thins it to net points h, each carrying weights theta(h) < psi(h).  So
 the net fixes each point's smooth convex bump phi_h, vanishing on
@@ -127,7 +133,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import NetB, RowIndex, build_net, check_boundary, row_blocks
+from .boundary import NetB, RowIndex, build_net, row_blocks
 from .errors import ConstructionError, ParameterError, check_integer
 from .orlicz import (OrliczFamily, make_orlicz, modular_inverse,
                      newton_scales)
@@ -247,64 +253,52 @@ class PhiNormSpec:
                 else (self.X.dim, self.Y.dim))
 
 
-def _sphere_samples(X, budget, seed):
-    """`budget` gaussian rows over their norms; a row too close to 0 is
-    replaced by the stream's next draw."""
-    rng = np.random.default_rng(seed)
-    out = np.zeros((0, X.dim))
-    while len(out) < budget:
-        rows = rng.standard_normal((budget - len(out), X.dim))
-        norms = X.norm_rows(rows)
-        keep = norms > 1e-12
-        out = np.vstack([out, rows[keep] / norms[keep, None]])
-    return out
-
-
-def build_renorm(X, d, Y=None, *, boundary_samples=None, budget=512,
-                 seed=0, boundary_tol=1e-9) -> PhiNormSpec:
+def build_renorm(X, d, Y=None, *, budget=512, seed=0,
+                 boundary_tol=1e-9) -> PhiNormSpec:
     """Check that the members are a boundary of X's dual ball, then
     build the net and its bump family.
 
-    The kind picks the one check.  When X's dual ball is enumerable
-    (sup_finite, lorentz_predual) it is exact: every dual extreme point
-    must be a member within boundary_tol / dim in l-infinity; budget and
-    seed go unused there, and boundary_samples is a ParameterError.
-    Every other kind is sampled: sup over the members of f(x) must reach
-    1 - boundary_tol at each row of boundary_samples (unit vectors), or
-    at `budget` random unit vectors drawn from `seed` when none are
-    supplied.  Either failure is a ConstructionError.
+    A finite set is a boundary only of a polytope, and then only if it
+    holds every vertex, as each one is exposed.  So the one check is
+    exact: every point of X.dual_extreme_points() must be a member, on
+    sup_finite, lorentz_predual and lorentz within boundary_tol / dim in
+    l-infinity, on boundary_sup bit for bit.  A missing vertex is a
+    ConstructionError naming it, and so is a kind that lists no vertices
+    (euclidean, lap): no finite set is checked as its boundary.  A
+    Lorentz ball with more than spaces.VERTEX_CAP vertices is a
+    ParameterError, counted before any is listed: lorentz_predual from
+    dim 12, lorentz from dim 7 (645,120 signed permutations of distinct
+    weights).
+
+    boundary_tol must lie in [0, 1), as sup f(x) >= 0 always holds, and
+    a tolerance of 1 or more would pass any set.  budget and seed are
+    accepted, and unused on every kind.
     """
     if not (Y is None or isinstance(Y, EuclideanSpace)):
         raise ParameterError(
             "factor space must be None (scalar) or euclidean")
     if d.space is not X and (d.space.kind, d.space.dim) != (X.kind, X.dim):
         raise ParameterError("decomposition was built over a different space")
-    if X.enumerable_dual:
-        if boundary_samples is not None:
-            raise ParameterError(
-                f"kind {X.kind!r} is checked on its dual extreme points, "
-                f"so boundary_samples are not used")
-        # every vertex of a polytope is exposed, so a boundary holds them
-        # all; and ||x||_1 <= dim ||x|| on both kinds (Lorentz weights do
-        # not increase from w_0 = 1), so a member within boundary_tol / dim
-        # of each vertex keeps sup f(x) within boundary_tol of 1 at every
-        # unit x, which the sampled check asks only at its samples
-        points = X.dual_extreme_points()
-        j = d.missing(points, tol=boundary_tol / X.dim)
-        if j is not None:
-            raise ConstructionError(
-                f"functionals are no boundary: dual extreme point "
-                f"{points[j].tolist()} is not a member")
-    else:
-        samples = (np.atleast_2d(np.asarray(boundary_samples, dtype=float))
-                   if boundary_samples is not None
-                   else _sphere_samples(X, budget, seed))
-        report = check_boundary(X, d.members, samples, tol=boundary_tol)
-        if not report.passed:
-            worst = float(np.min(report.max_values))
-            raise ConstructionError(
-                f"functionals do not norm the sample sphere; worst sup "
-                f"f(x) = {worst}")
+    # written so that NaN fails it
+    if not 0.0 <= boundary_tol < 1.0:
+        raise ParameterError(
+            f"boundary_tol must lie in [0, 1), got {boundary_tol}")
+    if not X.lists_vertices:
+        raise ConstructionError(
+            f"kind {X.kind!r} lists no dual extreme points, so no finite "
+            f"set is checked as its boundary")
+    # each coordinate functional has dual norm 1 on the exact kinds that
+    # list vertices, so ||x||_1 <= dim ||x||, and a member within
+    # boundary_tol / dim of each vertex keeps sup f(x) within boundary_tol
+    # of 1 at every unit x; nothing bounds a surrogate kind's norm so
+    # (boundary_sup), and there each vertex must be a member exactly
+    tol = boundary_tol / X.dim if X.dual_metric == "exact" else 0.0
+    points = X.dual_extreme_points()
+    j = d.missing(points, tol=tol)
+    if j is not None:
+        raise ConstructionError(
+            f"functionals are no boundary: dual extreme point "
+            f"{points[j].tolist()} is not a member")
 
     return PhiNormSpec(net=build_net(d), X=X, Y=Y, epsilon=d.epsilon)
 

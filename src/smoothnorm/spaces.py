@@ -27,6 +27,7 @@ extreme points that are not extreme.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -49,6 +50,10 @@ __all__ = [
     "support",
     "find_norming_support",
 ]
+
+# the most dual extreme points a Lorentz kind lists; a kind counts its
+# points by closed form before it lists any
+VERTEX_CAP = 200_000
 
 
 def _signs(x):
@@ -80,12 +85,18 @@ class ModelSpace:
                             and monotone
     enumerable_dual         support_levels lists the dual ball's
                             extreme points
+    lists_vertices          dual_extreme_points lists them: every
+                            enumerable_dual kind, lorentz and
+                            boundary_sup; the rest list none, even
+                            where the dual ball is a polytope (lap with
+                            every exponent 1)
     """
 
     kind = "model"
     dual_metric = "surrogate_l1"
     monotone_unconditional = True
     enumerable_dual = False
+    lists_vertices = False
 
     def __init__(self, dim):
         self.dim = check_integer(dim, "dim")
@@ -159,7 +170,8 @@ class ModelSpace:
             f"dual ball of kind {self.kind!r} is not enumerable here")
 
     def dual_extreme_points(self) -> np.ndarray:
-        """The dual unit ball's extreme points: the support levels stacked."""
+        """The dual unit ball's extreme points, on the kinds that list
+        them (lists_vertices): by default the support levels stacked."""
         return np.vstack(self.support_levels())
 
     # -- projections ---------------------------------------------------
@@ -232,6 +244,7 @@ class SupSpace(ModelSpace):
     kind = "sup_finite"
     dual_metric = "exact"
     enumerable_dual = True
+    lists_vertices = True
 
     def _norm_rows(self, X):
         return np.abs(X).max(axis=1)
@@ -295,9 +308,18 @@ class _LorentzKind(ModelSpace):
         ranked = np.sort(np.abs(F), axis=1)[:, ::-1]
         return np.max(np.cumsum(ranked, axis=1) / self._wsums, axis=1)
 
+    @staticmethod
+    def _check_cap(total):
+        """ParameterError when `total` dual extreme points exceed
+        VERTEX_CAP."""
+        if total > VERTEX_CAP:
+            raise ParameterError(f"{total} extreme points exceeds the cap "
+                                 f"of {VERTEX_CAP:,}")
+
 
 class LorentzSpace(_LorentzKind):
     kind = "lorentz"
+    lists_vertices = True
     _norm_rows = _LorentzKind._weighted_sum_rows
     _dual_norm_rows = _LorentzKind._partial_ratio_rows
 
@@ -305,10 +327,42 @@ class LorentzSpace(_LorentzKind):
         # the weights on each row's rank order of |x|, signed; zeros get 0.0
         return np.where(X != 0.0, _signs(X) * self.weights[_ranks(X)], 0.0)
 
+    def _ties(self):
+        """The lengths of the runs of equal weights, in weight order (the
+        weights do not increase, so equal ones are consecutive)."""
+        return np.unique(self.weights, return_counts=True)[1][::-1].tolist()
+
+    def vertex_count(self) -> int:
+        """2^dim dim! over the factorials of the tie multiplicities in
+        the weights: the number of distinct signed permutations of w."""
+        return (2 ** self.dim * math.factorial(self.dim)
+                // math.prod(map(math.factorial, self._ties())))
+
+    def dual_extreme_points(self):
+        """The distinct signed permutations of w, the vertices of the
+        dual d_*(w,1)-ball (all of full support, so no support levels):
+        each arrangement of w, in lexicographic order of the positions
+        the weights take in turn, times every sign pattern, in
+        itertools order.  More than VERTEX_CAP of them is a
+        ParameterError, counted before any is listed."""
+        self._check_cap(self.vertex_count())
+        # a run of equal weights takes its positions as one combination
+        places = [()]
+        for size in self._ties():
+            places = [p + c for p in places for c in itertools.combinations(
+                [i for i in range(self.dim) if i not in p], size)]
+        arranged = np.zeros((len(places), self.dim))
+        np.put_along_axis(arranged, np.asarray(places, dtype=np.intp),
+                          self.weights[None, :], axis=1)
+        signs = np.asarray(list(itertools.product((1.0, -1.0),
+                                                  repeat=self.dim)))
+        return (arranged[:, None, :] * signs).reshape(-1, self.dim)
+
 
 class LorentzPredualSpace(_LorentzKind):
     kind = "lorentz_predual"
     enumerable_dual = True
+    lists_vertices = True
     _norm_rows = _LorentzKind._partial_ratio_rows
     _dual_norm_rows = _LorentzKind._weighted_sum_rows
 
@@ -323,11 +377,8 @@ class LorentzPredualSpace(_LorentzKind):
     def support_levels(self):
         """Level k - 1 holds the sign patterns of 1/W_k on every k-subset:
         the vertices of the d(w,1)-ball, 3^dim - 1 in all; more than
-        200,000 of them is a ParameterError."""
-        total = 3 ** self.dim - 1
-        if total > 200_000:
-            raise ParameterError(
-                f"{total} extreme points exceeds the cap of 200,000")
+        VERTEX_CAP of them is a ParameterError."""
+        self._check_cap(3 ** self.dim - 1)
         levels = []
         for k in range(1, self.dim + 1):
             # indexed by (combination, sign pattern), both in itertools order

@@ -780,6 +780,36 @@ class TestBoundaryTolerance:
             "localdep": "passed"}
         assert suites["boundary"]["measured"]["boundary_tol"] == 1e-6
 
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_vacuous_boundary_tolerance_in_config_exits_2(self, tmp_path,
+                                                          capsys, value):
+        """sup f(x) >= 0 always holds, so a boundary tolerance of 1 or
+        more passes any set: the one pair +-e_0 of sup_finite(2) used to
+        pass the boundary suite, exit 0."""
+        cfg = write_cfg(
+            tmp_path, space={"kind": "sup_finite", "dim": 2},
+            decomposition={"pieces": [[[1.0, 0.0], [-1.0, 0.0]]]},
+            tolerances={"boundary": value})
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--suite", "boundary",
+                     "--out", str(out)]) == 2
+        assert "tolerance 'boundary' must be below 1" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_vacuous_boundary_tol_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        for value in ("1", "2.0"):
+            assert main(["run", str(cfg), "--suite", "boundary", "--tol",
+                         f"boundary={value}", "--out", str(out)]) == 2
+            assert "tolerance 'boundary' must be below 1" in \
+                capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        # just below 1 is a tolerance, and the exact build check holds
+        assert main(["run", str(cfg), "--suite", "boundary", "--tol",
+                     "boundary=0.999", "--out", str(out)]) == 0
+
 
 class TestFactorSpace:
     def test_euclidean_factor_runs_all_suites(self, tmp_path):

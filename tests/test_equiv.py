@@ -828,8 +828,8 @@ class TestPipelineChain:
 
     def test_repeated_samples_build_the_same_spec(self, lap3, monkeypatch):
         """A sample given twice, and one given again with -0.0 for a 0.0,
-        are one boundary sample each: the build is checked on the
-        distinct rows alone and gives the distinct samples' spec."""
+        add no functional: the build is checked on the same boundary_sup
+        vertices, one per member, and gives the distinct samples' spec."""
         distinct = np.random.default_rng(1).standard_normal((64, 3))
         distinct[5, 1] = 0.0
         signed = distinct[5].copy()
@@ -838,17 +838,16 @@ class TestPipelineChain:
         checked = []
         build_renorm = equiv.build_renorm
 
-        def recording(*args, boundary_samples, **kwargs):
-            checked.append(boundary_samples)
-            return build_renorm(*args, boundary_samples=boundary_samples,
-                                **kwargs)
+        def recording(X, d, *args, **kwargs):
+            checked.append(X.dual_extreme_points())
+            return build_renorm(X, d, *args, **kwargs)
 
         monkeypatch.setattr(equiv, "build_renorm", recording)
         want, got = (corollary_b_pipeline(lap3, S, 0.1, seed=0)
                      for S in (distinct, repeated))
         assert got.route == "chain" and got.passed
         assert checked[1].tobytes() == checked[0].tobytes()
-        assert len(checked[1]) == 64
+        assert len(checked[1]) == len(got.decomposition.members)
         for name in ("matrix", "psi", "theta", "piece", "bin_id", "home"):
             assert getattr(got.phi_spec.net, name).tobytes() == \
                 getattr(want.phi_spec.net, name).tobytes()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from smoothnorm.boundary import Decomposition, build_net
-from smoothnorm.cli import RunContext, _equiv_pipeline, load_config
+from smoothnorm.cli import (RunContext, _equiv_pipeline, _sphere_samples,
+                            load_config)
 from smoothnorm.equiv import corollary_b_pipeline
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
-from smoothnorm import boundary, orlicz, renorm
+from smoothnorm import boundary, cli, orlicz, renorm
 from smoothnorm.renorm import (
     PRUNE_TOL,
     START_ULPS,
@@ -29,7 +31,6 @@ from smoothnorm.renorm import (
     PhiNormSpec,
     _kept_terms,
     _luxemburg_rows,
-    _sphere_samples,
     _zstar,
     active_set,
     build_renorm,
@@ -44,7 +45,8 @@ from smoothnorm.renorm import (
 from smoothnorm.orlicz import OrliczFamily, _bump, make_orlicz
 from smoothnorm.scaling import _row_peaks, feasible_scale_inf
 from smoothnorm.spaces import (euclidean_space, lap_space,
-                               lorentz_predual_space, sup_space)
+                               lorentz_predual_space, lorentz_space,
+                               sup_space)
 from smoothnorm.tensor import TensorElement, _slice_norms, injective_norm
 from smoothnorm.verify import (approx_window, claim2d_sweep,
                                inactive_violations)
@@ -116,6 +118,16 @@ def predual_decomposition(dim, eps=0.1):
     return Decomposition(lorentz_predual_space(weights), pieces, eps)
 
 
+def lorentz_decomposition(dim, eps=0.1):
+    """lorentz with weights 1/sqrt(k + 1), one piece of all 2^dim dim!
+    signed permutations of w (configs/lorentz4.cfg at dim 4)."""
+    w = [1.0 / math.sqrt(k + 1) for k in range(dim)]
+    piece = [[s * w[p] for s, p in zip(signs, perm)]
+             for perm in itertools.permutations(range(dim))
+             for signs in itertools.product((1.0, -1.0), repeat=dim)]
+    return Decomposition(lorentz_space(w), [piece], eps)
+
+
 @pytest.fixture(scope="module")
 def predual7_spec():
     d = predual_decomposition(7)
@@ -151,13 +163,23 @@ class TestBuildRenorm:
         with pytest.raises(ConstructionError):
             build_renorm(X, d, None, budget=64, seed=0)
 
-    def test_zero_budget_refused(self):
-        # with no sample to check, one functional of euclidean(3) used to
-        # build a one-point net
+    def test_zero_budget_checks_every_vertex(self):
+        """budget and seed go unused: with no sample drawn, one
+        functional of euclidean(3) used to build a one-point net; now the
+        kind is refused, and sup_finite(3) is checked on its vertices,
+        whatever the budget."""
         X = euclidean_space(3)
         d = Decomposition(X, [np.array([[1.0, 0.0, 0.0]])], 0.1)
-        with pytest.raises(ParameterError, match="empty"):
+        with pytest.raises(ConstructionError, match="'euclidean'"):
             build_renorm(X, d, None, budget=0, seed=0)
+        d = Decomposition(sup_space(3), [np.eye(3)], 0.1)
+        missing = re.escape("dual extreme point [-1.0, -0.0, -0.0]")
+        with pytest.raises(ConstructionError, match=missing):
+            build_renorm(d.space, d, None, budget=0, seed=0)
+        d = sup_decomposition(3)
+        assert net_digests(build_renorm(d.space, d, None, budget=0,
+                                        seed=5).net) == net_digests(
+            build_renorm(d.space, d, None).net)
 
     def test_missing_extreme_point_rejected(self):
         """Without one pair +-f of support 7, predual7's members still
@@ -175,13 +197,16 @@ class TestBuildRenorm:
             build_renorm(short.space, short, None, seed=1)
 
     def test_enumerable_kinds_are_not_sampled(self, monkeypatch):
-        """demo_sup3, sup4 x euclidean(3) and predual7 are checked on
-        their dual extreme points alone, and keep their pinned nets."""
+        """No build draws samples: demo_sup3, sup4 x euclidean(3) and
+        predual7 are checked on their dual extreme points alone, and keep
+        their pinned nets; so are lorentz3, lorentz4 and the boundary_sup
+        base of a chain-route pipeline."""
         def refuse(*args, **kwargs):
             raise AssertionError("sampled boundary check ran")
 
-        monkeypatch.setattr(renorm, "_sphere_samples", refuse)
-        monkeypatch.setattr(renorm, "check_boundary", refuse)
+        monkeypatch.setattr(cli, "_sphere_samples", refuse)
+        monkeypatch.setattr(cli, "check_boundary", refuse)
+        monkeypatch.setattr(boundary, "check_boundary", refuse)
         cfg = load_config(CONFIGS / "demo_sup3.cfg")
         demo = build_renorm(cfg.space, cfg.decomposition, cfg.factor,
                             budget=cfg.budgets["build"], seed=cfg.seed)
@@ -193,45 +218,81 @@ class TestBuildRenorm:
         d = predual_decomposition(7)
         assert net_digests(build_renorm(d.space, d, None, seed=1).net) == (
             PREDUAL7_NET)
+        for dim in (3, 4):
+            d = lorentz_decomposition(dim)
+            assert len(build_renorm(d.space, d, None).net) == len(d.members)
+        samples = np.random.default_rng(1).standard_normal((64, 3))
+        result = corollary_b_pipeline(
+            lap_space([[0], [1, 2]], [1.0, 2.0], 3), samples, 0.1, seed=0)
+        assert result.route == "chain" and result.passed
 
     @pytest.mark.parametrize("space", [
-        euclidean_space(3), lap_space([[0], [1, 2]], [1.0, 2.0], 3)],
-        ids=["euclidean", "lap"])
-    def test_other_kinds_are_sampled(self, monkeypatch, space):
-        """Without an enumerable dual ball, the members are checked on
-        the given unit vectors, or on `budget` drawn ones."""
-        calls = []
-        checked = renorm.check_boundary
-
-        def counting(X, members, samples, tol):
-            calls.append(len(samples))
-            return checked(X, members, samples, tol=tol)
-
-        monkeypatch.setattr(renorm, "check_boundary", counting)
+        euclidean_space(3), lap_space([[0], [1, 2]], [1.0, 2.0], 3),
+        lap_space([[0, 1], [1, 2]], [1.0, 1.0], 3)],
+        ids=["euclidean", "lap", "lap_exponents_1"])
+    def test_kinds_without_vertices_refused(self, space):
+        """The six signed units used to build on euclidean(3) and lap,
+        checked at the units alone, into a phi below the base norm at
+        most gaussian rows.  A kind that lists no dual extreme points
+        has no finite set checked as its boundary, so the build is
+        refused, whatever the members; lap with every exponent 1 (the l1
+        norm, whose dual ball is a cube) lists none either."""
         eye = np.eye(3)
         d = Decomposition(space, [np.vstack([eye, -eye])], 0.1)
-        build_renorm(space, d, None, boundary_samples=eye)
-        # the signed units norm the units, but not the sphere
-        with pytest.raises(ConstructionError, match="sample sphere"):
-            build_renorm(space, d, None, budget=64, seed=0)
-        assert calls == [3, 64]
+        with pytest.raises(ConstructionError,
+                           match=f"kind '{space.kind}' lists no dual "
+                                 f"extreme points"):
+            build_renorm(space, d, None)
 
-    def test_chain_route_is_sampled(self, monkeypatch):
-        """The chain route's boundary_sup base is checked on the
-        distinct samples, once, and draws none of its own."""
+    def test_dropped_lorentz_vertex_refused(self):
+        """lorentz4 without the vertex (-1, -w_1, -w_2, -w_3) used to
+        build or not by the seed of its sampled check (built at seed 0,
+        refused at 1 to 4); the exact check refuses it at every seed and
+        names it."""
+        d = lorentz_decomposition(4)
+        keep = ~np.all(d.members == -d.space.weights, axis=1)
+        assert np.count_nonzero(~keep) == 1
+        short = Decomposition(d.space, [d.members[keep]], d.epsilon)
+        for seed in range(5):
+            with pytest.raises(ConstructionError,
+                               match=r"dual extreme point \[-1\.0, "
+                                     r"-0\.7071067811865475, "
+                                     r"-0\.5773502691896258, -0\.5\]"):
+                build_renorm(short.space, short, None, budget=512,
+                             seed=seed)
+
+    def test_chain_route_checks_vertices(self, monkeypatch):
+        """The chain route's boundary_sup base is checked once, on +-
+        its matrix rows, exactly: every member is such a vertex, bit for
+        bit, so the check asks for each one at tolerance 0."""
         calls = []
-        checked = renorm.check_boundary
+        missing = boundary.Decomposition.missing
 
-        def counting(X, members, samples, tol):
-            calls.append((X.kind, len(samples)))
-            return checked(X, members, samples, tol=tol)
+        def recording(d, rows, tol):
+            calls.append((d.space.kind, len(rows), tol))
+            return missing(d, rows, tol)
 
-        monkeypatch.setattr(renorm, "check_boundary", counting)
+        monkeypatch.setattr(boundary.Decomposition, "missing", recording)
         samples = np.random.default_rng(1).standard_normal((64, 3))
         result = corollary_b_pipeline(
             lap_space([[0], [1, 2]], [1.0, 2.0], 3), samples, 0.1, seed=0)
         assert result.route == "chain"
-        assert calls == [("boundary_sup", 64)]
+        assert calls == [("boundary_sup", len(result.decomposition.members),
+                          0.0)]
+
+    def test_missing_boundary_sup_row_refused(self):
+        """A decomposition over a boundary_sup space that misses one
+        +- matrix row is no boundary: the exact check names the row."""
+        samples = np.random.default_rng(1).standard_normal((64, 3))
+        F = corollary_b_pipeline(lap_space([[0], [1, 2]], [1.0, 2.0], 3),
+                                 samples, 0.1, seed=0).boundary_norm
+        pieces = F.symmetric_pieces()
+        dropped = pieces[-1][-1]
+        pieces[-1] = pieces[-1][:-1]
+        d = Decomposition(F, pieces, 0.1)
+        with pytest.raises(ConstructionError, match=re.escape(
+                f"dual extreme point {dropped.tolist()} is not a member")):
+            build_renorm(F, d, None)
 
     def test_extreme_point_tolerance_is_over_dim(self):
         """A member 2e-9 / 3 off e_0 in sup_finite(3) can lose up to
@@ -250,10 +311,27 @@ class TestBuildRenorm:
             else:
                 assert len(build_renorm(X, d, None).net) == 6
 
-    def test_samples_refused_for_enumerable_kinds(self):
+    def test_no_boundary_samples_keyword(self):
+        """Sample points are no way to check a build, on any kind."""
         d = sup_decomposition(3)
-        with pytest.raises(ParameterError, match="boundary_samples"):
+        with pytest.raises(TypeError, match="boundary_samples"):
             build_renorm(d.space, d, None, boundary_samples=np.eye(3))
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, -1e-9, np.nan, np.inf])
+    def test_vacuous_boundary_tol_refused(self, tol):
+        """sup f(x) >= 0 always holds, so a tolerance of 1 or more would
+        pass any set, here sup_finite(2) with the one pair +-e_0."""
+        X = sup_space(2)
+        d = Decomposition(X, [np.array([[1.0, 0.0], [-1.0, 0.0]])], 0.1)
+        with pytest.raises(ParameterError, match=r"boundary_tol must lie "
+                                                 r"in \[0, 1\)"):
+            build_renorm(X, d, None, boundary_tol=tol)
+
+    def test_boundary_tol_below_one_accepted(self):
+        d = sup_decomposition(2)
+        for tol in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert len(build_renorm(d.space, d, None,
+                                    boundary_tol=tol).net) == 4
 
     def test_factor_space_validated(self):
         d = sup_decomposition(2)

@@ -7,7 +7,9 @@ modulars, and direct Hoelder pairings for duality checks.
 
 import hashlib
 import itertools
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -777,6 +779,77 @@ class TestDualExtremePoints:
         assert predual(11).dual_extreme_points().shape == (177146, 11)
         with pytest.raises(ParameterError, match="531440"):
             predual(12).dual_extreme_points()
+
+    @pytest.mark.parametrize("w", [
+        [1.0, 0.5], [1.0, 1.0], [1.0, 0.7, 0.7],
+        [1.0 / np.sqrt(k + 1) for k in range(4)], [1.0, 0.5, 0.5, 0.5],
+        [1.0, 0.6, 0.5, 0.3, 0.2], [1.0, 1.0, 0.5, 0.5, 0.5],
+        [1.0 / np.sqrt(k + 1) for k in range(6)],
+        [1.0, 1.0, 0.5, 0.5, 0.25, 0.25], [1.0] * 6],
+        ids=lambda w: "w" + "_".join(f"{v:.2f}" for v in w))
+    def test_lorentz_vertices_are_signed_permutations(self, w):
+        """The lorentz dual extreme points are the distinct signed
+        permutations of w, by brute force over every permutation and
+        sign pattern, and their count is the closed form 2^n n! over the
+        factorials of the tie multiplicities."""
+        X = lorentz_space(w)
+        n = len(w)
+        brute = {tuple(s * w[p] for s, p in zip(signs, perm))
+                 for perm in itertools.permutations(range(n))
+                 for signs in itertools.product((1.0, -1.0), repeat=n)}
+        pts = X.dual_extreme_points()
+        assert pts.shape == (len(brute), n)
+        assert {tuple(p) for p in pts.tolist()} == brute
+        ties = [len(list(g)) for _, g in itertools.groupby(w)]
+        assert X.vertex_count() == len(brute) == (
+            2 ** n * math.factorial(n)
+            // math.prod(math.factorial(m) for m in ties))
+        x = np.random.default_rng(n).standard_normal((50, n))
+        np.testing.assert_allclose(np.max(x @ pts.T, axis=1),
+                                   X.norm_rows(x), rtol=1e-12)
+
+    def test_lorentz_ties_listed_without_permuting(self):
+        """Equal weights take their places as one combination: all-equal
+        weights at dim 15 are the 2^15 sign vectors, listed without
+        walking 15! permutations."""
+        pts = lorentz_space(np.ones(15)).dual_extreme_points()
+        assert pts.shape == (2 ** 15, 15)
+        assert np.array_equal(pts, list(itertools.product((1.0, -1.0),
+                                                          repeat=15)))
+
+    def test_lorentz_refuses_above_cap_before_listing(self):
+        """Distinct weights at dim 7 give 645,120 vertices, over the
+        200,000 cap: the count is a closed form, so the refusal comes
+        before any array of them is built."""
+        X = lorentz_space([1.0 / np.sqrt(k + 1) for k in range(7)])
+        assert X.vertex_count() == 645120
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError,
+                               match="645120 extreme points exceeds the "
+                                     "cap of 200,000"):
+                X.dual_extreme_points()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        # ties bring dim 7 under the cap: 2^7 C(7, 3)
+        ties = lorentz_space([1.0] * 3 + [0.5] * 4)
+        assert len(ties.dual_extreme_points()) == ties.vertex_count() == 4480
+
+    def test_which_kinds_list_vertices(self):
+        listed = {X.kind: X.lists_vertices for X in ALL_KINDS}
+        assert listed == {"sup_finite": True, "euclidean": False,
+                          "lorentz": True, "lorentz_predual": True,
+                          "lap": False}
+        assert sup_boundary_space(3).lists_vertices
+        assert not lap_space([[0, 1]], [1.0], 2).lists_vertices
+
+    def test_boundary_sup_vertices_are_signed_rows(self):
+        """+- the matrix rows, each once."""
+        F = sup_boundary_space(3)
+        pts = F.dual_extreme_points()
+        assert pts.tobytes() == np.vstack([np.eye(3), -np.eye(3)]).tobytes()
 
     def test_non_polyhedral_rejected(self):
         with pytest.raises(ParameterError, match="not enumerable"):
