@@ -4,9 +4,10 @@ A matrix M represents an element of sup_finite(3) (x) euclidean(2).
 Slicing against a dual functional on either side gives a vector in the
 other space, and the pairing tensor_apply, summed from its definition,
 agrees with both slices.  The injective norm is exact: it enumerates the dual
-extreme points of X against Euclidean row norms (an X without an
-enumerable dual ball is refused), and boundary_product_check verifies
-that rank-one products of boundary functionals norm the unit samples.
+extreme points of X against Euclidean row norms (an X that lists no
+dual extreme points, euclidean or lap, is refused), and
+boundary_product_check verifies that rank-one products of boundary
+functionals norm the unit samples.
 """
 
 import numpy as np

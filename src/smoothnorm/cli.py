@@ -24,14 +24,17 @@ Config file (a JSON object):
 
 An entry that none of these objects uses is a config error, at every
 level, and so is a decomposition "preset" given with "pieces" or
-"closure".  A number is a JSON number: a string or a boolean where a
-number, or an array of numbers, is due is a config error too.
+"closure".  The samples budgets "build" and "boundary" are accepted and
+unused: the build's boundary check and the boundary suite are exact.  A
+number is a JSON number: a string or a boolean where a number, or an
+array of numbers, is due is a config error too.
 
 Report (``report.json``, keys sorted, no timestamps or filesystem
 paths): config sha256, seed, space summary, epsilon, per-suite records
-{status, passed, samples, measured, note}, and the overall pass flag.
-Wall times are printed to stdout only, so identical (config, seed,
-flags) runs produce byte-identical report files.
+{status, passed, samples, measured, note}, and the overall pass flag;
+the boundary suite's samples are the vertices renorm.check_vertices
+counts.  Wall times are printed to stdout only, so identical (config,
+seed, flags) runs produce byte-identical report files.
 
 Tables: the approx suite writes ``approx_samples.csv`` (sample id,
 input coordinates, base norm, phi-norm, ratio); the smooth suite writes
@@ -59,12 +62,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .boundary import (Decomposition, check_boundary,
-                       check_lrc_criterion, net_property_report)
+from .boundary import (Decomposition, check_lrc_criterion,
+                       net_property_report)
 from .equiv import corollary_b_pipeline
 from .errors import ConstructionError, NumericError, ParameterError
-from .renorm import (_check_steps, _draw, build_renorm, phi_norm,
-                     smoothness_check)
+from .renorm import (_check_steps, _draw, build_renorm, check_vertices,
+                     phi_norm, smoothness_check)
 from .spaces import (EuclideanSpace, LapSpace, LorentzPredualSpace,
                      LorentzSpace, SupSpace)
 from .tensor import (TensorElement, apply_fY, apply_gX,
@@ -87,8 +90,6 @@ _KINDS = {"sup_finite": SupSpace, "euclidean": EuclideanSpace,
 _TOLERANCES = {"ratio_slack": RATIO_SLACK, "claim2d_excess": CLAIM_TOL,
                "richardson": 1e-5, "boundary": 1e-9,
                "tensor_identity": 1e-12, "equiv_identity": 1e-9}
-
-_NO_WINDOW = "matrix base norms need an enumerable dual ball"
 
 
 class ConfigError(ValueError):
@@ -393,7 +394,7 @@ class RunContext:
 
 def _window_samples(ctx, suite):
     """The approx window on the suite's budget of gaussian samples, drawn
-    in one call from the suite's seed, or None (approx_window)."""
+    in one call from the suite's seed."""
     spec = ctx.phi_spec()
     rows = _draw(spec, ctx.budgets[suite], ctx.child(suite))
     return approx_window(spec, rows, ctx.tol["ratio_slack"])
@@ -450,8 +451,6 @@ def _join(vec):
 
 def _suite_approx(ctx):
     win = _window_samples(ctx, "approx")
-    if win is None:
-        return _record("skipped", 0, {}, _NO_WINDOW), []
     rows = win.samples.reshape(len(win.base), -1)
     ratio = win.phi / win.base
     measured = {"min_ratio": np.min(ratio), "max_ratio": np.max(ratio),
@@ -469,8 +468,6 @@ def _suite_approx(ctx):
 
 def _suite_claim1(ctx):
     win = _window_samples(ctx, "claim1")
-    if win is None:
-        return _record("skipped", 0, {}, _NO_WINDOW), []
     below = int(np.count_nonzero(win.gap <= 0.0))
     measured = {"min_gap": np.min(win.gap), "max_gap": np.max(win.gap),
                 "violations": below}
@@ -537,38 +534,21 @@ def _suite_smooth(ctx):
                    measured), [table]
 
 
-def _sphere_samples(X, budget, seed):
-    """`budget` gaussian rows over their norms; a row too close to 0 is
-    replaced by the stream's next draw."""
-    rng = np.random.default_rng(seed)
-    out = np.zeros((0, X.dim))
-    while len(out) < budget:
-        rows = rng.standard_normal((budget - len(out), X.dim))
-        norms = X.norm_rows(rows)
-        keep = norms > 1e-12
-        out = np.vstack([out, rows[keep] / norms[keep, None]])
-    return out
-
-
 def _suite_boundary(ctx):
     d = ctx.cfg.decomposition
     spec = ctx.phi_spec()
-    samples = _sphere_samples(ctx.space, ctx.budgets["boundary"],
-                              ctx.child("boundary"))
-    rep = check_boundary(ctx.space, d.members, samples,
-                         tol=ctx.tol["boundary"])
+    vertices = check_vertices(ctx.space, d, ctx.tol["boundary"])
     net_rep = net_property_report(d, spec.net)
     lrc = [check_lrc_criterion(p) for p in d.pieces]
-    ok = rep.passed and net_rep.passed and all(r.passed for r in lrc)
-    measured = {"min_sup": np.min(rep.max_values),
+    ok = net_rep.passed and all(r.passed for r in lrc)
+    measured = {"vertices": vertices,
                 "boundary_tol": ctx.tol["boundary"],
                 "net_checked": net_rep.checked,
                 "net_max_distance_excess": net_rep.max_distance_excess,
                 "net_max_psi_excess": net_rep.max_psi_excess,
                 "lrc_cardinalities": [list(r.cardinalities) for r in lrc],
                 "lrc_passed": all(r.passed for r in lrc)}
-    return _record("passed" if ok else "failed", len(samples),
-                   measured), []
+    return _record("passed" if ok else "failed", vertices, measured), []
 
 
 def _suite_tensor(ctx):
@@ -591,7 +571,7 @@ def _suite_tensor(ctx):
         id_dev = max(id_dev, abs(v1 - v2), abs(v1 - v3))
     measured = {"identity_max_dev": id_dev, "identity_tol": tol}
     ok = id_dev <= tol
-    if X.enumerable_dual:
+    if X.lists_vertices:
         # rank-one witnesses: the attaining g is the normalized row image
         F = X.dual_extreme_points()
         gs, units = [], []

@@ -395,9 +395,7 @@ def _route_chain(space, S):
 
 
 def _pipeline_report(phi, d, chain, boundary_norm, seed):
-    """The four checks on their own seeds.  The window always exists:
-    the direct route's base has an enumerable dual ball, and the chain
-    route refuses a factor."""
+    """The four checks on their own seeds."""
     count = CHECK_COUNT if phi.Y is None else max(8, CHECK_COUNT // 4)
     return PipelineReport(
         net=net_property_report(d, phi.net),

@@ -1,10 +1,10 @@
 """Smooth approximating norms assembled from a separated net.
 
 build_renorm first checks that the decomposition's members are a
-boundary of X's dual ball, exactly.  A finite set is a boundary only of
-a polytope, and then only if it holds every vertex, so every point of
-X.dual_extreme_points() must be a member; a kind that lists no vertices
-(euclidean, lap) is refused, and no build draws samples.
+boundary of X's dual ball, exactly (check_vertices).  A finite set is a
+boundary only of a polytope, and then only if it holds every vertex, so
+every point of X.dual_extreme_points() must be a member; a kind that
+lists no vertices (euclidean, lap) is refused; nothing draws samples.
 
 Given a decomposition of a norming set for X into pieces, build_net
 thins it to net points h, each carrying weights theta(h) < psi(h).  So
@@ -149,6 +149,7 @@ __all__ = [
     "DirectionReport",
     "PhiUnitPool",
     "build_renorm",
+    "check_vertices",
     "pi_coords",
     "pi_coords_batch",
     "phi_norm",
@@ -253,32 +254,25 @@ class PhiNormSpec:
                 else (self.X.dim, self.Y.dim))
 
 
-def build_renorm(X, d, Y=None, *, budget=512, seed=0,
-                 boundary_tol=1e-9) -> PhiNormSpec:
-    """Check that the members are a boundary of X's dual ball, then
-    build the net and its bump family.
+def check_vertices(X, d, boundary_tol=1e-9) -> int:
+    """The one boundary check, on build_renorm and the CLI boundary
+    suite: the number of X.dual_extreme_points(), each a member of d.
 
     A finite set is a boundary only of a polytope, and then only if it
-    holds every vertex, as each one is exposed.  So the one check is
-    exact: every point of X.dual_extreme_points() must be a member, on
-    sup_finite, lorentz_predual and lorentz within boundary_tol / dim in
-    l-infinity, on boundary_sup bit for bit.  A missing vertex is a
-    ConstructionError naming it, and so is a kind that lists no vertices
-    (euclidean, lap): no finite set is checked as its boundary.  A
-    Lorentz ball with more than spaces.VERTEX_CAP vertices is a
-    ParameterError, counted before any is listed: lorentz_predual from
-    dim 12, lorentz from dim 7 (645,120 signed permutations of distinct
-    weights).
-
-    boundary_tol must lie in [0, 1), as sup f(x) >= 0 always holds, and
-    a tolerance of 1 or more would pass any set.  budget and seed are
-    accepted, and unused on every kind.
+    holds every vertex, as each one is exposed.  So the check is exact:
+    a member within boundary_tol / dim in l-infinity of each vertex on
+    sup_finite, lorentz_predual and lorentz, bit for bit on
+    boundary_sup.  A missing vertex is a ConstructionError naming it,
+    and so is a kind that lists no vertices (euclidean, lap).  These
+    are ParameterErrors: a Lorentz ball past spaces.VERTEX_CAP vertices,
+    counted before any is listed (lorentz_predual from dim 12, lorentz
+    from dim 7), a d over another space object than X, even an equal
+    one, and a boundary_tol outside [0, 1), as sup f(x) >= 0 always
+    holds, so a tolerance of 1 or more would pass any set.
     """
-    if not (Y is None or isinstance(Y, EuclideanSpace)):
+    if d.space is not X:
         raise ParameterError(
-            "factor space must be None (scalar) or euclidean")
-    if d.space is not X and (d.space.kind, d.space.dim) != (X.kind, X.dim):
-        raise ParameterError("decomposition was built over a different space")
+            "decomposition was built over a different space object")
     # written so that NaN fails it
     if not 0.0 <= boundary_tol < 1.0:
         raise ParameterError(
@@ -299,7 +293,18 @@ def build_renorm(X, d, Y=None, *, budget=512, seed=0,
         raise ConstructionError(
             f"functionals are no boundary: dual extreme point "
             f"{points[j].tolist()} is not a member")
+    return len(points)
 
+
+def build_renorm(X, d, Y=None, *, budget=512, seed=0,
+                 boundary_tol=1e-9) -> PhiNormSpec:
+    """Check that the members of d are a boundary of X's dual ball
+    (check_vertices), then build the net and its bump family.  budget
+    and seed are accepted, and unused on every kind."""
+    if not (Y is None or isinstance(Y, EuclideanSpace)):
+        raise ParameterError(
+            "factor space must be None (scalar) or euclidean")
+    check_vertices(X, d, boundary_tol)
     return PhiNormSpec(net=build_net(d), X=X, Y=Y, epsilon=d.epsilon)
 
 

@@ -83,11 +83,13 @@ class ModelSpace:
                             norm rows are coordinate l1 standing in
     monotone_unconditional  the unit vector basis is 1-unconditional
                             and monotone
-    enumerable_dual         support_levels lists the dual ball's
-                            extreme points
-    lists_vertices          dual_extreme_points lists them: every
+    enumerable_dual         support_levels splits the dual ball's
+                            extreme points by support size: equiv's
+                            route question, and only that
+    lists_vertices          dual_extreme_points lists them (every
                             enumerable_dual kind, lorentz and
-                            boundary_sup; the rest list none, even
+                            boundary_sup), which every check that needs
+                            the vertices asks; the rest list none, even
                             where the dual ball is a polytope (lap with
                             every exponent 1)
     """

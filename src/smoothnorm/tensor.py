@@ -11,11 +11,12 @@ tensor_apply, the double sum of f_i u_ij g_j, satisfies
 The injective norm is the sup of that pairing over the two dual balls.
 Y is restricted to euclidean factors (euclidean(1) doubles as the scalar
 case): the inner sup over g is then closed-form, g = f@u / ||f@u||_2, so
-the norm reduces to maximizing ||f @ u||_2 over the dual ball of X.  For
-polyhedral X duals (sup_finite, lorentz_predual) that maximum is an
-exact finite enumeration over extreme points; every other X kind is
-refused.  The slice norms ||f @ u||_2 have one formula, _slice_norms,
-shared with the phi-norm coordinates and the approx window; it scales
+the norm reduces to maximizing ||f @ u||_2 over the dual ball of X.  On
+a kind that lists its dual extreme points (lists_vertices) that maximum
+is an exact enumeration over them, _injective_rows, shared with the
+approx window; every other X kind (euclidean, lap) is refused.  The
+slice norms ||f @ u||_2 have one formula, _slice_norms, shared with the
+phi-norm coordinates; it scales
 each matrix by a power of two, so no square of a finite u overflows,
 and contracts in one fixed order, each product and sum rounded on its
 own,
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import row_blocks
 from .errors import ParameterError
 from .spaces import EuclideanSpace, ModelSpace
 
@@ -157,34 +159,46 @@ def _slice_norms(F, M, out=None):
     return out.reshape(M.shape[:-2] + (len(F),))
 
 
+def _injective_rows(X, mats):
+    """The injective norm of each (dim X, dim Y) matrix of a (k, dim X,
+    dim Y) stack of finite entries, Y euclidean, and the first dual
+    extreme point of X attaining it, (k,) and (k, dim X): the max of
+    _slice_norms over X.dual_extreme_points(), one boundary.row_blocks
+    block of matrices at a time.  ParameterError unless X lists its
+    dual extreme points."""
+    if not X.lists_vertices:
+        raise ParameterError(
+            f"the injective norm needs the dual extreme points of X; "
+            f"kind {X.kind!r} lists none")
+    F = X.dual_extreme_points()
+    values = np.empty(len(mats))
+    best = np.empty(len(mats), dtype=np.intp)
+    for block in row_blocks(len(mats), len(F) * mats.shape[-1]):
+        norms = _slice_norms(F, mats[block])
+        values[block], best[block] = norms.max(axis=1), norms.argmax(axis=1)
+    return values, F[best]
+
+
 def injective_norm(u: TensorElement) -> InjectiveNormResult:
     """Injective norm sup { f @ u @ g } over the two dual balls.
 
-    Exact: the max of ||f @ u||_2 over the dual extreme points f of X.
-    Raises ParameterError unless X has an enumerable dual ball and Y is
-    euclidean, and on a NaN or inf entry, naming its row.
+    Exact: the max of ||f @ u||_2 over the dual extreme points f of X
+    (_injective_rows).  Raises ParameterError unless X lists its dual
+    extreme points and Y is euclidean, and on a NaN or inf entry,
+    naming its row.
     """
     if not isinstance(u, TensorElement):
         raise ParameterError("injective_norm expects a TensorElement")
     if not isinstance(u.Y, EuclideanSpace):
         raise ParameterError("factor space Y must be euclidean")
-    if not u.X.enumerable_dual:
-        raise ParameterError(
-            f"injective_norm needs a polyhedral dual ball; "
-            f"X has kind {u.X.kind!r}")
     M = u.matrix
-    dim_x, dim_y = M.shape
     _refuse_non_finite("injective norm", M)
-
-    if not M.any():
-        return InjectiveNormResult(0.0, np.zeros(dim_x), np.zeros(dim_y))
-
-    F = u.X.dual_extreme_points()
-    vals = _slice_norms(F, M)
-    best = int(np.argmax(vals))
-    value = float(vals[best])
-    g = apply_fY(F[best], M) / value if value > 0.0 else np.zeros(dim_y)
-    return InjectiveNormResult(value, F[best], g)
+    values, f = _injective_rows(u.X, M[None])
+    value = float(values[0])
+    if value == 0.0:
+        return InjectiveNormResult(0.0, np.zeros(M.shape[0]),
+                                   np.zeros(M.shape[1]))
+    return InjectiveNormResult(value, f[0], apply_fY(f[0], M) / value)
 
 
 @dataclass(frozen=True)

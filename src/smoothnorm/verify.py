@@ -4,6 +4,8 @@ CLI suites and corollary_b_pipeline: the window ||x|| < ||x||_phi <=
 one pool for every net point and unit g, and local finite dependence:
 active-set margins, probed for a bump outside the set that wakes within
 the set's certified radius.  The constants are the pipeline's budgets.
+Every kind build_renorm builds lists its dual extreme points, so every
+built spec has a window, on a euclidean factor the injective norm.
 The window's samples, the claim-2d draw and each point's probes meet
 the net, and the dual extreme points, one boundary.row_blocks block at a
 time, so none is held as one array of every sample's coordinates.  The
@@ -23,11 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import row_blocks
 from .errors import ParameterError
 from .renorm import (_coord_blocks, _draw, active_set, phi_norm_batch,
                      phi_unit_pool, verify_claim2d)
-from .tensor import _refuse_non_finite, _slice_norms
+from .tensor import _injective_rows, _refuse_non_finite
 
 __all__ = ["ApproxWindow", "Claim2dSweep", "MarginCheck", "window",
            "approx_window", "claim2d_sweep", "active_sets",
@@ -67,23 +68,19 @@ def window(samples, base, phi, eps, slack=RATIO_SLACK) -> ApproxWindow:
     return ApproxWindow(samples, base, phi, inside, (phi - base) / base)
 
 
-def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow | None:
+def approx_window(spec, samples, slack=RATIO_SLACK) -> ApproxWindow:
     """The window on (k, dim X) vectors, or on (k, dim X, dim Y) matrices
-    against their exact injective norm (None without an enumerable dual
-    ball).  Samples with a base norm <= BASE_FLOOR are dropped; a sample
-    with a NaN or inf entry is a ParameterError naming its row."""
+    against their exact injective norm (tensor._injective_rows).
+    Samples with a base norm <= BASE_FLOOR are dropped; a sample with a
+    NaN or inf entry is a ParameterError naming its row, and so are
+    matrices over a kind that lists no dual extreme points (a spec built
+    by hand: build_renorm refuses such a kind)."""
     X, Y = spec.X, spec.Y
     if Y is None:
         base = X.norm_rows(samples)
-    elif X.enumerable_dual:
-        # injective_norm of every matrix, one row block at a time
-        _refuse_non_finite("injective norm", samples)
-        P = X.dual_extreme_points()
-        base = np.empty(len(samples))
-        for block in row_blocks(len(samples), len(P) * Y.dim):
-            base[block] = _slice_norms(P, samples[block]).max(axis=1)
     else:
-        return None
+        _refuse_non_finite("injective norm", samples)
+        base, _ = _injective_rows(X, samples)
     keep = base > BASE_FLOOR
     if not keep.any():
         raise ParameterError(f"sample set is empty ({len(keep)} given, none "

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from smoothnorm.boundary import Decomposition, build_net
-from smoothnorm.cli import (RunContext, _equiv_pipeline, _sphere_samples,
-                            load_config)
+from smoothnorm.cli import (RunContext, _equiv_pipeline, load_config,
+                            run_suite)
 from smoothnorm.equiv import corollary_b_pipeline
 from smoothnorm.errors import ConstructionError, NumericError, ParameterError
 from smoothnorm import boundary, cli, orlicz, renorm
@@ -196,16 +196,18 @@ class TestBuildRenorm:
                            match=r"dual extreme point \[0\.2488"):
             build_renorm(short.space, short, None, seed=1)
 
-    def test_enumerable_kinds_are_not_sampled(self, monkeypatch):
+    def test_enumerable_kinds_are_not_sampled(self, monkeypatch,
+                                              tmp_path):
         """No build draws samples: demo_sup3, sup4 x euclidean(3) and
         predual7 are checked on their dual extreme points alone, and keep
         their pinned nets; so are lorentz3, lorentz4 and the boundary_sup
-        base of a chain-route pipeline."""
+        base of a chain-route pipeline.  Nor does the CLI boundary
+        suite: on demo_sup3 and lorentz4 it runs the build's vertex
+        check, with no generator made, and counts the 6 and 384
+        vertices."""
         def refuse(*args, **kwargs):
             raise AssertionError("sampled boundary check ran")
 
-        monkeypatch.setattr(cli, "_sphere_samples", refuse)
-        monkeypatch.setattr(cli, "check_boundary", refuse)
         monkeypatch.setattr(boundary, "check_boundary", refuse)
         cfg = load_config(CONFIGS / "demo_sup3.cfg")
         demo = build_renorm(cfg.space, cfg.decomposition, cfg.factor,
@@ -225,6 +227,39 @@ class TestBuildRenorm:
         result = corollary_b_pipeline(
             lap_space([[0], [1, 2]], [1.0, 2.0], 3), samples, 0.1, seed=0)
         assert result.route == "chain" and result.passed
+        contexts = [RunContext(load_config(CONFIGS / name), 7, tmp_path)
+                    for name in ("demo_sup3.cfg", "lorentz4.cfg")]
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for ctx, vertices in zip(contexts, (6, 384)):
+            record, tables = run_suite("boundary", ctx)
+            assert record["status"] == "passed" and not tables
+            assert record["samples"] == vertices
+            assert record["measured"]["vertices"] == vertices
+
+    def test_decomposition_over_other_space_refused(self):
+        """A decomposition over lorentz_predual (1, .2, .1) holding the
+        26 vertices of lorentz_predual (1, .9, .8), and in a second piece
+        (1, 1, 0) / 1.2, whose dual norm in the latter is 1.583, used to
+        build over the latter, as only the kind and dim were compared: on
+        400 gaussian rows from default_rng(0), 93 broke the window, phi
+        up to 1.627 times the norm against the bound 1.1.  A
+        decomposition must be built over X itself, and an equal but
+        distinct instance is refused too."""
+        X = lorentz_predual_space([1.0, 0.9, 0.8])
+        other = lorentz_predual_space([1.0, 0.2, 0.1])
+        pieces = [X.dual_extreme_points(), np.array([[1.0, 1.0, 0.0]]) / 1.2]
+        assert len(pieces[0]) == 26
+        assert X.dual_norm(pieces[1][0]) > 1.58
+        equal = lorentz_predual_space([1.0, 0.9, 0.8])
+        for d in (Decomposition(other, pieces, 0.1),
+                  Decomposition(equal, pieces[:1], 0.1)):
+            with pytest.raises(ParameterError, match="different space"):
+                build_renorm(X, d, None)
+            with pytest.raises(ParameterError, match="different space"):
+                renorm.check_vertices(X, d)
+        d = Decomposition(X, pieces[:1], 0.1)
+        assert renorm.check_vertices(X, d) == 26
+        assert len(build_renorm(X, d, None).net) == 26
 
     @pytest.mark.parametrize("space", [
         euclidean_space(3), lap_space([[0], [1, 2]], [1.0, 2.0], 3),
@@ -337,19 +372,6 @@ class TestBuildRenorm:
         d = sup_decomposition(2)
         with pytest.raises(ParameterError):
             build_renorm(d.space, d, sup_space(2))
-
-    def test_sphere_samples_match_row_loop(self):
-        """One gaussian block continues the same stream as one draw per
-        row, so the samples are the row-by-row loop's, bit for bit."""
-        for X in (sup_space(3), euclidean_space(4)):
-            rng = np.random.default_rng(5)
-            loop = []
-            while len(loop) < 40:
-                x = rng.standard_normal(X.dim)
-                if X.norm(x) > 1e-12:
-                    loop.append(x / X.norm(x))
-            np.testing.assert_array_equal(_sphere_samples(X, 40, 5), loop)
-
 
 # sha256 of each NetB array's bytes (home: one int64 per member)
 DEMO_SUP3_NET = dict(

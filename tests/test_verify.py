@@ -132,14 +132,28 @@ class TestWindow:
                            match="row 2 has a NaN or infinite coordinate"):
             approx_window(spec, mats)
 
-    def test_not_checkable_without_enumerable_dual(self):
+    def test_lorentz_matrix_window_matches_brute_force(self):
+        """lorentz (1, .5) lists its dual extreme points, the 8 signed
+        permutations of its weights, so its matrix window exists (it used
+        to be None): the base is their maximum slice norm, summed here
+        in _slice_norms' fixed order.  A spec put together by hand over
+        a kind that lists none is a ParameterError."""
         X = lorentz_space([1.0, 0.5])
         signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
         F = np.array([[a, 0.5 * b] for a, b in signs]
                      + [[0.5 * a, b] for a, b in signs])
         d = Decomposition(X, [F], EPS)
         spec = build_renorm(X, d, euclidean_space(2), budget=64, seed=0)
-        assert approx_window(spec, np.ones((3, 2, 2))) is None
+        mats = np.random.default_rng(3).standard_normal((40, 2, 2))
+        win = approx_window(spec, mats)
+        brute = [max(np.sqrt((f[0] * u[0, 0] + f[1] * u[1, 0]) ** 2
+                             + (f[0] * u[0, 1] + f[1] * u[1, 1]) ** 2)
+                     for f in F) for u in mats]
+        np.testing.assert_array_equal(win.base, brute)
+        assert win.passed and len(win.base) == 40
+        by_hand = dataclasses.replace(spec, X=euclidean_space(2))
+        with pytest.raises(ParameterError, match="'euclidean' lists none"):
+            approx_window(by_hand, mats)
 
 
 class TestClaim2dSweep:
